@@ -3,9 +3,9 @@
 // BENCH_endpoint.json and fails (exit 1) when a watched benchmark
 // regressed beyond the threshold — by default >25% worse ns/op, >25%
 // fewer datagrams per receive syscall, or (where the history commits a
-// baseline for it) >25% more wakeups per op for BenchmarkEndpointFanout
-// and >25% fewer handshakes per second for BenchmarkHandshakeChurn.
-// The comparison is written to -out for upload as a CI artifact.
+// baseline for it) >25% fewer handshakes per second for
+// BenchmarkHandshakeChurn. The comparison is written to -out for
+// upload as a CI artifact.
 //
 // Usage:
 //
@@ -37,13 +37,9 @@ func main() {
 	name := flag.String("name", "BenchmarkEndpointFanout", "benchmark to gate")
 	threshold := flag.Float64("threshold", 0.25, "relative regression that fails the gate")
 	nsThreshold := flag.Float64("ns-threshold", 0, "separate tolerance for ns/op (0 = same as -threshold); CI sets this wider because wall-clock baselines do not transfer across machines the way the structural dgrams-per-syscall ratio does")
-	wakeupsThreshold := flag.Float64("wakeups-threshold", 0, "separate tolerance for wakeups/op (0 = same as -threshold); wakeup counts depend on core count and scheduler, so CI widens this like ns/op while still catching structural blowups such as a lapsed multishot degenerating to one wakeup per datagram")
 	flag.Parse()
 	if *nsThreshold == 0 {
 		*nsThreshold = *threshold
-	}
-	if *wakeupsThreshold == 0 {
-		*wakeupsThreshold = *threshold
 	}
 	if *bench == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -bench is required")
@@ -73,7 +69,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	report, regressed := compare(*name, runs, base, baseDesc, *threshold, *nsThreshold, *wakeupsThreshold)
+	report, regressed := compare(*name, runs, base, baseDesc, *threshold, *nsThreshold)
 	fmt.Print(report)
 	if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
@@ -143,7 +139,6 @@ func median(runs []map[string]float64, unit string) (float64, bool) {
 type baseline struct {
 	NsPerOp          float64 `json:"ns_per_op"`
 	DgramPerRx       float64 `json:"dgram_per_rx_syscall"`
-	WakeupsPerOp     float64 `json:"wakeups_per_op"`
 	HandshakesPerSec float64 `json:"handshakes_per_sec"`
 }
 
@@ -188,13 +183,11 @@ func latestBaseline(historyJSON []byte, name string) (*baseline, string, error) 
 }
 
 // compare renders the trend report and decides the gate. Regression
-// rules: median ns/op above baseline by more than nsThreshold, median
-// dgram/rxcall below baseline by more than threshold, or median
-// wakeups/op above a committed wakeups baseline by more than
-// wakeupsThreshold. Improvements and missing data pass (with a note),
-// so the gate only ever bites on a measured regression against
-// committed numbers.
-func compare(name string, runs []map[string]float64, base *baseline, baseDesc string, threshold, nsThreshold, wakeupsThreshold float64) (string, bool) {
+// rules: median ns/op above baseline by more than nsThreshold, or
+// median dgram/rxcall below baseline by more than threshold.
+// Improvements and missing data pass (with a note), so the gate only
+// ever bites on a measured regression against committed numbers.
+func compare(name string, runs []map[string]float64, base *baseline, baseDesc string, threshold, nsThreshold float64) (string, bool) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "benchgate: %s, threshold %.0f%% (ns/op %.0f%%)\n", name, threshold*100, nsThreshold*100)
 	if len(runs) == 0 {
@@ -228,12 +221,6 @@ func compare(name string, runs []map[string]float64, base *baseline, baseDesc st
 	}
 	check("ns/op", base.NsPerOp, nsThreshold, true)
 	check("dgram/rxcall", base.DgramPerRx, threshold, false)
-	// Wakeups per op only gates entries that committed a baseline for
-	// it (the io_uring data path's structural metric); zero means the
-	// entry predates the metric and the check stays silent.
-	if base.WakeupsPerOp > 0 {
-		check("wakeups/op", base.WakeupsPerOp, wakeupsThreshold, true)
-	}
 	// Handshake throughput gates only entries that committed it (the
 	// churn benchmark's headline); like ns/op it is wall-clock-bound, so
 	// it shares the wider ns tolerance rather than the structural one.

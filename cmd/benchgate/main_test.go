@@ -9,7 +9,7 @@ const sampleBench = `goos: linux
 goarch: amd64
 pkg: repro
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkEndpointFanout-4      	       1	1300000000 ns/op	  13.28 MB/s	        17.68 dgram/rxcall	         4.33 dgram/txcall	       620.0 wakeups/op	39798562 B/op	   82534 allocs/op
+BenchmarkEndpointFanout-4      	       1	1300000000 ns/op	  13.28 MB/s	        17.68 dgram/rxcall	         4.33 dgram/txcall	39798562 B/op	   82534 allocs/op
 BenchmarkEndpointFanout-4      	       1	1200000000 ns/op	  14.00 MB/s	        18.40 dgram/rxcall	         4.50 dgram/txcall	39798562 B/op	   82534 allocs/op
 BenchmarkEndpointFanoutNoBatch-4	       1	3395139268 ns/op	   4.94 MB/s	         1.00 dgram/rxcall	         1.00 dgram/txcall	39000000 B/op	   80000 allocs/op
 PASS
@@ -65,7 +65,7 @@ func TestCompareGate(t *testing.T) {
 	base := &baseline{NsPerOp: 1263246778, DgramPerRx: 17.68}
 
 	// Medians 1.3e9 ns/op (+2.9%) and 18.40 rx (+4.1%): within 25%.
-	report, regressed := compare("BenchmarkEndpointFanout", runs, base, "pr 3", 0.25, 0.25, 0.25)
+	report, regressed := compare("BenchmarkEndpointFanout", runs, base, "pr 3", 0.25, 0.25)
 	if regressed {
 		t.Fatalf("within-threshold run regressed:\n%s", report)
 	}
@@ -75,57 +75,36 @@ func TestCompareGate(t *testing.T) {
 
 	// >25% slower ns/op must fail…
 	_, regressed = compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 9e8, DgramPerRx: 17.68}, "pr 3", 0.25, 0.25, 0.25)
+		&baseline{NsPerOp: 9e8, DgramPerRx: 17.68}, "pr 3", 0.25, 0.25)
 	if !regressed {
 		t.Fatal("44% ns/op regression passed the gate")
 	}
 	// …unless the ns/op tolerance was widened for a cross-machine run,
 	// in which case only a blowup beyond it bites.
 	if _, r := compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 9e8, DgramPerRx: 17.68}, "pr 3", 0.25, 1.0, 0.25); r {
+		&baseline{NsPerOp: 9e8, DgramPerRx: 17.68}, "pr 3", 0.25, 1.0); r {
 		t.Fatal("44% ns/op failed the gate despite a 100% ns/op tolerance")
 	}
 	if _, r := compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 5e8, DgramPerRx: 17.68}, "pr 3", 0.25, 1.0, 0.25); !r {
+		&baseline{NsPerOp: 5e8, DgramPerRx: 17.68}, "pr 3", 0.25, 1.0); !r {
 		t.Fatal("2.6x ns/op blowup passed the widened gate")
 	}
 	// …and so must >25% fewer datagrams per syscall.
 	report, regressed = compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 1.3e9, DgramPerRx: 30}, "pr 3", 0.25, 0.25, 0.25)
+		&baseline{NsPerOp: 1.3e9, DgramPerRx: 30}, "pr 3", 0.25, 0.25)
 	if !regressed {
 		t.Fatalf("rx-batch collapse passed the gate:\n%s", report)
 	}
 
-	// Wakeups per op gates only entries that committed it: a 25%+ climb
-	// against a wakeups baseline fails, and a baseline without the field
-	// (zero) never arms the check however the run looks.
-	report, regressed = compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 1.3e9, DgramPerRx: 17.68, WakeupsPerOp: 400}, "pr 6", 0.25, 0.25, 0.25)
-	if !regressed {
-		t.Fatalf("wakeup blowup (620 vs 400) passed the gate:\n%s", report)
-	}
-	if _, r := compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 1.3e9, DgramPerRx: 17.68, WakeupsPerOp: 600}, "pr 6", 0.25, 0.25, 0.25); r {
-		t.Fatal("within-threshold wakeups failed the gate")
-	}
-	if _, r := compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 1.3e9, DgramPerRx: 17.68}, "pr 6", 0.25, 0.25, 0.25); r {
-		t.Fatal("entry without a wakeups baseline armed the wakeups check")
-	}
-	if _, r := compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 1.3e9, DgramPerRx: 17.68, WakeupsPerOp: 400}, "pr 6", 0.25, 0.25, 1.0); r {
-		t.Fatal("55% wakeups climb failed the gate despite a 100% wakeups tolerance")
-	}
-
 	// A faster run, or one with no baseline/result, always passes.
 	if _, r := compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 9e9, DgramPerRx: 1}, "pr 3", 0.25, 0.25, 0.25); r {
+		&baseline{NsPerOp: 9e9, DgramPerRx: 1}, "pr 3", 0.25, 0.25); r {
 		t.Fatal("improvement flagged as regression")
 	}
-	if _, r := compare("BenchmarkEndpointFanout", nil, base, "pr 3", 0.25, 0.25, 0.25); r {
+	if _, r := compare("BenchmarkEndpointFanout", nil, base, "pr 3", 0.25, 0.25); r {
 		t.Fatal("skipped benchmark failed the gate")
 	}
-	if _, r := compare("BenchmarkEndpointFanout", runs, nil, "", 0.25, 0.25, 0.25); r {
+	if _, r := compare("BenchmarkEndpointFanout", runs, nil, "", 0.25, 0.25); r {
 		t.Fatal("missing baseline failed the gate")
 	}
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	qtpbench [-quick] [-seed N] [-only E1,E4,...]
-//	qtpbench -loopback [-conns N] [-mbytes M] [-cc tfrc|bbr] [-nobatch] [-nogso] [-nouring]
+//	qtpbench -loopback [-conns N] [-mbytes M] [-cc tfrc|bbr] [-nobatch] [-nogso]
 //	         [-insecure] [-shards N] [-streams N -mix reliable,unordered,expiring [-deadline D]]
 //	qtpbench -churn [-arrival N] [-lifetime D] [-duration D] [-shards N]
 //	         [-require-token] [-accept-rate N] [-insecure]
@@ -41,7 +41,6 @@ func main() {
 	rate := flag.Float64("rate", 4e6, "loopback: per-connection QoS target, bytes/s (keep the aggregate under what loopback can carry or loss recovery dominates)")
 	nobatch := flag.Bool("nobatch", false, "loopback: force the single-datagram socket path")
 	nogso := flag.Bool("nogso", false, "loopback: keep UDP segment offload (GSO/GRO) off, pinning sends to plain sendmmsg")
-	nouring := flag.Bool("nouring", false, "loopback: keep the io_uring data path off, pinning I/O to recvmmsg/sendmmsg")
 	shards := flag.Int("shards", 1, "loopback: SO_REUSEPORT server shards (0 = one per core); >1 gives every conn its own client socket so the kernel hash can spread flows")
 	streams := flag.Int("streams", 1, "loopback: streams per connection (>1 negotiates stream multiplexing and spreads each connection's bytes across them)")
 	mix := flag.String("mix", "reliable", "loopback: comma-separated delivery modes cycled across streams: reliable | unordered | expiring")
@@ -84,7 +83,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runLoopback(*conns, *mbytes<<20, *rate, ccMode, *nobatch, *nogso, *nouring, *insecure,
+		runLoopback(*conns, *mbytes<<20, *rate, ccMode, *nobatch, *nogso, *insecure,
 			*shards, *streams, modes, *deadline)
 		return
 	}
@@ -129,7 +128,7 @@ func main() {
 // delivery modes cycling through the -mix list, so the bench exercises
 // the round-robin stream scheduler under real socket load.
 func runLoopback(n, perConn int, rate float64, cc packet.CongestionMode,
-	nobatch, nogso, nouring, insecure bool,
+	nobatch, nogso, insecure bool,
 	shards, nStreams int, modes []qtpnet.StreamMode, deadline time.Duration) {
 
 	cfg := qtpnet.EndpointConfig{
@@ -137,7 +136,6 @@ func runLoopback(n, perConn int, rate float64, cc packet.CongestionMode,
 		Constraints:       core.Permissive(rate),
 		DisableBatchIO:    nobatch,
 		DisableGSO:        nogso,
-		DisableUring:      nouring,
 		DisableEncryption: insecure,
 	}
 	srv, err := qtpnet.NewShardedEndpoint("127.0.0.1:0", cfg, shards)
@@ -154,7 +152,6 @@ func runLoopback(n, perConn int, rate float64, cc packet.CongestionMode,
 		clients[i], err = qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{
 			DisableBatchIO:    nobatch,
 			DisableGSO:        nogso,
-			DisableUring:      nouring,
 			DisableEncryption: insecure,
 		})
 		if err != nil {
@@ -339,12 +336,6 @@ func runLoopback(n, perConn int, rate float64, cc packet.CongestionMode,
 	mode := "recvmmsg/sendmmsg"
 	if clients[0].GSOEnabled() {
 		mode = "recvmmsg/sendmmsg + GSO/GRO"
-	}
-	if clients[0].UringEnabled() {
-		mode = "io_uring multishot"
-		if clients[0].TxTimeEnabled() {
-			mode = "io_uring multishot + SO_TXTIME"
-		}
 	}
 	if nobatch {
 		mode = "single-datagram fallback"

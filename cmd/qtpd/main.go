@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	qtpd [-listen :9000] [-shards n] [-nogso] [-nouring] [-insecure] [-require-token] [-accept-rate n] [-no-bbr] [-qos-budget bytesPerSec] [-o prefix] [-max n] [-v]
+//	qtpd [-listen :9000] [-shards n] [-nogso] [-insecure] [-require-token] [-accept-rate n] [-no-bbr] [-qos-budget bytesPerSec] [-o prefix] [-max n] [-v]
 //	     [-cpuprofile f] [-memprofile f] [-pprof-addr host:port]
 package main
 
@@ -27,7 +27,6 @@ func main() {
 	listen := flag.String("listen", ":9000", "UDP address to listen on")
 	shards := flag.Int("shards", 1, "SO_REUSEPORT shards to run on the port (0 = one per core; falls back to 1 where unsupported)")
 	nogso := flag.Bool("nogso", false, "keep UDP segment offload (GSO/GRO) off even where the kernel supports it")
-	nouring := flag.Bool("nouring", false, "keep the io_uring data path off even where the kernel supports it")
 	insecure := flag.Bool("insecure", false, "disable transport encryption (accepts only plaintext peers that also run -insecure; debugging/interop escape hatch)")
 	requireToken := flag.Bool("require-token", false, "challenge every token-less Connect with a stateless Retry (address validation before any state allocation)")
 	acceptRate := flag.Float64("accept-rate", 0, "cap new inbound connections per second per shard; excess is shed with a Retry-after hint (0 = unlimited)")
@@ -55,9 +54,6 @@ func main() {
 	if *nogso {
 		opts = append(opts, qtpnet.WithNoGSO())
 	}
-	if *nouring {
-		opts = append(opts, qtpnet.WithNoUring())
-	}
 	if *insecure {
 		opts = append(opts, qtpnet.WithNoEncryption())
 	}
@@ -75,10 +71,8 @@ func main() {
 	log.Printf("qtpd: listening on %s, %d shard(s) (QoS budget %.0f B/s per conn)",
 		l.Addr(), l.Sharded().NumShards(), *budget)
 	ep := l.Endpoint()
-	log.Printf("qtpd: segment offload: gso=%v gro=%v (per shard; -nogso or QTPNET_NOGSO to force off)",
-		ep.GSOEnabled(), ep.GROEnabled())
-	log.Printf("qtpd: io_uring data path: uring=%v txtime=%v (per shard; -nouring or QTPNET_NOURING to force off)",
-		ep.UringEnabled(), ep.TxTimeEnabled())
+	log.Printf("qtpd: data path: batch=%v gso=%v gro=%v txtime=%v (per shard; -nogso or QTPNET_NOGSO keeps offload off)",
+		ep.BatchEnabled(), ep.GSOEnabled(), ep.GROEnabled(), ep.TxTimeEnabled())
 	log.Printf("qtpd: handshake hardening: require-token=%v accept-rate=%.0f/s per shard",
 		*requireToken, *acceptRate)
 	log.Printf("qtpd: congestion control: bbr grants %v (-no-bbr to refuse; TFRC always granted)",

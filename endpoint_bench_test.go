@@ -189,7 +189,7 @@ func BenchmarkEndpointLoopback(b *testing.B) {
 // exists to raise (the fallback path pins it at 1). Segment offload is
 // on where the kernel supports it, exactly as in production.
 func BenchmarkEndpointFanout(b *testing.B) {
-	benchFanout(b, false, false, false, false, packet.CongestionTFRC, 64, 256<<10, 2e6)
+	benchFanout(b, false, false, false, packet.CongestionTFRC, 64, 256<<10, 2e6)
 }
 
 // BenchmarkEncryptedFanout is BenchmarkEndpointFanout with transport
@@ -200,14 +200,14 @@ func BenchmarkEndpointFanout(b *testing.B) {
 // data path — seal, open, nonce/replay bookkeeping, and the extra wire
 // bytes — with GSO trains and mmsg batches intact.
 func BenchmarkEncryptedFanout(b *testing.B) {
-	benchFanout(b, false, false, false, true, packet.CongestionTFRC, 64, 256<<10, 2e6)
+	benchFanout(b, false, false, true, packet.CongestionTFRC, 64, 256<<10, 2e6)
 }
 
 // BenchmarkEndpointFanoutNoBatch is the same load on the forced
 // single-datagram socket path: the difference against
 // BenchmarkEndpointFanout is what recvmmsg/sendmmsg buy.
 func BenchmarkEndpointFanoutNoBatch(b *testing.B) {
-	benchFanout(b, true, false, false, false, packet.CongestionTFRC, 64, 256<<10, 2e6)
+	benchFanout(b, true, false, false, packet.CongestionTFRC, 64, 256<<10, 2e6)
 }
 
 // BenchmarkGSOFanout is BenchmarkEndpointFanout with segment offload
@@ -237,71 +237,8 @@ func benchGSOFanout(b *testing.B, nogso bool) {
 	// Hotter per-connection rate than the EndpointFanout shape: trains
 	// and GRO merges only form when flush queues and receive bursts
 	// outgrow what one mmsg message can carry, which is exactly the
-	// regime segment offload exists for. The uring rung would hide the
-	// mmsg-vs-GSO contrast, so it sits out this pair.
-	benchFanout(b, false, nogso, true, false, packet.CongestionTFRC, 32, 256<<10, 5e6)
-}
-
-// BenchmarkUringFanout is the fan-out load on the io_uring data path
-// (multishot receive, batched SQE sends, SO_TXTIME pacing where the
-// kernel grants it); it skips where the ring probe refuses. Against
-// BenchmarkUringFanoutNoUring — the same load pinned to mmsg+GSO — the
-// wakeups/op metric is the headline: completions drained from the ring
-// without entering the kernel are receive syscalls that no longer
-// happen.
-func BenchmarkUringFanout(b *testing.B) { benchUringFanout(b, false) }
-
-// BenchmarkUringFanoutNoUring is the mmsg+GSO baseline for
-// BenchmarkUringFanout (ring disabled, everything else identical).
-func BenchmarkUringFanoutNoUring(b *testing.B) { benchUringFanout(b, true) }
-
-func benchUringFanout(b *testing.B, nouring bool) {
-	probe, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	uring := probe.UringEnabled()
-	probe.Close()
-	if !uring {
-		b.Skip("kernel without a usable io_uring; nothing to measure")
-	}
-	// Hot per-connection rate, same reasoning as the GSO pair: the ring
-	// only beats a blocking recvmmsg when completions pile up while the
-	// endpoint is busy draining the previous batch, i.e. under sustained
-	// arrival pressure. GRO sits this pair out — symmetric to the GSO
-	// pair sitting uring out — because kernel merging already collapses
-	// a 40-datagram burst into one delivery for either rung, which
-	// hides the ring-vs-recvmmsg wakeup contrast this pair measures.
-	benchFanout(b, false, true, nouring, false, packet.CongestionTFRC, 64, 256<<10, 5e6)
-}
-
-// BenchmarkUringPacedLowRate pins the regime that motivated the
-// ring-owner refactor: few connections, smoothly TFRC-paced at a low
-// rate, on however few cores the box has. Arrivals come one at a time
-// with even spacing — the worst case for a multishot ring, since
-// there is never a burst for the completion queue to amortize. The PR
-// 6 shared-entry ring ran ~2x slower than recvmmsg here because every
-// datagram scheduled per-datagram task_work onto the entering thread;
-// the DEFER_TASKRUN owner ring batches that work inside the owner's
-// enter and must hold wall-clock parity or better against
-// BenchmarkUringPacedLowRateNoUring (same load pinned to mmsg).
-func BenchmarkUringPacedLowRate(b *testing.B) { benchUringPaced(b, false) }
-
-// BenchmarkUringPacedLowRateNoUring is the recvmmsg baseline for
-// BenchmarkUringPacedLowRate (ring disabled, everything else identical).
-func BenchmarkUringPacedLowRateNoUring(b *testing.B) { benchUringPaced(b, true) }
-
-func benchUringPaced(b *testing.B, nouring bool) {
-	probe, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	uring := probe.UringEnabled()
-	probe.Close()
-	if !uring {
-		b.Skip("kernel without a usable io_uring; nothing to measure")
-	}
-	benchFanout(b, false, true, nouring, false, packet.CongestionTFRC, 16, 64<<10, 2e6)
+	// regime segment offload exists for.
+	benchFanout(b, false, nogso, false, packet.CongestionTFRC, 32, 256<<10, 5e6)
 }
 
 // BenchmarkBBRFanout is the fan-out load with every connection running
@@ -313,7 +250,7 @@ func benchUringPaced(b *testing.B, nouring bool) {
 // load; on loopback's negligible BDP the controller sits in its initial
 // window, so this measures bookkeeping, not ramp behaviour.
 func BenchmarkBBRFanout(b *testing.B) {
-	benchFanout(b, false, false, false, false, packet.CongestionBBR, 64, 256<<10, 2e6)
+	benchFanout(b, false, false, false, packet.CongestionBBR, 64, 256<<10, 2e6)
 }
 
 // benchFanout runs the fan-out load with the listed knobs. encrypted
@@ -323,13 +260,12 @@ func BenchmarkBBRFanout(b *testing.B) {
 // cc selects the dial profile: CongestionTFRC keeps the historical
 // QTPAF(rate) shape, CongestionBBR swaps in reliable QTPlight running
 // the window-based controller (BBR excludes the QoS clamp).
-func benchFanout(b *testing.B, nobatch, nogso, nouring, encrypted bool, cc packet.CongestionMode, nConns, perConn int, rate float64) {
+func benchFanout(b *testing.B, nobatch, nogso, encrypted bool, cc packet.CongestionMode, nConns, perConn int, rate float64) {
 	srv, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{
 		AcceptInbound:     true,
 		Constraints:       core.Permissive(rate),
 		DisableBatchIO:    nobatch,
 		DisableGSO:        nogso,
-		DisableUring:      nouring,
 		DisableEncryption: !encrypted,
 		// Deep enough for a whole per-conn transfer: on a saturated
 		// single-core box the reader goroutines are scheduled long after
@@ -345,7 +281,6 @@ func benchFanout(b *testing.B, nobatch, nogso, nouring, encrypted bool, cc packe
 	client, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{
 		DisableBatchIO:    nobatch,
 		DisableGSO:        nogso,
-		DisableUring:      nouring,
 		DisableEncryption: !encrypted,
 	})
 	if err != nil {
@@ -443,15 +378,6 @@ func benchFanout(b *testing.B, nobatch, nogso, nouring, encrypted bool, cc packe
 	// floor, and GroMerged on the server shows the receive half.
 	cst := client.Stats()
 	b.ReportMetric(cst.AvgSendBatch(), "c-dgram/txcall")
-	// Wakeups are the io_uring headline: times the receive path actually
-	// blocked into the kernel. On mmsg every batch is a wakeup; on the
-	// ring only an empty completion queue is, so wakeups/op falling below
-	// the mmsg line measures syscalls the ring deleted.
-	b.ReportMetric(float64(st.Wakeups+cst.Wakeups)/float64(b.N), "wakeups/op")
-	if st.UringSubmits > 0 || cst.UringSubmits > 0 {
-		b.ReportMetric(float64(st.UringSubmits+cst.UringSubmits)/float64(b.N), "submits/op")
-		b.ReportMetric(float64(cst.TxTimeSends)/float64(b.N), "c-txtime/op")
-	}
 	if cst.GsoTrains > 0 || st.GroMerged > 0 {
 		b.ReportMetric(float64(cst.GsoSegs)/float64(b.N), "c-gsosegs/op")
 		b.ReportMetric(float64(st.GroMerged)/float64(b.N), "gromerged/op")

@@ -138,7 +138,8 @@ type Stats struct {
 
 // Conn is one endpoint of a QTP connection. It is not safe for
 // concurrent use; drivers serialize access (the simulator is single
-// threaded, the UDP driver uses one goroutine per connection).
+// threaded; the UDP driver, qtpnet's shared endpoint, guards each Conn
+// with a per-connection mutex).
 type Conn struct {
 	cfg     Config
 	profile core.Profile

@@ -104,7 +104,7 @@ type segmentOffloader interface {
 // leaving as one micro-burst.
 type txTimeWriter interface {
 	// txTimeOn reports whether SO_TXTIME is active on the socket (the
-	// setsockopt probe succeeded and the knob is not disabled).
+	// setsockopt probe succeeded).
 	txTimeOn() bool
 	// txTimeSendCount counts datagrams sent with a TXTIME stamp.
 	txTimeSendCount() uint64
@@ -113,38 +113,12 @@ type txTimeWriter interface {
 	nowNs() uint64
 }
 
-// ioCloser is the optional batchIO extension for implementations that
-// own kernel resources beyond the socket (io_uring rings, registered
-// buffers). The endpoint calls closeIO after stopping the send
-// scheduler and before closing the socket, so a reader blocked in the
-// ring can be woken and the rings torn down in order.
-type ioCloser interface {
-	closeIO()
-}
-
-// uringStatser is the optional batchIO extension exposing io_uring
-// structural counters: how many times the read loop actually had to
-// block (wakeups), and submission/completion volume through the rings.
-type uringStatser interface {
-	uringWakeups() uint64
-	uringSubmits() uint64
-	uringCompletions() uint64
-	// uringDeferred reports whether the ring runs in owner mode
-	// (DEFER_TASKRUN + SINGLE_ISSUER behind a dedicated goroutine)
-	// rather than the shared-entry fallback.
-	uringDeferred() bool
-}
-
-// batchOpts collects the per-socket data-path knobs: each rung of the
-// ladder (batching, segment offload, io_uring, TXTIME pacing) can be
-// disabled independently, by config or environment, without touching
-// the rungs below it.
+// batchOpts collects the per-socket data-path knobs: batching and
+// segment offload can each be disabled, by config or environment,
+// without touching the rung below.
 type batchOpts struct {
-	noBatch  bool // force the portable single-datagram fallback
-	noGSO    bool // never probe UDP_SEGMENT/UDP_GRO
-	noUring  bool // never probe io_uring
-	noDefer  bool // never probe the DEFER_TASKRUN ring-owner mode
-	noTxTime bool // never probe SO_TXTIME
+	noBatch bool // force the portable single-datagram fallback
+	noGSO   bool // never probe UDP_SEGMENT/UDP_GRO
 }
 
 // newBatchIO picks the best available implementation for the socket.

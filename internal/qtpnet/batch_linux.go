@@ -36,7 +36,6 @@ import (
 // up to 64 wire packets.
 type mmsgIO struct {
 	rc syscall.RawConn
-	fd int  // raw socket fd (valid for the socket's lifetime)
 	v6 bool // AF_INET6 socket: v4 destinations need mapping
 
 	gsoOK   atomic.Bool // UDP_SEGMENT accepted; cleared on send refusal
@@ -125,9 +124,7 @@ func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, o batchOpts) batchIO {
 		return nil
 	}
 	domain := syscall.AF_INET
-	sockFD := -1
 	cerr := rc.Control(func(fd uintptr) {
-		sockFD = int(fd)
 		if d, err := syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_DOMAIN); err == nil {
 			domain = d
 		}
@@ -141,7 +138,6 @@ func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, o batchOpts) batchIO {
 	}
 	m := &mmsgIO{
 		rc:   rc,
-		fd:   sockFD,
 		v6:   domain == syscall.AF_INET6,
 		rhdr: make([]mmsghdr, maxBatch),
 		riov: make([]syscall.Iovec, maxBatch),
@@ -155,18 +151,7 @@ func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, o batchOpts) batchIO {
 	if !o.noGSO {
 		m.probeOffload()
 	}
-	if !o.noTxTime {
-		m.probeTxTime()
-	}
-	if !o.noUring {
-		// The top rung: multishot receive and batched submission over
-		// io_uring, sharing all of mmsgIO's offload/pacing state. The
-		// probe tears itself down and answers nil wherever the kernel
-		// lacks uring UDP multishot, leaving the mmsg path in charge.
-		if u := newUringIO(m, maxBatch, o.noDefer); u != nil {
-			return u
-		}
-	}
+	m.probeTxTime()
 	return m
 }
 

@@ -5,7 +5,7 @@ package qtpnet
 import "net"
 
 // newPlatformBatchIO reports that no batched syscall implementation
-// (and therefore no segment offload, io_uring or TXTIME pacing) exists
+// (and therefore no segment offload or TXTIME pacing) exists
 // here; the endpoint uses the portable single-datagram fallback.
 func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, o batchOpts) batchIO {
 	return nil

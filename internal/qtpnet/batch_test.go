@@ -162,3 +162,45 @@ func TestEndpointStatsString(t *testing.T) {
 		t.Fatal("zero-division in AvgRecvBatch")
 	}
 }
+
+// TestDataPathShims pins the API the repo benchmark compiles against
+// (benchmark/README.md, "Entry points") now that the io_uring rungs
+// are gone: DisableUring is accepted and ignored, UringEnabled and
+// UringDeferred answer false, and Wakeups is always RecvBatches. Root
+// `go test ./...` skips the nested benchmark module, so this is where
+// that contract is checked.
+func TestDataPathShims(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("DisableUring=%v", disable), func(t *testing.T) {
+			se, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{
+				AcceptInbound: true,
+				Constraints:   core.Permissive(1e7),
+				DisableUring:  disable,
+			}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := &Listener{se: se}
+			defer l.Close()
+			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{DisableUring: disable})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+
+			transfer(t, client, l, 2, 16<<10)
+
+			for _, e := range []*Endpoint{client, se.Shard(0)} {
+				if e.UringEnabled() || e.UringDeferred() {
+					t.Errorf("UringEnabled=%v UringDeferred=%v, want false false",
+						e.UringEnabled(), e.UringDeferred())
+				}
+				st := e.Stats()
+				if st.RecvBatches == 0 || st.Wakeups != st.RecvBatches {
+					t.Errorf("Wakeups=%d RecvBatches=%d, want equal and non-zero",
+						st.Wakeups, st.RecvBatches)
+				}
+			}
+		})
+	}
+}

@@ -42,17 +42,9 @@ const closeGrace = 3 * time.Second
 // all three to exercise the fallback data paths on linux, where the
 // batch, reuseport and offload implementations would otherwise always
 // win. Read per construction, not at init, so tests can flip them.
-// envNoUring (QTPNET_NOURING) and envNoTxTime (QTPNET_NOTXTIME) do the
-// same for the io_uring data path and SO_TXTIME pacing offload.
-// envNoDefer (QTPNET_NODEFER) keeps the uring on the shared-entry
-// fallback — simulating a pre-6.1 kernel that lacks DEFER_TASKRUN —
-// without giving up the ring itself.
 func envNoBatchIO() bool   { return os.Getenv("QTPNET_NOBATCH") != "" }
 func envNoReusePort() bool { return os.Getenv("QTPNET_NOREUSEPORT") != "" }
 func envNoGSO() bool       { return os.Getenv("QTPNET_NOGSO") != "" }
-func envNoUring() bool     { return os.Getenv("QTPNET_NOURING") != "" }
-func envNoDefer() bool     { return os.Getenv("QTPNET_NODEFER") != "" }
-func envNoTxTime() bool    { return os.Getenv("QTPNET_NOTXTIME") != "" }
 func envNoEncrypt() bool   { return os.Getenv("QTPNET_NOENCRYPT") != "" }
 
 // ErrEndpointClosed is returned by calls on a closed endpoint.
@@ -78,7 +70,7 @@ type EndpointConfig struct {
 	// DisableBatchIO drops the endpoint to the bottom rung of the data-
 	// path ladder (docs/DATAPATH.md): the portable one-syscall-per-
 	// datagram socket path, skipping recvmmsg/sendmmsg batching and,
-	// by implication, the GSO/GRO and io_uring/TXTIME rungs stacked on
+	// by implication, the GSO/GRO rung and TXTIME pacing stacked on
 	// top of it. The endpoint behaves identically on every rung; tests
 	// use this to prove it, and it is an escape hatch should a
 	// platform's batch path misbehave. Sealed datagrams (docs/WIRE.md)
@@ -90,21 +82,11 @@ type EndpointConfig struct {
 	// QTPNET_NOGSO environment override; semantics are identical either
 	// way, which the equivalence tests prove.
 	DisableGSO bool
-	// DisableUring keeps the io_uring data path (multishot receive,
-	// batched SQE submission) off this endpoint even on capable
-	// kernels, pinning it to the recvmmsg/sendmmsg rung. Implied by
-	// DisableBatchIO and by the QTPNET_NOURING environment override;
-	// delivery is byte-identical either way.
+	// DisableUring is ignored: the data path has no io_uring rung.
+	//
+	// Deprecated: kept only because the repo benchmark, which later
+	// changes may not edit, sets it (benchmark/README.md, "Entry points").
 	DisableUring bool
-	// DisableUringDefer keeps the io_uring path on the shared-entry
-	// fallback ring, never probing the DEFER_TASKRUN + SINGLE_ISSUER
-	// ring-owner mode — simulating a pre-6.1 kernel on a capable one.
-	// Implied by QTPNET_NODEFER; delivery is byte-identical either way.
-	DisableUringDefer bool
-	// DisableTxTime keeps SO_TXTIME pacing offload off the socket, so
-	// flushes leave as kernel-scheduled bursts rather than fq-paced
-	// release instants. Implied by DisableBatchIO and QTPNET_NOTXTIME.
-	DisableTxTime bool
 	// RequireToken makes the endpoint challenge every token-less Connect
 	// with a stateless Retry carrying an HMAC source-address token,
 	// allocating no connection state until a Connect echoes a valid
@@ -177,27 +159,13 @@ type EndpointStats struct {
 	GroMerged    uint64
 	GsoFallbacks uint64
 
-	// Wakeups counts the times the receive path actually blocked into
-	// the kernel for more data — the structural cost batching and
-	// io_uring exist to amortize. On the mmsg/single paths every read
-	// syscall is a wakeup (Wakeups == RecvBatches); on the io_uring
-	// path completions drain without syscalls and Wakeups counts only
-	// the empty-queue blocks, so Wakeups < RecvBatches measures what
-	// the ring saved. UringSubmits/UringCompletions count SQE
-	// submission syscalls and reaped CQEs (zero off the uring path);
-	// TxTimeSends counts datagrams sent with an SO_TXTIME release
-	// stamp (zero without TXTIME pacing).
-	Wakeups          uint64
-	UringSubmits     uint64
-	UringCompletions uint64
-	TxTimeSends      uint64
-
-	// UringDeferred reports the ring-owner (DEFER_TASKRUN +
-	// SINGLE_ISSUER) mode: completion work runs only inside the owner
-	// goroutine's io_uring_enter, so one blocked owner counts one
-	// Wakeup however many requests it serves. False on the shared-entry
-	// ring and off the uring path entirely.
-	UringDeferred bool
+	// Wakeups counts the times the receive path blocked into the
+	// kernel for more data — the structural cost batching exists to
+	// amortize. Every read syscall is a wakeup, so it always equals
+	// RecvBatches. TxTimeSends counts datagrams sent with an SO_TXTIME
+	// release stamp (zero without TXTIME pacing).
+	Wakeups     uint64
+	TxTimeSends uint64
 
 	// Cross-shard traffic (always zero on unsharded endpoints): frames
 	// the kernel hashed to a shard other than the one their connection
@@ -267,10 +235,6 @@ func (s EndpointStats) String() string {
 			s.GsoTrains, s.GsoSegs, s.GsoFallbacks, s.GroMerged)
 	}
 	str += fmt.Sprintf(" wakeups %d", s.Wakeups)
-	if s.UringSubmits > 0 || s.UringCompletions > 0 {
-		str += fmt.Sprintf(" uring submits %d completions %d deferred %v",
-			s.UringSubmits, s.UringCompletions, s.UringDeferred)
-	}
 	if s.TxTimeSends > 0 {
 		str += fmt.Sprintf(" txtime sends %d", s.TxTimeSends)
 	}
@@ -311,9 +275,6 @@ func (s EndpointStats) add(o EndpointStats) EndpointStats {
 	s.GroMerged += o.GroMerged
 	s.GsoFallbacks += o.GsoFallbacks
 	s.Wakeups += o.Wakeups
-	s.UringSubmits += o.UringSubmits
-	s.UringCompletions += o.UringCompletions
-	s.UringDeferred = s.UringDeferred || o.UringDeferred
 	s.TxTimeSends += o.TxTimeSends
 	s.CrossShardFwd += o.CrossShardFwd
 	s.CrossShardRecv += o.CrossShardRecv
@@ -352,10 +313,9 @@ type peerKey struct {
 //
 // Frames are sealed into AEAD envelopes just before they reach the
 // send scheduler and opened just after demux, so every batching layer
-// (sendmmsg, GSO trains, io_uring submissions) handles sealed
-// datagrams exactly as it handled plaintext; see docs/WIRE.md for the
-// envelope bytes and EndpointConfig.DisableEncryption for the escape
-// hatch.
+// (sendmmsg, GSO trains) handles sealed datagrams exactly as it handled
+// plaintext; see docs/WIRE.md for the envelope bytes and
+// EndpointConfig.DisableEncryption for the escape hatch.
 type Endpoint struct {
 	pc    *net.UDPConn
 	bio   batchIO
@@ -495,15 +455,6 @@ func newEndpointOn(pc *net.UDPConn, cfg EndpointConfig, sh shardEnv) *Endpoint {
 	if envNoGSO() {
 		cfg.DisableGSO = true
 	}
-	if envNoUring() {
-		cfg.DisableUring = true
-	}
-	if envNoDefer() {
-		cfg.DisableUringDefer = true
-	}
-	if envNoTxTime() {
-		cfg.DisableTxTime = true
-	}
 	if envNoEncrypt() {
 		cfg.DisableEncryption = true
 	}
@@ -512,11 +463,8 @@ func newEndpointOn(pc *net.UDPConn, cfg EndpointConfig, sh shardEnv) *Endpoint {
 	// release instants instead of micro-bursts, so the burst-absorption
 	// floor halves.
 	bio := newBatchIO(pc, rxBatch, batchOpts{
-		noBatch:  cfg.DisableBatchIO,
-		noGSO:    cfg.DisableGSO,
-		noUring:  cfg.DisableUring,
-		noDefer:  cfg.DisableUringDefer,
-		noTxTime: cfg.DisableTxTime,
+		noBatch: cfg.DisableBatchIO,
+		noGSO:   cfg.DisableGSO,
 	})
 	if cfg.SocketBufferBytes == 0 {
 		cfg.SocketBufferBytes = 2 << 20
@@ -614,20 +562,19 @@ func (e *Endpoint) Stats() EndpointStats {
 	if so, ok := e.bio.(segmentOffloader); ok {
 		st.GsoFallbacks = so.gsoFallbacks()
 	}
-	// On the mmsg/single paths every read syscall blocks, so wakeups
-	// and receive syscalls coincide; the uring path reports how often
-	// it actually had to block.
 	st.Wakeups = st.RecvBatches
-	if us, ok := e.bio.(uringStatser); ok {
-		st.Wakeups = us.uringWakeups()
-		st.UringSubmits = us.uringSubmits()
-		st.UringCompletions = us.uringCompletions()
-		st.UringDeferred = us.uringDeferred()
-	}
 	if tw, ok := e.bio.(txTimeWriter); ok {
 		st.TxTimeSends = tw.txTimeSendCount()
 	}
 	return st
+}
+
+// BatchEnabled reports whether the endpoint moves datagrams with
+// recvmmsg/sendmmsg — false on the portable one-datagram-per-syscall
+// rung (non-linux platforms, DisableBatchIO, QTPNET_NOBATCH).
+func (e *Endpoint) BatchEnabled() bool {
+	_, portable := e.bio.(singleIO)
+	return !portable
 }
 
 // GSOEnabled reports whether the endpoint's socket sends segment
@@ -650,31 +597,22 @@ func (e *Endpoint) GROEnabled() bool {
 	return false
 }
 
-// UringEnabled reports whether the endpoint's data path runs over
-// io_uring (multishot receive, batched SQE submission) — true only on
-// a capable kernel (~6.0 for UDP multishot) with the path neither
-// disabled (DisableUring, QTPNET_NOURING) nor refused at probe time.
-func (e *Endpoint) UringEnabled() bool {
-	_, ok := e.bio.(uringStatser)
-	return ok
-}
+// UringEnabled always reports false: the data path has no io_uring
+// rung.
+//
+// Deprecated: kept only because the repo benchmark, which later
+// changes may not edit, calls it (benchmark/README.md, "Entry points").
+func (e *Endpoint) UringEnabled() bool { return false }
 
-// UringDeferred reports whether the io_uring data path runs in the
-// ring-owner mode (IORING_SETUP_DEFER_TASKRUN + SINGLE_ISSUER, kernel
-// >= 6.1): all completion work batched inside one owner goroutine's
-// io_uring_enter instead of per-datagram task_work on whichever thread
-// enters the ring. False on the shared-entry fallback ring, under
-// DisableUringDefer / QTPNET_NODEFER, and off the uring path entirely.
-func (e *Endpoint) UringDeferred() bool {
-	if us, ok := e.bio.(uringStatser); ok {
-		return us.uringDeferred()
-	}
-	return false
-}
+// UringDeferred always reports false, like UringEnabled.
+//
+// Deprecated: kept only because the repo benchmark, which later
+// changes may not edit, calls it (benchmark/README.md, "Entry points").
+func (e *Endpoint) UringDeferred() bool { return false }
 
 // TxTimeEnabled reports whether sends may carry SO_TXTIME release
-// stamps, i.e. whether the kernel accepted the pacing setsockopt and
-// the knob (DisableTxTime, QTPNET_NOTXTIME) is off. Actual on-wire
+// stamps, i.e. whether the kernel accepted the pacing setsockopt
+// (never on the portable rung, which does not probe). Actual on-wire
 // spacing additionally needs an fq qdisc on the egress path; without
 // one the stamps are ignored and sends leave immediately.
 func (e *Endpoint) TxTimeEnabled() bool {
@@ -812,13 +750,6 @@ func (e *Endpoint) Close() error {
 		e.mu.Unlock()
 		close(e.done)
 		e.tx.stop()
-		// With the scheduler stopped nothing submits to the rings: wake
-		// the read loop out of the kernel and release ring resources
-		// before the socket itself closes (an armed multishot holds a
-		// socket reference until its ring goes away).
-		if cl, ok := e.bio.(ioCloser); ok {
-			cl.closeIO()
-		}
 		for _, c := range conns {
 			c.teardown()
 		}

@@ -82,7 +82,7 @@ func TestPlatformOffloadProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	bio := newPlatformBatchIO(pc, rxBatch, batchOpts{noUring: true})
+	bio := newPlatformBatchIO(pc, rxBatch, batchOpts{})
 	if bio == nil {
 		t.Fatal("mmsg path unavailable on linux")
 	}
@@ -101,7 +101,7 @@ func TestPlatformOffloadProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc2.Close()
-	m2 := newPlatformBatchIO(pc2, rxBatch, batchOpts{noGSO: true, noUring: true}).(*mmsgIO)
+	m2 := newPlatformBatchIO(pc2, rxBatch, batchOpts{noGSO: true}).(*mmsgIO)
 	if m2.gsoMaxSegs() != 0 || m2.groOn() {
 		t.Fatal("disableGSO did not keep the probe off")
 	}

@@ -265,6 +265,7 @@ func TestGSOEquivalence(t *testing.T) {
 		{"gso_to_nogso", false, true},
 		{"nogso_to_gso", true, false},
 		{"gso_to_gso", false, false},
+		{"nogso_to_nogso", true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

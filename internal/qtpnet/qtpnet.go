@@ -49,7 +49,6 @@ type epOptions struct {
 	shards        int
 	base          *EndpointConfig
 	noGSO         bool
-	noUring       bool
 	noEncrypt     bool
 	requireToken  bool
 	acceptRate    float64
@@ -82,9 +81,6 @@ func (o *epOptions) config() EndpointConfig {
 	if o.noGSO {
 		cfg.DisableGSO = true
 	}
-	if o.noUring {
-		cfg.DisableUring = true
-	}
 	if o.noEncrypt {
 		cfg.DisableEncryption = true
 	}
@@ -112,14 +108,6 @@ func WithShards(n int) Option {
 // forces the same process-wide).
 func WithNoGSO() Option {
 	return func(o *epOptions) { o.noGSO = true }
-}
-
-// WithNoUring keeps the io_uring data path off the endpoint's
-// socket(s), pinning I/O to recvmmsg/sendmmsg even on capable kernels
-// (see EndpointConfig.DisableUring; the QTPNET_NOURING environment
-// variable forces the same process-wide).
-func WithNoUring() Option {
-	return func(o *epOptions) { o.noUring = true }
 }
 
 // WithNoEncryption turns off datagram sealing and runs the legacy
