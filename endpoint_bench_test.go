@@ -194,7 +194,7 @@ func BenchmarkEndpointFanout(b *testing.B) {
 
 // BenchmarkEncryptedFanout is BenchmarkEndpointFanout with transport
 // encryption left on (the production default): every data datagram is
-// sealed with ChaCha20-Poly1305 before send and opened on receive, and
+// sealed with AES-256-GCM before send and opened on receive, and
 // each carries the 28-byte sealed-prefix+tag overhead. The delta
 // against BenchmarkEndpointFanout is the full AEAD cost on the batched
 // data path — seal, open, nonce/replay bookkeeping, and the extra wire

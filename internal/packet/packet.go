@@ -21,8 +21,10 @@ import (
 	"repro/internal/seqspace"
 )
 
-// Version is the wire-format version emitted and accepted by this build.
-const Version = 1
+// Version is the wire-format version emitted and accepted by this
+// build. It pins the sealed-datagram suite and key schedule as well as
+// the layouts: 2 is AES-256-GCM with the qtp/2 salts and key update.
+const Version = 2
 
 // HeaderLen is the length of the fixed QTP header in bytes.
 const HeaderLen = 24

@@ -12,7 +12,8 @@ import (
 // plaintext header so endpoint demux reads one layout for both:
 //
 //	[0]     Version<<4 | TypeSealed
-//	[1]     key epoch (0 = 0-RTT resumption keys, 1 = 1-RTT keys)
+//	[1]     key epoch (0 = 0-RTT resumption keys; 1..255 = 1-RTT key
+//	        generation g as 1 + g mod 255, see qcrypto.Session)
 //	[2:4]   crypto sequence, high 16 bits (big-endian)
 //	[4:8]   connection ID (big-endian; same offset as Header.ConnID)
 //	[8:12]  crypto sequence, low 32 bits (big-endian)

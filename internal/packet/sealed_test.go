@@ -30,10 +30,14 @@ func TestSealedHeaderRejects(t *testing.T) {
 	if _, _, _, _, err := ParseSealedHeader(short); !errors.Is(err, ErrShort) {
 		t.Fatalf("short: %v", err)
 	}
-	badVer := append([]byte{}, good...)
-	badVer[0] = 2<<4 | byte(TypeSealed)
-	if _, _, _, _, err := ParseSealedHeader(badVer); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version: %v", err)
+	// The previous wire version (another suite and key schedule) and
+	// the next are both refused at the first byte.
+	for _, v := range []byte{Version - 1, Version + 1} {
+		badVer := append([]byte{}, good...)
+		badVer[0] = v<<4 | byte(TypeSealed)
+		if _, _, _, _, err := ParseSealedHeader(badVer); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: %v", v, err)
+		}
 	}
 	badType := append([]byte{}, good...)
 	badType[0] = Version<<4 | byte(TypeData)

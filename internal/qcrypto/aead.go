@@ -1,104 +1,47 @@
 package qcrypto
 
 import (
-	"crypto/subtle"
-	"encoding/binary"
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 )
 
 const (
-	// KeyLen is the AEAD key size.
+	// KeyLen is the AEAD key size (AES-256).
 	KeyLen = 32
 	// NonceLen is the AEAD nonce size.
 	NonceLen = 12
-	// TagLen is the Poly1305 authenticator size appended to every
+	// TagLen is the GCM authenticator size appended to every
 	// ciphertext.
 	TagLen = 16
 )
 
-// ErrAuth is returned by Open when the authenticator does not verify:
-// the datagram was forged, corrupted, or sealed under different keys.
+// ErrAuth is returned by Session.Open when the authenticator does not
+// verify: the datagram was forged, corrupted, or sealed under
+// different keys.
 var ErrAuth = errors.New("qcrypto: message authentication failed")
 
-// AEAD is ChaCha20-Poly1305 (RFC 8439) under one fixed key. It is
-// stateless and safe for concurrent use; nonce discipline is the
-// caller's job (Session never reuses one).
-type AEAD struct {
-	key [8]uint32
-}
-
-// NewAEAD builds an AEAD from a 32-byte key.
-func NewAEAD(key []byte) *AEAD {
+// NewAEAD returns the suite's one AEAD, the standard library's
+// AES-256-GCM, under a 32-byte key. It is stateless and safe for
+// concurrent use; nonce discipline is the caller's job (Session never
+// reuses one).
+//
+// Open checks the tag before it decrypts, so no plaintext is ever
+// released from an unauthenticated box — but on failure it zeroes dst,
+// so after a failed in-place open (dst = box[:0]) the buffer holds
+// neither ciphertext nor plaintext and is dead. The error it returns
+// is an unexported stdlib value; callers map it to their own.
+func NewAEAD(key []byte) cipher.AEAD {
 	if len(key) != KeyLen {
 		panic("qcrypto: AEAD key must be 32 bytes")
 	}
-	return &AEAD{key: chachaKey(key)}
-}
-
-// polyInit derives the one-time Poly1305 key for this nonce (keystream
-// block 0) into the caller's authenticator and absorbs the additional
-// data with its padding. Taking the authenticator as an out-parameter
-// keeps it on the caller's stack — returning a fresh *poly1305 here
-// escaped one per sealed/opened datagram.
-func (a *AEAD) polyInit(p *poly1305, nonce, aad []byte) {
-	var block [64]byte
-	chachaBlock(&a.key, 0, nonce, &block)
-	var pk [32]byte
-	copy(pk[:], block[:32])
-	p.init(&pk)
-	p.update(aad)
-	p.pad16()
-}
-
-func polyFinish(p *poly1305, aadLen, ctLen int, tag []byte) {
-	p.pad16()
-	var lens [16]byte
-	binary.LittleEndian.PutUint64(lens[0:8], uint64(aadLen))
-	binary.LittleEndian.PutUint64(lens[8:16], uint64(ctLen))
-	p.update(lens[:])
-	p.sum(tag)
-}
-
-// Seal encrypts plaintext and appends ciphertext||tag to dst. The
-// plaintext may alias dst's free capacity.
-func (a *AEAD) Seal(dst, nonce, plaintext, aad []byte) []byte {
-	if len(nonce) != NonceLen {
-		panic("qcrypto: nonce must be 12 bytes")
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		panic(err) // only a bad key length, excluded above
 	}
-	var p poly1305
-	a.polyInit(&p, nonce, aad)
-	off := len(dst)
-	dst = append(dst, plaintext...)
-	dst = append(dst, make([]byte, TagLen)...)
-	ct := dst[off : len(dst)-TagLen]
-	chachaXOR(ct, ct, &a.key, 1, nonce)
-	p.update(ct)
-	polyFinish(&p, len(aad), len(ct), dst[len(dst)-TagLen:])
-	return dst
-}
-
-// Open verifies box (ciphertext||tag) and appends the plaintext to
-// dst. Verification happens before decryption, so dst may alias box —
-// passing box[:0] decrypts in place and no plaintext is ever written
-// from an unauthenticated datagram.
-func (a *AEAD) Open(dst, nonce, box, aad []byte) ([]byte, error) {
-	if len(nonce) != NonceLen {
-		panic("qcrypto: nonce must be 12 bytes")
+	a, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err) // only a block size other than 16
 	}
-	if len(box) < TagLen {
-		return dst, ErrAuth
-	}
-	ct, tag := box[:len(box)-TagLen], box[len(box)-TagLen:]
-	var p poly1305
-	a.polyInit(&p, nonce, aad)
-	p.update(ct)
-	var want [TagLen]byte
-	polyFinish(&p, len(aad), len(ct), want[:])
-	if subtle.ConstantTimeCompare(want[:], tag) != 1 {
-		return dst, ErrAuth
-	}
-	off := len(dst)
-	dst = append(dst, ct...)
-	chachaXOR(dst[off:], dst[off:], &a.key, 1, nonce)
-	return dst, nil
+	return a
 }

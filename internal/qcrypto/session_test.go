@@ -82,9 +82,14 @@ func TestSessionRejectsTamperAndReplay(t *testing.T) {
 	for i := 1; i < len(dgram); i++ {
 		bad := append([]byte{}, dgram...)
 		bad[i] ^= 0x20
-		cp := append([]byte{}, bad...)
-		if _, _, err := server.Open(cp); err == nil {
+		_, _, err := server.Open(bad)
+		if err == nil {
 			t.Fatalf("tampered byte %d opened", i)
+		}
+		// Past the version and epoch bytes every flip is the AEAD's to
+		// catch, and it surfaces as our error, not the stdlib's.
+		if i >= 2 && err != ErrAuth {
+			t.Fatalf("tampered byte %d: got %v, want ErrAuth", i, err)
 		}
 	}
 
@@ -122,6 +127,185 @@ func TestSessionReplayWindow(t *testing.T) {
 	// beyond the 64-deep window: refused even though never seen
 	if _, _, err := server.Open(append([]byte{}, dgrams[2]...)); err != ErrReplay {
 		t.Fatalf("below window: got %v, want ErrReplay", err)
+	}
+}
+
+// sealN seals n one-byte-tagged frames and returns the datagrams.
+func sealN(t *testing.T, s *Session, n int) [][]byte {
+	t.Helper()
+	out := make([][]byte, n)
+	for i := range out {
+		d, err := s.SealAppend(nil, 1, []byte{0xF0, byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = d
+	}
+	return out
+}
+
+func mustOpen(t *testing.T, s *Session, d []byte, wantEpoch uint8) {
+	t.Helper()
+	_, epoch, err := s.Open(append([]byte{}, d...))
+	if err != nil || epoch != wantEpoch {
+		t.Fatalf("open: epoch %d err %v, want epoch %d", epoch, err, wantEpoch)
+	}
+}
+
+// (a) A stream crossing keyUpdateInterval opens in order on the peer,
+// and the sealer's epoch advances exactly at the boundary.
+func TestKeyUpdateInOrder(t *testing.T) {
+	client, server := handshakePair(t)
+	client.tx.seq = keyUpdateInterval - 5
+	for i := 0; i < 10; i++ {
+		frame := []byte{byte(i), 1, 2, 3}
+		d, err := client.SealAppend(nil, 7, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEpoch := uint8(Epoch1RTT)
+		if i >= 5 {
+			wantEpoch = Epoch1RTT + 1
+		}
+		if client.SendEpoch() != wantEpoch {
+			t.Fatalf("datagram %d: SendEpoch %d, want %d", i, client.SendEpoch(), wantEpoch)
+		}
+		got, epoch, err := server.Open(d)
+		if err != nil || epoch != wantEpoch || !bytes.Equal(got, frame) {
+			t.Fatalf("datagram %d: epoch %d err %v frame %x", i, epoch, err, got)
+		}
+	}
+	if client.tx.seq != 5 {
+		t.Fatalf("sequence did not restart with the new key: %d", client.tx.seq)
+	}
+	// The other direction has not moved: each ratchets on its own.
+	if server.SendEpoch() != Epoch1RTT {
+		t.Fatalf("reverse direction ratcheted too: epoch %d", server.SendEpoch())
+	}
+	mustOpen(t, client, sealN(t, server, 1)[0], Epoch1RTT)
+}
+
+// (b) Reordering across the boundary: the tail of generation g arrives
+// after the head of g+1. Everything opens once; replays of either
+// generation are refused.
+func TestKeyUpdateReordered(t *testing.T) {
+	client, server := handshakePair(t)
+	client.tx.seq = keyUpdateInterval - 4
+	ds := sealN(t, client, 8) // 0..3 generation 0, 4..7 generation 1
+	order := []int{0, 4, 5, 2, 1, 6, 3, 7}
+	for _, i := range order {
+		want := uint8(Epoch1RTT)
+		if i >= 4 {
+			want++
+		}
+		mustOpen(t, server, ds[i], want)
+	}
+	for i, d := range ds {
+		if _, _, err := server.Open(append([]byte{}, d...)); err != ErrReplay {
+			t.Fatalf("replay of datagram %d: got %v, want ErrReplay", i, err)
+		}
+	}
+}
+
+// (c) A forgery naming current+1 fails authentication and promotes
+// nothing; the genuine next-generation datagram after it still opens,
+// and so does the current generation.
+func TestKeyUpdateForgedNextEpoch(t *testing.T) {
+	client, server := handshakePair(t)
+	client.tx.seq = keyUpdateInterval - 1
+	ds := sealN(t, client, 2) // one of each generation
+	forged := append([]byte{}, ds[0]...)
+	forged[1] = Epoch1RTT + 1
+	if _, _, err := server.Open(forged); err != ErrAuth {
+		t.Fatalf("forged next-epoch datagram: got %v, want ErrAuth", err)
+	}
+	if server.cur.epoch != Epoch1RTT || server.prev.aead != nil {
+		t.Fatal("a forgery promoted the next generation")
+	}
+	mustOpen(t, server, ds[0], Epoch1RTT)
+	mustOpen(t, server, ds[1], Epoch1RTT+1)
+	if server.cur.epoch != Epoch1RTT+1 || server.prev.epoch != Epoch1RTT {
+		t.Fatalf("after a genuine open: cur %d prev %d", server.cur.epoch, server.prev.epoch)
+	}
+}
+
+// (d) Epochs this session cannot have keys for are refused before the
+// bytes are touched.
+func TestKeyUpdateUnknownEpoch(t *testing.T) {
+	client, server := handshakePair(t)
+	d := sealN(t, client, 1)[0]
+	for _, epoch := range []uint8{Epoch0RTT, Epoch1RTT + 2, 255} {
+		bad := append([]byte{}, d...)
+		bad[1] = epoch
+		want := append([]byte{}, bad...)
+		if _, _, err := server.Open(bad); err != ErrNoKeys {
+			t.Fatalf("epoch %d: got %v, want ErrNoKeys", epoch, err)
+		}
+		if !bytes.Equal(bad, want) {
+			t.Fatalf("epoch %d: refused datagram was modified", epoch)
+		}
+	}
+	mustOpen(t, server, d, Epoch1RTT)
+}
+
+// (e) The epoch byte wraps 255 -> 1, skipping 0 (0-RTT's), and the
+// previous generation stays open across the wrap.
+func TestKeyUpdateEpochWraps(t *testing.T) {
+	var k Keys
+	k.Key[0], k.IV[0] = 0x55, 0xAA
+	tx, rx := NewSession(), NewSession()
+	tx.SetSendKeys(255, k)
+	rx.SetRecvKeys(255, k)
+	tx.tx.seq = keyUpdateInterval - 1
+	ds := sealN(t, tx, 2)
+	if ds[0][1] != 255 || ds[1][1] != 1 || tx.SendEpoch() != 1 {
+		t.Fatalf("epoch bytes %d, %d, SendEpoch %d; want 255, 1, 1", ds[0][1], ds[1][1], tx.SendEpoch())
+	}
+	mustOpen(t, rx, ds[1], 1)
+	mustOpen(t, rx, ds[0], 255)
+}
+
+// The interface call must not cost an allocation per datagram: the
+// nonce scratch lives in the Session. Checked on both sides of a
+// generation boundary (the crossing itself derives keys and builds an
+// AEAD, once per keyUpdateInterval datagrams, and is kept out of the
+// measured runs).
+func TestSealOpenZeroAlloc(t *testing.T) {
+	client, server := handshakePair(t)
+	frame := make([]byte, 1400)
+	const runs = 50
+	buf := make([]byte, 0, len(frame)+packet.SealedOverhead)
+	boxes := make([][]byte, 0, 2*(runs+1))
+	measure := func(gen string) {
+		t.Helper()
+		if n := testing.AllocsPerRun(runs, func() {
+			var err error
+			if buf, err = client.SealAppend(buf[:0], 9, frame); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("%s: SealAppend allocates %v per datagram", gen, n)
+		}
+		boxes = boxes[:0]
+		for i := 0; i < runs+1; i++ { // AllocsPerRun adds a warm-up call
+			boxes = append(boxes, sealN(t, client, 1)[0])
+		}
+		i := 0
+		if n := testing.AllocsPerRun(runs, func() {
+			if _, _, err := server.Open(boxes[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); n != 0 {
+			t.Fatalf("%s: Open allocates %v per datagram", gen, n)
+		}
+	}
+	measure("generation 0")
+	client.tx.seq = keyUpdateInterval
+	mustOpen(t, server, sealN(t, client, 1)[0], Epoch1RTT+1)
+	measure("generation 1")
+	if client.SendEpoch() != Epoch1RTT+1 || server.cur.epoch != Epoch1RTT+1 {
+		t.Fatal("the boundary was not crossed")
 	}
 }
 
@@ -281,7 +465,8 @@ func TestTicketRejectionTable(t *testing.T) {
 }
 
 // FuzzOpen corruption-fuzzes Session.Open, seeded with honestly sealed
-// datagrams in both epochs. Deterministic keys and a fresh opener per
+// datagrams in the 0-RTT epoch and the current and next 1-RTT
+// generations. Deterministic keys and a fresh opener per
 // run keep replay state out of the picture; if a mutated input ever
 // opens, it must be byte-identical to what the sealer itself produces
 // for the recovered frame and sequence — anything else is a forgery.
@@ -311,6 +496,10 @@ func FuzzOpen(f *testing.F) {
 	f.Add(seedSealer(Epoch0RTT, k0, []byte("zero rtt first flight"), 0))
 	f.Add(seedSealer(Epoch0RTT, k0, []byte{}, 0))
 	f.Add([]byte{packet.Version<<4 | byte(packet.TypeSealed), 0, 0, 0})
+	f.Add(seedSealer(Epoch1RTT+1, nextKeys(k1), []byte("sealed after the first key update"), 1))
+	forged := seedSealer(Epoch1RTT, k1, []byte("names the next generation, sealed under this one"), 0)
+	forged[1] = Epoch1RTT + 1
+	f.Add(forged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewSession()
@@ -328,9 +517,16 @@ func FuzzOpen(f *testing.F) {
 			t.Fatalf("opened but prefix does not parse: %v", perr)
 		}
 		re := NewSession()
-		k := k1
-		if epoch == Epoch0RTT {
+		var k Keys
+		switch epoch {
+		case Epoch0RTT:
 			k = k0
+		case Epoch1RTT:
+			k = k1
+		case Epoch1RTT + 1:
+			k = nextKeys(k1)
+		default:
+			t.Fatalf("opened under epoch %d, which a fresh session has no keys for", epoch)
 		}
 		re.SetSendKeys(epoch, k)
 		re.tx.seq = seq

@@ -1,6 +1,7 @@
 package qcrypto
 
 import (
+	"crypto/cipher"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -50,8 +51,8 @@ type TicketStore struct {
 	mu    sync.RWMutex
 	keyID uint8
 	keyAt uint32
-	cur   *AEAD
-	prev  *AEAD
+	cur   cipher.AEAD
+	prev  cipher.AEAD
 }
 
 // DefaultTicketLifetime is how long a minted session ticket stays
@@ -77,7 +78,7 @@ func NewTicketStore(lifetime time.Duration) *TicketStore {
 	}
 }
 
-func randomAEAD() *AEAD {
+func randomAEAD() cipher.AEAD {
 	var k [KeyLen]byte
 	if _, err := rand.Read(k[:]); err != nil {
 		panic(fmt.Sprintf("qcrypto: ticket key: %v", err))
@@ -134,7 +135,7 @@ func (ts *TicketStore) Open(nowSecs uint32, ticket []byte) (secret [KeyLen]byte,
 		return secret, nil, ErrTicketExpired
 	}
 	ts.mu.RLock()
-	var key *AEAD
+	var key cipher.AEAD
 	switch ticket[0] {
 	case ts.keyID:
 		key = ts.cur

@@ -3,12 +3,15 @@ package qtpnet
 import (
 	"bytes"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/packet"
+	"repro/internal/qcrypto"
 )
 
 // skipIfEnvNoEncrypt skips tests that assert encrypted-mode behavior
@@ -292,5 +295,106 @@ func TestZeroRTTResumeE2E(t *testing.T) {
 	}
 	if st.OpenFailures != 0 || st.SealFailures != 0 {
 		t.Fatalf("crypto failures during resume: %+v", st)
+	}
+}
+
+// presetSealCount moves a connection's sealer to the n-th datagram of
+// its current key generation, so a test reaches the 2^24 key-update
+// boundary without sealing sixteen million datagrams. qcrypto exports
+// no threshold and no test hook on purpose; this reaches the unexported
+// counter from outside and fails loudly if it is ever renamed.
+func presetSealCount(t *testing.T, c *Conn, n uint64) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sess := c.inner.CryptoSession()
+	if sess == nil {
+		t.Fatal("connection has no crypto session")
+	}
+	seq := reflect.ValueOf(sess).Elem().FieldByName("tx").FieldByName("seq")
+	if seq.Kind() != reflect.Uint64 {
+		t.Fatal("qcrypto.Session.tx.seq is gone; update presetSealCount")
+	}
+	*(*uint64)(unsafe.Pointer(seq.UnsafeAddr())) = n
+}
+
+func sendEpoch(c *Conn) uint8 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.inner.CryptoSession().SendEpoch()
+}
+
+// TestKeyUpdateE2E carries one transfer across a key update in each
+// direction over real sockets: the client's data datagrams and the
+// server's feedback both cross the boundary mid-flow, every byte
+// arrives, neither sealer ever refuses and nothing fails to open.
+func TestKeyUpdateE2E(t *testing.T) {
+	skipIfEnvNoEncrypt(t)
+	const keyUpdateInterval = 1 << 24 // qcrypto's, unexported
+	l, err := Listen("127.0.0.1:0", core.Permissive(1e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan *Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	conn, err := Dial(l.Addr().String(), core.QTPLightReliable(0), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var sc *Conn
+	select {
+	case sc = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server accepted nothing")
+	}
+	defer sc.Close()
+	if sendEpoch(conn) != qcrypto.Epoch1RTT || sendEpoch(sc) != qcrypto.Epoch1RTT {
+		t.Fatal("connection did not start in the first 1-RTT generation")
+	}
+	presetSealCount(t, conn, keyUpdateInterval-20)
+	presetSealCount(t, sc, keyUpdateInterval-3)
+
+	want := make([]byte, 256<<10)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	go func() {
+		conn.Write(want)
+		conn.CloseSend()
+	}()
+	var got []byte
+	deadline := time.Now().Add(20 * time.Second)
+	for !sc.Finished() && time.Now().Before(deadline) {
+		chunk, ok := sc.Read(time.Second)
+		if !ok {
+			continue
+		}
+		got = append(got, chunk...)
+		sc.Release(chunk)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d bytes across the key update, want %d identical", len(got), len(want))
+	}
+	select {
+	case <-conn.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("close exchange never finished")
+	}
+	if e := sendEpoch(conn); e != qcrypto.Epoch1RTT+1 {
+		t.Fatalf("client still seals under epoch %d", e)
+	}
+	if e := sendEpoch(sc); e != qcrypto.Epoch1RTT+1 {
+		t.Fatalf("server still seals under epoch %d", e)
+	}
+	for name, st := range map[string]EndpointStats{"client": conn.ep.Stats(), "server": l.Stats()} {
+		if st.SealFailures != 0 || st.OpenFailures != 0 {
+			t.Fatalf("%s: sealfail %d openfail %d", name, st.SealFailures, st.OpenFailures)
+		}
 	}
 }

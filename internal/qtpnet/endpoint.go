@@ -193,13 +193,15 @@ type EndpointStats struct {
 	AcceptOverflow      uint64
 
 	// Datagram crypto (zero with DisableEncryption). SealFailures
-	// counts outbound frames dropped because sealing failed (sequence
-	// space exhausted); OpenFailures counts inbound sealed datagrams
-	// that failed authentication/replay checks plus plaintext data-plane
-	// frames refused on encrypted connections. TicketsIssued counts
-	// session tickets minted into Accepts; ZeroRTTAccepted/Rejected
-	// count inbound resumption attempts by outcome (a rejection still
-	// completes the handshake at 1-RTT — only the early data is refused).
+	// counts outbound frames dropped because sealing failed; the key
+	// update keeps the sealing sequence from running out, so any
+	// nonzero value is a bug. OpenFailures counts inbound sealed
+	// datagrams that failed authentication/replay/epoch checks plus
+	// plaintext data-plane frames refused on encrypted connections.
+	// TicketsIssued counts session tickets minted into Accepts;
+	// ZeroRTTAccepted/Rejected count inbound resumption attempts by
+	// outcome (a rejection still completes the handshake at 1-RTT — only
+	// the early data is refused).
 	SealFailures    uint64
 	OpenFailures    uint64
 	TicketsIssued   uint64
@@ -1084,7 +1086,7 @@ func (e *Endpoint) serviceFlush(c *Conn) {
 // only in our Accept, so a spoofing attacker can never learn it.
 // Sealed datagrams also only grow the allowance: a 0-RTT first flight
 // travels under the client's proposed CID, which an off-path attacker
-// chose itself, so address proof waits for an authenticated epoch-1
+// chose itself, so address proof waits for an authenticated 1-RTT
 // open in handleFrame.
 func accountRx(c *Conn, typ packet.Type, n int) {
 	if c.validated.Load() {
@@ -1100,9 +1102,12 @@ func accountRx(c *Conn, typ packet.Type, n int) {
 // handleFrame feeds one classified datagram to its connection's state
 // machine, opening sealed datagrams first. Open decrypts in place —
 // the receive buffer is the driver's to reuse after delivery anyway —
-// and an authenticated open at epoch 1 proves the peer's address where
-// accountRx could not (the epoch-1 keys bind the full handshake
-// transcript). On an encrypted connection a cleartext frame of any
+// and a failed open wipes what it was given: the datagram is dropped
+// here on any open error and never read again, so no byte of an
+// unauthenticated datagram reaches the state machine. An authenticated
+// open at epoch >= 1 (any 1-RTT key generation) proves the peer's
+// address where accountRx could not (those keys bind the full
+// handshake transcript). On an encrypted connection a cleartext frame of any
 // post-handshake type is dropped undecoded: accepting it would let an
 // on-path attacker inject the exact plaintext the sealing exists to
 // block.

@@ -17,9 +17,10 @@
 //
 // Transport encryption is on by default: every post-handshake frame is
 // sealed into an AEAD envelope (epoch + 48-bit crypto sequence in a
-// cleartext prefix, ChaCha20-Poly1305 over the frame bytes) keyed from
-// an X25519 key share carried in the handshake TLVs, with encrypted
-// session tickets enabling 0-RTT resumption. docs/WIRE.md specifies
+// cleartext prefix, AES-256-GCM over the frame bytes) keyed from an
+// X25519 key share carried in the handshake TLVs and ratcheted forward
+// every 2^24 datagrams, with encrypted session tickets enabling 0-RTT
+// resumption. docs/WIRE.md specifies
 // the bytes, docs/SECURITY.md the threat model; WithNoEncryption is
 // the interop/debug escape hatch.
 //
