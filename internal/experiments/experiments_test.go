@@ -2,12 +2,46 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
 func quickCfg() Config { return Config{Seed: 1, Quick: true} }
+
+// TestGoldenExhibits diffs every rendered exhibit against the table
+// committed under testdata/: a change that moves a number in a paper
+// exhibit shows up as a reviewed diff of the golden file (regenerate
+// with go test ./internal/experiments -run TestGoldenExhibits -update),
+// not only as a shape assertion that still happens to hold.
+func TestGoldenExhibits(t *testing.T) {
+	for _, r := range All() {
+		r := r
+		t.Run(r.ID, func(t *testing.T) {
+			var got bytes.Buffer
+			r.Run(quickCfg()).Render(&got)
+			path := filepath.Join("testdata", r.ID+".golden")
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("%s moved:\n--- got\n%s--- want (%s)\n%s", r.ID, got.Bytes(), path, want)
+			}
+		})
+	}
+}
 
 // parse reads a numeric cell, tolerating % suffixes and 'x' markers.
 func parse(t *testing.T, cell string) float64 {

@@ -1,0 +1,274 @@
+package qtp
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/bufpool"
+	"repro/internal/core"
+	"repro/internal/netsim"
+	"repro/internal/packet"
+)
+
+// frameTap hashes every frame one endpoint puts on the wire, in emission
+// order, before handing it to the link.
+type frameTap struct {
+	side byte
+	h    hash.Hash
+	n    *int
+	next netsim.Handler
+}
+
+func (t frameTap) Recv(p *netsim.Packet) {
+	frame := p.Payload.([]byte)
+	var hdr [5]byte
+	hdr[0] = t.side
+	binary.BigEndian.PutUint32(hdr[1:], uint32(len(frame)))
+	t.h.Write(hdr[:])
+	t.h.Write(frame)
+	*t.n++
+	t.next.Recv(p)
+}
+
+// traceCase is one composition driven over the same lossy path by the
+// same application script: three patterned writes on stream 0 (the first
+// before the flow starts, so it precedes the handshake), optionally a
+// second stream, then CloseSend either right behind the last write (FIN
+// rides the final data segment) or long after the backlog drained (bare
+// FIN segment).
+type traceCase struct {
+	name       string
+	profile    core.Profile
+	handshake  bool
+	cons       core.Constraints
+	lateClose  bool
+	second     packet.StreamMode // mode of a second stream; used when twoStreams
+	twoStreams bool
+	want       string
+}
+
+func traceProfile(rel packet.ReliabilityMode, fb packet.FeedbackMode, deadline time.Duration) core.Profile {
+	return core.Profile{Reliability: rel, Feedback: fb, Deadline: deadline, MSS: 1000, AckEvery: 1}
+}
+
+func withBBR(p core.Profile) core.Profile {
+	p.Congestion = packet.CongestionBBR
+	return p
+}
+
+func withStreams(p core.Profile, n int) core.Profile {
+	p.MaxStreams = n
+	return p
+}
+
+// traceDeadline is three round trips of the trace path: tight enough that
+// some retransmissions miss it and are abandoned.
+const traceDeadline = 90 * time.Millisecond
+
+func pattern(n int, salt byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7) ^ salt
+	}
+	return b
+}
+
+// runTrace plays one case and returns its fingerprint: frames emitted by
+// each side, bytes delivered, a digest of every emitted frame (both
+// sides, emission order) and a digest of each stream's delivered bytes.
+func runTrace(t *testing.T, tc traceCase) string {
+	t.Helper()
+	p := newTestPath(77, 250_000, 15*time.Millisecond, &netsim.DropTail{},
+		netsim.Bernoulli{P: 0.08})
+	p.rev = netsim.NewLink(p.sim, netsim.LinkConfig{
+		Name: "rev", Rate: 125e6, Delay: 15 * time.Millisecond,
+		Queue: &netsim.DropTail{}, Loss: netsim.Bernoulli{P: 0.03}, Dst: p.toSend,
+	})
+	frames := sha256.New()
+	var sent, acked int
+	f := StartFlow(p.sim, FlowConfig{
+		ID:          1,
+		Profile:     tc.profile,
+		Handshake:   tc.handshake,
+		Constraints: tc.cons,
+		RTTHint:     30 * time.Millisecond,
+		Fwd:         frameTap{'S', frames, &sent, p.fwd},
+		Rev:         frameTap{'R', frames, &acked, p.rev},
+	})
+	p.toSend.Target = f.SenderEntry()
+
+	// The receiver entry is Flow.ReceiverEntry with a drain that keeps
+	// the bytes instead of only counting them.
+	delivered := map[uint64]hash.Hash{}
+	drain := func() {
+		for {
+			id, chunk, ok := f.Receiver.ReadAny()
+			if !ok {
+				return
+			}
+			if delivered[id] == nil {
+				delivered[id] = sha256.New()
+			}
+			delivered[id].Write(chunk)
+			f.DeliveredBytes += len(chunk)
+			bufpool.PutChunk(chunk)
+		}
+	}
+	p.toRecv.Target = netsim.HandlerFunc(func(pk *netsim.Packet) {
+		_ = f.Receiver.HandleFrame(p.sim.Now(), pk.Payload.([]byte))
+		drain()
+		f.pumpReceiver()
+	})
+
+	const chunk = 60_000
+	closeAll := func(ids ...uint64) {
+		for _, id := range ids {
+			if err := f.Sender.CloseStream(id); err != nil {
+				t.Fatalf("CloseStream(%d): %v", id, err)
+			}
+		}
+		f.Pump()
+	}
+	// Write before Start/StartDirect: the data must ride stream 0 once
+	// the layout is settled.
+	if n := f.Sender.Write(pattern(chunk, 0)); n != chunk {
+		t.Fatalf("pre-start Write accepted %d of %d", n, chunk)
+	}
+	ids := []uint64{0}
+	// The rest of the script waits for the connection to be established
+	// (the handshake may need retries on this path).
+	var script func()
+	script = func() {
+		if f.Sender.State() != StateEstablished {
+			p.sim.After(50*time.Millisecond, script)
+			return
+		}
+		f.Sender.Write(pattern(chunk, 1))
+		if tc.twoStreams {
+			id, err := f.Sender.OpenStream(tc.second, traceDeadline)
+			if err != nil {
+				t.Fatalf("OpenStream: %v", err)
+			}
+			ids = append(ids, id)
+			f.Sender.WriteStream(id, pattern(chunk, 2))
+		}
+		f.Pump()
+		p.sim.After(200*time.Millisecond, func() {
+			f.Sender.Write(pattern(chunk, 3))
+			if tc.twoStreams {
+				f.Sender.WriteStream(ids[1], pattern(chunk/2, 4))
+			}
+			if !tc.lateClose {
+				closeAll(ids...)
+				return
+			}
+			f.Pump()
+			p.sim.After(20*time.Second, func() {
+				if n := f.Sender.BacklogLen(); n != 0 {
+					t.Fatalf("late close with %d bytes still queued", n)
+				}
+				closeAll(ids...)
+			})
+		})
+	}
+	p.sim.At(200*time.Millisecond, script)
+	p.sim.Run(90 * time.Second)
+	drain()
+
+	if st := f.Sender.State(); st != StateClosed {
+		t.Fatalf("sender state %v, want closed", st)
+	}
+	streams := make([]uint64, 0, len(delivered))
+	for id := range delivered {
+		streams = append(streams, id)
+	}
+	sort.Slice(streams, func(i, j int) bool { return streams[i] < streams[j] })
+	bytes := sha256.New()
+	for _, id := range streams {
+		fmt.Fprintf(bytes, "%d:%x;", id, delivered[id].Sum(nil))
+	}
+	return fmt.Sprintf("S%d R%d D%d frames=%x bytes=%x",
+		sent, acked, f.DeliveredBytes, frames.Sum(nil)[:8], bytes.Sum(nil)[:8])
+}
+
+// TestFrameTraceEquivalence pins the wire behaviour of every composition
+// the engine serves: each case's fingerprint was generated before stream
+// 0 became an ordinary stream and must not move — a shifted header,
+// block list, FIN placement or retransmit choice changes the digest.
+func TestFrameTraceEquivalence(t *testing.T) {
+	full, partial, none := packet.ReliabilityFull, packet.ReliabilityPartial, packet.ReliabilityNone
+	classic, light := packet.FeedbackReceiverLoss, packet.FeedbackSenderLoss
+	refuse := core.Permissive(1e6)
+	refuse.MaxStreams = 0
+	qtpaf := traceProfile(full, classic, 0)
+	qtpaf.TargetRate = 80_000
+	cases := []traceCase{
+		{name: "qtpaf/handshake",
+			want:    "S208 R84 D180000 frames=43992f132881ed53 bytes=e1299822277f56b7",
+			profile: qtpaf, handshake: true, cons: core.Permissive(1e6)},
+		{name: "qtpaf/late-fin",
+			want:    "S204 R78 D180000 frames=8c90b6cae8ea5f2a bytes=e1299822277f56b7",
+			profile: qtpaf, lateClose: true},
+		{name: "light-reliable",
+			want:    "S208 R195 D180000 frames=83a930c815cdc263 bytes=e1299822277f56b7",
+			profile: traceProfile(full, light, 0)},
+		{name: "light-reliable/handshake/late-fin",
+			want:      "S224 R208 D180000 frames=ae54cb8e6d990071 bytes=e1299822277f56b7",
+			profile:   traceProfile(full, light, 0),
+			handshake: true, cons: core.Permissive(1e6), lateClose: true},
+		{name: "partial",
+			want:    "S194 R181 D178000 frames=777c6d9b0710cb5e bytes=c9f832b228c21a2d",
+			profile: traceProfile(partial, light, traceDeadline)},
+		{name: "partial/late-fin",
+			want:    "S195 R182 D178000 frames=940b5f91d5d72ccb bytes=c9f832b228c21a2d",
+			profile: traceProfile(partial, light, traceDeadline), lateClose: true},
+		{name: "partial-classic",
+			want:    "S190 R63 D179000 frames=37d91ac6ce6bbdcb bytes=3ab344fe4b7469fd",
+			profile: traceProfile(partial, classic, traceDeadline)},
+		{name: "none-light",
+			want:    "S181 R167 D132000 frames=935d5747d797f155 bytes=f19e749a432ec822",
+			profile: traceProfile(none, light, 0)},
+		{name: "none-classic/late-fin",
+			want:    "S182 R56 D173000 frames=f0c6f043da742273 bytes=a0a13f56fbffe7bb",
+			profile: traceProfile(none, classic, 0), lateClose: true},
+		{name: "bbr-reliable",
+			want:    "S193 R181 D180000 frames=521d36bd43858377 bytes=e1299822277f56b7",
+			profile: withBBR(traceProfile(full, light, 0))},
+		{name: "bbr-none-classic/late-fin",
+			want:    "S182 R28 D168000 frames=215cdf30bc56d3a1 bytes=7b75393d41bdb3eb",
+			profile: withBBR(traceProfile(none, classic, 0)), lateClose: true},
+		{name: "streams/expiring",
+			want:       "S307 R105 D266000 frames=3fb5ff5b8e07ef50 bytes=49604f6d27cb79ce",
+			profile:    withStreams(qtpaf, 8),
+			twoStreams: true, second: packet.StreamExpiring},
+		{name: "streams/unordered/handshake/late-fin",
+			want:      "S321 R130 D270000 frames=d5b5016490c37fa9 bytes=36930440ce4df0ae",
+			profile:   withStreams(qtpaf, 8),
+			handshake: true, cons: core.Permissive(1e6),
+			twoStreams: true, second: packet.StreamReliableUnordered, lateClose: true},
+		{name: "streams/partial-light",
+			want:       "S314 R294 D263000 frames=2354d262ec8cb3c5 bytes=7f09daddeae48904",
+			profile:    withStreams(traceProfile(partial, light, traceDeadline), 4),
+			twoStreams: true, second: packet.StreamReliableOrdered},
+		{name: "streams/bbr",
+			want:       "S289 R271 D270000 frames=f97fbc2b49bc2299 bytes=ae8fd245950a3266",
+			profile:    withStreams(withBBR(traceProfile(full, light, 0)), 4),
+			twoStreams: true, second: packet.StreamReliableUnordered},
+		{name: "streams/refused",
+			want:    "S208 R84 D180000 frames=d058407cd6ec3f15 bytes=e1299822277f56b7",
+			profile: withStreams(qtpaf, 8), handshake: true, cons: refuse},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			if got := runTrace(t, tc); got != tc.want {
+				t.Fatalf("frame trace moved:\n got  %s\n want %s", got, tc.want)
+			}
+		})
+	}
+}
