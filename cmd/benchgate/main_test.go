@@ -20,8 +20,9 @@ const sampleHistory = `{
     {"pr": 2, "date": "batched IO",
      "BenchmarkEndpointFanout": {"ns_per_op": 999, "dgram_per_rx_syscall": 99}},
     {"pr": 3, "date": "sharded endpoints",
-     "BenchmarkEndpointFanout": {"ns_per_op": 1263246778, "dgram_per_rx_syscall": 17.68},
-     "BenchmarkShardedFanout": {"cmd": "..."}}
+     "BenchmarkEndpointFanout": {"ns_per_op": 1263246778, "dgram_per_rx_syscall": 17.68, "allocs_per_op": 80000},
+     "BenchmarkShardedFanout": {"cmd": "..."},
+     "BenchmarkWallClockOnly": {"ns_per_op": 5, "handshakes_per_sec": 7}}
   ]
 }`
 
@@ -36,8 +37,8 @@ func TestParseBenchRuns(t *testing.T) {
 	if runs[0]["ns/op"] != 1.3e9 || runs[1]["ns/op"] != 1.2e9 {
 		t.Fatalf("ns/op parsed wrong: %v %v", runs[0]["ns/op"], runs[1]["ns/op"])
 	}
-	if runs[0]["dgram/rxcall"] != 17.68 {
-		t.Fatalf("dgram/rxcall parsed wrong: %v", runs[0]["dgram/rxcall"])
+	if runs[0]["dgram/rxcall"] != 17.68 || runs[0]["allocs/op"] != 82534 {
+		t.Fatalf("structural rows parsed wrong: %v", runs[0])
 	}
 	if none, _ := parseBenchRuns(strings.NewReader(sampleBench), "BenchmarkAbsent"); len(none) != 0 {
 		t.Fatal("absent benchmark produced runs")
@@ -49,7 +50,7 @@ func TestLatestBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b == nil || b.NsPerOp != 1263246778 || b.DgramPerRx != 17.68 {
+	if b == nil || b.DgramPerRx != 17.68 || b.AllocsPerOp != 80000 {
 		t.Fatalf("baseline = %+v, want the PR 3 (latest) entry", b)
 	}
 	if !strings.Contains(desc, "3") {
@@ -58,53 +59,56 @@ func TestLatestBaseline(t *testing.T) {
 	if b, _, _ := latestBaseline([]byte(sampleHistory), "BenchmarkNever"); b != nil {
 		t.Fatal("missing benchmark yielded a baseline")
 	}
+	// An entry that commits only wall-clock rows arms nothing.
+	if b, _, _ := latestBaseline([]byte(sampleHistory), "BenchmarkWallClockOnly"); b != nil {
+		t.Fatalf("wall-clock-only entry yielded a baseline: %+v", b)
+	}
 }
 
 func TestCompareGate(t *testing.T) {
 	runs, _ := parseBenchRuns(strings.NewReader(sampleBench), "BenchmarkEndpointFanout")
-	base := &baseline{NsPerOp: 1263246778, DgramPerRx: 17.68}
+	base := &baseline{DgramPerRx: 17.68, AllocsPerOp: 80000}
 
-	// Medians 1.3e9 ns/op (+2.9%) and 18.40 rx (+4.1%): within 25%.
-	report, regressed := compare("BenchmarkEndpointFanout", runs, base, "pr 3", 0.25, 0.25)
+	// Medians 18.40 rx (+4.1%) and 82534 allocs (+3.2%): within 25%.
+	report, regressed := compare("BenchmarkEndpointFanout", runs, base, "pr 3", 0.25)
 	if regressed {
 		t.Fatalf("within-threshold run regressed:\n%s", report)
 	}
 	if !strings.Contains(report, "PASS") {
 		t.Fatalf("report lacks PASS:\n%s", report)
 	}
+	// Wall-clock rows are not compared, whatever the run's ns/op.
+	if strings.Contains(report, "ns/op") || strings.Contains(report, "handshakes/sec") {
+		t.Fatalf("report compares a wall-clock row:\n%s", report)
+	}
 
-	// >25% slower ns/op must fail…
-	_, regressed = compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 9e8, DgramPerRx: 17.68}, "pr 3", 0.25, 0.25)
-	if !regressed {
-		t.Fatal("44% ns/op regression passed the gate")
-	}
-	// …unless the ns/op tolerance was widened for a cross-machine run,
-	// in which case only a blowup beyond it bites.
-	if _, r := compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 9e8, DgramPerRx: 17.68}, "pr 3", 0.25, 1.0); r {
-		t.Fatal("44% ns/op failed the gate despite a 100% ns/op tolerance")
-	}
-	if _, r := compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 5e8, DgramPerRx: 17.68}, "pr 3", 0.25, 1.0); !r {
-		t.Fatal("2.6x ns/op blowup passed the widened gate")
-	}
-	// …and so must >25% fewer datagrams per syscall.
+	// >25% fewer datagrams per syscall must fail…
 	report, regressed = compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 1.3e9, DgramPerRx: 30}, "pr 3", 0.25, 0.25)
+		&baseline{DgramPerRx: 30, AllocsPerOp: 80000}, "pr 3", 0.25)
 	if !regressed {
 		t.Fatalf("rx-batch collapse passed the gate:\n%s", report)
 	}
+	// …and so must >25% more allocations per op.
+	report, regressed = compare("BenchmarkEndpointFanout", runs,
+		&baseline{DgramPerRx: 17.68, AllocsPerOp: 60000}, "pr 3", 0.25)
+	if !regressed {
+		t.Fatalf("allocation blowup passed the gate:\n%s", report)
+	}
 
-	// A faster run, or one with no baseline/result, always passes.
+	// A better run, a row the history does not commit, or a run with no
+	// baseline/result at all, always passes.
 	if _, r := compare("BenchmarkEndpointFanout", runs,
-		&baseline{NsPerOp: 9e9, DgramPerRx: 1}, "pr 3", 0.25, 0.25); r {
+		&baseline{DgramPerRx: 1, AllocsPerOp: 9e9}, "pr 3", 0.25); r {
 		t.Fatal("improvement flagged as regression")
 	}
-	if _, r := compare("BenchmarkEndpointFanout", nil, base, "pr 3", 0.25, 0.25); r {
+	if _, r := compare("BenchmarkEndpointFanout", runs,
+		&baseline{AllocsPerOp: 80000}, "pr 3", 0.25); r {
+		t.Fatal("uncommitted dgram/rxcall row failed the gate")
+	}
+	if _, r := compare("BenchmarkEndpointFanout", nil, base, "pr 3", 0.25); r {
 		t.Fatal("skipped benchmark failed the gate")
 	}
-	if _, r := compare("BenchmarkEndpointFanout", runs, nil, "", 0.25, 0.25); r {
+	if _, r := compare("BenchmarkEndpointFanout", runs, nil, "", 0.25); r {
 		t.Fatal("missing baseline failed the gate")
 	}
 }

@@ -56,10 +56,11 @@ type Profile struct {
 	// MaxStreams is the stream-multiplexing capability: the greatest
 	// number of concurrent streams (each with its own delivery mode —
 	// reliable-ordered, reliable-unordered, or expiring) the connection
-	// may carry. 0 or 1 selects the single-stream legacy layout; 2+
-	// activates multi-stream framing once both sides agree. Requires a
-	// reliability micro-protocol (Reliability != None): stream
-	// scheduling is built on the per-stream scoreboards.
+	// may carry. 0 or 1 leaves the connection with stream 0 alone and
+	// its data frames unprefixed; 2+ activates the stream prefix once
+	// both sides agree. Requires a reliability micro-protocol
+	// (Reliability != None): stream scheduling is built on the
+	// per-stream scoreboards.
 	MaxStreams int
 }
 
@@ -141,8 +142,8 @@ func (p Profile) Normalize() Profile {
 		p.MaxStreams = packet.MaxStreams
 	}
 	if p.MaxStreams < 2 || p.Reliability == packet.ReliabilityNone {
-		// Multi-stream needs per-stream scoreboards; an unreliable
-		// profile (or a trivial stream count) stays on the legacy layout.
+		// Prefixed streams need per-stream scoreboards; an unreliable
+		// profile (or a trivial stream count) stays unprefixed.
 		p.MaxStreams = 0
 	}
 	if p.TargetRate > 0 {
@@ -223,8 +224,8 @@ type Constraints struct {
 	// MaxMSS caps the segment size (0 = DefaultMSS).
 	MaxMSS int
 	// MaxStreams caps how many concurrent streams an inbound connection
-	// may multiplex (0 = refuse multi-stream, pinning peers to the
-	// single-stream legacy layout).
+	// may multiplex (0 = refuse the capability: peers get stream 0
+	// alone, unprefixed).
 	MaxStreams int
 	// AllowBBR permits the bandwidth×RTT congestion controller. When
 	// false a CongestionBBR proposal is negotiated down to the TFRC
@@ -281,7 +282,7 @@ func Negotiate(c Constraints, proposal Profile) Profile {
 		granted.MaxStreams = c.MaxStreams
 	}
 	// Re-normalize the stream grant: degraded reliability or a trivial
-	// count falls back to the single-stream layout.
+	// count falls back to the unprefixed stream 0.
 	if granted.MaxStreams < 2 || granted.Reliability == packet.ReliabilityNone {
 		granted.MaxStreams = 0
 	}

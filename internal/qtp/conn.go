@@ -3,6 +3,12 @@
 // micro-protocols (TFRC or gTFRC rate control, SACK reliability, classic
 // or QTPlight feedback).
 //
+// Data travels on streams, through one engine (stream.go): every Conn
+// owns stream 0 from NewConn on, Write/Read/CloseSend are its stream-0
+// cases, and a connection that did not negotiate the streams capability
+// is simply one whose only stream is 0 and whose data frames are framed
+// without the stream prefix.
+//
 // A Conn consumes absolute times and inbound frames (HandleFrame) and
 // produces outbound frames on request (PollFrame) plus the next instant
 // it needs the clock (NextWake). Drivers supply the I/O:
@@ -16,12 +22,10 @@ import (
 	"time"
 
 	"repro/internal/bbr"
-	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/gtfrc"
 	"repro/internal/packet"
 	"repro/internal/qcrypto"
-	"repro/internal/sack"
 	"repro/internal/seqspace"
 	"repro/internal/tfrc"
 )
@@ -76,13 +80,13 @@ type Config struct {
 	// stray frame to its owner without shared state; the state machine
 	// itself treats the ID as opaque.
 	LocalID uint32
-	// StartSeq is the first data sequence number (default 1). On a
-	// multi-stream connection this is the connection-level sequence
-	// space shared by all streams.
+	// StartSeq is the first connection-level sequence number (default
+	// 1): the space frame headers count in, shared by all streams — and
+	// the one the unprefixed stream 0 counts in too.
 	StartSeq seqspace.Seq
-	// StreamStartSeq is the first sequence number of every stream's own
-	// sequence space (default 1). Tests use it to exercise per-stream
-	// offset wraparound.
+	// StreamStartSeq is the first sequence number of every prefixed
+	// stream's own sequence space (default 1). Tests use it to exercise
+	// per-stream offset wraparound.
 	StreamStartSeq seqspace.Seq
 	// MaxBacklog caps bytes queued in Write before the transport pushes
 	// back (default 1 MiB).
@@ -156,8 +160,7 @@ type Conn struct {
 	ctrlDue     time.Duration // when to (re)send it
 	ctrlTries   int
 	ctrlSentAt  time.Duration // for handshake RTT measurement
-	peerSeen    bool
-	token       []byte // source-address token from a Retry, echoed in Connects
+	token       []byte        // source-address token from a Retry, echoed in Connects
 
 	// Timestamp echo state.
 	lastPeerTS   uint32
@@ -168,28 +171,24 @@ type Conn struct {
 	rc         core.RateController
 	tfrcSnd    *tfrc.Sender
 	cc         *ccTracker // per-packet event feed (BBR connections only)
-	sendBuf    *sack.SendBuffer
 	est        *tfrc.SenderEstimator
-	backlog    []byte
-	nextSeq    seqspace.Seq
-	sendOpen   bool // Write still allowed (no CloseSend yet)
-	finSeq     seqspace.Seq
-	finSet     bool
+	nextSeq    seqspace.Seq // next connection-level sequence number
 	nextSendAt time.Duration
 	lastReport time.Duration // light mode: last rate-machine update
 	started    bool
 
 	// Receiver-side machines (nil on the sending side).
-	reasm        *sack.Reassembler
 	tfrcRecv     *tfrc.Receiver
 	ackCountdown int
 	urgentFB     bool
 	sackPending  bool
 	nextFBAt     time.Duration
 
-	// Stream multiplexing state (multi-stream connections only; see
-	// stream.go). The sender owns sendStreams, the receiver recv* plus
-	// the connection-level ack tracker and the tagged delivery queue.
+	// Stream state (see stream.go). The sender owns sendStreams (stream
+	// 0 from NewConn on), the receiver recv* plus the connection-level
+	// ack tracker and the tagged delivery queue. multi is the framing
+	// choice: data frames carry the stream prefix and feedback the
+	// per-stream ack tail, and more streams than 0 may be opened.
 	multi        bool
 	sendStreams  []*sendStream
 	sendByID     map[uint64]*sendStream
@@ -200,8 +199,9 @@ type Conn struct {
 	recvOrder    []*recvStream
 	acceptQ      []uint64
 	retired      map[uint64]StreamStats // final snapshots of retired streams
-	ackTrack     *connAckTracker
-	readQ        []streamChunk
+	ackTrack     connAckTracker
+	readQ        []streamChunk // delivered chunks; readHead is the next to hand out
+	readHead     int
 	ackTail      []packet.StreamAck
 
 	// Scratch state for frame building/parsing.
@@ -237,7 +237,7 @@ func NewConn(cfg Config) *Conn {
 	if cfg.UnreliableSkip == 0 {
 		cfg.UnreliableSkip = 250 * time.Millisecond
 	}
-	c := &Conn{cfg: cfg, state: StateIdle, nextSeq: cfg.StartSeq, sendOpen: true}
+	c := &Conn{cfg: cfg, state: StateIdle, nextSeq: cfg.StartSeq}
 	c.localID = cfg.LocalID
 	if c.localID == 0 {
 		c.localID = cfg.ConnID
@@ -245,6 +245,15 @@ func NewConn(cfg Config) *Conn {
 	c.remoteID = cfg.ConnID
 	if cfg.Initiator {
 		c.profile = cfg.Profile.Normalize()
+		// Stream 0 exists before the handshake so Write may precede it;
+		// buildMachines gives it the negotiated delivery mode.
+		s0 := newSendStream(0, packet.StreamReliableOrdered, 0, cfg.StartSeq)
+		c.sendStreams = []*sendStream{s0}
+		c.sendByID = map[uint64]*sendStream{0: s0}
+		c.nextStreamID = 1
+	} else {
+		c.ackTrack.cum = cfg.StartSeq
+		c.recvByID = make(map[uint64]*recvStream)
 	}
 	return c
 }
@@ -319,17 +328,16 @@ func (c *Conn) buildMachines(now time.Duration) {
 				c.rc = core.AdaptTFRC(c.tfrcSnd)
 			}
 		}
+		// Reliability lives per stream: each owns a scoreboard. Stream 0's
+		// mode follows from the profile.
+		s0 := c.sendStreams[0]
+		s0.mode, s0.deadline = c.stream0Mode()
+		s0.buf.Deadline = s0.deadline
+		s0.unreliable = p.Reliability == packet.ReliabilityNone
 		if c.multi {
-			// Reliability lives per stream: each stream owns a scoreboard
-			// (stream 0 implicit, its mode derived from the profile).
-			c.initStreamSender()
-		} else {
-			switch p.Reliability {
-			case packet.ReliabilityFull:
-				c.sendBuf = sack.NewSendBuffer(0)
-			case packet.ReliabilityPartial:
-				c.sendBuf = sack.NewSendBuffer(p.Deadline)
-			}
+			// Prefixed, stream 0 counts in its own sequence space like
+			// every stream; unprefixed it keeps the connection's.
+			s0.nextSeq = c.streamStart()
 		}
 		if p.Feedback == packet.FeedbackSenderLoss && p.Congestion != packet.CongestionBBR {
 			// The sender-side loss estimator exists to feed the TFRC
@@ -342,21 +350,8 @@ func (c *Conn) buildMachines(now time.Duration) {
 		}
 		return
 	}
-	// Receiving side.
-	if c.multi {
-		c.initStreamReceiver()
-	} else {
-		skip := time.Duration(0)
-		switch p.Reliability {
-		case packet.ReliabilityNone:
-			skip = c.cfg.UnreliableSkip
-		case packet.ReliabilityPartial:
-			// Hold holes a bit past the sender's retransmission deadline so
-			// a last retransmission still has time to arrive.
-			skip = p.Deadline + p.Deadline/2
-		}
-		c.reasm = sack.NewReassembler(c.cfg.StartSeq, skip)
-	}
+	// Receiving side: streams are opened by the first data frame that
+	// belongs to them (see onData).
 	if p.Feedback == packet.FeedbackReceiverLoss {
 		c.tfrcRecv = tfrc.NewReceiver(tfrc.ReceiverConfig{
 			SegmentSize: p.MSS,
@@ -417,88 +412,32 @@ func (c *Conn) LossRate() float64 {
 	return 0
 }
 
-// Write queues application data for transmission, returning how many
-// bytes were accepted (bounded by the backlog cap).
-func (c *Conn) Write(p []byte) int {
-	if c.multi {
-		return c.WriteStream(0, p)
-	}
-	if !c.isSender() || !c.sendOpen || c.state == StateClosed {
-		return 0
-	}
-	room := c.cfg.MaxBacklog - len(c.backlog)
-	if room <= 0 {
-		return 0
-	}
-	if len(p) > room {
-		p = p[:room]
-	}
-	c.backlog = append(c.backlog, p...)
-	return len(p)
-}
+// Write queues application data on stream 0, returning how many bytes
+// were accepted (bounded by the backlog cap).
+func (c *Conn) Write(p []byte) int { return c.WriteStream(0, p) }
 
 // BacklogLen returns the bytes queued but not yet transmitted, summed
-// across streams on a multi-stream connection.
+// across streams.
 func (c *Conn) BacklogLen() int {
-	if c.multi {
-		n := 0
-		for _, s := range c.sendStreams {
-			n += len(s.backlog)
-		}
-		return n
+	n := 0
+	for _, s := range c.sendStreams {
+		n += len(s.backlog)
 	}
-	return len(c.backlog)
+	return n
 }
 
-// CloseSend marks the end of the data stream: the final segment carries
-// FIN and, once reliability resolves everything, the connection closes.
-// On a multi-stream connection it closes the implicit stream 0; the
-// connection tears down once every stream is closed and resolved.
+// CloseSend marks the end of stream 0: its final segment carries FIN.
+// The connection tears down once every stream is closed and resolved.
 func (c *Conn) CloseSend() {
-	if c.multi {
-		c.CloseStream(0)
-		return
-	}
-	c.sendOpen = false
+	_ = c.CloseStream(0) // only a receiver has no stream 0 to close
 }
 
-// Read returns the next in-order chunk delivered to the application.
-// Chunks are drawn from bufpool's chunk pool; the application owns the
-// returned slice and should release it with bufpool.PutChunk once the
-// data has been consumed. On a multi-stream connection Read drains
-// chunks from every stream without saying which; use ReadAny where the
-// stream identity matters.
+// Read returns the next chunk delivered to the application, from
+// whichever stream has one; use ReadAny where the stream identity
+// matters.
 func (c *Conn) Read() ([]byte, bool) {
-	if c.multi {
-		_, p, ok := c.ReadAny()
-		return p, ok
-	}
-	if c.reasm == nil {
-		return nil, false
-	}
-	for {
-		p, ok := c.reasm.Pop()
-		if !ok {
-			return nil, false
-		}
-		if len(p) == 0 {
-			// Bare FIN marker (empty final segment): recycle, not deliver.
-			bufpool.PutChunk(p)
-			continue
-		}
-		c.stats.DeliveredBytes += len(p)
-		return p, true
-	}
-}
-
-// Finished reports whether the receive stream has delivered everything
-// through FIN — on a multi-stream connection, whether every stream that
-// carried data has.
-func (c *Conn) Finished() bool {
-	if c.multi {
-		return c.finishedMulti()
-	}
-	return c.reasm != nil && c.reasm.Finished()
+	_, p, ok := c.ReadAny()
+	return p, ok
 }
 
 // EstimatorOps returns the QTPlight sender estimator's operation count

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/packet"
 	"repro/internal/workload"
 )
 
@@ -35,37 +36,82 @@ func TestHandshakeSurvivesControlLoss(t *testing.T) {
 	}
 }
 
-// TestCleanClose verifies the Close/CloseAck exchange shuts both ends.
-func TestCleanClose(t *testing.T) {
-	p := newTestPath(22, 125_000, 10*time.Millisecond, netsim.NewDropTail(64), nil)
-	f := p.startFlow(FlowConfig{
-		Profile:     core.QTPAF(50_000),
-		Handshake:   true,
-		Constraints: core.Permissive(1e6),
-		Source:      workload.NewBulk(20_000, 10_000),
-	})
-	p.sim.Run(30 * time.Second)
-	if f.Sender.State() != StateClosed {
-		t.Fatalf("sender state %v, want closed", f.Sender.State())
+// framings is the input shared by the tests whose scenario is the same
+// on either data framing: one engine runs both, so each runs as one
+// more row instead of a second test.
+var framings = []struct {
+	name    string
+	streams int // proposed MaxStreams
+}{{"unprefixed", 0}, {"prefixed", 8}}
+
+// framed returns p proposing the given stream count. The prefix needs a
+// reliability micro-protocol (Profile.Normalize drops MaxStreams
+// otherwise), so an unreliable profile is made fully reliable for it.
+func framed(p core.Profile, streams int) core.Profile {
+	p.MaxStreams = streams
+	if streams >= 2 && p.Reliability == packet.ReliabilityNone {
+		p.Reliability = packet.ReliabilityFull
 	}
-	if f.Receiver.State() != StateClosed {
-		t.Fatalf("receiver state %v, want closed", f.Receiver.State())
+	return p
+}
+
+// checkFraming fails unless the sender runs the framing the row names.
+func checkFraming(t *testing.T, c *Conn, streams int) {
+	t.Helper()
+	if got := c.MultiStream(); got != (streams >= 2) {
+		t.Fatalf("MultiStream() = %v with %d streams proposed", got, streams)
+	}
+}
+
+// TestCleanClose verifies the Close/CloseAck exchange shuts both ends,
+// and that data written before Start — before the handshake has settled
+// the framing — is delivered on stream 0 like the rest.
+func TestCleanClose(t *testing.T) {
+	for _, fr := range framings {
+		t.Run(fr.name, func(t *testing.T) {
+			p := newTestPath(22, 125_000, 10*time.Millisecond, netsim.NewDropTail(64), nil)
+			f := p.startFlow(FlowConfig{
+				Profile:     framed(core.QTPAF(50_000), fr.streams),
+				Handshake:   true,
+				Constraints: core.Permissive(1e6),
+				Source:      workload.NewBulk(20_000, 10_000),
+			})
+			if n := f.Sender.Write(make([]byte, 5_000)); n != 5_000 {
+				t.Fatalf("Write before Start accepted %d bytes", n)
+			}
+			p.sim.Run(30 * time.Second)
+			checkFraming(t, f.Sender, fr.streams)
+			if got := f.StreamDelivered[0]; got != 25_000 || f.DeliveredBytes != got {
+				t.Fatalf("stream 0 delivered %d of %d bytes, want all 25000 there", got, f.DeliveredBytes)
+			}
+			if f.Sender.State() != StateClosed {
+				t.Fatalf("sender state %v, want closed", f.Sender.State())
+			}
+			if f.Receiver.State() != StateClosed {
+				t.Fatalf("receiver state %v, want closed", f.Receiver.State())
+			}
+		})
 	}
 }
 
 // TestZeroDataStreamCloses covers the edge where CloseSend precedes any
 // Write: the connection must still tear down (no FIN exists).
 func TestZeroDataStreamCloses(t *testing.T) {
-	p := newTestPath(23, 125_000, 10*time.Millisecond, netsim.NewDropTail(64), nil)
-	f := p.startFlow(FlowConfig{
-		Profile:     core.ClassicTFRC(),
-		Handshake:   true,
-		Constraints: core.Permissive(0),
-	})
-	p.sim.After(time.Second, func() { f.CloseSend() })
-	p.sim.Run(20 * time.Second)
-	if f.Sender.State() != StateClosed {
-		t.Fatalf("zero-data stream stuck in %v", f.Sender.State())
+	for _, fr := range framings {
+		t.Run(fr.name, func(t *testing.T) {
+			p := newTestPath(23, 125_000, 10*time.Millisecond, netsim.NewDropTail(64), nil)
+			f := p.startFlow(FlowConfig{
+				Profile:     framed(core.ClassicTFRC(), fr.streams),
+				Handshake:   true,
+				Constraints: core.Permissive(0),
+			})
+			p.sim.After(time.Second, func() { f.CloseSend() })
+			p.sim.Run(20 * time.Second)
+			checkFraming(t, f.Sender, fr.streams)
+			if f.Sender.State() != StateClosed {
+				t.Fatalf("zero-data stream stuck in %v", f.Sender.State())
+			}
+		})
 	}
 }
 

@@ -59,8 +59,7 @@ type Flow struct {
 
 	// DeliveredBytes counts application bytes read at the receiver.
 	DeliveredBytes int
-	// StreamDelivered counts delivered bytes per stream (stream 0 on
-	// single-stream flows).
+	// StreamDelivered counts delivered bytes per stream.
 	StreamDelivered map[uint64]int
 	// DeliveredAt, if non-nil, observes every delivered chunk.
 	DeliveredAt func(now netsim.Time, n int)
@@ -196,8 +195,8 @@ func (f *Flow) CloseSend() {
 }
 
 // Pump re-drives the sender after out-of-band calls on f.Sender (e.g.
-// WriteStream/CloseStream on a multi-stream flow): frames the call made
-// due are transmitted and the wake-up timer rescheduled.
+// WriteStream/CloseStream): frames the call made due are transmitted
+// and the wake-up timer rescheduled.
 func (f *Flow) Pump() { f.pumpSender() }
 
 // pumpSender drains outgoing frames from the sender endpoint and

@@ -205,30 +205,62 @@ func (c *Conn) onConfirm(now time.Duration, hdr *packet.Header) error {
 	if c.cfg.Initiator {
 		return ErrBadState
 	}
-	c.peerSeen = true
 	return nil
 }
 
+// errFraming rejects a data frame whose stream prefix does not match
+// the negotiated framing: an unexpected prefix would be misread as
+// application bytes, a missing one as a prefix.
+var errFraming = errors.New("qtp: data frame stream prefix does not match the negotiated framing")
+
+// onData is the data path: decode which stream the frame belongs to,
+// feed the connection-level ack tracker and the stream's receiver, and
+// queue whatever became deliverable.
 func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) error {
-	if c.multi {
-		return c.onDataMulti(now, hdr, payload)
-	}
-	if c.reasm == nil {
+	if c.isSender() || c.state == StateIdle {
 		return ErrBadState
 	}
-	if hdr.Flags&packet.FlagStream != 0 {
-		// A stream-framed payload on a connection that never negotiated
-		// streams would be misread as application bytes.
+	// Unprefixed, the frame is stream 0 and the header's sequence number
+	// is the stream's.
+	si := packet.StreamInfo{Seq: hdr.Seq}
+	data, rs := payload, c.recvByID[0]
+	switch prefixed := hdr.Flags&packet.FlagStream != 0; {
+	case prefixed != c.multi:
 		c.stats.DecodeErrors++
-		return errors.New("qtp: unexpected stream prefix on single-stream connection")
+		return errFraming
+	case prefixed:
+		var err error
+		if data, err = si.Parse(payload, hdr.Seq); err != nil {
+			c.stats.DecodeErrors++
+			return err
+		}
+		if rs, err = c.recvStreamFor(si.ID, si.Mode, si.DeadlineMS); err != nil {
+			return err
+		}
+		c.ackTrack.advanceFloor(si.AckFloor)
+	case rs == nil:
+		rs = c.openRecvStream0()
 	}
-	c.peerSeen = true
-	fin := hdr.Flags&packet.FlagFIN != 0
-	retx := hdr.Flags&packet.FlagRetransmit != 0
-	c.reasm.OnData(now, hdr.Seq, payload, fin)
+	c.ackTrack.onData(hdr.Seq)
+	if rs == nil {
+		// Straggler for a retired stream (a late retransmission that
+		// crossed our final ack): acknowledged at the connection level
+		// so the sender resolves it, but the stream is never resurrected
+		// — its data was all delivered or skipped already.
+		st := c.retired[si.ID]
+		st.DuplicateSegs++
+		c.retired[si.ID] = st
+		return nil
+	}
+	if !rs.onData(now, si.Seq, data, hdr.Flags&packet.FlagFIN != 0) {
+		// A duplicate means the sender may have missed our final ack;
+		// put the stream's cum back on the tail until it lands.
+		rs.finalAcked = false
+	}
+	c.drainRecv(rs)
 
 	if c.tfrcRecv != nil {
-		if retx {
+		if hdr.Flags&packet.FlagRetransmit != 0 {
 			// Retransmissions count toward X_recv and keep feedback
 			// flowing, but are invisible to loss detection.
 			c.tfrcRecv.OnRetransmit(now, len(payload)+packet.HeaderLen)
@@ -269,12 +301,7 @@ func (c *Conn) onFeedback(now time.Duration, hdr *packet.Header, payload []byte)
 	if c.cc != nil {
 		c.cc.onAckVector(now, f.CumAck, ranges, sample)
 	}
-	if c.multi {
-		c.onStreamAcks(now, f.CumAck, ranges, f.Streams)
-	} else if c.sendBuf != nil {
-		c.sendBuf.LossGuard = c.lossGuard()
-		c.sendBuf.OnSACK(now, f.CumAck, ranges)
-	}
+	c.onStreamAcks(now, f.CumAck, ranges, f.Streams)
 	return nil
 }
 
@@ -314,12 +341,7 @@ func (c *Conn) onSACK(now time.Duration, hdr *packet.Header, payload []byte) err
 	if c.est != nil {
 		c.est.OnAckVector(now, s.CumAck, ranges, rtt)
 	}
-	if c.multi {
-		c.onStreamAcks(now, s.CumAck, ranges, s.Streams)
-	} else if c.sendBuf != nil {
-		c.sendBuf.LossGuard = c.lossGuard()
-		c.sendBuf.OnSACK(now, s.CumAck, ranges)
-	}
+	c.onStreamAcks(now, s.CumAck, ranges, s.Streams)
 	if c.est == nil {
 		// Event-driven controller: the ack events above did the work;
 		// report the RTT sample so the nofeedback deadline re-arms even

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/packet"
-	"repro/internal/sack"
 	"repro/internal/seqspace"
 )
 
@@ -76,10 +75,8 @@ func (c *Conn) PollFrameAppend(now time.Duration, dst []byte) (frame []byte, ok 
 	if c.ctrlPending != 0 && now >= c.ctrlDue {
 		return c.buildControl(now, dst), true
 	}
-	if c.multi {
-		if f, ok := c.pollStreamReset(now, dst); ok {
-			return f, true
-		}
+	if f, ok := c.pollStreamReset(now, dst); ok {
+		return f, true
 	}
 	// 2. Receiver side: acknowledgments.
 	if c.urgentFB {
@@ -100,13 +97,7 @@ func (c *Conn) PollFrameAppend(now time.Duration, dst []byte) (frame []byte, ok 
 	// initiator still in Connecting, whose data rides the first flight
 	// sealed under the early keys.
 	if c.started && c.sendActive() && now >= c.nextSendAt {
-		if c.multi {
-			if f, ok := c.buildDataMulti(now, dst); ok {
-				return f, true
-			}
-		} else if f, ok := c.buildData(now, dst); ok {
-			return f, true
-		}
+		return c.buildData(now, dst)
 	}
 	return nil, false
 }
@@ -118,25 +109,16 @@ func (c *Conn) advance(now time.Duration) {
 			c.rc.OnNoFeedback(now)
 		}
 	}
-	if c.reasm != nil {
-		c.reasm.OnDeadline(now)
+	// Streams that skip stale frontier holes do so on their own clock;
+	// whatever that frees up is queued for the application.
+	for _, rs := range c.recvOrder {
+		rs.onDeadline(now)
+		c.drainRecv(rs)
 	}
-	if c.multi && !c.isSender() {
-		// Expiring streams skip stale frontier holes on their own clock;
-		// whatever that frees up is queued for the application.
-		for _, rs := range c.recvOrder {
-			rs.onDeadline(now)
-			c.drainRecv(rs)
-		}
-	}
-	if c.multi && c.isSender() {
-		c.armStreamResets(now)
-	}
-	if c.multi {
-		c.retireStreams()
-	}
-	// Stream completion: queue Close once everything is resolved. A
-	// stream closed before any data was written closes without a FIN.
+	c.armStreamResets(now)
+	c.retireStreams()
+	// Completion: queue Close once every stream is resolved. A stream
+	// closed before any data was written closes without a FIN.
 	if c.closeReady() {
 		c.state = StateClosing
 		c.ctrlPending = packet.TypeClose
@@ -144,31 +126,30 @@ func (c *Conn) advance(now time.Duration) {
 	}
 }
 
-// needFinSingle reports whether the legacy single-stream sender still
-// owes the wire a FIN: CloseSend landed only after the backlog had fully
-// drained, so the final data segment left without the flag and an empty
-// FIN segment must follow (multi-stream connections track the same
-// condition per stream via sendStream.needFin).
-func (c *Conn) needFinSingle() bool {
-	return !c.multi && c.isSender() && !c.sendOpen && !c.finSet &&
-		c.stats.DataFramesSent > 0 && len(c.backlog) == 0
+// closeReady reports whether the sender has nothing left to deliver and
+// should initiate teardown: every stream closed, drained, FIN'd (or
+// never used) and resolved.
+func (c *Conn) closeReady() bool {
+	if !c.isSender() || c.state != StateEstablished || !c.started || c.ctrlPending != 0 {
+		return false
+	}
+	for _, s := range c.sendStreams {
+		if !s.done() {
+			return false
+		}
+	}
+	return true
 }
 
-// closeReady reports whether the sender has nothing left to deliver and
-// should initiate teardown.
-func (c *Conn) closeReady() bool {
-	if c.multi {
-		return c.closeReadyMulti()
+// sendWorkPending reports whether any stream has queued data or an owed
+// FIN.
+func (c *Conn) sendWorkPending() bool {
+	for _, s := range c.sendStreams {
+		if len(s.backlog) > 0 || s.needFin() {
+			return true
+		}
 	}
-	if !c.isSender() || c.state != StateEstablished || !c.started ||
-		c.sendOpen || len(c.backlog) != 0 || c.ctrlPending != 0 {
-		return false
-	}
-	if c.sendBuf != nil && c.sendBuf.Unresolved() {
-		return false
-	}
-	// Either the FIN went out, or no data was ever queued.
-	return c.finSet || c.stats.DataFramesSent == 0
+	return false
 }
 
 // buildControl encodes the pending control frame, appended to dst.
@@ -254,12 +235,13 @@ func (c *Conn) buildFeedback(now time.Duration, dst []byte) []byte {
 	fb := packet.Feedback{
 		XRecv:    uint64(xRecv),
 		LossRate: p,
-		CumAck:   c.recvCumAck(),
+		CumAck:   c.ackTrack.cum,
+		Streams:  c.streamAckTail(),
 	}
 	if c.havePeerTS {
 		fb.ElapsedUS = uint32((now - c.lastPeerTSAt) / time.Microsecond)
 	}
-	if c.profile.Reliability != packet.ReliabilityNone || c.multi ||
+	if c.profile.Reliability != packet.ReliabilityNone ||
 		c.profile.Congestion == packet.CongestionBBR {
 		// BBR senders need the full acknowledgment vector even on
 		// unreliable profiles: the per-packet delivery samples come from
@@ -268,9 +250,6 @@ func (c *Conn) buildFeedback(now time.Duration, dst []byte) []byte {
 		for _, r := range c.blockBuf {
 			fb.Blocks = append(fb.Blocks, packet.SACKBlock{Lo: r.Lo, Hi: r.Hi})
 		}
-	}
-	if c.multi {
-		fb.Streams = c.streamAckTail()
 	}
 	payload, _ := fb.AppendTo(c.scratch[:0])
 	c.scratch = payload
@@ -297,16 +276,13 @@ func (c *Conn) buildFeedback(now time.Duration, dst []byte) []byte {
 // lookups.
 func (c *Conn) buildSACK(now time.Duration, dst []byte) []byte {
 	c.sackPending = false
-	s := packet.SACK{CumAck: c.recvCumAck()}
+	s := packet.SACK{CumAck: c.ackTrack.cum, Streams: c.streamAckTail()}
 	if c.havePeerTS {
 		s.ElapsedUS = uint32((now - c.lastPeerTSAt) / time.Microsecond)
 	}
 	c.blockBuf = c.recvBlocks(c.blockBuf[:0], c.profile.SACKBlockBudget)
 	for _, r := range c.blockBuf {
 		s.Blocks = append(s.Blocks, packet.SACKBlock{Lo: r.Lo, Hi: r.Hi})
-	}
-	if c.multi {
-		s.Streams = c.streamAckTail()
 	}
 	payload, _ := s.AppendTo(c.scratch[:0])
 	c.scratch = payload
@@ -327,19 +303,28 @@ func (c *Conn) buildSACK(now time.Duration, dst []byte) []byte {
 	return frame
 }
 
-// buildData emits one paced data frame, appended to dst: a due
-// retransmission first, otherwise a fresh segment from the backlog.
+// buildData emits one paced data frame, appended to dst: any stream's
+// due retransmission first (round-robin), otherwise a fresh segment from
+// the stream pickStream selects — strict-priority streams before the
+// weighted round-robin tier.
 func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 	rto := c.retxTimeout()
-	if c.sendBuf != nil {
-		if seq, payload, ok := c.sendBuf.NextRetransmit(now, rto); ok {
-			fin := c.finSet && seq == c.finSeq
-			frame := c.dataFrame(now, dst, seq, payload, true, fin)
-			c.stats.RetransFrames++
-			c.stats.RetransBytes += len(payload)
-			c.pace(now, len(frame)-len(dst))
-			return frame, true
+	n := len(c.sendStreams)
+	for k := 0; k < n; k++ {
+		s := c.sendStreams[(c.rrRetx+k)%n]
+		seq, conn, payload, ok := s.buf.NextRetransmitSeg(now, rto)
+		if !ok {
+			continue
 		}
+		c.rrRetx = (c.rrRetx + k + 1) % n
+		fin := s.finSet && seq == s.finSeq
+		frame := c.dataFrame(now, dst, s, conn, seq, payload, true, fin)
+		c.stats.RetransFrames++
+		c.stats.RetransBytes += len(payload)
+		s.retransFrames++
+		s.retransB += len(payload)
+		c.pace(now, len(frame)-len(dst))
+		return frame, true
 	}
 	if !c.rc.CanSend() {
 		// A window-limited controller (BBR) has a full bottleneck-delay
@@ -348,69 +333,127 @@ func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 		// inflight budget).
 		return nil, false
 	}
-	if len(c.backlog) == 0 {
-		if !c.needFinSingle() {
-			return nil, false
-		}
-		// CloseSend arrived after the last data segment went out: the
-		// stream end must travel as an empty FIN segment, retransmitted
-		// like data when reliability is on.
-		seq := c.nextSeq
-		c.nextSeq = seq.Next()
-		c.finSeq = seq
-		c.finSet = true
-		if c.sendBuf != nil {
-			c.sendBuf.Add(now, seq, nil)
-		}
-		if c.est != nil {
-			c.est.OnSent(now, seq, packet.HeaderLen)
-		}
-		if c.cc != nil {
-			c.cc.onSent(now, seq, packet.HeaderLen)
-		}
-		frame := c.dataFrame(now, dst, seq, nil, false, true)
-		c.stats.DataFramesSent++
-		c.pace(now, len(frame)-len(dst))
-		return frame, true
+	s := c.pickStream()
+	if s == nil {
+		return nil, false
 	}
-	n := c.profile.MSS
-	if n > len(c.backlog) {
-		n = len(c.backlog)
+	// An empty backlog here means the stream owes a bare FIN: CloseStream
+	// arrived after the last data segment went out, so the stream end
+	// travels as an empty segment, retransmitted like data.
+	nb := c.profile.MSS
+	if nb > len(s.backlog) {
+		nb = len(s.backlog)
 	}
-	payload := c.segCopy(c.backlog[:n])
-	c.backlog = c.backlog[:copy(c.backlog, c.backlog[n:])]
+	payload := c.segCopy(s.backlog[:nb])
+	s.backlog = s.backlog[:copy(s.backlog, s.backlog[nb:])]
 
-	seq := c.nextSeq
-	c.nextSeq = seq.Next()
-	fin := !c.sendOpen && len(c.backlog) == 0
+	seq := s.nextSeq
+	s.nextSeq = seq.Next()
+	conn := c.nextSeq
+	c.nextSeq = conn.Next()
+	fin := !s.open && len(s.backlog) == 0
 	if fin {
-		c.finSeq = seq
-		c.finSet = true
+		s.finSeq = seq
+		s.finSet = true
 	}
-	if c.sendBuf != nil {
-		c.sendBuf.Add(now, seq, payload)
+	if !s.unreliable {
+		s.buf.AddStream(now, seq, conn, payload)
 	}
 	if c.est != nil {
-		c.est.OnSent(now, seq, len(payload)+packet.HeaderLen)
+		c.est.OnSent(now, conn, len(payload)+packet.HeaderLen)
 	}
 	if c.cc != nil {
-		c.cc.onSent(now, seq, len(payload)+packet.HeaderLen)
+		c.cc.onSent(now, conn, len(payload)+packet.HeaderLen)
 	}
-	frame := c.dataFrame(now, dst, seq, payload, false, fin)
+	frame := c.dataFrame(now, dst, s, conn, seq, payload, false, fin)
 	c.stats.DataFramesSent++
 	c.stats.DataBytesSent += len(payload)
+	s.frames++
+	s.bytes += len(payload)
 	c.pace(now, len(frame)-len(dst))
 	return frame, true
 }
 
-func (c *Conn) dataFrame(now time.Duration, dst []byte, seq seqspace.Seq, payload []byte, retx, fin bool) []byte {
+// pickStream selects the stream whose fresh data (or owed FIN) goes out
+// next. Strict-priority streams drain first, round-robin among
+// themselves; then the weighted tier runs deficit round-robin: each
+// eligible stream spends one credit per frame, and when every
+// backlogged weighted stream is out of credit the credits refill from
+// the weights. The rrData cursor keeps both tiers fair across calls.
+func (c *Conn) pickStream() *sendStream {
+	n := len(c.sendStreams)
+	for k := 0; k < n; k++ {
+		s := c.sendStreams[(c.rrData+k)%n]
+		if s.strict && (len(s.backlog) > 0 || s.needFin()) {
+			c.rrData = (c.rrData + k + 1) % n
+			return s
+		}
+	}
+	for refilled := false; ; refilled = true {
+		for k := 0; k < n; k++ {
+			s := c.sendStreams[(c.rrData+k)%n]
+			if s.strict || (len(s.backlog) == 0 && !s.needFin()) {
+				continue
+			}
+			if s.credit <= 0 {
+				continue
+			}
+			s.credit--
+			c.rrData = (c.rrData + k + 1) % n
+			return s
+		}
+		if refilled {
+			// Refilling did not make anyone eligible: nothing to send.
+			return nil
+		}
+		// Someone may be backlogged but out of credit — start a new
+		// round. If no weighted stream has data the next pass falls
+		// through to the refilled exit.
+		for _, s := range c.sendStreams {
+			s.credit = s.weight
+		}
+	}
+}
+
+// ackFloor returns the sender's lowest unresolved connection-level
+// sequence number, stamped in the stream prefix of outgoing data frames.
+func (c *Conn) ackFloor() seqspace.Seq {
+	floor := c.nextSeq
+	for _, s := range c.sendStreams {
+		if m, ok := s.buf.MinUnresolvedConn(); ok && m.Less(floor) {
+			floor = m
+		}
+	}
+	return floor
+}
+
+// dataFrame encodes one data frame: fixed header, the varint stream
+// prefix when the connection negotiated it, payload. Without the prefix
+// the frame is stream 0 by construction and connSeq says everything
+// streamSeq would.
+func (c *Conn) dataFrame(now time.Duration, dst []byte, s *sendStream,
+	connSeq, streamSeq seqspace.Seq, payload []byte, retx, fin bool) []byte {
+
 	hdr := packet.Header{
 		Type:       packet.TypeData,
 		ConnID:     c.remoteID,
-		Seq:        seq,
+		Seq:        connSeq,
 		Timestamp:  nowUS(now),
 		RTTUS:      uint32(c.rc.RTT() / time.Microsecond),
 		PayloadLen: uint16(len(payload)),
+	}
+	var prefix []byte
+	if c.multi {
+		si := packet.StreamInfo{
+			ID: s.id, Seq: streamSeq, Mode: s.mode, AckFloor: c.ackFloor(),
+		}
+		if s.mode == packet.StreamExpiring {
+			si.DeadlineMS = uint32(s.deadline / time.Millisecond)
+		}
+		prefix = si.AppendTo(c.scratch[:0], connSeq)
+		c.scratch = prefix
+		hdr.Flags = packet.FlagStream
+		hdr.PayloadLen += uint16(len(prefix))
 	}
 	if c.havePeerTS {
 		hdr.TSEcho = c.lastPeerTS
@@ -422,6 +465,7 @@ func (c *Conn) dataFrame(now time.Duration, dst []byte, seq seqspace.Seq, payloa
 		hdr.Flags |= packet.FlagFIN
 	}
 	frame := hdr.AppendTo(dst)
+	frame = append(frame, prefix...)
 	return append(frame, payload...)
 }
 
@@ -491,19 +535,13 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 	if c.nextFBAt != 0 {
 		merge(c.nextFBAt)
 	}
-	if c.reasm != nil {
-		if t, dok := c.reasm.NextDeadline(); dok {
-			merge(t)
-		}
-	}
 	for _, rs := range c.recvOrder {
 		if t, dok := rs.nextDeadline(); dok {
 			merge(t)
 		}
 	}
 	if c.started && c.sendActive() {
-		if (len(c.backlog) > 0 || c.sendWorkPending() || c.needFinSingle()) &&
-			c.rc.CanSend() {
+		if c.sendWorkPending() && c.rc.CanSend() {
 			// Fresh data is due at the pacing boundary — but only while
 			// the controller's inflight cap admits it; a window-limited
 			// connection wakes on acknowledgments (the driver polls after
@@ -511,12 +549,10 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 			// timer that would poll to no effect.
 			merge(c.nextSendAt)
 		}
-		if c.rc != nil {
-			merge(c.rc.NoFeedbackDeadline())
-		}
+		merge(c.rc.NoFeedbackDeadline())
 		rto := c.retxTimeout()
-		mergeRetx := func(b *sack.SendBuffer) {
-			if t, bok := b.NextTimeout(rto); bok {
+		for _, s := range c.sendStreams {
+			if t, bok := s.buf.NextTimeout(rto); bok {
 				// Retransmissions are paced like data: due no earlier
 				// than the pacing boundary.
 				if t < c.nextSendAt {
@@ -524,12 +560,6 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 				}
 				merge(t)
 			}
-		}
-		if c.sendBuf != nil {
-			mergeRetx(c.sendBuf)
-		}
-		for _, s := range c.sendStreams {
-			mergeRetx(s.buf)
 			if s.resetPending {
 				merge(s.resetDue)
 			}

@@ -94,27 +94,32 @@ func TestNegotiationCapsTarget(t *testing.T) {
 }
 
 func TestFullReliabilityUnderLoss(t *testing.T) {
-	p := newTestPath(3, 125_000, 20*time.Millisecond, &netsim.DropTail{},
-		netsim.Bernoulli{P: 0.05})
-	const total = 150_000
-	f := p.startFlow(FlowConfig{
-		Profile: core.Profile{
-			Reliability: packet.ReliabilityFull,
-			Feedback:    packet.FeedbackReceiverLoss,
-			MSS:         1000,
-		},
-		RTTHint: 40 * time.Millisecond,
-		Source:  workload.NewBulk(total, 10_000),
-	})
-	p.sim.Run(120 * time.Second)
-	if f.DeliveredBytes != total {
-		t.Fatalf("delivered %d, want %d (full reliability)", f.DeliveredBytes, total)
-	}
-	if !f.Receiver.Finished() {
-		t.Fatal("stream did not finish")
-	}
-	if f.Sender.Stats().RetransFrames == 0 {
-		t.Fatal("5% loss but no retransmissions — reliability path untested")
+	for _, fr := range framings {
+		t.Run(fr.name, func(t *testing.T) {
+			p := newTestPath(3, 125_000, 20*time.Millisecond, &netsim.DropTail{},
+				netsim.Bernoulli{P: 0.05})
+			const total = 150_000
+			f := p.startFlow(FlowConfig{
+				Profile: framed(core.Profile{
+					Reliability: packet.ReliabilityFull,
+					Feedback:    packet.FeedbackReceiverLoss,
+					MSS:         1000,
+				}, fr.streams),
+				RTTHint: 40 * time.Millisecond,
+				Source:  workload.NewBulk(total, 10_000),
+			})
+			p.sim.Run(120 * time.Second)
+			checkFraming(t, f.Sender, fr.streams)
+			if f.DeliveredBytes != total {
+				t.Fatalf("delivered %d, want %d (full reliability)", f.DeliveredBytes, total)
+			}
+			if !f.Receiver.Finished() {
+				t.Fatal("stream did not finish")
+			}
+			if f.Sender.Stats().RetransFrames == 0 {
+				t.Fatal("5% loss but no retransmissions — reliability path untested")
+			}
+		})
 	}
 }
 
@@ -169,8 +174,8 @@ func TestPartialReliabilityDeliversOnTimeSubset(t *testing.T) {
 	}
 	// The stream keeps moving: the receiver's reassembler must not stall
 	// on abandoned segments.
-	if f.Receiver.reasm.Buffered() > 100 {
-		t.Fatalf("reassembler stalled with %d buffered segments", f.Receiver.reasm.Buffered())
+	if n := f.Receiver.recvByID[0].reasm.Buffered(); n > 100 {
+		t.Fatalf("reassembler stalled with %d buffered segments", n)
 	}
 }
 
@@ -351,14 +356,20 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestWriteBackpressure(t *testing.T) {
-	c := NewConn(Config{Initiator: true, Profile: core.ClassicTFRC(), ConnID: 1, MaxBacklog: 1000})
-	c.StartDirect(0, core.ClassicTFRC(), 10*time.Millisecond)
-	n := c.Write(make([]byte, 1500))
-	if n != 1000 {
-		t.Fatalf("accepted %d, want 1000 (cap)", n)
-	}
-	if c.Write([]byte{1}) != 0 {
-		t.Fatal("accepted past the cap")
+	for _, fr := range framings {
+		t.Run(fr.name, func(t *testing.T) {
+			prof := framed(core.ClassicTFRC(), fr.streams)
+			c := NewConn(Config{Initiator: true, Profile: prof, ConnID: 1, MaxBacklog: 1000})
+			c.StartDirect(0, prof, 10*time.Millisecond)
+			checkFraming(t, c, fr.streams)
+			n := c.Write(make([]byte, 1500))
+			if n != 1000 {
+				t.Fatalf("accepted %d, want 1000 (cap)", n)
+			}
+			if c.Write([]byte{1}) != 0 {
+				t.Fatal("accepted past the cap")
+			}
+		})
 	}
 }
 
@@ -376,42 +387,70 @@ func TestHandleFrameRejectsGarbage(t *testing.T) {
 	if c.Stats().DecodeErrors != 2 {
 		t.Fatalf("DecodeErrors = %d", c.Stats().DecodeErrors)
 	}
+	// Receive-half frames reaching a sender are refused, whatever the
+	// framing (they used to crash a sender that negotiated streams).
+	for _, prof := range []core.Profile{core.ClassicTFRC(), multiProfile()} {
+		snd := NewConn(Config{Initiator: true, Profile: prof, ConnID: 1})
+		snd.StartDirect(0, prof, 0)
+		rcv := NewConn(Config{ConnID: 1})
+		rcv.StartDirect(0, prof, 0)
+		snd.Write([]byte("x"))
+		data, ok := snd.PollFrame(0)
+		if !ok {
+			t.Fatal("no data frame")
+		}
+		if err := rcv.HandleFrame(0, data); err != nil {
+			t.Fatalf("receiver refused the data frame: %v", err)
+		}
+		if err := snd.HandleFrame(0, data); err != ErrBadState {
+			t.Fatalf("sender handling a data frame: err = %v, want ErrBadState", err)
+		}
+		reset := packet.Header{Type: packet.TypeStreamReset, ConnID: 1}
+		if err := snd.HandleFrame(0, reset.AppendTo(nil)); err != ErrBadState {
+			t.Fatalf("sender handling a stream reset: err = %v, want ErrBadState", err)
+		}
+	}
 }
 
-// TestLateCloseSendEmitsBareFIN is the regression for the single-stream
+// TestLateCloseSendEmitsBareFIN is the regression for the stream-0
 // close stall: when CloseSend lands only after the backlog has fully
 // drained, the last data segment already left the wire without the FIN
 // flag, so the close must travel as an empty FIN segment of its own.
 // Before the fix the sender had no way to produce it — both endpoints
 // blocked forever with every byte delivered.
 func TestLateCloseSendEmitsBareFIN(t *testing.T) {
-	p := newTestPath(31, 250_000, 10*time.Millisecond, netsim.NewDropTail(64), nil)
-	const total = 20_000
-	f := p.startFlow(FlowConfig{
-		Profile: core.QTPAF(100_000),
-		RTTHint: 20 * time.Millisecond,
-	})
-	p.sim.At(10*time.Millisecond, func() {
-		f.Sender.Write(make([]byte, total))
-		f.Pump()
-	})
-	// Five seconds in, the transfer has long finished draining; only now
-	// does the application close its end.
-	p.sim.At(5*time.Second, func() {
-		if n := f.Sender.BacklogLen(); n != 0 {
-			t.Fatalf("backlog still holds %d bytes; the test needs a fully drained sender", n)
-		}
-		f.CloseSend()
-	})
-	p.sim.Run(30 * time.Second)
+	for _, fr := range framings {
+		t.Run(fr.name, func(t *testing.T) {
+			p := newTestPath(31, 250_000, 10*time.Millisecond, netsim.NewDropTail(64), nil)
+			const total = 20_000
+			f := p.startFlow(FlowConfig{
+				Profile: framed(core.QTPAF(100_000), fr.streams),
+				RTTHint: 20 * time.Millisecond,
+			})
+			p.sim.At(10*time.Millisecond, func() {
+				f.Sender.Write(make([]byte, total))
+				f.Pump()
+			})
+			// Five seconds in, the transfer has long finished draining;
+			// only now does the application close its end.
+			p.sim.At(5*time.Second, func() {
+				if n := f.Sender.BacklogLen(); n != 0 {
+					t.Fatalf("backlog still holds %d bytes; the test needs a fully drained sender", n)
+				}
+				f.CloseSend()
+			})
+			p.sim.Run(30 * time.Second)
 
-	if f.DeliveredBytes != total {
-		t.Fatalf("delivered %d bytes, want %d", f.DeliveredBytes, total)
-	}
-	if !f.Receiver.Finished() {
-		t.Fatal("receiver never saw the stream end: bare FIN not emitted or not delivered")
-	}
-	if st := f.Sender.State(); st != StateClosed && st != StateClosing {
-		t.Fatalf("sender state = %v, want closing/closed", st)
+			checkFraming(t, f.Sender, fr.streams)
+			if f.DeliveredBytes != total {
+				t.Fatalf("delivered %d bytes, want %d", f.DeliveredBytes, total)
+			}
+			if !f.Receiver.Finished() {
+				t.Fatal("receiver never saw the stream end: bare FIN not emitted or not delivered")
+			}
+			if st := f.Sender.State(); st != StateClosed && st != StateClosing {
+				t.Fatalf("sender state = %v, want closing/closed", st)
+			}
+		})
 	}
 }

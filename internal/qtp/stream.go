@@ -10,32 +10,45 @@ import (
 	"repro/internal/seqspace"
 )
 
-// Stream multiplexing: a connection that negotiated the streams
-// capability (core.Profile.MaxStreams >= 2) carries N application
-// streams, each with its own delivery mode and its own sequence space,
-// over one congestion-controlled connection.
+// The stream engine. Every connection carries application streams, each
+// with its own delivery mode and its own sequence space, over one
+// congestion-controlled connection; there is one send path, one receive
+// path and one close rule, and they are per stream. What negotiation
+// decides is only how many streams there may be and, with that, how a
+// data frame is framed:
+//
+//   - Prefixed (core.Profile.MaxStreams >= 2): a data frame names its
+//     stream, stream sequence number, mode and the sender's ack floor in
+//     a varint prefix, and feedback carries a per-stream cumulative-ack
+//     tail. The sender may open up to MaxStreams concurrent streams.
+//   - Unprefixed (no streams capability): a data frame is the fixed
+//     header and the payload, nothing else. It *is* stream 0: the only
+//     stream, counted in the connection's own sequence space (stream seq
+//     ≡ header Seq), its delivery mode given by the profile's reliability
+//     instead of a prefix, and the receiver's ack floor is stream 0's own
+//     cumulative ack since none travels on the wire.
 //
 // The split of responsibilities:
 //
-//   - The frame header's Seq stays the connection-level sequence number
-//     — one per first transmission across all streams, reused by
-//     retransmissions — so TFRC/gTFRC rate control and the QTPlight
-//     sender-side loss estimator operate exactly as on a single-stream
-//     connection. Rate is a connection resource; streams share it.
+//   - The frame header's Seq is the connection-level sequence number —
+//     one per first transmission across all streams, reused by
+//     retransmissions — which is what TFRC/gTFRC rate control and the
+//     QTPlight sender-side loss estimator count in. Rate is a connection
+//     resource; streams share it.
 //   - Reliability moves per stream: each send stream owns a
 //     sack.SendBuffer (scoreboard keyed by the stream's own sequence
 //     space, segments remembering their connection-level number for ack
 //     matching), and each receive stream owns a mode-appropriate
 //     receiver — a Reassembler for ordered and expiring streams, an
 //     UnorderedReceiver for no-HoL-blocking delivery.
-//   - Acknowledgments stay connection-level (the CumAck/Blocks every
-//     feedback frame already carries) plus a small per-stream
-//     cumulative-ack tail. The sender stamps an "ack floor" — its lowest
-//     unresolved connection sequence — on every data frame so the
-//     receiver can advance its connection-level ack past holes that
-//     belong to abandoned expiring segments and keep its state bounded;
-//     holes below a reliable segment's number are never passed, because
-//     the floor never moves beyond an unresolved segment.
+//   - Acknowledgments are connection-level (the CumAck/Blocks of every
+//     feedback frame, from the one connAckTracker) plus, with the prefix,
+//     a small per-stream cumulative-ack tail. The sender stamps an "ack
+//     floor" — its lowest unresolved connection sequence — in the prefix
+//     so the receiver can advance its connection-level ack past holes
+//     that belong to abandoned expiring segments and keep its state
+//     bounded; holes below a reliable segment's number are never passed,
+//     because the floor never moves beyond an unresolved segment.
 //   - Scheduling is round-robin across streams, retransmissions first,
 //     one frame per pacing slot, so a backlogged bulk stream cannot
 //     starve a paced media stream sharing the connection.
@@ -82,10 +95,14 @@ type sendStream struct {
 	backlog []byte
 	nextSeq seqspace.Seq // next stream-level sequence number
 
-	open    bool // Write still allowed
-	sentAny bool
-	finSet  bool
-	finSeq  seqspace.Seq
+	// unreliable marks the one stream whose segments never enter the
+	// scoreboard: stream 0 of a ReliabilityNone profile (reachable only
+	// unprefixed — Profile.Normalize refuses streams without reliability).
+	unreliable bool
+
+	open   bool // Write still allowed
+	finSet bool
+	finSeq seqspace.Seq
 
 	// Forward FIN (expiring mode): an expiring stream whose tail —
 	// including the FIN — expired unacknowledged stops retransmitting,
@@ -128,9 +145,9 @@ func newSendStream(id uint64, mode packet.StreamMode, deadline time.Duration, st
 // needFin reports whether the stream still owes the wire a FIN: closed,
 // drained, data was sent, but the final segment has not been built. The
 // scheduler then emits an empty FIN segment (a stream that never sent
-// anything closes invisibly, like an unused legacy connection).
+// anything closes invisibly).
 func (s *sendStream) needFin() bool {
-	return !s.open && !s.finSet && s.sentAny && len(s.backlog) == 0
+	return !s.open && !s.finSet && s.frames > 0 && len(s.backlog) == 0
 }
 
 // done reports whether the stream is fully resolved: closed, drained,
@@ -145,12 +162,15 @@ func (s *sendStream) done() bool {
 
 // recvStream is the receiver half of one stream.
 type recvStream struct {
-	id       uint64
-	mode     packet.StreamMode
-	deadline time.Duration
+	id   uint64
+	mode packet.StreamMode
 
 	reasm *sack.Reassembler       // ordered and expiring modes
 	unord *sack.UnorderedReceiver // unordered mode
+
+	// connSeq marks the unprefixed stream 0, whose sequence space is the
+	// connection's: its cumulative ack doubles as the ack floor.
+	connSeq bool
 
 	// finalAcked marks that the stream's final cumulative ack has been
 	// advertised to the sender since it finished; the stream then stops
@@ -160,14 +180,13 @@ type recvStream struct {
 }
 
 func newRecvStream(id uint64, mode packet.StreamMode, deadline time.Duration, start seqspace.Seq) *recvStream {
-	rs := &recvStream{id: id, mode: mode, deadline: deadline}
+	rs := &recvStream{id: id, mode: mode}
 	switch mode {
 	case packet.StreamReliableUnordered:
 		rs.unord = sack.NewUnorderedReceiver(start)
 	case packet.StreamExpiring:
 		// Hold holes a bit past the sender's retransmission deadline so a
-		// last retransmission still has time to arrive (mirrors the legacy
-		// partial-reliability receiver).
+		// last retransmission still has time to arrive.
 		rs.reasm = sack.NewReassembler(start, deadline+deadline/2)
 	default:
 		rs.reasm = sack.NewReassembler(start, 0)
@@ -217,11 +236,12 @@ func (rs *recvStream) finished() bool {
 }
 
 // connAckTracker is the receiver's connection-level acknowledgment
-// state on a multi-stream connection: which connection sequence numbers
-// have arrived, independent of which stream they carried. It feeds the
-// CumAck/Blocks of every feedback frame — the currency rate control and
-// the sender's scoreboards resolve against — while the sender-stamped
-// ack floor lets it discard state for holes that will never fill.
+// state: which connection sequence numbers have arrived, independent of
+// which stream they carried. It feeds the CumAck/Blocks of every
+// feedback frame — the currency rate control and the sender's
+// scoreboards resolve against — while the ack floor (sender-stamped in
+// the prefix, or the unprefixed stream 0's own cumulative ack) lets it
+// discard state for holes that will never fill.
 type connAckTracker struct {
 	cum      seqspace.Seq
 	received seqspace.IntervalSet
@@ -249,16 +269,6 @@ func (t *connAckTracker) advanceFloor(floor seqspace.Seq) {
 	t.received.RemoveBefore(t.cum)
 }
 
-func (t *connAckTracker) blocks(dst []seqspace.Range, max int) []seqspace.Range {
-	for _, rg := range t.received.Ranges() {
-		if len(dst) >= max {
-			break
-		}
-		dst = append(dst, rg)
-	}
-	return dst
-}
-
 // streamChunk is one delivered payload tagged with its stream.
 type streamChunk struct {
 	id      uint64
@@ -267,8 +277,10 @@ type streamChunk struct {
 
 // ---- Conn: stream-layer construction ----------------------------------
 
-// stream0Mode maps the negotiated connection profile onto the implicit
-// stream 0's delivery mode.
+// stream0Mode maps the negotiated connection profile onto stream 0's
+// delivery mode. An unreliable profile's stream 0 is ordered delivery
+// that skips: no scoreboard on the sender (sendStream.unreliable), a
+// hole held for Config.UnreliableSkip on the receiver.
 func (c *Conn) stream0Mode() (packet.StreamMode, time.Duration) {
 	if c.profile.Reliability == packet.ReliabilityPartial {
 		return packet.StreamExpiring, c.profile.Deadline
@@ -283,30 +295,46 @@ func (c *Conn) streamStart() seqspace.Seq {
 	return streamStartSeq
 }
 
-// initStreamSender instantiates the sender's stream layer with the
-// implicit stream 0. Application state accumulated before the handshake
-// settled on the multi-stream layout — Write buffers into the legacy
-// backlog until the Accept arrives — migrates onto stream 0.
-func (c *Conn) initStreamSender() {
-	mode, dl := c.stream0Mode()
-	s0 := newSendStream(0, mode, dl, c.streamStart())
-	if len(c.backlog) > 0 {
-		s0.backlog = append(s0.backlog, c.backlog...)
-		c.backlog = nil
+// openRecvStream registers a receive stream, announcing every stream
+// but 0 to AcceptStreamID.
+func (c *Conn) openRecvStream(id uint64, mode packet.StreamMode, deadline time.Duration, start seqspace.Seq) *recvStream {
+	rs := newRecvStream(id, mode, deadline, start)
+	c.recvByID[id] = rs
+	c.recvOrder = append(c.recvOrder, rs)
+	if id != 0 {
+		c.acceptQ = append(c.acceptQ, id)
 	}
-	if !c.sendOpen {
-		s0.open = false
-	}
-	c.sendStreams = []*sendStream{s0}
-	c.sendByID = map[uint64]*sendStream{0: s0}
-	c.nextStreamID = 1
+	return rs
 }
 
-// initStreamReceiver instantiates the receiver's stream layer. Receive
-// streams are created lazily from the first frame naming them.
-func (c *Conn) initStreamReceiver() {
-	c.ackTrack = &connAckTracker{cum: c.cfg.StartSeq}
-	c.recvByID = make(map[uint64]*recvStream)
+// openRecvStream0 opens the unprefixed stream 0 on its first frame. No
+// frame says what it is: its mode follows from the profile, and it
+// counts in the connection's sequence space.
+func (c *Conn) openRecvStream0() *recvStream {
+	mode, deadline := c.stream0Mode()
+	rs := c.openRecvStream(0, mode, deadline, c.cfg.StartSeq)
+	rs.connSeq = true
+	if c.profile.Reliability == packet.ReliabilityNone {
+		rs.reasm.SkipAfter = c.cfg.UnreliableSkip
+	}
+	return rs
+}
+
+// recvStreamFor returns the receive stream a prefix or a StreamReset
+// names, created from what the frame says about it on first sight. A
+// retired stream yields nil: its stragglers must not resurrect it.
+func (c *Conn) recvStreamFor(id uint64, mode packet.StreamMode, deadlineMS uint32) (*recvStream, error) {
+	if rs := c.recvByID[id]; rs != nil {
+		return rs, nil
+	}
+	if _, ok := c.retired[id]; ok {
+		return nil, nil
+	}
+	if len(c.recvByID) >= c.profile.MaxStreams {
+		c.stats.DecodeErrors++
+		return nil, ErrStreamLimit
+	}
+	return c.openRecvStream(id, mode, time.Duration(deadlineMS)*time.Millisecond, c.streamStart()), nil
 }
 
 // retireStreams reclaims finished streams so MaxStreams caps
@@ -376,7 +404,8 @@ type StreamOpts struct {
 const maxStreamWeight = 256
 
 // OpenStream creates a new outbound stream with the given delivery mode
-// (sender side, established multi-stream connections only). deadline is
+// (sender side, established connections that negotiated the streams
+// capability only). deadline is
 // the retransmission bound for StreamExpiring and must be positive for
 // it; it is ignored for the reliable modes. The new stream's ID is
 // returned; the receiver learns of the stream from its first frame.
@@ -428,24 +457,14 @@ func (c *Conn) OpenStreamOpts(mode packet.StreamMode, deadline time.Duration, op
 // how many bytes were accepted (the backlog cap is shared across
 // streams, so one unserviced stream cannot monopolize the buffer).
 func (c *Conn) WriteStream(id uint64, p []byte) int {
-	if !c.multi {
-		if id == 0 {
-			return c.Write(p)
-		}
-		return 0
-	}
-	if !c.isSender() || c.state == StateClosed {
+	if c.state == StateClosed {
 		return 0
 	}
 	s := c.sendByID[id]
 	if s == nil || !s.open {
 		return 0
 	}
-	total := 0
-	for _, t := range c.sendStreams {
-		total += len(t.backlog)
-	}
-	room := c.cfg.MaxBacklog - total
+	room := c.cfg.MaxBacklog - c.BacklogLen()
 	if room <= 0 {
 		return 0
 	}
@@ -460,13 +479,6 @@ func (c *Conn) WriteStream(id uint64, p []byte) int {
 // FIN within the stream's own sequence space. The connection closes
 // once every stream is closed and resolved.
 func (c *Conn) CloseStream(id uint64) error {
-	if !c.multi {
-		if id == 0 {
-			c.CloseSend()
-			return nil
-		}
-		return ErrUnknownStream
-	}
 	s := c.sendByID[id]
 	if s == nil {
 		return ErrUnknownStream
@@ -478,12 +490,6 @@ func (c *Conn) CloseStream(id uint64) error {
 // StreamBacklogLen returns the bytes queued but not yet transmitted on
 // one stream.
 func (c *Conn) StreamBacklogLen(id uint64) int {
-	if !c.multi {
-		if id == 0 {
-			return len(c.backlog)
-		}
-		return 0
-	}
 	if s := c.sendByID[id]; s != nil {
 		return len(s.backlog)
 	}
@@ -491,19 +497,20 @@ func (c *Conn) StreamBacklogLen(id uint64) int {
 }
 
 // ReadAny returns the next delivered chunk from any stream along with
-// the stream it belongs to. On single-stream connections it is Read
-// with a constant stream ID of 0. Chunks are pooled; release with
-// bufpool.PutChunk once consumed.
+// the stream it belongs to. Chunks are drawn from bufpool's chunk pool;
+// the application owns the returned slice and should release it with
+// bufpool.PutChunk once the data has been consumed.
 func (c *Conn) ReadAny() (id uint64, p []byte, ok bool) {
-	if !c.multi {
-		p, ok = c.Read()
-		return 0, p, ok
-	}
-	if len(c.readQ) == 0 {
+	if c.readHead == len(c.readQ) {
 		return 0, nil, false
 	}
-	ch := c.readQ[0]
-	c.readQ = c.readQ[1:]
+	ch := c.readQ[c.readHead]
+	c.readQ[c.readHead].payload = nil // the application owns the chunk now
+	if c.readHead++; c.readHead == len(c.readQ) {
+		// Drained: rewind instead of slicing the array away, so a reader
+		// that keeps up costs no allocation per chunk.
+		c.readQ, c.readHead = c.readQ[:0], 0
+	}
 	c.stats.DeliveredBytes += len(ch.payload)
 	return ch.id, ch.payload, true
 }
@@ -564,91 +571,17 @@ func (c *Conn) StreamStats(id uint64) (StreamStats, bool) {
 
 // ---- Conn: stream receive path ----------------------------------------
 
-// onDataMulti is the multi-stream data path: parse the stream prefix,
-// feed the connection-level ack tracker and the stream's receiver, and
-// queue whatever became deliverable.
-func (c *Conn) onDataMulti(now time.Duration, hdr *packet.Header, payload []byte) error {
-	if hdr.Flags&packet.FlagStream == 0 {
-		c.stats.DecodeErrors++
-		return errors.New("qtp: data frame without stream prefix on multi-stream connection")
-	}
-	var si packet.StreamInfo
-	data, err := si.Parse(payload, hdr.Seq)
-	if err != nil {
-		c.stats.DecodeErrors++
-		return err
-	}
-	rs := c.recvByID[si.ID]
-	if rs == nil {
-		if st, ok := c.retired[si.ID]; ok {
-			// Straggler for a retired stream (a late retransmission that
-			// crossed our final ack): acknowledge it at the connection
-			// level so the sender resolves it, but never resurrect the
-			// stream — its data was all delivered or skipped already.
-			c.peerSeen = true
-			c.ackTrack.onData(hdr.Seq)
-			c.ackTrack.advanceFloor(si.AckFloor)
-			st.DuplicateSegs++
-			c.retired[si.ID] = st
-			return nil
-		}
-		if len(c.recvByID) >= c.profile.MaxStreams {
-			c.stats.DecodeErrors++
-			return ErrStreamLimit
-		}
-		rs = newRecvStream(si.ID, si.Mode,
-			time.Duration(si.DeadlineMS)*time.Millisecond, c.streamStart())
-		c.recvByID[si.ID] = rs
-		c.recvOrder = append(c.recvOrder, rs)
-		if si.ID != 0 {
-			c.acceptQ = append(c.acceptQ, si.ID)
-		}
-	}
-	c.peerSeen = true
-	fin := hdr.Flags&packet.FlagFIN != 0
-	retx := hdr.Flags&packet.FlagRetransmit != 0
-
-	c.ackTrack.onData(hdr.Seq)
-	c.ackTrack.advanceFloor(si.AckFloor)
-	if !rs.onData(now, si.Seq, data, fin) {
-		// A duplicate means the sender may have missed our final ack;
-		// put the stream's cum back on the tail until it lands.
-		rs.finalAcked = false
-	}
-	c.drainRecv(rs)
-
-	if c.tfrcRecv != nil {
-		if retx {
-			c.tfrcRecv.OnRetransmit(now, len(payload)+packet.HeaderLen)
-		} else {
-			urgent := c.tfrcRecv.OnData(now, hdr.Seq, len(payload)+packet.HeaderLen,
-				time.Duration(hdr.RTTUS)*time.Microsecond)
-			if urgent {
-				c.urgentFB = true
-			}
-		}
-		if c.nextFBAt == 0 {
-			c.nextFBAt = now + c.tfrcRecv.FeedbackInterval()
-		}
-	}
-	if c.profile.Feedback == packet.FeedbackSenderLoss {
-		c.ackCountdown--
-		if c.ackCountdown <= 0 {
-			c.ackCountdown = c.profile.AckEvery
-			c.sackPending = true
-		}
-	}
-	return nil
-}
-
-// drainRecv moves one stream's deliverable chunks onto the connection's
-// read queue. Zero-length chunks (bare FIN markers) are recycled, not
-// delivered.
+// drainRecv settles one receive stream after anything changed it: the
+// chunks that became deliverable move onto the connection's read queue
+// (zero-length ones — bare FIN markers — are recycled, not delivered),
+// and the unprefixed stream 0, for which no ack floor travels on the
+// wire, lifts the connection-level ack to its own cumulative ack so
+// holes it skipped are reported as passed.
 func (c *Conn) drainRecv(rs *recvStream) {
 	for {
 		p, ok := rs.pop()
 		if !ok {
-			return
+			break
 		}
 		if len(p) == 0 {
 			bufpool.PutChunk(p)
@@ -656,47 +589,40 @@ func (c *Conn) drainRecv(rs *recvStream) {
 		}
 		c.readQ = append(c.readQ, streamChunk{id: rs.id, payload: p})
 	}
-}
-
-// recvCumAck returns the cumulative ack carried by feedback frames: the
-// connection-level tracker's on multi-stream connections, the
-// reassembler's otherwise.
-func (c *Conn) recvCumAck() seqspace.Seq {
-	if c.multi {
-		return c.ackTrack.cum
+	if rs.connSeq {
+		c.ackTrack.advanceFloor(rs.cumAck())
 	}
-	return c.reasm.CumAck()
 }
 
-// recvBlocks appends up to max SACK blocks for feedback frames from
-// whichever structure tracks received sequences on this connection.
+// recvBlocks appends up to max SACK blocks for feedback frames.
 //
 // BBR windows routinely outgrow the wire's block budget; reporting only
 // the lowest blocks would leave every arrival above the truncation
 // horizon invisible — no delivery samples for the peer's estimator and
 // no scoreboard resolution, which freezes the window. For those
 // connections the budget is split between the retransmit frontier and
-// the newest arrivals. TFRC keeps the legacy nearest-first framing
-// byte-identical.
+// the newest arrivals. TFRC keeps nearest-first.
 func (c *Conn) recvBlocks(dst []seqspace.Range, max int) []seqspace.Range {
+	ranges := c.ackTrack.received.Ranges()
 	if c.profile.Congestion == packet.CongestionBBR {
-		if c.multi {
-			return seqspace.AppendSplit(dst, c.ackTrack.received.Ranges(), max)
-		}
-		return c.reasm.BlocksSplit(dst, max)
+		return seqspace.AppendSplit(dst, ranges, max)
 	}
-	if c.multi {
-		return c.ackTrack.blocks(dst, max)
+	if len(ranges) > max {
+		ranges = ranges[:max]
 	}
-	return c.reasm.Blocks(dst, max)
+	return append(dst, ranges...)
 }
 
 // streamAckTail builds the per-stream cumulative-ack tail for a
-// feedback frame. A finished stream advertises its final cum once and
-// then drops off the tail (re-advertised if a duplicate arrival shows
-// the sender missed it), so long-lived connections do not pay ack bytes
-// for every stream they ever carried.
+// feedback frame; unprefixed framing has none. A finished stream
+// advertises its final cum once and then drops off the tail
+// (re-advertised if a duplicate arrival shows the sender missed it), so
+// long-lived connections do not pay ack bytes for every stream they
+// ever carried.
 func (c *Conn) streamAckTail() []packet.StreamAck {
+	if !c.multi {
+		return nil
+	}
 	c.ackTail = c.ackTail[:0]
 	for _, rs := range c.recvOrder {
 		if len(c.ackTail) >= packet.MaxStreams {
@@ -713,13 +639,18 @@ func (c *Conn) streamAckTail() []packet.StreamAck {
 	return c.ackTail
 }
 
-// finishedMulti reports whether every stream that carried data has
-// delivered through its FIN. An expiring stream whose tail (FIN
-// included) was lost and abandoned can never deliver it; once the peer
-// has initiated the connection close — its signal that every stream is
-// resolved on the sending side — whatever such a stream still misses is
-// by definition expired, so it counts as finished.
-func (c *Conn) finishedMulti() bool {
+// Finished reports whether the receive half has delivered everything:
+// every stream that carried data is through its FIN. It answers for the
+// receiving endpoint only — a sender has nothing to finish. An expiring
+// stream whose tail (FIN included) was lost and abandoned can never
+// deliver it; once the peer has initiated the connection close — its
+// signal that every stream is resolved on the sending side — whatever
+// such a stream still misses is by definition expired, so it counts as
+// finished.
+func (c *Conn) Finished() bool {
+	if c.isSender() {
+		return false
+	}
 	if len(c.recvOrder) == 0 {
 		// Only retired (hence finished) streams remain, if any.
 		return len(c.retired) > 0
@@ -737,7 +668,7 @@ func (c *Conn) finishedMulti() bool {
 	return true
 }
 
-// ---- Conn: stream send path -------------------------------------------
+// ---- Conn: stream acknowledgments and forward FIN ---------------------
 
 // onStreamAcks folds a feedback frame's acknowledgment state into every
 // stream scoreboard: the connection-level vector resolves segments by
@@ -776,7 +707,12 @@ const streamResetMaxTries = 4
 // crossed the FIN: their tail (FIN included) expired on the wire, so
 // without help the receiver would hold the stream open until connection
 // close. Each such stream starts a forward-FIN sequence exactly once.
+// StreamReset is a frame of the streams capability; an unprefixed
+// connection closes on its sender's say-so alone.
 func (c *Conn) armStreamResets(now time.Duration) {
+	if !c.multi {
+		return
+	}
 	for _, s := range c.sendStreams {
 		if s.resetArmed || s.mode != packet.StreamExpiring {
 			continue
@@ -799,9 +735,6 @@ func (c *Conn) armStreamResets(now time.Duration) {
 // pollStreamReset emits one due StreamReset frame, if any stream owes
 // the receiver a forward FIN.
 func (c *Conn) pollStreamReset(now time.Duration, dst []byte) ([]byte, bool) {
-	if !c.multi || !c.isSender() {
-		return nil, false
-	}
 	for _, s := range c.sendStreams {
 		if !s.resetPending || now < s.resetDue {
 			continue
@@ -840,37 +773,25 @@ func (c *Conn) pollStreamReset(now time.Duration, dst []byte) ([]byte, bool) {
 // holes at or below the FIN will never fill — instead of holding until
 // connection close.
 func (c *Conn) onStreamReset(now time.Duration, payload []byte) error {
+	if c.isSender() {
+		return ErrBadState
+	}
 	if !c.multi {
 		c.stats.DecodeErrors++
-		return errors.New("qtp: stream reset on single-stream connection")
+		return errors.New("qtp: stream reset without the streams capability")
 	}
 	var sr packet.StreamReset
 	if err := sr.Parse(payload); err != nil {
 		c.stats.DecodeErrors++
 		return err
 	}
-	c.peerSeen = true
-	if _, ok := c.retired[sr.ID]; ok {
-		return nil // already finished and reclaimed
-	}
-	rs := c.recvByID[sr.ID]
-	if rs == nil {
-		// Every data frame was lost: instantiate the stream just to
-		// finish it, so AcceptStreamID and Finished stay consistent.
-		if len(c.recvByID) >= c.profile.MaxStreams {
-			c.stats.DecodeErrors++
-			return ErrStreamLimit
-		}
-		rs = newRecvStream(sr.ID, sr.Mode,
-			time.Duration(sr.DeadlineMS)*time.Millisecond, c.streamStart())
-		c.recvByID[sr.ID] = rs
-		c.recvOrder = append(c.recvOrder, rs)
-		if sr.ID != 0 {
-			c.acceptQ = append(c.acceptQ, sr.ID)
-		}
-	}
-	if rs.reasm == nil {
-		return nil // reliable-unordered streams never legitimately reset
+	// A stream unknown so far lost every data frame: it is instantiated
+	// just to finish it, so AcceptStreamID and Finished stay consistent.
+	rs, err := c.recvStreamFor(sr.ID, sr.Mode, sr.DeadlineMS)
+	if err != nil || rs == nil || rs.reasm == nil {
+		// Refused, already finished and reclaimed, or reliable-unordered
+		// (which never legitimately resets).
+		return err
 	}
 	rs.reasm.ForceFin(now, sr.FinSeq)
 	rs.finalAcked = false // (re-)advertise the final cum until it lands
@@ -884,184 +805,4 @@ func (c *Conn) onStreamReset(now time.Duration, payload []byte) error {
 		c.sackPending = true
 	}
 	return nil
-}
-
-// ackFloor returns the sender's lowest unresolved connection-level
-// sequence number, stamped on outgoing data frames.
-func (c *Conn) ackFloor() seqspace.Seq {
-	floor := c.nextSeq
-	for _, s := range c.sendStreams {
-		if m, ok := s.buf.MinUnresolvedConn(); ok && m.Less(floor) {
-			floor = m
-		}
-	}
-	return floor
-}
-
-// buildDataMulti emits one paced data frame: any stream's due
-// retransmission first (round-robin), otherwise a fresh segment from
-// the stream pickStream selects — strict-priority streams before the
-// weighted round-robin tier.
-func (c *Conn) buildDataMulti(now time.Duration, dst []byte) ([]byte, bool) {
-	rto := c.retxTimeout()
-	n := len(c.sendStreams)
-	for k := 0; k < n; k++ {
-		s := c.sendStreams[(c.rrRetx+k)%n]
-		seq, conn, payload, ok := s.buf.NextRetransmitSeg(now, rto)
-		if !ok {
-			continue
-		}
-		c.rrRetx = (c.rrRetx + k + 1) % n
-		fin := s.finSet && seq == s.finSeq
-		frame := c.streamDataFrame(now, dst, s, conn, seq, payload, true, fin)
-		c.stats.RetransFrames++
-		c.stats.RetransBytes += len(payload)
-		s.retransFrames++
-		s.retransB += len(payload)
-		c.pace(now, len(frame)-len(dst))
-		return frame, true
-	}
-	if !c.rc.CanSend() {
-		// Window-limited controller with a full BDP outstanding: fresh
-		// stream data waits for acknowledgments; retransmissions above
-		// stay admitted.
-		return nil, false
-	}
-	if s := c.pickStream(); s != nil {
-		nb := c.profile.MSS
-		if nb > len(s.backlog) {
-			nb = len(s.backlog)
-		}
-		payload := c.segCopy(s.backlog[:nb])
-		s.backlog = s.backlog[:copy(s.backlog, s.backlog[nb:])]
-
-		seq := s.nextSeq
-		s.nextSeq = seq.Next()
-		conn := c.nextSeq
-		c.nextSeq = conn.Next()
-		fin := !s.open && len(s.backlog) == 0
-		if fin {
-			s.finSeq = seq
-			s.finSet = true
-		}
-		s.sentAny = true
-		s.buf.AddStream(now, seq, conn, payload)
-		if c.est != nil {
-			c.est.OnSent(now, conn, len(payload)+packet.HeaderLen)
-		}
-		if c.cc != nil {
-			c.cc.onSent(now, conn, len(payload)+packet.HeaderLen)
-		}
-		frame := c.streamDataFrame(now, dst, s, conn, seq, payload, false, fin)
-		c.stats.DataFramesSent++
-		c.stats.DataBytesSent += len(payload)
-		s.frames++
-		s.bytes += len(payload)
-		c.pace(now, len(frame)-len(dst))
-		return frame, true
-	}
-	return nil, false
-}
-
-// pickStream selects the stream whose fresh data (or owed FIN) goes out
-// next. Strict-priority streams drain first, round-robin among
-// themselves; then the weighted tier runs deficit round-robin: each
-// eligible stream spends one credit per frame, and when every
-// backlogged weighted stream is out of credit the credits refill from
-// the weights. The rrData cursor keeps both tiers fair across calls.
-func (c *Conn) pickStream() *sendStream {
-	n := len(c.sendStreams)
-	for k := 0; k < n; k++ {
-		s := c.sendStreams[(c.rrData+k)%n]
-		if s.strict && (len(s.backlog) > 0 || s.needFin()) {
-			c.rrData = (c.rrData + k + 1) % n
-			return s
-		}
-	}
-	for refilled := false; ; refilled = true {
-		for k := 0; k < n; k++ {
-			s := c.sendStreams[(c.rrData+k)%n]
-			if s.strict || (len(s.backlog) == 0 && !s.needFin()) {
-				continue
-			}
-			if s.credit <= 0 {
-				continue
-			}
-			s.credit--
-			c.rrData = (c.rrData + k + 1) % n
-			return s
-		}
-		if refilled {
-			// Refilling did not make anyone eligible: nothing to send.
-			return nil
-		}
-		// Someone may be backlogged but out of credit — start a new
-		// round. If no weighted stream has data the next pass falls
-		// through to the refilled exit.
-		for _, s := range c.sendStreams {
-			s.credit = s.weight
-		}
-	}
-}
-
-// streamDataFrame encodes one multi-stream data frame: fixed header,
-// varint stream prefix, payload.
-func (c *Conn) streamDataFrame(now time.Duration, dst []byte, s *sendStream,
-	connSeq, streamSeq seqspace.Seq, payload []byte, retx, fin bool) []byte {
-
-	si := packet.StreamInfo{
-		ID: s.id, Seq: streamSeq, Mode: s.mode, AckFloor: c.ackFloor(),
-	}
-	if s.mode == packet.StreamExpiring {
-		si.DeadlineMS = uint32(s.deadline / time.Millisecond)
-	}
-	prefix := si.AppendTo(c.scratch[:0], connSeq)
-	c.scratch = prefix
-
-	hdr := packet.Header{
-		Type:       packet.TypeData,
-		Flags:      packet.FlagStream,
-		ConnID:     c.remoteID,
-		Seq:        connSeq,
-		Timestamp:  nowUS(now),
-		RTTUS:      uint32(c.rc.RTT() / time.Microsecond),
-		PayloadLen: uint16(len(prefix) + len(payload)),
-	}
-	if c.havePeerTS {
-		hdr.TSEcho = c.lastPeerTS
-	}
-	if retx {
-		hdr.Flags |= packet.FlagRetransmit
-	}
-	if fin {
-		hdr.Flags |= packet.FlagFIN
-	}
-	frame := hdr.AppendTo(dst)
-	frame = append(frame, prefix...)
-	return append(frame, payload...)
-}
-
-// closeReadyMulti is closeReady for multi-stream senders: teardown once
-// every stream is closed, drained, FIN'd and resolved.
-func (c *Conn) closeReadyMulti() bool {
-	if !c.isSender() || c.state != StateEstablished || !c.started || c.ctrlPending != 0 {
-		return false
-	}
-	for _, s := range c.sendStreams {
-		if !s.done() {
-			return false
-		}
-	}
-	return true
-}
-
-// sendWorkPending reports whether any stream has queued data or an owed
-// FIN (the multi-stream analogue of len(backlog) > 0).
-func (c *Conn) sendWorkPending() bool {
-	for _, s := range c.sendStreams {
-		if len(s.backlog) > 0 || s.needFin() {
-			return true
-		}
-	}
-	return false
 }

@@ -365,6 +365,11 @@ func TestStreamRetirement(t *testing.T) {
 	if tail := f.Receiver.streamAckTail(); len(tail) > 1 {
 		t.Fatalf("ack tail still carries %d entries after retirement", len(tail))
 	}
+	// Finished answers for the receive half: retired send streams must
+	// not make the sending endpoint report it.
+	if f.Sender.Finished() {
+		t.Fatal("sending endpoint reports Finished after retiring send streams")
+	}
 }
 
 // round0 adapts a func(int) starting at 0 to a sim callback.
@@ -391,7 +396,7 @@ func TestStreamLimitEnforced(t *testing.T) {
 	}
 }
 
-// TestStreamSchedulingStrictAndWeighted drives buildDataMulti directly
+// TestStreamSchedulingStrictAndWeighted drives buildData directly
 // on an established sender: a strict control stream must drain before
 // any weighted stream sends, re-queued control data must preempt
 // mid-bulk, and two backlogged bulk streams must converge on their 4:1
@@ -428,8 +433,8 @@ func TestStreamSchedulingStrictAndWeighted(t *testing.T) {
 	}
 	build := func() {
 		t.Helper()
-		if _, ok := c.buildDataMulti(0, nil); !ok {
-			t.Fatal("buildDataMulti refused with backlogged streams")
+		if _, ok := c.buildData(0, nil); !ok {
+			t.Fatal("buildData refused with backlogged streams")
 		}
 	}
 

@@ -35,8 +35,8 @@ type Conn struct {
 	// Stream multiplexing: streams holds every known stream (opened
 	// locally or announced by the peer), guarded by mu; acceptStreams
 	// queues peer-announced streams for AcceptStream. Stream 0 is
-	// implicit — its data rides readCh so legacy Conn.Read keeps
-	// working on multi-stream connections.
+	// implicit — its data rides readCh, behind Conn.Read, whatever the
+	// framing.
 	streams       map[uint64]*Stream
 	acceptStreams chan *Stream
 
@@ -127,8 +127,7 @@ func (c *Conn) Stats() qtp.Stats {
 
 // writeStream is the shared backpressure loop behind Conn.Write and
 // Stream.Write: queue onto the given stream, flush, poll while the
-// transport pushes back, bail if the connection dies. Stream 0 routes
-// through qtp's legacy write path on single-stream connections.
+// transport pushes back, bail if the connection dies.
 func (c *Conn) writeStream(id uint64, p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {

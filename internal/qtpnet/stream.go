@@ -29,9 +29,9 @@ const (
 // negotiated the streams capability (core.Profile.MaxStreams >= 2).
 // The initiating side opens streams with Conn.OpenStream and writes;
 // the responding side learns of them through Conn.AcceptStream and
-// reads. Stream 0 is implicit and keeps riding the Conn's own
-// Write/Read methods, so single-stream code works unchanged on a
-// multi-stream connection.
+// reads. Stream 0 is implicit on every connection and is what the
+// Conn's own Write/Read/CloseSend address, so code that never opens a
+// stream works the same with or without the capability.
 type Stream struct {
 	c    *Conn
 	id   uint64

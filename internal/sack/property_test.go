@@ -82,7 +82,7 @@ func TestReliabilityModelCheck(t *testing.T) {
 			blocks := ra.Blocks(nil, 16)
 			sb.OnSACK(now, ra.CumAck(), blocks)
 			for {
-				seq, p, ok := sb.NextRetransmit(now, 100*time.Millisecond)
+				seq, _, p, ok := sb.NextRetransmitSeg(now, 100*time.Millisecond)
 				if !ok {
 					break
 				}

@@ -31,7 +31,7 @@ type Reassembler struct {
 	cumAck   seqspace.Seq // next in-order sequence expected by the app
 	received seqspace.IntervalSet
 	buf      map[seqspace.Seq][]byte
-	ready    [][]byte // delivered, waiting for the application to Pop
+	ready    readyQueue // delivered, waiting for the application to Pop
 
 	holeSince time.Duration // when the current frontier hole was first seen
 	holeOpen  bool
@@ -93,7 +93,7 @@ func (r *Reassembler) advance(now time.Duration) {
 	for r.received.Contains(r.cumAck) {
 		p := r.buf[r.cumAck]
 		delete(r.buf, r.cumAck)
-		r.ready = append(r.ready, p)
+		r.ready.push(p)
 		r.DeliveredBytes += len(p)
 		r.cumAck = r.cumAck.Next()
 	}
@@ -110,12 +110,27 @@ func (r *Reassembler) advance(now time.Duration) {
 }
 
 // Pop returns the next in-order payload, if any.
-func (r *Reassembler) Pop() ([]byte, bool) {
-	if len(r.ready) == 0 {
+func (r *Reassembler) Pop() ([]byte, bool) { return r.ready.pop() }
+
+// readyQueue is a FIFO of delivered chunks. It rewinds when drained
+// instead of slicing its array away, so a consumer that pops after every
+// arrival — the stream engine does — costs no allocation per chunk.
+type readyQueue struct {
+	q    [][]byte
+	head int
+}
+
+func (f *readyQueue) push(p []byte) { f.q = append(f.q, p) }
+
+func (f *readyQueue) pop() ([]byte, bool) {
+	if f.head == len(f.q) {
 		return nil, false
 	}
-	p := r.ready[0]
-	r.ready = r.ready[1:]
+	p := f.q[f.head]
+	f.q[f.head] = nil
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
 	return p, true
 }
 
@@ -133,13 +148,6 @@ func (r *Reassembler) Blocks(dst []seqspace.Range, max int) []seqspace.Range {
 		dst = append(dst, rg)
 	}
 	return dst
-}
-
-// BlocksSplit is Blocks with the budget split between the lowest and
-// highest buffered ranges when the map holds more than max, so both the
-// retransmit frontier and the newest arrivals stay visible to the peer.
-func (r *Reassembler) BlocksSplit(dst []seqspace.Range, max int) []seqspace.Range {
-	return seqspace.AppendSplit(dst, r.received.Ranges(), max)
 }
 
 // NextDeadline returns the instant at which the frontier hole will be

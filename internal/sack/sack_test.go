@@ -37,21 +37,21 @@ func TestSendBufferSACKMarksAndLossDetection(t *testing.T) {
 	}
 	// SACK 2,3 — only 2 above seg 0/1: no loss declared yet.
 	b.OnSACK(10, 0, []seqspace.Range{{Lo: 2, Hi: 4}})
-	if _, _, ok := b.NextRetransmit(11, 0); ok {
+	if _, _, _, ok := b.NextRetransmitSeg(11, 0); ok {
 		t.Fatal("loss declared below dupthresh")
 	}
 	// SACK 4 as well: 3 above -> segments 0 and 1 lost.
 	b.OnSACK(12, 0, []seqspace.Range{{Lo: 2, Hi: 5}})
-	seq, p, ok := b.NextRetransmit(13, 0)
+	seq, _, p, ok := b.NextRetransmitSeg(13, 0)
 	if !ok || seq != 0 || !bytes.Equal(p, pay(0)) {
 		t.Fatalf("retransmit = %v %q %v", seq, p, ok)
 	}
-	seq, _, ok = b.NextRetransmit(13, 0)
+	seq, _, _, ok = b.NextRetransmitSeg(13, 0)
 	if !ok || seq != 1 {
 		t.Fatalf("second retransmit = %v %v", seq, ok)
 	}
 	// Both retransmitted; nothing more due without further signals.
-	if _, _, ok := b.NextRetransmit(13, 0); ok {
+	if _, _, _, ok := b.NextRetransmitSeg(13, 0); ok {
 		t.Fatal("spurious retransmission")
 	}
 	if b.Retransmits != 2 {
@@ -62,15 +62,15 @@ func TestSendBufferSACKMarksAndLossDetection(t *testing.T) {
 func TestSendBufferRTORetransmit(t *testing.T) {
 	b := NewSendBuffer(0)
 	b.Add(0, 0, pay(0))
-	if _, _, ok := b.NextRetransmit(50*time.Millisecond, 100*time.Millisecond); ok {
+	if _, _, _, ok := b.NextRetransmitSeg(50*time.Millisecond, 100*time.Millisecond); ok {
 		t.Fatal("retransmitted before RTO")
 	}
-	seq, _, ok := b.NextRetransmit(150*time.Millisecond, 100*time.Millisecond)
+	seq, _, _, ok := b.NextRetransmitSeg(150*time.Millisecond, 100*time.Millisecond)
 	if !ok || seq != 0 {
 		t.Fatal("RTO retransmission missing")
 	}
 	// lastSent updated: not due again immediately.
-	if _, _, ok := b.NextRetransmit(200*time.Millisecond, 100*time.Millisecond); ok {
+	if _, _, _, ok := b.NextRetransmitSeg(200*time.Millisecond, 100*time.Millisecond); ok {
 		t.Fatal("retransmitted again before second RTO")
 	}
 }
@@ -85,11 +85,11 @@ func TestSendBufferPartialDeadline(t *testing.T) {
 	}
 	b.OnSACK(10*time.Millisecond, 0, []seqspace.Range{{Lo: 2, Hi: 6}})
 	// Before the deadline: retransmission happens.
-	if _, _, ok := b.NextRetransmit(20*time.Millisecond, 0); !ok {
+	if _, _, _, ok := b.NextRetransmitSeg(20*time.Millisecond, 0); !ok {
 		t.Fatal("expected retransmission before deadline")
 	}
 	// Past the deadline: the other segment is abandoned, not sent.
-	if seq, _, ok := b.NextRetransmit(200*time.Millisecond, 0); ok {
+	if seq, _, _, ok := b.NextRetransmitSeg(200*time.Millisecond, 0); ok {
 		t.Fatalf("abandoned segment %d retransmitted", seq)
 	}
 	if b.AbandonedSegs != 2 {
@@ -319,7 +319,7 @@ func TestLossRecoveryLoop(t *testing.T) {
 		blocks := ra.Blocks(nil, 16)
 		sb.OnSACK(now, ra.CumAck(), blocks)
 		for {
-			seq, p, ok := sb.NextRetransmit(now, 500*time.Millisecond)
+			seq, _, p, ok := sb.NextRetransmitSeg(now, 500*time.Millisecond)
 			if !ok {
 				break
 			}

@@ -7,8 +7,15 @@
 // than a deadline, with the receiver skipping stale holes (receiver-
 // driven release, like PR-SCTP's effect without extra signalling: the
 // receiver's cumulative ack is authoritative — once it passes a hole the
-// sender abandons the data). No-reliability streams simply do not
-// instantiate the sender buffer.
+// sender abandons the data). A no-reliability stream never adds a
+// segment to its scoreboard.
+//
+// The package serves streams: qtp's one stream engine gives every
+// stream a SendBuffer and a Reassembler or UnorderedReceiver, keyed by
+// the stream's own sequence numbers, and resolves scoreboards against
+// connection-level ack vectors through the conn number each segment
+// remembers (AddStream/OnConnSACK). A stream framed without the prefix
+// is the case where the two spaces coincide.
 package sack
 
 import (
@@ -76,8 +83,8 @@ func (b *SendBuffer) Add(now time.Duration, seq seqspace.Seq, payload []byte) {
 // connection-level sequence differs from its stream-level one: seq
 // orders the segment within its stream (the scoreboard's key), conn is
 // the connection-level number stamped in the frame header, against
-// which connection-level SACK vectors resolve it (see OnConnSACK). The
-// single-stream Add is AddStream with the two spaces coinciding.
+// which connection-level SACK vectors resolve it (see OnConnSACK). Add
+// is AddStream with the two spaces coinciding.
 func (b *SendBuffer) AddStream(now time.Duration, seq, conn seqspace.Seq, payload []byte) {
 	if !b.started {
 		b.started = true
@@ -196,7 +203,7 @@ func (b *SendBuffer) markLost(now time.Duration) {
 // MinUnresolvedConn returns the connection-level sequence of the oldest
 // segment still awaiting acknowledgment or abandonment; ok is false when
 // everything is resolved. It is the stream's contribution to the ack
-// floor senders stamp on multi-stream data frames.
+// floor senders stamp in the stream prefix of data frames.
 func (b *SendBuffer) MinUnresolvedConn() (conn seqspace.Seq, ok bool) {
 	for i := range b.segs {
 		s := &b.segs[i]
@@ -207,20 +214,14 @@ func (b *SendBuffer) MinUnresolvedConn() (conn seqspace.Seq, ok bool) {
 	return 0, false
 }
 
-// NextRetransmit returns the oldest segment due for retransmission —
+// NextRetransmitSeg returns the oldest segment due for retransmission —
 // declared lost, or unacknowledged for longer than rto — marking it
 // retransmitted at now. Under partial reliability, segments older than
 // the deadline are abandoned instead of returned. ok is false when
-// nothing is due.
-func (b *SendBuffer) NextRetransmit(now time.Duration, rto time.Duration) (seq seqspace.Seq, payload []byte, ok bool) {
-	seq, _, payload, ok = b.NextRetransmitSeg(now, rto)
-	return seq, payload, ok
-}
-
-// NextRetransmitSeg is NextRetransmit exposing both sequence spaces of
-// the due segment: seq within the stream and conn at the connection
-// level (a retransmission reuses the original connection number, so
-// rate control keeps seeing one sequence per first transmission).
+// nothing is due. Both sequence spaces of the segment are returned: seq
+// within the stream and conn at the connection level (a retransmission
+// reuses the original connection number, so rate control keeps seeing
+// one sequence per first transmission).
 func (b *SendBuffer) NextRetransmitSeg(now time.Duration, rto time.Duration) (seq, conn seqspace.Seq, payload []byte, ok bool) {
 	for i := range b.segs {
 		s := &b.segs[i]
@@ -246,8 +247,8 @@ func (b *SendBuffer) NextRetransmitSeg(now time.Duration, rto time.Duration) (se
 	return 0, 0, nil, false
 }
 
-// NextTimeout returns the earliest instant at which NextRetransmit would
-// have work to do — immediately for segments already declared lost,
+// NextTimeout returns the earliest instant at which NextRetransmitSeg
+// would have work to do — immediately for segments already declared lost,
 // otherwise at RTO expiry or the partial-reliability deadline. ok is
 // false if the buffer holds nothing unresolved.
 func (b *SendBuffer) NextTimeout(rto time.Duration) (at time.Duration, ok bool) {

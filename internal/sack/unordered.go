@@ -7,8 +7,8 @@ import (
 // UnorderedReceiver is the receiver side of a reliable-unordered stream:
 // every new segment is released to the application the moment it
 // arrives, so a hole never blocks the data behind it (no head-of-line
-// blocking), while the received interval set still drives SACK blocks
-// and the cumulative ack so the sender retransmits exactly the missing
+// blocking), while the received interval set still drives the
+// cumulative ack so the sender retransmits exactly the missing
 // segments. Late retransmissions are delivered like any other arrival —
 // nothing is ever skipped, which is what distinguishes this mode from an
 // expiring stream.
@@ -18,7 +18,7 @@ import (
 type UnorderedReceiver struct {
 	cumAck   seqspace.Seq // first segment not yet received
 	received seqspace.IntervalSet
-	ready    [][]byte
+	ready    readyQueue
 
 	finSeq  seqspace.Seq
 	haveFin bool
@@ -46,7 +46,7 @@ func (u *UnorderedReceiver) OnData(seq seqspace.Seq, payload []byte, fin bool) b
 		return false
 	}
 	u.received.AddSeq(seq)
-	u.ready = append(u.ready, chunkCopy(payload))
+	u.ready.push(chunkCopy(payload))
 	u.DeliveredBytes += len(payload)
 	// The cumulative ack advances only over segments actually received —
 	// unordered is still fully reliable, so holes are never passed.
@@ -56,29 +56,10 @@ func (u *UnorderedReceiver) OnData(seq seqspace.Seq, payload []byte, fin bool) b
 }
 
 // Pop returns the next delivered payload, if any (arrival order).
-func (u *UnorderedReceiver) Pop() ([]byte, bool) {
-	if len(u.ready) == 0 {
-		return nil, false
-	}
-	p := u.ready[0]
-	u.ready = u.ready[1:]
-	return p, true
-}
+func (u *UnorderedReceiver) Pop() ([]byte, bool) { return u.ready.pop() }
 
 // CumAck returns the first sequence number not yet received.
 func (u *UnorderedReceiver) CumAck() seqspace.Seq { return u.cumAck }
-
-// Blocks appends up to max SACK blocks describing received data above
-// the cumulative ack, nearest-first.
-func (u *UnorderedReceiver) Blocks(dst []seqspace.Range, max int) []seqspace.Range {
-	for _, rg := range u.received.Ranges() {
-		if len(dst) >= max {
-			break
-		}
-		dst = append(dst, rg)
-	}
-	return dst
-}
 
 // Finished reports whether a FIN has been seen and every segment up to
 // and including it has been received.
