@@ -18,14 +18,12 @@ import (
 // the server spends its time on handshakes and teardown rather than
 // bulk transfer.
 type churnConfig struct {
-	arrival      float64       // mean connection arrivals per second
-	lifetime     time.Duration // mean connection lifetime
-	duration     time.Duration // how long to keep the arrivals coming
-	shards       int
-	requireToken bool
-	acceptRate   float64
-	insecure     bool
-	seed         int64
+	arrival  float64       // mean connection arrivals per second
+	lifetime time.Duration // mean connection lifetime
+	duration time.Duration // how long to keep the arrivals coming
+	shards   int
+	ep       qtpnet.EndpointConfig // RequireToken, AcceptRate: server only
+	seed     int64
 }
 
 // runChurn drives the churn scenario against a real loopback endpoint
@@ -34,19 +32,16 @@ type churnConfig struct {
 // (one extra round-trip, plus the Retry-after hold-off) still counts as
 // a success rather than skewing the failure column.
 func runChurn(cfg churnConfig) {
-	srv, err := qtpnet.NewShardedEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{
-		AcceptInbound:     true,
-		Constraints:       core.Permissive(1e6),
-		RequireToken:      cfg.requireToken,
-		AcceptRate:        cfg.acceptRate,
-		DisableEncryption: cfg.insecure,
-	}, cfg.shards)
+	srvCfg := cfg.ep
+	srvCfg.AcceptInbound = true
+	srvCfg.Constraints = core.Permissive(1e6)
+	srv, err := qtpnet.NewShardedEndpoint("127.0.0.1:0", srvCfg, cfg.shards)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
 
-	client, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{DisableEncryption: cfg.insecure})
+	client, err := qtpnet.NewEndpoint("127.0.0.1:0", cfg.ep)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +97,7 @@ func runChurn(cfg churnConfig) {
 		ok.Load(), failed.Load(), el.Round(time.Millisecond),
 		float64(ok.Load())/el.Seconds(), cfg.arrival, cfg.lifetime, srv.NumShards())
 	fmt.Printf("churn: require-token=%v accept-rate=%.0f/s: retry %d badtoken %d shed %d ampcap %d acceptovf %d\n",
-		cfg.requireToken, cfg.acceptRate,
+		cfg.ep.RequireToken, cfg.ep.AcceptRate,
 		st.RetrySent, st.TokenInvalid, st.HandshakeDropped,
 		st.AmplificationCapped, st.AcceptOverflow)
 	fmt.Printf("server: %v\n", st)

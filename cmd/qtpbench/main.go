@@ -6,7 +6,7 @@
 // Usage:
 //
 //	qtpbench [-quick] [-seed N] [-only E1,E4,...]
-//	qtpbench -loopback [-conns N] [-mbytes M] [-cc tfrc|bbr] [-nobatch] [-nogso]
+//	qtpbench -loopback [-conns N] [-mbytes M] [-cc tfrc|bbr] [-datapath auto|mmsg|portable]
 //	         [-insecure] [-shards N] [-streams N -mix reliable,unordered,expiring [-deadline D]]
 //	qtpbench -churn [-arrival N] [-lifetime D] [-duration D] [-shards N]
 //	         [-require-token] [-accept-rate N] [-insecure]
@@ -31,71 +31,101 @@ import (
 	"repro/internal/qtpnet"
 )
 
+// options is everything qtpbench's command line sets. The endpoint
+// settings the real-UDP modes share parse straight into one
+// EndpointConfig: one flag per field.
+type options struct {
+	quick    bool
+	seed     int64
+	only     string
+	loopback bool
+	conns    int
+	mbytes   int
+	rate     float64
+	shards   int
+	streams  int
+	mix      string
+	deadline time.Duration
+	cc       string
+	churn    bool
+	arrival  float64
+	lifetime time.Duration
+	duration time.Duration
+	ep       qtpnet.EndpointConfig
+
+	cpuprofile string
+	memprofile string
+	pprofAddr  string
+}
+
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.BoolVar(&o.quick, "quick", false, "run shortened scenarios (seconds instead of minutes)")
+	fs.Int64Var(&o.seed, "seed", 1, "scenario random seed (results are deterministic per seed)")
+	fs.StringVar(&o.only, "only", "", "comma-separated experiment IDs to run (default: all)")
+	fs.BoolVar(&o.loopback, "loopback", false, "run a real-UDP loopback fan-out and print endpoint stats")
+	fs.IntVar(&o.conns, "conns", 16, "loopback: concurrent connections on one socket pair")
+	fs.IntVar(&o.mbytes, "mbytes", 4, "loopback: MiB to stream per connection")
+	fs.Float64Var(&o.rate, "rate", 4e6, "loopback: per-connection QoS target, bytes/s (keep the aggregate under what loopback can carry or loss recovery dominates)")
+	fs.Var(&o.ep.DataPath, "datapath", "loopback: ceiling on the data-path ladder for both ends: auto | mmsg (no GSO/GRO) | portable (one datagram per syscall)")
+	fs.IntVar(&o.shards, "shards", 1, "loopback: SO_REUSEPORT server shards (0 = one per core); >1 gives every conn its own client socket so the kernel hash can spread flows")
+	fs.IntVar(&o.streams, "streams", 1, "loopback: streams per connection (>1 negotiates stream multiplexing and spreads each connection's bytes across them)")
+	fs.StringVar(&o.mix, "mix", "reliable", "loopback: comma-separated delivery modes cycled across streams: reliable | unordered | expiring")
+	fs.DurationVar(&o.deadline, "deadline", 200*time.Millisecond, "loopback: retransmission deadline for expiring streams")
+	fs.StringVar(&o.cc, "cc", "", "loopback: congestion control for client flows: tfrc (default, gTFRC clamped at -rate) | bbr (window-based, drops the QoS reservation)")
+	fs.BoolVar(&o.churn, "churn", false, "run a real-UDP handshake-churn scenario (Poisson arrivals, exponential lifetimes) and report sustained handshakes/s")
+	fs.Float64Var(&o.arrival, "arrival", 200, "churn: mean connection arrivals per second")
+	fs.DurationVar(&o.lifetime, "lifetime", 500*time.Millisecond, "churn: mean connection lifetime")
+	fs.DurationVar(&o.duration, "duration", 5*time.Second, "churn: how long to sustain arrivals")
+	fs.BoolVar(&o.ep.RequireToken, "require-token", false, "churn: server challenges every token-less Connect with a stateless Retry")
+	fs.Float64Var(&o.ep.AcceptRate, "accept-rate", 0, "churn: server-side cap on new connections per second per shard (0 = unlimited)")
+	fs.BoolVar(&o.ep.DisableEncryption, "insecure", false, "loopback/churn: disable transport encryption on both ends (A/B the AEAD cost)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile (after GC) to this file on exit")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve live net/http/pprof on this host:port for the duration of the run")
+	return o
+}
+
 func main() {
-	quick := flag.Bool("quick", false, "run shortened scenarios (seconds instead of minutes)")
-	seed := flag.Int64("seed", 1, "scenario random seed (results are deterministic per seed)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-	loopback := flag.Bool("loopback", false, "run a real-UDP loopback fan-out and print endpoint stats")
-	conns := flag.Int("conns", 16, "loopback: concurrent connections on one socket pair")
-	mbytes := flag.Int("mbytes", 4, "loopback: MiB to stream per connection")
-	rate := flag.Float64("rate", 4e6, "loopback: per-connection QoS target, bytes/s (keep the aggregate under what loopback can carry or loss recovery dominates)")
-	nobatch := flag.Bool("nobatch", false, "loopback: force the single-datagram socket path")
-	nogso := flag.Bool("nogso", false, "loopback: keep UDP segment offload (GSO/GRO) off, pinning sends to plain sendmmsg")
-	shards := flag.Int("shards", 1, "loopback: SO_REUSEPORT server shards (0 = one per core); >1 gives every conn its own client socket so the kernel hash can spread flows")
-	streams := flag.Int("streams", 1, "loopback: streams per connection (>1 negotiates stream multiplexing and spreads each connection's bytes across them)")
-	mix := flag.String("mix", "reliable", "loopback: comma-separated delivery modes cycled across streams: reliable | unordered | expiring")
-	deadline := flag.Duration("deadline", 200*time.Millisecond, "loopback: retransmission deadline for expiring streams")
-	cc := flag.String("cc", "", "loopback: congestion control for client flows: tfrc (default, gTFRC clamped at -rate) | bbr (window-based, drops the QoS reservation)")
-	churn := flag.Bool("churn", false, "run a real-UDP handshake-churn scenario (Poisson arrivals, exponential lifetimes) and report sustained handshakes/s")
-	arrival := flag.Float64("arrival", 200, "churn: mean connection arrivals per second")
-	lifetime := flag.Duration("lifetime", 500*time.Millisecond, "churn: mean connection lifetime")
-	duration := flag.Duration("duration", 5*time.Second, "churn: how long to sustain arrivals")
-	requireToken := flag.Bool("require-token", false, "churn: server challenges every token-less Connect with a stateless Retry")
-	acceptRate := flag.Float64("accept-rate", 0, "churn: server-side cap on new connections per second per shard (0 = unlimited)")
-	insecure := flag.Bool("insecure", false, "loopback/churn: disable transport encryption on both ends (A/B the AEAD cost)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
-	pprofAddr := flag.String("pprof-addr", "", "serve live net/http/pprof on this host:port for the duration of the run")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	stopProfiles := profiling.Start(*cpuprofile, *memprofile, *pprofAddr)
+	stopProfiles := profiling.Start(o.cpuprofile, o.memprofile, o.pprofAddr)
 	defer stopProfiles()
 
-	if *churn {
+	if o.churn {
 		runChurn(churnConfig{
-			arrival:      *arrival,
-			lifetime:     *lifetime,
-			duration:     *duration,
-			shards:       *shards,
-			requireToken: *requireToken,
-			acceptRate:   *acceptRate,
-			insecure:     *insecure,
-			seed:         *seed,
+			arrival:  o.arrival,
+			lifetime: o.lifetime,
+			duration: o.duration,
+			shards:   o.shards,
+			ep:       o.ep,
+			seed:     o.seed,
 		})
 		return
 	}
 
-	if *loopback {
-		modes, err := packet.ParseModes(*mix)
+	if o.loopback {
+		modes, err := packet.ParseModes(o.mix)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ccMode, err := packet.ParseCongestion(*cc)
+		ccMode, err := packet.ParseCongestion(o.cc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		runLoopback(*conns, *mbytes<<20, *rate, ccMode, *nobatch, *nogso, *insecure,
-			*shards, *streams, modes, *deadline)
+		runLoopback(o.conns, o.mbytes<<20, o.rate, ccMode, o.ep,
+			o.shards, o.streams, modes, o.deadline)
 		return
 	}
 
 	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
+	if o.only != "" {
+		for _, id := range strings.Split(o.only, ",") {
 			want[strings.TrimSpace(strings.ToUpper(id))] = true
 		}
 	}
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick}
+	cfg := experiments.Config{Seed: o.seed, Quick: o.quick}
 	ran := 0
 	for _, r := range experiments.All() {
 		if len(want) > 0 && !want[r.ID] {
@@ -128,16 +158,12 @@ func main() {
 // delivery modes cycling through the -mix list, so the bench exercises
 // the round-robin stream scheduler under real socket load.
 func runLoopback(n, perConn int, rate float64, cc packet.CongestionMode,
-	nobatch, nogso, insecure bool,
+	ep qtpnet.EndpointConfig,
 	shards, nStreams int, modes []qtpnet.StreamMode, deadline time.Duration) {
 
-	cfg := qtpnet.EndpointConfig{
-		AcceptInbound:     true,
-		Constraints:       core.Permissive(rate),
-		DisableBatchIO:    nobatch,
-		DisableGSO:        nogso,
-		DisableEncryption: insecure,
-	}
+	cfg := ep
+	cfg.AcceptInbound = true
+	cfg.Constraints = core.Permissive(rate)
 	srv, err := qtpnet.NewShardedEndpoint("127.0.0.1:0", cfg, shards)
 	if err != nil {
 		log.Fatal(err)
@@ -149,11 +175,7 @@ func runLoopback(n, perConn int, rate float64, cc packet.CongestionMode,
 	}
 	clients := make([]*qtpnet.Endpoint, nClients)
 	for i := range clients {
-		clients[i], err = qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{
-			DisableBatchIO:    nobatch,
-			DisableGSO:        nogso,
-			DisableEncryption: insecure,
-		})
+		clients[i], err = qtpnet.NewEndpoint("127.0.0.1:0", ep)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -333,16 +355,11 @@ func runLoopback(n, perConn int, rate float64, cc packet.CongestionMode,
 	if nStreams > 1 {
 		total = n * perStream * nStreams
 	}
-	mode := "recvmmsg/sendmmsg"
-	if clients[0].GSOEnabled() {
-		mode = "recvmmsg/sendmmsg + GSO/GRO"
-	}
-	if nobatch {
-		mode = "single-datagram fallback"
-	} else if nogso && mode == "recvmmsg/sendmmsg" {
-		mode = "recvmmsg/sendmmsg (offload off)"
-	}
-	if insecure {
+	// The label is what the client's socket probed in, not what the
+	// flags asked for: the portable rung is also where every non-linux
+	// platform lands.
+	mode := clients[0].Capabilities().String()
+	if ep.DisableEncryption {
 		mode += ", cleartext"
 	} else {
 		mode += ", sealed"

@@ -20,46 +20,64 @@ import (
 	"repro/internal/qtpnet"
 )
 
+// options is everything qtpcat's command line sets; -insecure parses
+// straight into the EndpointConfig the client endpoint is built from.
+type options struct {
+	addr     string
+	profName string
+	rate     float64
+	n        int
+	file     string
+	conns    int
+	ep       qtpnet.EndpointConfig
+}
+
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:9000", "qtpd address")
+	fs.StringVar(&o.profName, "profile", "qtpaf", "qtpaf | qtplight | classic")
+	fs.Float64Var(&o.rate, "rate", 125_000, "QoS target rate for qtpaf, bytes/s")
+	fs.IntVar(&o.n, "n", 1<<20, "bytes of generated data to send per connection (ignored with -f)")
+	fs.StringVar(&o.file, "f", "", "file to send instead of generated data")
+	fs.IntVar(&o.conns, "conns", 1, "concurrent connections fanned out over one UDP socket")
+	fs.BoolVar(&o.ep.DisableEncryption, "insecure", false, "disable transport encryption (only works against a server also running -insecure)")
+	return o
+}
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9000", "qtpd address")
-	profName := flag.String("profile", "qtpaf", "qtpaf | qtplight | classic")
-	rate := flag.Float64("rate", 125_000, "QoS target rate for qtpaf, bytes/s")
-	n := flag.Int("n", 1<<20, "bytes of generated data to send per connection (ignored with -f)")
-	file := flag.String("f", "", "file to send instead of generated data")
-	conns := flag.Int("conns", 1, "concurrent connections fanned out over one UDP socket")
-	insecure := flag.Bool("insecure", false, "disable transport encryption (only works against a server also running -insecure)")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
 	var prof core.Profile
-	switch *profName {
+	switch o.profName {
 	case "qtpaf":
-		prof = core.QTPAF(*rate)
+		prof = core.QTPAF(o.rate)
 	case "qtplight":
 		prof = core.QTPLightReliable(0)
 	case "classic":
 		prof = core.ClassicTFRC()
 	default:
-		log.Fatalf("unknown profile %q", *profName)
+		log.Fatalf("unknown profile %q", o.profName)
 	}
-	if *conns < 1 {
-		log.Fatalf("-conns %d: need at least one connection", *conns)
+	if o.conns < 1 {
+		log.Fatalf("-conns %d: need at least one connection", o.conns)
 	}
 
 	var data []byte
 	var err error
-	if *file != "" {
-		data, err = os.ReadFile(*file)
+	if o.file != "" {
+		data, err = os.ReadFile(o.file)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
-		data = make([]byte, *n)
+		data = make([]byte, o.n)
 		for i := range data {
 			data[i] = byte(i)
 		}
 	}
 
-	ep, err := qtpnet.NewEndpoint(":0", qtpnet.EndpointConfig{DisableEncryption: *insecure})
+	ep, err := qtpnet.NewEndpoint(":0", o.ep)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,11 +87,11 @@ func main() {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	totalSent, totalRetrans, failed := 0, 0, 0
-	for i := 0; i < *conns; i++ {
+	for i := 0; i < o.conns; i++ {
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			conn, err := ep.Dial(*addr, prof, 10*time.Second)
+			conn, err := ep.Dial(o.addr, prof, 10*time.Second)
 			if err != nil {
 				log.Printf("qtpcat: conn %d: %v", idx, err)
 				mu.Lock()
@@ -114,5 +132,5 @@ func main() {
 
 	el := time.Since(start).Seconds()
 	log.Printf("qtpcat: %d conns on one socket: sent %d bytes (%d retransmitted, %d failed) in %.2fs (%.1f kB/s aggregate)",
-		*conns, totalSent, totalRetrans, failed, el, float64(totalSent)/el/1000)
+		o.conns, totalSent, totalRetrans, failed, el, float64(totalSent)/el/1000)
 }

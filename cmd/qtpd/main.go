@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	qtpd [-listen :9000] [-shards n] [-nogso] [-insecure] [-require-token] [-accept-rate n] [-no-bbr] [-qos-budget bytesPerSec] [-o prefix] [-max n] [-v]
+//	qtpd [-listen :9000] [-shards n] [-datapath auto|mmsg|portable] [-insecure] [-require-token] [-accept-rate n] [-no-bbr] [-qos-budget bytesPerSec] [-o prefix] [-max n] [-v]
 //	     [-cpuprofile f] [-memprofile f] [-pprof-addr host:port]
 package main
 
@@ -23,65 +23,77 @@ import (
 	"repro/internal/qtpnet"
 )
 
+// options is everything qtpd's command line sets. The endpoint settings
+// parse straight into the EndpointConfig the listener is built from:
+// one flag per field, no second copy.
+type options struct {
+	listen     string
+	shards     int
+	ep         qtpnet.EndpointConfig
+	noBBR      bool
+	budget     float64
+	maxStreams int
+	out        string
+	maxConns   int
+	verbose    bool
+	cpuprofile string
+	memprofile string
+	pprofAddr  string
+}
+
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.listen, "listen", ":9000", "UDP address to listen on")
+	fs.IntVar(&o.shards, "shards", 1, "SO_REUSEPORT shards to run on the port (0 = one per core; falls back to 1 where unsupported)")
+	fs.Var(&o.ep.DataPath, "datapath", "ceiling on the data-path ladder: auto (best the kernel probes in) | mmsg (no GSO/GRO) | portable (one datagram per syscall)")
+	fs.BoolVar(&o.ep.DisableEncryption, "insecure", false, "disable transport encryption (accepts only plaintext peers that also run -insecure; debugging/interop escape hatch)")
+	fs.BoolVar(&o.ep.RequireToken, "require-token", false, "challenge every token-less Connect with a stateless Retry (address validation before any state allocation)")
+	fs.Float64Var(&o.ep.AcceptRate, "accept-rate", 0, "cap new inbound connections per second per shard; excess is shed with a Retry-after hint (0 = unlimited)")
+	fs.BoolVar(&o.noBBR, "no-bbr", false, "refuse BBR congestion-control proposals (peers fall back to the TFRC family)")
+	fs.Float64Var(&o.budget, "qos-budget", 0, "max QoS reservation to grant per connection, bytes/s (0 = refuse QoS)")
+	fs.IntVar(&o.maxStreams, "max-streams", 64, "max concurrent streams to grant per connection (0 = refuse stream multiplexing)")
+	fs.StringVar(&o.out, "o", "", "write each stream to <prefix>.<connID> (default: discard)")
+	fs.IntVar(&o.maxConns, "max", 0, "exit after serving this many connections (0 = serve forever)")
+	fs.BoolVar(&o.verbose, "v", false, "periodically log endpoint datagram/batch statistics")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile (after GC) to this file on exit")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve live net/http/pprof on this host:port (inspect a running daemon)")
+	return o
+}
+
 func main() {
-	listen := flag.String("listen", ":9000", "UDP address to listen on")
-	shards := flag.Int("shards", 1, "SO_REUSEPORT shards to run on the port (0 = one per core; falls back to 1 where unsupported)")
-	nogso := flag.Bool("nogso", false, "keep UDP segment offload (GSO/GRO) off even where the kernel supports it")
-	insecure := flag.Bool("insecure", false, "disable transport encryption (accepts only plaintext peers that also run -insecure; debugging/interop escape hatch)")
-	requireToken := flag.Bool("require-token", false, "challenge every token-less Connect with a stateless Retry (address validation before any state allocation)")
-	acceptRate := flag.Float64("accept-rate", 0, "cap new inbound connections per second per shard; excess is shed with a Retry-after hint (0 = unlimited)")
-	noBBR := flag.Bool("no-bbr", false, "refuse BBR congestion-control proposals (peers fall back to the TFRC family)")
-	budget := flag.Float64("qos-budget", 0, "max QoS reservation to grant per connection, bytes/s (0 = refuse QoS)")
-	maxStreams := flag.Int("max-streams", 64, "max concurrent streams to grant per connection (0 = refuse stream multiplexing)")
-	out := flag.String("o", "", "write each stream to <prefix>.<connID> (default: discard)")
-	maxConns := flag.Int("max", 0, "exit after serving this many connections (0 = serve forever)")
-	verbose := flag.Bool("v", false, "periodically log endpoint datagram/batch statistics")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
-	pprofAddr := flag.String("pprof-addr", "", "serve live net/http/pprof on this host:port (inspect a running daemon)")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	stopProfiles := profiling.Start(*cpuprofile, *memprofile, *pprofAddr)
+	stopProfiles := profiling.Start(o.cpuprofile, o.memprofile, o.pprofAddr)
 	defer stopProfiles()
 
 	cons := core.Constraints{
-		MaxTargetRate:   *budget,
+		MaxTargetRate:   o.budget,
 		AllowSenderLoss: true,
 		MaxReliability:  2, // full
-		MaxStreams:      *maxStreams,
-		AllowBBR:        !*noBBR,
+		MaxStreams:      o.maxStreams,
+		AllowBBR:        !o.noBBR,
 	}
-	opts := []qtpnet.Option{qtpnet.WithShards(*shards)}
-	if *nogso {
-		opts = append(opts, qtpnet.WithNoGSO())
-	}
-	if *insecure {
-		opts = append(opts, qtpnet.WithNoEncryption())
-	}
-	if *requireToken {
-		opts = append(opts, qtpnet.WithRequireToken())
-	}
-	if *acceptRate > 0 {
-		opts = append(opts, qtpnet.WithAcceptRate(*acceptRate))
-	}
-	l, err := qtpnet.Listen(*listen, cons, opts...)
+	l, err := qtpnet.Listen(o.listen, cons, qtpnet.WithShards(o.shards), qtpnet.WithEndpointConfig(o.ep))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer l.Close()
 	log.Printf("qtpd: listening on %s, %d shard(s) (QoS budget %.0f B/s per conn)",
-		l.Addr(), l.Sharded().NumShards(), *budget)
+		l.Addr(), l.Sharded().NumShards(), o.budget)
 	ep := l.Endpoint()
-	log.Printf("qtpd: data path: batch=%v gso=%v gro=%v txtime=%v (per shard; -nogso or QTPNET_NOGSO keeps offload off)",
-		ep.BatchEnabled(), ep.GSOEnabled(), ep.GROEnabled(), ep.TxTimeEnabled())
+	caps := ep.Capabilities()
+	log.Printf("qtpd: data path: %v: batch=%v gso=%v gro=%v txtime=%v (per shard; -datapath %v)",
+		caps, caps.Batch, caps.GSO, caps.GRO, caps.TxTime, o.ep.DataPath)
 	log.Printf("qtpd: handshake hardening: require-token=%v accept-rate=%.0f/s per shard",
-		*requireToken, *acceptRate)
+		o.ep.RequireToken, o.ep.AcceptRate)
 	log.Printf("qtpd: congestion control: bbr grants %v (-no-bbr to refuse; TFRC always granted)",
-		!*noBBR)
-	if *insecure {
+		!o.noBBR)
+	if o.ep.DisableEncryption {
 		log.Printf("qtpd: WARNING: transport encryption disabled (-insecure); all frames travel in cleartext")
 	}
 
-	if *verbose {
+	if o.verbose {
 		rcv, snd := ep.SocketBufSizes()
 		log.Printf("qtpd: effective socket buffers: rcvbuf=%d sndbuf=%d", rcv, snd)
 		go func() {
@@ -94,7 +106,7 @@ func main() {
 	}
 
 	var wg sync.WaitGroup
-	for served := 0; *maxConns == 0 || served < *maxConns; served++ {
+	for served := 0; o.maxConns == 0 || served < o.maxConns; served++ {
 		conn, err := l.Accept()
 		if err != nil {
 			log.Printf("qtpd: accept: %v", err)
@@ -104,7 +116,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			serve(conn, *out)
+			serve(conn, o.out)
 		}()
 	}
 	wg.Wait()

@@ -25,7 +25,7 @@ func BenchmarkEndpoint(b *testing.B) {
 	// straight into Deliver, which an encrypted connection would (rightly)
 	// refuse as cleartext. The demux cost it isolates is the same either
 	// way — sealed datagrams route before AEAD open.
-	l, err := qtpnet.Listen("127.0.0.1:0", core.Permissive(2e6), qtpnet.WithNoEncryption())
+	l, err := qtpnet.Listen("127.0.0.1:0", core.Permissive(2e6), qtpnet.WithEndpointConfig(qtpnet.EndpointConfig{DisableEncryption: true}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func BenchmarkEndpointLoopback(b *testing.B) {
 	)
 	// Plaintext, like every committed baseline from before encryption
 	// landed; BenchmarkEncryptedFanout carries the sealed-path number.
-	l, err := qtpnet.Listen("127.0.0.1:0", core.Permissive(1e8), qtpnet.WithNoEncryption())
+	l, err := qtpnet.Listen("127.0.0.1:0", core.Permissive(1e8), qtpnet.WithEndpointConfig(qtpnet.EndpointConfig{DisableEncryption: true}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func BenchmarkEndpointLoopback(b *testing.B) {
 // exists to raise (the fallback path pins it at 1). Segment offload is
 // on where the kernel supports it, exactly as in production.
 func BenchmarkEndpointFanout(b *testing.B) {
-	benchFanout(b, false, false, false, packet.CongestionTFRC, 64, 256<<10, 2e6)
+	benchFanout(b, qtpnet.DataPathAuto, false, packet.CongestionTFRC, 64, 256<<10, 2e6)
 }
 
 // BenchmarkEncryptedFanout is BenchmarkEndpointFanout with transport
@@ -200,14 +200,14 @@ func BenchmarkEndpointFanout(b *testing.B) {
 // data path — seal, open, nonce/replay bookkeeping, and the extra wire
 // bytes — with GSO trains and mmsg batches intact.
 func BenchmarkEncryptedFanout(b *testing.B) {
-	benchFanout(b, false, false, true, packet.CongestionTFRC, 64, 256<<10, 2e6)
+	benchFanout(b, qtpnet.DataPathAuto, true, packet.CongestionTFRC, 64, 256<<10, 2e6)
 }
 
 // BenchmarkEndpointFanoutNoBatch is the same load on the forced
 // single-datagram socket path: the difference against
 // BenchmarkEndpointFanout is what recvmmsg/sendmmsg buy.
 func BenchmarkEndpointFanoutNoBatch(b *testing.B) {
-	benchFanout(b, true, false, false, packet.CongestionTFRC, 64, 256<<10, 2e6)
+	benchFanout(b, qtpnet.DataPathPortable, false, packet.CongestionTFRC, 64, 256<<10, 2e6)
 }
 
 // BenchmarkGSOFanout is BenchmarkEndpointFanout with segment offload
@@ -218,13 +218,13 @@ func BenchmarkEndpointFanoutNoBatch(b *testing.B) {
 // the dgram/txcall and dgram/rxcall metrics show what offload buys over
 // the mmsg floor; client tx metrics are reported as c-dgram/txcall
 // since the streaming side is where trains form.
-func BenchmarkGSOFanout(b *testing.B) { benchGSOFanout(b, false) }
+func BenchmarkGSOFanout(b *testing.B) { benchGSOFanout(b, qtpnet.DataPathAuto) }
 
 // BenchmarkGSOFanoutNoGSO is the sendmmsg baseline for
 // BenchmarkGSOFanout (offload disabled, batching still on).
-func BenchmarkGSOFanoutNoGSO(b *testing.B) { benchGSOFanout(b, true) }
+func BenchmarkGSOFanoutNoGSO(b *testing.B) { benchGSOFanout(b, qtpnet.DataPathMmsg) }
 
-func benchGSOFanout(b *testing.B, nogso bool) {
+func benchGSOFanout(b *testing.B, ceiling qtpnet.DataPath) {
 	probe, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{})
 	if err != nil {
 		b.Fatal(err)
@@ -238,7 +238,7 @@ func benchGSOFanout(b *testing.B, nogso bool) {
 	// and GRO merges only form when flush queues and receive bursts
 	// outgrow what one mmsg message can carry, which is exactly the
 	// regime segment offload exists for.
-	benchFanout(b, false, nogso, false, packet.CongestionTFRC, 32, 256<<10, 5e6)
+	benchFanout(b, ceiling, false, packet.CongestionTFRC, 32, 256<<10, 5e6)
 }
 
 // BenchmarkBBRFanout is the fan-out load with every connection running
@@ -250,7 +250,7 @@ func benchGSOFanout(b *testing.B, nogso bool) {
 // load; on loopback's negligible BDP the controller sits in its initial
 // window, so this measures bookkeeping, not ramp behaviour.
 func BenchmarkBBRFanout(b *testing.B) {
-	benchFanout(b, false, false, false, packet.CongestionBBR, 64, 256<<10, 2e6)
+	benchFanout(b, qtpnet.DataPathAuto, false, packet.CongestionBBR, 64, 256<<10, 2e6)
 }
 
 // benchFanout runs the fan-out load with the listed knobs. encrypted
@@ -260,12 +260,11 @@ func BenchmarkBBRFanout(b *testing.B) {
 // cc selects the dial profile: CongestionTFRC keeps the historical
 // QTPAF(rate) shape, CongestionBBR swaps in reliable QTPlight running
 // the window-based controller (BBR excludes the QoS clamp).
-func benchFanout(b *testing.B, nobatch, nogso, encrypted bool, cc packet.CongestionMode, nConns, perConn int, rate float64) {
+func benchFanout(b *testing.B, ceiling qtpnet.DataPath, encrypted bool, cc packet.CongestionMode, nConns, perConn int, rate float64) {
 	srv, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{
 		AcceptInbound:     true,
 		Constraints:       core.Permissive(rate),
-		DisableBatchIO:    nobatch,
-		DisableGSO:        nogso,
+		DataPath:          ceiling,
 		DisableEncryption: !encrypted,
 		// Deep enough for a whole per-conn transfer: on a saturated
 		// single-core box the reader goroutines are scheduled long after
@@ -279,8 +278,7 @@ func benchFanout(b *testing.B, nobatch, nogso, encrypted bool, cc packet.Congest
 	}
 	defer srv.Close()
 	client, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{
-		DisableBatchIO:    nobatch,
-		DisableGSO:        nogso,
+		DataPath:          ceiling,
 		DisableEncryption: !encrypted,
 	})
 	if err != nil {
@@ -387,7 +385,7 @@ func benchFanout(b *testing.B, nobatch, nogso, encrypted bool, cc packet.Congest
 	}
 	// On linux the batch path must demonstrably coalesce: a 64-way
 	// fan-out that never fills a batch means the ring is broken.
-	if !nobatch && runtime.GOOS == "linux" && st.MaxRecvBatch <= 1 {
+	if ceiling != qtpnet.DataPathPortable && runtime.GOOS == "linux" && st.MaxRecvBatch <= 1 {
 		b.Errorf("batch path never received more than %d datagram per syscall", st.MaxRecvBatch)
 	}
 }

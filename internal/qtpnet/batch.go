@@ -1,8 +1,10 @@
 package qtpnet
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
+	"sync/atomic"
 )
 
 // rxBatch is the receive ring size: the most datagrams one readBatch
@@ -59,11 +61,51 @@ func wireCount(m ioMsg) uint64 {
 	return 1
 }
 
+// DataPath is a ceiling on the data-path ladder (docs/DATAPATH.md):
+// the endpoint climbs as high as the platform probes in, but never
+// above the ceiling. The rungs are ordered, so one value replaces a
+// bool per rung. Every rung moves the same bytes; tests pin a lower one
+// to prove it, and it is the escape hatch should a platform's upper
+// rung misbehave. It implements flag.Value for the tools' -datapath.
+type DataPath uint8
+
+const (
+	// DataPathAuto, the zero value, is no ceiling: GSO/GRO over
+	// recvmmsg/sendmmsg where the kernel has them.
+	DataPathAuto DataPath = iota
+	// DataPathMmsg stops below segment offload: recvmmsg/sendmmsg (and
+	// SO_TXTIME stamps where probed), UDP_SEGMENT/UDP_GRO never probed.
+	DataPathMmsg
+	// DataPathPortable is the floor every platform has: one datagram per
+	// syscall through the standard library.
+	DataPathPortable
+)
+
+var dataPathNames = [...]string{"auto", "mmsg", "portable"}
+
+func (d DataPath) String() string {
+	if int(d) < len(dataPathNames) {
+		return dataPathNames[d]
+	}
+	return fmt.Sprintf("DataPath(%d)", uint8(d))
+}
+
+// Set parses one of auto, mmsg, portable.
+func (d *DataPath) Set(s string) error {
+	for i, name := range dataPathNames {
+		if s == name {
+			*d = DataPath(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown data path %q (want auto, mmsg or portable)", s)
+}
+
 // batchIO is the seam between the endpoint's loops and the socket.
 // The linux implementation moves whole batches per syscall with
 // recvmmsg/sendmmsg — and, where the kernel supports it, whole segment
 // trains per datagram with UDP_SEGMENT/UDP_GRO; every other platform
-// (and DisableBatchIO) falls back to one datagram per call, so the
+// (and DataPathPortable) falls back to one datagram per call, so the
 // endpoint's logic is identical everywhere and tests can force either
 // path.
 type batchIO interface {
@@ -71,6 +113,12 @@ type batchIO interface {
 	// ms[i].n, ms[i].addr and ms[i].segSize for each datagram received
 	// into ms[i].buf, and returns how many messages were filled.
 	readBatch(ms []ioMsg) (int, error)
+	batchWriter
+}
+
+// batchWriter is the slice of batchIO the scheduler needs; tests
+// substitute fakes.
+type batchWriter interface {
 	// writeBatch sends ms[i].buf[:ms[i].n] to ms[i].addr, in order, and
 	// returns how many messages the kernel accepted. err describes the
 	// failure of message ms[n] (or the batch, when n == 0); messages
@@ -78,57 +126,42 @@ type batchIO interface {
 	writeBatch(ms []ioMsg) (int, error)
 }
 
-// segmentOffloader is the optional batchIO extension for UDP
-// generic segmentation/receive offload. The scheduler asks
-// gsoMaxSegs before every flush — capability can flip off at any
-// send if the kernel refuses a train — and builds segment trains
-// only while it answers > 1.
-type segmentOffloader interface {
-	// gsoMaxSegs returns the largest segment train writeBatch will
-	// accept, or 0 when segmentation offload is unavailable (never
-	// probed, disabled, or tripped off by a mid-life send failure).
-	gsoMaxSegs() int
-	// groOn reports whether UDP_GRO is enabled on the socket, i.e.
-	// whether readBatch may return merged super-datagrams.
-	groOn() bool
-	// gsoFallbacks counts trains the kernel refused at send time;
-	// each was transparently re-sent segment-by-segment.
-	gsoFallbacks() uint64
+// pathCaps is what a socket's data path probed in at bind, returned by
+// newBatchIO beside the batchIO and shared from then on: the socket
+// implementation writes it, the scheduler and the endpoint's accessors
+// read it. The zero value is the portable rung.
+type pathCaps struct {
+	batch bool // recvmmsg/sendmmsg
+	gro   bool // UDP_GRO on: readBatch may return merged super-datagrams
+
+	// gsoMaxSegs is the longest segment train writeBatch accepts, 0 when
+	// segment offload is unavailable. The scheduler re-reads it before
+	// every flush because the writer clears it if the kernel refuses a
+	// train the probe promised; gsoFallbacks counts those refusals, each
+	// transparently re-sent segment-by-segment.
+	gsoMaxSegs   atomic.Int32
+	gsoFallbacks atomic.Uint64
+
+	// txClock is non-nil when SO_TXTIME was accepted: the scheduler
+	// stamps ioMsg.txTime release instants computed from TFRC gaps
+	// against this clock (CLOCK_MONOTONIC ns) and the writer attaches
+	// them as SCM_TXTIME cmsgs, so the fq/etf qdisc releases each
+	// datagram on schedule instead of the whole flush leaving as one
+	// micro-burst. txTimeSends counts datagrams sent with a stamp.
+	txClock     func() uint64
+	txTimeSends atomic.Uint64
 }
 
-// txTimeWriter is the optional batchIO extension for SO_TXTIME pacing
-// offload: the scheduler stamps ioMsg.txTime release instants (computed
-// from TFRC inter-packet gaps against the writer's clock) and the
-// writer attaches them as SCM_TXTIME cmsgs, letting the kernel's fq/etf
-// qdisc release each datagram on schedule instead of the whole flush
-// leaving as one micro-burst.
-type txTimeWriter interface {
-	// txTimeOn reports whether SO_TXTIME is active on the socket (the
-	// setsockopt probe succeeded).
-	txTimeOn() bool
-	// txTimeSendCount counts datagrams sent with a TXTIME stamp.
-	txTimeSendCount() uint64
-	// nowNs returns the writer's pacing clock (CLOCK_MONOTONIC ns),
-	// the time base txTime stamps must be computed against.
-	nowNs() uint64
-}
-
-// batchOpts collects the per-socket data-path knobs: batching and
-// segment offload can each be disabled, by config or environment,
-// without touching the rung below.
-type batchOpts struct {
-	noBatch bool // force the portable single-datagram fallback
-	noGSO   bool // never probe UDP_SEGMENT/UDP_GRO
-}
-
-// newBatchIO picks the best available implementation for the socket.
-func newBatchIO(pc *net.UDPConn, maxBatch int, o batchOpts) batchIO {
-	if !o.noBatch {
-		if bio := newPlatformBatchIO(pc, maxBatch, o); bio != nil {
-			return bio
+// newBatchIO picks the best implementation for the socket at or below
+// the ceiling.
+func newBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath) (batchIO, *pathCaps) {
+	caps := &pathCaps{}
+	if ceiling < DataPathPortable {
+		if bio := newPlatformBatchIO(pc, maxBatch, ceiling, caps); bio != nil {
+			return bio, caps
 		}
 	}
-	return singleIO{pc}
+	return singleIO{pc}, caps
 }
 
 // singleIO is the portable fallback: one syscall per datagram through

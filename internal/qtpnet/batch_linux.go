@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
@@ -35,15 +34,9 @@ import (
 // whole ring of datagrams, each of which may itself be a GRO merge of
 // up to 64 wire packets.
 type mmsgIO struct {
-	rc syscall.RawConn
-	v6 bool // AF_INET6 socket: v4 destinations need mapping
-
-	gsoOK   atomic.Bool // UDP_SEGMENT accepted; cleared on send refusal
-	gro     bool        // UDP_GRO enabled on the socket
-	gsoFell atomic.Uint64
-
-	txtOK    atomic.Bool // SO_TXTIME accepted: pacing stamps are honored
-	txtSends atomic.Uint64
+	rc   syscall.RawConn
+	v6   bool      // AF_INET6 socket: v4 destinations need mapping
+	caps *pathCaps // what the probes below found; shared with the endpoint
 
 	// Receive-side scratch, reused every syscall.
 	rhdr []mmsghdr
@@ -118,7 +111,7 @@ type sockTxTime struct {
 // Segment offload is probed here, once per socket: each socket — and
 // therefore each shard of a ShardedEndpoint — carries its own
 // independent GSO/GRO capability and fallback state.
-func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, o batchOpts) batchIO {
+func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath, caps *pathCaps) batchIO {
 	rc, err := pc.SyscallConn()
 	if err != nil {
 		return nil
@@ -139,6 +132,7 @@ func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, o batchOpts) batchIO {
 	m := &mmsgIO{
 		rc:   rc,
 		v6:   domain == syscall.AF_INET6,
+		caps: caps,
 		rhdr: make([]mmsghdr, maxBatch),
 		riov: make([]syscall.Iovec, maxBatch),
 		rsa:  make([]syscall.RawSockaddrInet6, maxBatch),
@@ -148,7 +142,8 @@ func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, o batchOpts) batchIO {
 		wsa:  make([]syscall.RawSockaddrInet6, wn),
 		wctl: make([]ctlBuf, wn),
 	}
-	if !o.noGSO {
+	caps.batch = true
+	if ceiling < DataPathMmsg {
 		m.probeOffload()
 	}
 	m.probeTxTime()
@@ -167,14 +162,10 @@ func (m *mmsgIO) probeTxTime() {
 			uintptr(syscall.SOL_SOCKET), soTxTime,
 			uintptr(unsafe.Pointer(&tt)), unsafe.Sizeof(tt), 0)
 		if e == 0 {
-			m.txtOK.Store(true)
+			m.caps.txClock = monoNowNs
 		}
 	})
 }
-
-func (m *mmsgIO) txTimeOn() bool          { return m.txtOK.Load() }
-func (m *mmsgIO) txTimeSendCount() uint64 { return m.txtSends.Load() }
-func (m *mmsgIO) nowNs() uint64           { return monoNowNs() }
 
 // monoNowNs reads CLOCK_MONOTONIC directly: TXTIME stamps must share
 // the kernel's pacing clock, which time.Now()'s wall reading is not.
@@ -193,23 +184,13 @@ func monoNowNs() uint64 {
 func (m *mmsgIO) probeOffload() {
 	m.rc.Control(func(fd uintptr) {
 		if _, err := syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment); err == nil {
-			m.gsoOK.Store(true)
+			m.caps.gsoMaxSegs.Store(gsoMaxSegments)
 		}
 		if err := syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1); err == nil {
-			m.gro = true
+			m.caps.gro = true
 		}
 	})
 }
-
-func (m *mmsgIO) gsoMaxSegs() int {
-	if m.gsoOK.Load() {
-		return gsoMaxSegments
-	}
-	return 0
-}
-
-func (m *mmsgIO) groOn() bool          { return m.gro }
-func (m *mmsgIO) gsoFallbacks() uint64 { return m.gsoFell.Load() }
 
 func (m *mmsgIO) readBatch(ms []ioMsg) (int, error) {
 	n := len(ms)
@@ -224,7 +205,7 @@ func (m *mmsgIO) readBatch(ms []ioMsg) (int, error) {
 			Iov:     &m.riov[i],
 			Iovlen:  1,
 		}}
-		if m.gro {
+		if m.caps.gro {
 			m.rhdr[i].hdr.Control = &m.rctl[i].b[0]
 			m.rhdr[i].hdr.SetControllen(len(m.rctl[i].b))
 		}
@@ -254,7 +235,7 @@ func (m *mmsgIO) readBatch(ms []ioMsg) (int, error) {
 		ms[i].n = int(m.rhdr[i].n)
 		ms[i].addr = saToAddrPort(&m.rsa[i])
 		ms[i].segSize = 0
-		if m.gro {
+		if m.caps.gro {
 			ms[i].segSize = parseGROSegSize(m.rctl[i].b[:m.rhdr[i].hdr.Controllen])
 		}
 	}
@@ -323,8 +304,8 @@ func (m *mmsgIO) writeBatch(ms []ioMsg) (int, error) {
 	if n > len(m.whdr) {
 		n = len(m.whdr)
 	}
-	gso := m.gsoOK.Load()
-	txt := m.txtOK.Load()
+	gso := m.caps.gsoMaxSegs.Load() > 0
+	txt := m.caps.txClock != nil
 	prep := 0
 	for prep < n {
 		if ms[prep].segSize > 0 && ms[prep].n > ms[prep].segSize && !gso {
@@ -387,8 +368,8 @@ func (m *mmsgIO) writeBatch(ms []ioMsg) (int, error) {
 		// cannot deliver: trip GSO off for this socket's lifetime and
 		// re-send the refused train as plain datagrams.
 		if ms[0].segSize > 0 && ms[0].n > ms[0].segSize && isGSORefusal(errno) {
-			m.gsoOK.Store(false)
-			m.gsoFell.Add(1)
+			m.caps.gsoMaxSegs.Store(0)
+			m.caps.gsoFallbacks.Add(1)
 			return m.sendSegments(&ms[0])
 		}
 		return sent, os.NewSyscallError("sendmmsg", errno)
@@ -396,7 +377,7 @@ func (m *mmsgIO) writeBatch(ms []ioMsg) (int, error) {
 	if txt {
 		for i := 0; i < sent; i++ {
 			if ms[i].txTime > 0 {
-				m.txtSends.Add(1)
+				m.caps.txTimeSends.Add(1)
 			}
 		}
 	}

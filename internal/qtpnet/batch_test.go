@@ -88,27 +88,31 @@ func transfer(t *testing.T, client *Endpoint, l *Listener, nConns, perConn int) 
 	}
 }
 
-// TestEndpointFallbackEquivalence proves the batch and single-datagram
-// socket paths are interchangeable: every pairing of batch and fallback
-// endpoints moves the same streams to the same bytes, so platforms
-// without recvmmsg/sendmmsg (and DisableBatchIO escapes) lose only
-// throughput, never behavior.
+// TestEndpointFallbackEquivalence proves the rungs of the data-path
+// ladder are interchangeable: every DataPath ceiling on either side
+// moves the same streams to the same bytes, so platforms without
+// recvmmsg/sendmmsg or UDP_SEGMENT (and DataPath escapes) lose only
+// throughput, never behavior. ("batch" is the zero ceiling, "fallback"
+// the portable floor.)
 func TestEndpointFallbackEquivalence(t *testing.T) {
 	const nConns, perConn = 4, 16 << 10
 	cases := []struct {
-		name                    string
-		clientSingle, srvSingle bool
+		name        string
+		client, srv DataPath
 	}{
-		{"batch_to_fallback", false, true},
-		{"fallback_to_batch", true, false},
-		{"fallback_to_fallback", true, true},
+		{"batch_to_fallback", DataPathAuto, DataPathPortable},
+		{"fallback_to_batch", DataPathPortable, DataPathAuto},
+		{"fallback_to_fallback", DataPathPortable, DataPathPortable},
+		{"batch_to_mmsg", DataPathAuto, DataPathMmsg},
+		{"mmsg_to_batch", DataPathMmsg, DataPathAuto},
+		{"mmsg_to_fallback", DataPathMmsg, DataPathPortable},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			se, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{
-				AcceptInbound:  true,
-				Constraints:    core.Permissive(1e7),
-				DisableBatchIO: tc.srvSingle,
+				AcceptInbound: true,
+				Constraints:   core.Permissive(1e7),
+				DataPath:      tc.srv,
 			}, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -116,9 +120,7 @@ func TestEndpointFallbackEquivalence(t *testing.T) {
 			srv := se.Shard(0)
 			l := &Listener{se: se}
 			defer l.Close()
-			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
-				DisableBatchIO: tc.clientSingle,
-			})
+			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{DataPath: tc.client})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +140,20 @@ func TestEndpointFallbackEquivalence(t *testing.T) {
 					t.Errorf("endpoint error after clean transfer: %v", err)
 				}
 			}
-			if tc.srvSingle {
+			// A ceiling is a ceiling whatever the kernel offers.
+			for _, side := range []struct {
+				e       *Endpoint
+				ceiling DataPath
+			}{{client, tc.client}, {srv, tc.srv}} {
+				caps := side.e.Capabilities()
+				if side.ceiling >= DataPathMmsg && (caps.GSO || caps.GRO) {
+					t.Errorf("ceiling %v but segment offload probed in: %+v", side.ceiling, caps)
+				}
+				if side.ceiling == DataPathPortable && caps != (Capabilities{}) {
+					t.Errorf("ceiling %v but capabilities %+v", side.ceiling, caps)
+				}
+			}
+			if tc.srv == DataPathPortable {
 				if mb := srv.Stats().MaxRecvBatch; mb > 1 {
 					t.Errorf("fallback endpoint reports batch of %d; single-read path must cap at 1", mb)
 				}

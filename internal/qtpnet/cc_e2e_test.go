@@ -1,7 +1,6 @@
 package qtpnet
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -9,68 +8,48 @@ import (
 	"repro/internal/packet"
 )
 
-// TestDialRejectsListenerOnlyOptions pins the fix for a silent option
-// drop: WithRequireToken and WithAcceptRate configure listener-side
-// admission control and used to vanish without effect when passed to
-// Dial. Dial now refuses them by name.
-func TestDialRejectsListenerOnlyOptions(t *testing.T) {
-	cases := []struct {
-		opt  Option
-		name string
-	}{
-		{WithRequireToken(), "WithRequireToken"},
-		{WithAcceptRate(10), "WithAcceptRate"},
-	}
-	for _, tc := range cases {
-		_, err := Dial("127.0.0.1:1", core.QTPLightReliable(0), time.Second, tc.opt)
-		if err == nil {
-			t.Fatalf("Dial with %s: want error, got nil", tc.name)
-		}
-		if !strings.Contains(err.Error(), tc.name) {
-			t.Errorf("Dial with %s: error %q does not name the option", tc.name, err)
-		}
-	}
-}
-
-// TestOptionConsolidation pins the epOptions → EndpointConfig fold: a
-// WithEndpointConfig seed survives untouched except where a targeted
-// option overrides it.
+// TestOptionConsolidation pins the two-option fold: WithEndpointConfig
+// carries every endpoint setting whole, WithShards the shard count, and
+// no options at all is the zero config on one shard.
 func TestOptionConsolidation(t *testing.T) {
 	base := EndpointConfig{
 		ReadQueue:     128,
 		AcceptBacklog: 7,
-		DisableGSO:    false,
-		AcceptRate:    1,
+		DataPath:      DataPathMmsg,
+		AcceptRate:    50,
+		RequireToken:  true,
 	}
-	o := applyOptions([]Option{
-		WithEndpointConfig(base),
-		WithNoGSO(),
-		WithAcceptRate(50),
-		WithRequireToken(),
-	})
-	cfg := o.config()
-	if cfg.ReadQueue != 128 || cfg.AcceptBacklog != 7 {
-		t.Errorf("seed fields lost: %+v", cfg)
+	o := applyOptions([]Option{WithEndpointConfig(base), WithShards(3)})
+	if o.cfg != base || o.shards != 3 {
+		t.Errorf("fold = %+v shards=%d, want %+v shards=3", o.cfg, o.shards, base)
 	}
-	if !cfg.DisableGSO {
-		t.Error("WithNoGSO did not override the seed")
+	if o := applyOptions(nil); o.cfg != (EndpointConfig{}) || o.shards != 1 {
+		t.Errorf("empty fold: %+v shards=%d", o.cfg, o.shards)
 	}
-	if cfg.AcceptRate != 50 {
-		t.Errorf("AcceptRate = %v, want the option's 50 over the seed's 1", cfg.AcceptRate)
+
+	// Listen owns AcceptInbound and Constraints; the rest of the seed
+	// reaches the endpoint.
+	l, err := Listen("127.0.0.1:0", core.Permissive(0), WithEndpointConfig(base))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !cfg.RequireToken {
-		t.Error("WithRequireToken lost in the fold")
+	defer l.Close()
+	cfg := l.Endpoint().cfg
+	if !cfg.AcceptInbound || !cfg.Constraints.AllowBBR {
+		t.Errorf("Listen did not stamp its own fields: %+v", cfg)
 	}
-	// No options at all: the zero config, one shard.
-	if o := applyOptions(nil); o.config() != (EndpointConfig{}) || o.shards != 1 {
-		t.Errorf("empty fold: %+v shards=%d", o.config(), o.shards)
+	if cfg.ReadQueue != 128 || cfg.AcceptBacklog != 7 || cfg.AcceptRate != 50 || !cfg.RequireToken {
+		t.Errorf("seed fields lost on the way to the endpoint: %+v", cfg)
+	}
+	if caps := l.Endpoint().Capabilities(); caps.GSO || caps.GRO {
+		t.Errorf("DataPathMmsg seed ignored: %+v", caps)
 	}
 }
 
-// ccTransfer dials the listener proposing the given options, pushes a
-// small reliable transfer through, and returns the two negotiated
-// profiles.
-func ccTransfer(t *testing.T, l *Listener, opts ...Option) (client, server core.Profile) {
+// ccTransfer dials the listener proposing the given congestion control,
+// pushes a small reliable transfer through, and returns the two
+// negotiated profiles.
+func ccTransfer(t *testing.T, l *Listener, cc packet.CongestionMode) (client, server core.Profile) {
 	t.Helper()
 	type result struct {
 		profile core.Profile
@@ -95,7 +74,9 @@ func ccTransfer(t *testing.T, l *Listener, opts ...Option) (client, server core.
 		done <- result{profile: conn.Profile(), ok: got == 32<<10}
 	}()
 
-	conn, err := Dial(l.Addr().String(), core.QTPLightReliable(0), 10*time.Second, opts...)
+	profile := core.QTPLightReliable(0)
+	profile.Congestion = cc
+	conn, err := Dial(l.Addr().String(), profile, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +96,12 @@ func ccTransfer(t *testing.T, l *Listener, opts ...Option) (client, server core.
 // real sockets: a listener that allows BBR grants a dialer's proposal
 // and both sides run it.
 func TestCongestionNegotiationUDP(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", core.Permissive(0),
-		WithCongestion(packet.CongestionBBR))
+	l, err := Listen("127.0.0.1:0", core.Permissive(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	cp, sp := ccTransfer(t, l, WithCongestion(packet.CongestionBBR))
+	cp, sp := ccTransfer(t, l, packet.CongestionBBR)
 	if cp.Congestion != packet.CongestionBBR {
 		t.Errorf("client negotiated cc=%v, want bbr", cp.Congestion)
 	}
@@ -141,7 +121,7 @@ func TestCongestionFallbackUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	cp, sp := ccTransfer(t, l, WithCongestion(packet.CongestionBBR))
+	cp, sp := ccTransfer(t, l, packet.CongestionBBR)
 	if cp.Congestion != packet.CongestionTFRC {
 		t.Errorf("client negotiated cc=%v, want tfrc fallback", cp.Congestion)
 	}

@@ -142,10 +142,13 @@ func (c *Conn) writeStream(id uint64, p []byte) (int, error) {
 		if len(p) == 0 {
 			break
 		}
+		t := acquireTimer(5 * time.Millisecond)
 		select {
 		case <-c.closedCh:
+			releaseTimer(t)
 			return total, errors.New("qtpnet: connection closed")
-		case <-time.After(5 * time.Millisecond):
+		case <-t.C:
+			releaseTimer(t)
 		}
 	}
 	return total, nil
@@ -188,10 +191,11 @@ func (c *Conn) readFrom(ch chan []byte, timeout time.Duration) ([]byte, bool) {
 	}
 }
 
-// timerPool recycles the wait timers behind Conn.Read/Stream.Read: an
-// application draining a hot connection parks briefly between delivery
-// batches, and a fresh timer per park was the single largest allocation
-// site on the delivery path.
+// timerPool recycles the wait timers behind Conn.Read/Stream.Read and
+// the write-backpressure poll: an application draining a hot connection
+// parks briefly between delivery batches (and a writer ahead of the
+// transport parks every 5 ms), and a fresh timer per park was the single
+// largest allocation site on the delivery path.
 var timerPool sync.Pool
 
 func acquireTimer(d time.Duration) *time.Timer {

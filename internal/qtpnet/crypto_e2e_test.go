@@ -14,16 +14,6 @@ import (
 	"repro/internal/qcrypto"
 )
 
-// skipIfEnvNoEncrypt skips tests that assert encrypted-mode behavior
-// when the QTPNET_NOENCRYPT override has force-disabled encryption
-// process-wide (the CI plaintext-compatibility leg).
-func skipIfEnvNoEncrypt(t *testing.T) {
-	t.Helper()
-	if envNoEncrypt() {
-		t.Skip("QTPNET_NOENCRYPT set: encryption force-disabled process-wide")
-	}
-}
-
 // mitmRelay is a single-client UDP man-in-the-middle: it binds a fresh
 // port, learns the client from the first datagram it sees, and shuttles
 // traffic to/from the server, passing every datagram through tap. tap
@@ -84,7 +74,15 @@ func mitmRelay(t *testing.T, server net.Addr, tap func(toServer bool, dgram []by
 // with encryption on (the default), application bytes never appear on
 // the wire, and the data path actually runs over sealed datagrams.
 func TestSealedWireNoPlaintext(t *testing.T) {
-	skipIfEnvNoEncrypt(t)
+	skipIfCleartext(t)
+	assertSealedWire(t)
+}
+
+// assertSealedWire moves a marker through a man-in-the-middle relay and
+// fails unless the connection negotiated encryption and every
+// post-handshake datagram the relay saw was sealed.
+func assertSealedWire(t *testing.T) {
+	t.Helper()
 	l, err := Listen("127.0.0.1:0", core.Permissive(1e6))
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +159,9 @@ func TestSealedWireNoPlaintext(t *testing.T) {
 	if cleartextData > 0 {
 		t.Fatalf("%d non-handshake cleartext frames on the wire", cleartextData)
 	}
+	if st := l.Stats(); st.TicketsIssued == 0 {
+		t.Fatalf("server minted no session ticket; handshake was not encrypted: %v", st)
+	}
 }
 
 // TestDowngradeStripE2E runs the classic downgrade MITM over real
@@ -168,7 +169,7 @@ func TestSealedWireNoPlaintext(t *testing.T) {
 // hoping both ends fall back to plaintext. The server must drop the
 // Connect statelessly and the dial must fail — never connect unsealed.
 func TestDowngradeStripE2E(t *testing.T) {
-	skipIfEnvNoEncrypt(t)
+	skipIfCleartext(t)
 	l, err := Listen("127.0.0.1:0", core.Permissive(1e6))
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestDowngradeStripE2E(t *testing.T) {
 // dial from the same endpoint to the same server redeems the cached
 // ticket, the server opens the 0-RTT data, and both sides' stats agree.
 func TestZeroRTTResumeE2E(t *testing.T) {
-	skipIfEnvNoEncrypt(t)
+	skipIfCleartext(t)
 	l, err := Listen("127.0.0.1:0", core.Permissive(1e6))
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +330,7 @@ func sendEpoch(c *Conn) uint8 {
 // server's feedback both cross the boundary mid-flow, every byte
 // arrives, neither sealer ever refuses and nothing fails to open.
 func TestKeyUpdateE2E(t *testing.T) {
-	skipIfEnvNoEncrypt(t)
+	skipIfCleartext(t)
 	const keyUpdateInterval = 1 << 24 // qcrypto's, unexported
 	l, err := Listen("127.0.0.1:0", core.Permissive(1e6))
 	if err != nil {

@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,10 +21,6 @@ import (
 // maxDatagram bounds receive buffers; QTP frames are MSS + header.
 const maxDatagram = bufpool.Size
 
-// defaultAcceptBacklog is the accept-queue depth when
-// EndpointConfig.AcceptBacklog is unset.
-const defaultAcceptBacklog = 64
-
 // closeGrace is how long a connection closed by the application while
 // its protocol exchange is still in flight stays routable — a TIME_WAIT
 // analogue. During the grace the state machine still acknowledges
@@ -34,18 +30,40 @@ const defaultAcceptBacklog = 64
 // silent.
 const closeGrace = 3 * time.Second
 
-// envNoBatchIO (QTPNET_NOBATCH, non-empty) forces DisableBatchIO on
-// every endpoint in the process; envNoReusePort (QTPNET_NOREUSEPORT,
-// non-empty) forces sharded endpoints down to the portable single-shard
-// fallback; envNoGSO (QTPNET_NOGSO, non-empty) keeps segment offload
-// off so the sendmmsg path runs even on GSO-capable kernels. CI uses
-// all three to exercise the fallback data paths on linux, where the
-// batch, reuseport and offload implementations would otherwise always
-// win. Read per construction, not at init, so tests can flip them.
-func envNoBatchIO() bool   { return os.Getenv("QTPNET_NOBATCH") != "" }
-func envNoReusePort() bool { return os.Getenv("QTPNET_NOREUSEPORT") != "" }
-func envNoGSO() bool       { return os.Getenv("QTPNET_NOGSO") != "" }
-func envNoEncrypt() bool   { return os.Getenv("QTPNET_NOENCRYPT") != "" }
+// Defaults for the two queue depths a config may leave unset, and the
+// values that are deliberately not configurable at all.
+const (
+	// defaultAcceptBacklog is the accept-queue depth when
+	// EndpointConfig.AcceptBacklog is unset.
+	defaultAcceptBacklog = 64
+	// defaultReadQueue is the per-connection delivery queue depth when
+	// EndpointConfig.ReadQueue is unset.
+	defaultReadQueue = 64
+	// minAcceptBurst floors the accept token bucket's depth, which is
+	// otherwise one second's worth of AcceptRate.
+	minAcceptBurst = 8
+	// socketBufferBytes is the receive and send buffering asked of the
+	// kernel (best-effort: it clamps to net.core.{r,w}mem_max). It
+	// matters once segment offload is in play — one GRO super-datagram
+	// can be 64 KiB, a third of the usual 208 KiB default, so an unlucky
+	// burst tail-drops whole trains where the per-frame path would have
+	// shed a few packets. With SO_TXTIME pacing active the request
+	// halves: fq-paced trains arrive spread out instead of as
+	// micro-bursts and need less burst absorption.
+	socketBufferBytes      = 2 << 20
+	socketBufferBytesPaced = 1 << 20
+)
+
+// zeroConfig is what an EndpointConfig's zero DataPath and
+// DisableEncryption resolve to. It is the zero value — best rung,
+// sealed — in every build; only this package's TestMain writes it, so
+// the whole suite can be re-run on a lower rung or in cleartext
+// (-args -datapath=…, -cleartext) without anything a deployed process
+// could set.
+var zeroConfig struct {
+	dataPath  DataPath
+	cleartext bool
+}
 
 // ErrEndpointClosed is returned by calls on a closed endpoint.
 var ErrEndpointClosed = errors.New("qtpnet: endpoint closed")
@@ -67,21 +85,12 @@ type EndpointConfig struct {
 	// Beyond it the oldest chunk is dropped so one stalled reader cannot
 	// wedge the endpoint; raise it for bursty high-rate receivers.
 	ReadQueue int
-	// DisableBatchIO drops the endpoint to the bottom rung of the data-
-	// path ladder (docs/DATAPATH.md): the portable one-syscall-per-
-	// datagram socket path, skipping recvmmsg/sendmmsg batching and,
-	// by implication, the GSO/GRO rung and TXTIME pacing stacked on
-	// top of it. The endpoint behaves identically on every rung; tests
-	// use this to prove it, and it is an escape hatch should a
-	// platform's batch path misbehave. Sealed datagrams (docs/WIRE.md)
-	// travel every rung unchanged — encryption is orthogonal.
-	DisableBatchIO bool
-	// DisableGSO keeps UDP segment offload (UDP_SEGMENT/UDP_GRO) off
-	// this endpoint's socket even where the kernel supports it, pinning
-	// sends to plain sendmmsg. Implied by DisableBatchIO and by the
-	// QTPNET_NOGSO environment override; semantics are identical either
-	// way, which the equivalence tests prove.
-	DisableGSO bool
+	// DataPath caps how high the endpoint climbs the data-path ladder
+	// (docs/DATAPATH.md); the zero value takes the best rung the socket
+	// probes in. The endpoint behaves identically on every rung, and
+	// sealed datagrams (docs/WIRE.md) travel every rung unchanged —
+	// encryption is orthogonal.
+	DataPath DataPath
 	// DisableUring is ignored: the data path has no io_uring rung.
 	//
 	// Deprecated: kept only because the repo benchmark, which later
@@ -94,40 +103,34 @@ type EndpointConfig struct {
 	// on its own once the accept queue is half full (spending one HMAC
 	// per datagram beats spending a conn struct per spoofed source).
 	RequireToken bool
-	// TokenLifetime is how long a minted source-address token validates,
-	// and the key rotation cadence (default 10s). Tokens stay valid
-	// across one rotation (two-key window), so the effective acceptance
-	// horizon is up to 2x this under rotation skew.
-	TokenLifetime time.Duration
 	// AcceptRate, when positive, caps new responder creation at this
 	// many connections per second (per shard on a sharded endpoint) via
-	// a token bucket of depth AcceptBurst (default max(AcceptRate, 8)).
-	// Connects beyond the budget are shed statelessly with a Retry
-	// carrying a Retry-after hint rather than silently dropped, so
-	// legitimate dialers back off and try again.
-	AcceptRate  float64
-	AcceptBurst int
+	// a token bucket one second deep (at least 8). Connects beyond the
+	// budget are shed statelessly with a Retry carrying a Retry-after
+	// hint rather than silently dropped, so legitimate dialers back off
+	// and try again.
+	AcceptRate float64
 	// DisableEncryption turns off the always-on datagram encryption:
 	// handshakes carry no key shares and every frame travels in
 	// plaintext, as before PR 8. Interop/debug escape hatch only — both
 	// ends must agree (an encrypted endpoint refuses plaintext peers and
-	// vice versa). Implied by the QTPNET_NOENCRYPT environment override.
+	// vice versa).
 	DisableEncryption bool
-	// TicketLifetime is how long a minted session ticket can redeem
-	// 0-RTT resumption, and the ticket-key rotation cadence (default 10
-	// minutes). Like source-address tokens, tickets survive one rotation.
-	TicketLifetime time.Duration
-	// SocketBufferBytes asks the kernel for this much receive and send
-	// buffering on the socket (negative to leave the system default).
-	// The default is 2 MiB — or 1 MiB when SO_TXTIME pacing is active,
-	// since fq-paced trains arrive spread out instead of as micro-
-	// bursts and need less burst absorption. Best-effort: the kernel
-	// clamps to net.core.{r,w}mem_max. Matters once segment offload is
-	// in play — a single GRO super-datagram can be 64 KiB, a third of
-	// the usual 208 KiB default, so an unlucky burst tail-drops whole
-	// trains (dozens of frames in one loss event) where the per-frame
-	// path would have shed a few packets.
-	SocketBufferBytes int
+}
+
+// resolved fills in what the config left at zero.
+func (cfg EndpointConfig) resolved() EndpointConfig {
+	if cfg.AcceptBacklog <= 0 {
+		cfg.AcceptBacklog = defaultAcceptBacklog
+	}
+	if cfg.ReadQueue <= 0 {
+		cfg.ReadQueue = defaultReadQueue
+	}
+	if cfg.DataPath == DataPathAuto {
+		cfg.DataPath = zeroConfig.dataPath
+	}
+	cfg.DisableEncryption = cfg.DisableEncryption || zeroConfig.cleartext
+	return cfg
 }
 
 // EndpointStats is a snapshot of an endpoint's datagram-path counters.
@@ -321,6 +324,7 @@ type peerKey struct {
 type Endpoint struct {
 	pc    *net.UDPConn
 	bio   batchIO
+	caps  *pathCaps
 	tx    *sendScheduler
 	epoch time.Time
 	cfg   EndpointConfig
@@ -346,8 +350,9 @@ type Endpoint struct {
 	readErr    error
 	sendErr    error
 	// Accept token bucket (guarded by mu): hsTokens is the current
-	// balance, refilled at cfg.AcceptRate up to cfg.AcceptBurst.
+	// balance, refilled at cfg.AcceptRate up to hsBurst.
 	hsTokens float64
+	hsBurst  float64
 	hsLast   time.Duration
 	// resume caches the latest resumption state harvested per peer
 	// (guarded by mu): the next Dial to that address pops it and sends
@@ -441,49 +446,23 @@ func listenUDP(addr string) (*net.UDPConn, error) {
 // sharded constructor uses it to stand one endpoint per reuseport
 // socket.
 func newEndpointOn(pc *net.UDPConn, cfg EndpointConfig, sh shardEnv) *Endpoint {
-	cfg.AcceptBacklog = acceptBacklog(cfg)
-	if cfg.ReadQueue <= 0 {
-		cfg.ReadQueue = 64
-	}
-	if cfg.AcceptRate > 0 && cfg.AcceptBurst <= 0 {
-		cfg.AcceptBurst = int(cfg.AcceptRate)
-		if cfg.AcceptBurst < 8 {
-			cfg.AcceptBurst = 8
-		}
-	}
-	if envNoBatchIO() {
-		cfg.DisableBatchIO = true
-	}
-	if envNoGSO() {
-		cfg.DisableGSO = true
-	}
-	if envNoEncrypt() {
-		cfg.DisableEncryption = true
-	}
+	cfg = cfg.resolved()
 	// The data path is built before the socket buffers are sized: with
 	// SO_TXTIME pacing active, flushes leave the socket as fq-scheduled
 	// release instants instead of micro-bursts, so the burst-absorption
-	// floor halves.
-	bio := newBatchIO(pc, rxBatch, batchOpts{
-		noBatch: cfg.DisableBatchIO,
-		noGSO:   cfg.DisableGSO,
-	})
-	if cfg.SocketBufferBytes == 0 {
-		cfg.SocketBufferBytes = 2 << 20
-		if tw, ok := bio.(txTimeWriter); ok && tw.txTimeOn() {
-			cfg.SocketBufferBytes = 1 << 20
-		}
+	// floor halves. Best-effort: an endpoint still works (just drops
+	// more under burst) if the kernel refuses the request outright.
+	bio, caps := newBatchIO(pc, rxBatch, cfg.DataPath)
+	bufBytes := socketBufferBytes
+	if caps.txClock != nil {
+		bufBytes = socketBufferBytesPaced
 	}
-	if cfg.SocketBufferBytes > 0 {
-		// Best-effort: the kernel clamps to its rmem_max/wmem_max caps,
-		// and an endpoint still works (just drops more under burst) if
-		// the request is refused outright.
-		_ = pc.SetReadBuffer(cfg.SocketBufferBytes)
-		_ = pc.SetWriteBuffer(cfg.SocketBufferBytes)
-	}
+	_ = pc.SetReadBuffer(bufBytes)
+	_ = pc.SetWriteBuffer(bufBytes)
 	e := &Endpoint{
 		pc:       pc,
 		bio:      bio,
+		caps:     caps,
 		epoch:    time.Now(),
 		cfg:      cfg,
 		shard:    sh,
@@ -501,19 +480,18 @@ func newEndpointOn(pc *net.UDPConn, cfg EndpointConfig, sh shardEnv) *Endpoint {
 	if cfg.AcceptInbound {
 		e.minter = sh.minter
 		if e.minter == nil {
-			e.minter = packet.NewTokenMinter(cfg.TokenLifetime)
+			e.minter = packet.NewTokenMinter(0)
 		}
 		if !cfg.DisableEncryption {
 			e.tickets = sh.tickets
 			if e.tickets == nil {
-				e.tickets = qcrypto.NewTicketStore(cfg.TicketLifetime)
+				e.tickets = qcrypto.NewTicketStore(0)
 			}
 		}
-		e.hsTokens = float64(cfg.AcceptBurst)
+		e.hsBurst = math.Max(cfg.AcceptRate, minAcceptBurst)
+		e.hsTokens = e.hsBurst
 	}
-	// maxDelay 0: the endpoint flushes at its own round boundaries (end
-	// of each receive batch and timer round) instead of lingering.
-	e.tx = newSendScheduler(e.bio, txBatch, 0, e.onSendFatal)
+	e.tx = newSendScheduler(bio, caps, txBatch, e.onSendFatal)
 	go e.readLoop()
 	go e.timerLoop()
 	return e
@@ -560,69 +538,59 @@ func (e *Endpoint) Stats() EndpointStats {
 		TicketsIssued:   e.ticketsIssued.Load(),
 		ZeroRTTAccepted: e.zeroRTTAccepted.Load(),
 		ZeroRTTRejected: e.zeroRTTRejected.Load(),
-	}
-	if so, ok := e.bio.(segmentOffloader); ok {
-		st.GsoFallbacks = so.gsoFallbacks()
+
+		GsoFallbacks: e.caps.gsoFallbacks.Load(),
+		TxTimeSends:  e.caps.txTimeSends.Load(),
 	}
 	st.Wakeups = st.RecvBatches
-	if tw, ok := e.bio.(txTimeWriter); ok {
-		st.TxTimeSends = tw.txTimeSendCount()
-	}
 	return st
 }
 
-// BatchEnabled reports whether the endpoint moves datagrams with
-// recvmmsg/sendmmsg — false on the portable one-datagram-per-syscall
-// rung (non-linux platforms, DisableBatchIO, QTPNET_NOBATCH).
-func (e *Endpoint) BatchEnabled() bool {
-	_, portable := e.bio.(singleIO)
-	return !portable
+// Capabilities is the data path an endpoint's socket probed in at bind,
+// under its DataPath ceiling; all false on the portable rung.
+type Capabilities struct {
+	Batch  bool // datagrams move with recvmmsg/sendmmsg
+	GSO    bool // sends coalesce into UDP_SEGMENT trains; clears if the kernel refuses one
+	GRO    bool // UDP_GRO is on: inbound bursts may arrive kernel-merged
+	TxTime bool // sends may carry SO_TXTIME release stamps (spacing needs an fq qdisc)
 }
 
-// GSOEnabled reports whether the endpoint's socket sends segment
-// trains via UDP_SEGMENT — true only on a GSO-capable linux kernel
-// with offload neither disabled (DisableGSO, QTPNET_NOGSO) nor
-// tripped off by a mid-life send refusal.
-func (e *Endpoint) GSOEnabled() bool {
-	if so, ok := e.bio.(segmentOffloader); ok {
-		return so.gsoMaxSegs() > 1
+// String names the rung of the data-path ladder the capabilities
+// amount to.
+func (c Capabilities) String() string {
+	switch {
+	case c.GSO:
+		return "recvmmsg/sendmmsg + GSO/GRO"
+	case c.Batch:
+		return "recvmmsg/sendmmsg"
 	}
-	return false
+	return "single-datagram fallback"
 }
 
-// GROEnabled reports whether UDP_GRO is enabled on the endpoint's
-// socket, i.e. whether inbound bursts may arrive kernel-merged.
-func (e *Endpoint) GROEnabled() bool {
-	if so, ok := e.bio.(segmentOffloader); ok {
-		return so.groOn()
+// Capabilities reports what the endpoint's data path can do right now.
+func (e *Endpoint) Capabilities() Capabilities {
+	return Capabilities{
+		Batch:  e.caps.batch,
+		GSO:    e.caps.gsoMaxSegs.Load() > 1,
+		GRO:    e.caps.gro,
+		TxTime: e.caps.txClock != nil,
 	}
-	return false
 }
 
-// UringEnabled always reports false: the data path has no io_uring
-// rung.
+// BatchEnabled, GSOEnabled, GROEnabled and TxTimeEnabled each report
+// one field of Capabilities.
+func (e *Endpoint) BatchEnabled() bool  { return e.Capabilities().Batch }
+func (e *Endpoint) GSOEnabled() bool    { return e.Capabilities().GSO }
+func (e *Endpoint) GROEnabled() bool    { return e.Capabilities().GRO }
+func (e *Endpoint) TxTimeEnabled() bool { return e.Capabilities().TxTime }
+
+// UringEnabled and UringDeferred always report false: the data path has
+// no io_uring rung.
 //
 // Deprecated: kept only because the repo benchmark, which later
-// changes may not edit, calls it (benchmark/README.md, "Entry points").
-func (e *Endpoint) UringEnabled() bool { return false }
-
-// UringDeferred always reports false, like UringEnabled.
-//
-// Deprecated: kept only because the repo benchmark, which later
-// changes may not edit, calls it (benchmark/README.md, "Entry points").
+// changes may not edit, calls them (benchmark/README.md, "Entry points").
+func (e *Endpoint) UringEnabled() bool  { return false }
 func (e *Endpoint) UringDeferred() bool { return false }
-
-// TxTimeEnabled reports whether sends may carry SO_TXTIME release
-// stamps, i.e. whether the kernel accepted the pacing setsockopt
-// (never on the portable rung, which does not probe). Actual on-wire
-// spacing additionally needs an fq qdisc on the egress path; without
-// one the stamps are ignored and sends leave immediately.
-func (e *Endpoint) TxTimeEnabled() bool {
-	if tw, ok := e.bio.(txTimeWriter); ok {
-		return tw.txTimeOn()
-	}
-	return false
-}
 
 // SocketBufSizes reports the effective SO_RCVBUF/SO_SNDBUF values as
 // the kernel holds them, so callers (qtpd -v) can verify the
@@ -1256,9 +1224,7 @@ func (e *Endpoint) takeAcceptTokenLocked() bool {
 	now := e.now()
 	if now > e.hsLast {
 		e.hsTokens += e.cfg.AcceptRate * (now - e.hsLast).Seconds()
-		if burst := float64(e.cfg.AcceptBurst); e.hsTokens > burst {
-			e.hsTokens = burst
-		}
+		e.hsTokens = math.Min(e.hsTokens, e.hsBurst)
 		e.hsLast = now
 	}
 	if e.hsTokens < 1 {

@@ -74,26 +74,26 @@ func TestGSOCmsgEncoding(t *testing.T) {
 
 // TestPlatformOffloadProbe exercises the real bind-time probe: on this
 // kernel the mmsg implementation either detects UDP_SEGMENT (and then
-// must also advertise a sane train ceiling) or reports fallback; with
-// disableGSO the probe must never run, whatever the kernel offers.
+// must also advertise a sane train ceiling) or reports fallback; under
+// a DataPathMmsg ceiling the probe must never run, whatever the kernel
+// offers.
 func TestPlatformOffloadProbe(t *testing.T) {
 	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	bio := newPlatformBatchIO(pc, rxBatch, batchOpts{})
-	if bio == nil {
+	caps := &pathCaps{}
+	if newPlatformBatchIO(pc, rxBatch, DataPathAuto, caps) == nil {
 		t.Fatal("mmsg path unavailable on linux")
 	}
-	m := bio.(*mmsgIO)
-	switch m.gsoMaxSegs() {
+	switch n := caps.gsoMaxSegs.Load(); n {
 	case 0:
 		t.Logf("gso probe decision: fallback (kernel without UDP_SEGMENT)")
 	case gsoMaxSegments:
-		t.Logf("gso probe decision: offload (max %d segs/train, gro=%v)", gsoMaxSegments, m.groOn())
+		t.Logf("gso probe decision: offload (max %d segs/train, gro=%v)", gsoMaxSegments, caps.gro)
 	default:
-		t.Fatalf("gsoMaxSegs = %d, want 0 or %d", m.gsoMaxSegs(), gsoMaxSegments)
+		t.Fatalf("gsoMaxSegs = %d, want 0 or %d", n, gsoMaxSegments)
 	}
 
 	pc2, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -101,8 +101,10 @@ func TestPlatformOffloadProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc2.Close()
-	m2 := newPlatformBatchIO(pc2, rxBatch, batchOpts{noGSO: true}).(*mmsgIO)
-	if m2.gsoMaxSegs() != 0 || m2.groOn() {
-		t.Fatal("disableGSO did not keep the probe off")
+	caps2 := &pathCaps{}
+	newPlatformBatchIO(pc2, rxBatch, DataPathMmsg, caps2)
+	if !caps2.batch || caps2.gsoMaxSegs.Load() != 0 || caps2.gro {
+		t.Fatalf("DataPathMmsg ceiling: batch=%v gso=%d gro=%v, want true 0 false",
+			caps2.batch, caps2.gsoMaxSegs.Load(), caps2.gro)
 	}
 }

@@ -8,20 +8,19 @@ import (
 	"repro/internal/core"
 )
 
-// fakeGSOWriter is a fakeWriter that advertises segment-offload
-// capability, so scheduler tests can exercise train coalescing
+// gsoCaps is the capabilities of a writer that accepts segment trains
+// of up to maxSegs, so scheduler tests can exercise train coalescing
 // without a GSO-capable kernel.
-type fakeGSOWriter struct {
-	fakeWriter
-	maxSegs int
+func gsoCaps(maxSegs int32) *pathCaps {
+	caps := &pathCaps{batch: true}
+	caps.gsoMaxSegs.Store(maxSegs)
+	return caps
 }
 
-func (w *fakeGSOWriter) gsoMaxSegs() int { return w.maxSegs }
-
 // TestGSOProbeDecision pins the capability probe's contract: the
-// detect-or-fallback decision is observable (GSOEnabled/GROEnabled)
-// and logged — CI's gso-probe job greps for the decision line — and
-// the QTPNET_NOGSO override forces the fallback on any kernel.
+// detect-or-fallback decision is observable (Capabilities) and logged —
+// CI's datapath job greps for the decision line — and a DataPathMmsg
+// ceiling forces the fallback on any kernel.
 func TestGSOProbeDecision(t *testing.T) {
 	e, err := NewEndpoint("127.0.0.1:0", EndpointConfig{})
 	if err != nil {
@@ -34,16 +33,15 @@ func TestGSOProbeDecision(t *testing.T) {
 		t.Logf("gso probe decision: fallback (sendmmsg; gro=%v)", e.GROEnabled())
 	}
 
-	t.Setenv("QTPNET_NOGSO", "1")
-	e2, err := NewEndpoint("127.0.0.1:0", EndpointConfig{})
+	e2, err := NewEndpoint("127.0.0.1:0", EndpointConfig{DataPath: DataPathMmsg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e2.Close()
 	if e2.GSOEnabled() || e2.GROEnabled() {
-		t.Fatal("QTPNET_NOGSO did not force segment offload off")
+		t.Fatal("DataPathMmsg did not keep segment offload off")
 	}
-	t.Logf("gso probe decision: fallback (QTPNET_NOGSO override)")
+	t.Logf("gso probe decision: fallback (DataPathMmsg ceiling)")
 }
 
 // TestGROSlicing feeds expandGRO a hand-built super-datagram — three
@@ -92,8 +90,8 @@ func TestGROSlicing(t *testing.T) {
 // concatenated payload, tagged with the segment size, with the train
 // counters advanced and the wire-datagram count preserved.
 func TestSchedulerGSOCoalescing(t *testing.T) {
-	w := &fakeGSOWriter{maxSegs: 8}
-	s := newSendScheduler(w, 16, 0, nil)
+	w := &fakeWriter{}
+	s := newSendScheduler(w, gsoCaps(8), 16, nil)
 	defer s.stop()
 
 	const frames, size = 5, 100
@@ -135,8 +133,8 @@ func TestSchedulerGSOCoalescing(t *testing.T) {
 // queue, coalescing may regroup frames across destinations but must
 // keep each destination's frames in exactly their enqueue order.
 func TestSchedulerCoalesceInterleaved(t *testing.T) {
-	w := &fakeGSOWriter{maxSegs: 64}
-	s := newSendScheduler(w, 32, 0, nil)
+	w := &fakeWriter{}
+	s := newSendScheduler(w, gsoCaps(64), 32, nil)
 	defer s.stop()
 
 	const perDest, size = 6, 64
@@ -178,8 +176,8 @@ func TestSchedulerCoalesceInterleaved(t *testing.T) {
 // their edges: a shorter frame may only close a train, a longer one
 // starts over, and lone frames pass through as plain datagrams.
 func TestSchedulerCoalesceMixedSizes(t *testing.T) {
-	w := &fakeGSOWriter{maxSegs: 64}
-	s := newSendScheduler(w, 32, 0, nil)
+	w := &fakeWriter{}
+	s := newSendScheduler(w, gsoCaps(64), 32, nil)
 	defer s.stop()
 
 	addr := testAddr(6200)
@@ -215,8 +213,8 @@ func TestSchedulerCoalesceMixedSizes(t *testing.T) {
 // TestSchedulerCoalesceRespectsMaxSegs checks a long run splits at the
 // writer's segment ceiling rather than overflowing one train.
 func TestSchedulerCoalesceRespectsMaxSegs(t *testing.T) {
-	w := &fakeGSOWriter{maxSegs: 4}
-	s := newSendScheduler(w, 32, 0, nil)
+	w := &fakeWriter{}
+	s := newSendScheduler(w, gsoCaps(4), 32, nil)
 	defer s.stop()
 
 	addr := testAddr(6300)
@@ -250,7 +248,7 @@ func TestSchedulerCoalesceRespectsMaxSegs(t *testing.T) {
 // TestGSOEquivalence proves the GSO/GRO path and the plain sendmmsg
 // path are interchangeable: a 64-connection fan-out moves byte-identical
 // streams across every offload pairing, so kernels without
-// UDP_SEGMENT (and QTPNET_NOGSO escapes) lose only syscall efficiency,
+// UDP_SEGMENT (and DataPathMmsg escapes) lose only syscall efficiency,
 // never behavior. On a kernel without GSO every pairing degenerates to
 // the sendmmsg path and the test still must pass.
 func TestGSOEquivalence(t *testing.T) {
@@ -259,20 +257,20 @@ func TestGSOEquivalence(t *testing.T) {
 	}
 	const nConns, perConn = 64, 8 << 10
 	cases := []struct {
-		name              string
-		clientOff, srvOff bool
+		name        string
+		client, srv DataPath
 	}{
-		{"gso_to_nogso", false, true},
-		{"nogso_to_gso", true, false},
-		{"gso_to_gso", false, false},
-		{"nogso_to_nogso", true, true},
+		{"gso_to_nogso", DataPathAuto, DataPathMmsg},
+		{"nogso_to_gso", DataPathMmsg, DataPathAuto},
+		{"gso_to_gso", DataPathAuto, DataPathAuto},
+		{"nogso_to_nogso", DataPathMmsg, DataPathMmsg},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			se, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{
 				AcceptInbound: true,
 				Constraints:   core.Permissive(1e7),
-				DisableGSO:    tc.srvOff,
+				DataPath:      tc.srv,
 			}, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -280,7 +278,7 @@ func TestGSOEquivalence(t *testing.T) {
 			l := &Listener{se: se}
 			defer l.Close()
 			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
-				DisableGSO: tc.clientOff,
+				DataPath: tc.client,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -292,7 +290,7 @@ func TestGSOEquivalence(t *testing.T) {
 			cst, sst := client.Stats(), se.Stats()
 			t.Logf("client gso=%v %v", client.GSOEnabled(), cst)
 			t.Logf("server gso=%v %v", se.Shard(0).GSOEnabled(), sst)
-			if tc.clientOff && cst.GsoTrains != 0 {
+			if tc.client != DataPathAuto && cst.GsoTrains != 0 {
 				t.Errorf("offload-disabled client sent %d trains", cst.GsoTrains)
 			}
 			if err := client.Err(); err != nil {

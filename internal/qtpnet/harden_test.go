@@ -49,10 +49,10 @@ func rawConnect(t *testing.T, cid uint32, token []byte) []byte {
 	hs.ConnID = cid
 	hs.Token = token
 	// An encrypted server statelessly drops key-share-less Connects; a
-	// plaintext one (QTPNET_NOENCRYPT leg) speaks the pre-encryption
+	// plaintext one (the -cleartext leg) speaks the pre-encryption
 	// handshake, where the smaller Connect also keeps the 3x
 	// amplification allowance at its historical size.
-	if !envNoEncrypt() {
+	if !zeroConfig.cleartext {
 		hs.KeyShare = rawKeyShare
 	}
 	payload, err := hs.AppendTo(nil)

@@ -21,8 +21,8 @@
 // X25519 key share carried in the handshake TLVs and ratcheted forward
 // every 2^24 datagrams, with encrypted session tickets enabling 0-RTT
 // resumption. docs/WIRE.md specifies
-// the bytes, docs/SECURITY.md the threat model; WithNoEncryption is
-// the interop/debug escape hatch.
+// the bytes, docs/SECURITY.md the threat model;
+// EndpointConfig.DisableEncryption is the interop/debug escape hatch.
 //
 // The unit of multi-core scaling is the ShardedEndpoint: N Endpoints
 // bound to one port via SO_REUSEPORT, kernel-hashed, with the owning
@@ -40,58 +40,16 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/packet"
 )
 
-// Option configures Listen and Dial.
+// Option configures Listen and Dial. There are two: every endpoint
+// setting lives once, in EndpointConfig, and the shard count is the one
+// thing that is not a per-endpoint setting.
 type Option func(*epOptions)
 
 type epOptions struct {
-	shards        int
-	base          *EndpointConfig
-	noGSO         bool
-	noEncrypt     bool
-	requireToken  bool
-	acceptRate    float64
-	congestion    packet.CongestionMode
-	congestionSet bool
-}
-
-// listenerOnly returns the name of the first supplied option that has
-// no meaning on a dialer, or "" when every option applies. Dial fails
-// fast on these rather than silently dropping them.
-func (o *epOptions) listenerOnly() string {
-	if o.requireToken {
-		return "WithRequireToken"
-	}
-	if o.acceptRate > 0 {
-		return "WithAcceptRate"
-	}
-	return ""
-}
-
-// config folds the options into the EndpointConfig shared by Dial and
-// Listen: the WithEndpointConfig base (zero otherwise) with each
-// targeted option applied on top. Listen then stamps the fields it
-// owns (AcceptInbound, Constraints) over the result.
-func (o *epOptions) config() EndpointConfig {
-	var cfg EndpointConfig
-	if o.base != nil {
-		cfg = *o.base
-	}
-	if o.noGSO {
-		cfg.DisableGSO = true
-	}
-	if o.noEncrypt {
-		cfg.DisableEncryption = true
-	}
-	if o.requireToken {
-		cfg.RequireToken = true
-	}
-	if o.acceptRate > 0 {
-		cfg.AcceptRate = o.acceptRate
-	}
-	return cfg
+	shards int
+	cfg    EndpointConfig
 }
 
 // WithShards runs the endpoint as n SO_REUSEPORT shards (one socket,
@@ -103,60 +61,12 @@ func WithShards(n int) Option {
 	return func(o *epOptions) { o.shards = n }
 }
 
-// WithNoGSO keeps UDP segment offload off the endpoint's socket(s),
-// pinning sends to plain sendmmsg even on GSO-capable kernels (see
-// EndpointConfig.DisableGSO; the QTPNET_NOGSO environment variable
-// forces the same process-wide).
-func WithNoGSO() Option {
-	return func(o *epOptions) { o.noGSO = true }
-}
-
-// WithNoEncryption turns off datagram sealing and runs the legacy
-// plaintext protocol (see EndpointConfig.DisableEncryption; the
-// QTPNET_NOENCRYPT environment variable forces the same process-wide).
-// Interop/debug escape hatch only: both ends must agree, since an
-// encrypted endpoint statelessly drops plaintext Connects and a
-// plaintext endpoint cannot open sealed datagrams.
-func WithNoEncryption() Option {
-	return func(o *epOptions) { o.noEncrypt = true }
-}
-
-// WithRequireToken makes the listener challenge every token-less
-// Connect with a stateless Retry carrying an HMAC source-address token,
-// allocating no connection state until the token comes back valid (see
-// EndpointConfig.RequireToken). Dial-side support is automatic: the
-// initiator transparently retries with the token inside its bounded
-// handshake attempts.
-func WithRequireToken() Option {
-	return func(o *epOptions) { o.requireToken = true }
-}
-
-// WithAcceptRate caps new inbound connection creation at n per second
-// per shard via a token bucket (see EndpointConfig.AcceptRate);
-// Connects beyond the budget are shed statelessly with a Retry-after
-// hint. n <= 0 leaves admission unlimited.
-func WithAcceptRate(n float64) Option {
-	return func(o *epOptions) { o.acceptRate = n }
-}
-
-// WithCongestion selects the congestion-control machinery. On Dial it
-// overrides the profile argument's Congestion field — the mode rides a
-// handshake TLV and falls back to TFRC if the responder declines (or
-// predates the TLV). On Listen, CongestionBBR additionally flips
-// Constraints.AllowBBR so the responder may grant what dialers propose;
-// CongestionTFRC leaves constraints alone (TFRC is always grantable).
-func WithCongestion(mode packet.CongestionMode) Option {
-	return func(o *epOptions) { o.congestion = mode; o.congestionSet = true }
-}
-
-// WithEndpointConfig seeds the whole EndpointConfig instead of going
-// through one targeted option at a time — the escape hatch for settings
-// without a dedicated With* helper (read queues, accept backlogs,
-// batch-IO rungs, token lifetimes). Targeted options given alongside it
-// are applied on top of the seed, and Listen still owns AcceptInbound
-// and Constraints.
+// WithEndpointConfig sets the EndpointConfig the implicit endpoint is
+// built from. Listen still owns AcceptInbound and Constraints; fields
+// that only matter to an accepting endpoint (RequireToken, AcceptRate)
+// are inert on Dial.
 func WithEndpointConfig(cfg EndpointConfig) Option {
-	return func(o *epOptions) { o.base = &cfg }
+	return func(o *epOptions) { o.cfg = cfg }
 }
 
 func applyOptions(opts []Option) epOptions {
@@ -174,36 +84,16 @@ func applyOptions(opts []Option) epOptions {
 // its socket(s).
 func Dial(addr string, profile core.Profile, timeout time.Duration, opts ...Option) (*Conn, error) {
 	o := applyOptions(opts)
-	if name := o.listenerOnly(); name != "" {
-		return nil, fmt.Errorf("qtpnet: dial %s: %s is a listener-only option", addr, name)
-	}
-	if o.congestionSet {
-		profile.Congestion = o.congestion
-	}
-	cfg := o.config()
-	if o.shards != 1 {
-		se, err := NewShardedEndpoint(":0", cfg, o.shards)
-		if err != nil {
-			return nil, err
-		}
-		c, err := se.Dial(addr, profile, timeout)
-		if err != nil {
-			se.Close()
-			return nil, err
-		}
-		c.owner = se
-		return c, nil
-	}
-	e, err := NewEndpoint(":0", cfg)
+	se, err := NewShardedEndpoint(":0", o.cfg, o.shards)
 	if err != nil {
 		return nil, err
 	}
-	c, err := e.Dial(addr, profile, timeout)
+	c, err := se.Dial(addr, profile, timeout)
 	if err != nil {
-		e.Close()
+		se.Close()
 		return nil, err
 	}
-	c.owner = e
+	c.owner = se
 	return c, nil
 }
 
@@ -212,13 +102,9 @@ func Dial(addr string, profile core.Profile, timeout time.Duration, opts ...Opti
 // listener runs n kernel-hashed SO_REUSEPORT shards.
 func Listen(addr string, constraints core.Constraints, opts ...Option) (*Listener, error) {
 	o := applyOptions(opts)
-	cfg := o.config()
-	cfg.AcceptInbound = true
-	cfg.Constraints = constraints
-	if o.congestionSet && o.congestion == packet.CongestionBBR {
-		cfg.Constraints.AllowBBR = true
-	}
-	se, err := NewShardedEndpoint(addr, cfg, o.shards)
+	o.cfg.AcceptInbound = true
+	o.cfg.Constraints = constraints
+	se, err := NewShardedEndpoint(addr, o.cfg, o.shards)
 	if err != nil {
 		return nil, fmt.Errorf("qtpnet: listen %s: %w", addr, err)
 	}

@@ -2,11 +2,13 @@ package qtpnet
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/packet"
+	"repro/internal/qtp"
 )
 
 // TestLoopbackTransfer runs a real UDP transfer on loopback: handshake,
@@ -92,6 +94,31 @@ func TestLoopbackTransfer(t *testing.T) {
 	}
 	if !bytes.Equal(r.buf.Bytes(), data) {
 		t.Fatalf("data corrupted: got %d bytes, want %d", r.buf.Len(), total)
+	}
+
+	// Write backpressure: a writer ahead of the transport polls every
+	// 5 ms until room appears or the connection dies. A connection that
+	// never started cannot drain its backlog, so Write parks for as long
+	// as we let it — and must reuse one pooled timer while it does, not
+	// leave a live time.After (three allocations) behind per poll.
+	blocked := newConn(conn.ep, conn.peer, 0)
+	blocked.inner = qtp.NewConn(qtp.Config{Initiator: true, Profile: core.QTPLight(), MaxBacklog: 1})
+	blocked.inner.WriteStream(0, []byte{0})
+	time.AfterFunc(200*time.Millisecond, func() { close(blocked.closedCh) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	n, err := blocked.Write([]byte{1})
+	polls := uint64(time.Since(start) / (5 * time.Millisecond))
+	runtime.ReadMemStats(&after)
+	if n != 0 || err == nil {
+		t.Fatalf("Write on a full backlog = %d, %v; want 0 and the close error", n, err)
+	}
+	// A handful in a normal build; the race detector's sync.Pool drops
+	// a quarter of what is put back, which still stays under one
+	// allocation per poll.
+	if allocs := after.Mallocs - before.Mallocs; allocs > polls*3/2 {
+		t.Errorf("blocked Write allocated %d objects over at most %d polls; the poll timer is not being reused", allocs, polls)
 	}
 }
 

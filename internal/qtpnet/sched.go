@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"repro/internal/bufpool"
 )
@@ -67,10 +66,7 @@ func paceGapNs(frameLen int, rate float64) uint32 {
 // round, then calls flushPending once at the end of the round, so all
 // frames the round produced share syscalls without any added latency.
 // (A deliberate linger delay was measured to slow TFRC's rate ramp —
-// ~30% loopback throughput at 100µs — so the endpoint runs without
-// one.) An optional linger mode (maxDelay > 0, driven by run) flushes a
-// short batch only after maxDelay or as soon as it fills, for drivers
-// without a natural round boundary.
+// ~30% loopback throughput at 100µs — so there is no linger timer.)
 //
 // Whoever calls flushPending and wins the flush token drains the queue;
 // losers just leave their frames for the winner, so a flush in progress
@@ -78,7 +74,6 @@ func paceGapNs(frameLen int, rate float64) uint32 {
 type sendScheduler struct {
 	w        batchWriter
 	maxBatch int
-	maxDelay time.Duration
 	// onFatal is called once, off the enqueue path, when the socket is
 	// persistently unwritable; the endpoint uses it to surface the
 	// error and tear down.
@@ -88,16 +83,13 @@ type sendScheduler struct {
 	q      []ioMsg
 	closed bool
 
-	// gso is non-nil when the writer can carry segment trains; the
-	// flush path then coalesces same-destination, same-size frames
-	// into UDP_SEGMENT super-datagrams.
-	gso segmentWriter
-
-	// txt is non-nil when the writer can attach SO_TXTIME release
-	// stamps; the flush path then converts each message's gapNs into an
-	// absolute CLOCK_MONOTONIC instant against the per-destination
-	// pacing clock below. Both are guarded by the flushing token.
-	txt     txTimeWriter
+	// caps is what the writer's socket probed in at bind. While
+	// caps.gsoMaxSegs > 1 the flush path coalesces same-destination,
+	// same-size frames into UDP_SEGMENT super-datagrams; with a
+	// caps.txClock it converts each message's gapNs into an absolute
+	// release instant against the per-destination pacing clock below,
+	// which the flushing token guards.
+	caps    *pathCaps
 	txClock map[netip.AddrPort]uint64
 
 	flushing  atomic.Bool
@@ -108,10 +100,6 @@ type sendScheduler struct {
 	coal     []ioMsg
 	coalUsed []bool
 	coalIdx  []int
-
-	kick chan struct{} // linger mode: something was enqueued
-	full chan struct{} // linger mode: the queue reached maxBatch
-	done chan struct{}
 
 	fatalOnce sync.Once
 
@@ -128,38 +116,15 @@ type sendScheduler struct {
 	gsoSegs      atomic.Uint64 // frames that traveled inside trains
 }
 
-// batchWriter is the slice of batchIO the scheduler needs; tests
-// substitute fakes.
-type batchWriter interface {
-	writeBatch(ms []ioMsg) (int, error)
-}
-
-// segmentWriter is the optional batchWriter extension for UDP
-// segmentation offload: a writer that can carry a segment train
-// (ioMsg.segSize > 0) as one super-datagram. gsoMaxSegs is re-read
-// before every coalescing pass because capability can flip off
-// mid-life — the kernel may refuse a train the probe promised.
-type segmentWriter interface {
-	batchWriter
-	gsoMaxSegs() int
-}
-
-func newSendScheduler(w batchWriter, maxBatch int, maxDelay time.Duration, onFatal func(error)) *sendScheduler {
+func newSendScheduler(w batchWriter, caps *pathCaps, maxBatch int, onFatal func(error)) *sendScheduler {
 	s := &sendScheduler{
 		w:        w,
+		caps:     caps,
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		onFatal:  onFatal,
 		batch:    make([]ioMsg, 0, maxBatch),
-		kick:     make(chan struct{}, 1),
-		full:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
 	}
-	if g, ok := w.(segmentWriter); ok {
-		s.gso = g
-	}
-	if t, ok := w.(txTimeWriter); ok {
-		s.txt = t
+	if caps.txClock != nil {
 		s.txClock = make(map[netip.AddrPort]uint64)
 	}
 	return s
@@ -168,8 +133,8 @@ func newSendScheduler(w batchWriter, maxBatch int, maxDelay time.Duration, onFat
 // enqueue hands one framed datagram to the scheduler. The frame slice
 // must be pool-backed (bufpool.Get capacity); ownership transfers to
 // the scheduler, which releases it after the flush. enqueue never
-// touches the socket, so it is safe under a connection's lock; in edge
-// mode the caller promises a flushIfFull/flushPending once its current
+// touches the socket, so it is safe under a connection's lock; the
+// caller promises a flushIfFull/flushPending once its current
 // frame-production pass is done.
 func (s *sendScheduler) enqueue(addr netip.AddrPort, frame []byte) {
 	s.enqueuePaced(addr, frame, 0)
@@ -188,16 +153,7 @@ func (s *sendScheduler) enqueuePaced(addr netip.AddrPort, frame []byte, gapNs ui
 		return
 	}
 	s.q = append(s.q, ioMsg{buf: frame, n: len(frame), addr: addr, gapNs: gapNs})
-	n := len(s.q)
 	s.mu.Unlock()
-	if s.maxDelay > 0 {
-		// Linger mode: wake the flusher; tell it to skip the linger
-		// once the batch is full.
-		if n >= s.maxBatch {
-			signal(s.full)
-		}
-		signal(s.kick)
-	}
 }
 
 // flushIfFull flushes only when at least one full batch is queued; the
@@ -206,13 +162,6 @@ func (s *sendScheduler) enqueuePaced(addr netip.AddrPort, frame []byte, gapNs ui
 func (s *sendScheduler) flushIfFull() {
 	if s.pending() >= s.maxBatch {
 		s.flushPending()
-	}
-}
-
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
 	}
 }
 
@@ -230,17 +179,15 @@ func (s *sendScheduler) flushPending() {
 				break
 			}
 			b := s.batch
-			pacing := s.txt != nil && s.txt.txTimeOn()
-			if s.gso != nil {
-				if maxSegs := s.gso.gsoMaxSegs(); maxSegs > 1 {
-					// While pacing, cap train length: a train leaves the
-					// NIC back-to-back regardless of its stamp, so long
-					// trains would undo the spacing TXTIME buys.
-					if pacing && maxSegs > paceMaxTrainSegs {
-						maxSegs = paceMaxTrainSegs
-					}
-					b = s.coalesce(b, maxSegs)
+			pacing := s.caps.txClock != nil
+			if maxSegs := int(s.caps.gsoMaxSegs.Load()); maxSegs > 1 {
+				// While pacing, cap train length: a train leaves the
+				// NIC back-to-back regardless of its stamp, so long
+				// trains would undo the spacing TXTIME buys.
+				if pacing && maxSegs > paceMaxTrainSegs {
+					maxSegs = paceMaxTrainSegs
 				}
+				b = s.coalesce(b, maxSegs)
 			}
 			if pacing {
 				s.stampTxTimes(b)
@@ -259,56 +206,13 @@ func (s *sendScheduler) flushPending() {
 // stop shuts the scheduler down; pending frames are released unsent.
 func (s *sendScheduler) stop() {
 	s.mu.Lock()
-	already := s.closed
 	s.closed = true
 	q := s.q
 	s.q = nil
 	s.mu.Unlock()
-	if !already {
-		close(s.done)
-	}
 	for i := range q {
 		bufpool.Put(q[i].buf)
 		q[i] = ioMsg{}
-	}
-}
-
-// run drives linger mode (maxDelay > 0): sleep until a frame arrives,
-// wait up to maxDelay for the batch to fill — flushing immediately if
-// it does — then flush whatever is queued. Endpoints do not use it;
-// drivers without a round boundary (and the scheduler's tests) do.
-func (s *sendScheduler) run() {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-s.kick:
-		case <-s.done:
-			return
-		}
-		if s.maxDelay > 0 && s.pending() < s.maxBatch {
-			timer.Reset(s.maxDelay)
-			select {
-			case <-timer.C:
-			case <-s.full:
-				stopTimer(timer)
-			case <-s.done:
-				stopTimer(timer)
-				return
-			}
-		}
-		s.flushPending()
-	}
-}
-
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
 	}
 }
 
@@ -346,7 +250,7 @@ func (s *sendScheduler) take(dst []ioMsg) []ioMsg {
 //
 // Runs only the flush-token holder, which also owns txClock.
 func (s *sendScheduler) stampTxTimes(batch []ioMsg) {
-	now := s.txt.nowNs()
+	now := s.caps.txClock()
 	for i := range batch {
 		m := &batch[i]
 		if m.gapNs == 0 {

@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bufpool"
 )
@@ -38,24 +37,6 @@ func (w *fakeWriter) snapshot() [][]ioMsg {
 	return append([][]ioMsg(nil), w.batches...)
 }
 
-func (w *fakeWriter) waitDatagrams(t *testing.T, want int) [][]ioMsg {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		got := 0
-		bs := w.snapshot()
-		for _, b := range bs {
-			got += len(b)
-		}
-		if got >= want {
-			return bs
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %d datagrams", want)
-	return nil
-}
-
 func pooledFrame(tag byte, n int) []byte {
 	b := bufpool.Get()
 	for i := 0; i < n; i++ {
@@ -68,47 +49,12 @@ func testAddr(port uint16) netip.AddrPort {
 	return netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), port)
 }
 
-// TestSchedulerFlushOnSize checks that a queue reaching maxBatch is
-// flushed immediately — as one syscall-sized batch — even though the
-// linger window has not expired.
-func TestSchedulerFlushOnSize(t *testing.T) {
-	w := &fakeWriter{}
-	s := newSendScheduler(w, 4, time.Hour, nil) // linger would be forever
-	go s.run()
-	defer s.stop()
-
-	for i := 0; i < 4; i++ {
-		s.enqueue(testAddr(1000+uint16(i)), pooledFrame(byte(i), 10))
-	}
-	batches := w.waitDatagrams(t, 4)
-	if len(batches[0]) != 4 {
-		t.Fatalf("first flush moved %d datagrams, want the full batch of 4", len(batches[0]))
-	}
-}
-
-// TestSchedulerFlushOnDeadline checks the other trigger: a lone frame
-// must not wait for the batch to fill; the linger deadline flushes it.
-func TestSchedulerFlushOnDeadline(t *testing.T) {
-	w := &fakeWriter{}
-	s := newSendScheduler(w, 32, 5*time.Millisecond, nil)
-	go s.run()
-	defer s.stop()
-
-	start := time.Now()
-	s.enqueue(testAddr(1000), pooledFrame(7, 10))
-	w.waitDatagrams(t, 1)
-	if el := time.Since(start); el > time.Second {
-		t.Fatalf("lone frame took %v to flush", el)
-	}
-}
-
 // TestSchedulerInterleaving checks that frames enqueued by different
 // connections coalesce into shared batches with per-destination
 // integrity and global FIFO order preserved.
 func TestSchedulerInterleaving(t *testing.T) {
 	w := &fakeWriter{}
-	s := newSendScheduler(w, 8, time.Millisecond, nil)
-	go s.run()
+	s := newSendScheduler(w, &pathCaps{}, 8, nil)
 	defer s.stop()
 
 	const conns, frames = 4, 6
@@ -117,7 +63,8 @@ func TestSchedulerInterleaving(t *testing.T) {
 			s.enqueue(testAddr(2000+uint16(c)), pooledFrame(byte(c), 8))
 		}
 	}
-	batches := w.waitDatagrams(t, conns*frames)
+	s.flushPending()
+	batches := w.snapshot()
 
 	var flat []ioMsg
 	multi := 0
@@ -152,11 +99,11 @@ func TestSchedulerInterleaving(t *testing.T) {
 	}
 }
 
-// TestSchedulerEdgeFlush exercises the endpoint's mode: no linger
-// goroutine at all; enqueue + explicit flushPending moves everything.
+// TestSchedulerEdgeFlush exercises the one flush discipline: enqueue +
+// explicit flushPending moves everything, in maxBatch-sized syscalls.
 func TestSchedulerEdgeFlush(t *testing.T) {
 	w := &fakeWriter{}
-	s := newSendScheduler(w, 4, 0, nil)
+	s := newSendScheduler(w, &pathCaps{}, 4, nil)
 	defer s.stop()
 
 	for i := 0; i < 10; i++ {
@@ -182,7 +129,7 @@ func TestSchedulerEdgeFlush(t *testing.T) {
 func TestSchedulerFatalError(t *testing.T) {
 	fatalCh := make(chan error, 4)
 	w := &fakeWriter{fail: net.ErrClosed}
-	s := newSendScheduler(w, 4, 0, func(err error) { fatalCh <- err })
+	s := newSendScheduler(w, &pathCaps{}, 4, func(err error) { fatalCh <- err })
 	defer s.stop()
 
 	s.enqueue(testAddr(4000), pooledFrame(1, 4))
@@ -202,7 +149,7 @@ func TestSchedulerFatalError(t *testing.T) {
 	// Transient errors: counted, skipped, never fatal.
 	w2 := &fakeWriter{fail: errors.New("transient")}
 	fatal2 := make(chan error, 4)
-	s2 := newSendScheduler(w2, 4, 0, func(err error) { fatal2 <- err })
+	s2 := newSendScheduler(w2, &pathCaps{}, 4, func(err error) { fatal2 <- err })
 	defer s2.stop()
 	s2.enqueue(testAddr(4001), pooledFrame(1, 4))
 	s2.flushPending()
@@ -220,7 +167,7 @@ func TestSchedulerFatalError(t *testing.T) {
 	w2.mu.Unlock()
 	s2.enqueue(testAddr(4001), pooledFrame(2, 4))
 	s2.flushPending()
-	if got := w2.waitDatagrams(t, 1); len(got) == 0 {
+	if got := w2.snapshot(); len(got) == 0 {
 		t.Fatal("scheduler wedged after a transient error")
 	}
 }
@@ -229,7 +176,7 @@ func TestSchedulerFatalError(t *testing.T) {
 // without writing them.
 func TestSchedulerStopReleasesQueue(t *testing.T) {
 	w := &fakeWriter{}
-	s := newSendScheduler(w, 64, time.Hour, nil)
+	s := newSendScheduler(w, &pathCaps{}, 64, nil)
 	for i := 0; i < 5; i++ {
 		s.enqueue(testAddr(5000), pooledFrame(1, 4))
 	}

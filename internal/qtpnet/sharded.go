@@ -39,9 +39,8 @@ import (
 // reply hash differs from the minting shard, a rebalanced peer) is
 // forwarded exactly once over the owner's lock-free handoff ring.
 //
-// On platforms without SO_REUSEPORT (and under QTPNET_NOREUSEPORT) the
-// constructor falls back to a single shard, which behaves identically
-// to a plain Endpoint.
+// On platforms without SO_REUSEPORT the constructor falls back to a
+// single shard, which behaves identically to a plain Endpoint.
 type ShardedEndpoint struct {
 	shards []*Endpoint
 	rings  []*handoffRing
@@ -63,12 +62,13 @@ func NewShardedEndpoint(addr string, cfg EndpointConfig, nShards int) (*ShardedE
 	if nShards > packet.MaxShards {
 		nShards = packet.MaxShards
 	}
-	if !reusePortSupported() || envNoReusePort() {
+	if !reusePortSupported() {
 		nShards = 1
 	}
+	cfg = cfg.resolved()
 
 	s := &ShardedEndpoint{
-		acceptCh: make(chan *Conn, acceptBacklog(cfg)),
+		acceptCh: make(chan *Conn, cfg.AcceptBacklog),
 		done:     make(chan struct{}),
 	}
 	// One token minter for the whole group: the kernel's reuseport hash
@@ -76,14 +76,14 @@ func NewShardedEndpoint(addr string, cfg EndpointConfig, nShards int) (*ShardedE
 	// one that minted its token.
 	var minter *packet.TokenMinter
 	if cfg.AcceptInbound {
-		minter = packet.NewTokenMinter(cfg.TokenLifetime)
+		minter = packet.NewTokenMinter(0)
 	}
 	// Likewise one session-ticket store: a resuming client's 0-RTT
 	// Connect may hash to a different shard than the one whose Accept
 	// minted its ticket.
 	var tickets *qcrypto.TicketStore
-	if cfg.AcceptInbound && !(cfg.DisableEncryption || envNoEncrypt()) {
-		tickets = qcrypto.NewTicketStore(cfg.TicketLifetime)
+	if cfg.AcceptInbound && !cfg.DisableEncryption {
+		tickets = qcrypto.NewTicketStore(0)
 	}
 
 	if nShards == 1 {
@@ -156,16 +156,6 @@ func (s *ShardedEndpoint) watchShard(e *Endpoint) {
 		s.Close()
 	case <-s.done:
 	}
-}
-
-// acceptBacklog resolves the configured accept-queue depth; the single
-// source of the default for both the per-endpoint queue and the shard
-// group's shared one.
-func acceptBacklog(cfg EndpointConfig) int {
-	if cfg.AcceptBacklog > 0 {
-		return cfg.AcceptBacklog
-	}
-	return defaultAcceptBacklog
 }
 
 // forward copies a foreign-shard datagram into a pooled buffer and

@@ -308,15 +308,15 @@ func TestShardedAcceptSpread(t *testing.T) {
 	}
 }
 
-// TestShardedFallbackSingleShard proves the portable path: with
-// reuseport forced off, a sharded endpoint collapses to one fully
-// functional shard and the API behaves identically.
+// TestShardedFallbackSingleShard proves the portable path: one shard —
+// what the constructor clamps to where SO_REUSEPORT does not exist — is
+// a plain socket with no shard CID bits and no handoff rings, and the
+// sharded API behaves identically on it.
 func TestShardedFallbackSingleShard(t *testing.T) {
-	t.Setenv("QTPNET_NOREUSEPORT", "1")
 	srv, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{
 		AcceptInbound: true,
 		Constraints:   core.Permissive(1e6),
-	}, 4)
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
