@@ -35,7 +35,8 @@ func runChurn(cfg churnConfig) {
 	srvCfg := cfg.ep
 	srvCfg.AcceptInbound = true
 	srvCfg.Constraints = core.Permissive(1e6)
-	srv, err := qtpnet.NewShardedEndpoint("127.0.0.1:0", srvCfg, cfg.shards)
+	srvCfg.Shards = cfg.shards
+	srv, err := qtpnet.NewEndpoint("127.0.0.1:0", srvCfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -42,7 +43,7 @@ type options struct {
 	conns    int
 	mbytes   int
 	rate     float64
-	shards   int
+	shards   int // the server's EndpointConfig.Shards; clients stay on one socket
 	streams  int
 	mix      string
 	deadline time.Duration
@@ -68,7 +69,14 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.mbytes, "mbytes", 4, "loopback: MiB to stream per connection")
 	fs.Float64Var(&o.rate, "rate", 4e6, "loopback: per-connection QoS target, bytes/s (keep the aggregate under what loopback can carry or loss recovery dominates)")
 	fs.Var(&o.ep.DataPath, "datapath", "loopback: ceiling on the data-path ladder for both ends: auto | mmsg (no GSO/GRO) | portable (one datagram per syscall)")
-	fs.IntVar(&o.shards, "shards", 1, "loopback: SO_REUSEPORT server shards (0 = one per core); >1 gives every conn its own client socket so the kernel hash can spread flows")
+	fs.Func("shards", "loopback/churn: SO_REUSEPORT server shards (default 1; 0 = one per core); >1 gives every loopback conn its own client socket so the kernel hash can spread flows", func(v string) error {
+		n, err := strconv.Atoi(v)
+		if n <= 0 {
+			n = -1 // the flag's "one per core" is the config's negative count
+		}
+		o.shards = n
+		return err
+	})
 	fs.IntVar(&o.streams, "streams", 1, "loopback: streams per connection (>1 negotiates stream multiplexing and spreads each connection's bytes across them)")
 	fs.StringVar(&o.mix, "mix", "reliable", "loopback: comma-separated delivery modes cycled across streams: reliable | unordered | expiring")
 	fs.DurationVar(&o.deadline, "deadline", 200*time.Millisecond, "loopback: retransmission deadline for expiring streams")
@@ -164,7 +172,8 @@ func runLoopback(n, perConn int, rate float64, cc packet.CongestionMode,
 	cfg := ep
 	cfg.AcceptInbound = true
 	cfg.Constraints = core.Permissive(rate)
-	srv, err := qtpnet.NewShardedEndpoint("127.0.0.1:0", cfg, shards)
+	cfg.Shards = shards
+	srv, err := qtpnet.NewEndpoint("127.0.0.1:0", cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

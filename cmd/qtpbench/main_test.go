@@ -43,7 +43,18 @@ func TestFlags(t *testing.T) {
 			t.Errorf("%v: parsed, want a usage error", args)
 		}
 	}
-	if o, _ := parse("-loopback", "-shards", "4"); !o.loopback || o.shards != 4 {
-		t.Errorf("-loopback -shards 4 parsed to loopback=%v shards=%d", o.loopback, o.shards)
+	// -shards keeps its meaning across the move into EndpointConfig: the
+	// server's shard count, 0 for one per core (the config's negative),
+	// and never a field of the config both ends share.
+	for _, tc := range []struct {
+		arg  string
+		want int
+	}{{"4", 4}, {"1", 1}, {"0", -1}} {
+		if o, err := parse("-loopback", "-shards", tc.arg); err != nil || !o.loopback || o.shards != tc.want || o.ep.Shards != 0 {
+			t.Errorf("-loopback -shards %s parsed to loopback=%v shards=%d ep.Shards=%d (%v)", tc.arg, o.loopback, o.shards, o.ep.Shards, err)
+		}
+	}
+	if _, err := parse("-shards", "many"); err == nil {
+		t.Error("-shards many: parsed, want a usage error")
 	}
 }

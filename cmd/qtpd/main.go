@@ -15,6 +15,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -24,11 +25,10 @@ import (
 )
 
 // options is everything qtpd's command line sets. The endpoint settings
-// parse straight into the EndpointConfig the listener is built from:
+// parse straight into the EndpointConfig the endpoint is built from:
 // one flag per field, no second copy.
 type options struct {
 	listen     string
-	shards     int
 	ep         qtpnet.EndpointConfig
 	noBBR      bool
 	budget     float64
@@ -44,7 +44,14 @@ type options struct {
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.listen, "listen", ":9000", "UDP address to listen on")
-	fs.IntVar(&o.shards, "shards", 1, "SO_REUSEPORT shards to run on the port (0 = one per core; falls back to 1 where unsupported)")
+	fs.Func("shards", "SO_REUSEPORT shards to run on the port (default 1; 0 = one per core; falls back to 1 where unsupported)", func(v string) error {
+		n, err := strconv.Atoi(v)
+		if n <= 0 {
+			n = -1 // the flag's "one per core" is the config's negative count
+		}
+		o.ep.Shards = n
+		return err
+	})
 	fs.Var(&o.ep.DataPath, "datapath", "ceiling on the data-path ladder: auto (best the kernel probes in) | mmsg (no GSO/GRO) | portable (one datagram per syscall)")
 	fs.BoolVar(&o.ep.DisableEncryption, "insecure", false, "disable transport encryption (accepts only plaintext peers that also run -insecure; debugging/interop escape hatch)")
 	fs.BoolVar(&o.ep.RequireToken, "require-token", false, "challenge every token-less Connect with a stateless Retry (address validation before any state allocation)")
@@ -74,14 +81,15 @@ func main() {
 		MaxStreams:      o.maxStreams,
 		AllowBBR:        !o.noBBR,
 	}
-	l, err := qtpnet.Listen(o.listen, cons, qtpnet.WithShards(o.shards), qtpnet.WithEndpointConfig(o.ep))
+	o.ep.AcceptInbound = true
+	o.ep.Constraints = cons
+	ep, err := qtpnet.NewEndpoint(o.listen, o.ep)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer l.Close()
+	defer ep.Close()
 	log.Printf("qtpd: listening on %s, %d shard(s) (QoS budget %.0f B/s per conn)",
-		l.Addr(), l.Sharded().NumShards(), o.budget)
-	ep := l.Endpoint()
+		ep.Addr(), ep.NumShards(), o.budget)
 	caps := ep.Capabilities()
 	log.Printf("qtpd: data path: %v: batch=%v gso=%v gro=%v txtime=%v (per shard; -datapath %v)",
 		caps, caps.Batch, caps.GSO, caps.GRO, caps.TxTime, o.ep.DataPath)
@@ -99,15 +107,15 @@ func main() {
 		go func() {
 			for {
 				time.Sleep(10 * time.Second)
-				log.Printf("qtpd: endpoint %v", l.Stats())
+				log.Printf("qtpd: endpoint %v", ep.Stats())
 			}
 		}()
-		defer func() { log.Printf("qtpd: endpoint %v", l.Stats()) }()
+		defer func() { log.Printf("qtpd: endpoint %v", ep.Stats()) }()
 	}
 
 	var wg sync.WaitGroup
 	for served := 0; o.maxConns == 0 || served < o.maxConns; served++ {
-		conn, err := l.Accept()
+		conn, err := ep.Accept()
 		if err != nil {
 			log.Printf("qtpd: accept: %v", err)
 			break

@@ -43,7 +43,18 @@ func TestFlags(t *testing.T) {
 			t.Errorf("%v: parsed, want a usage error", args)
 		}
 	}
-	if o, _ := parse("-shards", "4", "-max", "2"); o.shards != 4 || o.maxConns != 2 {
-		t.Errorf("-shards 4 -max 2 parsed to shards=%d max=%d", o.shards, o.maxConns)
+	// -shards keeps its meaning across the move into EndpointConfig: a
+	// count, 1 by default (the config's zero is the same plain socket),
+	// 0 for one shard per core (the config's negative).
+	for _, tc := range []struct {
+		arg  string
+		want int
+	}{{"4", 4}, {"1", 1}, {"0", -1}} {
+		if o, err := parse("-shards", tc.arg, "-max", "2"); err != nil || o.ep.Shards != tc.want || o.maxConns != 2 {
+			t.Errorf("-shards %s -max 2 parsed to Shards=%d max=%d (%v)", tc.arg, o.ep.Shards, o.maxConns, err)
+		}
+	}
+	if _, err := parse("-shards", "many"); err == nil {
+		t.Error("-shards many: parsed, want a usage error")
 	}
 }

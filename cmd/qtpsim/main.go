@@ -39,33 +39,58 @@ import (
 	"repro/internal/stats"
 )
 
+// options is everything qtpsim's command line sets.
+type options struct {
+	profName    string
+	rate        float64
+	g           float64
+	loss        float64
+	burst       bool
+	rtt         time.Duration
+	dur         time.Duration
+	seed        int64
+	streams     int
+	mix         string
+	deadline    time.Duration
+	cc          string
+	queue       int
+	ccMatrix    bool
+	assertRatio float64
+}
+
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.profName, "profile", "classic", "qtpaf | qtplight | qtplight-rel | classic")
+	fs.Float64Var(&o.rate, "rate", 125_000, "bottleneck rate, bytes/s")
+	fs.Float64Var(&o.g, "g", 50_000, "QoS target for qtpaf, bytes/s")
+	fs.Float64Var(&o.loss, "loss", 0.01, "random loss probability")
+	fs.BoolVar(&o.burst, "burst", false, "use Gilbert-Elliott burst loss instead of i.i.d.")
+	fs.DurationVar(&o.rtt, "rtt", 40*time.Millisecond, "base round-trip time")
+	fs.DurationVar(&o.dur, "dur", 30*time.Second, "simulated duration")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.streams, "streams", 1, "streams on the connection (>1 = multi-stream mixed-mode run)")
+	fs.StringVar(&o.mix, "mix", "reliable,expiring", "delivery modes cycled across streams: reliable | unordered | expiring")
+	fs.DurationVar(&o.deadline, "deadline", 200*time.Millisecond, "retransmission deadline for expiring streams")
+	fs.StringVar(&o.cc, "cc", "", "congestion control: tfrc (default) | bbr")
+	fs.IntVar(&o.queue, "queue", 100, "bottleneck queue depth, packets")
+	fs.BoolVar(&o.ccMatrix, "cc-matrix", false, "run the TFRC / gTFRC / BBR head-to-head and exit")
+	fs.Float64Var(&o.assertRatio, "assert-ratio", 0, "with -cc-matrix: fail unless BBR ≥ ratio × TFRC bytes")
+	return o
+}
+
 func main() {
-	profName := flag.String("profile", "classic", "qtpaf | qtplight | qtplight-rel | classic")
-	rate := flag.Float64("rate", 125_000, "bottleneck rate, bytes/s")
-	g := flag.Float64("g", 50_000, "QoS target for qtpaf, bytes/s")
-	loss := flag.Float64("loss", 0.01, "random loss probability")
-	burst := flag.Bool("burst", false, "use Gilbert-Elliott burst loss instead of i.i.d.")
-	rtt := flag.Duration("rtt", 40*time.Millisecond, "base round-trip time")
-	dur := flag.Duration("dur", 30*time.Second, "simulated duration")
-	seed := flag.Int64("seed", 1, "random seed")
-	streams := flag.Int("streams", 1, "streams on the connection (>1 = multi-stream mixed-mode run)")
-	mix := flag.String("mix", "reliable,expiring", "delivery modes cycled across streams: reliable | unordered | expiring")
-	deadline := flag.Duration("deadline", 200*time.Millisecond, "retransmission deadline for expiring streams")
-	cc := flag.String("cc", "", "congestion control: tfrc (default) | bbr")
-	queue := flag.Int("queue", 100, "bottleneck queue depth, packets")
-	ccMatrix := flag.Bool("cc-matrix", false, "run the TFRC / gTFRC / BBR head-to-head and exit")
-	assertRatio := flag.Float64("assert-ratio", 0, "with -cc-matrix: fail unless BBR ≥ ratio × TFRC bytes")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *ccMatrix {
-		runCCMatrix(*rate, *rtt, *loss, *burst, *dur, *seed, *g, *queue, *assertRatio)
+	if o.ccMatrix {
+		runCCMatrix(o.rate, o.rtt, o.loss, o.burst, o.dur, o.seed, o.g, o.queue, o.assertRatio)
 		return
 	}
 
 	var prof core.Profile
-	switch *profName {
+	switch o.profName {
 	case "qtpaf":
-		prof = core.QTPAF(*g)
+		prof = core.QTPAF(o.g)
 	case "qtplight":
 		prof = core.QTPLight()
 	case "qtplight-rel":
@@ -73,10 +98,10 @@ func main() {
 	case "classic":
 		prof = core.ClassicTFRC()
 	default:
-		log.Fatalf("unknown profile %q", *profName)
+		log.Fatalf("unknown profile %q", o.profName)
 	}
-	if *cc != "" {
-		mode, err := packet.ParseCongestion(*cc)
+	if o.cc != "" {
+		mode, err := packet.ParseCongestion(o.cc)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,29 +112,29 @@ func main() {
 	}
 
 	var lm netsim.LossModel
-	if *loss > 0 {
-		if *burst {
-			lm = netsim.NewGilbertElliott(*loss/10, 0.4, *loss/2, 0.15)
+	if o.loss > 0 {
+		if o.burst {
+			lm = netsim.NewGilbertElliott(o.loss/10, 0.4, o.loss/2, 0.15)
 		} else {
-			lm = netsim.Bernoulli{P: *loss}
+			lm = netsim.Bernoulli{P: o.loss}
 		}
 	}
 
-	sim := netsim.New(*seed)
+	sim := netsim.New(o.seed)
 	toRecv, toSend := &netsim.Indirect{}, &netsim.Indirect{}
 	fwd := netsim.NewLink(sim, netsim.LinkConfig{
-		Name: "fwd", Rate: *rate, Delay: *rtt / 2,
-		Queue: netsim.NewDropTail(*queue), Loss: lm, Dst: toRecv,
+		Name: "fwd", Rate: o.rate, Delay: o.rtt / 2,
+		Queue: netsim.NewDropTail(o.queue), Loss: lm, Dst: toRecv,
 	})
 	rev := netsim.NewLink(sim, netsim.LinkConfig{
-		Name: "rev", Rate: 125e6, Delay: *rtt / 2,
+		Name: "rev", Rate: 125e6, Delay: o.rtt / 2,
 		Queue: &netsim.DropTail{}, Dst: toSend,
 	})
-	multiRun := *streams > 1
+	multiRun := o.streams > 1
 	var modes []packet.StreamMode
 	if multiRun {
 		var err error
-		if modes, err = packet.ParseModes(*mix); err != nil {
+		if modes, err = packet.ParseModes(o.mix); err != nil {
 			log.Fatal(err)
 		}
 		if prof.Reliability == packet.ReliabilityNone {
@@ -118,11 +143,11 @@ func main() {
 			prof.Reliability = packet.ReliabilityFull
 			prof.Deadline = 0
 		}
-		prof.MaxStreams = *streams
+		prof.MaxStreams = o.streams
 	}
 
 	f := qtp.StartFlow(sim, qtp.FlowConfig{
-		ID: 1, Profile: prof, RTTHint: *rtt, Fwd: fwd, Rev: rev, Bulk: !multiRun,
+		ID: 1, Profile: prof, RTTHint: o.rtt, Fwd: fwd, Rev: rev, Bulk: !multiRun,
 	})
 	toRecv.Target = f.ReceiverEntry()
 	toSend.Target = f.SenderEntry()
@@ -132,17 +157,17 @@ func main() {
 		// One paced feed per stream: a chunk every 20 ms, the link rate
 		// split evenly, so expiring streams see deadline pressure the
 		// moment loss or queueing delays recovery.
-		chunk := int(*rate / float64(*streams) / 50)
+		chunk := int(o.rate / float64(o.streams) / 50)
 		if chunk < 200 {
 			chunk = 200
 		}
 		sim.At(0, func() {
 			streamIDs = append(streamIDs, 0)
-			for i := 1; i < *streams; i++ {
+			for i := 1; i < o.streams; i++ {
 				mode := modes[(i-1)%len(modes)]
 				var dl time.Duration
 				if mode == packet.StreamExpiring {
-					dl = *deadline
+					dl = o.deadline
 				}
 				id, err := f.Sender.OpenStream(mode, dl)
 				if err != nil {
@@ -151,7 +176,7 @@ func main() {
 				streamIDs = append(streamIDs, id)
 			}
 		})
-		steps := int(*dur / (20 * time.Millisecond))
+		steps := int(o.dur / (20 * time.Millisecond))
 		for step := 0; step < steps; step++ {
 			step := step
 			sim.At(time.Duration(step)*20*time.Millisecond+time.Millisecond, func() {
@@ -171,10 +196,10 @@ func main() {
 	rs := stats.NewRateSeries(time.Second)
 	rs.Add(0, 0)
 	f.DeliveredAt = func(now time.Duration, n int) { rs.Add(now, n) }
-	sim.Run(*dur)
+	sim.Run(o.dur)
 
 	fmt.Printf("# profile=%v rate=%.0f loss=%.3f burst=%v rtt=%v seed=%d\n",
-		prof, *rate, *loss, *burst, *rtt, *seed)
+		prof, o.rate, o.loss, o.burst, o.rtt, o.seed)
 	fmt.Println("t(s)  goodput(kB/s)")
 	for i, r := range rs.Rates() {
 		fmt.Printf("%4d  %8.1f\n", i+1, r/1000)

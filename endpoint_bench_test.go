@@ -25,7 +25,7 @@ func BenchmarkEndpoint(b *testing.B) {
 	// straight into Deliver, which an encrypted connection would (rightly)
 	// refuse as cleartext. The demux cost it isolates is the same either
 	// way — sealed datagrams route before AEAD open.
-	l, err := qtpnet.Listen("127.0.0.1:0", core.Permissive(2e6), qtpnet.WithEndpointConfig(qtpnet.EndpointConfig{DisableEncryption: true}))
+	l, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{AcceptInbound: true, Constraints: core.Permissive(2e6), DisableEncryption: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func BenchmarkEndpointLoopback(b *testing.B) {
 	)
 	// Plaintext, like every committed baseline from before encryption
 	// landed; BenchmarkEncryptedFanout carries the sealed-path number.
-	l, err := qtpnet.Listen("127.0.0.1:0", core.Permissive(1e8), qtpnet.WithEndpointConfig(qtpnet.EndpointConfig{DisableEncryption: true}))
+	l, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{AcceptInbound: true, Constraints: core.Permissive(1e8), DisableEncryption: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func BenchmarkHandshakeChurn(b *testing.B) {
 	// admission-path cost this bench trend-guards. The encrypted
 	// handshake is priced by BenchmarkEncryptedFanout's setup and the
 	// crypto e2e tests.
-	l, err := qtpnet.Listen("127.0.0.1:0", core.Permissive(1e6), qtpnet.WithEndpointConfig(qtpnet.EndpointConfig{DisableEncryption: true}))
+	l, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{AcceptInbound: true, Constraints: core.Permissive(1e6), DisableEncryption: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -44,7 +44,7 @@ var (
 // minted and validated by the same process, so no wall clock is needed.
 //
 // A minter is safe for concurrent use and is shared by all shards of a
-// ShardedEndpoint so a token minted by one shard validates on another.
+// qtpnet Endpoint so a token minted by one shard validates on another.
 type TokenMinter struct {
 	lifetime uint32 // token validity and key rotation cadence, seconds
 	epoch    time.Time

@@ -109,7 +109,7 @@ type sockTxTime struct {
 // newPlatformBatchIO returns the mmsg implementation, or nil when the
 // socket cannot be driven through a RawConn (forcing the fallback).
 // Segment offload is probed here, once per socket: each socket — and
-// therefore each shard of a ShardedEndpoint — carries its own
+// therefore each shard of an Endpoint — carries its own
 // independent GSO/GRO capability and fallback state.
 func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath, caps *pathCaps) batchIO {
 	rc, err := pc.SyscallConn()

@@ -12,7 +12,7 @@ import (
 // transfer streams total bytes over nConns connections from a client
 // endpoint to a listening endpoint and returns the reassembled bytes
 // per connection, failing the test on any loss or corruption.
-func transfer(t *testing.T, client *Endpoint, l *Listener, nConns, perConn int) {
+func transfer(t *testing.T, client, l *Endpoint, nConns, perConn int) {
 	t.Helper()
 	results := make(chan error, nConns)
 	go func() {
@@ -109,24 +109,22 @@ func TestEndpointFallbackEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			se, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{
+			srv, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
 				AcceptInbound: true,
 				Constraints:   core.Permissive(1e7),
 				DataPath:      tc.srv,
-			}, 1)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := se.Shard(0)
-			l := &Listener{se: se}
-			defer l.Close()
+			defer srv.Close()
 			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{DataPath: tc.client})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer client.Close()
 
-			transfer(t, client, l, nConns, perConn)
+			transfer(t, client, srv, nConns, perConn)
 
 			for _, e := range []*Endpoint{client, srv} {
 				st := e.Stats()
@@ -187,25 +185,24 @@ func TestEndpointStatsString(t *testing.T) {
 func TestDataPathShims(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("DisableUring=%v", disable), func(t *testing.T) {
-			se, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{
+			srv, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
 				AcceptInbound: true,
 				Constraints:   core.Permissive(1e7),
 				DisableUring:  disable,
-			}, 1)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := &Listener{se: se}
-			defer l.Close()
+			defer srv.Close()
 			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{DisableUring: disable})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer client.Close()
 
-			transfer(t, client, l, 2, 16<<10)
+			transfer(t, client, srv, 2, 16<<10)
 
-			for _, e := range []*Endpoint{client, se.Shard(0)} {
+			for _, e := range []*Endpoint{client, srv} {
 				if e.UringEnabled() || e.UringDeferred() {
 					t.Errorf("UringEnabled=%v UringDeferred=%v, want false false",
 						e.UringEnabled(), e.UringDeferred())

@@ -8,48 +8,38 @@ import (
 	"repro/internal/packet"
 )
 
-// TestOptionConsolidation pins the two-option fold: WithEndpointConfig
-// carries every endpoint setting whole, WithShards the shard count, and
-// no options at all is the zero config on one shard.
-func TestOptionConsolidation(t *testing.T) {
-	base := EndpointConfig{
-		ReadQueue:     128,
-		AcceptBacklog: 7,
-		DataPath:      DataPathMmsg,
-		AcceptRate:    50,
-		RequireToken:  true,
-	}
-	o := applyOptions([]Option{WithEndpointConfig(base), WithShards(3)})
-	if o.cfg != base || o.shards != 3 {
-		t.Errorf("fold = %+v shards=%d, want %+v shards=3", o.cfg, o.shards, base)
-	}
-	if o := applyOptions(nil); o.cfg != (EndpointConfig{}) || o.shards != 1 {
-		t.Errorf("empty fold: %+v shards=%d", o.cfg, o.shards)
-	}
-
-	// Listen owns AcceptInbound and Constraints; the rest of the seed
-	// reaches the endpoint.
-	l, err := Listen("127.0.0.1:0", core.Permissive(0), WithEndpointConfig(base))
+// TestListenConfig pins the two zero-config helpers now that no option
+// layer sits between them and the constructor: Listen stamps
+// AcceptInbound and Constraints and nothing else, package Dial stamps
+// nothing at all, and both run the default one plain socket.
+func TestListenConfig(t *testing.T) {
+	cons := core.Permissive(1e6)
+	l, err := Listen("127.0.0.1:0", cons)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	cfg := l.Endpoint().cfg
-	if !cfg.AcceptInbound || !cfg.Constraints.AllowBBR {
-		t.Errorf("Listen did not stamp its own fields: %+v", cfg)
+	if want := (EndpointConfig{AcceptInbound: true, Constraints: cons}).resolved(); l.cfg != want {
+		t.Errorf("Listen built its endpoint from %+v, want %+v", l.cfg, want)
 	}
-	if cfg.ReadQueue != 128 || cfg.AcceptBacklog != 7 || cfg.AcceptRate != 50 || !cfg.RequireToken {
-		t.Errorf("seed fields lost on the way to the endpoint: %+v", cfg)
+	go l.Accept()
+	conn, err := Dial(l.Addr().String(), core.QTPLight(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if caps := l.Endpoint().Capabilities(); caps.GSO || caps.GRO {
-		t.Errorf("DataPathMmsg seed ignored: %+v", caps)
+	defer conn.Close()
+	if want := (EndpointConfig{}).resolved(); conn.owner == nil || conn.owner.cfg != want {
+		t.Errorf("Dial's private endpoint: %+v, want config %+v", conn.owner, want)
+	}
+	if l.NumShards() != 1 || conn.owner.NumShards() != 1 {
+		t.Errorf("helpers run %d and %d shards, want one plain socket each", l.NumShards(), conn.owner.NumShards())
 	}
 }
 
 // ccTransfer dials the listener proposing the given congestion control,
 // pushes a small reliable transfer through, and returns the two
 // negotiated profiles.
-func ccTransfer(t *testing.T, l *Listener, cc packet.CongestionMode) (client, server core.Profile) {
+func ccTransfer(t *testing.T, l *Endpoint, cc packet.CongestionMode) (client, server core.Profile) {
 	t.Helper()
 	type result struct {
 		profile core.Profile

@@ -1,7 +1,6 @@
 package qtpnet
 
 import (
-	"errors"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -13,14 +12,14 @@ import (
 	"repro/internal/qtp"
 )
 
-// Conn is one QTP connection multiplexed onto an Endpoint's UDP socket.
-// Its Write/Read/Close methods are safe for concurrent use with the
-// endpoint's internal loops.
+// Conn is one QTP connection multiplexed onto one of an Endpoint's UDP
+// sockets. Its Write/Read/Close methods are safe for concurrent use
+// with the endpoint's internal loops.
 type Conn struct {
-	ep   *Endpoint
+	sh   *shard // the socket that minted localID; a conn never migrates
 	peer netip.AddrPort
 
-	// localID keys the endpoint's demux table: the peer stamps it on
+	// localID keys the shard's demux table: the peer stamps it on
 	// every post-handshake frame it sends us. remoteID is the peer-side
 	// ID recorded for handshake-route cleanup.
 	localID  uint32
@@ -45,11 +44,10 @@ type Conn struct {
 	closedCh    chan struct{}
 	closeOnce   sync.Once
 
-	// owner, when non-nil, is an endpoint created implicitly for this
-	// one connection by the package-level Dial (a private Endpoint or
-	// ShardedEndpoint) that dies with it — after the close grace, if
-	// one was armed.
-	owner interface{ Close() error }
+	// owner, when non-nil, is the endpoint the package-level Dial
+	// created for this one connection; it dies with it — after the
+	// close grace, if one was armed.
+	owner *Endpoint
 
 	// initiator marks the dialing (sending) side; responders are the
 	// receivers. Drives the close-grace policy in retireConn.
@@ -61,7 +59,7 @@ type Conn struct {
 
 	// lingering marks a connection in its post-close grace period: the
 	// application side is closed but the demux entry stays routable so
-	// the protocol close can complete (see Endpoint.retireConn).
+	// the protocol close can complete (see shard.retireConn).
 	lingering atomic.Bool
 
 	// Anti-amplification state. validated is true once the peer's
@@ -76,20 +74,20 @@ type Conn struct {
 	ampRx     atomic.Int64
 	ampTx     atomic.Int64
 
-	// Scheduler state, guarded by ep.mu.
+	// Scheduler state, guarded by sh.mu.
 	wakeAt     time.Duration
 	heapIdx    int
 	gone       bool
 	graceUntil time.Duration // linger hard deadline
 }
 
-func newConn(e *Endpoint, peer netip.AddrPort, id uint32) *Conn {
+func newConn(sh *shard, peer netip.AddrPort, id uint32) *Conn {
 	return &Conn{
-		ep:            e,
+		sh:            sh,
 		peer:          peer,
 		localID:       id,
 		remoteID:      id,
-		readCh:        make(chan []byte, e.cfg.ReadQueue),
+		readCh:        make(chan []byte, sh.ep.cfg.ReadQueue),
 		streams:       make(map[uint64]*Stream),
 		acceptStreams: make(chan *Stream, packet.MaxStreams),
 		established:   make(chan struct{}),
@@ -137,7 +135,7 @@ func (c *Conn) writeStream(id uint64, p []byte) (int, error) {
 		total += n
 		p = p[n:]
 		if n > 0 {
-			c.ep.serviceFlush(c)
+			c.sh.serviceFlush(c)
 		}
 		if len(p) == 0 {
 			break
@@ -146,7 +144,7 @@ func (c *Conn) writeStream(id uint64, p []byte) (int, error) {
 		select {
 		case <-c.closedCh:
 			releaseTimer(t)
-			return total, errors.New("qtpnet: connection closed")
+			return total, errConnClosed
 		case <-t.C:
 			releaseTimer(t)
 		}
@@ -160,7 +158,7 @@ func (c *Conn) closeSendStream(id uint64) {
 	c.mu.Lock()
 	c.inner.CloseStream(id)
 	c.mu.Unlock()
-	c.ep.serviceFlush(c)
+	c.sh.serviceFlush(c)
 }
 
 // readFrom is the shared delivery wait behind Conn.Read and
@@ -279,7 +277,7 @@ func (c *Conn) Finished() bool {
 // channels close immediately either way. A connection created by the
 // package-level Dial also releases its implicit endpoint.
 func (c *Conn) Close() error {
-	c.ep.retireConn(c)
+	c.sh.retireConn(c)
 	if c.owner != nil {
 		if c.lingering.Load() {
 			// The implicit endpoint must outlive the grace entry, or
@@ -300,5 +298,5 @@ func (c *Conn) Close() error {
 // teardown unlinks the connection immediately; idempotent.
 func (c *Conn) teardown() {
 	c.closeOnce.Do(func() { close(c.closedCh) })
-	c.ep.removeConn(c)
+	c.sh.removeConn(c)
 }

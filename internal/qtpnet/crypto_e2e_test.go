@@ -2,6 +2,7 @@ package qtpnet
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
 	"sync"
@@ -210,17 +211,25 @@ func TestDowngradeStripE2E(t *testing.T) {
 // TestZeroRTTResumeE2E proves resumption end to end over UDP: a second
 // dial from the same endpoint to the same server redeems the cached
 // ticket, the server opens the 0-RTT data, and both sides' stats agree.
+// The cache belongs to the endpoint, not to a socket: a two-shard dialer
+// sends its second dial from its other socket and must still resume
+// (it paid one full handshake per shard while each shard kept its own).
 func TestZeroRTTResumeE2E(t *testing.T) {
 	skipIfCleartext(t)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("dialer_shards=%d", shards), func(t *testing.T) {
+			testZeroRTTResume(t, shards)
+		})
+	}
+}
+
+func testZeroRTTResume(t *testing.T, shards int) {
 	l, err := Listen("127.0.0.1:0", core.Permissive(1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := newShardedOrSkip(t, "127.0.0.1:0", EndpointConfig{}, shards)
 	defer client.Close()
 
 	serve := func() ([]byte, error) {
@@ -242,7 +251,7 @@ func TestZeroRTTResumeE2E(t *testing.T) {
 		return got, nil
 	}
 
-	roundTrip := func(msg []byte) []byte {
+	roundTrip := func(msg []byte, wantEarly bool) []byte {
 		t.Helper()
 		gotCh := make(chan []byte, 1)
 		go func() {
@@ -255,6 +264,12 @@ func TestZeroRTTResumeE2E(t *testing.T) {
 		conn, err := client.Dial(l.Addr().String(), core.QTPLightReliable(0), 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
+		}
+		conn.mu.Lock()
+		early := conn.inner.CryptoInfo().EarlyOffered
+		conn.mu.Unlock()
+		if early != wantEarly {
+			t.Fatalf("dial from shard %d offered 0-RTT = %v, want %v", conn.sh.idx, early, wantEarly)
 		}
 		if _, err := conn.Write(msg); err != nil {
 			t.Fatal(err)
@@ -276,7 +291,7 @@ func TestZeroRTTResumeE2E(t *testing.T) {
 	}
 
 	cold := bytes.Repeat([]byte("cold"), 256)
-	if got := roundTrip(cold); !bytes.Equal(got, cold) {
+	if got := roundTrip(cold, false); !bytes.Equal(got, cold) {
 		t.Fatalf("cold exchange delivered %d bytes, want %d", len(got), len(cold))
 	}
 	if st := l.Stats(); st.TicketsIssued == 0 {
@@ -284,7 +299,7 @@ func TestZeroRTTResumeE2E(t *testing.T) {
 	}
 
 	warm := bytes.Repeat([]byte("warm"), 256)
-	if got := roundTrip(warm); !bytes.Equal(got, warm) {
+	if got := roundTrip(warm, true); !bytes.Equal(got, warm) {
 		t.Fatalf("warm exchange delivered %d bytes, want %d", len(got), len(warm))
 	}
 	st := l.Stats()
@@ -393,7 +408,7 @@ func TestKeyUpdateE2E(t *testing.T) {
 	if e := sendEpoch(sc); e != qcrypto.Epoch1RTT+1 {
 		t.Fatalf("server still seals under epoch %d", e)
 	}
-	for name, st := range map[string]EndpointStats{"client": conn.ep.Stats(), "server": l.Stats()} {
+	for name, st := range map[string]EndpointStats{"client": conn.sh.ep.Stats(), "server": l.Stats()} {
 		if st.SealFailures != 0 || st.OpenFailures != 0 {
 			t.Fatalf("%s: sealfail %d openfail %d", name, st.SealFailures, st.OpenFailures)
 		}

@@ -267,16 +267,15 @@ func TestGSOEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			se, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{
+			srv, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
 				AcceptInbound: true,
 				Constraints:   core.Permissive(1e7),
 				DataPath:      tc.srv,
-			}, 1)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := &Listener{se: se}
-			defer l.Close()
+			defer srv.Close()
 			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
 				DataPath: tc.client,
 			})
@@ -285,18 +284,18 @@ func TestGSOEquivalence(t *testing.T) {
 			}
 			defer client.Close()
 
-			transfer(t, client, l, nConns, perConn)
+			transfer(t, client, srv, nConns, perConn)
 
-			cst, sst := client.Stats(), se.Stats()
+			cst, sst := client.Stats(), srv.Stats()
 			t.Logf("client gso=%v %v", client.GSOEnabled(), cst)
-			t.Logf("server gso=%v %v", se.Shard(0).GSOEnabled(), sst)
+			t.Logf("server gso=%v %v", srv.GSOEnabled(), sst)
 			if tc.client != DataPathAuto && cst.GsoTrains != 0 {
 				t.Errorf("offload-disabled client sent %d trains", cst.GsoTrains)
 			}
 			if err := client.Err(); err != nil {
 				t.Errorf("client endpoint error after clean transfer: %v", err)
 			}
-			if err := se.Err(); err != nil {
+			if err := srv.Err(); err != nil {
 				t.Errorf("server endpoint error after clean transfer: %v", err)
 			}
 		})
@@ -309,15 +308,11 @@ func TestGSOEquivalence(t *testing.T) {
 // the client actually sends segment trains, no train is refused, and
 // (via transfer's checks) every stream arrives byte-identical.
 func TestGSOTrainOnWire(t *testing.T) {
-	se, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{
-		AcceptInbound: true,
-		Constraints:   core.Permissive(1e8),
-	}, 1)
+	srv, err := Listen("127.0.0.1:0", core.Permissive(1e8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := &Listener{se: se}
-	defer l.Close()
+	defer srv.Close()
 	client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -327,9 +322,9 @@ func TestGSOTrainOnWire(t *testing.T) {
 		t.Skipf("kernel without UDP_SEGMENT (gso probe decision: fallback); nothing to assert")
 	}
 
-	transfer(t, client, l, 8, 64<<10)
+	transfer(t, client, srv, 8, 64<<10)
 
-	cst, sst := client.Stats(), se.Stats()
+	cst, sst := client.Stats(), srv.Stats()
 	t.Logf("client %v", cst)
 	t.Logf("server %v", sst)
 	if cst.GsoTrains == 0 {

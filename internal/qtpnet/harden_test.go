@@ -456,9 +456,9 @@ func TestFinishAcceptOverflowCounted(t *testing.T) {
 	// Fill the queue so the next finishAccept hits the default branch.
 	srv.acceptCh <- &Conn{}
 
-	c := newConn(srv, netip.MustParseAddrPort("127.0.0.1:1"), 99)
+	c := newConn(srv.shards[0], netip.MustParseAddrPort("127.0.0.1:1"), 99)
 	c.inner = newEstablishedResponder(t)
-	if kept := srv.finishAccept(c, nil); kept {
+	if kept := srv.shards[0].finishAccept(c, nil); kept {
 		t.Fatal("finishAccept kept a connection with a full backlog")
 	}
 	if got := srv.Stats().AcceptOverflow; got != 1 {
@@ -468,5 +468,70 @@ func TestFinishAcceptOverflowCounted(t *testing.T) {
 	case <-c.Done():
 	default:
 		t.Fatal("overflowed connection not torn down")
+	}
+}
+
+// TestRefusedDatagramAllocatesNothing pins the cost of the two
+// refusals handleFrame makes before the state machine sees a byte — a
+// sealed datagram on a connection with no keys, a cleartext data frame
+// on a connection that has them: each is counted as an open failure and
+// costs no allocation, error value included, so a flood of them cannot
+// turn the receive path into a garbage generator.
+func TestRefusedDatagramAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		clear   bool
+		hdr     packet.Header
+		refusal error
+	}{
+		{"sealed_before_keys", true, packet.Header{Type: packet.TypeSealed, Flags: uint8(qcrypto.Epoch1RTT)}, errSealedBeforeKeys},
+		{"cleartext_on_encrypted", false, packet.Header{Type: packet.TypeData, Seq: 1}, errCleartextOnEncrypted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.clear {
+				skipIfCleartext(t)
+			}
+			srv, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
+				AcceptInbound:     true,
+				Constraints:       core.Permissive(1e6),
+				DisableEncryption: tc.clear,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			go srv.Accept()
+			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{DisableEncryption: tc.clear})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			conn, err := client.Dial(srv.Addr().String(), core.QTPLight(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(100 * time.Millisecond) // let the handshake's tail go quiet
+
+			tc.hdr.ConnID = conn.ID()
+			frame := tc.hdr.AppendTo(nil)
+			if err := conn.sh.handleFrame(conn, frame); err != tc.refusal {
+				t.Fatalf("handleFrame = %v, want %v", err, tc.refusal)
+			}
+			from := srv.Addr().(*net.UDPAddr).AddrPort()
+			before := client.Stats().OpenFailures
+			const runs = 1000
+			allocs := testing.AllocsPerRun(runs, func() {
+				if client.Deliver(from, frame) {
+					t.Error("refused datagram reported as delivered")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("a refused datagram costs %v allocations, want 0", allocs)
+			}
+			// AllocsPerRun makes one warm-up call.
+			if got := client.Stats().OpenFailures - before; got != runs+1 {
+				t.Errorf("OpenFailures grew by %d over %d refusals", got, runs+1)
+			}
+		})
 	}
 }

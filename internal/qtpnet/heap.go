@@ -6,12 +6,12 @@ import (
 )
 
 // connHeap is a min-heap of connections ordered by their next protocol
-// deadline (Conn.wakeAt). One heap per Endpoint replaces the
+// deadline (Conn.wakeAt). One heap per shard replaces the
 // timer-goroutine-per-connection model: the scheduler sleeps until the
 // earliest deadline across every multiplexed connection and services
 // exactly the connections that are due.
 //
-// All access is guarded by Endpoint.mu. Conn.heapIdx is the element's
+// All access is guarded by shard.mu. Conn.heapIdx is the element's
 // position, -1 when the connection is not scheduled.
 type connHeap []*Conn
 

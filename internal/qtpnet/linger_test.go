@@ -91,10 +91,10 @@ func TestReceiverCloseGrace(t *testing.T) {
 	// The grace entry is transient: once the protocol close completes
 	// the demux entry goes too (well before the grace deadline).
 	deadline := time.Now().Add(2 * time.Second)
-	for l.Sharded().ConnCount() != 0 && time.Now().Before(deadline) {
+	for l.ConnCount() != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := l.Sharded().ConnCount(); n != 0 {
+	if n := l.ConnCount(); n != 0 {
 		t.Errorf("server still carries %d conns after close handshake", n)
 	}
 	conn.Close()

@@ -52,7 +52,7 @@ func TestOldEnvOverridesIgnored(t *testing.T) {
 		t.Errorf("data path with the old variables set: %+v, want %+v", got, want)
 	}
 	if reusePortSupported() {
-		se, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{}, 2)
+		se, err := NewEndpoint("127.0.0.1:0", EndpointConfig{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

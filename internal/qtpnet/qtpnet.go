@@ -2,7 +2,7 @@
 // standard library's net package. It is the deployment driver for the
 // same sans-IO state machines the simulator exercises.
 //
-// The unit of deployment is the Endpoint: one UDP socket serving many
+// The unit of deployment is the Endpoint: one UDP port serving many
 // connections. Inbound datagrams are demultiplexed by the connection-ID
 // field every QTP header and every sealed-datagram prefix carries —
 // each side tells the other which ID to stamp via a handshake TLV, so
@@ -24,116 +24,43 @@
 // the bytes, docs/SECURITY.md the threat model;
 // EndpointConfig.DisableEncryption is the interop/debug escape hatch.
 //
-// The unit of multi-core scaling is the ShardedEndpoint: N Endpoints
-// bound to one port via SO_REUSEPORT, kernel-hashed, with the owning
-// shard encoded in the top bits of every locally-minted connection ID
-// so stray frames are forwarded once over a lock-free handoff ring (see
-// packet.CIDShard for the layout).
+// The unit of multi-core scaling is the shard: EndpointConfig.Shards
+// sockets bound to the one port via SO_REUSEPORT, kernel-hashed, with
+// the owning shard encoded in the top bits of every locally-minted
+// connection ID so stray frames are forwarded once to their owner (see
+// packet.CIDShard for the layout). One shard — the default — is a plain
+// socket with no shard bits anywhere.
 //
-// Dial and Listen remain as thin wrappers for the common cases; servers
-// and fan-out clients use Endpoint or ShardedEndpoint directly.
+// NewEndpoint is the one constructor; Dial and Listen are zero-config
+// helpers over it for the common cases.
 package qtpnet
 
 import (
-	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/core"
 )
 
-// Option configures Listen and Dial. There are two: every endpoint
-// setting lives once, in EndpointConfig, and the shard count is the one
-// thing that is not a per-endpoint setting.
-type Option func(*epOptions)
-
-type epOptions struct {
-	shards int
-	cfg    EndpointConfig
-}
-
-// WithShards runs the endpoint as n SO_REUSEPORT shards (one socket,
-// receive ring and send scheduler per shard; see ShardedEndpoint).
-// n <= 0 selects one shard per GOMAXPROCS core; the count is capped at
-// packet.MaxShards, and platforms without SO_REUSEPORT fall back to a
-// single shard.
-func WithShards(n int) Option {
-	return func(o *epOptions) { o.shards = n }
-}
-
-// WithEndpointConfig sets the EndpointConfig the implicit endpoint is
-// built from. Listen still owns AcceptInbound and Constraints; fields
-// that only matter to an accepting endpoint (RequireToken, AcceptRate)
-// are inert on Dial.
-func WithEndpointConfig(cfg EndpointConfig) Option {
-	return func(o *epOptions) { o.cfg = cfg }
-}
-
-func applyOptions(opts []Option) epOptions {
-	o := epOptions{shards: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
 // Dial connects to a QTP responder at addr, proposing the profile, over
-// a private single-connection endpoint (sharded when WithShards asks
-// for it). It blocks until the handshake completes or the timeout
-// elapses. Closing the returned connection releases the endpoint and
-// its socket(s).
-func Dial(addr string, profile core.Profile, timeout time.Duration, opts ...Option) (*Conn, error) {
-	o := applyOptions(opts)
-	se, err := NewShardedEndpoint(":0", o.cfg, o.shards)
+// a private default-configured endpoint. It blocks until the handshake
+// completes or the timeout elapses. Closing the returned connection
+// releases the endpoint and its socket.
+func Dial(addr string, profile core.Profile, timeout time.Duration) (*Conn, error) {
+	e, err := NewEndpoint(":0", EndpointConfig{})
 	if err != nil {
 		return nil, err
 	}
-	c, err := se.Dial(addr, profile, timeout)
+	c, err := e.Dial(addr, profile, timeout)
 	if err != nil {
-		se.Close()
+		e.Close()
 		return nil, err
 	}
-	c.owner = se
+	c.owner = e
 	return c, nil
 }
 
-// Listen opens an accepting endpoint on addr, granting at most the
-// given constraints to every inbound connection. With WithShards(n) the
-// listener runs n kernel-hashed SO_REUSEPORT shards.
-func Listen(addr string, constraints core.Constraints, opts ...Option) (*Listener, error) {
-	o := applyOptions(opts)
-	o.cfg.AcceptInbound = true
-	o.cfg.Constraints = constraints
-	se, err := NewShardedEndpoint(addr, o.cfg, o.shards)
-	if err != nil {
-		return nil, fmt.Errorf("qtpnet: listen %s: %w", addr, err)
-	}
-	return &Listener{se: se}, nil
+// Listen opens a default-configured accepting endpoint on addr,
+// granting at most the given constraints to every inbound connection.
+func Listen(addr string, constraints core.Constraints) (*Endpoint, error) {
+	return NewEndpoint(addr, EndpointConfig{AcceptInbound: true, Constraints: constraints})
 }
-
-// Listener accepts QTP connections multiplexed on one UDP port — one
-// socket per shard, one shard by default.
-type Listener struct {
-	se *ShardedEndpoint
-}
-
-// Addr returns the bound address.
-func (l *Listener) Addr() net.Addr { return l.se.Addr() }
-
-// Accept blocks until a peer completes a handshake on any shard, then
-// returns the connection. The listener port is shared: Accept may be
-// called again for further connections.
-func (l *Listener) Accept() (*Conn, error) { return l.se.Accept() }
-
-// Endpoint exposes the listener's first (and, unsharded, only) shard.
-// Sharded listeners should prefer Sharded for group-wide operations.
-func (l *Listener) Endpoint() *Endpoint { return l.se.Shard(0) }
-
-// Sharded exposes the listener's underlying shard group.
-func (l *Listener) Sharded() *ShardedEndpoint { return l.se }
-
-// Stats aggregates datagram-path counters across the listener's shards.
-func (l *Listener) Stats() EndpointStats { return l.se.Stats() }
-
-// Close releases every shard, tearing down every accepted connection.
-func (l *Listener) Close() error { return l.se.Close() }

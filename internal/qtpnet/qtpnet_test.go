@@ -101,7 +101,7 @@ func TestLoopbackTransfer(t *testing.T) {
 	// never started cannot drain its backlog, so Write parks for as long
 	// as we let it — and must reuse one pooled timer while it does, not
 	// leave a live time.After (three allocations) behind per poll.
-	blocked := newConn(conn.ep, conn.peer, 0)
+	blocked := newConn(conn.sh, conn.peer, 0)
 	blocked.inner = qtp.NewConn(qtp.Config{Initiator: true, Profile: core.QTPLight(), MaxBacklog: 1})
 	blocked.inner.WriteStream(0, []byte{0})
 	time.AfterFunc(200*time.Millisecond, func() { close(blocked.closedCh) })

@@ -8,13 +8,12 @@ import (
 )
 
 // reusePortSupported reports that this platform has no SO_REUSEPORT
-// plumbing: sharded endpoints fall back to a single shard, which
-// behaves identically to a plain Endpoint.
+// plumbing: EndpointConfig.Shards resolves to one plain socket.
 func reusePortSupported() bool { return false }
 
 // listenReusePort is unreachable on platforms without reuseport support
-// (NewShardedEndpoint clamps the shard count to 1 first); it exists so
-// the sharded construction path compiles everywhere.
+// (EndpointConfig.resolved clamps the shard count to 1 first); it exists
+// so the multi-shard bind path compiles everywhere.
 func listenReusePort(addr string) (*net.UDPConn, error) {
 	return nil, errors.New("qtpnet: SO_REUSEPORT not supported on this platform")
 }

@@ -1,0 +1,1008 @@
+package qtpnet
+
+import (
+	"encoding/binary"
+	"math"
+	"net"
+	"net/netip"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/bufpool"
+	"repro/internal/packet"
+	"repro/internal/qcrypto"
+	"repro/internal/qtp"
+)
+
+// peerKey routes handshake frames, which arrive before the peer can
+// know the local connection ID our demux table is keyed on: a Connect
+// is identified by where it came from plus the initiator's own ID, so
+// many initiators behind one remote socket stay distinct.
+type peerKey struct {
+	addr netip.AddrPort
+	id   uint32
+}
+
+// handoffCap is the per-shard hand-off inbox capacity. Cross-shard
+// forwards are the exception on the steady path — the kernel hashes a
+// flow to the same shard that minted its CID unless the flow was dialed
+// out or the peer moved — so a modest queue absorbs the bursts that do
+// occur; overflow drops the frame (counted), which is no worse than the
+// datagram loss the transport already recovers from.
+const handoffCap = 256
+
+// forwarded is one datagram the kernel hashed to the wrong shard, on
+// its way to the shard its connection ID names: source address plus a
+// pooled buffer holding exactly the datagram bytes.
+type forwarded struct {
+	from netip.AddrPort
+	buf  []byte
+}
+
+// shard is one socket of an Endpoint and everything that is per-socket:
+// the batched data path, the send scheduler, the demux tables and the
+// timer heap of the connections it minted, and the read and timer loops
+// that drive them. Shards share nothing on the per-datagram path; what
+// is per-port (accept queue, token minter, ticket store, resumption
+// cache, lifecycle) lives once on the Endpoint they point back to.
+type shard struct {
+	ep    *Endpoint
+	idx   uint32
+	pc    *net.UDPConn
+	bio   batchIO
+	caps  *pathCaps
+	tx    *sendScheduler
+	epoch time.Time
+	// inbox receives datagrams sibling shards forward here; nil on a
+	// one-shard endpoint, which is how the shard knows its connection
+	// IDs carry no shard bits and no frame is ever foreign.
+	inbox chan forwarded
+
+	mu         sync.Mutex
+	byID       map[uint32]*Conn  // local conn ID -> conn (data-plane route)
+	byPeer     map[peerKey]*Conn // (peer addr, peer conn ID) -> conn (handshake route)
+	timers     connHeap
+	nextID     uint32
+	sleepUntil time.Duration // scheduler's current sleep deadline
+	closed     bool
+	// Accept token bucket (guarded by mu): hsTokens is the current
+	// balance, refilled at cfg.AcceptRate up to hsBurst.
+	hsTokens float64
+	hsBurst  float64
+	hsLast   time.Duration
+
+	// Receive-side counters (single writer: the read loop).
+	datagramsIn  atomic.Uint64
+	recvBatches  atomic.Uint64
+	maxRecvBatch atomic.Uint64
+	noRoute      atomic.Uint64
+	recvDrops    atomic.Uint64
+	groMerged    atomic.Uint64
+
+	// Cross-shard counters (see EndpointStats).
+	crossFwd  atomic.Uint64
+	crossRecv atomic.Uint64
+	crossDrop atomic.Uint64
+
+	// Handshake-hardening counters (see EndpointStats).
+	retrySent      atomic.Uint64
+	tokenInvalid   atomic.Uint64
+	hsDropped      atomic.Uint64
+	ampCapped      atomic.Uint64
+	acceptOverflow atomic.Uint64
+
+	// Datagram-crypto counters (see EndpointStats).
+	sealFails       atomic.Uint64
+	openFails       atomic.Uint64
+	ticketsIssued   atomic.Uint64
+	zeroRTTAccepted atomic.Uint64
+	zeroRTTRejected atomic.Uint64
+
+	wake chan struct{}
+}
+
+// newShard builds shard idx of e around an already-bound socket. Its
+// loops do not run until start.
+func newShard(e *Endpoint, idx uint32, pc *net.UDPConn) *shard {
+	// The data path is built before the socket buffers are sized: with
+	// SO_TXTIME pacing active, flushes leave the socket as fq-scheduled
+	// release instants instead of micro-bursts, so the burst-absorption
+	// floor halves. Best-effort: an endpoint still works (just drops
+	// more under burst) if the kernel refuses the request outright.
+	bio, caps := newBatchIO(pc, rxBatch, e.cfg.DataPath)
+	bufBytes := socketBufferBytes
+	if caps.txClock != nil {
+		bufBytes = socketBufferBytesPaced
+	}
+	_ = pc.SetReadBuffer(bufBytes)
+	_ = pc.SetWriteBuffer(bufBytes)
+	sh := &shard{
+		ep:     e,
+		idx:    idx,
+		pc:     pc,
+		bio:    bio,
+		caps:   caps,
+		epoch:  time.Now(),
+		byID:   make(map[uint32]*Conn),
+		byPeer: make(map[peerKey]*Conn),
+		nextID: 1,
+		wake:   make(chan struct{}, 1),
+	}
+	if e.cfg.Shards > 1 {
+		sh.inbox = make(chan forwarded, handoffCap)
+	}
+	if e.cfg.AcceptInbound {
+		sh.hsBurst = math.Max(e.cfg.AcceptRate, minAcceptBurst)
+		sh.hsTokens = sh.hsBurst
+	}
+	sh.tx = newSendScheduler(bio, caps, txBatch, e.fail)
+	return sh
+}
+
+// start runs the shard's loops. The endpoint calls it only once every
+// shard exists: a read loop may forward to any sibling's inbox.
+func (sh *shard) start() {
+	go sh.readLoop()
+	go sh.timerLoop()
+	if sh.inbox != nil {
+		go sh.drainInbox()
+	}
+}
+
+// close tears down the shard's connections and releases its socket.
+// Only Endpoint.Close calls it, once, after closing done.
+func (sh *shard) close() {
+	sh.mu.Lock()
+	sh.closed = true
+	conns := make([]*Conn, 0, len(sh.byID))
+	for _, c := range sh.byID {
+		conns = append(conns, c)
+	}
+	sh.mu.Unlock()
+	sh.tx.stop()
+	for _, c := range conns {
+		c.teardown()
+	}
+	sh.pc.Close()
+}
+
+// connCount returns the number of live connections on the shard.
+func (sh *shard) connCount() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.byID)
+}
+
+// stats snapshots the shard's datagram-path counters.
+func (sh *shard) stats() EndpointStats {
+	st := EndpointStats{
+		DatagramsIn:     sh.datagramsIn.Load(),
+		DatagramsOut:    sh.tx.datagramsOut.Load(),
+		RecvBatches:     sh.recvBatches.Load(),
+		SendBatches:     sh.tx.batches.Load(),
+		MaxRecvBatch:    int(sh.maxRecvBatch.Load()),
+		MaxSendBatch:    int(sh.tx.maxSeen.Load()),
+		NoRoute:         sh.noRoute.Load(),
+		RecvDrops:       sh.recvDrops.Load(),
+		SendErrs:        sh.tx.errTransient.Load(),
+		SendDrops:       sh.tx.drops.Load(),
+		GsoTrains:       sh.tx.gsoTrains.Load(),
+		GsoSegs:         sh.tx.gsoSegs.Load(),
+		GroMerged:       sh.groMerged.Load(),
+		CrossShardFwd:   sh.crossFwd.Load(),
+		CrossShardRecv:  sh.crossRecv.Load(),
+		CrossShardDrops: sh.crossDrop.Load(),
+
+		RetrySent:           sh.retrySent.Load(),
+		TokenInvalid:        sh.tokenInvalid.Load(),
+		HandshakeDropped:    sh.hsDropped.Load(),
+		AmplificationCapped: sh.ampCapped.Load(),
+		AcceptOverflow:      sh.acceptOverflow.Load(),
+
+		SealFailures:    sh.sealFails.Load(),
+		OpenFailures:    sh.openFails.Load(),
+		TicketsIssued:   sh.ticketsIssued.Load(),
+		ZeroRTTAccepted: sh.zeroRTTAccepted.Load(),
+		ZeroRTTRejected: sh.zeroRTTRejected.Load(),
+
+		GsoFallbacks: sh.caps.gsoFallbacks.Load(),
+		TxTimeSends:  sh.caps.txTimeSends.Load(),
+	}
+	st.Wakeups = st.RecvBatches
+	return st
+}
+
+// now maps wall time to the shard's monotonic protocol clock, shared by
+// every connection it serves.
+func (sh *shard) now() time.Duration { return time.Since(sh.epoch) }
+
+// readLoop fills a ring of pooled buffers from the socket — one
+// recvmmsg per wakeup where the platform allows — and feeds each batch
+// to the demultiplexer. With UDP_GRO enabled, a single ring buffer may
+// hold a kernel-merged super-datagram; expandGRO slices it into
+// per-packet views (no copy — the views alias the ring) before the
+// demux sees it, so the delivery logic is identical whether the kernel
+// merged or not. The ring buffers are never released on the steady
+// path: Deliver does not retain frame memory, so the same ring serves
+// every batch and per-datagram pool traffic is zero.
+func (sh *shard) readLoop() {
+	bufs := bufpool.GetBatch(rxBatch)
+	defer bufpool.PutBatch(bufs)
+	ms := make([]ioMsg, rxBatch)
+	for i := range ms {
+		ms[i].buf = bufs[i]
+	}
+	var sc rxScratch
+	var views []ioMsg
+	for {
+		n, err := sh.bio.readBatch(ms)
+		if err != nil {
+			// A dead socket outside shutdown leaves the shard deaf; fail
+			// the endpoint so Accept returns and every connection is torn
+			// down rather than stalling silently.
+			sh.ep.fail(err)
+			return
+		}
+		var merged uint64
+		views, merged = expandGRO(ms[:n], views[:0])
+		sh.datagramsIn.Add(uint64(len(views)))
+		sh.groMerged.Add(merged)
+		sh.recvBatches.Add(1)
+		if uint64(len(views)) > sh.maxRecvBatch.Load() {
+			sh.maxRecvBatch.Store(uint64(len(views)))
+		}
+		sh.deliverBatch(views, &sc)
+	}
+}
+
+// expandGRO appends one per-wire-datagram view of each received
+// message to out: messages that arrived merged by UDP_GRO (segSize
+// set below the read length) are sliced at the kernel-reported
+// segment size — every slice a full frame, the last possibly shorter
+// — while ordinary reads pass through unchanged. The views alias the
+// callers' buffers; nothing is copied. The second result counts the
+// datagrams recovered from merged reads (the GroMerged stat).
+func expandGRO(ms []ioMsg, out []ioMsg) ([]ioMsg, uint64) {
+	var merged uint64
+	for i := range ms {
+		seg := ms[i].segSize
+		if seg <= 0 || ms[i].n <= seg {
+			out = append(out, ioMsg{buf: ms[i].buf[:ms[i].n], n: ms[i].n, addr: ms[i].addr})
+			continue
+		}
+		for off := 0; off < ms[i].n; off += seg {
+			end := off + seg
+			if end > ms[i].n {
+				end = ms[i].n
+			}
+			out = append(out, ioMsg{buf: ms[i].buf[off:end], n: end - off, addr: ms[i].addr})
+			merged++
+		}
+	}
+	return out, merged
+}
+
+// classify pulls the demux key out of a raw datagram: frame type and
+// connection ID. ok=false rejects runts and foreign versions.
+func classify(dgram []byte) (typ packet.Type, cid uint32, ok bool) {
+	if len(dgram) < packet.HeaderLen || dgram[0]>>4 != packet.Version {
+		return 0, 0, false
+	}
+	return packet.Type(dgram[0] & 0x0f), binary.BigEndian.Uint32(dgram[4:8]), true
+}
+
+// foreignShard reports whether a classified frame belongs to a
+// different shard of this endpoint's reuseport group: the top bits of
+// its connection ID name a shard other than this one. Handshake frames
+// have no routable CID yet and are always claimed locally — as are
+// epoch-0 sealed datagrams: a 0-RTT first flight travels under the
+// client's proposed CID (the server's Accept hasn't arrived yet), which
+// carries no shard prefix, and the kernel hashes it to the same shard
+// as the Connect it rides with.
+func (sh *shard) foreignShard(typ packet.Type, cid uint32, dgram []byte) (uint32, bool) {
+	if sh.inbox == nil || typ == packet.TypeConnect {
+		return 0, false
+	}
+	if typ == packet.TypeSealed && len(dgram) > 1 && dgram[1] == uint8(qcrypto.Epoch0RTT) {
+		return 0, false
+	}
+	if owner := packet.CIDShard(cid); owner != sh.idx {
+		return owner, true
+	}
+	return 0, false
+}
+
+// forwardFrame hands a foreign-shard datagram to its owning shard's
+// inbox, reporting whether the handoff was accepted. It is called from
+// the wrong shard's read loop, never blocks, and copies dgram into a
+// pooled buffer because the caller reuses the memory; a full inbox (or
+// a CID naming a shard that does not exist) drops the frame, which the
+// transport recovers like any datagram loss.
+func (sh *shard) forwardFrame(to uint32, from netip.AddrPort, dgram []byte) bool {
+	if int(to) < len(sh.ep.shards) {
+		buf := bufpool.Get()
+		n := copy(buf, dgram)
+		select {
+		case sh.ep.shards[to].inbox <- forwarded{from, buf[:n]}:
+			sh.crossFwd.Add(1)
+			return true
+		default:
+			bufpool.Put(buf)
+		}
+	}
+	sh.crossDrop.Add(1)
+	return false
+}
+
+// drainInbox is the shard's hand-off consumer: it delivers frames
+// sibling shards forwarded here until the endpoint closes, then
+// releases whatever is still queued. The inbox is never closed: its
+// senders are the siblings' read loops, which nothing waits for, so a
+// forward that races shutdown just leaves its buffer to the collector.
+func (sh *shard) drainInbox() {
+	for {
+		select {
+		case f := <-sh.inbox:
+			sh.deliverForwarded(f.from, f.buf)
+			bufpool.Put(f.buf)
+		case <-sh.ep.done:
+			for {
+				select {
+				case f := <-sh.inbox:
+					bufpool.Put(f.buf)
+				default:
+					return
+				}
+			}
+		}
+	}
+}
+
+// deliver demultiplexes one datagram to its connection and services it:
+// the single-datagram receive entry behind Endpoint.Deliver, equivalent
+// to a read batch of one. It reports whether the frame reached a
+// connection and was accepted — or was handed off to the shard its
+// connection ID names (the handoff is asynchronous; the owning shard
+// delivers it).
+func (sh *shard) deliver(from netip.AddrPort, dgram []byte) bool {
+	typ, cid, ok := classify(dgram)
+	if !ok {
+		return false
+	}
+	if to, foreign := sh.foreignShard(typ, cid, dgram); foreign {
+		return sh.forwardFrame(to, from, dgram)
+	}
+	return sh.deliverClassified(from, dgram, typ, cid)
+}
+
+// deliverForwarded is the hand-off inbox's delivery entry on the owning
+// shard. The frame was already shard-checked by the forwarder, so it is
+// delivered locally — an unknown CID is a plain no-route here, never a
+// second forward, which is what makes cross-shard delivery exactly-once.
+func (sh *shard) deliverForwarded(from netip.AddrPort, dgram []byte) bool {
+	typ, cid, ok := classify(dgram)
+	if !ok {
+		return false
+	}
+	sh.crossRecv.Add(1)
+	return sh.deliverClassified(from, dgram, typ, cid)
+}
+
+// deliverClassified routes one already-classified datagram locally.
+func (sh *shard) deliverClassified(from netip.AddrPort, dgram []byte, typ packet.Type, cid uint32) bool {
+	sh.mu.Lock()
+	c, isNew, shed := sh.resolveLocked(from, typ, cid, dgram)
+	sh.mu.Unlock()
+	if shed {
+		// The Connect was answered statelessly (Retry challenge or load
+		// shed); push the queued frame out now.
+		sh.tx.flushPending()
+		return false
+	}
+	if c == nil {
+		sh.noRoute.Add(1)
+		return false
+	}
+	accountRx(c, typ, len(dgram))
+	err := sh.handleFrame(c, dgram)
+	if isNew && !sh.finishAccept(c, err) {
+		// Refused before service ran, so no Accept frame went out: the
+		// peer keeps retransmitting its Connect and a later attempt may
+		// find room.
+		return false
+	}
+	sh.serviceFlush(c)
+	return err == nil
+}
+
+// rxScratch is the read loop's reusable batch-demux state; keeping it
+// across batches keeps the receive path allocation-free.
+type rxScratch struct {
+	keys    []frameKey
+	conns   []*Conn
+	fresh   []bool
+	touched []*Conn
+}
+
+// frameKey is one datagram's classification within a batch. local is
+// false for frames that never reach the local demux: runts, foreign
+// versions, and foreign-shard frames. accounted marks frames some
+// other path has fully charged — a foreign-shard forward (CrossShardFwd
+// or CrossShardDrops) or a statelessly answered Connect (RetrySent /
+// HandshakeDropped) — so they must not also count as no-route, keeping
+// batch and single-datagram accounting identical.
+type frameKey struct {
+	typ       packet.Type
+	cid       uint32
+	local     bool
+	accounted bool
+}
+
+// deliverBatch demultiplexes one receive batch. Classification and the
+// foreign-shard check run without any lock — a frame the kernel hashed
+// to the wrong shard goes straight to its owner's inbox — then the
+// route for every local datagram is resolved under a single demux-lock
+// acquisition (where the single-datagram path pays one per frame),
+// frames are handled in arrival order, and each
+// connection touched by the batch is serviced exactly once — so a burst
+// of frames for one connection costs one transmit/deliver/reschedule
+// pass instead of one per frame.
+func (sh *shard) deliverBatch(ms []ioMsg, sc *rxScratch) {
+	sc.keys = sc.keys[:0]
+	sc.conns = sc.conns[:0]
+	sc.fresh = sc.fresh[:0]
+	anyLocal := false
+	for i := range ms {
+		typ, cid, ok := classify(ms[i].buf[:ms[i].n])
+		k := frameKey{typ: typ, cid: cid, local: ok}
+		if ok {
+			if to, foreign := sh.foreignShard(typ, cid, ms[i].buf[:ms[i].n]); foreign {
+				k.local, k.accounted = false, true
+				sh.forwardFrame(to, ms[i].addr, ms[i].buf[:ms[i].n])
+			}
+		}
+		anyLocal = anyLocal || k.local
+		sc.keys = append(sc.keys, k)
+	}
+
+	shedAny := false
+	if anyLocal {
+		sh.mu.Lock()
+		for i := range ms {
+			var c *Conn
+			isNew := false
+			if sc.keys[i].local {
+				var shed bool
+				c, isNew, shed = sh.resolveLocked(ms[i].addr, sc.keys[i].typ, sc.keys[i].cid, ms[i].buf[:ms[i].n])
+				if shed {
+					sc.keys[i].accounted = true
+					shedAny = true
+				}
+			}
+			sc.conns = append(sc.conns, c)
+			sc.fresh = append(sc.fresh, isNew)
+		}
+		sh.mu.Unlock()
+	} else {
+		for range ms {
+			sc.conns = append(sc.conns, nil)
+			sc.fresh = append(sc.fresh, false)
+		}
+	}
+
+	sc.touched = sc.touched[:0]
+	for i := range ms {
+		c := sc.conns[i]
+		sc.conns[i] = nil
+		if c == nil {
+			if !sc.keys[i].accounted {
+				sh.noRoute.Add(1)
+			}
+			continue
+		}
+		accountRx(c, sc.keys[i].typ, ms[i].n)
+		err := sh.handleFrame(c, ms[i].buf[:ms[i].n])
+		if sc.fresh[i] && !sh.finishAccept(c, err) {
+			continue
+		}
+		if !containsConn(sc.touched, c) {
+			sc.touched = append(sc.touched, c)
+		}
+	}
+	// Stateless Retries queued during resolution ride the same
+	// end-of-batch flush as everything the round produced.
+	produced := shedAny
+	for i, c := range sc.touched {
+		produced = sh.service(c) || produced
+		sc.touched[i] = nil
+	}
+	// One flush for the whole batch: every frame the round produced —
+	// acks from many receivers, data releases from many senders —
+	// shares the sendmmsg syscalls.
+	if produced {
+		sh.tx.flushPending()
+	}
+}
+
+func containsConn(cs []*Conn, c *Conn) bool {
+	for _, x := range cs {
+		if x == c {
+			return true
+		}
+	}
+	return false
+}
+
+// serviceFlush services one connection and immediately pushes whatever
+// frames it produced to the wire. Entry points outside the endpoint's
+// internal rounds (Dial, Conn.Write, single-datagram Deliver) use it;
+// the batch and timer rounds instead flush once per round.
+func (sh *shard) serviceFlush(c *Conn) {
+	if sh.service(c) {
+		sh.tx.flushPending()
+	}
+}
+
+// accountRx maintains a responder's pre-validation amplification
+// state: Connect bytes grow the 3x send allowance, while any frame
+// routed by our local CID proves the peer's address — the CID travels
+// only in our Accept, so a spoofing attacker can never learn it.
+// Sealed datagrams also only grow the allowance: a 0-RTT first flight
+// travels under the client's proposed CID, which an off-path attacker
+// chose itself, so address proof waits for an authenticated 1-RTT
+// open in handleFrame.
+func accountRx(c *Conn, typ packet.Type, n int) {
+	if c.validated.Load() {
+		return
+	}
+	if typ == packet.TypeConnect || typ == packet.TypeSealed {
+		c.ampRx.Add(int64(n))
+	} else {
+		c.validated.Store(true)
+	}
+}
+
+// handleFrame feeds one classified datagram to its connection's state
+// machine, opening sealed datagrams first. Open decrypts in place —
+// the receive buffer is the driver's to reuse after delivery anyway —
+// and a failed open wipes what it was given: the datagram is dropped
+// here on any open error and never read again, so no byte of an
+// unauthenticated datagram reaches the state machine. An authenticated
+// open at epoch >= 1 (any 1-RTT key generation) proves the peer's
+// address where accountRx could not (those keys bind the full
+// handshake transcript). On an encrypted connection a cleartext frame of any
+// post-handshake type is dropped undecoded: accepting it would let an
+// on-path attacker inject the exact plaintext the sealing exists to
+// block.
+func (sh *shard) handleFrame(c *Conn, dgram []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(dgram) > 0 && packet.Type(dgram[0]&0x0f) == packet.TypeSealed {
+		sess := c.inner.CryptoSession()
+		if sess == nil {
+			sh.openFails.Add(1)
+			return errSealedBeforeKeys
+		}
+		frame, epoch, err := sess.Open(dgram)
+		if err != nil {
+			sh.openFails.Add(1)
+			return err
+		}
+		if epoch >= qcrypto.Epoch1RTT {
+			c.validated.Store(true)
+		}
+		dgram = frame
+	} else if c.inner.CryptoEnabled() && len(dgram) > 0 &&
+		!packet.Cleartext(packet.Type(dgram[0]&0x0f)) {
+		sh.openFails.Add(1)
+		return errCleartextOnEncrypted
+	}
+	return c.inner.HandleFrame(sh.now(), dgram)
+}
+
+// resolveLocked finds the connection a classified frame belongs to,
+// creating a responder for a first-contact Connect that passes
+// stateless admission. isNew reports creation; shed reports that the
+// Connect was answered with a stateless Retry (address-validation
+// challenge or load shed) instead — a queued frame the caller owes a
+// flush for, never a no-route. Callers hold sh.mu.
+func (sh *shard) resolveLocked(from netip.AddrPort, typ packet.Type, cid uint32, dgram []byte) (c *Conn, isNew, shed bool) {
+	if typ == packet.TypeSealed {
+		// An epoch-0 sealed datagram is a 0-RTT first flight, sealed
+		// before the Accept delivered our CID: it rides the client's
+		// proposed CID, which lives in the peer's ID space — a value
+		// that can collide with an ID we minted for someone else — so
+		// it routes by peer address exactly like the Connect it rides
+		// with. Everything else carries our CID.
+		if len(dgram) > 1 && dgram[1] == uint8(qcrypto.Epoch0RTT) {
+			return sh.byPeer[peerKey{normalize(from), cid}], false, false
+		}
+		return sh.byID[cid], false, false
+	}
+	if typ != packet.TypeConnect {
+		// Data-plane route: the header's connection ID is ours.
+		return sh.byID[cid], false, false
+	}
+	// Handshake route: the initiator cannot stamp our ID yet.
+	from = normalize(from)
+	key := peerKey{from, cid}
+	if c, ok := sh.byPeer[key]; ok {
+		return c, false, false
+	}
+	return sh.admitLocked(from, cid, dgram)
+}
+
+// allocIDLocked returns a connection ID unused on this endpoint. On a
+// sharded endpoint the ID's top bits name this shard (see
+// packet.CIDShard), which is what lets any shard route a stray frame to
+// its owner without a shared table; shards only ever mint inside their
+// own prefix, so IDs are unique across the whole reuseport group.
+// Callers hold sh.mu.
+func (sh *shard) allocIDLocked() uint32 {
+	for {
+		seq := sh.nextID
+		sh.nextID++
+		if sh.nextID == 0 {
+			sh.nextID = 1
+		}
+		id := seq
+		if sh.inbox != nil {
+			id = packet.CIDForShard(sh.idx, seq)
+		}
+		if _, busy := sh.byID[id]; !busy && id != 0 {
+			return id
+		}
+	}
+}
+
+// service drives one connection: enqueue due frames on the shared send
+// scheduler, deliver readable data, then reschedule its deadline in the
+// shared timer heap. It is called after every event touching the
+// connection (inbound frames, application write, timer expiry) and
+// reports whether it enqueued frames, which the caller owes a
+// flushPending for once its round completes.
+//
+// Frames are built directly into pooled buffers whose ownership passes
+// to the scheduler; nothing touches the socket while a connection lock
+// is held (queue-bounding flushes run after c.mu is released), so a
+// slow wire never stalls another connection's delivery or timers.
+func (sh *shard) service(c *Conn) (produced bool) {
+	lingering := c.lingering.Load()
+	var txb []byte
+	c.mu.Lock()
+	now := sh.now()
+	// The connection's TFRC rate converts data-frame lengths into the
+	// inter-packet gaps the scheduler stamps as SO_TXTIME release
+	// instants on capable sockets. Control and feedback frames stay
+	// unpaced — an ack held back by the qdisc would inflate the peer's
+	// RTT sample for nothing.
+	rate := c.inner.Rate()
+	sess := c.inner.CryptoSession()
+	for {
+		if txb == nil {
+			txb = bufpool.Get()
+		}
+		frame, ok := c.inner.PollFrameAppend(now, txb[:0])
+		if !ok {
+			break
+		}
+		if sess == nil {
+			// Keys can appear inside this very round: a responder derives
+			// them while handling the Connect whose Accept it polls here.
+			sess = c.inner.CryptoSession()
+		}
+		wire := frame
+		var sb []byte
+		if sess != nil && len(frame) > 0 &&
+			!packet.Cleartext(packet.Type(frame[0]&0x0f)) {
+			// Seal into a second pooled buffer so txb stays reusable for
+			// the next poll; the sealed buffer's ownership passes to the
+			// scheduler with the enqueue.
+			sb = bufpool.Get()
+			sealed, err := sess.SealAppend(sb[:0], c.inner.RemoteID(), frame)
+			if err != nil {
+				sh.sealFails.Add(1)
+				bufpool.Put(sb)
+				continue
+			}
+			wire = sealed
+		}
+		if !c.validated.Load() {
+			// Pre-validation anti-amplification: withhold any frame that
+			// would push bytes-sent past 3x bytes-received from this
+			// unproven address. The state machine has already advanced
+			// (control retransmissions re-arm their timer), so dropping
+			// the frame here never spins; a capped Accept goes out on a
+			// later retransmission once more Connect bytes arrive. The
+			// cap charges wire bytes — what the victim's link would see —
+			// so sealed frames count their AEAD overhead too.
+			if c.ampTx.Load()+int64(len(wire)) > 3*c.ampRx.Load() {
+				sh.ampCapped.Add(1)
+				if sb != nil {
+					bufpool.Put(sb)
+				}
+				continue
+			}
+			c.ampTx.Add(int64(len(wire)))
+		}
+		var gapNs uint32
+		if rate > 0 && len(frame) > 0 &&
+			packet.Type(frame[0]&0x0f) == packet.TypeData {
+			gapNs = paceGapNs(len(wire), rate)
+		}
+		sh.tx.enqueuePaced(c.peer, wire, gapNs)
+		produced = true
+		if sb != nil {
+			if cap(wire) != cap(sb) {
+				// SealAppend outgrew the pooled buffer — impossible for
+				// MTU-bounded frames, but never leak the pool slot.
+				bufpool.Put(sb)
+			}
+		} else if cap(wire) == cap(txb) {
+			txb = nil // the scheduler owns the pooled buffer now
+		}
+	}
+	var newResume *qcrypto.Resumption
+	st := c.inner.State()
+	if st == qtp.StateEstablished || st == qtp.StateClosing {
+		c.estOnce.Do(func() {
+			close(c.established)
+			// Handshake-completion crypto bookkeeping, exactly once per
+			// connection: counters on the responder, the next connection's
+			// resumption state on the initiator. The cache store happens
+			// after c.mu is released — no endpoint or shard lock ever nests
+			// inside c.mu.
+			if info := c.inner.CryptoInfo(); info.Enabled {
+				if c.initiator {
+					newResume = c.inner.TakeResumption()
+				} else {
+					if info.TicketIssued {
+						sh.ticketsIssued.Add(1)
+					}
+					if info.EarlyOffered && info.EarlyAccepted {
+						sh.zeroRTTAccepted.Add(1)
+					} else if info.EarlyOffered {
+						sh.zeroRTTRejected.Add(1)
+					}
+				}
+			}
+		})
+	}
+	// New inbound streams announced by the peer's first frame: register
+	// them so their data routes, and queue them for AcceptStream.
+	for {
+		id, ok := c.inner.AcceptStreamID()
+		if !ok {
+			break
+		}
+		sst, _ := c.inner.StreamStats(id)
+		s := newNetStream(c, id, sst.Mode)
+		c.streams[id] = s
+		select {
+		case c.acceptStreams <- s:
+		default:
+			// Cannot happen: the queue is sized at the stream cap. Keep
+			// the stream routable regardless.
+		}
+	}
+	for {
+		id, chunk, ok := c.inner.ReadAny()
+		if !ok {
+			break
+		}
+		if lingering {
+			// Grace period after an application close: the state machine
+			// still runs (acking retransmissions, answering Close) but
+			// nobody is reading — recycle deliveries immediately.
+			bufpool.PutChunk(chunk)
+			continue
+		}
+		ch := c.readCh
+		if id != 0 {
+			s := c.streams[id]
+			if s == nil {
+				sh.recvDrops.Add(1)
+				bufpool.PutChunk(chunk)
+				continue
+			}
+			ch = s.readCh
+		}
+		select {
+		case ch <- chunk:
+		default:
+			// Application is slow; drop oldest so one stalled reader
+			// cannot wedge the endpoint that serves everyone else.
+			select {
+			case old := <-ch:
+				sh.recvDrops.Add(1)
+				bufpool.PutChunk(old)
+			default:
+			}
+			select {
+			case ch <- chunk:
+			default:
+				sh.recvDrops.Add(1)
+				bufpool.PutChunk(chunk)
+			}
+		}
+	}
+	wakeAt, wok := c.inner.NextWake(now)
+	c.mu.Unlock()
+	if txb != nil {
+		bufpool.Put(txb)
+	}
+	if newResume != nil {
+		sh.ep.storeResumption(c.peer, newResume)
+	}
+	if produced {
+		// Off the connection lock now: bound the queue mid-round. The
+		// full flush still belongs to the caller's round boundary.
+		sh.tx.flushIfFull()
+	}
+
+	if st == qtp.StateClosed {
+		c.teardown()
+		return produced
+	}
+	graceExpired := false
+	sh.mu.Lock()
+	if !c.gone {
+		if lingering {
+			if sh.now() >= c.graceUntil {
+				graceExpired = true
+			} else if !wok || wakeAt > c.graceUntil {
+				// The grace deadline rides the shared timer heap like any
+				// protocol deadline, so a silent peer cannot pin the entry.
+				wakeAt, wok = c.graceUntil, true
+			}
+		}
+		if !graceExpired {
+			if wok {
+				sh.timers.set(c, wakeAt)
+				if wakeAt < sh.sleepUntil {
+					sh.kick()
+				}
+			} else {
+				sh.timers.remove(c)
+			}
+		}
+	}
+	sh.mu.Unlock()
+	if graceExpired {
+		c.teardown()
+	}
+	return produced
+}
+
+// retireConn is the application-close path. A connection whose protocol
+// exchange already finished (or never started) is torn down at once. One
+// closed mid-exchange — typically a receiver closed the moment
+// Finished() reported true, while the sender's final ack round and Close
+// are still in flight — instead enters a TIME_WAIT-style grace: the
+// application-facing side closes immediately, but the demux entry stays
+// routable so the state machine can ack the stream tail and answer the
+// peer's Close, rather than leaving the sender retransmitting into
+// NoRoute until its retries give up. The entry is reclaimed the moment
+// the protocol close completes, or after closeGrace if the peer goes
+// silent.
+func (sh *shard) retireConn(c *Conn) {
+	c.mu.Lock()
+	st := c.inner.State()
+	c.mu.Unlock()
+	// Linger only where the in-flight exchange benefits: a responder
+	// (receiver) still acking the tail or answering Close, or either
+	// side already in the close handshake. A failed handshake
+	// (Connecting) or a sender aborting mid-stream tears down at once —
+	// a lingering aborted sender would keep transmitting its backlog,
+	// and a dead Dial would leave ghost entries retrying Connect.
+	needsGrace := st == qtp.StateClosing || (st == qtp.StateEstablished && !c.initiator)
+	if !needsGrace {
+		c.teardown()
+		return
+	}
+	sh.mu.Lock()
+	if c.lingering.Load() {
+		sh.mu.Unlock()
+		return // second Close during the grace: nothing more to do
+	}
+	if sh.closed || c.gone {
+		sh.mu.Unlock()
+		c.teardown()
+		return
+	}
+	c.graceUntil = sh.now() + closeGrace
+	c.lingering.Store(true)
+	sh.mu.Unlock()
+	c.closeOnce.Do(func() { close(c.closedCh) })
+	// Service immediately: flush any pending ack/close frames and arm
+	// the grace deadline on the timer heap.
+	sh.serviceFlush(c)
+}
+
+// timerLoop is the shared scheduler: one goroutine, one timer, every
+// connection's NextWake. It sleeps until the earliest deadline in the
+// heap and services exactly the connections that are due.
+func (sh *shard) timerLoop() {
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	var due []*Conn
+	for {
+		sh.mu.Lock()
+		now := sh.now()
+		due = due[:0]
+		for {
+			c, ok := sh.timers.popDue(now)
+			if !ok {
+				break
+			}
+			due = append(due, c)
+		}
+		d := time.Hour
+		if len(sh.timers) > 0 {
+			d = sh.timers[0].wakeAt - now
+		}
+		sh.sleepUntil = now + d
+		sh.mu.Unlock()
+
+		produced := false
+		for _, c := range due {
+			produced = sh.service(c) || produced
+		}
+		if len(due) > 0 {
+			// One flush per timer round: paced frames released by this
+			// round's deadlines leave in shared syscalls.
+			if produced {
+				sh.tx.flushPending()
+			}
+			continue // servicing may have re-armed earlier deadlines
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(d)
+		select {
+		case <-sh.wake:
+		case <-timer.C:
+		case <-sh.ep.done:
+			return
+		}
+	}
+}
+
+// kick wakes the scheduler to re-read the heap's earliest deadline.
+func (sh *shard) kick() {
+	select {
+	case sh.wake <- struct{}{}:
+	default:
+	}
+}
+
+// removeConn unlinks a connection from the demux tables and the timer
+// heap. Idempotent: once gone, a second call must not touch the tables,
+// whose entries may since belong to a successor connection.
+func (sh *shard) removeConn(c *Conn) {
+	sh.mu.Lock()
+	if !c.gone {
+		delete(sh.byID, c.localID)
+		// Only responders own a handshake-route entry; a dialed conn whose
+		// (peer, id) pair happens to collide must not evict it.
+		key := peerKey{c.peer, c.remoteID}
+		if cur, ok := sh.byPeer[key]; ok && cur == c {
+			delete(sh.byPeer, key)
+		}
+		sh.timers.remove(c)
+		c.gone = true
+		close(c.reaped)
+	}
+	sh.mu.Unlock()
+}
+
+// normalize strips the IPv4-in-IPv6 mapping so addresses read from a
+// dual-stack socket compare equal to their resolved form.
+func normalize(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}

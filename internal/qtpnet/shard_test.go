@@ -4,27 +4,29 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/packet"
+	"repro/internal/seqspace"
 )
 
 // newShardedOrSkip builds an n-shard endpoint, skipping the test where
 // the platform cannot actually shard.
-func newShardedOrSkip(t *testing.T, addr string, cfg EndpointConfig, n int) *ShardedEndpoint {
+func newShardedOrSkip(t *testing.T, addr string, cfg EndpointConfig, n int) *Endpoint {
 	t.Helper()
-	se, err := NewShardedEndpoint(addr, cfg, n)
+	cfg.Shards = n
+	e, err := NewEndpoint(addr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.NumShards() != n {
-		se.Close()
-		t.Skipf("platform fell back to %d shard(s), want %d (no SO_REUSEPORT)", se.NumShards(), n)
+	if e.NumShards() != n {
+		e.Close()
+		t.Skipf("platform fell back to %d shard(s), want %d (no SO_REUSEPORT)", e.NumShards(), n)
 	}
-	return se
+	return e
 }
 
 // TestCrossShardForwardExactlyOnce injects a frame on the wrong shard
@@ -81,8 +83,8 @@ func TestCrossShardForwardExactlyOnce(t *testing.T) {
 	from := netip.MustParseAddrPort("127.0.0.1:4242")
 
 	wrong := (owner + 1) % nShards
-	if !srv.Shard(int(wrong)).Deliver(from, frame) {
-		t.Fatal("wrong-shard Deliver rejected the frame instead of forwarding it")
+	if !srv.shards[wrong].deliver(from, frame) {
+		t.Fatal("wrong-shard deliver rejected the frame instead of forwarding it")
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for sc.Stats().FramesReceived != base+1 && time.Now().Before(deadline) {
@@ -97,10 +99,10 @@ func TestCrossShardForwardExactlyOnce(t *testing.T) {
 		t.Fatalf("forwarded frame delivered %d times after settle, want exactly 1", got-base)
 	}
 
-	if st := srv.Shard(int(wrong)).Stats(); st.CrossShardFwd != baseAgg.CrossShardFwd+1 {
+	if st := srv.shards[wrong].stats(); st.CrossShardFwd != baseAgg.CrossShardFwd+1 {
 		t.Errorf("forwarding shard counted %d forwards, want %d", st.CrossShardFwd, baseAgg.CrossShardFwd+1)
 	}
-	if st := srv.Shard(int(owner)).Stats(); st.CrossShardRecv != baseAgg.CrossShardRecv+1 {
+	if st := srv.shards[owner].stats(); st.CrossShardRecv != baseAgg.CrossShardRecv+1 {
 		t.Errorf("owning shard counted %d handoff receives, want %d", st.CrossShardRecv, baseAgg.CrossShardRecv+1)
 	}
 	agg := srv.Stats()
@@ -112,8 +114,8 @@ func TestCrossShardForwardExactlyOnce(t *testing.T) {
 	}
 
 	// The same frame on the owning shard routes directly: no forward.
-	if !srv.Shard(int(owner)).Deliver(from, frame) {
-		t.Fatal("right-shard Deliver rejected the frame")
+	if !srv.shards[owner].deliver(from, frame) {
+		t.Fatal("right-shard deliver rejected the frame")
 	}
 	if got := srv.Stats().CrossShardFwd; got != baseAgg.CrossShardFwd+1 {
 		t.Errorf("right-shard delivery forwarded anyway: %d forwards", got)
@@ -124,7 +126,7 @@ func TestCrossShardForwardExactlyOnce(t *testing.T) {
 // *dial-side* endpoint: each connection is minted on a round-robin
 // shard, but the kernel hashes the server's reply flow independently,
 // so most connections' inbound frames arrive on the wrong shard and
-// must cross the handoff ring. Every stream must still arrive intact,
+// must cross the hand-off inbox. Every stream must still arrive intact,
 // and the forward/receive counters must balance.
 func TestShardedDialForwarding(t *testing.T) {
 	const (
@@ -308,73 +310,84 @@ func TestShardedAcceptSpread(t *testing.T) {
 	}
 }
 
-// TestShardedFallbackSingleShard proves the portable path: one shard —
-// what the constructor clamps to where SO_REUSEPORT does not exist — is
-// a plain socket with no shard CID bits and no handoff rings, and the
-// sharded API behaves identically on it.
+// TestShardedFallbackSingleShard proves Shards 0 and Shards 1 are the
+// same thing — one plain socket, which is also what the constructor
+// clamps to where SO_REUSEPORT does not exist: no hand-off inbox, no
+// shard bits in the connection IDs it mints on either side of a
+// connection, no cross-shard traffic counted.
 func TestShardedFallbackSingleShard(t *testing.T) {
-	srv, err := NewShardedEndpoint("127.0.0.1:0", EndpointConfig{
-		AcceptInbound: true,
-		Constraints:   core.Permissive(1e6),
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if n := srv.NumShards(); n != 1 {
-		t.Fatalf("fallback runs %d shards, want 1", n)
-	}
+	for _, shards := range []int{0, 1} {
+		t.Run(fmt.Sprintf("Shards=%d", shards), func(t *testing.T) {
+			srv, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
+				AcceptInbound: true,
+				Constraints:   core.Permissive(1e6),
+				Shards:        shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if n := srv.NumShards(); n != 1 || srv.shards[0].inbox != nil {
+				t.Fatalf("runs %d shards (inbox %v), want one plain socket", n, srv.shards[0].inbox != nil)
+			}
 
-	client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
 
-	accepted := make(chan *Conn, 1)
-	go func() {
-		if c, err := srv.Accept(); err == nil {
-			accepted <- c
-		}
-	}()
-	conn, err := client.Dial(srv.Addr().String(), core.QTPLight(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc *Conn
-	select {
-	case sc = <-accepted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("fallback endpoint accepted nothing")
-	}
+			accepted := make(chan *Conn, 1)
+			go func() {
+				if c, err := srv.Accept(); err == nil {
+					accepted <- c
+				}
+			}()
+			conn, err := client.Dial(srv.Addr().String(), core.QTPLight(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc *Conn
+			select {
+			case sc = <-accepted:
+			case <-time.After(5 * time.Second):
+				t.Fatal("endpoint accepted nothing")
+			}
+			if conn.ID() != 1 || sc.ID() != 1 {
+				t.Errorf("first conn IDs %#x / %#x, want the bare sequence number 1", conn.ID(), sc.ID())
+			}
 
-	const msg = "fallback shard still speaks QTP"
-	if _, err := conn.Write([]byte(msg)); err != nil {
-		t.Fatal(err)
-	}
-	conn.CloseSend()
-	got := ""
-	deadline := time.Now().Add(10 * time.Second)
-	for !sc.Finished() && time.Now().Before(deadline) {
-		chunk, ok := sc.Read(time.Second)
-		if !ok {
-			continue
-		}
-		got += string(chunk)
-		sc.Release(chunk)
-	}
-	if got != msg {
-		t.Fatalf("fallback delivered %q, want %q", got, msg)
-	}
-	if st := srv.Stats(); st.CrossShardFwd != 0 || st.CrossShardRecv != 0 {
-		t.Errorf("single-shard fallback counted cross-shard traffic: %v", st)
+			const msg = "one shard still speaks QTP"
+			if _, err := conn.Write([]byte(msg)); err != nil {
+				t.Fatal(err)
+			}
+			conn.CloseSend()
+			got := ""
+			deadline := time.Now().Add(10 * time.Second)
+			for !sc.Finished() && time.Now().Before(deadline) {
+				chunk, ok := sc.Read(time.Second)
+				if !ok {
+					continue
+				}
+				got += string(chunk)
+				sc.Release(chunk)
+			}
+			if got != msg {
+				t.Fatalf("delivered %q, want %q", got, msg)
+			}
+			for name, st := range map[string]EndpointStats{"server": srv.Stats(), "client": client.Stats()} {
+				if st.CrossShardFwd != 0 || st.CrossShardRecv != 0 || st.CrossShardDrops != 0 {
+					t.Errorf("%s counted cross-shard traffic on one shard: %v", name, st)
+				}
+			}
+		})
 	}
 }
 
-// TestShardDeathUnblocksAccept pins the group-death propagation: a
-// shard that tears itself down (as it does on a persistent socket
-// error) must doom the group so Accept returns ErrEndpointClosed
-// instead of blocking forever on a server that can no longer serve.
+// TestShardDeathUnblocksAccept pins the death propagation: one shard's
+// persistent socket error must doom the whole endpoint, so Accept
+// returns ErrEndpointClosed instead of blocking forever on a port that
+// can no longer serve, and Err names the cause.
 func TestShardDeathUnblocksAccept(t *testing.T) {
 	srv := newShardedOrSkip(t, "127.0.0.1:0", EndpointConfig{
 		AcceptInbound: true,
@@ -388,7 +401,7 @@ func TestShardDeathUnblocksAccept(t *testing.T) {
 		acceptErr <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let Accept block
-	srv.Shard(1).Close()              // simulate a shard dying on its own
+	srv.shards[1].pc.Close()          // one socket dies under its read loop
 	select {
 	case err := <-acceptErr:
 		if err != ErrEndpointClosed {
@@ -397,71 +410,84 @@ func TestShardDeathUnblocksAccept(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("Accept still blocked after a shard died")
 	}
+	if srv.Err() == nil {
+		t.Error("Err() is nil after a shard's socket died; the cause was lost")
+	}
 }
 
-// TestHandoffRing exercises the lock-free ring directly: concurrent
-// producers against one consumer, everything pushed is popped exactly
-// once, and a full ring rejects instead of blocking or overwriting.
+// TestHandoffRing exercises the hand-off path between shards directly,
+// on two bare shards no socket feeds: a full inbox rejects (counted as
+// a drop) instead of blocking or overwriting, what was accepted comes
+// out in FIFO order, and with concurrent forwarders against the real
+// drain goroutine every accepted forward is delivered exactly once.
 func TestHandoffRing(t *testing.T) {
-	r := newHandoffRing()
-
-	// Fill to capacity single-threaded; the next push must fail.
+	ep := &Endpoint{done: make(chan struct{})}
+	for i := uint32(0); i < 2; i++ {
+		ep.shards = append(ep.shards, &shard{ep: ep, idx: i, epoch: time.Now(), inbox: make(chan forwarded, handoffCap)})
+	}
+	src, owner := ep.shards[0], ep.shards[1]
 	addr := netip.MustParseAddrPort("127.0.0.1:1")
-	for i := 0; i < handoffCap; i++ {
-		if !r.push(addr, []byte{byte(i), byte(i >> 8)}) {
-			t.Fatalf("push %d rejected below capacity", i)
-		}
-	}
-	if r.push(addr, []byte{0xee}) {
-		t.Fatal("push beyond capacity accepted")
-	}
-	for i := 0; i < handoffCap; i++ {
-		_, buf, ok := r.pop()
-		if !ok {
-			t.Fatalf("pop %d failed on full ring", i)
-		}
-		if got := int(buf[0]) | int(buf[1])<<8; got != i {
-			t.Fatalf("pop %d returned frame %d: FIFO order broken", i, got)
-		}
-	}
-	if _, _, ok := r.pop(); ok {
-		t.Fatal("pop on empty ring succeeded")
+	// A data frame for a connection the owner has never heard of: it is
+	// counted as received from the inbox, then as a no-route.
+	frame := func(seq uint32) []byte {
+		hdr := packet.Header{Type: packet.TypeData, ConnID: packet.CIDForShard(1, 7), Seq: seqspace.Seq(seq)}
+		return hdr.AppendTo(nil)
 	}
 
-	// Concurrent producers vs one consumer: every accepted push is
-	// popped exactly once.
+	// Fill to capacity with nobody draining; the next forward must fail.
+	for i := 0; i < handoffCap; i++ {
+		if !src.forwardFrame(1, addr, frame(uint32(i))) {
+			t.Fatalf("forward %d rejected below capacity", i)
+		}
+	}
+	if src.forwardFrame(1, addr, frame(0xee)) {
+		t.Fatal("forward beyond capacity accepted")
+	}
+	if src.forwardFrame(2, addr, frame(0xef)) {
+		t.Fatal("forward to a shard that does not exist accepted")
+	}
+	if fwd, drop := src.crossFwd.Load(), src.crossDrop.Load(); fwd != handoffCap || drop != 2 {
+		t.Fatalf("counted %d forwards and %d drops, want %d and 2", fwd, drop, handoffCap)
+	}
+	for i := 0; i < handoffCap; i++ {
+		f := <-owner.inbox
+		var hdr packet.Header
+		if _, err := hdr.Parse(f.buf); err != nil || uint32(hdr.Seq) != uint32(i) || f.from != addr {
+			t.Fatalf("inbox slot %d holds seq %d from %v (%v): FIFO order broken", i, hdr.Seq, f.from, err)
+		}
+		bufpool.Put(f.buf)
+	}
+	if len(owner.inbox) != 0 {
+		t.Fatal("inbox not empty after draining what was forwarded")
+	}
+
+	// Concurrent forwarders vs the drain goroutine.
+	go owner.drainInbox()
 	const producers, perProducer = 4, 2048
-	var pushed atomic.Uint64
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				if r.push(addr, []byte{byte(p)}) {
-					pushed.Add(1)
-				}
+				src.forwardFrame(1, addr, frame(uint32(i)))
 			}
-		}(p)
+		}()
 	}
-	done := make(chan struct{})
-	var popped uint64
-	go func() {
-		defer close(done)
-		idle := 0
-		for idle < 100 {
-			if _, _, ok := r.pop(); ok {
-				popped++
-				idle = 0
-			} else {
-				idle++
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
 	wg.Wait()
-	<-done
-	if pushed.Load() != popped {
-		t.Fatalf("pushed %d frames but popped %d", pushed.Load(), popped)
+	accepted := src.crossFwd.Load() - handoffCap
+	if accepted+src.crossDrop.Load()-2 != producers*perProducer {
+		t.Fatalf("forwards %d + drops %d do not add up to %d attempts", accepted, src.crossDrop.Load()-2, producers*perProducer)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for owner.crossRecv.Load() != accepted && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(ep.done)
+	if got := owner.crossRecv.Load(); got != accepted {
+		t.Fatalf("forwarded %d frames but the owner delivered %d", accepted, got)
+	}
+	if got := owner.noRoute.Load(); got != accepted {
+		t.Errorf("owner routed %d of %d frames somewhere; none had a connection", accepted-got, accepted)
 	}
 }

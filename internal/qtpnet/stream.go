@@ -41,7 +41,7 @@ type Stream struct {
 }
 
 func newNetStream(c *Conn, id uint64, mode StreamMode) *Stream {
-	return &Stream{c: c, id: id, mode: mode, readCh: make(chan []byte, c.ep.cfg.ReadQueue)}
+	return &Stream{c: c, id: id, mode: mode, readCh: make(chan []byte, c.sh.ep.cfg.ReadQueue)}
 }
 
 // ID returns the stream's identifier on its connection.
@@ -118,12 +118,14 @@ func (c *Conn) AcceptStream(timeout time.Duration) (*Stream, bool) {
 		return s, true
 	default:
 	}
+	t := acquireTimer(timeout)
+	defer releaseTimer(t)
 	select {
 	case s := <-c.acceptStreams:
 		return s, true
 	case <-c.closedCh:
 		return nil, false
-	case <-time.After(timeout):
+	case <-t.C:
 		return nil, false
 	}
 }

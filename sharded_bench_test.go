@@ -35,14 +35,15 @@ func benchShardedFanout(b *testing.B, shards int) {
 		perConn = 256 << 10
 		rate    = 2e7 // per-conn ceiling; CPU saturates first
 	)
-	srv, err := qtpnet.NewShardedEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{
+	srv, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{
 		AcceptInbound: true,
 		Constraints:   core.Permissive(rate),
+		Shards:        shards,
 		// Deep enough per-conn delivery queues that a whole stream can
 		// buffer (one ~MSS segment per chunk): the bench measures the
 		// transport, not reader lag.
 		ReadQueue: 2 * perConn / core.DefaultMSS,
-	}, shards)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
