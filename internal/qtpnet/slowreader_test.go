@@ -1,0 +1,164 @@
+package qtpnet
+
+import (
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+)
+
+// TestSlowReaderLosesNothing is the paper's QTPAF promise under an
+// ordinary application: a writer that sends back to back for a second
+// while the reader takes its time between reads. Whatever the transport
+// acknowledged it must deliver — a reliable stream hands over every byte
+// exactly once, an expiring stream may only lose what passed its
+// deadline — with the endpoint's default configuration.
+//
+// The stream carries the big-endian counter 0, 1, 2, … in 8-byte words.
+// Every write and the MSS are multiples of 8, so each delivered chunk
+// holds whole words and names its own position in the stream, which is
+// what lets the unordered and expiring modes be checked too.
+func TestSlowReaderLosesNothing(t *testing.T) {
+	modes := []struct {
+		name     string
+		mode     StreamMode
+		deadline time.Duration
+	}{
+		{"reliable-ordered", StreamReliableOrdered, 0},
+		{"reliable-unordered", StreamReliableUnordered, 0},
+		{"expiring", StreamExpiring, 100 * time.Millisecond},
+	}
+	for _, m := range modes {
+		m := m
+		t.Run(m.name, func(t *testing.T) {
+			t.Parallel()
+			slowReader(t, m.mode, m.deadline)
+		})
+	}
+}
+
+func slowReader(t *testing.T, mode StreamMode, deadline time.Duration) {
+	l, err := Listen("127.0.0.1:0", core.Permissive(1e7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	type tally struct {
+		words, dups, corrupt, gaps int
+		err                        string
+	}
+	got := make(chan tally, 1)
+	go func() {
+		var r tally
+		defer func() { got <- r }()
+		conn, err := l.Accept()
+		if err != nil {
+			r.err = err.Error()
+			return
+		}
+		defer conn.Close()
+		s, ok := conn.AcceptStream(10 * time.Second)
+		if !ok {
+			r.err = "AcceptStream timed out"
+			return
+		}
+		var seen []bool // by word index
+		next := uint64(0)
+		for {
+			chunk, ok := s.Read(10 * time.Second)
+			if !ok {
+				break // connection closed and drained, or the sender stalled
+			}
+			if len(chunk)%8 != 0 {
+				r.corrupt++
+			}
+			for i := 0; i+8 <= len(chunk); i += 8 {
+				w := binary.BigEndian.Uint64(chunk[i:])
+				if i > 0 && w != binary.BigEndian.Uint64(chunk[i-8:])+1 {
+					r.corrupt++
+				}
+				if w >= 1<<32 {
+					r.corrupt++
+					continue
+				}
+				for uint64(len(seen)) <= w {
+					seen = append(seen, false)
+				}
+				if seen[w] {
+					r.dups++
+				}
+				seen[w] = true
+				if mode == StreamReliableOrdered && w != next {
+					r.gaps++
+				}
+				next = w + 1
+				r.words++
+			}
+			s.Release(chunk)
+			time.Sleep(500 * time.Microsecond)
+		}
+		if mode != StreamReliableOrdered {
+			for _, ok := range seen {
+				if !ok {
+					r.gaps++
+				}
+			}
+		}
+	}()
+
+	profile := core.QTPAF(1e6)
+	profile.MaxStreams = 8
+	conn, err := Dial(l.Addr().String(), profile, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	s, err := conn.OpenStream(mode, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := make([]byte, 64<<10)
+	written := uint64(0) // in words
+	for stop := time.Now().Add(time.Second); time.Now().Before(stop); {
+		for i := 0; i < len(block); i += 8 {
+			binary.BigEndian.PutUint64(block[i:], written)
+			written++
+		}
+		if _, err := s.Write(block); err != nil {
+			t.Fatalf("write after %d words: %v", written, err)
+		}
+	}
+	s.CloseSend()
+	conn.CloseSend()
+
+	select {
+	case <-conn.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatalf("connection did not close after the writer finished (%d words written)", written)
+	}
+	var r tally
+	select {
+	case r = <-got:
+	case <-time.After(30 * time.Second):
+		t.Fatal("reader did not finish")
+	}
+	if r.err != "" {
+		t.Fatal(r.err)
+	}
+	t.Logf("wrote %d words, read %d (%.1f%%), %d gaps, %d duplicates, rx drops %d",
+		written, r.words, 100*float64(r.words)/float64(written), r.gaps, r.dups, l.Stats().RecvDrops)
+	if r.corrupt != 0 || r.dups != 0 {
+		t.Errorf("%d corrupt words, %d delivered twice", r.corrupt, r.dups)
+	}
+	if mode == StreamExpiring {
+		if r.words == 0 {
+			t.Error("expiring stream delivered nothing")
+		}
+		return
+	}
+	if uint64(r.words) != written || r.gaps != 0 {
+		t.Errorf("reliable stream delivered %d of %d words with %d gaps", r.words, written, r.gaps)
+	}
+}

@@ -236,3 +236,83 @@ func TestStreamRefusedByLegacyResponder(t *testing.T) {
 		t.Fatal("legacy transfer timed out")
 	}
 }
+
+// TestOpenStreamOnResumedDial pins that a stream can be opened the
+// moment Dial returns. A 0-RTT resume returns after the first flight,
+// before the Accept lands, while the state machine is still Connecting;
+// OpenStream has to wait out the handshake instead of failing with
+// "frame invalid in this state" (qtpbench -loopback -streams 3 -conns 4
+// hit it on its resumed dials).
+func TestOpenStreamOnResumedDial(t *testing.T) {
+	skipIfCleartext(t)
+	l, err := Listen("127.0.0.1:0", core.Permissive(1e7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	msg := bytes.Repeat([]byte("stream"), 512)
+	for _, wantEarly := range []bool{false, true} {
+		gotCh := make(chan []byte, 1)
+		go func() {
+			var got []byte
+			defer func() { gotCh <- got }()
+			sc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer sc.Close()
+			s, ok := sc.AcceptStream(10 * time.Second)
+			if !ok {
+				return
+			}
+			for {
+				chunk, ok := s.Read(10 * time.Second)
+				if !ok {
+					return
+				}
+				got = append(got, chunk...)
+				s.Release(chunk)
+			}
+		}()
+
+		conn, err := client.Dial(l.Addr().String(), multiStreamProfile(), 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := conn.OpenStream(StreamReliableOrdered, 0)
+		if err != nil {
+			t.Fatalf("open stream right after Dial (resumed=%v): %v", wantEarly, err)
+		}
+		conn.mu.Lock()
+		early := conn.inner.CryptoInfo().EarlyOffered
+		conn.mu.Unlock()
+		if early != wantEarly {
+			t.Fatalf("dial offered 0-RTT = %v, want %v", early, wantEarly)
+		}
+		if _, err := s.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		s.CloseSend()
+		conn.CloseSend()
+		select {
+		case <-conn.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatal("close exchange never finished")
+		}
+		conn.Close()
+		select {
+		case got := <-gotCh:
+			if !bytes.Equal(got, msg) {
+				t.Fatalf("server read %d bytes on the stream, want %d (resumed=%v)", len(got), len(msg), wantEarly)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("server never finished reading")
+		}
+	}
+}
