@@ -266,12 +266,6 @@ func benchFanout(b *testing.B, ceiling qtpnet.DataPath, encrypted bool, cc packe
 		Constraints:       core.Permissive(rate),
 		DataPath:          ceiling,
 		DisableEncryption: !encrypted,
-		// Deep enough for a whole per-conn transfer: on a saturated
-		// single-core box the reader goroutines are scheduled long after
-		// the data path has delivered, and the default queue's
-		// drop-oldest overflow would turn scheduling jitter into missing
-		// bytes. The bench measures the data path, not reader latency.
-		ReadQueue: perConn/1200 + 16,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -130,6 +130,7 @@ type Stats struct {
 	FramesReceived int
 	DeliveredBytes int
 	DecodeErrors   int
+	RefusedFrames  int // data frames refused unacknowledged at deliveryBound: retransmitted, never lost
 
 	// RetriesReceived counts stateless Retry challenges answered during
 	// the handshake (each one restarts the Connect with the server's
@@ -186,7 +187,8 @@ type Conn struct {
 
 	// Stream state (see stream.go). The sender owns sendStreams (stream
 	// 0 from NewConn on), the receiver recv* plus the connection-level
-	// ack tracker and the tagged delivery queue. multi is the framing
+	// ack tracker; delivered chunks wait on their stream's own ready
+	// queue until ReadStream pops them. multi is the framing
 	// choice: data frames carry the stream prefix and feedback the
 	// per-stream ack tail, and more streams than 0 may be opened.
 	multi        bool
@@ -200,8 +202,6 @@ type Conn struct {
 	acceptQ      []uint64
 	retired      map[uint64]StreamStats // final snapshots of retired streams
 	ackTrack     connAckTracker
-	readQ        []streamChunk // delivered chunks; readHead is the next to hand out
-	readHead     int
 	ackTail      []packet.StreamAck
 
 	// Scratch state for frame building/parsing.
@@ -218,11 +218,13 @@ type Conn struct {
 	stats Stats
 }
 
-// Frame-type errors surfaced by HandleFrame.
+// Frame-type errors surfaced by HandleFrame, each returned bare.
 var (
 	ErrClosed    = errors.New("qtp: connection closed")
 	ErrNotSender = errors.New("qtp: not the sending side")
 	ErrBadState  = errors.New("qtp: frame invalid in this state")
+	// ErrDeliveryFull refuses a data frame: its stream is at deliveryBound.
+	ErrDeliveryFull = errors.New("qtp: stream delivery queue full, data frame refused")
 )
 
 // NewConn creates an endpoint. Call Start on the initiator to begin the
@@ -430,14 +432,6 @@ func (c *Conn) BacklogLen() int {
 // The connection tears down once every stream is closed and resolved.
 func (c *Conn) CloseSend() {
 	_ = c.CloseStream(0) // only a receiver has no stream 0 to close
-}
-
-// Read returns the next chunk delivered to the application, from
-// whichever stream has one; use ReadAny where the stream identity
-// matters.
-func (c *Conn) Read() ([]byte, bool) {
-	_, p, ok := c.ReadAny()
-	return p, ok
 }
 
 // EstimatorOps returns the QTPlight sender estimator's operation count

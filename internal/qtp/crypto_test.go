@@ -90,7 +90,7 @@ func TestEncryptedHandshake(t *testing.T) {
 			}
 		}
 		for {
-			chunk, ok := srv.Read()
+			chunk, ok := srv.ReadStream(0)
 			if !ok {
 				break
 			}
@@ -135,7 +135,7 @@ func TestZeroRTTOneFlightEarlier(t *testing.T) {
 					t.Fatalf("client->server: %v", err)
 				}
 			}
-			if _, ok := srv.Read(); ok {
+			if _, ok := srv.ReadStream(0); ok {
 				return i, cli, srv
 			}
 			for _, f := range pollFlight(now, srv) {
@@ -380,7 +380,7 @@ func TestRetryRebindsZeroRTT(t *testing.T) {
 			}
 		}
 		for {
-			chunk, ok := srv.Read()
+			chunk, ok := srv.ReadStream(0)
 			if !ok {
 				break
 			}

@@ -215,7 +215,7 @@ var errFraming = errors.New("qtp: data frame stream prefix does not match the ne
 
 // onData is the data path: decode which stream the frame belongs to,
 // feed the connection-level ack tracker and the stream's receiver, and
-// queue whatever became deliverable.
+// leave whatever became deliverable on the stream's ready queue.
 func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) error {
 	if c.isSender() || c.state == StateIdle {
 		return ErrBadState
@@ -241,6 +241,13 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 	case rs == nil:
 		rs = c.openRecvStream0()
 	}
+	if rs != nil && rs.Unread()+len(data) > deliveryBound {
+		// The reader is behind. Refused before the ack tracker, the stream's
+		// receiver or the TFRC receiver see it, the frame is as good as lost:
+		// the sender's scoreboard still owns it and the rate controller slows.
+		c.stats.RefusedFrames++
+		return ErrDeliveryFull
+	}
 	c.ackTrack.onData(hdr.Seq)
 	if rs == nil {
 		// Straggler for a retired stream (a late retransmission that
@@ -257,7 +264,7 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 		// put the stream's cum back on the tail until it lands.
 		rs.finalAcked = false
 	}
-	c.drainRecv(rs)
+	c.liftFloor(rs)
 
 	if c.tfrcRecv != nil {
 		if hdr.Flags&packet.FlagRetransmit != 0 {

@@ -110,10 +110,10 @@ func (c *Conn) advance(now time.Duration) {
 		}
 	}
 	// Streams that skip stale frontier holes do so on their own clock;
-	// whatever that frees up is queued for the application.
+	// whatever that frees up lands on their ready queues.
 	for _, rs := range c.recvOrder {
 		rs.onDeadline(now)
-		c.drainRecv(rs)
+		c.liftFloor(rs)
 	}
 	c.armStreamResets(now)
 	c.retireStreams()

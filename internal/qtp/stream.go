@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/packet"
 	"repro/internal/sack"
 	"repro/internal/seqspace"
@@ -81,6 +80,7 @@ type StreamStats struct {
 
 	// Receiver side.
 	DeliveredBytes int // bytes released to the application
+	UnreadBytes    int // of those, still on the ready queue waiting to be read
 	SkippedSegs    int // expiring holes skipped past (never delivered)
 	DuplicateSegs  int
 }
@@ -160,13 +160,22 @@ func (s *sendStream) done() bool {
 	return !s.buf.Unresolved()
 }
 
+// streamReceiver is what the two receive machines have in common.
+type streamReceiver interface {
+	Pop() ([]byte, bool) // next chunk off the ready queue
+	Unread() int         // bytes on the ready queue
+	CumAck() seqspace.Seq
+	Finished() bool
+}
+
 // recvStream is the receiver half of one stream.
 type recvStream struct {
 	id   uint64
 	mode packet.StreamMode
 
-	reasm *sack.Reassembler       // ordered and expiring modes
-	unord *sack.UnorderedReceiver // unordered mode
+	streamReceiver                         // reasm or unord, whichever the mode uses
+	reasm          *sack.Reassembler       // ordered and expiring modes
+	unord          *sack.UnorderedReceiver // unordered mode
 
 	// connSeq marks the unprefixed stream 0, whose sequence space is the
 	// connection's: its cumulative ack doubles as the ack floor.
@@ -184,6 +193,8 @@ func newRecvStream(id uint64, mode packet.StreamMode, deadline time.Duration, st
 	switch mode {
 	case packet.StreamReliableUnordered:
 		rs.unord = sack.NewUnorderedReceiver(start)
+		rs.streamReceiver = rs.unord
+		return rs
 	case packet.StreamExpiring:
 		// Hold holes a bit past the sender's retransmission deadline so a
 		// last retransmission still has time to arrive.
@@ -191,6 +202,7 @@ func newRecvStream(id uint64, mode packet.StreamMode, deadline time.Duration, st
 	default:
 		rs.reasm = sack.NewReassembler(start, 0)
 	}
+	rs.streamReceiver = rs.reasm
 	return rs
 }
 
@@ -201,19 +213,15 @@ func (rs *recvStream) onData(now time.Duration, seq seqspace.Seq, payload []byte
 	return rs.reasm.OnData(now, seq, payload, fin)
 }
 
-func (rs *recvStream) pop() ([]byte, bool) {
-	if rs.unord != nil {
-		return rs.unord.Pop()
-	}
-	return rs.reasm.Pop()
-}
-
-func (rs *recvStream) cumAck() seqspace.Seq {
-	if rs.unord != nil {
-		return rs.unord.CumAck()
-	}
-	return rs.reasm.CumAck()
-}
+// deliveryBound caps a stream's unread bytes — what sits on its ready
+// queue, the one place a delivered chunk waits for the application; an
+// arrival that would pass it is refused (see onData). It mirrors the
+// send side's 1 MiB MaxBacklog default, per stream so a stalled reader
+// cannot take its siblings' buffer, and a constant: what bounds memory
+// is not a knob. Only ready bytes count, never the out-of-order buffer,
+// or the frontier retransmission that unblocks delivery could itself be
+// refused; what it frees (at most a flight) may pass the bound.
+const deliveryBound = 1 << 20
 
 func (rs *recvStream) onDeadline(now time.Duration) {
 	if rs.reasm != nil {
@@ -226,13 +234,6 @@ func (rs *recvStream) nextDeadline() (time.Duration, bool) {
 		return rs.reasm.NextDeadline()
 	}
 	return 0, false
-}
-
-func (rs *recvStream) finished() bool {
-	if rs.unord != nil {
-		return rs.unord.Finished()
-	}
-	return rs.reasm.Finished()
 }
 
 // connAckTracker is the receiver's connection-level acknowledgment
@@ -267,12 +268,6 @@ func (t *connAckTracker) advanceFloor(floor seqspace.Seq) {
 	t.received.RemoveBefore(t.cum)
 	t.cum = t.received.FirstMissingAfter(t.cum)
 	t.received.RemoveBefore(t.cum)
-}
-
-// streamChunk is one delivered payload tagged with its stream.
-type streamChunk struct {
-	id      uint64
-	payload []byte
 }
 
 // ---- Conn: stream-layer construction ----------------------------------
@@ -361,7 +356,8 @@ func (c *Conn) retireStreams() {
 	}
 	for i := 0; i < len(c.recvOrder); {
 		rs := c.recvOrder[i]
-		if rs.id == 0 || !rs.finished() || !rs.finalAcked {
+		// An undrained stream stays: its chunks are still owed to a reader.
+		if rs.id == 0 || !rs.Finished() || !rs.finalAcked || rs.Unread() > 0 {
 			i++
 			continue
 		}
@@ -496,23 +492,30 @@ func (c *Conn) StreamBacklogLen(id uint64) int {
 	return 0
 }
 
-// ReadAny returns the next delivered chunk from any stream along with
-// the stream it belongs to. Chunks are drawn from bufpool's chunk pool;
-// the application owns the returned slice and should release it with
-// bufpool.PutChunk once the data has been consumed.
+// ReadStream pops the next delivered chunk off one stream's ready
+// queue. Chunks come from bufpool's chunk pool: the application owns the
+// slice and releases it with bufpool.PutChunk once consumed. What is not
+// read stays queued, up to deliveryBound: a slow reader slows its
+// sender, it never loses acknowledged data.
+func (c *Conn) ReadStream(id uint64) ([]byte, bool) {
+	rs := c.recvByID[id]
+	if rs == nil {
+		return nil, false
+	}
+	p, ok := rs.Pop()
+	c.stats.DeliveredBytes += len(p)
+	return p, ok
+}
+
+// ReadAny is ReadStream for a consumer that takes every stream: the
+// next chunk of the first stream, in creation order, that has one.
 func (c *Conn) ReadAny() (id uint64, p []byte, ok bool) {
-	if c.readHead == len(c.readQ) {
-		return 0, nil, false
+	for _, rs := range c.recvOrder {
+		if p, ok := c.ReadStream(rs.id); ok {
+			return rs.id, p, true
+		}
 	}
-	ch := c.readQ[c.readHead]
-	c.readQ[c.readHead].payload = nil // the application owns the chunk now
-	if c.readHead++; c.readHead == len(c.readQ) {
-		// Drained: rewind instead of slicing the array away, so a reader
-		// that keeps up costs no allocation per chunk.
-		c.readQ, c.readHead = c.readQ[:0], 0
-	}
-	c.stats.DeliveredBytes += len(ch.payload)
-	return ch.id, ch.payload, true
+	return 0, nil, false
 }
 
 // AcceptStreamID pops the ID of a newly seen inbound stream (receiver
@@ -555,7 +558,7 @@ func (c *Conn) StreamStats(id uint64) (StreamStats, bool) {
 		}, true
 	}
 	if rs, ok := c.recvByID[id]; ok {
-		st := StreamStats{ID: rs.id, Mode: rs.mode}
+		st := StreamStats{ID: rs.id, Mode: rs.mode, UnreadBytes: rs.Unread()}
 		if rs.unord != nil {
 			st.DeliveredBytes = rs.unord.DeliveredBytes
 			st.DuplicateSegs = rs.unord.DuplicateSegs
@@ -571,26 +574,13 @@ func (c *Conn) StreamStats(id uint64) (StreamStats, bool) {
 
 // ---- Conn: stream receive path ----------------------------------------
 
-// drainRecv settles one receive stream after anything changed it: the
-// chunks that became deliverable move onto the connection's read queue
-// (zero-length ones — bare FIN markers — are recycled, not delivered),
-// and the unprefixed stream 0, for which no ack floor travels on the
+// liftFloor runs after anything moved a receive stream's cumulative
+// ack: the unprefixed stream 0, for which no ack floor travels on the
 // wire, lifts the connection-level ack to its own cumulative ack so
 // holes it skipped are reported as passed.
-func (c *Conn) drainRecv(rs *recvStream) {
-	for {
-		p, ok := rs.pop()
-		if !ok {
-			break
-		}
-		if len(p) == 0 {
-			bufpool.PutChunk(p)
-			continue
-		}
-		c.readQ = append(c.readQ, streamChunk{id: rs.id, payload: p})
-	}
+func (c *Conn) liftFloor(rs *recvStream) {
 	if rs.connSeq {
-		c.ackTrack.advanceFloor(rs.cumAck())
+		c.ackTrack.advanceFloor(rs.CumAck())
 	}
 }
 
@@ -628,25 +618,27 @@ func (c *Conn) streamAckTail() []packet.StreamAck {
 		if len(c.ackTail) >= packet.MaxStreams {
 			break
 		}
-		if rs.finished() {
+		if rs.Finished() {
 			if rs.finalAcked {
 				continue
 			}
 			rs.finalAcked = true
 		}
-		c.ackTail = append(c.ackTail, packet.StreamAck{ID: rs.id, CumAck: rs.cumAck()})
+		c.ackTail = append(c.ackTail, packet.StreamAck{ID: rs.id, CumAck: rs.CumAck()})
 	}
 	return c.ackTail
 }
 
 // Finished reports whether the receive half has delivered everything:
-// every stream that carried data is through its FIN. It answers for the
-// receiving endpoint only — a sender has nothing to finish. An expiring
-// stream whose tail (FIN included) was lost and abandoned can never
-// deliver it; once the peer has initiated the connection close — its
-// signal that every stream is resolved on the sending side — whatever
-// such a stream still misses is by definition expired, so it counts as
-// finished.
+// every stream that carried data is through its FIN and the application
+// has read its last chunk — so the idiomatic receive loop, for
+// !Finished() { Read }, cannot exit with data still queued. It answers
+// for the receiving endpoint only — a sender has nothing to finish. An
+// expiring stream whose tail (FIN included) was lost and abandoned can
+// never deliver it; once the peer has initiated the connection close —
+// its signal that every stream is resolved on the sending side —
+// whatever such a stream still misses is by definition expired, so it
+// counts as finished.
 func (c *Conn) Finished() bool {
 	if c.isSender() {
 		return false
@@ -657,13 +649,10 @@ func (c *Conn) Finished() bool {
 	}
 	peerDone := c.state == StateClosing || c.state == StateClosed
 	for _, rs := range c.recvOrder {
-		if rs.finished() {
-			continue
+		done := rs.Finished() || (rs.mode == packet.StreamExpiring && peerDone)
+		if !done || rs.Unread() > 0 {
+			return false
 		}
-		if rs.mode == packet.StreamExpiring && peerDone {
-			continue
-		}
-		return false
 	}
 	return true
 }
@@ -795,7 +784,7 @@ func (c *Conn) onStreamReset(now time.Duration, payload []byte) error {
 	}
 	rs.reasm.ForceFin(now, sr.FinSeq)
 	rs.finalAcked = false // (re-)advertise the final cum until it lands
-	c.drainRecv(rs)
+	c.liftFloor(rs)
 	c.stats.StreamResetsRcvd++
 	// Answer promptly: the sender retries until it sees our cum cross
 	// the FIN.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -369,6 +370,48 @@ func TestStreamRetirement(t *testing.T) {
 	// not make the sending endpoint report it.
 	if f.Sender.Finished() {
 		t.Fatal("sending endpoint reports Finished after retiring send streams")
+	}
+
+	// A stream the application has not drained is not reclaimed, however
+	// finished and acknowledged: its chunks are still owed. One more
+	// stream, plus the end of stream 0, arrives at a receiver nobody reads.
+	p.toRecv.Target = netsim.HandlerFunc(func(pk *netsim.Packet) {
+		_ = f.Receiver.HandleFrame(p.sim.Now(), pk.Payload.([]byte))
+		f.pumpReceiver()
+	})
+	last, err := f.Sender.OpenStream(packet.StreamReliableUnordered, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Sender.WriteStream(last, make([]byte, 3000))
+	f.Sender.CloseStream(last)
+	f.Sender.WriteStream(0, make([]byte, 1000))
+	f.Sender.CloseStream(0)
+	f.Pump()
+	p.sim.Run(p.sim.Now() + 10*time.Second)
+	if _, live := f.Sender.sendByID[last]; live {
+		t.Fatal("the sender never saw the undrained stream acknowledged")
+	}
+	unread := func(id uint64) int {
+		st, _ := f.Receiver.StreamStats(id)
+		return st.UnreadBytes
+	}
+	if _, live := f.Receiver.recvByID[last]; !live || unread(last) != 3000 {
+		t.Fatalf("finished stream retired with %d bytes unread (live=%v)", unread(last), live)
+	}
+	for unread(last)+unread(0) > 0 {
+		if f.Receiver.Finished() {
+			t.Fatal("Finished() with delivered chunks still unread")
+		}
+		_, chunk, _ := f.Receiver.ReadAny()
+		bufpool.PutChunk(chunk)
+	}
+	if !f.Receiver.Finished() {
+		t.Fatal("not Finished() after the last chunk was read")
+	}
+	f.Receiver.PollFrame(p.sim.Now()) // a pump turn reclaims what was drained
+	if _, live := f.Receiver.recvByID[last]; live {
+		t.Fatal("drained stream still not retired")
 	}
 }
 

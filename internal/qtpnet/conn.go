@@ -29,13 +29,11 @@ type Conn struct {
 	mu    sync.Mutex
 	inner *qtp.Conn
 
-	readCh chan []byte
-
-	// Stream multiplexing: streams holds every known stream (opened
+	// Stream multiplexing: streams holds every known stream (s0, implicit
+	// on every connection and what Conn.Read reads, plus those opened
 	// locally or announced by the peer), guarded by mu; acceptStreams
-	// queues peer-announced streams for AcceptStream. Stream 0 is
-	// implicit — its data rides readCh, behind Conn.Read, whatever the
-	// framing.
+	// queues peer-announced streams for AcceptStream.
+	s0            *Stream
 	streams       map[uint64]*Stream
 	acceptStreams chan *Stream
 
@@ -82,19 +80,20 @@ type Conn struct {
 }
 
 func newConn(sh *shard, peer netip.AddrPort, id uint32) *Conn {
-	return &Conn{
+	c := &Conn{
 		sh:            sh,
 		peer:          peer,
 		localID:       id,
 		remoteID:      id,
-		readCh:        make(chan []byte, sh.ep.cfg.ReadQueue),
-		streams:       make(map[uint64]*Stream),
 		acceptStreams: make(chan *Stream, packet.MaxStreams),
 		established:   make(chan struct{}),
 		closedCh:      make(chan struct{}),
 		reaped:        make(chan struct{}),
 		heapIdx:       -1,
 	}
+	c.s0 = newNetStream(c, 0, StreamReliableOrdered)
+	c.streams = map[uint64]*Stream{0: c.s0}
+	return c
 }
 
 // ID returns the connection's endpoint-local identifier: the value the
@@ -161,31 +160,55 @@ func (c *Conn) closeSendStream(id uint64) {
 	c.sh.serviceFlush(c)
 }
 
-// readFrom is the shared delivery wait behind Conn.Read and
-// Stream.Read: block until a chunk lands on ch, the connection dies
-// (draining anything already queued first), or the timeout passes.
-func (c *Conn) readFrom(ch chan []byte, timeout time.Duration) ([]byte, bool) {
+// pop takes the stream's next chunk from the state machine, or notes
+// that its reader is about to park.
+func (c *Conn) pop(s *Stream) ([]byte, bool) {
+	c.mu.Lock()
+	p, ok := c.inner.ReadStream(s.id)
+	s.parked = !ok
+	c.mu.Unlock()
+	return p, ok
+}
+
+// wake hands a parked reader its token once its stream has something to
+// read. Callers hold c.mu.
+func (c *Conn) wake(s *Stream) {
+	if !s.parked {
+		return
+	}
+	if st, _ := c.inner.StreamStats(s.id); st.UnreadBytes > 0 {
+		s.parked = false
+		select {
+		case s.readable <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// readFrom is the delivery wait behind Conn.Read and Stream.Read: block
+// until the stream has a chunk, the connection dies (draining anything
+// already delivered first), or the timeout passes.
+func (c *Conn) readFrom(s *Stream, timeout time.Duration) ([]byte, bool) {
 	// Fast path: in steady-state delivery a chunk is already queued, so
 	// the wait machinery (and its timer allocation) never runs.
-	select {
-	case p := <-ch:
+	if p, ok := c.pop(s); ok {
 		return p, true
-	default:
 	}
 	t := acquireTimer(timeout)
 	defer releaseTimer(t)
-	select {
-	case p := <-ch:
-		return p, true
-	case <-c.closedCh:
+	for {
 		select {
-		case p := <-ch:
-			return p, true
-		default:
+		case <-s.readable:
+			// A token can be stale (the fast path beat it to the chunk):
+			// re-park on a miss.
+			if p, ok := c.pop(s); ok {
+				return p, true
+			}
+		case <-c.closedCh:
+			return c.pop(s)
+		case <-t.C:
 			return nil, false
 		}
-	case <-t.C:
-		return nil, false
 	}
 }
 
@@ -235,7 +258,7 @@ func (c *Conn) CloseSend() { c.closeSendStream(0) }
 // delivery allocates nothing (skipping Release costs a pool miss, never
 // a leak).
 func (c *Conn) Read(timeout time.Duration) ([]byte, bool) {
-	return c.readFrom(c.readCh, timeout)
+	return c.readFrom(c.s0, timeout)
 }
 
 // Release returns a chunk obtained from Read to the delivery pool.
@@ -247,26 +270,13 @@ func (c *Conn) Release(p []byte) { bufpool.PutChunk(p) }
 // may still be drained with Read.
 func (c *Conn) Done() <-chan struct{} { return c.closedCh }
 
-// Finished reports whether the receive stream completed through FIN
-// and every delivered chunk has been read. The protocol can resolve a
-// beat before the application drains the delivery queue, so without
-// the queue check the idiomatic receive loop — for !Finished() { Read }
-// — would exit with the final chunk still queued.
+// Finished reports whether every receive stream completed through FIN
+// and its last chunk has been read, so the idiomatic receive loop — for
+// !Finished() { Read } — never exits with data still queued.
 func (c *Conn) Finished() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.inner.Finished() {
-		return false
-	}
-	if len(c.readCh) > 0 {
-		return false
-	}
-	for _, s := range c.streams {
-		if len(s.readCh) > 0 {
-			return false
-		}
-	}
-	return true
+	return c.inner.Finished()
 }
 
 // Close removes the connection from its endpoint. If the protocol

@@ -29,15 +29,12 @@ const maxDatagram = bufpool.Size
 // silent.
 const closeGrace = 3 * time.Second
 
-// Defaults for the two queue depths a config may leave unset, and the
+// The default for the one queue depth a config may leave unset, and the
 // values that are deliberately not configurable at all.
 const (
 	// defaultAcceptBacklog is the accept-queue depth when
 	// EndpointConfig.AcceptBacklog is unset.
 	defaultAcceptBacklog = 64
-	// defaultReadQueue is the per-connection delivery queue depth when
-	// EndpointConfig.ReadQueue is unset.
-	defaultReadQueue = 64
 	// minAcceptBurst floors the accept token bucket's depth, which is
 	// otherwise one second's worth of AcceptRate.
 	minAcceptBurst = 8
@@ -90,10 +87,13 @@ type EndpointConfig struct {
 	// Beyond it, new Connects are abandoned; the peer's handshake
 	// retransmission gives Accept time to catch up.
 	AcceptBacklog int
-	// ReadQueue caps delivered chunks buffered per connection awaiting
-	// the application's Read (default 64, i.e. 128 KiB of 2 KiB chunks).
-	// Beyond it the oldest chunk is dropped so one stalled reader cannot
-	// wedge the endpoint; raise it for bursty high-rate receivers.
+	// ReadQueue is ignored: the driver holds no delivery queue to size.
+	// Delivered chunks wait inside the state machine, a fixed 1 MiB unread
+	// per stream at most; past it a slow reader slows its sender and loses
+	// nothing (docs/WIRE.md, "Delivery and back-pressure").
+	//
+	// Deprecated: kept only because the repo benchmark, which later
+	// changes may not edit, sets it (benchmark/README.md, "Entry points").
 	ReadQueue int
 	// Shards is how many sockets serve the port, each with a complete
 	// data path of its own (see Endpoint). Zero or one is one plain
@@ -141,9 +141,6 @@ func (cfg EndpointConfig) resolved() EndpointConfig {
 	if cfg.AcceptBacklog <= 0 {
 		cfg.AcceptBacklog = defaultAcceptBacklog
 	}
-	if cfg.ReadQueue <= 0 {
-		cfg.ReadQueue = defaultReadQueue
-	}
 	if cfg.Shards < 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -172,7 +169,7 @@ type EndpointStats struct {
 	MaxRecvBatch int    // largest single read batch
 	MaxSendBatch int    // largest single write batch
 	NoRoute      uint64 // datagrams that matched no connection
-	RecvDrops    uint64 // delivered chunks dropped on slow readers
+	RecvDrops    uint64 // data datagrams refused at a stream's unread bound: retransmitted, never bytes lost
 	SendErrs     uint64 // transient send errors (datagram dropped)
 	SendDrops    uint64 // datagrams abandoned by send errors
 

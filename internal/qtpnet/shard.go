@@ -598,7 +598,11 @@ func (sh *shard) handleFrame(c *Conn, dgram []byte) error {
 		sh.openFails.Add(1)
 		return errCleartextOnEncrypted
 	}
-	return c.inner.HandleFrame(sh.now(), dgram)
+	err := c.inner.HandleFrame(sh.now(), dgram)
+	if err == qtp.ErrDeliveryFull { // returned bare
+		sh.recvDrops.Add(1)
+	}
+	return err
 }
 
 // resolveLocked finds the connection a classified frame belongs to,
@@ -657,11 +661,11 @@ func (sh *shard) allocIDLocked() uint32 {
 }
 
 // service drives one connection: enqueue due frames on the shared send
-// scheduler, deliver readable data, then reschedule its deadline in the
-// shared timer heap. It is called after every event touching the
-// connection (inbound frames, application write, timer expiry) and
-// reports whether it enqueued frames, which the caller owes a
-// flushPending for once its round completes.
+// scheduler, wake readers whose streams became readable, then
+// reschedule its deadline in the shared timer heap. It is called after
+// every event touching the connection (inbound frames, application
+// write, timer expiry) and reports whether it enqueued frames, which
+// the caller owes a flushPending for once its round completes.
 //
 // Frames are built directly into pooled buffers whose ownership passes
 // to the scheduler; nothing touches the socket while a connection lock
@@ -786,45 +790,21 @@ func (sh *shard) service(c *Conn) (produced bool) {
 			// the stream routable regardless.
 		}
 	}
-	for {
-		id, chunk, ok := c.inner.ReadAny()
-		if !ok {
-			break
-		}
-		if lingering {
-			// Grace period after an application close: the state machine
-			// still runs (acking retransmissions, answering Close) but
-			// nobody is reading — recycle deliveries immediately.
+	if lingering {
+		// Grace period after an application close: the state machine
+		// still runs (acking retransmissions, answering Close) but nobody
+		// is reading — pop and recycle, or the delivery bound would refuse
+		// the tail the peer is waiting to have acknowledged.
+		for {
+			_, chunk, ok := c.inner.ReadAny()
+			if !ok {
+				break
+			}
 			bufpool.PutChunk(chunk)
-			continue
 		}
-		ch := c.readCh
-		if id != 0 {
-			s := c.streams[id]
-			if s == nil {
-				sh.recvDrops.Add(1)
-				bufpool.PutChunk(chunk)
-				continue
-			}
-			ch = s.readCh
-		}
-		select {
-		case ch <- chunk:
-		default:
-			// Application is slow; drop oldest so one stalled reader
-			// cannot wedge the endpoint that serves everyone else.
-			select {
-			case old := <-ch:
-				sh.recvDrops.Add(1)
-				bufpool.PutChunk(old)
-			default:
-			}
-			select {
-			case ch <- chunk:
-			default:
-				sh.recvDrops.Add(1)
-				bufpool.PutChunk(chunk)
-			}
+	} else {
+		for _, s := range c.streams {
+			c.wake(s)
 		}
 	}
 	wakeAt, wok := c.inner.NextWake(now)

@@ -162,3 +162,52 @@ func slowReader(t *testing.T, mode StreamMode, deadline time.Duration) {
 		t.Errorf("reliable stream delivered %d of %d words with %d gaps", r.words, written, r.gaps)
 	}
 }
+
+// TestReadQueueIsInert pins that the deprecated EndpointConfig.ReadQueue
+// sizes nothing: half a megabyte sent to a reader that has not started
+// reading is all there when it does, whether the field says 1 or 4096.
+func TestReadQueueIsInert(t *testing.T) {
+	const total = 512 << 10
+	for _, depth := range []int{1, 4096} {
+		srv, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
+			AcceptInbound: true, Constraints: core.Permissive(1e7), ReadQueue: depth,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := Dial(srv.Addr().String(), core.QTPAF(1e7), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(make([]byte, total)); err != nil {
+			t.Fatal(err)
+		}
+		conn.CloseSend()
+		// The whole transfer fits under the unread bound, so the sender
+		// resolves and closes before the reader has taken a byte.
+		select {
+		case <-conn.Done():
+		case <-time.After(20 * time.Second):
+			t.Fatalf("ReadQueue %d: sender did not finish against an idle reader", depth)
+		}
+		conn.Close()
+		sc, err := srv.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for !sc.Finished() {
+			chunk, ok := sc.Read(time.Second)
+			if !ok {
+				break
+			}
+			got += len(chunk)
+			sc.Release(chunk)
+		}
+		if drops := srv.Stats().RecvDrops; got != total || drops != 0 {
+			t.Errorf("ReadQueue %d: read %d of %d bytes, %d arrivals refused", depth, got, total, drops)
+		}
+		sc.Close()
+		srv.Close()
+	}
+}

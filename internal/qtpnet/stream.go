@@ -37,11 +37,17 @@ type Stream struct {
 	id   uint64
 	mode StreamMode
 
-	readCh chan []byte
+	// Delivered chunks wait in one place only, the stream's ready queue
+	// inside the state machine; this is just where a Read parks while it
+	// is empty. readable carries at most one token, sent by service when
+	// the queue goes empty → non-empty under a parked Read, so a reader
+	// that keeps up costs no channel operation per chunk.
+	readable chan struct{}
+	parked   bool // a Read found the queue empty; guarded by c.mu
 }
 
 func newNetStream(c *Conn, id uint64, mode StreamMode) *Stream {
-	return &Stream{c: c, id: id, mode: mode, readCh: make(chan []byte, c.sh.ep.cfg.ReadQueue)}
+	return &Stream{c: c, id: id, mode: mode, readable: make(chan struct{}, 1)}
 }
 
 // ID returns the stream's identifier on its connection.
@@ -69,7 +75,7 @@ func (s *Stream) CloseSend() { s.c.closeSendStream(s.id) }
 // (nil, false), or the timeout passes. Chunks are pool-backed: hand
 // them back with Release once consumed.
 func (s *Stream) Read(timeout time.Duration) ([]byte, bool) {
-	return s.c.readFrom(s.readCh, timeout)
+	return s.c.readFrom(s, timeout)
 }
 
 // Release returns a chunk obtained from Read to the delivery pool.
@@ -98,6 +104,12 @@ func (c *Conn) OpenStream(mode StreamMode, deadline time.Duration) (*Stream, err
 
 // OpenStreamOpts is OpenStream with explicit scheduling parameters.
 func (c *Conn) OpenStreamOpts(mode StreamMode, deadline time.Duration, opts StreamOpts) (*Stream, error) {
+	// A 0-RTT resume returns from Dial mid-handshake: wait for the Accept.
+	select {
+	case <-c.established:
+	case <-c.closedCh:
+		return nil, errConnClosed
+	}
 	c.mu.Lock()
 	id, err := c.inner.OpenStreamOpts(mode, deadline, opts)
 	if err != nil {

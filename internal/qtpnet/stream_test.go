@@ -258,10 +258,10 @@ func TestOpenStreamOnResumedDial(t *testing.T) {
 
 	msg := bytes.Repeat([]byte("stream"), 512)
 	for _, wantEarly := range []bool{false, true} {
-		gotCh := make(chan []byte, 1)
+		gotCh := make(chan string, 1)
 		go func() {
 			var got []byte
-			defer func() { gotCh <- got }()
+			defer func() { gotCh <- string(got) }()
 			sc, err := l.Accept()
 			if err != nil {
 				return
@@ -308,7 +308,7 @@ func TestOpenStreamOnResumedDial(t *testing.T) {
 		conn.Close()
 		select {
 		case got := <-gotCh:
-			if !bytes.Equal(got, msg) {
+			if got != string(msg) {
 				t.Fatalf("server read %d bytes on the stream, want %d (resumed=%v)", len(got), len(msg), wantEarly)
 			}
 		case <-time.After(15 * time.Second):

@@ -28,10 +28,10 @@ type Reassembler struct {
 	// reliability).
 	SkipAfter time.Duration
 
-	cumAck   seqspace.Seq // next in-order sequence expected by the app
-	received seqspace.IntervalSet
-	buf      map[seqspace.Seq][]byte
-	ready    readyQueue // delivered, waiting for the application to Pop
+	cumAck     seqspace.Seq // next in-order sequence expected by the app
+	received   seqspace.IntervalSet
+	buf        map[seqspace.Seq][]byte
+	readyQueue // delivered, waiting for the application to Pop
 
 	holeSince time.Duration // when the current frontier hole was first seen
 	holeOpen  bool
@@ -93,7 +93,7 @@ func (r *Reassembler) advance(now time.Duration) {
 	for r.received.Contains(r.cumAck) {
 		p := r.buf[r.cumAck]
 		delete(r.buf, r.cumAck)
-		r.ready.push(p)
+		r.push(p)
 		r.DeliveredBytes += len(p)
 		r.cumAck = r.cumAck.Next()
 	}
@@ -109,20 +109,30 @@ func (r *Reassembler) advance(now time.Duration) {
 	}
 }
 
-// Pop returns the next in-order payload, if any.
-func (r *Reassembler) Pop() ([]byte, bool) { return r.ready.pop() }
-
-// readyQueue is a FIFO of delivered chunks. It rewinds when drained
-// instead of slicing its array away, so a consumer that pops after every
-// arrival — the stream engine does — costs no allocation per chunk.
+// readyQueue is a FIFO of delivered chunks — the one place a delivered
+// chunk waits for the application. It rewinds when drained instead of
+// slicing its array away, so a consumer that pops after every arrival
+// costs no allocation per chunk.
 type readyQueue struct {
-	q    [][]byte
-	head int
+	q     [][]byte
+	head  int
+	bytes int // payload bytes pushed and not yet popped
 }
 
-func (f *readyQueue) push(p []byte) { f.q = append(f.q, p) }
+// push queues a delivered chunk; an empty one (a bare FIN marker) has
+// nothing to read and goes straight back to the pool.
+func (f *readyQueue) push(p []byte) {
+	if len(p) == 0 {
+		bufpool.PutChunk(p)
+		return
+	}
+	f.q = append(f.q, p)
+	f.bytes += len(p)
+}
 
-func (f *readyQueue) pop() ([]byte, bool) {
+// Pop returns the next delivered payload, if any: in order from a
+// Reassembler, in arrival order from an UnorderedReceiver.
+func (f *readyQueue) Pop() ([]byte, bool) {
 	if f.head == len(f.q) {
 		return nil, false
 	}
@@ -131,8 +141,12 @@ func (f *readyQueue) pop() ([]byte, bool) {
 	if f.head++; f.head == len(f.q) {
 		f.q, f.head = f.q[:0], 0
 	}
+	f.bytes -= len(p)
 	return p, true
 }
+
+// Unread returns the payload bytes delivered and not yet popped.
+func (f *readyQueue) Unread() int { return f.bytes }
 
 // CumAck returns the receiver's cumulative acknowledgment point: all
 // data below it has been delivered or abandoned.

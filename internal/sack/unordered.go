@@ -18,7 +18,7 @@ import (
 type UnorderedReceiver struct {
 	cumAck   seqspace.Seq // first segment not yet received
 	received seqspace.IntervalSet
-	ready    readyQueue
+	readyQueue
 
 	finSeq  seqspace.Seq
 	haveFin bool
@@ -46,7 +46,7 @@ func (u *UnorderedReceiver) OnData(seq seqspace.Seq, payload []byte, fin bool) b
 		return false
 	}
 	u.received.AddSeq(seq)
-	u.ready.push(chunkCopy(payload))
+	u.push(chunkCopy(payload))
 	u.DeliveredBytes += len(payload)
 	// The cumulative ack advances only over segments actually received —
 	// unordered is still fully reliable, so holes are never passed.
@@ -54,9 +54,6 @@ func (u *UnorderedReceiver) OnData(seq seqspace.Seq, payload []byte, fin bool) b
 	u.received.RemoveBefore(u.cumAck)
 	return true
 }
-
-// Pop returns the next delivered payload, if any (arrival order).
-func (u *UnorderedReceiver) Pop() ([]byte, bool) { return u.ready.pop() }
 
 // CumAck returns the first sequence number not yet received.
 func (u *UnorderedReceiver) CumAck() seqspace.Seq { return u.cumAck }

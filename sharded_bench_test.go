@@ -39,10 +39,6 @@ func benchShardedFanout(b *testing.B, shards int) {
 		AcceptInbound: true,
 		Constraints:   core.Permissive(rate),
 		Shards:        shards,
-		// Deep enough per-conn delivery queues that a whole stream can
-		// buffer (one ~MSS segment per chunk): the bench measures the
-		// transport, not reader lag.
-		ReadQueue: 2 * perConn / core.DefaultMSS,
 	})
 	if err != nil {
 		b.Fatal(err)
