@@ -187,10 +187,10 @@ type Conn struct {
 
 	// Stream state (see stream.go). The sender owns sendStreams (stream
 	// 0 from NewConn on), the receiver recv* plus the connection-level
-	// ack tracker; delivered chunks wait on their stream's own ready
-	// queue until ReadStream pops them. multi is the framing
-	// choice: data frames carry the stream prefix and feedback the
-	// per-stream ack tail, and more streams than 0 may be opened.
+	// ack tracker; delivered chunks wait on their stream's ready queue
+	// until ReadStream pops them. multi is the framing choice: data frames
+	// carry the stream prefix and feedback the per-stream ack tail, and
+	// more streams than 0 may be opened.
 	multi        bool
 	sendStreams  []*sendStream
 	sendByID     map[uint64]*sendStream

@@ -511,7 +511,8 @@ func (c *Conn) ReadStream(id uint64) ([]byte, bool) {
 // next chunk of the first stream, in creation order, that has one.
 func (c *Conn) ReadAny() (id uint64, p []byte, ok bool) {
 	for _, rs := range c.recvOrder {
-		if p, ok := c.ReadStream(rs.id); ok {
+		if p, ok := rs.Pop(); ok {
+			c.stats.DeliveredBytes += len(p)
 			return rs.id, p, true
 		}
 	}

@@ -29,12 +29,12 @@ type Conn struct {
 	mu    sync.Mutex
 	inner *qtp.Conn
 
-	// Stream multiplexing: streams holds every known stream (s0, implicit
-	// on every connection and what Conn.Read reads, plus those opened
-	// locally or announced by the peer), guarded by mu; acceptStreams
-	// queues peer-announced streams for AcceptStream.
+	// Stream multiplexing: s0 is stream 0, implicit on every connection
+	// and what Conn.Read reads; acceptStreams queues peer-announced
+	// streams for AcceptStream; parked lists the streams whose Read found
+	// nothing and waits for service's token, guarded by mu.
 	s0            *Stream
-	streams       map[uint64]*Stream
+	parked        []*Stream
 	acceptStreams chan *Stream
 
 	established chan struct{}
@@ -92,7 +92,6 @@ func newConn(sh *shard, peer netip.AddrPort, id uint32) *Conn {
 		heapIdx:       -1,
 	}
 	c.s0 = newNetStream(c, 0, StreamReliableOrdered)
-	c.streams = map[uint64]*Stream{0: c.s0}
 	return c
 }
 
@@ -160,29 +159,35 @@ func (c *Conn) closeSendStream(id uint64) {
 	c.sh.serviceFlush(c)
 }
 
-// pop takes the stream's next chunk from the state machine, or notes
-// that its reader is about to park.
+// pop takes the stream's next chunk from the state machine, or lists
+// the stream as parked: its reader is about to wait for a token.
 func (c *Conn) pop(s *Stream) ([]byte, bool) {
 	c.mu.Lock()
 	p, ok := c.inner.ReadStream(s.id)
-	s.parked = !ok
+	if !ok && !s.parked {
+		s.parked = true
+		c.parked = append(c.parked, s)
+	}
 	c.mu.Unlock()
 	return p, ok
 }
 
-// wake hands a parked reader its token once its stream has something to
-// read. Callers hold c.mu.
-func (c *Conn) wake(s *Stream) {
-	if !s.parked {
-		return
-	}
-	if st, _ := c.inner.StreamStats(s.id); st.UnreadBytes > 0 {
+// wakeReaders hands every parked reader whose stream now has something
+// to read its token. Callers hold c.mu.
+func (c *Conn) wakeReaders() {
+	still := c.parked[:0]
+	for _, s := range c.parked {
+		if st, _ := c.inner.StreamStats(s.id); st.UnreadBytes == 0 {
+			still = append(still, s)
+			continue
+		}
 		s.parked = false
 		select {
 		case s.readable <- struct{}{}:
 		default:
 		}
 	}
+	c.parked = still
 }
 
 // readFrom is the delivery wait behind Conn.Read and Stream.Read: block

@@ -773,21 +773,18 @@ func (sh *shard) service(c *Conn) (produced bool) {
 			}
 		})
 	}
-	// New inbound streams announced by the peer's first frame: register
-	// them so their data routes, and queue them for AcceptStream.
+	// New inbound streams announced by the peer's first frame are queued
+	// for AcceptStream.
 	for {
 		id, ok := c.inner.AcceptStreamID()
 		if !ok {
 			break
 		}
 		sst, _ := c.inner.StreamStats(id)
-		s := newNetStream(c, id, sst.Mode)
-		c.streams[id] = s
 		select {
-		case c.acceptStreams <- s:
+		case c.acceptStreams <- newNetStream(c, id, sst.Mode):
 		default:
-			// Cannot happen: the queue is sized at the stream cap. Keep
-			// the stream routable regardless.
+			// Cannot happen: the queue is sized at the stream cap.
 		}
 	}
 	if lingering {
@@ -803,9 +800,7 @@ func (sh *shard) service(c *Conn) (produced bool) {
 			bufpool.PutChunk(chunk)
 		}
 	} else {
-		for _, s := range c.streams {
-			c.wake(s)
-		}
+		c.wakeReaders()
 	}
 	wakeAt, wok := c.inner.NextWake(now)
 	c.mu.Unlock()

@@ -43,7 +43,7 @@ type Stream struct {
 	// the queue goes empty → non-empty under a parked Read, so a reader
 	// that keeps up costs no channel operation per chunk.
 	readable chan struct{}
-	parked   bool // a Read found the queue empty; guarded by c.mu
+	parked   bool // listed in c.parked; guarded by c.mu
 }
 
 func newNetStream(c *Conn, id uint64, mode StreamMode) *Stream {
@@ -112,14 +112,11 @@ func (c *Conn) OpenStreamOpts(mode StreamMode, deadline time.Duration, opts Stre
 	}
 	c.mu.Lock()
 	id, err := c.inner.OpenStreamOpts(mode, deadline, opts)
+	c.mu.Unlock()
 	if err != nil {
-		c.mu.Unlock()
 		return nil, err
 	}
-	s := newNetStream(c, id, mode)
-	c.streams[id] = s
-	c.mu.Unlock()
-	return s, nil
+	return newNetStream(c, id, mode), nil
 }
 
 // AcceptStream blocks until the peer's first frame announces a new
