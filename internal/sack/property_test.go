@@ -153,3 +153,325 @@ func payloadIndex(t *testing.T, p []byte) int {
 	}
 	return idx
 }
+
+// refSegment and refSendBuffer are the slice-walking scoreboard this
+// package shipped before the seq-indexed ring: every query walks the
+// flight front to back. It is kept as the reference model — simple
+// enough to be obviously right — that TestSendBufferDifferential drives
+// in lockstep with the real SendBuffer.
+type refSegment struct {
+	seq, conn           seqspace.Seq
+	payload             []byte
+	firstSent, lastSent time.Duration
+	sacked, lost        bool
+	abandoned           bool
+	retx                int
+}
+
+type refSendBuffer struct {
+	Deadline, LossGuard time.Duration
+	DupThresh           int
+
+	segs    []refSegment
+	cumAck  seqspace.Seq
+	started bool
+	nextSeq seqspace.Seq
+
+	Retransmits, AbandonedSegs, AckedBytes int
+}
+
+func (b *refSendBuffer) AddStream(now time.Duration, seq, conn seqspace.Seq, payload []byte) {
+	if !b.started {
+		b.started = true
+		b.cumAck = seq
+	} else if seq != b.nextSeq {
+		panic("ref: Add out of order")
+	}
+	b.nextSeq = seq.Next()
+	b.segs = append(b.segs, refSegment{seq: seq, conn: conn, payload: payload, firstSent: now, lastSent: now})
+}
+
+func (b *refSendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seqspace.Range) int {
+	newly := 0
+	if b.cumAck.Less(cum) {
+		b.cumAck = cum
+		i := 0
+		for i < len(b.segs) && b.segs[i].seq.Less(cum) {
+			if !b.segs[i].sacked {
+				newly += len(b.segs[i].payload)
+			}
+			i++
+		}
+		b.segs = b.segs[:copy(b.segs, b.segs[i:])]
+	}
+	for _, blk := range blocks {
+		for i := range b.segs {
+			s := &b.segs[i]
+			if blk.Contains(s.seq) && !s.sacked {
+				s.sacked = true
+				s.lost = false
+				newly += len(s.payload)
+			}
+		}
+	}
+	b.AckedBytes += newly
+	b.markLost(now)
+	return newly
+}
+
+func (b *refSendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks []seqspace.Range) int {
+	newly := 0
+	i := 0
+	for i < len(b.segs) && b.segs[i].conn.Less(cum) {
+		if !b.segs[i].sacked {
+			newly += len(b.segs[i].payload)
+		}
+		i++
+	}
+	if i > 0 {
+		if next := b.segs[i-1].seq.Next(); b.cumAck.Less(next) {
+			b.cumAck = next
+		}
+		b.segs = b.segs[:copy(b.segs, b.segs[i:])]
+	}
+	for _, blk := range blocks {
+		for i := range b.segs {
+			s := &b.segs[i]
+			if blk.Contains(s.conn) && !s.sacked {
+				s.sacked = true
+				s.lost = false
+				newly += len(s.payload)
+			}
+		}
+	}
+	b.AckedBytes += newly
+	b.markLost(now)
+	return newly
+}
+
+func (b *refSendBuffer) markLost(now time.Duration) {
+	dt := b.DupThresh
+	if dt <= 0 {
+		dt = 3
+	}
+	sackedAbove := 0
+	for i := len(b.segs) - 1; i >= 0; i-- {
+		s := &b.segs[i]
+		if s.sacked {
+			sackedAbove++
+			continue
+		}
+		if sackedAbove >= dt && !s.lost && !s.abandoned {
+			if s.retx > 0 && now-s.lastSent < b.LossGuard {
+				continue
+			}
+			s.lost = true
+		}
+	}
+}
+
+func (b *refSendBuffer) MinUnresolvedConn() (seqspace.Seq, bool) {
+	for i := range b.segs {
+		if s := &b.segs[i]; !s.sacked && !s.abandoned {
+			return s.conn, true
+		}
+	}
+	return 0, false
+}
+
+func (b *refSendBuffer) NextRetransmitSeg(now, rto time.Duration) (seq, conn seqspace.Seq, payload []byte, ok bool) {
+	for i := range b.segs {
+		s := &b.segs[i]
+		if s.sacked || s.abandoned {
+			continue
+		}
+		if b.Deadline > 0 && now-s.firstSent >= b.Deadline {
+			s.abandoned = true
+			s.lost = false
+			b.AbandonedSegs++
+			continue
+		}
+		if s.lost || (rto > 0 && now-s.lastSent >= rto) {
+			s.lost = false
+			s.lastSent = now
+			s.retx++
+			b.Retransmits++
+			return s.seq, s.conn, s.payload, true
+		}
+	}
+	return 0, 0, nil, false
+}
+
+func (b *refSendBuffer) NextTimeout(rto time.Duration) (at time.Duration, ok bool) {
+	for i := range b.segs {
+		s := &b.segs[i]
+		if s.sacked || s.abandoned {
+			continue
+		}
+		var t time.Duration
+		if !s.lost {
+			t = s.lastSent + rto
+			if b.Deadline > 0 {
+				if d := s.firstSent + b.Deadline; d < t {
+					t = d
+				}
+			}
+		}
+		if !ok || t < at {
+			at, ok = t, true
+		}
+	}
+	return at, ok
+}
+
+func (b *refSendBuffer) Unresolved() bool {
+	_, ok := b.MinUnresolvedConn()
+	return ok
+}
+
+// TestSendBufferDifferential drives the reference model and the real
+// scoreboard with the same seeded random operation sequences — first
+// transmissions, stream-level and connection-level acknowledgment
+// vectors whose blocks are out of order, overlapping, inverted, stale or
+// beyond the flight, retransmission polls and every query — and demands
+// equal return values and equal counters after every step. The grid
+// covers full and partial reliability, LossGuard off and on, and
+// sequence spaces that wrap through 2^32 mid-run.
+func TestSendBufferDifferential(t *testing.T) {
+	rtos := []time.Duration{0, 20 * time.Millisecond, 50 * time.Millisecond}
+	retx, abandoned, peak := 0, 0, 0
+	for trial := 0; trial < 48; trial++ {
+		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		var deadline, guard time.Duration
+		if trial&1 != 0 {
+			deadline = 60 * time.Millisecond
+		}
+		if trial&2 != 0 {
+			guard = 15 * time.Millisecond
+		}
+		seq, conn := seqspace.Seq(1), seqspace.Seq(1)
+		if trial&4 != 0 {
+			seq, conn = seqspace.Seq(1<<32-150), seqspace.Seq(1<<32-400)
+		}
+		// Some trials let the flight grow large so the ring grows and
+		// wraps; the rest stay near empty, where release-everything and
+		// ack-beyond-the-flight cases live.
+		addBias := 3 + trial%5
+
+		real, ref := NewSendBuffer(deadline), &refSendBuffer{Deadline: deadline, DupThresh: 3}
+		now := time.Duration(0)
+		next, nextConn := seq, conn // next numbers to add
+		started := false
+
+		randBlocks := func(lo, hi seqspace.Seq) []seqspace.Range {
+			span := lo.Distance(hi) + 12
+			blocks := make([]seqspace.Range, rng.Intn(5))
+			for i := range blocks {
+				l := lo.Add(rng.Intn(span) - 6)
+				blocks[i] = seqspace.Range{Lo: l, Hi: l.Add(rng.Intn(9) - 1)} // -1: inverted, 0: empty
+			}
+			return blocks
+		}
+		check := func(step int, what string) {
+			t.Helper()
+			if real.Len() != len(ref.segs) || real.CumAck() != ref.cumAck {
+				t.Fatalf("trial %d step %d after %s: Len/CumAck = %d/%d, want %d/%d",
+					trial, step, what, real.Len(), real.CumAck(), len(ref.segs), ref.cumAck)
+			}
+			if real.Unresolved() != ref.Unresolved() {
+				t.Fatalf("trial %d step %d after %s: Unresolved = %v", trial, step, what, real.Unresolved())
+			}
+			gc, gok := real.MinUnresolvedConn()
+			wc, wok := ref.MinUnresolvedConn()
+			if gc != wc || gok != wok {
+				t.Fatalf("trial %d step %d after %s: MinUnresolvedConn = %d,%v want %d,%v",
+					trial, step, what, gc, gok, wc, wok)
+			}
+			for _, rto := range rtos {
+				ga, gok := real.NextTimeout(rto)
+				wa, wok := ref.NextTimeout(rto)
+				if ga != wa || gok != wok {
+					t.Fatalf("trial %d step %d after %s: NextTimeout(%v) = %v,%v want %v,%v",
+						trial, step, what, rto, ga, gok, wa, wok)
+				}
+			}
+			if real.Retransmits != ref.Retransmits || real.AbandonedSegs != ref.AbandonedSegs ||
+				real.AckedBytes != ref.AckedBytes {
+				t.Fatalf("trial %d step %d after %s: counters %d/%d/%d, want %d/%d/%d", trial, step, what,
+					real.Retransmits, real.AbandonedSegs, real.AckedBytes,
+					ref.Retransmits, ref.AbandonedSegs, ref.AckedBytes)
+			}
+		}
+
+		for step := 0; step < 4000; step++ {
+			now += time.Duration(rng.Intn(3000)) * time.Microsecond
+			if guard > 0 {
+				// The connection re-derives the guard before each ack.
+				g := guard + time.Duration(rng.Intn(3))*time.Millisecond
+				real.LossGuard, ref.LossGuard = g, g
+			}
+			switch op := rng.Intn(10); {
+			case op < addBias || !started:
+				started = true
+				payload := make([]byte, 1+rng.Intn(40))
+				real.AddStream(now, next, nextConn, payload)
+				ref.AddStream(now, next, nextConn, payload)
+				next = next.Next()
+				nextConn = nextConn.Add(1 + rng.Intn(3)) // other streams take numbers in between
+				check(step, "AddStream")
+			case op < 7:
+				cum := ref.cumAck.Add(rng.Intn(12) - 3)
+				if next.Next().Less(cum) {
+					cum = next.Next() // at most one past the flight
+				}
+				lo := ref.cumAck
+				if len(ref.segs) > 0 {
+					lo = ref.segs[0].seq
+				}
+				blocks := randBlocks(lo, next)
+				if rng.Intn(3) == 0 {
+					blocks = nil // the per-stream tail carries a cum only
+				}
+				g, w := real.OnSACK(now, cum, blocks), ref.OnSACK(now, cum, blocks)
+				if g != w {
+					t.Fatalf("trial %d step %d: OnSACK(%d, %v) = %d, want %d", trial, step, cum, blocks, g, w)
+				}
+				check(step, "OnSACK")
+			case op < 9:
+				lo := nextConn
+				if len(ref.segs) > 0 {
+					lo = ref.segs[0].conn
+				}
+				cum := lo.Add(rng.Intn(14) - 3)
+				blocks := randBlocks(lo, nextConn)
+				g, w := real.OnConnSACK(now, cum, blocks), ref.OnConnSACK(now, cum, blocks)
+				if g != w {
+					t.Fatalf("trial %d step %d: OnConnSACK(%d, %v) = %d, want %d", trial, step, cum, blocks, g, w)
+				}
+				check(step, "OnConnSACK")
+			default:
+				rto := rtos[rng.Intn(len(rtos))]
+				for k := 0; k < 1+rng.Intn(3); k++ {
+					gs, gc, gp, gok := real.NextRetransmitSeg(now, rto)
+					ws, wc, wp, wok := ref.NextRetransmitSeg(now, rto)
+					same := gs == ws && gc == wc && gok == wok && len(gp) == len(wp) &&
+						(len(gp) == 0 || &gp[0] == &wp[0])
+					if !same {
+						t.Fatalf("trial %d step %d: NextRetransmitSeg(%v) = %d,%d,%v want %d,%d,%v",
+							trial, step, rto, gs, gc, gok, ws, wc, wok)
+					}
+					check(step, "NextRetransmitSeg")
+				}
+			}
+			peak = max(peak, len(ref.segs))
+		}
+		retx += ref.Retransmits
+		abandoned += ref.AbandonedSegs
+	}
+	// The sequences must reach the interesting states, or equality proves
+	// little.
+	t.Logf("%d retransmissions, %d abandoned, peak flight %d", retx, abandoned, peak)
+	if retx < 1000 || abandoned < 1000 || peak < 300 {
+		t.Fatalf("weak coverage: %d retransmissions, %d abandoned, peak flight %d", retx, abandoned, peak)
+	}
+}
