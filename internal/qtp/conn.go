@@ -423,7 +423,7 @@ func (c *Conn) Write(p []byte) int { return c.WriteStream(0, p) }
 func (c *Conn) BacklogLen() int {
 	n := 0
 	for _, s := range c.sendStreams {
-		n += len(s.backlog)
+		n += s.queued()
 	}
 	return n
 }

@@ -145,7 +145,7 @@ func (c *Conn) closeReady() bool {
 // FIN.
 func (c *Conn) sendWorkPending() bool {
 	for _, s := range c.sendStreams {
-		if len(s.backlog) > 0 || s.needFin() {
+		if s.queued() > 0 || s.needFin() {
 			return true
 		}
 	}
@@ -340,18 +340,13 @@ func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 	// An empty backlog here means the stream owes a bare FIN: CloseStream
 	// arrived after the last data segment went out, so the stream end
 	// travels as an empty segment, retransmitted like data.
-	nb := c.profile.MSS
-	if nb > len(s.backlog) {
-		nb = len(s.backlog)
-	}
-	payload := c.segCopy(s.backlog[:nb])
-	s.backlog = s.backlog[:copy(s.backlog, s.backlog[nb:])]
+	payload := c.segCopy(s.take(c.profile.MSS))
 
 	seq := s.nextSeq
 	s.nextSeq = seq.Next()
 	conn := c.nextSeq
 	c.nextSeq = conn.Next()
-	fin := !s.open && len(s.backlog) == 0
+	fin := !s.open && s.queued() == 0
 	if fin {
 		s.finSeq = seq
 		s.finSet = true
@@ -384,7 +379,7 @@ func (c *Conn) pickStream() *sendStream {
 	n := len(c.sendStreams)
 	for k := 0; k < n; k++ {
 		s := c.sendStreams[(c.rrData+k)%n]
-		if s.strict && (len(s.backlog) > 0 || s.needFin()) {
+		if s.strict && (s.queued() > 0 || s.needFin()) {
 			c.rrData = (c.rrData + k + 1) % n
 			return s
 		}
@@ -392,7 +387,7 @@ func (c *Conn) pickStream() *sendStream {
 	for refilled := false; ; refilled = true {
 		for k := 0; k < n; k++ {
 			s := c.sendStreams[(c.rrData+k)%n]
-			if s.strict || (len(s.backlog) == 0 && !s.needFin()) {
+			if s.strict || (s.queued() == 0 && !s.needFin()) {
 				continue
 			}
 			if s.credit <= 0 {

@@ -91,8 +91,10 @@ type sendStream struct {
 	mode     packet.StreamMode
 	deadline time.Duration // expiring mode: retransmission bound
 
-	buf     *sack.SendBuffer
+	buf *sack.SendBuffer
+	// backlog[sent:] is what Write queued and no segment has taken yet.
 	backlog []byte
+	sent    int
 	nextSeq seqspace.Seq // next stream-level sequence number
 
 	// unreliable marks the one stream whose segments never enter the
@@ -142,19 +144,36 @@ func newSendStream(id uint64, mode packet.StreamMode, deadline time.Duration, st
 	}
 }
 
+// queued returns the bytes written and not yet cut into a segment.
+func (s *sendStream) queued() int { return len(s.backlog) - s.sent }
+
+// take cuts the next segment's payload, at most mss bytes, off the front
+// of the backlog; the slice is valid until the next take or WriteStream.
+// The rest is never moved down per segment: only once more has been taken
+// than is left, so less than one byte moves per byte taken, whatever the
+// backlog — and a drained backlog starts over at the front of its array.
+func (s *sendStream) take(mss int) []byte {
+	if s.sent > len(s.backlog)/2 {
+		s.backlog, s.sent = append(s.backlog[:0], s.backlog[s.sent:]...), 0
+	}
+	p := s.backlog[s.sent:min(s.sent+mss, len(s.backlog))]
+	s.sent += len(p)
+	return p
+}
+
 // needFin reports whether the stream still owes the wire a FIN: closed,
 // drained, data was sent, but the final segment has not been built. The
 // scheduler then emits an empty FIN segment (a stream that never sent
 // anything closes invisibly).
 func (s *sendStream) needFin() bool {
-	return !s.open && !s.finSet && s.frames > 0 && len(s.backlog) == 0
+	return !s.open && !s.finSet && s.frames > 0 && s.queued() == 0
 }
 
 // done reports whether the stream is fully resolved: closed, drained,
 // FIN out (or nothing ever sent), every segment acked or abandoned, and
 // no forward FIN still owed to the receiver.
 func (s *sendStream) done() bool {
-	if s.open || len(s.backlog) != 0 || s.needFin() || s.resetPending {
+	if s.open || s.queued() != 0 || s.needFin() || s.resetPending {
 		return false
 	}
 	return !s.buf.Unresolved()
@@ -487,7 +506,7 @@ func (c *Conn) CloseStream(id uint64) error {
 // one stream.
 func (c *Conn) StreamBacklogLen(id uint64) int {
 	if s := c.sendByID[id]; s != nil {
-		return len(s.backlog)
+		return s.queued()
 	}
 	return 0
 }
@@ -707,7 +726,7 @@ func (c *Conn) armStreamResets(now time.Duration) {
 		if s.resetArmed || s.mode != packet.StreamExpiring {
 			continue
 		}
-		if s.open || len(s.backlog) != 0 || s.needFin() || !s.finSet {
+		if s.open || s.queued() != 0 || s.needFin() || !s.finSet {
 			continue
 		}
 		if s.buf.Unresolved() || s.buf.AbandonedSegs == 0 {

@@ -16,17 +16,28 @@
 // connection-level ack vectors through the conn number each segment
 // remembers (AddStream/OnConnSACK). A stream framed without the prefix
 // is the case where the two spaces coincide.
+//
+// What bounds what: the SendBuffer is a ring indexed by sequence number
+// under a min-tree, both sized by the largest flight the stream has had
+// and never by the connection's age. A transmission, the next
+// retransmission, the next timeout and the oldest unresolved segment
+// each cost O(log flight) at most; an acknowledgment costs that per
+// segment it newly resolves and per hole it leaves below the duplicate
+// threshold. The receivers hold what arrived out of order, in an
+// IntervalSet trimmed at the cumulative ack.
 package sack
 
 import (
+	"math"
+	"sort"
 	"time"
 
 	"repro/internal/seqspace"
 )
 
-// segment is one sent-but-unresolved data frame in the scoreboard.
+// segment is one sent-but-unresolved data frame in the scoreboard; its
+// stream-level sequence number is its place in the ring.
 type segment struct {
-	seq       seqspace.Seq
 	conn      seqspace.Seq // connection-level sequence of the first transmission
 	payload   []byte
 	firstSent time.Duration
@@ -37,15 +48,34 @@ type segment struct {
 	retx      int
 }
 
+// The min-tree's key for a segment is the time of its last transmission;
+// a segment declared lost is due at once and sorts before any time, a
+// resolved one (SACKed or abandoned, or an empty slot) after every time.
+const (
+	keyLost     = time.Duration(math.MinInt64)
+	keyResolved = time.Duration(math.MaxInt64)
+)
+
+func (s *segment) key() time.Duration {
+	switch {
+	case s.sacked || s.abandoned:
+		return keyResolved
+	case s.lost:
+		return keyLost
+	}
+	return s.lastSent
+}
+
 // SendBuffer is the sender's scoreboard: it tracks outstanding segments,
 // marks losses from SACK vectors (dup-threshold rule), schedules
 // retransmissions, and expires segments under partial reliability.
+// The times handed to it must not run backwards.
 type SendBuffer struct {
 	// Deadline, when non-zero, abandons segments older than this
 	// (partial reliability). Zero means full reliability.
 	Deadline time.Duration
 	// DupThresh is the number of SACKed segments above a hole that
-	// declare it lost (default 3).
+	// declare it lost (default 3). It is read at the first Add.
 	DupThresh int
 	// LossGuard, when non-zero, shields a retransmitted segment from
 	// being re-declared lost until this long after its last
@@ -55,10 +85,21 @@ type SendBuffer struct {
 	// it near one RTT; zero keeps immediate re-marking.
 	LossGuard time.Duration
 
-	segs    []segment
-	cumAck  seqspace.Seq
-	started bool
-	nextSeq seqspace.Seq
+	// The flight [head, head+n) lives in ring, a power of two long,
+	// segment q in slot q mod len(ring). due is a binary min-tree over the
+	// slots' keys (leaf len(ring)+i for slot i, node k the smaller of nodes
+	// 2k and 2k+1), so the first segment in sequence order whose key is at
+	// most some v is one descent, whatever the flight.
+	ring []segment
+	due  []time.Duration
+	head seqspace.Seq
+	n    int
+	// top holds the DupThresh highest SACKed sequence numbers still in
+	// the flight, ascending: with all of them known, every unresolved
+	// segment below top[0] has DupThresh SACKed segments above it.
+	top []seqspace.Seq
+
+	cumAck seqspace.Seq
 
 	// Counters.
 	Retransmits   int
@@ -86,23 +127,136 @@ func (b *SendBuffer) Add(now time.Duration, seq seqspace.Seq, payload []byte) {
 // which connection-level SACK vectors resolve it (see OnConnSACK). Add
 // is AddStream with the two spaces coinciding.
 func (b *SendBuffer) AddStream(now time.Duration, seq, conn seqspace.Seq, payload []byte) {
-	if !b.started {
-		b.started = true
-		b.cumAck = seq
-	} else if seq != b.nextSeq {
+	if b.ring == nil { // first Add
+		b.cumAck, b.head = seq, seq
+		if b.DupThresh <= 0 {
+			b.DupThresh = 3
+		}
+	} else if seq != b.head.Add(b.n) {
 		panic("sack: Add out of order")
 	}
-	b.nextSeq = seq.Next()
-	b.segs = append(b.segs, segment{
-		seq: seq, conn: conn, payload: payload, firstSent: now, lastSent: now,
-	})
+	if b.n == len(b.ring) {
+		b.grow()
+	}
+	b.n++
+	*b.seg(seq) = segment{conn: conn, payload: payload, firstSent: now, lastSent: now}
+	b.update(seq)
 }
 
-// Len returns the number of unresolved segments.
-func (b *SendBuffer) Len() int { return len(b.segs) }
+// grow doubles the ring (from nothing, to 16 slots) and re-seats the
+// flight in it: once per doubling of the largest flight seen.
+func (b *SendBuffer) grow() {
+	old, size := *b, max(16, 2*len(b.ring))
+	b.ring, b.due = make([]segment, size), make([]time.Duration, 2*size)
+	for k := range b.due {
+		b.due[k] = keyResolved
+	}
+	for k := 0; k < b.n; k++ {
+		q := b.head.Add(k)
+		*b.seg(q) = *old.seg(q)
+		b.update(q)
+	}
+}
+
+// slot returns the ring index of sequence number q, seg its segment.
+func (b *SendBuffer) slot(q seqspace.Seq) int     { return int(uint32(q)) & (len(b.ring) - 1) }
+func (b *SendBuffer) seg(q seqspace.Seq) *segment { return &b.ring[b.slot(q)] }
+
+// update re-derives segment q's tree key after its state changed and
+// repairs the nodes above it, stopping at the first that keeps its value.
+func (b *SendBuffer) update(q seqspace.Seq) {
+	k := len(b.ring) + b.slot(q)
+	b.due[k] = b.ring[k-len(b.ring)].key()
+	for k >>= 1; k > 0; k >>= 1 {
+		m := min(b.due[2*k], b.due[2*k+1])
+		if b.due[k] == m {
+			break
+		}
+		b.due[k] = m
+	}
+}
+
+// next returns the first segment in sequence order, at or after from,
+// whose key is at most v: O(log flight). Slots outside the flight hold
+// keyResolved and v is always below that, so only live segments match.
+func (b *SendBuffer) next(from seqspace.Seq, v time.Duration) (seqspace.Seq, bool) {
+	size := len(b.ring)
+	if size == 0 || b.due[1] > v {
+		return 0, false
+	}
+	// Climb from from's leaf through the subtrees to its right until one
+	// holds a match. Past the last leaf, k+1 halves down to the root: the
+	// flight wraps the ring, and the root's leftmost match is the first
+	// wrapped one.
+	k := size + b.slot(from)
+	for b.due[k] > v {
+		for k++; k&1 == 0; k >>= 1 {
+		}
+	}
+	for k < size {
+		if k <<= 1; b.due[k] > v {
+			k++
+		}
+	}
+	off := (k - size - b.slot(b.head)) & (size - 1) // distance from head
+	if off < b.head.Distance(from) {
+		return 0, false // the only matches precede from
+	}
+	return b.head.Add(off), true
+}
+
+// firstUnresolved returns the oldest segment neither SACKed nor abandoned.
+func (b *SendBuffer) firstUnresolved() (seqspace.Seq, bool) {
+	return b.next(b.head, keyResolved-1)
+}
+
+// Len returns the number of segments sent and not yet released.
+func (b *SendBuffer) Len() int { return b.n }
 
 // CumAck returns the sender's view of the receiver's cumulative ack.
 func (b *SendBuffer) CumAck() seqspace.Seq { return b.cumAck }
+
+// release drops the k oldest segments, returning the bytes among them
+// that no SACK had resolved. One step per segment released.
+func (b *SendBuffer) release(k int) (newly int) {
+	for ; k > 0; k-- {
+		s := b.seg(b.head)
+		if !s.sacked {
+			newly += len(s.payload)
+		}
+		// An empty slot reads as resolved and pins no payload.
+		*s = segment{sacked: true}
+		b.update(b.head)
+		b.head = b.head.Next()
+		b.n--
+	}
+	for len(b.top) > 0 && b.top[0].Less(b.head) {
+		b.top = b.top[:copy(b.top, b.top[1:])]
+	}
+	return newly
+}
+
+// mark SACKs the segments [lo, hi) of the flight, returning the bytes
+// newly resolved. One step per segment the block covers.
+func (b *SendBuffer) mark(lo, hi seqspace.Seq) (newly int) {
+	for q := lo; q.Less(hi); q = q.Next() {
+		s := b.seg(q)
+		if s.sacked {
+			continue
+		}
+		s.sacked, s.lost = true, false
+		newly += len(s.payload)
+		b.update(q)
+		b.top = append(b.top, q)
+		for i := len(b.top) - 1; i > 0 && q.Less(b.top[i-1]); i-- {
+			b.top[i], b.top[i-1] = b.top[i-1], q
+		}
+		if len(b.top) > b.DupThresh {
+			b.top = b.top[:copy(b.top, b.top[1:])]
+		}
+	}
+	return newly
+}
 
 // OnSACK folds an acknowledgment vector into the scoreboard and returns
 // the number of bytes newly resolved (cumulatively acked or SACKed).
@@ -111,25 +265,11 @@ func (b *SendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seqspa
 	// Advance the cumulative point.
 	if b.cumAck.Less(cum) {
 		b.cumAck = cum
-		i := 0
-		for i < len(b.segs) && b.segs[i].seq.Less(cum) {
-			if !b.segs[i].sacked {
-				newly += len(b.segs[i].payload)
-			}
-			i++
-		}
-		b.segs = b.segs[:copy(b.segs, b.segs[i:])]
+		newly = b.release(min(b.n, b.head.Distance(cum)))
 	}
-	// Mark SACKed ranges.
+	// Mark SACKed ranges, clipped to the flight.
 	for _, blk := range blocks {
-		for i := range b.segs {
-			s := &b.segs[i]
-			if blk.Contains(s.seq) && !s.sacked {
-				s.sacked = true
-				s.lost = false
-				newly += len(s.payload)
-			}
-		}
+		newly += b.mark(seqspace.Max(blk.Lo, b.head), seqspace.Min(blk.Hi, b.head.Add(b.n)))
 	}
 	b.AckedBytes += newly
 	b.markLost(now)
@@ -147,56 +287,42 @@ func (b *SendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks []se
 	newly := 0
 	// Release the prefix below the connection-level cumulative point.
 	// Within one stream, connection numbers increase with stream order,
-	// so the prefix property holds.
-	i := 0
-	for i < len(b.segs) && b.segs[i].conn.Less(cum) {
-		if !b.segs[i].sacked {
-			newly += len(b.segs[i].payload)
-		}
-		i++
-	}
-	if i > 0 {
-		if next := b.segs[i-1].seq.Next(); b.cumAck.Less(next) {
+	// so the prefix property holds (and connRank may bisect).
+	if k := b.connRank(cum); k > 0 {
+		if next := b.head.Add(k); b.cumAck.Less(next) {
 			b.cumAck = next
 		}
-		b.segs = b.segs[:copy(b.segs, b.segs[i:])]
+		newly = b.release(k)
 	}
 	for _, blk := range blocks {
-		for i := range b.segs {
-			s := &b.segs[i]
-			if blk.Contains(s.conn) && !s.sacked {
-				s.sacked = true
-				s.lost = false
-				newly += len(s.payload)
-			}
-		}
+		newly += b.mark(b.head.Add(b.connRank(blk.Lo)), b.head.Add(b.connRank(blk.Hi)))
 	}
 	b.AckedBytes += newly
 	b.markLost(now)
 	return newly
 }
 
+// connRank returns how many segments of the flight have a connection
+// number preceding c.
+func (b *SendBuffer) connRank(c seqspace.Seq) int {
+	return sort.Search(b.n, func(i int) bool { return !b.seg(b.head.Add(i)).conn.Less(c) })
+}
+
 // markLost applies the dup-threshold rule: a segment is lost once
 // DupThresh segments above it are SACKed. Segments retransmitted within
-// LossGuard of now are left alone — see the field comment.
+// LossGuard of now are left alone — see the field comment. The loop
+// visits only the holes of the acknowledged span, one descent each.
 func (b *SendBuffer) markLost(now time.Duration) {
-	dt := b.DupThresh
-	if dt <= 0 {
-		dt = 3
+	if len(b.top) < max(1, b.DupThresh) {
+		return
 	}
-	sackedAbove := 0
-	for i := len(b.segs) - 1; i >= 0; i-- {
-		s := &b.segs[i]
-		if s.sacked {
-			sackedAbove++
+	for q, ok := b.firstUnresolved(); ok && q.Less(b.top[0]); q, ok = b.next(q.Next(), keyResolved-1) {
+		s := b.seg(q)
+		if s.lost || (s.retx > 0 && now-s.lastSent < b.LossGuard) {
 			continue
 		}
-		if sackedAbove >= dt && !s.lost && !s.abandoned {
-			if s.retx > 0 && now-s.lastSent < b.LossGuard {
-				continue
-			}
-			s.lost = true
-		}
+		s.lost = true
+		b.update(q)
 	}
 }
 
@@ -205,13 +331,11 @@ func (b *SendBuffer) markLost(now time.Duration) {
 // everything is resolved. It is the stream's contribution to the ack
 // floor senders stamp in the stream prefix of data frames.
 func (b *SendBuffer) MinUnresolvedConn() (conn seqspace.Seq, ok bool) {
-	for i := range b.segs {
-		s := &b.segs[i]
-		if !s.sacked && !s.abandoned {
-			return s.conn, true
-		}
+	q, ok := b.firstUnresolved()
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return b.seg(q).conn, true
 }
 
 // NextRetransmitSeg returns the oldest segment due for retransmission —
@@ -223,28 +347,32 @@ func (b *SendBuffer) MinUnresolvedConn() (conn seqspace.Seq, ok bool) {
 // reuses the original connection number, so rate control keeps seeing
 // one sequence per first transmission).
 func (b *SendBuffer) NextRetransmitSeg(now time.Duration, rto time.Duration) (seq, conn seqspace.Seq, payload []byte, ok bool) {
-	for i := range b.segs {
-		s := &b.segs[i]
-		if s.sacked || s.abandoned {
-			continue
-		}
-		// Comparisons are inclusive so a wake-up scheduled from
-		// NextTimeout at exactly the boundary finds the work ready.
-		if b.Deadline > 0 && now-s.firstSent >= b.Deadline {
-			s.abandoned = true
-			s.lost = false
+	// Comparisons are inclusive so a wake-up scheduled from NextTimeout
+	// at exactly the boundary finds the work ready.
+	if b.Deadline > 0 {
+		// First transmissions are in time order: what is past the deadline
+		// is the oldest unresolved. One turn per segment abandoned.
+		for q, ok := b.firstUnresolved(); ok && now-b.seg(q).firstSent >= b.Deadline; q, ok = b.firstUnresolved() {
+			s := b.seg(q)
+			s.abandoned, s.lost = true, false
 			b.AbandonedSegs++
-			continue
-		}
-		if s.lost || (rto > 0 && now-s.lastSent >= rto) {
-			s.lost = false
-			s.lastSent = now
-			s.retx++
-			b.Retransmits++
-			return s.seq, s.conn, s.payload, true
+			b.update(q)
 		}
 	}
-	return 0, 0, nil, false
+	limit := keyLost
+	if rto > 0 {
+		limit = now - rto
+	}
+	q, ok := b.next(b.head, limit)
+	if !ok {
+		return 0, 0, nil, false
+	}
+	s := b.seg(q)
+	s.lost, s.lastSent = false, now
+	s.retx++
+	b.Retransmits++
+	b.update(q)
+	return q, s.conn, s.payload, true
 }
 
 // NextTimeout returns the earliest instant at which NextRetransmitSeg
@@ -252,35 +380,23 @@ func (b *SendBuffer) NextRetransmitSeg(now time.Duration, rto time.Duration) (se
 // otherwise at RTO expiry or the partial-reliability deadline. ok is
 // false if the buffer holds nothing unresolved.
 func (b *SendBuffer) NextTimeout(rto time.Duration) (at time.Duration, ok bool) {
-	for i := range b.segs {
-		s := &b.segs[i]
-		if s.sacked || s.abandoned {
-			continue
-		}
-		var t time.Duration
-		if !s.lost { // lost segments are due right away (t = 0)
-			t = s.lastSent + rto
-			if b.Deadline > 0 {
-				if d := s.firstSent + b.Deadline; d < t {
-					t = d
-				}
-			}
-		}
-		if !ok || t < at {
-			at, ok = t, true
-		}
+	if !b.Unresolved() {
+		return 0, false
 	}
-	return at, ok
+	if b.due[1] == keyLost {
+		return 0, true // lost segments are due right away
+	}
+	at = b.due[1] + rto
+	if b.Deadline > 0 {
+		// None is lost, so the oldest unresolved segment was sent first.
+		q, _ := b.firstUnresolved()
+		at = min(at, b.seg(q).firstSent+b.Deadline)
+	}
+	return at, true
 }
 
 // Unresolved reports whether any segment still awaits acknowledgment or
 // abandonment (used to decide when a FIN'd stream is fully done).
 func (b *SendBuffer) Unresolved() bool {
-	for i := range b.segs {
-		s := &b.segs[i]
-		if !s.sacked && !s.abandoned {
-			return true
-		}
-	}
-	return false
+	return len(b.due) > 0 && b.due[1] != keyResolved
 }

@@ -5,6 +5,13 @@
 // comparing two sequence numbers therefore needs wrap-aware arithmetic.
 // All QTP micro-protocols (SACK scoreboards, TFRC loss histories, the TCP
 // baseline) share this package so the wrap rules live in exactly one place.
+//
+// What bounds an IntervalSet's cost is the number of ranges it holds and,
+// of those, only the ones a call is asked about: Contains, Add, Remove,
+// Gaps and FirstMissingAfter bisect to their first range and touch the
+// ranges they cover (Add and Remove also shift the ranges above when the
+// count changes). A set trimmed behind its frontier therefore costs the
+// same at any connection age; only Count walks every range.
 package seqspace
 
 import "fmt"
@@ -188,15 +195,16 @@ func (st *IntervalSet) Add(r Range) int {
 	if r.Empty() {
 		return 0
 	}
-	before := st.Count()
 	i := st.search(r.Lo)
 	if i > 0 && st.ranges[i-1].Hi == r.Lo {
 		// The preceding range is directly adjacent; merge with it too.
 		i--
 	}
-	// Extend r to swallow every range it touches.
-	j := i
+	// Extend r to swallow every range it touches; what those covered is
+	// not new.
+	j, had := i, 0
 	for j < len(st.ranges) && st.ranges[j].Lo.LessEq(r.Hi) {
+		had += st.ranges[j].Len()
 		if st.ranges[j].Lo.Less(r.Lo) {
 			r.Lo = st.ranges[j].Lo
 		}
@@ -214,7 +222,7 @@ func (st *IntervalSet) Add(r Range) int {
 		st.ranges[i] = r
 		st.ranges = append(st.ranges[:i+1], st.ranges[j:]...)
 	}
-	return st.Count() - before
+	return r.Len() - had
 }
 
 // AddSeq inserts the single sequence number s.
@@ -322,15 +330,12 @@ func (st *IntervalSet) Gaps(dst []Range, lo, hi Seq) []Range {
 		return dst
 	}
 	cur := lo
-	for _, r := range st.ranges {
-		if r.Hi.LessEq(cur) {
-			continue
-		}
+	for _, r := range st.ranges[st.search(lo):] {
 		if hi.LessEq(r.Lo) {
 			break
 		}
 		if cur.Less(r.Lo) {
-			dst = append(dst, Range{Lo: cur, Hi: seqMinRange(r.Lo, hi)})
+			dst = append(dst, Range{Lo: cur, Hi: Min(r.Lo, hi)})
 		}
 		if cur.Less(r.Hi) {
 			cur = r.Hi
@@ -343,13 +348,6 @@ func (st *IntervalSet) Gaps(dst []Range, lo, hi Seq) []Range {
 		dst = append(dst, Range{Lo: cur, Hi: hi})
 	}
 	return dst
-}
-
-func seqMinRange(a, b Seq) Seq {
-	if a.Less(b) {
-		return a
-	}
-	return b
 }
 
 // invariant checks internal ordering; used by tests.

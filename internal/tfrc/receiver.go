@@ -83,6 +83,12 @@ func (r *Receiver) OnData(now time.Duration, seq seqspace.Seq, size int, senderR
 		r.windowBytes += size
 		return true // first packet: send feedback for the RTT sample
 	}
+	if seq.Less(r.scanner.cursor) {
+		// Late: below the cursor the holes are declared and the arrivals
+		// forgotten. Traffic for X_recv, nothing for loss detection.
+		r.windowBytes += size
+		return false
+	}
 	if r.received.Contains(seq) {
 		return false // duplicate (retransmission already seen)
 	}
@@ -99,6 +105,8 @@ func (r *Receiver) OnData(now time.Duration, seq seqspace.Seq, size int, senderR
 			newEvent = true
 		}
 	})
+	// Nothing below the cursor is read again: keep the reordering window.
+	r.received.RemoveBefore(r.scanner.cursor)
 	if r.haveEvent {
 		// Open interval: packets since the current event started.
 		r.wali.SetOpen(float64(r.eventStart.Distance(r.maxSeq)))
@@ -193,8 +201,10 @@ func (r *Receiver) MakeReport(now time.Duration) (xRecv float64, p float64) {
 }
 
 // StateBytes estimates the receiver-side TFRC state in bytes: the loss
-// history plus the arrival interval set. This is the memory the paper's
-// QTPlight shifts to the sender (E4 metric).
+// history (bounded by the WALI depth) plus the arrival interval set
+// (trimmed at the hole scanner's cursor, so bounded by the holes among
+// the last few arrivals, not by the connection's age). This is the memory
+// the paper's QTPlight shifts to the sender (E4 metric).
 func (r *Receiver) StateBytes() int {
 	return r.wali.StateBytes() + 8*2*cap(r.received.Ranges()) + 64
 }

@@ -32,7 +32,8 @@ type EstimatorConfig struct {
 type SenderEstimator struct {
 	cfg EstimatorConfig
 
-	acked   seqspace.IntervalSet // first-transmission seqs acknowledged
+	acked   seqspace.IntervalSet // first-transmission seqs acknowledged, trimmed below min(scanner.cursor, cum)
+	cum     seqspace.Seq         // highest cumulative ack seen
 	scanner *holeScanner
 	wali    *LossIntervals
 
@@ -80,6 +81,7 @@ func (e *SenderEstimator) OnSent(now time.Duration, seq seqspace.Seq, size int) 
 	if !e.started {
 		e.started = true
 		e.nextSeq = seq
+		e.cum = seq
 		e.scanner.start(seq)
 		e.windowStart = now
 	}
@@ -101,8 +103,12 @@ func (e *SenderEstimator) OnAckVector(now time.Duration, cumAck seqspace.Seq, bl
 	if base := e.sendTimes.baseSeq(); base.Less(cumAck) {
 		e.ackRange(seqspace.Range{Lo: base, Hi: seqspace.Min(cumAck, e.nextSeq)})
 	}
+	e.cum = seqspace.Max(e.cum, seqspace.Min(cumAck, e.nextSeq))
+	// acked is trimmed below floor. A vector's blocks lie above its own
+	// cumulative ack: only a stale one reaches under, and would count twice.
+	floor := seqspace.Min(e.scanner.cursor, e.cum)
 	for _, b := range blocks {
-		lo, hi := b.Lo, seqspace.Min(b.Hi, e.nextSeq)
+		lo, hi := seqspace.Max(b.Lo, floor), seqspace.Min(b.Hi, e.nextSeq)
 		if lo.Less(hi) {
 			e.ackRange(seqspace.Range{Lo: lo, Hi: hi})
 		}
@@ -118,9 +124,12 @@ func (e *SenderEstimator) OnAckVector(now time.Duration, cumAck seqspace.Seq, bl
 	if e.haveEvent {
 		e.wali.SetOpen(float64(e.eventStart.Distance(maxAcked)))
 	}
-	// Entries below the scanner cursor are resolved; their send times can
-	// be dropped.
+	// Entries below the scanner cursor are resolved: their send times can
+	// go, and their acknowledgments once the receiver's cumulative ack has
+	// passed them too — until then a block may still report a hole below
+	// the cursor as filled (its retransmission landed), counted once.
 	e.sendTimes.advance(e.scanner.cursor)
+	e.acked.RemoveBefore(seqspace.Min(e.scanner.cursor, e.cum))
 }
 
 func (e *SenderEstimator) ackRange(r seqspace.Range) {
@@ -199,7 +208,10 @@ func (e *SenderEstimator) MakeReport(now time.Duration) (xRecv float64, p float6
 }
 
 // StateBytes estimates the estimator's memory footprint — state that
-// QTPlight moves from the receiver to the sender (E4 metric).
+// QTPlight moves from the receiver to the sender (E4 metric): the loss
+// history, bounded by the WALI depth; the send-time ring, by the largest
+// span in flight; the acked set, by the holes between the receiver's
+// cumulative ack and the newest acknowledgment. None of it grows with age.
 func (e *SenderEstimator) StateBytes() int {
 	return e.wali.StateBytes() + 8*2*cap(e.acked.Ranges()) + e.sendTimes.stateBytes() + 96
 }
