@@ -91,8 +91,8 @@ func main() {
 	log.Printf("qtpd: listening on %s, %d shard(s) (QoS budget %.0f B/s per conn)",
 		ep.Addr(), ep.NumShards(), o.budget)
 	caps := ep.Capabilities()
-	log.Printf("qtpd: data path: %v: batch=%v gso=%v gro=%v txtime=%v (per shard; -datapath %v)",
-		caps, caps.Batch, caps.GSO, caps.GRO, caps.TxTime, o.ep.DataPath)
+	log.Printf("qtpd: data path: %v: batch=%v gso=%v gro=%v (per shard; -datapath %v)",
+		caps, caps.Batch, caps.GSO, caps.GRO, o.ep.DataPath)
 	log.Printf("qtpd: handshake hardening: require-token=%v accept-rate=%.0f/s per shard",
 		o.ep.RequireToken, o.ep.AcceptRate)
 	log.Printf("qtpd: congestion control: bbr grants %v (-no-bbr to refuse; TFRC always granted)",

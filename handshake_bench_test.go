@@ -25,8 +25,12 @@ func BenchmarkHandshakeChurn(b *testing.B) {
 	// transport encryption, and an X25519 exchange per op would swamp the
 	// admission-path cost this bench trend-guards. The encrypted
 	// handshake is priced by BenchmarkEncryptedFanout's setup and the
-	// crypto e2e tests.
-	l, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{AcceptInbound: true, Constraints: core.Permissive(1e6), DisableEncryption: true})
+	// crypto e2e tests. The accept queue is too deep for the run to
+	// half-fill: on a box that parks the accepting goroutine for tens of
+	// milliseconds a fixed depth (64, and 4096 as well) fills behind it,
+	// the listener auto-challenges and the guard below reads the
+	// hardened path.
+	l, err := qtpnet.NewEndpoint("127.0.0.1:0", qtpnet.EndpointConfig{AcceptInbound: true, AcceptBacklog: 2*b.N + 64, Constraints: core.Permissive(1e6), DisableEncryption: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,8 +8,7 @@ import (
 	"repro/internal/seqspace"
 )
 
-// The controller must satisfy the redesigned congestion-control role
-// natively (the TFRC family goes through core.TFRCAdapter instead).
+// The controller must satisfy the congestion-control role.
 var _ core.RateController = (*Controller)(nil)
 
 const testMSS = 1200

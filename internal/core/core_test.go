@@ -9,12 +9,11 @@ import (
 	"repro/internal/tfrc"
 )
 
-// Compile-time checks: both TFRC-family machines still fit the legacy
-// surface the adapter lifts into the redesigned RateController role.
+// Compile-time checks: both TFRC-family machines fill the
+// RateController role directly.
 var (
-	_ TFRCMachine    = (*tfrc.Sender)(nil)
-	_ TFRCMachine    = (*gtfrc.Controller)(nil)
-	_ RateController = (*TFRCAdapter)(nil)
+	_ RateController = (*tfrc.Sender)(nil)
+	_ RateController = (*gtfrc.Controller)(nil)
 )
 
 func TestPredefinedProfilesValidate(t *testing.T) {

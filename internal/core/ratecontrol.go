@@ -7,19 +7,11 @@ import (
 	"repro/internal/tfrc"
 )
 
-// Feedback is the digested content of one receiver report, in core's own
-// vocabulary so the congestion-control role does not depend on any one
-// estimator's types. Equation-based controllers (TFRC, gTFRC) consume
-// every field; event-based controllers (BBR) typically use only the RTT
-// sample and learn the rest from per-packet events.
-type Feedback struct {
-	// XRecv is the receive rate over the report window, bytes/s.
-	XRecv float64
-	// P is the loss event rate (0 = no loss observed).
-	P float64
-	// RTTSample is a fresh round-trip measurement, 0 if none.
-	RTTSample time.Duration
-}
+// Feedback is the digested content of one receiver report. Equation-based
+// controllers (TFRC, gTFRC) consume every field; event-based controllers
+// (BBR) typically use only the RTT sample and learn the rest from
+// per-packet events.
+type Feedback = tfrc.FeedbackInfo
 
 // RateController is the congestion-control role of a composition: the
 // micro-protocol that turns transmission events and receiver feedback
@@ -41,14 +33,15 @@ type Feedback struct {
 //
 //   - The pacing contract: PacingRate is the allowed sending rate in
 //     bytes/s, InterPacketInterval the gap it implies for a frame of a
-//     given size (drivers stamp it on SO_TXTIME sends), and CanSend an
-//     optional inflight cap — a window-limited controller returns false
+//     given size (the connection's own pacing clock adds it to
+//     nextSendAt after each data frame), and CanSend an optional
+//     inflight cap — a window-limited controller returns false
 //     while a full bottleneck-delay product is outstanding, and the
 //     connection holds fresh data until acknowledgments drain it.
 //
-// Implementations: the TFRC family (*tfrc.Sender, *gtfrc.Controller)
-// via AdaptTFRC, and *bbr.Controller natively. Experiments may plug in
-// fixed-rate controllers for calibration.
+// Implementations: *tfrc.Sender, *gtfrc.Controller and
+// *bbr.Controller. Experiments may plug in fixed-rate controllers for
+// calibration.
 type RateController interface {
 	// Start begins transmission at time now.
 	Start(now time.Duration)
@@ -87,75 +80,3 @@ type RateController interface {
 	// NoFeedbackDeadline returns when OnNoFeedback is next due.
 	NoFeedbackDeadline() time.Duration
 }
-
-// TFRCMachine is the legacy surface shared by *tfrc.Sender and
-// *gtfrc.Controller (which embeds the former): the equation-based rate
-// machines driven purely by receiver reports. AdaptTFRC lifts one into
-// the RateController contract.
-type TFRCMachine interface {
-	Start(now time.Duration)
-	SeedRTT(now, sample time.Duration)
-	OnFeedback(now time.Duration, fb tfrc.FeedbackInfo)
-	OnNoFeedback(now time.Duration)
-	Rate() float64
-	RTT() time.Duration
-	NoFeedbackDeadline() time.Duration
-	InterPacketInterval(size int) time.Duration
-}
-
-// TFRCAdapter satisfies RateController over an unchanged TFRC-family
-// machine: report events pass through, per-packet events are ignored
-// (the equation needs only the receiver's digest), and the inflight cap
-// is absent — TFRC is purely rate-paced. The adapter is stateless, so
-// a connection composed through it behaves bit-identically to one built
-// on the machine directly.
-type TFRCAdapter struct {
-	M TFRCMachine
-}
-
-// AdaptTFRC wraps a TFRC-family rate machine in the RateController
-// contract.
-func AdaptTFRC(m TFRCMachine) *TFRCAdapter { return &TFRCAdapter{M: m} }
-
-// Start begins transmission.
-func (a *TFRCAdapter) Start(now time.Duration) { a.M.Start(now) }
-
-// SeedRTT installs a setup-time RTT sample.
-func (a *TFRCAdapter) SeedRTT(now, sample time.Duration) { a.M.SeedRTT(now, sample) }
-
-// OnSent is ignored: the equation does not sample per-packet.
-func (a *TFRCAdapter) OnSent(time.Duration, seqspace.Seq, int) {}
-
-// OnAcked is ignored: acknowledgment state reaches TFRC via OnFeedback.
-func (a *TFRCAdapter) OnAcked(time.Duration, seqspace.Seq, int, time.Duration) {}
-
-// OnLost is ignored: loss reaches TFRC as the report's loss event rate.
-func (a *TFRCAdapter) OnLost(time.Duration, seqspace.Seq, int) {}
-
-// OnFeedback folds a receiver report into the wrapped machine.
-func (a *TFRCAdapter) OnFeedback(now time.Duration, fb Feedback) {
-	a.M.OnFeedback(now, tfrc.FeedbackInfo{
-		XRecv: fb.XRecv, P: fb.P, RTTSample: fb.RTTSample,
-	})
-}
-
-// OnNoFeedback handles nofeedback-timer expiry.
-func (a *TFRCAdapter) OnNoFeedback(now time.Duration) { a.M.OnNoFeedback(now) }
-
-// PacingRate returns the machine's allowed rate in bytes/second.
-func (a *TFRCAdapter) PacingRate() float64 { return a.M.Rate() }
-
-// InterPacketInterval returns the pacing gap for a frame of size bytes.
-func (a *TFRCAdapter) InterPacketInterval(size int) time.Duration {
-	return a.M.InterPacketInterval(size)
-}
-
-// CanSend always permits transmission: TFRC is rate-paced, not
-// window-limited.
-func (a *TFRCAdapter) CanSend() bool { return true }
-
-// RTT returns the smoothed round-trip estimate.
-func (a *TFRCAdapter) RTT() time.Duration { return a.M.RTT() }
-
-// NoFeedbackDeadline returns when OnNoFeedback is next due.
-func (a *TFRCAdapter) NoFeedbackDeadline() time.Duration { return a.M.NoFeedbackDeadline() }

@@ -93,16 +93,6 @@ func (s *Sim) RunUntilIdle() {
 	}
 }
 
-// Step executes the next scheduled event, reporting whether one
-// existed. Tests use it to bound runaway event storms.
-func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
-		return false
-	}
-	s.step()
-	return true
-}
-
 func (s *Sim) step() {
 	ev := heap.Pop(&s.events).(*event)
 	s.now = ev.at
@@ -112,10 +102,6 @@ func (s *Sim) step() {
 	ev.timer.fired = true
 	ev.fn()
 }
-
-// Pending returns the number of scheduled events (including stopped
-// timers not yet reaped); used by tests.
-func (s *Sim) Pending() int { return len(s.events) }
 
 // event is one scheduled callback. Events with equal times run in
 // scheduling order (seq), making the execution order total and

@@ -163,9 +163,9 @@ func TestBBRNegotiationFallsBackToTFRC(t *testing.T) {
 	}
 }
 
-// TestTFRCLedgerIdenticalThroughAdapter pins the refactor's no-regression
-// promise: a TFRC flow driven through the redesigned RateController
-// adapter produces exactly the delivery and frame ledger it always did.
+// TestTFRCLedgerIdenticalThroughAdapter pins a TFRC flow driven through
+// the core.RateController seam to one delivery and frame ledger, run
+// after run.
 // (Byte-level equivalence is implied: same frames, same times, same
 // deterministic simulator seed.)
 func TestTFRCLedgerIdenticalThroughAdapter(t *testing.T) {

@@ -315,9 +315,9 @@ func (c *Conn) buildMachines(now time.Duration) {
 	c.multi = p.MaxStreams >= 2
 	if c.isSender() {
 		// Congestion-control role: the negotiated controller behind the
-		// transport-agnostic core.RateController contract. The TFRC
-		// family rides the adapter unchanged; BBR is event-driven and
-		// additionally gets a ccTracker feeding it per-packet events.
+		// transport-agnostic core.RateController contract. BBR is
+		// event-driven and additionally gets a ccTracker feeding it
+		// per-packet events.
 		if p.Congestion == packet.CongestionBBR {
 			b := bbr.New(bbr.Config{MSS: p.MSS})
 			c.rc = b
@@ -325,9 +325,9 @@ func (c *Conn) buildMachines(now time.Duration) {
 		} else {
 			c.tfrcSnd = tfrc.NewSender(tfrc.SenderConfig{SegmentSize: p.MSS})
 			if p.TargetRate > 0 {
-				c.rc = core.AdaptTFRC(gtfrc.New(c.tfrcSnd, p.TargetRate))
+				c.rc = gtfrc.New(c.tfrcSnd, p.TargetRate)
 			} else {
-				c.rc = core.AdaptTFRC(c.tfrcSnd)
+				c.rc = c.tfrcSnd
 			}
 		}
 		// Reliability lives per stream: each owns a scoreboard. Stream 0's

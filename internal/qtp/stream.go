@@ -502,15 +502,6 @@ func (c *Conn) CloseStream(id uint64) error {
 	return nil
 }
 
-// StreamBacklogLen returns the bytes queued but not yet transmitted on
-// one stream.
-func (c *Conn) StreamBacklogLen(id uint64) int {
-	if s := c.sendByID[id]; s != nil {
-		return s.queued()
-	}
-	return 0
-}
-
 // ReadStream pops the next delivered chunk off one stream's ready
 // queue. Chunks come from bufpool's chunk pool: the application owns the
 // slice and releases it with bufpool.PutChunk once consumed. What is not
@@ -547,20 +538,6 @@ func (c *Conn) AcceptStreamID() (uint64, bool) {
 	id := c.acceptQ[0]
 	c.acceptQ = c.acceptQ[1:]
 	return id, true
-}
-
-// StreamIDs returns the IDs of every stream known to this endpoint, in
-// creation order (send streams on the sender, receive streams on the
-// receiver).
-func (c *Conn) StreamIDs() []uint64 {
-	var ids []uint64
-	for _, s := range c.sendStreams {
-		ids = append(ids, s.id)
-	}
-	for _, rs := range c.recvOrder {
-		ids = append(ids, rs.id)
-	}
-	return ids
 }
 
 // StreamStats snapshots one stream's counters. Retired (finished and

@@ -35,18 +35,6 @@ type ioMsg struct {
 	n       int
 	addr    netip.AddrPort
 	segSize int
-
-	// gapNs is the TFRC inter-packet spacing this message should keep
-	// from its predecessor on the same flow, set by the scheduler at
-	// enqueue time. Zero means "send as soon as possible" (control
-	// frames, non-paced traffic). For a segment train it is the sum of
-	// the member gaps.
-	gapNs uint32
-	// txTime, when non-zero and the writer supports SO_TXTIME, is the
-	// CLOCK_MONOTONIC nanosecond instant the kernel should release the
-	// datagram at (stamped by the scheduler from gapNs at flush time).
-	// Writers without TXTIME support ignore it and send immediately.
-	txTime uint64
 }
 
 // wireCount returns how many on-the-wire datagrams m represents: one,
@@ -73,8 +61,8 @@ const (
 	// DataPathAuto, the zero value, is no ceiling: GSO/GRO over
 	// recvmmsg/sendmmsg where the kernel has them.
 	DataPathAuto DataPath = iota
-	// DataPathMmsg stops below segment offload: recvmmsg/sendmmsg (and
-	// SO_TXTIME stamps where probed), UDP_SEGMENT/UDP_GRO never probed.
+	// DataPathMmsg stops below segment offload: recvmmsg/sendmmsg,
+	// UDP_SEGMENT/UDP_GRO never probed.
 	DataPathMmsg
 	// DataPathPortable is the floor every platform has: one datagram per
 	// syscall through the standard library.
@@ -141,15 +129,6 @@ type pathCaps struct {
 	// transparently re-sent segment-by-segment.
 	gsoMaxSegs   atomic.Int32
 	gsoFallbacks atomic.Uint64
-
-	// txClock is non-nil when SO_TXTIME was accepted: the scheduler
-	// stamps ioMsg.txTime release instants computed from TFRC gaps
-	// against this clock (CLOCK_MONOTONIC ns) and the writer attaches
-	// them as SCM_TXTIME cmsgs, so the fq/etf qdisc releases each
-	// datagram on schedule instead of the whole flush leaving as one
-	// micro-burst. txTimeSends counts datagrams sent with a stamp.
-	txClock     func() uint64
-	txTimeSends atomic.Uint64
 }
 
 // newBatchIO picks the best implementation for the socket at or below

@@ -81,30 +81,7 @@ const (
 	// gsoCmsgSpace is CMSG_SPACE(sizeof(uint16)): one cmsghdr plus the
 	// segment size, padded to the 8-byte cmsg alignment.
 	gsoCmsgSpace = syscall.SizeofCmsghdr + 8
-
-	// soTxTime/scmTxTime are SOL_SOCKET option and cmsg type for
-	// earliest-departure-time pacing (kernel 4.19); the syscall package
-	// predates them. SCM_TXTIME == SO_TXTIME by definition.
-	soTxTime  = 61
-	scmTxTime = 61
-
-	// clockMonotonic is CLOCK_MONOTONIC, the clock SO_TXTIME stamps and
-	// the fq qdisc's pacing horizon are expressed in.
-	clockMonotonic = 1
-
-	// txtimeCmsgSpace is CMSG_SPACE(sizeof(uint64)) for the SCM_TXTIME
-	// release instant.
-	txtimeCmsgSpace = syscall.SizeofCmsghdr + 8
 )
-
-// sockTxTime mirrors struct sock_txtime, the SO_TXTIME setsockopt
-// argument: the clock stamps are read against, plus flags (none used —
-// best-effort release, no error reporting, so a missing fq qdisc
-// degrades to immediate sends rather than failures).
-type sockTxTime struct {
-	clockid int32
-	flags   uint32
-}
 
 // newPlatformBatchIO returns the mmsg implementation, or nil when the
 // socket cannot be driven through a RawConn (forcing the fallback).
@@ -146,34 +123,7 @@ func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath, caps *p
 	if ceiling < DataPathMmsg {
 		m.probeOffload()
 	}
-	m.probeTxTime()
 	return m
-}
-
-// probeTxTime detects SO_TXTIME support (kernel 4.19) by enabling it:
-// release instants ride CLOCK_MONOTONIC, flags stay zero so pacing is
-// best-effort (without an fq qdisc on the egress path the stamps are
-// simply ignored — never an error). Old kernels answer ENOPROTOOPT and
-// the capability stays off.
-func (m *mmsgIO) probeTxTime() {
-	m.rc.Control(func(fd uintptr) {
-		tt := sockTxTime{clockid: clockMonotonic}
-		_, _, e := syscall.Syscall6(syscall.SYS_SETSOCKOPT, fd,
-			uintptr(syscall.SOL_SOCKET), soTxTime,
-			uintptr(unsafe.Pointer(&tt)), unsafe.Sizeof(tt), 0)
-		if e == 0 {
-			m.caps.txClock = monoNowNs
-		}
-	})
-}
-
-// monoNowNs reads CLOCK_MONOTONIC directly: TXTIME stamps must share
-// the kernel's pacing clock, which time.Now()'s wall reading is not.
-func monoNowNs() uint64 {
-	var ts syscall.Timespec
-	syscall.Syscall(syscall.SYS_CLOCK_GETTIME, clockMonotonic,
-		uintptr(unsafe.Pointer(&ts)), 0)
-	return uint64(ts.Sec)*1e9 + uint64(ts.Nsec)
 }
 
 // probeOffload detects UDP_SEGMENT support (a getsockopt that old
@@ -275,18 +225,6 @@ func putGSOCmsg(ctl *ctlBuf, segSize uint16) int {
 	return gsoCmsgSpace
 }
 
-// putTxTimeCmsg appends the SCM_TXTIME cmsg carrying a datagram's
-// release instant at offset off in ctl (off must be cmsg-aligned — the
-// GSO cmsg space is), returning the new control length.
-func putTxTimeCmsg(ctl *ctlBuf, off int, txTime uint64) int {
-	h := (*syscall.Cmsghdr)(unsafe.Pointer(&ctl.b[off]))
-	h.Len = syscall.SizeofCmsghdr + 8
-	h.Level = syscall.SOL_SOCKET
-	h.Type = scmTxTime
-	*(*uint64)(unsafe.Pointer(&ctl.b[off+syscall.SizeofCmsghdr])) = txTime
-	return off + txtimeCmsgSpace
-}
-
 // cmsgAlign rounds a cmsg length up to the kernel's 8-byte boundary.
 func cmsgAlign(n int) int { return (n + 7) &^ 7 }
 
@@ -305,7 +243,6 @@ func (m *mmsgIO) writeBatch(ms []ioMsg) (int, error) {
 		n = len(m.whdr)
 	}
 	gso := m.caps.gsoMaxSegs.Load() > 0
-	txt := m.caps.txClock != nil
 	prep := 0
 	for prep < n {
 		if ms[prep].segSize > 0 && ms[prep].n > ms[prep].segSize && !gso {
@@ -330,14 +267,8 @@ func (m *mmsgIO) writeBatch(ms []ioMsg) (int, error) {
 			Iov:     &m.wiov[prep],
 			Iovlen:  1,
 		}}
-		clen := 0
 		if ms[prep].segSize > 0 && ms[prep].n > ms[prep].segSize {
-			clen = putGSOCmsg(&m.wctl[prep], uint16(ms[prep].segSize))
-		}
-		if txt && ms[prep].txTime > 0 {
-			clen = putTxTimeCmsg(&m.wctl[prep], clen, ms[prep].txTime)
-		}
-		if clen > 0 {
+			clen := putGSOCmsg(&m.wctl[prep], uint16(ms[prep].segSize))
 			m.whdr[prep].hdr.Control = &m.wctl[prep].b[0]
 			m.whdr[prep].hdr.SetControllen(clen)
 		}
@@ -373,13 +304,6 @@ func (m *mmsgIO) writeBatch(ms []ioMsg) (int, error) {
 			return m.sendSegments(&ms[0])
 		}
 		return sent, os.NewSyscallError("sendmmsg", errno)
-	}
-	if txt {
-		for i := 0; i < sent; i++ {
-			if ms[i].txTime > 0 {
-				m.caps.txTimeSends.Add(1)
-			}
-		}
 	}
 	return sent, nil
 }

@@ -5,8 +5,8 @@ package qtpnet
 import "net"
 
 // newPlatformBatchIO reports that no batched syscall implementation
-// (and therefore no segment offload or TXTIME pacing) exists
-// here; the endpoint uses the portable single-datagram fallback.
+// (and therefore no segment offload) exists here; the endpoint uses the
+// portable single-datagram fallback.
 func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath, caps *pathCaps) batchIO {
 	return nil
 }

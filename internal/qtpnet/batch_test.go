@@ -177,24 +177,37 @@ func TestEndpointStatsString(t *testing.T) {
 }
 
 // TestDataPathShims pins the API the repo benchmark compiles against
-// (benchmark/README.md, "Entry points") now that the io_uring rungs
-// are gone: DisableUring is accepted and ignored, UringEnabled and
-// UringDeferred answer false, and Wakeups is always RecvBatches. Root
+// (benchmark/README.md, "Entry points") now that the io_uring rungs and
+// the SO_TXTIME stamps are gone: DisableUring is accepted and ignored,
+// UringEnabled, UringDeferred and TxTimeEnabled answer false, and
+// Wakeups is always RecvBatches. No rung sizes its socket buffers
+// differently from another (SO_TXTIME used to halve the request). Root
 // `go test ./...` skips the nested benchmark module, so this is where
 // that contract is checked.
 func TestDataPathShims(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("DisableUring=%v", disable), func(t *testing.T) {
+	type bufSizes struct{ rcv, snd int }
+	var first bufSizes
+	for _, tc := range []struct {
+		name    string
+		disable bool
+		path    DataPath
+	}{
+		{"DisableUring=false", false, DataPathAuto},
+		{"DisableUring=true", true, DataPathAuto},
+		{"DataPath=portable", false, DataPathPortable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			srv, err := NewEndpoint("127.0.0.1:0", EndpointConfig{
 				AcceptInbound: true,
 				Constraints:   core.Permissive(1e7),
-				DisableUring:  disable,
+				DisableUring:  tc.disable,
+				DataPath:      tc.path,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{DisableUring: disable})
+			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{DisableUring: tc.disable, DataPath: tc.path})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,14 +216,21 @@ func TestDataPathShims(t *testing.T) {
 			transfer(t, client, srv, 2, 16<<10)
 
 			for _, e := range []*Endpoint{client, srv} {
-				if e.UringEnabled() || e.UringDeferred() {
-					t.Errorf("UringEnabled=%v UringDeferred=%v, want false false",
-						e.UringEnabled(), e.UringDeferred())
+				if e.UringEnabled() || e.UringDeferred() || e.TxTimeEnabled() {
+					t.Errorf("UringEnabled=%v UringDeferred=%v TxTimeEnabled=%v, want all false",
+						e.UringEnabled(), e.UringDeferred(), e.TxTimeEnabled())
 				}
 				st := e.Stats()
 				if st.RecvBatches == 0 || st.Wakeups != st.RecvBatches {
 					t.Errorf("Wakeups=%d RecvBatches=%d, want equal and non-zero",
 						st.Wakeups, st.RecvBatches)
+				}
+				var got bufSizes
+				got.rcv, got.snd = e.SocketBufSizes()
+				if first == (bufSizes{}) {
+					first = got
+				} else if got != first {
+					t.Errorf("SocketBufSizes = %+v on %v, want %+v as on every rung", got, tc.path, first)
 				}
 			}
 		})

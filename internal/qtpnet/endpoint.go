@@ -43,11 +43,8 @@ const (
 	// matters once segment offload is in play — one GRO super-datagram
 	// can be 64 KiB, a third of the usual 208 KiB default, so an unlucky
 	// burst tail-drops whole trains where the per-frame path would have
-	// shed a few packets. With SO_TXTIME pacing active the request
-	// halves: fq-paced trains arrive spread out instead of as
-	// micro-bursts and need less burst absorption.
-	socketBufferBytes      = 2 << 20
-	socketBufferBytesPaced = 1 << 20
+	// shed a few packets.
+	socketBufferBytes = 2 << 20
 )
 
 // zeroConfig is what an EndpointConfig's zero DataPath and
@@ -189,10 +186,8 @@ type EndpointStats struct {
 	// Wakeups counts the times the receive path blocked into the
 	// kernel for more data — the structural cost batching exists to
 	// amortize. Every read syscall is a wakeup, so it always equals
-	// RecvBatches. TxTimeSends counts datagrams sent with an SO_TXTIME
-	// release stamp (zero without TXTIME pacing).
-	Wakeups     uint64
-	TxTimeSends uint64
+	// RecvBatches.
+	Wakeups uint64
 
 	// Cross-shard traffic (always zero on a one-shard endpoint): frames
 	// the kernel hashed to a shard other than the one their connection
@@ -264,9 +259,6 @@ func (s EndpointStats) String() string {
 			s.GsoTrains, s.GsoSegs, s.GsoFallbacks, s.GroMerged)
 	}
 	str += fmt.Sprintf(" wakeups %d", s.Wakeups)
-	if s.TxTimeSends > 0 {
-		str += fmt.Sprintf(" txtime sends %d", s.TxTimeSends)
-	}
 	if s.RetrySent > 0 || s.TokenInvalid > 0 || s.HandshakeDropped > 0 ||
 		s.AmplificationCapped > 0 || s.AcceptOverflow > 0 {
 		str += fmt.Sprintf(" hs retry %d badtoken %d shed %d ampcap %d acceptovf %d",
@@ -304,7 +296,6 @@ func (s EndpointStats) add(o EndpointStats) EndpointStats {
 	s.GroMerged += o.GroMerged
 	s.GsoFallbacks += o.GsoFallbacks
 	s.Wakeups += o.Wakeups
-	s.TxTimeSends += o.TxTimeSends
 	s.CrossShardFwd += o.CrossShardFwd
 	s.CrossShardRecv += o.CrossShardRecv
 	s.CrossShardDrops += o.CrossShardDrops
@@ -490,10 +481,9 @@ func (e *Endpoint) ShardStats() []EndpointStats {
 // Capabilities is the data path an endpoint's socket probed in at bind,
 // under its DataPath ceiling; all false on the portable rung.
 type Capabilities struct {
-	Batch  bool // datagrams move with recvmmsg/sendmmsg
-	GSO    bool // sends coalesce into UDP_SEGMENT trains; clears if the kernel refuses one
-	GRO    bool // UDP_GRO is on: inbound bursts may arrive kernel-merged
-	TxTime bool // sends may carry SO_TXTIME release stamps (spacing needs an fq qdisc)
+	Batch bool // datagrams move with recvmmsg/sendmmsg
+	GSO   bool // sends coalesce into UDP_SEGMENT trains; clears if the kernel refuses one
+	GRO   bool // UDP_GRO is on: inbound bursts may arrive kernel-merged
 }
 
 // String names the rung of the data-path ladder the capabilities
@@ -515,27 +505,24 @@ func (c Capabilities) String() string {
 func (e *Endpoint) Capabilities() Capabilities {
 	caps := e.shards[0].caps
 	return Capabilities{
-		Batch:  caps.batch,
-		GSO:    caps.gsoMaxSegs.Load() > 1,
-		GRO:    caps.gro,
-		TxTime: caps.txClock != nil,
+		Batch: caps.batch,
+		GSO:   caps.gsoMaxSegs.Load() > 1,
+		GRO:   caps.gro,
 	}
 }
 
-// BatchEnabled, GSOEnabled, GROEnabled and TxTimeEnabled each report
-// one field of Capabilities.
-func (e *Endpoint) BatchEnabled() bool  { return e.Capabilities().Batch }
-func (e *Endpoint) GSOEnabled() bool    { return e.Capabilities().GSO }
-func (e *Endpoint) GROEnabled() bool    { return e.Capabilities().GRO }
-func (e *Endpoint) TxTimeEnabled() bool { return e.Capabilities().TxTime }
+// GSOEnabled and GROEnabled each report one field of Capabilities.
+func (e *Endpoint) GSOEnabled() bool { return e.Capabilities().GSO }
+func (e *Endpoint) GROEnabled() bool { return e.Capabilities().GRO }
 
-// UringEnabled and UringDeferred always report false: the data path has
-// no io_uring rung.
+// UringEnabled, UringDeferred and TxTimeEnabled always report false: the
+// data path has no io_uring rung and stamps no SO_TXTIME release times.
 //
 // Deprecated: kept only because the repo benchmark, which later
 // changes may not edit, calls them (benchmark/README.md, "Entry points").
 func (e *Endpoint) UringEnabled() bool  { return false }
 func (e *Endpoint) UringDeferred() bool { return false }
+func (e *Endpoint) TxTimeEnabled() bool { return false }
 
 // SocketBufSizes reports the effective SO_RCVBUF/SO_SNDBUF values as
 // the kernel holds them, so callers (qtpd -v) can verify the

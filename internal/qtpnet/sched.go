@@ -19,41 +19,7 @@ const (
 	// persistent one: a socket that fails this many datagrams in a row
 	// is dead for every connection sharing it.
 	maxConsecSendErrs = 64
-
-	// maxPaceGapNs clamps a single frame's inter-packet gap. TFRC rates
-	// can dip arbitrarily low after a loss event; a gap beyond this is
-	// better served by the sender's own timer than by parking datagrams
-	// in the qdisc.
-	maxPaceGapNs = 50_000_000 // 50ms
-	// maxTxHorizonNs bounds how far into the future the per-destination
-	// pacing clock may run ahead of real time. Without a horizon a long
-	// paced burst would schedule its tail seconds out, turning the qdisc
-	// into a second (invisible) send queue.
-	maxTxHorizonNs = 5_000_000 // 5ms
-	// paceMaxTrainSegs caps segment-train length while TXTIME pacing is
-	// active: a train leaves the NIC back-to-back no matter what stamp it
-	// carries, so shorter trains keep the wire spacing close to what
-	// TFRC asked for while still amortizing most of the syscall cost.
-	paceMaxTrainSegs = 8
-	// txClockMaxEntries bounds the per-destination pacing clock map; a
-	// long-lived endpoint talking to churning peers prunes rather than
-	// grows without bound.
-	txClockMaxEntries = 4096
 )
-
-// paceGapNs converts a frame length and a TFRC allowed rate (bytes/sec)
-// into the inter-packet spacing the kernel should keep after releasing
-// the frame, clamped to maxPaceGapNs.
-func paceGapNs(frameLen int, rate float64) uint32 {
-	if rate <= 0 || frameLen <= 0 {
-		return 0
-	}
-	gap := float64(frameLen) * 1e9 / rate
-	if gap >= maxPaceGapNs {
-		return maxPaceGapNs
-	}
-	return uint32(gap)
-}
 
 // sendScheduler is the shared transmit path of an endpoint: connections
 // never write to the socket from their timer/ack paths; they enqueue
@@ -85,12 +51,8 @@ type sendScheduler struct {
 
 	// caps is what the writer's socket probed in at bind. While
 	// caps.gsoMaxSegs > 1 the flush path coalesces same-destination,
-	// same-size frames into UDP_SEGMENT super-datagrams; with a
-	// caps.txClock it converts each message's gapNs into an absolute
-	// release instant against the per-destination pacing clock below,
-	// which the flushing token guards.
-	caps    *pathCaps
-	txClock map[netip.AddrPort]uint64
+	// same-size frames into UDP_SEGMENT super-datagrams.
+	caps *pathCaps
 
 	flushing  atomic.Bool
 	batch     []ioMsg // flush scratch, guarded by the flushing token
@@ -117,17 +79,13 @@ type sendScheduler struct {
 }
 
 func newSendScheduler(w batchWriter, caps *pathCaps, maxBatch int, onFatal func(error)) *sendScheduler {
-	s := &sendScheduler{
+	return &sendScheduler{
 		w:        w,
 		caps:     caps,
 		maxBatch: maxBatch,
 		onFatal:  onFatal,
 		batch:    make([]ioMsg, 0, maxBatch),
 	}
-	if caps.txClock != nil {
-		s.txClock = make(map[netip.AddrPort]uint64)
-	}
-	return s
 }
 
 // enqueue hands one framed datagram to the scheduler. The frame slice
@@ -137,22 +95,13 @@ func newSendScheduler(w batchWriter, caps *pathCaps, maxBatch int, onFatal func(
 // caller promises a flushIfFull/flushPending once its current
 // frame-production pass is done.
 func (s *sendScheduler) enqueue(addr netip.AddrPort, frame []byte) {
-	s.enqueuePaced(addr, frame, 0)
-}
-
-// enqueuePaced is enqueue with a TFRC inter-packet gap attached: when
-// the writer supports SO_TXTIME, the flush path converts gapNs into an
-// absolute release stamp so the kernel spaces this frame gapNs after
-// its predecessor on the same flow. Writers without TXTIME (and a gap
-// of zero) degrade to plain enqueue.
-func (s *sendScheduler) enqueuePaced(addr netip.AddrPort, frame []byte, gapNs uint32) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		bufpool.Put(frame)
 		return
 	}
-	s.q = append(s.q, ioMsg{buf: frame, n: len(frame), addr: addr, gapNs: gapNs})
+	s.q = append(s.q, ioMsg{buf: frame, n: len(frame), addr: addr})
 	s.mu.Unlock()
 }
 
@@ -179,18 +128,8 @@ func (s *sendScheduler) flushPending() {
 				break
 			}
 			b := s.batch
-			pacing := s.caps.txClock != nil
 			if maxSegs := int(s.caps.gsoMaxSegs.Load()); maxSegs > 1 {
-				// While pacing, cap train length: a train leaves the
-				// NIC back-to-back regardless of its stamp, so long
-				// trains would undo the spacing TXTIME buys.
-				if pacing && maxSegs > paceMaxTrainSegs {
-					maxSegs = paceMaxTrainSegs
-				}
 				b = s.coalesce(b, maxSegs)
-			}
-			if pacing {
-				s.stampTxTimes(b)
 			}
 			s.flush(b)
 		}
@@ -237,46 +176,6 @@ func (s *sendScheduler) take(dst []ioMsg) []ioMsg {
 	s.q = s.q[:rem]
 	s.mu.Unlock()
 	return dst
-}
-
-// stampTxTimes converts per-message gaps into absolute SO_TXTIME
-// release instants against a per-destination virtual clock: each paced
-// frame is released at the later of "now" and the destination's clock,
-// and the clock advances by the frame's gap — so a flush of N frames
-// for one flow leaves the qdisc as N spaced datagrams instead of one
-// micro-burst. The clock is capped at a short horizon past real time
-// so the qdisc never becomes a deep second send queue, and unpaced
-// frames (gapNs == 0: control, feedback) pass through unstamped.
-//
-// Runs only the flush-token holder, which also owns txClock.
-func (s *sendScheduler) stampTxTimes(batch []ioMsg) {
-	now := s.caps.txClock()
-	for i := range batch {
-		m := &batch[i]
-		if m.gapNs == 0 {
-			continue
-		}
-		c := s.txClock[m.addr]
-		if c < now {
-			c = now
-		}
-		m.txTime = c
-		c += uint64(m.gapNs)
-		if max := now + maxTxHorizonNs; c > max {
-			c = max
-		}
-		s.txClock[m.addr] = c
-	}
-	if len(s.txClock) > txClockMaxEntries {
-		// Stale destinations' clocks are at worst maxTxHorizonNs ahead
-		// of a past "now", i.e. already behind real time; dropping them
-		// only costs one flush of unspaced lead-off frames.
-		for addr, c := range s.txClock {
-			if c <= now {
-				delete(s.txClock, addr)
-			}
-		}
-	}
 }
 
 // coalesce rewrites one flush batch for a segment-offload-capable
@@ -340,22 +239,14 @@ func (s *sendScheduler) coalesce(batch []ioMsg, maxSegs int) []ioMsg {
 			train := bufpool.Get()
 			off := 0
 			addr := batch[idx[k]].addr
-			var gap uint64
 			for r := 0; r < run; r++ {
 				f := &batch[idx[k+r]]
 				off += copy(train[off:], f.buf[:f.n])
-				gap += uint64(f.gapNs)
 				bufpool.Put(f.buf)
 				*f = ioMsg{}
 				used[idx[k+r]] = true
 			}
-			// The train inherits the sum of its members' gaps: it leaves
-			// the NIC as one burst, so the whole run's spacing budget
-			// lands between this train and the next.
-			if gap > maxPaceGapNs*uint64(run) {
-				gap = maxPaceGapNs * uint64(run)
-			}
-			out = append(out, ioMsg{buf: train[:off], n: off, addr: addr, segSize: segSize, gapNs: uint32(gap)})
+			out = append(out, ioMsg{buf: train[:off], n: off, addr: addr, segSize: segSize})
 			s.gsoTrains.Add(1)
 			s.gsoSegs.Add(uint64(run))
 			k += run

@@ -105,18 +105,11 @@ type shard struct {
 // newShard builds shard idx of e around an already-bound socket. Its
 // loops do not run until start.
 func newShard(e *Endpoint, idx uint32, pc *net.UDPConn) *shard {
-	// The data path is built before the socket buffers are sized: with
-	// SO_TXTIME pacing active, flushes leave the socket as fq-scheduled
-	// release instants instead of micro-bursts, so the burst-absorption
-	// floor halves. Best-effort: an endpoint still works (just drops
-	// more under burst) if the kernel refuses the request outright.
+	// Best-effort: an endpoint still works (just drops more under burst)
+	// if the kernel refuses the request outright.
+	_ = pc.SetReadBuffer(socketBufferBytes)
+	_ = pc.SetWriteBuffer(socketBufferBytes)
 	bio, caps := newBatchIO(pc, rxBatch, e.cfg.DataPath)
-	bufBytes := socketBufferBytes
-	if caps.txClock != nil {
-		bufBytes = socketBufferBytesPaced
-	}
-	_ = pc.SetReadBuffer(bufBytes)
-	_ = pc.SetWriteBuffer(bufBytes)
 	sh := &shard{
 		ep:     e,
 		idx:    idx,
@@ -207,7 +200,6 @@ func (sh *shard) stats() EndpointStats {
 		ZeroRTTRejected: sh.zeroRTTRejected.Load(),
 
 		GsoFallbacks: sh.caps.gsoFallbacks.Load(),
-		TxTimeSends:  sh.caps.txTimeSends.Load(),
 	}
 	st.Wakeups = st.RecvBatches
 	return st
@@ -676,12 +668,6 @@ func (sh *shard) service(c *Conn) (produced bool) {
 	var txb []byte
 	c.mu.Lock()
 	now := sh.now()
-	// The connection's TFRC rate converts data-frame lengths into the
-	// inter-packet gaps the scheduler stamps as SO_TXTIME release
-	// instants on capable sockets. Control and feedback frames stay
-	// unpaced — an ack held back by the qdisc would inflate the peer's
-	// RTT sample for nothing.
-	rate := c.inner.Rate()
 	sess := c.inner.CryptoSession()
 	for {
 		if txb == nil {
@@ -730,12 +716,7 @@ func (sh *shard) service(c *Conn) (produced bool) {
 			}
 			c.ampTx.Add(int64(len(wire)))
 		}
-		var gapNs uint32
-		if rate > 0 && len(frame) > 0 &&
-			packet.Type(frame[0]&0x0f) == packet.TypeData {
-			gapNs = paceGapNs(len(wire), rate)
-		}
-		sh.tx.enqueuePaced(c.peer, wire, gapNs)
+		sh.tx.enqueue(c.peer, wire)
 		produced = true
 		if sb != nil {
 			if cap(wire) != cap(sb) {

@@ -178,9 +178,6 @@ func (r *Receiver) OnRetransmit(now time.Duration, size int) {
 // P returns the receiver's current loss event rate estimate.
 func (r *Receiver) P() float64 { return r.wali.P() }
 
-// MaxSeq returns the highest sequence number received.
-func (r *Receiver) MaxSeq() seqspace.Seq { return r.maxSeq }
-
 // FeedbackInterval returns how often periodic feedback is due: once per
 // RTT as estimated by the sender (RFC 3448 §6.2), defaulting to 100 ms
 // until the first data packet announces an RTT.

@@ -3,6 +3,8 @@ package tfrc
 import (
 	"math"
 	"time"
+
+	"repro/internal/seqspace"
 )
 
 // FeedbackInfo is the digested content of one receiver report, as handed
@@ -160,6 +162,20 @@ func (s *Sender) noFeedbackInterval() time.Duration {
 
 // Rate returns the allowed sending rate in bytes/second.
 func (s *Sender) Rate() float64 { return s.x }
+
+// PacingRate is Rate under the name core.RateController reads it by.
+func (s *Sender) PacingRate() float64 { return s.x }
+
+// CanSend always permits transmission: TFRC is rate-paced, not
+// window-limited.
+func (s *Sender) CanSend() bool { return true }
+
+// OnSent, OnAcked and OnLost are core.RateController's per-packet
+// events, ignored here: the equation needs only the receiver's digest,
+// which arrives through OnFeedback.
+func (s *Sender) OnSent(time.Duration, seqspace.Seq, int)                 {}
+func (s *Sender) OnAcked(time.Duration, seqspace.Seq, int, time.Duration) {}
+func (s *Sender) OnLost(time.Duration, seqspace.Seq, int)                 {}
 
 // SetRate overrides the allowed rate; used by rate controllers layered
 // on top of TFRC (gTFRC clamps X to the negotiated minimum).

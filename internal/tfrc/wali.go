@@ -49,9 +49,6 @@ func NewLossIntervals(depth int) *LossIntervals {
 	}
 }
 
-// Depth returns the configured history depth.
-func (li *LossIntervals) Depth() int { return len(li.weights) }
-
 // Seeded reports whether at least one loss interval exists, i.e.
 // whether P is meaningful (non-zero).
 func (li *LossIntervals) Seeded() bool { return li.seeded }
@@ -133,9 +130,6 @@ func (li *LossIntervals) weightedMean(start int) float64 {
 	}
 	return iTot / wTot
 }
-
-// CurrentInterval returns the open interval length in packets.
-func (li *LossIntervals) CurrentInterval() float64 { return li.intervals[0] }
 
 // StateBytes reports the memory footprint of the history — the receiver
 // state the paper's QTPlight removes from light clients (E4 metric).
