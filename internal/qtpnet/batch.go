@@ -89,7 +89,7 @@ func (d *DataPath) Set(s string) error {
 	return fmt.Errorf("unknown data path %q (want auto, mmsg or portable)", s)
 }
 
-// batchIO is the seam between the endpoint's loops and the socket.
+// batchIO is the seam between a shard's loop and the socket.
 // The linux implementation moves whole batches per syscall with
 // recvmmsg/sendmmsg — and, where the kernel supports it, whole segment
 // trains per datagram with UDP_SEGMENT/UDP_GRO; every other platform
@@ -97,10 +97,12 @@ func (d *DataPath) Set(s string) error {
 // endpoint's logic is identical everywhere and tests can force either
 // path.
 type batchIO interface {
-	// readBatch blocks until at least one datagram is available, fills
-	// ms[i].n, ms[i].addr and ms[i].segSize for each datagram received
-	// into ms[i].buf, and returns how many messages were filled.
-	readBatch(ms []ioMsg) (int, error)
+	// readBatch fills ms[i].n, ms[i].addr and ms[i].segSize for each
+	// datagram received into ms[i].buf and returns how many messages
+	// were filled, blocking until there is one or the socket's read
+	// deadline passes (os.ErrDeadlineExceeded). Without park an empty
+	// socket is an empty batch at once (singleIO cannot, and waits).
+	readBatch(ms []ioMsg, park bool) (int, error)
 	batchWriter
 }
 
@@ -151,7 +153,9 @@ type singleIO struct {
 	pc *net.UDPConn
 }
 
-func (s singleIO) readBatch(ms []ioMsg) (int, error) {
+// readBatch ignores park: the standard library has no non-blocking
+// read, so an attempt on an empty socket waits out the read deadline.
+func (s singleIO) readBatch(ms []ioMsg, _ bool) (int, error) {
 	n, addr, err := s.pc.ReadFromUDPAddrPort(ms[0].buf)
 	if err != nil {
 		return 0, err

@@ -32,7 +32,8 @@ import (
 // net.UDPConn reads do — one goroutine blocked in readBatch costs the
 // same as one blocked in ReadFromUDPAddrPort, but wakes with up to a
 // whole ring of datagrams, each of which may itself be a GRO merge of
-// up to 64 wire packets.
+// up to 64 wire packets — and honour the socket's read deadline, which
+// is the shard loop's timer.
 type mmsgIO struct {
 	rc   syscall.RawConn
 	v6   bool      // AF_INET6 socket: v4 destinations need mapping
@@ -142,7 +143,7 @@ func (m *mmsgIO) probeOffload() {
 	})
 }
 
-func (m *mmsgIO) readBatch(ms []ioMsg) (int, error) {
+func (m *mmsgIO) readBatch(ms []ioMsg, park bool) (int, error) {
 	n := len(ms)
 	if n > len(m.rhdr) {
 		n = len(m.rhdr)
@@ -166,7 +167,7 @@ func (m *mmsgIO) readBatch(ms []ioMsg) (int, error) {
 		r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
 			uintptr(unsafe.Pointer(&m.rhdr[0])), uintptr(n), 0, 0, 0)
 		if e == syscall.EAGAIN {
-			return false // not readable yet: park on the netpoller
+			return !park // not readable yet: park on the netpoller, or report the empty attempt
 		}
 		if e != 0 {
 			operr = os.NewSyscallError("recvmmsg", e)

@@ -14,7 +14,7 @@ import (
 
 // Conn is one QTP connection multiplexed onto one of an Endpoint's UDP
 // sockets. Its Write/Read/Close methods are safe for concurrent use
-// with the endpoint's internal loops.
+// with its shard's loop.
 type Conn struct {
 	sh   *shard // the socket that minted localID; a conn never migrates
 	peer netip.AddrPort

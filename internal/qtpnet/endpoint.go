@@ -320,16 +320,17 @@ const resumeCacheCap = 1024
 // Endpoint runs many QTP connections over one UDP port. The port is
 // served by one or more shards (EndpointConfig.Shards), each a socket
 // with a complete batched data path of its own — receive ring, send
-// scheduler, demux tables, timer heap — so the per-datagram path takes
-// no cross-shard lock and scales with cores. Inbound datagrams arrive
-// in batches — one recvmmsg syscall fills a ring of pooled buffers, and
-// the whole batch is demultiplexed under a single table-lock
-// acquisition. Outbound frames from every connection on a shard funnel
-// through one send scheduler that flushes them with sendmmsg, so
-// connections sharing the socket also share syscalls, and one deadline
-// heap per shard drives their protocol timers. On platforms without the
-// batch syscalls both paths degrade to one datagram per call with
-// identical semantics.
+// scheduler, demux tables, timer heap — and one goroutine that runs it
+// all (shard.loop), so the per-datagram path takes no cross-shard lock
+// and scales with cores. Inbound datagrams arrive in batches — one
+// recvmmsg syscall fills a ring of pooled buffers, and the whole batch
+// is demultiplexed under a single table-lock acquisition. Outbound
+// frames from every connection on a shard funnel through one send
+// scheduler that flushes them with sendmmsg, so connections sharing the
+// socket also share syscalls, and the loop parks in the socket read
+// until the earliest protocol deadline in the shard's heap. On
+// platforms without the batch syscalls both paths degrade to one
+// datagram per call with identical semantics.
 //
 // With more than one shard the sockets share the port via SO_REUSEPORT
 // and the kernel hashes inbound datagrams across them by flow 4-tuple.
@@ -380,8 +381,8 @@ type Endpoint struct {
 	closeOnce sync.Once
 }
 
-// NewEndpoint binds cfg.Shards UDP sockets on addr and starts their
-// read and timer loops. Use addr ":0" for an ephemeral dial-side port.
+// NewEndpoint binds cfg.Shards UDP sockets on addr and starts one
+// goroutine on each. Use addr ":0" for an ephemeral dial-side port.
 func NewEndpoint(addr string, cfg EndpointConfig) (*Endpoint, error) {
 	cfg = cfg.resolved()
 	socks, err := listenShards(addr, cfg.Shards)
@@ -700,12 +701,12 @@ func (e *Endpoint) storeResumption(peer netip.AddrPort, r *qcrypto.Resumption) {
 }
 
 // Deliver injects one datagram as if it had just been read from the
-// endpoint's first socket: tests and alternative drivers use it, and
-// the batch path is equivalent to calling it once per datagram. The
-// datagram memory is not retained; the caller may reuse it as soon as
-// Deliver returns. It reports whether the frame reached a connection
-// and was accepted — or, with several shards, was handed off to the one
-// its connection ID names.
+// endpoint's first socket: tests and alternative drivers use it. It is
+// the round a socket read goes through (shard.deliverBatch), over a
+// batch of one on the caller's goroutine. The datagram memory is not
+// retained; the caller may reuse it as soon as Deliver returns. It
+// reports whether the frame reached a connection and was accepted — or,
+// with several shards, was handed off to the one its connection ID names.
 func (e *Endpoint) Deliver(from netip.AddrPort, dgram []byte) bool {
 	return e.shards[0].deliver(from, dgram)
 }

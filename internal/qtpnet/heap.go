@@ -7,9 +7,9 @@ import (
 
 // connHeap is a min-heap of connections ordered by their next protocol
 // deadline (Conn.wakeAt). One heap per shard replaces the
-// timer-goroutine-per-connection model: the scheduler sleeps until the
-// earliest deadline across every multiplexed connection and services
-// exactly the connections that are due.
+// timer-goroutine-per-connection model, with no timer of its own: the
+// shard's loop parks in its socket read until the earliest deadline
+// across every multiplexed connection and pops exactly what is due.
 //
 // All access is guarded by shard.mu. Conn.heapIdx is the element's
 // position, -1 when the connection is not scheduled.

@@ -27,9 +27,9 @@ const (
 // flushed through writeBatch, coalescing frames from different
 // connections into single syscalls.
 //
-// Flushing is edge-triggered, not lingering: the endpoint enqueues
-// frames for every connection touched by a receive batch or a timer
-// round, then calls flushPending once at the end of the round, so all
+// Flushing is edge-triggered, not lingering: a shard's round enqueues
+// frames for every connection a received frame or a due deadline
+// touched, then calls flushPending once at the end of the round, so all
 // frames the round produced share syscalls without any added latency.
 // (A deliberate linger delay was measured to slow TFRC's rate ramp —
 // ~30% loopback throughput at 100µs — so there is no linger timer.)

@@ -2,9 +2,11 @@ package qtpnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"net"
 	"net/netip"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,18 +34,10 @@ type peerKey struct {
 // datagram loss the transport already recovers from.
 const handoffCap = 256
 
-// forwarded is one datagram the kernel hashed to the wrong shard, on
-// its way to the shard its connection ID names: source address plus a
-// pooled buffer holding exactly the datagram bytes.
-type forwarded struct {
-	from netip.AddrPort
-	buf  []byte
-}
-
 // shard is one socket of an Endpoint and everything that is per-socket:
 // the batched data path, the send scheduler, the demux tables and the
-// timer heap of the connections it minted, and the read and timer loops
-// that drive them. Shards share nothing on the per-datagram path; what
+// timer heap of the connections it minted, and the one goroutine (loop)
+// that drives them. Shards share nothing on the per-datagram path; what
 // is per-port (accept queue, token minter, ticket store, resumption
 // cache, lifecycle) lives once on the Endpoint they point back to.
 type shard struct {
@@ -54,17 +48,18 @@ type shard struct {
 	caps  *pathCaps
 	tx    *sendScheduler
 	epoch time.Time
-	// inbox receives datagrams sibling shards forward here; nil on a
-	// one-shard endpoint, which is how the shard knows its connection
-	// IDs carry no shard bits and no frame is ever foreign.
-	inbox chan forwarded
+	// inbox receives datagrams sibling shards forward here, each in its
+	// own pooled buffer; nil on a one-shard endpoint, which is how the
+	// shard knows its connection IDs carry no shard bits and no frame is
+	// ever foreign.
+	inbox chan ioMsg
 
 	mu         sync.Mutex
 	byID       map[uint32]*Conn  // local conn ID -> conn (data-plane route)
 	byPeer     map[peerKey]*Conn // (peer addr, peer conn ID) -> conn (handshake route)
 	timers     connHeap
 	nextID     uint32
-	sleepUntil time.Duration // scheduler's current sleep deadline
+	sleepUntil time.Duration // the deadline the loop is parked on; awake while it runs a round
 	closed     bool
 	// Accept token bucket (guarded by mu): hsTokens is the current
 	// balance, refilled at cfg.AcceptRate up to hsBurst.
@@ -72,7 +67,7 @@ type shard struct {
 	hsBurst  float64
 	hsLast   time.Duration
 
-	// Receive-side counters (single writer: the read loop).
+	// Receive-side counters (written by whoever runs a round).
 	datagramsIn  atomic.Uint64
 	recvBatches  atomic.Uint64
 	maxRecvBatch atomic.Uint64
@@ -99,11 +94,13 @@ type shard struct {
 	zeroRTTAccepted atomic.Uint64
 	zeroRTTRejected atomic.Uint64
 
-	wake chan struct{}
+	// deliverSc is the scratch of Deliver callers' rounds, in turn.
+	deliverMu sync.Mutex
+	deliverSc rxScratch
 }
 
 // newShard builds shard idx of e around an already-bound socket. Its
-// loops do not run until start.
+// loop does not run until start.
 func newShard(e *Endpoint, idx uint32, pc *net.UDPConn) *shard {
 	// Best-effort: an endpoint still works (just drops more under burst)
 	// if the kernel refuses the request outright.
@@ -120,10 +117,9 @@ func newShard(e *Endpoint, idx uint32, pc *net.UDPConn) *shard {
 		byID:   make(map[uint32]*Conn),
 		byPeer: make(map[peerKey]*Conn),
 		nextID: 1,
-		wake:   make(chan struct{}, 1),
 	}
 	if e.cfg.Shards > 1 {
-		sh.inbox = make(chan forwarded, handoffCap)
+		sh.inbox = make(chan ioMsg, handoffCap)
 	}
 	if e.cfg.AcceptInbound {
 		sh.hsBurst = math.Max(e.cfg.AcceptRate, minAcceptBurst)
@@ -133,15 +129,9 @@ func newShard(e *Endpoint, idx uint32, pc *net.UDPConn) *shard {
 	return sh
 }
 
-// start runs the shard's loops. The endpoint calls it only once every
-// shard exists: a read loop may forward to any sibling's inbox.
-func (sh *shard) start() {
-	go sh.readLoop()
-	go sh.timerLoop()
-	if sh.inbox != nil {
-		go sh.drainInbox()
-	}
-}
+// start runs the shard's loop. The endpoint calls it only once every
+// shard exists: a round may forward to any sibling's inbox.
+func (sh *shard) start() { go sh.loop() }
 
 // close tears down the shard's connections and releases its socket.
 // Only Endpoint.Close calls it, once, after closing done.
@@ -209,16 +199,41 @@ func (sh *shard) stats() EndpointStats {
 // every connection it serves.
 func (sh *shard) now() time.Duration { return time.Since(sh.epoch) }
 
-// readLoop fills a ring of pooled buffers from the socket — one
-// recvmmsg per wakeup where the platform allows — and feeds each batch
-// to the demultiplexer. With UDP_GRO enabled, a single ring buffer may
-// hold a kernel-merged super-datagram; expandGRO slices it into
-// per-packet views (no copy — the views alias the ring) before the
-// demux sees it, so the delivery logic is identical whether the kernel
-// merged or not. The ring buffers are never released on the steady
-// path: Deliver does not retain frame memory, so the same ring serves
-// every batch and per-datagram pool traffic is zero.
-func (sh *shard) readLoop() {
+// awake is what sleepUntil reads while the loop runs a round (and on a
+// shard no loop drives): no deadline is earlier, so nothing kicks.
+// dueRounds bounds how many iterations in a row the loop may run due
+// deadlines without trying the socket: few enough that an
+// acknowledgment waits a few frame times at most. attemptPark is the
+// read deadline of such a try: recvmmsg never waits for it, the
+// portable rung does, so it is the shortest that has not already passed
+// when the read reaches the socket (one poller tick on an empty one).
+const (
+	awake       time.Duration = 0
+	dueRounds                 = 8
+	attemptPark               = 20 * time.Microsecond
+)
+
+// loop is the shard's one goroutine. Datagrams on its socket, frames
+// siblings forwarded to its inbox and deadlines in its heap all go
+// through one round: take what the socket has, add what the inbox
+// holds, handle every frame, service each connection a frame or a due
+// deadline touched exactly once, flush once, then park in the next read
+// until the heap's earliest deadline (forever on an empty heap): the
+// goroutine that learns a frame may go is the one that sends it.
+//
+// Fairness: every iteration pops the due deadlines, so a socket that
+// always has data cannot starve a pacing, RTO or grace deadline. A heap
+// whose head is always due cannot starve the socket either: the loop
+// does not park then, and on one such iteration in dueRounds its read
+// is a non-blocking attempt (not on each: a connection paced faster than
+// the loop turns makes every iteration one, and an empty attempt costs
+// what a frame does).
+//
+// One recvmmsg fills the receive ring where the platform allows; a ring
+// buffer holding a UDP_GRO super-datagram is sliced by expandGRO into
+// per-packet views aliasing the ring, so the demux never knows. A round
+// retains no frame memory: the ring serves every batch, pool traffic zero.
+func (sh *shard) loop() {
 	bufs := bufpool.GetBatch(rxBatch)
 	defer bufpool.PutBatch(bufs)
 	ms := make([]ioMsg, rxBatch)
@@ -227,25 +242,109 @@ func (sh *shard) readLoop() {
 	}
 	var sc rxScratch
 	var views []ioMsg
+	unread := 0 // iterations since the socket was last tried
 	for {
-		n, err := sh.bio.readBatch(ms)
-		if err != nil {
-			// A dead socket outside shutdown leaves the shard deaf; fail
-			// the endpoint so Accept returns and every connection is torn
-			// down rather than stalling silently.
-			sh.ep.fail(err)
-			return
+		n := 0
+		if park := sh.arm(&sc); park || unread == dueRounds-1 {
+			var err error
+			if n, err = sh.read(ms, park); err != nil {
+				// A dead socket outside shutdown leaves the shard deaf; fail
+				// the endpoint so Accept returns and every connection is torn
+				// down rather than stalling silently.
+				sh.ep.fail(err)
+				break
+			}
+			unread = 0
+			if park {
+				// What came due during the park goes into this round.
+				sh.mu.Lock()
+				sh.sleepUntil = awake
+				sh.popDueLocked(&sc)
+				sh.mu.Unlock()
+			}
+		} else {
+			unread++
 		}
 		var merged uint64
 		views, merged = expandGRO(ms[:n], views[:0])
-		sh.datagramsIn.Add(uint64(len(views)))
-		sh.groMerged.Add(merged)
-		sh.recvBatches.Add(1)
-		if uint64(len(views)) > sh.maxRecvBatch.Load() {
-			sh.maxRecvBatch.Store(uint64(len(views)))
+		if n > 0 {
+			sh.datagramsIn.Add(uint64(len(views)))
+			sh.groMerged.Add(merged)
+			sh.recvBatches.Add(1)
+			if uint64(len(views)) > sh.maxRecvBatch.Load() {
+				sh.maxRecvBatch.Store(uint64(len(views)))
+			}
+		}
+		// The loop is its inbox's only receiver: what len reports is there.
+		fromSocket := len(views)
+		for i := len(sh.inbox); i > 0; i-- {
+			views = append(views, <-sh.inbox)
+			sh.crossRecv.Add(1)
 		}
 		sh.deliverBatch(views, &sc)
+		for _, m := range views[fromSocket:] {
+			bufpool.Put(m.buf)
+		}
 	}
+	// The inbox is never closed (nothing waits for its senders, the
+	// siblings' rounds): a forward that races shutdown leaves its buffer
+	// to the collector.
+	for i := len(sh.inbox); i > 0; i-- {
+		bufpool.Put((<-sh.inbox).buf)
+	}
+}
+
+// popDueLocked moves the connections whose deadline has passed from the
+// heap to the round's service list. Callers hold sh.mu.
+func (sh *shard) popDueLocked(sc *rxScratch) {
+	now := sh.now()
+	for c, ok := sh.timers.popDue(now); ok; c, ok = sh.timers.popDue(now) {
+		sc.touched = append(sc.touched, c)
+	}
+}
+
+// arm pops what is due and says whether the loop's next read parks —
+// it does unless a deadline was due or a forwarded frame waits — and
+// if so arms what ends the park: the socket's read deadline, set to the
+// heap's earliest wake-up (none on an empty heap), and sleepUntil, by
+// which service on an application goroutine knows whether its
+// connection's new deadline is earlier than the one the loop sleeps on.
+// Both are written under sh.mu, where kick runs too: a kick not ordered
+// after the arm it cancels would be overwritten by it and lost. The
+// inbox is checked under the same lock, so a forwarder either finds the
+// loop parked and kicks it or has its frame seen here.
+func (sh *shard) arm(sc *rxScratch) (park bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.popDueLocked(sc); len(sc.touched) > 0 || len(sh.inbox) > 0 {
+		return false
+	}
+	var deadline time.Time
+	until := time.Duration(math.MaxInt64)
+	if len(sh.timers) > 0 {
+		until = sh.timers[0].wakeAt
+		deadline = sh.epoch.Add(until)
+	}
+	_ = sh.pc.SetReadDeadline(deadline) // refused only by a closed socket: the read reports it
+	sh.sleepUntil = until
+	return true
+}
+
+// read takes the socket's next batch, parked or as one non-blocking
+// attempt. A park that a deadline or a kick ends is an empty batch, not
+// an error — and not a read: RecvBatches and Wakeups do not count it.
+func (sh *shard) read(ms []ioMsg, park bool) (int, error) {
+	if !park {
+		// An attempt must reach the socket past the deadline an earlier
+		// park or kick left expired; nobody kicks an awake loop, so the
+		// deadline is the loop's alone here.
+		_ = sh.pc.SetReadDeadline(time.Now().Add(attemptPark))
+	}
+	n, err := sh.bio.readBatch(ms, park)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return 0, nil
+	}
+	return n, err
 }
 
 // expandGRO appends one per-wire-datagram view of each received
@@ -306,18 +405,25 @@ func (sh *shard) foreignShard(typ packet.Type, cid uint32, dgram []byte) (uint32
 }
 
 // forwardFrame hands a foreign-shard datagram to its owning shard's
-// inbox, reporting whether the handoff was accepted. It is called from
-// the wrong shard's read loop, never blocks, and copies dgram into a
-// pooled buffer because the caller reuses the memory; a full inbox (or
-// a CID naming a shard that does not exist) drops the frame, which the
-// transport recovers like any datagram loss.
+// inbox, kicking the owner's loop if it is parked, and reports whether
+// the handoff was accepted. It is called from the wrong shard's round,
+// never blocks, and copies dgram into a pooled buffer because the caller
+// reuses the memory; a full inbox (or a CID naming a shard that does not
+// exist) drops the frame, which the transport recovers like any
+// datagram loss.
 func (sh *shard) forwardFrame(to uint32, from netip.AddrPort, dgram []byte) bool {
 	if int(to) < len(sh.ep.shards) {
+		owner := sh.ep.shards[to]
 		buf := bufpool.Get()
 		n := copy(buf, dgram)
 		select {
-		case sh.ep.shards[to].inbox <- forwarded{from, buf[:n]}:
+		case owner.inbox <- ioMsg{buf: buf[:n], n: n, addr: from}:
 			sh.crossFwd.Add(1)
+			owner.mu.Lock()
+			if owner.sleepUntil != awake {
+				owner.kick()
+			}
+			owner.mu.Unlock()
 			return true
 		default:
 			bufpool.Put(buf)
@@ -327,194 +433,130 @@ func (sh *shard) forwardFrame(to uint32, from netip.AddrPort, dgram []byte) bool
 	return false
 }
 
-// drainInbox is the shard's hand-off consumer: it delivers frames
-// sibling shards forwarded here until the endpoint closes, then
-// releases whatever is still queued. The inbox is never closed: its
-// senders are the siblings' read loops, which nothing waits for, so a
-// forward that races shutdown just leaves its buffer to the collector.
-func (sh *shard) drainInbox() {
-	for {
-		select {
-		case f := <-sh.inbox:
-			sh.deliverForwarded(f.from, f.buf)
-			bufpool.Put(f.buf)
-		case <-sh.ep.done:
-			for {
-				select {
-				case f := <-sh.inbox:
-					bufpool.Put(f.buf)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// deliver demultiplexes one datagram to its connection and services it:
-// the single-datagram receive entry behind Endpoint.Deliver, equivalent
-// to a read batch of one. It reports whether the frame reached a
-// connection and was accepted — or was handed off to the shard its
-// connection ID names (the handoff is asynchronous; the owning shard
-// delivers it).
+// deliver runs one round over a batch of one datagram on the caller's
+// goroutine: the receive entry behind Endpoint.Deliver. It reports
+// whether the frame reached a connection and was accepted — or was
+// handed off to the shard its connection ID names (the handoff is
+// asynchronous; the owning shard delivers it).
 func (sh *shard) deliver(from netip.AddrPort, dgram []byte) bool {
-	typ, cid, ok := classify(dgram)
-	if !ok {
-		return false
-	}
-	if to, foreign := sh.foreignShard(typ, cid, dgram); foreign {
-		return sh.forwardFrame(to, from, dgram)
-	}
-	return sh.deliverClassified(from, dgram, typ, cid)
+	sh.deliverMu.Lock()
+	defer sh.deliverMu.Unlock()
+	sc := &sh.deliverSc
+	sc.one[0] = ioMsg{buf: dgram, n: len(dgram), addr: from}
+	return sh.deliverBatch(sc.one[:], sc) == 1
 }
 
-// deliverForwarded is the hand-off inbox's delivery entry on the owning
-// shard. The frame was already shard-checked by the forwarder, so it is
-// delivered locally — an unknown CID is a plain no-route here, never a
-// second forward, which is what makes cross-shard delivery exactly-once.
-func (sh *shard) deliverForwarded(from netip.AddrPort, dgram []byte) bool {
-	typ, cid, ok := classify(dgram)
-	if !ok {
-		return false
-	}
-	sh.crossRecv.Add(1)
-	return sh.deliverClassified(from, dgram, typ, cid)
-}
-
-// deliverClassified routes one already-classified datagram locally.
-func (sh *shard) deliverClassified(from netip.AddrPort, dgram []byte, typ packet.Type, cid uint32) bool {
-	sh.mu.Lock()
-	c, isNew, shed := sh.resolveLocked(from, typ, cid, dgram)
-	sh.mu.Unlock()
-	if shed {
-		// The Connect was answered statelessly (Retry challenge or load
-		// shed); push the queued frame out now.
-		sh.tx.flushPending()
-		return false
-	}
-	if c == nil {
-		sh.noRoute.Add(1)
-		return false
-	}
-	accountRx(c, typ, len(dgram))
-	err := sh.handleFrame(c, dgram)
-	if isNew && !sh.finishAccept(c, err) {
-		// Refused before service ran, so no Accept frame went out: the
-		// peer keeps retransmitting its Connect and a later attempt may
-		// find room.
-		return false
-	}
-	sh.serviceFlush(c)
-	return err == nil
-}
-
-// rxScratch is the read loop's reusable batch-demux state; keeping it
-// across batches keeps the receive path allocation-free.
+// rxScratch is a round's reusable state; keeping it across rounds keeps
+// the receive path allocation-free. touched is the round's service
+// list: the loop seeds it with the connections whose deadline is due,
+// deliverBatch adds those a frame reached and leaves it empty. one is
+// deliver's batch.
 type rxScratch struct {
-	keys    []frameKey
-	conns   []*Conn
-	fresh   []bool
+	frames  []rxFrame
 	touched []*Conn
+	one     [1]ioMsg
 }
 
-// frameKey is one datagram's classification within a batch. local is
-// false for frames that never reach the local demux: runts, foreign
-// versions, and foreign-shard frames. accounted marks frames some
-// other path has fully charged — a foreign-shard forward (CrossShardFwd
-// or CrossShardDrops) or a statelessly answered Connect (RetrySent /
-// HandshakeDropped) — so they must not also count as no-route, keeping
-// batch and single-datagram accounting identical.
-type frameKey struct {
+// rxFrame is one datagram's way through a round: its classification,
+// then the connection it resolved to (fresh if this frame created it).
+// local is false for frames that never reach the local demux: runts,
+// foreign versions, and foreign-shard frames. accounted marks frames
+// some other counter has fully charged — a foreign-shard forward
+// (CrossShardFwd or CrossShardDrops) or a statelessly answered Connect
+// (RetrySent / HandshakeDropped) — so they must not also count as
+// no-route.
+type rxFrame struct {
 	typ       packet.Type
 	cid       uint32
 	local     bool
 	accounted bool
+	fresh     bool
+	c         *Conn
 }
 
-// deliverBatch demultiplexes one receive batch. Classification and the
-// foreign-shard check run without any lock — a frame the kernel hashed
-// to the wrong shard goes straight to its owner's inbox — then the
-// route for every local datagram is resolved under a single demux-lock
-// acquisition (where the single-datagram path pays one per frame),
-// frames are handled in arrival order, and each
-// connection touched by the batch is serviced exactly once — so a burst
-// of frames for one connection costs one transmit/deliver/reschedule
-// pass instead of one per frame.
-func (sh *shard) deliverBatch(ms []ioMsg, sc *rxScratch) {
-	sc.keys = sc.keys[:0]
-	sc.conns = sc.conns[:0]
-	sc.fresh = sc.fresh[:0]
+// deliverBatch is the round every event on a shard goes through: the
+// loop's read batch, inbox and due deadlines (seeded in sc.touched), or
+// deliver's one datagram. Classification and the foreign-shard check
+// run without any lock — a frame the kernel hashed to the wrong shard
+// goes straight to its owner's inbox, and one that came out of the
+// inbox names this shard, so it is never forwarded twice: an unknown
+// CID is a plain no-route, which makes cross-shard delivery
+// exactly-once. Then every local datagram's route is resolved under a
+// single demux-lock acquisition, frames are handled in arrival order,
+// and each connection the round touched is serviced exactly once — a
+// burst of frames for one connection costs one
+// transmit/deliver/reschedule pass, not one per frame. It returns how
+// many frames a connection accepted or an owning shard was handed.
+func (sh *shard) deliverBatch(ms []ioMsg, sc *rxScratch) (accepted int) {
+	sc.frames = sc.frames[:0]
 	anyLocal := false
 	for i := range ms {
 		typ, cid, ok := classify(ms[i].buf[:ms[i].n])
-		k := frameKey{typ: typ, cid: cid, local: ok}
+		f := rxFrame{typ: typ, cid: cid, local: ok}
 		if ok {
 			if to, foreign := sh.foreignShard(typ, cid, ms[i].buf[:ms[i].n]); foreign {
-				k.local, k.accounted = false, true
-				sh.forwardFrame(to, ms[i].addr, ms[i].buf[:ms[i].n])
+				f.local, f.accounted = false, true
+				if sh.forwardFrame(to, ms[i].addr, ms[i].buf[:ms[i].n]) {
+					accepted++
+				}
 			}
 		}
-		anyLocal = anyLocal || k.local
-		sc.keys = append(sc.keys, k)
+		anyLocal = anyLocal || f.local
+		sc.frames = append(sc.frames, f)
 	}
 
 	shedAny := false
 	if anyLocal {
 		sh.mu.Lock()
-		for i := range ms {
-			var c *Conn
-			isNew := false
-			if sc.keys[i].local {
-				var shed bool
-				c, isNew, shed = sh.resolveLocked(ms[i].addr, sc.keys[i].typ, sc.keys[i].cid, ms[i].buf[:ms[i].n])
-				if shed {
-					sc.keys[i].accounted = true
-					shedAny = true
-				}
+		for i := range sc.frames {
+			if f := &sc.frames[i]; f.local {
+				f.c, f.fresh, f.accounted = sh.resolveLocked(ms[i].addr, f.typ, f.cid, ms[i].buf[:ms[i].n])
+				shedAny = shedAny || f.accounted
 			}
-			sc.conns = append(sc.conns, c)
-			sc.fresh = append(sc.fresh, isNew)
 		}
 		sh.mu.Unlock()
-	} else {
-		for range ms {
-			sc.conns = append(sc.conns, nil)
-			sc.fresh = append(sc.fresh, false)
-		}
 	}
 
-	sc.touched = sc.touched[:0]
-	for i := range ms {
-		c := sc.conns[i]
-		sc.conns[i] = nil
+	for i := range sc.frames {
+		f := &sc.frames[i]
+		c := f.c
+		f.c = nil
 		if c == nil {
-			if !sc.keys[i].accounted {
+			if !f.accounted {
 				sh.noRoute.Add(1)
 			}
 			continue
 		}
-		accountRx(c, sc.keys[i].typ, ms[i].n)
+		accountRx(c, f.typ, ms[i].n)
 		err := sh.handleFrame(c, ms[i].buf[:ms[i].n])
-		if sc.fresh[i] && !sh.finishAccept(c, err) {
+		if f.fresh && !sh.finishAccept(c, err) {
+			// Refused before service ran, so no Accept frame went out: the
+			// peer keeps retransmitting its Connect and a later attempt may
+			// find room.
 			continue
+		}
+		if err == nil {
+			accepted++
 		}
 		if !containsConn(sc.touched, c) {
 			sc.touched = append(sc.touched, c)
 		}
 	}
 	// Stateless Retries queued during resolution ride the same
-	// end-of-batch flush as everything the round produced.
+	// end-of-round flush as everything the round produced.
 	produced := shedAny
 	for i, c := range sc.touched {
 		produced = sh.service(c) || produced
 		sc.touched[i] = nil
 	}
-	// One flush for the whole batch: every frame the round produced —
-	// acks from many receivers, data releases from many senders —
-	// shares the sendmmsg syscalls.
+	sc.touched = sc.touched[:0]
+	// One flush for the whole round: every frame it produced — acks from
+	// many receivers, data releases from many senders, paced frames whose
+	// deadline came due — shares the sendmmsg syscalls.
 	if produced {
 		sh.tx.flushPending()
 	}
+	return accepted
 }
 
 func containsConn(cs []*Conn, c *Conn) bool {
@@ -527,9 +569,9 @@ func containsConn(cs []*Conn, c *Conn) bool {
 }
 
 // serviceFlush services one connection and immediately pushes whatever
-// frames it produced to the wire. Entry points outside the endpoint's
-// internal rounds (Dial, Conn.Write, single-datagram Deliver) use it;
-// the batch and timer rounds instead flush once per round.
+// frames it produced to the wire: the application goroutines' entry
+// (Dial, Write, CloseSend, Close). A round instead flushes once for
+// every connection it serviced.
 func (sh *shard) serviceFlush(c *Conn) {
 	if sh.service(c) {
 		sh.tx.flushPending()
@@ -876,65 +918,14 @@ func (sh *shard) retireConn(c *Conn) {
 	sh.serviceFlush(c)
 }
 
-// timerLoop is the shared scheduler: one goroutine, one timer, every
-// connection's NextWake. It sleeps until the earliest deadline in the
-// heap and services exactly the connections that are due.
-func (sh *shard) timerLoop() {
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	var due []*Conn
-	for {
-		sh.mu.Lock()
-		now := sh.now()
-		due = due[:0]
-		for {
-			c, ok := sh.timers.popDue(now)
-			if !ok {
-				break
-			}
-			due = append(due, c)
-		}
-		d := time.Hour
-		if len(sh.timers) > 0 {
-			d = sh.timers[0].wakeAt - now
-		}
-		sh.sleepUntil = now + d
-		sh.mu.Unlock()
-
-		produced := false
-		for _, c := range due {
-			produced = sh.service(c) || produced
-		}
-		if len(due) > 0 {
-			// One flush per timer round: paced frames released by this
-			// round's deadlines leave in shared syscalls.
-			if produced {
-				sh.tx.flushPending()
-			}
-			continue // servicing may have re-armed earlier deadlines
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(d)
-		select {
-		case <-sh.wake:
-		case <-timer.C:
-		case <-sh.ep.done:
-			return
-		}
-	}
-}
-
-// kick wakes the scheduler to re-read the heap's earliest deadline.
+// kick ends the loop's park early so it re-reads the heap's earliest
+// deadline (or its inbox): the blocked read fails on an elapsed
+// deadline (refused only by a closed socket, whose loop is gone) and
+// the round it starts re-arms. The loop is as good as awake from here
+// on, so later callers need not kick again. Callers hold sh.mu (see arm).
 func (sh *shard) kick() {
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
+	_ = sh.pc.SetReadDeadline(time.Unix(1, 0))
+	sh.sleepUntil = awake
 }
 
 // removeConn unlinks a connection from the demux tables and the timer

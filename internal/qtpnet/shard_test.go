@@ -415,15 +415,16 @@ func TestShardDeathUnblocksAccept(t *testing.T) {
 	}
 }
 
-// TestHandoffRing exercises the hand-off path between shards directly,
-// on two bare shards no socket feeds: a full inbox rejects (counted as
-// a drop) instead of blocking or overwriting, what was accepted comes
-// out in FIFO order, and with concurrent forwarders against the real
-// drain goroutine every accepted forward is delivered exactly once.
+// TestHandoffRing exercises the hand-off path between shards directly.
+// First on two bare shards no socket feeds and no loop drains: a full
+// inbox rejects (counted as a drop) instead of blocking or overwriting,
+// and what was accepted comes out in FIFO order. Then with concurrent
+// forwarders against a real shard's loop, which nothing but their kicks
+// can wake: every accepted forward goes through a round exactly once.
 func TestHandoffRing(t *testing.T) {
 	ep := &Endpoint{done: make(chan struct{})}
 	for i := uint32(0); i < 2; i++ {
-		ep.shards = append(ep.shards, &shard{ep: ep, idx: i, epoch: time.Now(), inbox: make(chan forwarded, handoffCap)})
+		ep.shards = append(ep.shards, &shard{ep: ep, idx: i, epoch: time.Now(), inbox: make(chan ioMsg, handoffCap)})
 	}
 	src, owner := ep.shards[0], ep.shards[1]
 	addr := netip.MustParseAddrPort("127.0.0.1:1")
@@ -452,8 +453,8 @@ func TestHandoffRing(t *testing.T) {
 	for i := 0; i < handoffCap; i++ {
 		f := <-owner.inbox
 		var hdr packet.Header
-		if _, err := hdr.Parse(f.buf); err != nil || uint32(hdr.Seq) != uint32(i) || f.from != addr {
-			t.Fatalf("inbox slot %d holds seq %d from %v (%v): FIFO order broken", i, hdr.Seq, f.from, err)
+		if _, err := hdr.Parse(f.buf); err != nil || uint32(hdr.Seq) != uint32(i) || f.addr != addr {
+			t.Fatalf("inbox slot %d holds seq %d from %v (%v): FIFO order broken", i, hdr.Seq, f.addr, err)
 		}
 		bufpool.Put(f.buf)
 	}
@@ -461,8 +462,11 @@ func TestHandoffRing(t *testing.T) {
 		t.Fatal("inbox not empty after draining what was forwarded")
 	}
 
-	// Concurrent forwarders vs the drain goroutine.
-	go owner.drainInbox()
+	// Concurrent forwarders vs the owner's loop, parked on a socket
+	// nothing writes to.
+	real := newShardedOrSkip(t, "127.0.0.1:0", EndpointConfig{}, 2)
+	defer real.Close()
+	src, owner = real.shards[0], real.shards[1]
 	const producers, perProducer = 4, 2048
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -475,19 +479,23 @@ func TestHandoffRing(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	accepted := src.crossFwd.Load() - handoffCap
-	if accepted+src.crossDrop.Load()-2 != producers*perProducer {
-		t.Fatalf("forwards %d + drops %d do not add up to %d attempts", accepted, src.crossDrop.Load()-2, producers*perProducer)
+	accepted := src.crossFwd.Load()
+	if accepted+src.crossDrop.Load() != producers*perProducer {
+		t.Fatalf("forwards %d + drops %d do not add up to %d attempts", accepted, src.crossDrop.Load(), producers*perProducer)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for owner.crossRecv.Load() != accepted && time.Now().Before(deadline) {
+	// crossRecv moves as a frame leaves the inbox, noRoute once its
+	// round has handled it.
+	for (owner.crossRecv.Load() != accepted || owner.noRoute.Load() != accepted) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	close(ep.done)
 	if got := owner.crossRecv.Load(); got != accepted {
 		t.Fatalf("forwarded %d frames but the owner delivered %d", accepted, got)
 	}
 	if got := owner.noRoute.Load(); got != accepted {
 		t.Errorf("owner routed %d of %d frames somewhere; none had a connection", accepted-got, accepted)
+	}
+	if st := owner.stats(); st.RecvBatches != 0 || st.Wakeups != 0 {
+		t.Errorf("owner counted %d read batches and %d wakeups; its socket received nothing", st.RecvBatches, st.Wakeups)
 	}
 }
