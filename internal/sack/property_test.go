@@ -105,7 +105,7 @@ func TestReliabilityModelCheck(t *testing.T) {
 		}
 
 		// Invariant 3.
-		if got := ra.CumAck(); got.Greater(seqspace.Seq(n)) {
+		if got := ra.CumAck(); seqspace.Seq(n).Less(got) {
 			t.Fatalf("trial %d: cumack %d beyond stream end %d", trial, got, n)
 		}
 		// Invariants 1, 2, 4.

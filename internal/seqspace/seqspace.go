@@ -48,9 +48,6 @@ func (s Seq) LessEq(t Seq) bool {
 	return uint32(t-s) < half
 }
 
-// Greater reports whether s follows t in circular order.
-func (s Seq) Greater(t Seq) bool { return t.Less(s) }
-
 // GreaterEq reports whether s follows or equals t in circular order.
 func (s Seq) GreaterEq(t Seq) bool { return t.LessEq(s) }
 
@@ -92,23 +89,6 @@ func (r Range) Len() int { return r.Lo.Distance(r.Hi) }
 // Contains reports whether s lies within r.
 func (r Range) Contains(s Seq) bool {
 	return r.Lo.LessEq(s) && s.Less(r.Hi)
-}
-
-// Overlaps reports whether r and o share at least one sequence number.
-func (r Range) Overlaps(o Range) bool {
-	if r.Empty() || o.Empty() {
-		return false
-	}
-	return r.Lo.Less(o.Hi) && o.Lo.Less(r.Hi)
-}
-
-// Touches reports whether r and o overlap or are directly adjacent, i.e.
-// whether their union is a single contiguous range.
-func (r Range) Touches(o Range) bool {
-	if r.Empty() || o.Empty() {
-		return false
-	}
-	return r.Lo.LessEq(o.Hi) && o.Lo.LessEq(r.Hi)
 }
 
 func (r Range) String() string {

@@ -9,16 +9,15 @@ import (
 
 func TestSeqComparisons(t *testing.T) {
 	cases := []struct {
-		a, b         Seq
-		less, lessEq bool
-		greater, geq bool
+		a, b              Seq
+		less, lessEq, geq bool
 	}{
-		{0, 0, false, true, false, true},
-		{0, 1, true, true, false, false},
-		{1, 0, false, false, true, true},
-		{math.MaxUint32, 0, true, true, false, false}, // wrap
-		{0, math.MaxUint32, false, false, true, true},
-		{math.MaxUint32 - 5, 5, true, true, false, false},
+		{0, 0, false, true, true},
+		{0, 1, true, true, false},
+		{1, 0, false, false, true},
+		{math.MaxUint32, 0, true, true, false}, // wrap
+		{0, math.MaxUint32, false, false, true},
+		{math.MaxUint32 - 5, 5, true, true, false},
 		// Note: numbers exactly half the space apart are deliberately not
 		// tested; RFC 1982 leaves that comparison undefined.
 	}
@@ -28,9 +27,6 @@ func TestSeqComparisons(t *testing.T) {
 		}
 		if got := c.a.LessEq(c.b); got != c.lessEq {
 			t.Errorf("%d.LessEq(%d) = %v, want %v", c.a, c.b, got, c.lessEq)
-		}
-		if got := c.a.Greater(c.b); got != c.greater {
-			t.Errorf("%d.Greater(%d) = %v, want %v", c.a, c.b, got, c.greater)
 		}
 		if got := c.a.GreaterEq(c.b); got != c.geq {
 			t.Errorf("%d.GreaterEq(%d) = %v, want %v", c.a, c.b, got, c.geq)
@@ -93,15 +89,6 @@ func TestRangeBasics(t *testing.T) {
 	}
 	if !r.Contains(10) || !r.Contains(19) || r.Contains(20) || r.Contains(9) {
 		t.Error("Contains boundaries wrong")
-	}
-	if !r.Overlaps(Range{19, 25}) || r.Overlaps(Range{20, 25}) {
-		t.Error("Overlaps boundaries wrong")
-	}
-	if !r.Touches(Range{20, 25}) || r.Touches(Range{21, 25}) {
-		t.Error("Touches boundaries wrong")
-	}
-	if (Range{5, 5}).Overlaps(r) {
-		t.Error("empty range must not overlap")
 	}
 }
 

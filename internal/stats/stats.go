@@ -163,16 +163,6 @@ func (r *RateSeries) Total() float64 {
 	return sum
 }
 
-// MeanRate returns the average rate across the observed span, bytes/s.
-// It returns 0 before any events are recorded.
-func (r *RateSeries) MeanRate() float64 {
-	if len(r.bins) == 0 {
-		return 0
-	}
-	span := time.Duration(len(r.bins)) * r.BinWidth
-	return r.Total() / span.Seconds()
-}
-
 // CoV returns the coefficient of variation of the per-bin rates,
 // optionally skipping the first `skip` bins (slow-start warm-up).
 func (r *RateSeries) CoV(skip int) float64 {

@@ -145,9 +145,6 @@ func TestRateSeries(t *testing.T) {
 	if got := rs.Total(); got != 2600 {
 		t.Errorf("total = %v", got)
 	}
-	if got := rs.MeanRate(); math.Abs(got-2600/0.4) > 1e-9 {
-		t.Errorf("mean rate = %v", got)
-	}
 }
 
 func TestRateSeriesLateOrigin(t *testing.T) {

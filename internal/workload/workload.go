@@ -1,6 +1,6 @@
 // Package workload generates application traffic demand for experiments:
-// bulk transfers, constant-bit-rate streams, exponential on/off sources,
-// Poisson arrivals, and GOP-structured variable-bit-rate video.
+// bulk transfers, constant-bit-rate streams, and GOP-structured
+// variable-bit-rate video.
 //
 // A Source yields (time, size) pairs describing when application data
 // becomes available to the transport. Sources are deterministic given
@@ -77,92 +77,6 @@ func (c *CBR) Next() (time.Duration, int, bool) {
 	at := c.now
 	c.now += c.interval
 	return at, c.size, true
-}
-
-// OnOff alternates exponentially distributed ON periods, during which it
-// emits CBR traffic, with exponentially distributed silent OFF periods.
-// This is the classic model for interactive/streaming cross-traffic.
-type OnOff struct {
-	rng      *rand.Rand
-	interval time.Duration
-	size     int
-	onMean   time.Duration
-	offMean  time.Duration
-	until    time.Duration
-
-	now    time.Duration
-	onEnds time.Duration
-}
-
-// NewOnOff returns an on/off source. During ON periods it emits
-// size-byte packets at rate bytes/second; period lengths are exponential
-// with the given means.
-func NewOnOff(rate float64, size int, onMean, offMean, duration time.Duration, rng *rand.Rand) *OnOff {
-	if rate <= 0 || size <= 0 {
-		panic("workload: OnOff needs positive rate and size")
-	}
-	s := &OnOff{
-		rng:      rng,
-		interval: time.Duration(float64(size) / rate * float64(time.Second)),
-		size:     size,
-		onMean:   onMean,
-		offMean:  offMean,
-		until:    duration,
-	}
-	s.onEnds = s.exp(onMean)
-	return s
-}
-
-func (s *OnOff) exp(mean time.Duration) time.Duration {
-	return time.Duration(s.rng.ExpFloat64() * float64(mean))
-}
-
-// Next implements Source.
-func (s *OnOff) Next() (time.Duration, int, bool) {
-	for s.now >= s.onEnds {
-		// Move through the OFF period into the next ON period.
-		s.now = s.onEnds + s.exp(s.offMean)
-		s.onEnds = s.now + s.exp(s.onMean)
-	}
-	if s.now >= s.until {
-		return 0, 0, false
-	}
-	at := s.now
-	s.now += s.interval
-	return at, s.size, true
-}
-
-// Poisson emits fixed-size packets with exponential inter-arrival times,
-// i.e. a Poisson arrival process — the standard background-load model.
-type Poisson struct {
-	rng   *rand.Rand
-	mean  time.Duration // mean inter-arrival
-	size  int
-	until time.Duration
-	now   time.Duration
-}
-
-// NewPoisson returns a Poisson source with the given packet rate
-// (packets/second) and packet size, running until duration.
-func NewPoisson(pps float64, size int, duration time.Duration, rng *rand.Rand) *Poisson {
-	if pps <= 0 || size <= 0 {
-		panic("workload: Poisson needs positive rate and size")
-	}
-	return &Poisson{
-		rng:   rng,
-		mean:  time.Duration(float64(time.Second) / pps),
-		size:  size,
-		until: duration,
-	}
-}
-
-// Next implements Source.
-func (p *Poisson) Next() (time.Duration, int, bool) {
-	p.now += time.Duration(p.rng.ExpFloat64() * float64(p.mean))
-	if p.now >= p.until {
-		return 0, 0, false
-	}
-	return p.now, p.size, true
 }
 
 // Video models an MPEG-style stream: frames at a fixed rate arranged in

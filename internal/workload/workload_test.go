@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -57,44 +56,6 @@ func TestCBRSpacing(t *testing.T) {
 	}
 }
 
-func TestOnOffDutyCycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	// Equal on/off means -> roughly half the CBR volume over a long run.
-	s := NewOnOff(100_000, 1000, 500*time.Millisecond, 500*time.Millisecond, 100*time.Second, rng)
-	bytes, _ := Total(s)
-	full := 100_000.0 * 100 // pure CBR volume
-	frac := float64(bytes) / full
-	if frac < 0.35 || frac > 0.65 {
-		t.Fatalf("on/off duty fraction = %v, want ~0.5", frac)
-	}
-}
-
-func TestOnOffMonotonicTime(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := NewOnOff(50_000, 500, 100*time.Millisecond, 200*time.Millisecond, 10*time.Second, rng)
-	var last time.Duration = -1
-	for {
-		at, _, ok := s.Next()
-		if !ok {
-			break
-		}
-		if at < last {
-			t.Fatalf("time went backwards: %v after %v", at, last)
-		}
-		last = at
-	}
-}
-
-func TestPoissonRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := NewPoisson(1000, 100, 10*time.Second, rng)
-	_, events := Total(p)
-	// 1000 pps for 10 s: expect ~10000 events within 5%.
-	if math.Abs(float64(events)-10000) > 500 {
-		t.Fatalf("events = %d, want ~10000", events)
-	}
-}
-
 func TestVideoGOPStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	v := NewVideo(25, 4000, 12, 4.0, 2*time.Second, rng)
@@ -137,8 +98,6 @@ func TestConstructorPanics(t *testing.T) {
 		func() { NewBulk(1, 0) },
 		func() { NewCBR(0, 100, time.Second) },
 		func() { NewCBR(100, 0, time.Second) },
-		func() { NewOnOff(0, 1, 1, 1, 1, nil) },
-		func() { NewPoisson(0, 1, 1, nil) },
 		func() { NewVideo(0, 1, 1, 1, 1, nil) },
 	}
 	for i, f := range cases {
