@@ -33,8 +33,11 @@ type Feedback = tfrc.FeedbackInfo
 //
 //   - The pacing contract: PacingRate is the allowed sending rate in
 //     bytes/s, InterPacketInterval the gap it implies for a frame of a
-//     given size (the connection's own pacing clock adds it to
-//     nextSendAt after each data frame), and CanSend an optional
+//     given size (the connection's own pacing schedule advances by it
+//     after each data frame — from the previous send time while the
+//     connection is pacing-limited, so a late driver sends the frames it
+//     slept through in a burst of at most 16, from now otherwise), and
+//     CanSend an optional
 //     inflight cap — a window-limited controller returns false
 //     while a full bottleneck-delay product is outstanding, and the
 //     connection holds fresh data until acknowledgments drain it.

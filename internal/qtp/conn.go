@@ -175,6 +175,9 @@ type Conn struct {
 	est        *tfrc.SenderEstimator
 	nextSeq    seqspace.Seq // next connection-level sequence number
 	nextSendAt time.Duration
+	// paceHeld records, at the last poll that had nothing to send, that
+	// only the pacing clock held fresh data back (see pace).
+	paceHeld   bool
 	lastReport time.Duration // light mode: last rate-machine update
 	started    bool
 

@@ -241,7 +241,7 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 	case rs == nil:
 		rs = c.openRecvStream0()
 	}
-	if rs != nil && rs.Unread()+len(data) > deliveryBound {
+	if rs != nil && rs.refuses(si.Seq, len(data)) {
 		// The reader is behind. Refused before the ack tracker, the stream's
 		// receiver or the TFRC receiver see it, the frame is as good as lost:
 		// the sender's scoreboard still owns it and the rate controller slows.

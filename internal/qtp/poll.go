@@ -53,7 +53,9 @@ func ctrlJitter(id, try uint32) float64 {
 // PollFrame returns the next frame the endpoint wants on the wire at
 // time now, or ok=false if nothing is due yet. Drivers call it in a loop
 // after any event (inbound frame, timer, application write) until it
-// returns false, transmitting each frame. The returned slice is freshly
+// returns false, transmitting each frame; a driver that polls after the
+// pacing boundary gets the data frames it slept through in that loop
+// (see pace). The returned slice is freshly
 // allocated; drivers that transmit asynchronously (queueing frames for
 // a batched writer) should use PollFrameAppend to build into their own
 // buffer instead.
@@ -97,8 +99,11 @@ func (c *Conn) PollFrameAppend(now time.Duration, dst []byte) (frame []byte, ok 
 	// initiator still in Connecting, whose data rides the first flight
 	// sealed under the early keys.
 	if c.started && c.sendActive() && now >= c.nextSendAt {
-		return c.buildData(now, dst)
+		if f, ok := c.buildData(now, dst); ok {
+			return f, true
+		}
 	}
+	c.paceHeld = c.started && c.sendActive() && c.sendWorkPending() && c.rc.CanSend()
 	return nil, false
 }
 
@@ -464,8 +469,25 @@ func (c *Conn) dataFrame(now time.Duration, dst []byte, s *sendStream,
 	return append(frame, payload...)
 }
 
+// paceBurst is the most frames a late poll may send back to back: the
+// pacing credit a connection keeps for send times its driver's clock
+// slept through (RFC 3448 §4.6's "sending credits for past unused send
+// times", bounded).
+const paceBurst = 16
+
+// pace advances the pacing schedule by one frame's interval. While the
+// connection was pacing-limited the schedule keeps its own time, so a
+// poll L late sends min(⌊L/ipi⌋+1, paceBurst) frames at once instead of
+// one; after an idle, window-limited or retransmit-only spell it
+// restarts at now. A driver that polls exactly at NextWake is never late
+// and sees one frame per interval, as before.
 func (c *Conn) pace(now time.Duration, wireSize int) {
-	c.nextSendAt = now + c.rc.InterPacketInterval(wireSize)
+	ipi := c.rc.InterPacketInterval(wireSize)
+	from := now
+	if c.paceHeld {
+		from = max(c.nextSendAt, now-(paceBurst-1)*ipi)
+	}
+	c.nextSendAt = from + ipi
 }
 
 // segArenaSize is the carve block for outgoing payload copies: ~20-30

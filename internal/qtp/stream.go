@@ -234,13 +234,27 @@ func (rs *recvStream) onData(now time.Duration, seq seqspace.Seq, payload []byte
 
 // deliveryBound caps a stream's unread bytes — what sits on its ready
 // queue, the one place a delivered chunk waits for the application; an
-// arrival that would pass it is refused (see onData). It mirrors the
+// arrival that would pass it is refused (see refuses). It mirrors the
 // send side's 1 MiB MaxBacklog default, per stream so a stalled reader
 // cannot take its siblings' buffer, and a constant: what bounds memory
-// is not a knob. Only ready bytes count, never the out-of-order buffer,
-// or the frontier retransmission that unblocks delivery could itself be
-// refused; what it frees (at most a flight) may pass the bound.
+// is not a knob. On a reliable stream only ready bytes count, never the
+// out-of-order buffer, or the frontier retransmission that unblocks
+// delivery could itself be refused; what it frees (at most a flight) may
+// pass the bound. An expiring stream counts its out-of-order buffer too,
+// for every arrival but the frontier's: its skip moves the whole buffer
+// onto the ready queue at once, and behind a refused frontier that
+// buffer is every arrival of the skip interval.
 const deliveryBound = 1 << 20
+
+// refuses reports whether an arrival of n bytes at stream sequence seq
+// would pass deliveryBound.
+func (rs *recvStream) refuses(seq seqspace.Seq, n int) bool {
+	held := rs.Unread()
+	if rs.mode == packet.StreamExpiring && seq != rs.CumAck() {
+		held += rs.reasm.BufferedBytes()
+	}
+	return held+n > deliveryBound
+}
 
 func (rs *recvStream) onDeadline(now time.Duration) {
 	if rs.reasm != nil {

@@ -134,11 +134,11 @@ func (sh *shard) sendRetryLocked(from netip.AddrPort, cid uint32, connect *packe
 		TSEcho:     connect.Timestamp,
 		PayloadLen: uint16(len(payload)),
 	}
-	buf := bufpool.Get()
+	buf := bufpool.GetChunk()
 	frame := append(hdr.AppendTo(buf[:0]), payload...)
 	if err != nil || len(frame) > 3*rxLen {
 		sh.ampCapped.Add(1)
-		bufpool.Put(buf)
+		bufpool.PutChunk(buf)
 		return
 	}
 	sh.retrySent.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/netip"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -332,5 +333,80 @@ func TestGSOTrainOnWire(t *testing.T) {
 	}
 	if cst.GsoFallbacks != 0 {
 		t.Errorf("kernel refused %d trains on loopback", cst.GsoFallbacks)
+	}
+}
+
+// TestGSOSingleConnTrains is the batching one connection earns on its
+// own: 4 MiB at QTPAF(1e9), the bulk workloads' shape. The loop wakes
+// later than the pacing interval, and the frames the connection's
+// pacing credit owes leave in the same round — as segment trains where
+// the socket probed GSO in, as multi-datagram sendmmsg calls under
+// -datapath=mmsg. The portable rung sends one datagram a call whatever
+// the round holds.
+//
+// How many frames a round owes depends on how late the runtime's timer
+// wakes the loop: run alone this read 7–15 segments a train, inside the
+// busier whole-suite binary as few as 3.7. The bound is what the parent
+// can never meet (one datagram a call, no trains), not a train size.
+func TestGSOSingleConnTrains(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", core.Permissive(1e9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if !client.Capabilities().Batch {
+		t.Skip("portable rung: one datagram per send call by construction")
+	}
+
+	const total = 4 << 20
+	got := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { got <- n }()
+		conn, err := srv.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for !conn.Finished() {
+			chunk, ok := conn.Read(10 * time.Second)
+			if !ok {
+				return
+			}
+			n += len(chunk)
+			conn.Release(chunk)
+		}
+	}()
+	conn, err := client.Dial(srv.Addr().String(), core.QTPAF(1e9), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(make([]byte, total)); err != nil {
+		t.Fatal(err)
+	}
+	conn.CloseSend()
+	select {
+	case <-conn.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("transfer did not complete")
+	}
+	if n := <-got; n != total {
+		t.Fatalf("server read %d of %d bytes", n, total)
+	}
+
+	st := client.Stats()
+	t.Logf("client gso=%v: %d datagrams in %d send calls, %d trains carrying %d segments",
+		client.GSOEnabled(), st.DatagramsOut, st.SendBatches, st.GsoTrains, st.GsoSegs)
+	if st.DatagramsOut <= 2*st.SendBatches {
+		t.Errorf("%d datagrams in %d send calls: want more than 2 a call", st.DatagramsOut, st.SendBatches)
+	}
+	if client.GSOEnabled() && 2*st.GsoSegs <= st.DatagramsOut {
+		t.Errorf("%d of %d datagrams left inside segment trains: want most", st.GsoSegs, st.DatagramsOut)
 	}
 }

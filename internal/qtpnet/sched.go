@@ -89,16 +89,17 @@ func newSendScheduler(w batchWriter, caps *pathCaps, maxBatch int, onFatal func(
 }
 
 // enqueue hands one framed datagram to the scheduler. The frame slice
-// must be pool-backed (bufpool.Get capacity); ownership transfers to
-// the scheduler, which releases it after the flush. enqueue never
-// touches the socket, so it is safe under a connection's lock; the
-// caller promises a flushIfFull/flushPending once its current
-// frame-production pass is done.
+// should be pool-backed (a bufpool chunk, as every frame service builds
+// is); ownership transfers to the scheduler, which releases it after
+// the flush (see release). enqueue never touches the socket, so it is
+// safe under a connection's lock; the caller promises a
+// flushIfFull/flushPending once its current frame-production pass is
+// done.
 func (s *sendScheduler) enqueue(addr netip.AddrPort, frame []byte) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		bufpool.Put(frame)
+		release(frame)
 		return
 	}
 	s.q = append(s.q, ioMsg{buf: frame, n: len(frame), addr: addr})
@@ -150,7 +151,7 @@ func (s *sendScheduler) stop() {
 	s.q = nil
 	s.mu.Unlock()
 	for i := range q {
-		bufpool.Put(q[i].buf)
+		release(q[i].buf)
 		q[i] = ioMsg{}
 	}
 }
@@ -242,7 +243,7 @@ func (s *sendScheduler) coalesce(batch []ioMsg, maxSegs int) []ioMsg {
 			for r := 0; r < run; r++ {
 				f := &batch[idx[k+r]]
 				off += copy(train[off:], f.buf[:f.n])
-				bufpool.Put(f.buf)
+				release(f.buf)
 				*f = ioMsg{}
 				used[idx[k+r]] = true
 			}
@@ -261,7 +262,7 @@ func (s *sendScheduler) coalesce(batch []ioMsg, maxSegs int) []ioMsg {
 func (s *sendScheduler) flush(batch []ioMsg) {
 	defer func() {
 		for i := range batch {
-			bufpool.Put(batch[i].buf)
+			release(batch[i].buf)
 			batch[i] = ioMsg{}
 		}
 	}()
@@ -307,6 +308,19 @@ func (s *sendScheduler) flush(batch []ioMsg) {
 			s.drops.Add(wireCount(batch[sent]))
 			sent++
 		}
+	}
+}
+
+// release returns a sent (or discarded) datagram's buffer to the pool
+// of its size class: frames are 2 KiB chunks, segment trains full-size
+// buffers. Anything else — a frame that outgrew its chunk — is left to
+// the collector.
+func release(b []byte) {
+	switch cap(b) {
+	case bufpool.ChunkSize:
+		bufpool.PutChunk(b)
+	case bufpool.Size:
+		bufpool.Put(b)
 	}
 }
 

@@ -701,9 +701,10 @@ func (sh *shard) allocIDLocked() uint32 {
 // write, timer expiry) and reports whether it enqueued frames, which
 // the caller owes a flushPending for once its round completes.
 //
-// Frames are built directly into pooled buffers whose ownership passes
-// to the scheduler; nothing touches the socket while a connection lock
-// is held (queue-bounding flushes run after c.mu is released), so a
+// Frames are built directly into pooled 2 KiB chunks (not 64 KiB
+// buffers: a paced burst queues up to 16 per connection) whose ownership
+// passes to the scheduler; nothing touches the socket while a connection
+// lock is held (queue-bounding flushes run after c.mu is released), so a
 // slow wire never stalls another connection's delivery or timers.
 func (sh *shard) service(c *Conn) (produced bool) {
 	lingering := c.lingering.Load()
@@ -713,7 +714,7 @@ func (sh *shard) service(c *Conn) (produced bool) {
 	sess := c.inner.CryptoSession()
 	for {
 		if txb == nil {
-			txb = bufpool.Get()
+			txb = bufpool.GetChunk()
 		}
 		frame, ok := c.inner.PollFrameAppend(now, txb[:0])
 		if !ok {
@@ -728,14 +729,14 @@ func (sh *shard) service(c *Conn) (produced bool) {
 		var sb []byte
 		if sess != nil && len(frame) > 0 &&
 			!packet.Cleartext(packet.Type(frame[0]&0x0f)) {
-			// Seal into a second pooled buffer so txb stays reusable for
-			// the next poll; the sealed buffer's ownership passes to the
+			// Seal into a second pooled chunk so txb stays reusable for
+			// the next poll; the sealed chunk's ownership passes to the
 			// scheduler with the enqueue.
-			sb = bufpool.Get()
+			sb = bufpool.GetChunk()
 			sealed, err := sess.SealAppend(sb[:0], c.inner.RemoteID(), frame)
 			if err != nil {
 				sh.sealFails.Add(1)
-				bufpool.Put(sb)
+				bufpool.PutChunk(sb)
 				continue
 			}
 			wire = sealed
@@ -752,7 +753,7 @@ func (sh *shard) service(c *Conn) (produced bool) {
 			if c.ampTx.Load()+int64(len(wire)) > 3*c.ampRx.Load() {
 				sh.ampCapped.Add(1)
 				if sb != nil {
-					bufpool.Put(sb)
+					bufpool.PutChunk(sb)
 				}
 				continue
 			}
@@ -762,12 +763,13 @@ func (sh *shard) service(c *Conn) (produced bool) {
 		produced = true
 		if sb != nil {
 			if cap(wire) != cap(sb) {
-				// SealAppend outgrew the pooled buffer — impossible for
-				// MTU-bounded frames, but never leak the pool slot.
-				bufpool.Put(sb)
+				// SealAppend outgrew the chunk (a frame past 2 KiB, which
+				// only an MSS beyond the default makes) and allocated:
+				// the chunk goes back, the scheduler drops the allocation.
+				bufpool.PutChunk(sb)
 			}
 		} else if cap(wire) == cap(txb) {
-			txb = nil // the scheduler owns the pooled buffer now
+			txb = nil // the scheduler owns the pooled chunk now
 		}
 	}
 	var newResume *qcrypto.Resumption
@@ -828,7 +830,7 @@ func (sh *shard) service(c *Conn) (produced bool) {
 	wakeAt, wok := c.inner.NextWake(now)
 	c.mu.Unlock()
 	if txb != nil {
-		bufpool.Put(txb)
+		bufpool.PutChunk(txb)
 	}
 	if newResume != nil {
 		sh.ep.storeResumption(c.peer, newResume)

@@ -121,7 +121,8 @@ func slowReader(t *testing.T, mode StreamMode, deadline time.Duration) {
 	}
 	block := make([]byte, 64<<10)
 	written := uint64(0) // in words
-	for stop := time.Now().Add(time.Second); time.Now().Before(stop); {
+	start := time.Now()
+	for stop := start.Add(time.Second); time.Now().Before(stop); {
 		for i := 0; i < len(block); i += 8 {
 			binary.BigEndian.PutUint64(block[i:], written)
 			written++
@@ -138,6 +139,11 @@ func slowReader(t *testing.T, mode StreamMode, deadline time.Duration) {
 	case <-time.After(60 * time.Second):
 		t.Fatalf("connection did not close after the writer finished (%d words written)", written)
 	}
+	// The sender's side of the regime: how much it sent and resent to be
+	// heard, and how long the reader's pace held the connection open.
+	st := conn.Stats()
+	t.Logf("%v sender: %d data frames, %d retransmitted, %d frames received; done after %v",
+		mode, st.DataFramesSent, st.RetransFrames, st.FramesReceived, time.Since(start).Round(time.Millisecond))
 	var r tally
 	select {
 	case r = <-got:

@@ -31,7 +31,8 @@ type Reassembler struct {
 	cumAck     seqspace.Seq // next in-order sequence expected by the app
 	received   seqspace.IntervalSet
 	buf        map[seqspace.Seq][]byte
-	readyQueue // delivered, waiting for the application to Pop
+	bufBytes   int // payload bytes in buf
+	readyQueue     // delivered, waiting for the application to Pop
 
 	holeSince time.Duration // when the current frontier hole was first seen
 	holeOpen  bool
@@ -71,6 +72,7 @@ func (r *Reassembler) OnData(now time.Duration, seq seqspace.Seq, payload []byte
 	}
 	r.received.AddSeq(seq)
 	r.buf[seq] = chunkCopy(payload)
+	r.bufBytes += len(payload)
 	r.advance(now)
 	return true
 }
@@ -93,6 +95,7 @@ func (r *Reassembler) advance(now time.Duration) {
 	for r.received.Contains(r.cumAck) {
 		p := r.buf[r.cumAck]
 		delete(r.buf, r.cumAck)
+		r.bufBytes -= len(p)
 		r.push(p)
 		r.DeliveredBytes += len(p)
 		r.cumAck = r.cumAck.Next()
@@ -238,3 +241,7 @@ func (r *Reassembler) ForceFin(now time.Duration, fin seqspace.Seq) {
 
 // Buffered returns the number of segments held for reassembly.
 func (r *Reassembler) Buffered() int { return len(r.buf) }
+
+// BufferedBytes returns the payload bytes held for reassembly: arrived
+// out of order, not yet on the ready queue.
+func (r *Reassembler) BufferedBytes() int { return r.bufBytes }
