@@ -245,9 +245,9 @@ func benchGSOFanout(b *testing.B, ceiling qtpnet.DataPath) {
 // the BBR controller instead of the gTFRC-clamped QTPAF profile: same
 // socket pair, same batched data path, but window-gated pacing driven
 // by the bandwidth×RTT estimator. The delta against
-// BenchmarkEndpointFanout prices the per-packet cc ledger (ccTracker
-// diffing ack vectors into OnAcked/OnLost events) under real socket
-// load; on loopback's negligible BDP the controller sits in its initial
+// BenchmarkEndpointFanout prices the per-packet cc ledger (the BBR
+// send ring diffing each ack vector into acknowledgments and losses)
+// under real socket load; on loopback's negligible BDP the controller sits in its initial
 // window, so this measures bookkeeping, not ramp behaviour.
 func BenchmarkBBRFanout(b *testing.B) {
 	benchFanout(b, qtpnet.DataPathAuto, false, packet.CongestionBBR, 64, 256<<10, 2e6)

@@ -14,11 +14,13 @@
 // that would collapse the TFRC equation barely moves the model, which
 // is exactly why the estimator wins on large-BDP and lossy paths.
 //
-// The controller is fed through the redesigned core.RateController
-// contract: OnSent for every first transmission, OnAcked/OnLost as the
-// connection diffs its SACK scoreboards, OnFeedback for RTT samples.
-// It never owns packets or timers; like every QTP micro-protocol it is
-// deterministic given its inputs, so simulator runs replay bit-exactly.
+// The controller is fed through the core.RateController contract:
+// OnSent for every first transmission, OnAckVector for every
+// acknowledgment vector, OnFeedback for RTT samples. Its send ring is
+// the connection's one per-packet ledger: each vector is diffed against
+// it into acknowledgments and dup-threshold losses. It never owns
+// packets or timers; like every QTP micro-protocol it is deterministic
+// given its inputs, so simulator runs replay bit-exactly.
 package bbr
 
 import (
@@ -89,6 +91,10 @@ const (
 	// initialCwndSegs seeds the cap before any bandwidth estimate
 	// exists (RFC 6928's initial window spirit).
 	initialCwndSegs = 10
+	// dupThresh is the duplicate-SACK threshold for declaring a packet
+	// lost, matching the reliability scoreboard's retransmission rule so
+	// both views of the wire agree.
+	dupThresh = 3
 )
 
 // probeBWGains is the ProbeBW pacing-gain cycle: probe, drain, cruise.
@@ -244,14 +250,51 @@ func (c *Controller) record(seq seqspace.Seq) *sentRecord {
 	return &c.ring[d]
 }
 
+// OnAckVector diffs one acknowledgment vector against the send ring.
+// First every record below cum or inside one of ranges is acknowledged,
+// lowest seq first; then, from the top down, every unacknowledged record
+// with dupThresh acknowledged records above it is declared lost. rtt is
+// the frame's timestamp-echo sample (0 if none). A packet the ring
+// already wrote off and pruned is not credited when its ack arrives late.
+func (c *Controller) OnAckVector(now time.Duration, cum seqspace.Seq, ranges []seqspace.Range, rtt time.Duration) {
+	for i := range c.ring {
+		rec := &c.ring[i]
+		if rec.flags&recAcked == 0 && covered(c.base.Add(i), cum, ranges) {
+			c.ack(now, rec, rtt)
+		}
+	}
+	ackedAbove := 0
+	for i := len(c.ring) - 1; i >= 0; i-- {
+		if c.ring[i].flags&recAcked != 0 {
+			ackedAbove++
+		} else if ackedAbove >= dupThresh {
+			c.lose(&c.ring[i])
+		}
+	}
+	c.prune()
+}
+
+// covered reports whether an acknowledgment vector covers seq.
+func covered(seq, cum seqspace.Seq, ranges []seqspace.Range) bool {
+	if seq.Less(cum) {
+		return true
+	}
+	for _, r := range ranges {
+		if r.Contains(seq) {
+			return true
+		}
+	}
+	return false
+}
+
 // OnAcked records that seq is newly acknowledged. bytes is advisory
 // (the send record is authoritative); rtt is a fresh sample when the
 // acknowledgment carried one.
 func (c *Controller) OnAcked(now time.Duration, seq seqspace.Seq, bytes int, rtt time.Duration) {
 	rec := c.record(seq)
 	if rec == nil {
-		// Already pruned (a late ack of a packet the dup-threshold rule
-		// declared lost): no rate sample possible, but the bytes were
+		// A seq outside the ring, reached only by a caller that acks
+		// packets directly: no rate sample possible, but the bytes were
 		// delivered — the caller reports each packet acked at most once.
 		if bytes > 0 {
 			c.delivered += int64(bytes)
@@ -262,6 +305,13 @@ func (c *Controller) OnAcked(now time.Duration, seq seqspace.Seq, bytes int, rtt
 	if rec.flags&recAcked != 0 {
 		return
 	}
+	c.ack(now, rec, rtt)
+	c.prune()
+}
+
+// ack credits one newly acknowledged send record: inflight, the
+// delivery-rate and RTT samples, round counting and the state machine.
+func (c *Controller) ack(now time.Duration, rec *sentRecord, rtt time.Duration) {
 	if rec.flags&recLost == 0 {
 		c.inFlight -= int(rec.bytes)
 		if c.inFlight < 0 {
@@ -299,15 +349,21 @@ func (c *Controller) OnAcked(now time.Duration, seq seqspace.Seq, bytes int, rtt
 	c.rttSample(now, rtt)
 
 	c.advanceState(now)
-	c.prune()
 	c.deadline = now + c.noFeedbackInterval()
 }
 
-// OnLost records that seq was declared lost. The path model ignores
-// loss (that is the point); only inflight and telemetry move.
+// OnLost records that seq was declared lost.
 func (c *Controller) OnLost(now time.Duration, seq seqspace.Seq, bytes int) {
-	rec := c.record(seq)
-	if rec == nil || rec.flags&(recAcked|recLost) != 0 {
+	if rec := c.record(seq); rec != nil {
+		c.lose(rec)
+		c.prune()
+	}
+}
+
+// lose writes off one unresolved send record. The path model ignores
+// loss (that is the point); only inflight and telemetry move.
+func (c *Controller) lose(rec *sentRecord) {
+	if rec.flags&(recAcked|recLost) != 0 {
 		return
 	}
 	rec.flags |= recLost
@@ -316,7 +372,6 @@ func (c *Controller) OnLost(now time.Duration, seq seqspace.Seq, bytes int) {
 		c.inFlight = 0
 	}
 	c.lostBytes += int64(rec.bytes)
-	c.prune()
 }
 
 // OnFeedback folds a digested receiver report: only the RTT sample

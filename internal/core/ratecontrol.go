@@ -19,13 +19,14 @@ type Feedback = tfrc.FeedbackInfo
 // connection state machine feeds it three kinds of input and reads back
 // one pacing contract:
 //
-//   - Per-packet events: OnSent for every first transmission, OnAcked
-//     for every packet newly covered by an acknowledgment vector, OnLost
-//     for every packet declared lost by the dup-threshold rule. Sizes
-//     are wire bytes; sequence numbers are the connection-level space
-//     stamped in frame headers (retransmissions reuse their original
-//     number and are not re-reported). Controllers that do not sample
-//     per-packet (the TFRC family) ignore these.
+//   - Per-packet events: OnSent for every first transmission, and
+//     OnAckVector for every acknowledgment vector (cumulative ack plus
+//     SACK ranges) the receiver sends back. A controller that samples
+//     per-packet keeps its own ledger of what it sent and diffs each
+//     vector against it. Sizes are wire bytes; sequence numbers are the
+//     connection-level space stamped in frame headers (retransmissions
+//     reuse their original number and are not re-reported). Controllers
+//     that do not sample per-packet (the TFRC family) ignore these.
 //
 //   - Report events: OnFeedback for each digested receiver report,
 //     OnNoFeedback when the feedback timer expires, SeedRTT for an RTT
@@ -54,14 +55,11 @@ type RateController interface {
 	// OnSent records the first transmission of packet seq: bytes on the
 	// wire at time now. Retransmissions are not reported.
 	OnSent(now time.Duration, seq seqspace.Seq, bytes int)
-	// OnAcked records that packet seq (bytes wire bytes, 0 when the
-	// caller does not track sizes and the controller's own send record
-	// is authoritative) is newly acknowledged. rtt is a fresh RTT
-	// sample when the acknowledgment carried a usable timestamp echo,
+	// OnAckVector folds one acknowledgment vector: every packet below
+	// cum or inside one of ranges has been received. rtt is a fresh RTT
+	// sample when the vector's frame carried a usable timestamp echo,
 	// else 0.
-	OnAcked(now time.Duration, seq seqspace.Seq, bytes int, rtt time.Duration)
-	// OnLost records that packet seq was declared lost.
-	OnLost(now time.Duration, seq seqspace.Seq, bytes int)
+	OnAckVector(now time.Duration, cum seqspace.Seq, ranges []seqspace.Range, rtt time.Duration)
 
 	// OnFeedback folds a digested receiver report into the rate.
 	OnFeedback(now time.Duration, fb Feedback)

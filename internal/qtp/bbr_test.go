@@ -21,7 +21,8 @@ func largeBDPPath(seed int64) *testPath {
 }
 
 // bbrProfile is QTPlight-with-reliability running the BBR controller:
-// per-packet SACKs feed the ccTracker, the scoreboard handles loss.
+// per-packet SACKs feed the controller's ledger, the scoreboard handles
+// loss.
 func bbrProfile() core.Profile {
 	p := core.QTPLightReliable(0)
 	p.Congestion = packet.CongestionBBR
@@ -92,8 +93,8 @@ func TestBBRClassicFeedbackProfile(t *testing.T) {
 }
 
 // TestBBRMultiStream runs BBR under the multi-stream layout: the
-// ccTracker feeds from the connection-level sequence space shared by
-// all stream scoreboards.
+// controller's ledger is keyed by the connection-level sequence space
+// shared by all stream scoreboards.
 func TestBBRMultiStream(t *testing.T) {
 	prof := bbrProfile()
 	prof.MaxStreams = 4

@@ -171,7 +171,6 @@ type Conn struct {
 	// Sender-side machines (nil on the receiving side).
 	rc         core.RateController
 	tfrcSnd    *tfrc.Sender
-	cc         *ccTracker // per-packet event feed (BBR connections only)
 	est        *tfrc.SenderEstimator
 	nextSeq    seqspace.Seq // next connection-level sequence number
 	nextSendAt time.Duration
@@ -318,13 +317,12 @@ func (c *Conn) buildMachines(now time.Duration) {
 	c.multi = p.MaxStreams >= 2
 	if c.isSender() {
 		// Congestion-control role: the negotiated controller behind the
-		// transport-agnostic core.RateController contract. BBR is
-		// event-driven and additionally gets a ccTracker feeding it
-		// per-packet events.
+		// transport-agnostic core.RateController contract. Every
+		// controller hears each first transmission and each ack vector;
+		// BBR is event-driven and diffs the vectors against its own send
+		// ring, the TFRC family ignores them.
 		if p.Congestion == packet.CongestionBBR {
-			b := bbr.New(bbr.Config{MSS: p.MSS})
-			c.rc = b
-			c.cc = newCCTracker(b)
+			c.rc = bbr.New(bbr.Config{MSS: p.MSS})
 		} else {
 			c.tfrcSnd = tfrc.NewSender(tfrc.SenderConfig{SegmentSize: p.MSS})
 			if p.TargetRate > 0 {
@@ -346,8 +344,8 @@ func (c *Conn) buildMachines(now time.Duration) {
 		}
 		if p.Feedback == packet.FeedbackSenderLoss && p.Congestion != packet.CongestionBBR {
 			// The sender-side loss estimator exists to feed the TFRC
-			// equation; BBR reads the same SACK vectors through its
-			// ccTracker instead.
+			// equation; BBR reads the same SACK vectors through its own
+			// send ring instead.
 			c.est = tfrc.NewSenderEstimator(tfrc.EstimatorConfig{
 				SegmentSize: p.MSS,
 				WALIDepth:   p.WALIDepth,

@@ -305,9 +305,7 @@ func (c *Conn) onFeedback(now time.Duration, hdr *packet.Header, payload []byte)
 		XRecv: float64(f.XRecv), P: f.LossRate, RTTSample: sample,
 	})
 	ranges := blocksToRanges(f.Blocks, &c.blockBuf)
-	if c.cc != nil {
-		c.cc.onAckVector(now, f.CumAck, ranges, sample)
-	}
+	c.rc.OnAckVector(now, f.CumAck, ranges, sample)
 	c.onStreamAcks(now, f.CumAck, ranges, f.Streams)
 	return nil
 }
@@ -327,8 +325,8 @@ func (c *Conn) lossGuard() time.Duration {
 
 func (c *Conn) onSACK(now time.Duration, hdr *packet.Header, payload []byte) error {
 	// A bare SACK needs a sender-side consumer: the TFRC loss estimator
-	// (QTPlight), or a per-packet tracker (BBR).
-	if c.rc == nil || (c.est == nil && c.cc == nil) {
+	// (QTPlight), or a controller that reads ack vectors itself (BBR).
+	if c.rc == nil || (c.est == nil && c.profile.Congestion != packet.CongestionBBR) {
 		return ErrBadState
 	}
 	if err := c.sackBuf.Parse(payload); err != nil {
@@ -342,9 +340,7 @@ func (c *Conn) onSACK(now time.Duration, hdr *packet.Header, payload []byte) err
 	if rtt == 0 {
 		rtt = sample
 	}
-	if c.cc != nil {
-		c.cc.onAckVector(now, s.CumAck, ranges, sample)
-	}
+	c.rc.OnAckVector(now, s.CumAck, ranges, sample)
 	if c.est != nil {
 		c.est.OnAckVector(now, s.CumAck, ranges, rtt)
 	}

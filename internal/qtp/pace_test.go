@@ -18,17 +18,16 @@ type fixedRate struct {
 	blocked bool
 }
 
-func (f *fixedRate) Start(time.Duration)                                     {}
-func (f *fixedRate) SeedRTT(_, _ time.Duration)                              {}
-func (f *fixedRate) OnSent(time.Duration, seqspace.Seq, int)                 {}
-func (f *fixedRate) OnAcked(time.Duration, seqspace.Seq, int, time.Duration) {}
-func (f *fixedRate) OnLost(time.Duration, seqspace.Seq, int)                 {}
-func (f *fixedRate) OnFeedback(time.Duration, core.Feedback)                 {}
-func (f *fixedRate) OnNoFeedback(time.Duration)                              {}
-func (f *fixedRate) PacingRate() float64                                     { return f.rate }
-func (f *fixedRate) CanSend() bool                                           { return !f.blocked }
-func (f *fixedRate) RTT() time.Duration                                      { return time.Millisecond }
-func (f *fixedRate) NoFeedbackDeadline() time.Duration                       { return math.MaxInt64 }
+func (f *fixedRate) Start(time.Duration)                                                      {}
+func (f *fixedRate) SeedRTT(_, _ time.Duration)                                               {}
+func (f *fixedRate) OnSent(time.Duration, seqspace.Seq, int)                                  {}
+func (f *fixedRate) OnAckVector(time.Duration, seqspace.Seq, []seqspace.Range, time.Duration) {}
+func (f *fixedRate) OnFeedback(time.Duration, core.Feedback)                                  {}
+func (f *fixedRate) OnNoFeedback(time.Duration)                                               {}
+func (f *fixedRate) PacingRate() float64                                                      { return f.rate }
+func (f *fixedRate) CanSend() bool                                                            { return !f.blocked }
+func (f *fixedRate) RTT() time.Duration                                                       { return time.Millisecond }
+func (f *fixedRate) NoFeedbackDeadline() time.Duration                                        { return math.MaxInt64 }
 func (f *fixedRate) InterPacketInterval(size int) time.Duration {
 	return time.Duration(float64(size) / f.rate * float64(time.Second))
 }

@@ -362,9 +362,7 @@ func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 	if c.est != nil {
 		c.est.OnSent(now, conn, len(payload)+packet.HeaderLen)
 	}
-	if c.cc != nil {
-		c.cc.onSent(now, conn, len(payload)+packet.HeaderLen)
-	}
+	c.rc.OnSent(now, conn, len(payload)+packet.HeaderLen)
 	frame := c.dataFrame(now, dst, s, conn, seq, payload, false, fin)
 	c.stats.DataFramesSent++
 	c.stats.DataBytesSent += len(payload)

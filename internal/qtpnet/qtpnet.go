@@ -11,9 +11,10 @@
 // frames — and epoch-0 (0-RTT) sealed datagrams, whose ID is still the
 // client's unconfirmed proposal — arrive before that negotiation
 // completes and are routed by (peer address, peer ID) instead.
-// A single scheduler goroutine drives every connection's protocol
-// timers off one shared deadline heap, and receive buffers are pooled,
-// so the per-frame receive path allocates nothing.
+// Each shard is one loop goroutine: it reads the shard's socket and
+// drives its connections' protocol timers off the shard's own deadline
+// heap. Receive buffers are pooled, so the per-frame receive path
+// allocates nothing.
 //
 // Transport encryption is on by default: every post-handshake frame is
 // sealed into an AEAD envelope (epoch + 48-bit crypto sequence in a

@@ -1,6 +1,9 @@
 package tcp
 
-import "repro/internal/netsim"
+import (
+	"repro/internal/netsim"
+	"repro/internal/seqspace"
+)
 
 // receiver acknowledges every data segment immediately (no delayed
 // ACKs, matching ns-2's default TCP sink) and reports up to three SACK
@@ -8,9 +11,9 @@ import "repro/internal/netsim"
 type receiver struct {
 	f *Flow
 
-	rcvNxt    int64 // next in-order byte expected
-	received  spanSet
-	delivered int64 // in-order bytes handed to the "application"
+	rcvNxt    int64                // next in-order byte expected
+	received  seqspace.IntervalSet // out-of-order bytes above rcvNxt
+	delivered int64                // in-order bytes handed to the "application"
 	finSeen   bool
 }
 
@@ -23,14 +26,16 @@ func (r *receiver) Recv(p *netsim.Packet) {
 		return
 	}
 	if seg.Len > 0 {
-		r.received.add(span{Lo: seg.Seq, Hi: seg.Seq + int64(seg.Len)})
+		r.received.Add(seqspace.Range{Lo: sq(seg.Seq), Hi: sq(seg.Seq + int64(seg.Len))})
 		// Advance the in-order point.
-		next := r.received.firstGapAfter(r.rcvNxt)
+		next := offset(r.received.FirstMissingAfter(sq(r.rcvNxt)), r.rcvNxt)
 		if next > r.rcvNxt {
 			r.delivered += next - r.rcvNxt
 			r.rcvNxt = next
-			r.received.removeBefore(r.rcvNxt)
 		}
+		// Trim even when rcvNxt stood still: a duplicate below it must
+		// not reach the SACK option.
+		r.received.RemoveBefore(sq(r.rcvNxt))
 	}
 	if seg.Fin {
 		r.finSeen = true
@@ -42,7 +47,8 @@ func (r *receiver) Recv(p *netsim.Packet) {
 		TS:     r.f.sim.Now(),
 		TSEcho: seg.TS,
 	}
-	ack.SACKs = r.received.blocks(nil, r.rcvNxt, maxSACKBlocks)
+	blocks := r.received.Ranges()
+	ack.SACKs = append([]seqspace.Range(nil), blocks[:min(len(blocks), maxSACKBlocks)]...)
 	r.f.cfg.Rev.Recv(&netsim.Packet{
 		Flow:    r.f.cfg.ID,
 		Size:    HeaderBytes + 10*len(ack.SACKs) + 12, // options: SACK + TS

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/seqspace"
 )
 
 // sender state machine: NewReno congestion control with SACK-driven
@@ -15,8 +16,9 @@ type sender struct {
 	// Sequence state (byte offsets).
 	sndUna   int64 // oldest unacknowledged
 	sndNxt   int64 // next new byte to send
-	sacked   spanSet
-	retxNext int64 // holes below this were already retransmitted this episode
+	sacked   seqspace.IntervalSet
+	gaps     []seqspace.Range // scratch for sacked.Gaps
+	retxNext int64            // holes below this were already retransmitted this episode
 	finSent  bool
 
 	// Congestion control.
@@ -72,7 +74,7 @@ func (s *sender) onAck(a *Segment) {
 		s.updateRTT(s.sim.Now() - a.TSEcho)
 	}
 	for _, b := range a.SACKs {
-		s.sacked.add(b)
+		s.sacked.Add(b)
 	}
 	// Note: the timer restarts only on cumulative-ack progress (the
 	// RFC 6582 "impatient" variant). Restarting on SACK progress sounds
@@ -84,7 +86,7 @@ func (s *sender) onAck(a *Segment) {
 		acked := a.Ack - s.sndUna
 		s.stats.AckedBytes += acked
 		s.sndUna = a.Ack
-		s.sacked.removeBefore(s.sndUna)
+		s.sacked.RemoveBefore(sq(s.sndUna))
 		s.dupAcks = 0
 		s.backoff = 0
 
@@ -163,11 +165,11 @@ func (s *sender) lostThreshold() int64 {
 		return s.recover
 	}
 	remaining := int64(3 * s.f.cfg.MSS)
-	spans := s.sacked.spans
-	for i := len(spans) - 1; i >= 0; i-- {
-		ln := spans[i].Hi - spans[i].Lo
+	ranges := s.sacked.Ranges()
+	for i := len(ranges) - 1; i >= 0; i-- {
+		ln := int64(ranges[i].Len())
 		if ln >= remaining {
-			return spans[i].Hi - remaining
+			return offset(ranges[i].Hi, s.sndUna) - remaining
 		}
 		remaining -= ln
 	}
@@ -178,14 +180,9 @@ func (s *sender) lostThreshold() int64 {
 // below the recovery point. Each hole goes out at most once per episode
 // (retxNext is monotonic within one); a lost retransmission is
 // recovered by the RTO.
-func (s *sender) nextHole() (span, bool) {
-	lo := s.sndUna
-	if lo < s.retxNext {
-		lo = s.retxNext
-	}
-	if s.sacked.contains(lo) {
-		lo = s.sacked.firstGapAfter(lo)
-	}
+func (s *sender) nextHole() (lo, hi int64, ok bool) {
+	lo = max(s.sndUna, s.retxNext)
+	lo = offset(s.sacked.FirstMissingAfter(sq(lo)), lo)
 	limit := s.recover
 	if limit > s.sndNxt {
 		limit = s.sndNxt
@@ -194,17 +191,13 @@ func (s *sender) nextHole() (span, bool) {
 		limit = t
 	}
 	if lo >= limit {
-		return span{}, false
+		return 0, 0, false
 	}
-	hi := lo + int64(s.f.cfg.MSS)
-	if hi > limit {
-		hi = limit
-	}
-	// Do not re-send bytes the receiver already holds.
-	if next := s.sacked.nextCoveredAfter(lo); next > lo && next < hi {
-		hi = next
-	}
-	return span{Lo: lo, Hi: hi}, true
+	hi = min(lo+int64(s.f.cfg.MSS), limit)
+	// Do not re-send bytes the receiver already holds: lo starts a gap,
+	// and the hole ends where that gap does.
+	s.gaps = s.sacked.Gaps(s.gaps[:0], sq(lo), sq(hi))
+	return lo, offset(s.gaps[0].Hi, lo), true
 }
 
 // flightSize estimates unacknowledged bytes in the network.
@@ -220,8 +213,8 @@ func (s *sender) outstanding() int64 { return s.sndNxt - s.sndUna }
 // retransmissions re-injected below retxNext.
 func (s *sender) pipe() float64 {
 	t := s.lostThreshold()
-	sackedAll := s.sacked.coveredIn(s.sndUna, s.sndNxt)
-	lostUnsacked := (t - s.sndUna) - s.sacked.coveredIn(s.sndUna, t)
+	sackedAll := s.covered(s.sndUna, s.sndNxt)
+	lostUnsacked := (t - s.sndUna) - s.covered(s.sndUna, t)
 	if lostUnsacked < 0 {
 		lostUnsacked = 0
 	}
@@ -231,13 +224,27 @@ func (s *sender) pipe() float64 {
 	}
 	var reinjected int64
 	if reHi > s.sndUna {
-		reinjected = (reHi - s.sndUna) - s.sacked.coveredIn(s.sndUna, reHi)
+		reinjected = (reHi - s.sndUna) - s.covered(s.sndUna, reHi)
 	}
 	p := float64(s.outstanding() - sackedAll - lostUnsacked + reinjected)
 	if p < 0 {
 		p = 0
 	}
 	return p
+}
+
+// covered returns how many bytes of [lo, hi) are SACKed: the range's
+// length minus its gaps.
+func (s *sender) covered(lo, hi int64) int64 {
+	if hi <= lo {
+		return 0
+	}
+	n := hi - lo
+	s.gaps = s.sacked.Gaps(s.gaps[:0], sq(lo), sq(hi))
+	for _, g := range s.gaps {
+		n -= int64(g.Len())
+	}
+	return n
 }
 
 // available returns how many new bytes the application still has.
@@ -256,12 +263,12 @@ func (s *sender) trySend() {
 	recovering := s.inRecovery || s.rtoRecovery
 	for {
 		if recovering {
-			if hole, ok := s.nextHole(); ok {
-				if s.pipe()+float64(hole.Hi-hole.Lo) > s.cwnd {
+			if lo, hi, ok := s.nextHole(); ok {
+				if s.pipe()+float64(hi-lo) > s.cwnd {
 					break
 				}
-				s.retxNext = hole.Hi
-				s.emit(hole.Lo, int(hole.Hi-hole.Lo), true)
+				s.retxNext = hi
+				s.emit(lo, int(hi-lo), true)
 				continue
 			}
 		}

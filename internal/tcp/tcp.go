@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/seqspace"
 )
 
 // HeaderBytes is the on-wire overhead per TCP segment (IP + TCP).
@@ -22,6 +23,16 @@ const HeaderBytes = 40
 
 // maxSACKBlocks is the SACK option capacity (RFC 2018 with timestamps).
 const maxSACKBlocks = 3
+
+// sq maps a byte offset to its low 32 bits, the sequence space the SACK
+// range sets use, as TCP's own sequence numbers do; stream positions
+// stay int64. 32 bits are enough: no flow keeps 2^31 bytes between its
+// lowest and highest tracked offset, so every tracked offset is within
+// seqspace's comparison horizon of every other.
+func sq(off int64) seqspace.Seq { return seqspace.Seq(uint32(off)) }
+
+// offset maps s back to the byte offset nearest ref.
+func offset(s seqspace.Seq, ref int64) int64 { return ref + int64(sq(ref).Distance(s)) }
 
 // Segment is the simulator payload for TCP packets in both directions.
 type Segment struct {
@@ -31,10 +42,9 @@ type Segment struct {
 	Fin bool
 
 	// ACK direction.
-	Ack     int64  // cumulative acknowledgment
-	SACKs   []span // selective acknowledgment blocks
-	IsAck   bool
-	EcnEcho bool // unused; reserved for future AQM experiments
+	Ack   int64            // cumulative acknowledgment
+	SACKs []seqspace.Range // selective acknowledgment blocks, as sq offsets
+	IsAck bool
 
 	// Timestamps (RFC 7323 style, simulator clock).
 	TS     netsim.Time

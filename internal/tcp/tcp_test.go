@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/seqspace"
 )
 
 // path builds a dumbbell: data over a constrained forward link, ACKs
@@ -39,34 +40,55 @@ func (p *path) start(cfg Config) *Flow {
 	return f
 }
 
-func TestSpanSet(t *testing.T) {
-	var ss spanSet
-	if n := ss.add(span{10, 20}); n != 10 {
-		t.Fatalf("add = %d", n)
+// TestOffsetMapping: a byte offset survives the trip through the 32-bit
+// sequence space and back, across every 2^32 boundary and with the
+// reference on either side of it.
+func TestOffsetMapping(t *testing.T) {
+	const wrap = int64(1) << 32
+	for _, tc := range []struct {
+		name     string
+		off, ref int64
+	}{
+		{"zero", 0, 0},
+		{"ahead", 5000, 1000},
+		{"behind", 1000, 5000},
+		{"ref below the wrap, offset above", wrap + 100, wrap - 100},
+		{"ref above the wrap, offset below", wrap - 100, wrap + 100},
+		{"both past the wrap", wrap + 7, wrap + 3},
+		{"second wrap, ref below", 2*wrap + 1, 2*wrap - 1},
+		{"second wrap, ref above", 2*wrap - 1, 2*wrap + 1},
+		{"just under the horizon ahead", wrap - 10 + (1<<31 - 1), wrap - 10},
+		{"at the horizon behind", wrap + 10 - 1<<31, wrap + 10},
+	} {
+		if got := offset(sq(tc.off), tc.ref); got != tc.off {
+			t.Errorf("%s: offset(sq(%d), %d) = %d", tc.name, tc.off, tc.ref, got)
+		}
 	}
-	if n := ss.add(span{15, 25}); n != 5 {
-		t.Fatalf("overlap add = %d", n)
+	if sq(wrap+42) != 42 || sq(wrap-1) != seqspace.Seq(math.MaxUint32) {
+		t.Errorf("sq keeps the low 32 bits: sq(2^32+42)=%d, sq(2^32-1)=%d", sq(wrap+42), sq(wrap-1))
 	}
-	ss.add(span{30, 40})
-	if !ss.contains(12) || ss.contains(25) || !ss.contains(30) {
-		t.Fatal("contains wrong")
-	}
-	if got := ss.firstGapAfter(10); got != 25 {
-		t.Fatalf("firstGapAfter = %d", got)
-	}
-	if got := ss.coveredIn(0, 100); got != 25 {
-		t.Fatalf("coveredIn = %d", got)
-	}
-	ss.removeBefore(35)
-	if ss.count() != 5 || ss.max() != 40 {
-		t.Fatalf("after removeBefore: count=%d max=%d", ss.count(), ss.max())
-	}
-	// Adjacent merge.
-	var ss2 spanSet
-	ss2.add(span{0, 10})
-	ss2.add(span{10, 20})
-	if len(ss2.spans) != 1 {
-		t.Fatalf("adjacent spans not merged: %v", ss2.spans)
+}
+
+// TestCovered: the SACKed byte count of a window is its length minus
+// its gaps, clipped to the window, also when the set straddles 2^32.
+func TestCovered(t *testing.T) {
+	for _, base := range []int64{0, 1<<32 - 25} {
+		s := &sender{}
+		for _, r := range [][2]int64{{10, 20}, {15, 25}, {30, 40}} {
+			s.sacked.Add(seqspace.Range{Lo: sq(base + r[0]), Hi: sq(base + r[1])})
+		}
+		for _, tc := range []struct{ lo, hi, want int64 }{
+			{0, 100, 25},
+			{12, 35, 18},
+			{25, 30, 0},
+			{20, 20, 0},
+			{40, 30, 0},
+			{35, 36, 1},
+		} {
+			if got := s.covered(base+tc.lo, base+tc.hi); got != tc.want {
+				t.Errorf("base %d: covered(%d, %d) = %d, want %d", base, tc.lo, tc.hi, got, tc.want)
+			}
+		}
 	}
 }
 

@@ -170,12 +170,11 @@ func (s *Sender) PacingRate() float64 { return s.x }
 // window-limited.
 func (s *Sender) CanSend() bool { return true }
 
-// OnSent, OnAcked and OnLost are core.RateController's per-packet
-// events, ignored here: the equation needs only the receiver's digest,
-// which arrives through OnFeedback.
-func (s *Sender) OnSent(time.Duration, seqspace.Seq, int)                 {}
-func (s *Sender) OnAcked(time.Duration, seqspace.Seq, int, time.Duration) {}
-func (s *Sender) OnLost(time.Duration, seqspace.Seq, int)                 {}
+// OnSent and OnAckVector are core.RateController's per-packet events,
+// ignored here: the equation needs only the receiver's digest, which
+// arrives through OnFeedback.
+func (s *Sender) OnSent(time.Duration, seqspace.Seq, int)                                  {}
+func (s *Sender) OnAckVector(time.Duration, seqspace.Seq, []seqspace.Range, time.Duration) {}
 
 // SetRate overrides the allowed rate; used by rate controllers layered
 // on top of TFRC (gTFRC clamps X to the negotiated minimum).
