@@ -149,7 +149,7 @@ type Handshake struct {
 	Congestion CongestionMode
 
 	// Token is the opaque source-address token echoed back from a Retry
-	// frame (Connect only; see TokenMinter). Empty means "not carried" —
+	// frame (Connect only; see qcrypto.Minter). Empty means "not carried" —
 	// the TLV is omitted and old peers never see it. The server treats a
 	// token-bearing Connect from the address the token was minted for as
 	// address-validated and exempt from stateless-retry challenges.
@@ -267,20 +267,8 @@ func (h *Handshake) AppendTo(dst []byte) ([]byte, error) {
 // Parse decodes a handshake payload. Unknown options are skipped, which
 // lets older builds interoperate with peers offering newer capabilities.
 func (h *Handshake) Parse(b []byte) error {
-	if len(b) < 1 {
-		return ErrShort
-	}
-	n := int(b[0])
-	b = b[1:]
-	for i := 0; i < n; i++ {
-		if len(b) < 2 {
-			return ErrOption
-		}
-		typ, ln := b[0], int(b[1])
-		if len(b) < 2+ln {
-			return ErrOption
-		}
-		v := b[2 : 2+ln]
+	return walkTLVs(b, func(typ uint8, v []byte) error {
+		ln := len(v)
 		switch typ {
 		case optReliability:
 			if ln != 5 {
@@ -341,7 +329,29 @@ func (h *Handshake) Parse(b []byte) error {
 		default:
 			// Unknown option: skip.
 		}
-		b = b[2+ln:]
+		return nil
+	})
+}
+
+// walkTLVs walks a count-prefixed TLV list — one count byte, then that
+// many (type (1), length (1), value) options — calling fn on each in
+// order. A missing count byte is ErrShort and an option that overruns
+// b is ErrOption; fn's first error stops the walk and is returned.
+func walkTLVs(b []byte, fn func(typ uint8, v []byte) error) error {
+	if len(b) < 1 {
+		return ErrShort
+	}
+	n := int(b[0])
+	b = b[1:]
+	for i := 0; i < n; i++ {
+		if len(b) < 2 || len(b) < 2+int(b[1]) {
+			return ErrOption
+		}
+		v := b[2 : 2+int(b[1])]
+		if err := fn(b[0], v); err != nil {
+			return err
+		}
+		b = b[2+len(v):]
 	}
 	return nil
 }

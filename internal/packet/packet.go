@@ -158,10 +158,10 @@ func (h *Header) Parse(b []byte) (payload []byte, err error) {
 }
 
 // SACKBlock reports a contiguous range of received sequence numbers,
-// [Lo, Hi), above the cumulative acknowledgment.
-type SACKBlock struct {
-	Lo, Hi seqspace.Seq
-}
+// [Lo, Hi), above the cumulative acknowledgment: the range the
+// receiver's interval set holds, so blocks go to and from the wire
+// without conversion.
+type SACKBlock = seqspace.Range
 
 // Feedback is the RFC 3448 §6 receiver report. In the classic TFRC
 // composition the receiver computes the loss event rate itself and

@@ -92,7 +92,7 @@ func TestFeedbackRoundTrip(t *testing.T) {
 		LossRate:  0.0123,
 		ElapsedUS: 1500,
 		CumAck:    1000,
-		Blocks:    []SACKBlock{{1002, 1005}, {1008, 1010}},
+		Blocks:    []SACKBlock{{Lo: 1002, Hi: 1005}, {Lo: 1008, Hi: 1010}},
 	}
 	buf, err := in.AppendTo(nil)
 	if err != nil {
@@ -146,7 +146,7 @@ func TestSACKRoundTrip(t *testing.T) {
 	in := SACK{
 		CumAck:    500,
 		ElapsedUS: 250,
-		Blocks:    []SACKBlock{{502, 504}},
+		Blocks:    []SACKBlock{{Lo: 502, Hi: 504}},
 	}
 	buf, err := in.AppendTo(nil)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestSACKRoundTrip(t *testing.T) {
 }
 
 func TestSACKTruncatedBlocks(t *testing.T) {
-	in := SACK{CumAck: 1, Blocks: []SACKBlock{{2, 3}, {5, 6}}}
+	in := SACK{CumAck: 1, Blocks: []SACKBlock{{Lo: 2, Hi: 3}, {Lo: 5, Hi: 6}}}
 	buf, _ := in.AppendTo(nil)
 	var out SACK
 	if err := out.Parse(buf[:len(buf)-1]); err != ErrShort {
@@ -172,7 +172,7 @@ func TestSACKTruncatedBlocks(t *testing.T) {
 }
 
 func TestSACKParseReusesBlocks(t *testing.T) {
-	in := SACK{CumAck: 1, Blocks: []SACKBlock{{2, 3}}}
+	in := SACK{CumAck: 1, Blocks: []SACKBlock{{Lo: 2, Hi: 3}}}
 	buf, _ := in.AppendTo(nil)
 	out := SACK{Blocks: make([]SACKBlock, 0, MaxSACKBlocks)}
 	before := cap(out.Blocks)
@@ -264,7 +264,7 @@ func BenchmarkHeaderAppendParse(b *testing.B) {
 }
 
 func BenchmarkSACKAppendParse(b *testing.B) {
-	s := SACK{CumAck: 9, Blocks: []SACKBlock{{10, 12}, {14, 16}, {20, 30}}}
+	s := SACK{CumAck: 9, Blocks: []SACKBlock{{Lo: 10, Hi: 12}, {Lo: 14, Hi: 16}, {Lo: 20, Hi: 30}}}
 	buf := make([]byte, 0, 128)
 	out := SACK{Blocks: make([]SACKBlock, 0, MaxSACKBlocks)}
 	b.ReportAllocs()

@@ -190,10 +190,7 @@ func FuzzFrame(f *testing.F) {
 	hsHdr := Header{Type: TypeConnect, ConnID: 6, PayloadLen: uint16(len(hsPay))}
 	f.Add(append(hsHdr.AppendTo(nil), hsPay...))
 	// Seed: stateless retry with a realistic-shape token and a hint.
-	tok := make([]byte, TokenLen)
-	for i := range tok {
-		tok[i] = byte(i * 7)
-	}
+	tok := testToken()
 	rt := Retry{Token: tok, RetryAfterMS: 500}
 	rtPay, _ := rt.AppendTo(nil)
 	rtHdr := Header{Type: TypeRetry, ConnID: 13, PayloadLen: uint16(len(rtPay))}

@@ -1,224 +1,111 @@
-package packet
+package packet_test
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"testing"
 	"time"
+
+	"repro/internal/qcrypto"
 )
 
-var (
-	tokAddr  = netip.MustParseAddrPort("192.0.2.10:4433")
-	tokAddr6 = netip.MustParseAddrPort("[2001:db8::7]:4433")
-)
+var tokAddr = netip.MustParseAddrPort("192.0.2.10:4433")
 
-// TestTokenLifecycle is the table-driven sweep over everything a token
-// binds and everything an attacker can do to one: expiry, key rotation
-// across the two-key window, wrong source address or port (replay from
-// elsewhere), wrong connection ID, truncation, and bit corruption.
+// tokenCtx builds the context a source-address token is bound to, the
+// same bytes qtpnet's tokenContext builds: the 16-byte mapped address,
+// the big-endian port and the proposed connection ID. None of it
+// travels in the token.
+func tokenCtx(from netip.AddrPort, cid uint32) []byte {
+	a := from.Addr().As16()
+	ctx := binary.BigEndian.AppendUint16(a[:], from.Port())
+	return binary.BigEndian.AppendUint32(ctx, cid)
+}
+
+// TestTokenLifecycle is the table-driven sweep over everything the token
+// in a Connect or Retry binds and everything an attacker can do to one:
+// expiry, key rotation across the two-key window, wrong source address
+// or port (replay from elsewhere), wrong connection ID, truncation, and
+// bit corruption. A token is an empty-body qcrypto blob, 33 bytes.
 func TestTokenLifecycle(t *testing.T) {
 	const cid = 0xabc1234
 	cases := []struct {
 		name string
 		// mutate receives a freshly minted token plus the minter and
-		// returns (token, nowSecs, addr, cid) to validate with.
-		mutate func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32)
+		// returns (token, nowSecs, addr, cid) to open it with.
+		mutate func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32)
 		want   error
 	}{
-		{"valid", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		{"valid", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return tok, 100, tokAddr, cid
 		}, nil},
-		{"valid at lifetime edge", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		{"valid at lifetime edge", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return tok, 100 + m.Lifetime(), tokAddr, cid
 		}, nil},
-		{"expired", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		{"expired", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return tok, 100 + m.Lifetime() + 1, tokAddr, cid
-		}, ErrTokenExpired},
-		{"future timestamp", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		}, qcrypto.ErrBlobExpired},
+		{"future timestamp", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return tok, 99, tokAddr, cid
-		}, ErrTokenExpired},
-		{"survives one rotation", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		}, qcrypto.ErrBlobExpired},
+		{"survives one rotation", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			m.Rotate(101)
 			return tok, 102, tokAddr, cid
 		}, nil},
-		{"dead after two rotations", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		{"dead after two rotations", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			m.Rotate(101)
 			m.Rotate(102)
 			return tok, 103, tokAddr, cid
-		}, ErrTokenKey},
-		{"replayed from another address", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		}, qcrypto.ErrBlobKey},
+		{"replayed from another address", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return tok, 100, netip.MustParseAddrPort("192.0.2.11:4433"), cid
-		}, ErrTokenMAC},
-		{"replayed from another port", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		}, qcrypto.ErrAuth},
+		{"replayed from another port", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return tok, 100, netip.MustParseAddrPort("192.0.2.10:4434"), cid
-		}, ErrTokenMAC},
-		{"replayed for another cid", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		}, qcrypto.ErrAuth},
+		{"replayed for another cid", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return tok, 100, tokAddr, cid + 1
-		}, ErrTokenMAC},
-		{"truncated", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		}, qcrypto.ErrAuth},
+		{"truncated", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return tok[:len(tok)-1], 100, tokAddr, cid
-		}, ErrTokenCorrupt},
-		{"empty", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		}, qcrypto.ErrBlobCorrupt},
+		{"empty", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return nil, 100, tokAddr, cid
-		}, ErrTokenCorrupt},
-		{"over-long", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		}, qcrypto.ErrBlobCorrupt},
+		{"over-long", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			return append(tok, 0), 100, tokAddr, cid
-		}, ErrTokenCorrupt},
-		{"corrupt mac bit", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+		}, qcrypto.ErrAuth},
+		{"corrupt mac bit", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
 			tok[len(tok)-1] ^= 1
 			return tok, 100, tokAddr, cid
-		}, ErrTokenMAC},
-		{"tampered timestamp", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
-			tok[4] ^= 1 // keeps it inside the lifetime window but breaks the MAC
+		}, qcrypto.ErrAuth},
+		{"tampered timestamp", func(m *qcrypto.Minter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
+			tok[4] ^= 1 // keeps it inside the lifetime window but breaks the tag
 			return tok, 101, tokAddr, cid
-		}, ErrTokenMAC},
-		{"tampered cid field", func(m *TokenMinter, tok []byte) ([]byte, uint32, netip.AddrPort, uint32) {
-			tok[8] ^= 1
-			return tok, 100, tokAddr, cid
-		}, ErrTokenMAC},
+		}, qcrypto.ErrAuth},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewTokenMinter(10 * time.Second)
-			tok := m.Mint(100, tokAddr, cid, nil)
-			if len(tok) != TokenLen {
-				t.Fatalf("minted token is %d bytes, want %d", len(tok), TokenLen)
+			m := qcrypto.NewMinter(10 * time.Second)
+			tok := m.Mint(100, nil, tokenCtx(tokAddr, cid))
+			if len(tok) != 33 {
+				t.Fatalf("minted token is %d bytes, want 33", len(tok))
 			}
 			tok2, now, addr, id := tc.mutate(m, tok)
-			if err := m.Validate(now, addr, id, tok2); !errors.Is(err, tc.want) {
-				t.Fatalf("Validate = %v, want %v", err, tc.want)
+			if _, err := m.Open(now, tok2, tokenCtx(addr, id)); !errors.Is(err, tc.want) {
+				t.Fatalf("Open = %v, want %v", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestTokenLazyRotation checks that the mint path rotates on schedule
-// without an explicit Rotate call and that tokens from just before the
-// rotation edge stay valid under the previous key for a full lifetime.
-func TestTokenLazyRotation(t *testing.T) {
-	m := NewTokenMinter(10 * time.Second)
-	old := m.Mint(5, tokAddr, 1, nil)
-	// A mint past the key's lifetime rotates first: the two tokens now
-	// carry different key IDs.
-	fresh := m.Mint(15, tokAddr, 1, nil)
-	if old[0] == fresh[0] {
-		t.Fatalf("key did not rotate: both tokens carry key id %d", old[0])
-	}
-	if err := m.Validate(15, tokAddr, 1, old); err != nil {
-		t.Fatalf("pre-rotation token rejected under previous key: %v", err)
-	}
-	if err := m.Validate(16, tokAddr, 1, old); !errors.Is(err, ErrTokenExpired) {
-		t.Fatalf("token outlived its lifetime: %v", err)
-	}
-	if err := m.Validate(15, tokAddr, 1, fresh); err != nil {
-		t.Fatalf("fresh token rejected: %v", err)
-	}
-}
-
-// TestTokenIPv6 pins that v6 addresses bind like v4 ones (both travel
-// through the 16-byte mapped form).
-func TestTokenIPv6(t *testing.T) {
-	m := NewTokenMinter(10 * time.Second)
-	tok := m.Mint(0, tokAddr6, 9, nil)
-	if err := m.Validate(0, tokAddr6, 9, tok); err != nil {
-		t.Fatalf("v6 token rejected: %v", err)
-	}
-	if err := m.Validate(0, netip.MustParseAddrPort("[2001:db8::8]:4433"), 9, tok); !errors.Is(err, ErrTokenMAC) {
-		t.Fatalf("v6 token accepted from wrong address: %v", err)
 	}
 }
 
 // TestTokenMintersIndependent pins that a token minted by one minter
 // never validates on another (fresh random keys per endpoint).
 func TestTokenMintersIndependent(t *testing.T) {
-	a := NewTokenMinter(10 * time.Second)
-	b := NewTokenMinter(10 * time.Second)
-	tok := a.Mint(0, tokAddr, 1, nil)
-	if err := b.Validate(0, tokAddr, 1, tok); err == nil {
+	a := qcrypto.NewMinter(10 * time.Second)
+	b := qcrypto.NewMinter(10 * time.Second)
+	tok := a.Mint(0, nil, tokenCtx(tokAddr, 1))
+	if _, err := b.Open(0, tok, tokenCtx(tokAddr, 1)); err == nil {
 		t.Fatal("token minted by one endpoint validated on another")
 	}
-}
-
-func TestRetryRoundTrip(t *testing.T) {
-	m := NewTokenMinter(10 * time.Second)
-	in := Retry{Token: m.Mint(0, tokAddr, 7, nil), RetryAfterMS: 750}
-	enc, err := in.AppendTo(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Retry
-	if err := out.Parse(enc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Token, in.Token) || out.RetryAfterMS != in.RetryAfterMS {
-		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, out)
-	}
-
-	// Token-less retries must not encode or decode.
-	var empty Retry
-	if _, err := empty.AppendTo(nil); err == nil {
-		t.Fatal("encoded a retry without a token")
-	}
-	if err := out.Parse([]byte{0}); err == nil {
-		t.Fatal("parsed a retry without a token")
-	}
-}
-
-// FuzzTokenValidate is the fuzz target for the token parser/validator —
-// attacker-controlled bytes on the unauthenticated path. Properties: no
-// input crashes Validate, and no input that differs from the minted
-// token in any byte (or arrives from the wrong address/cid) validates.
-func FuzzTokenValidate(f *testing.F) {
-	m := NewTokenMinter(10 * time.Second)
-	genuine := m.Mint(100, tokAddr, 42, nil)
-	f.Add(genuine, uint32(100), uint32(42))
-	f.Add([]byte{}, uint32(0), uint32(0))
-	f.Add(bytes.Repeat([]byte{0xff}, TokenLen), uint32(100), uint32(42))
-	mut := append([]byte(nil), genuine...)
-	mut[9] ^= 0x80
-	f.Add(mut, uint32(100), uint32(42))
-	f.Fuzz(func(t *testing.T, data []byte, nowSecs, cid uint32) {
-		err := m.Validate(nowSecs, tokAddr, cid, data)
-		if err == nil && !(bytes.Equal(data, genuine) && cid == 42) {
-			t.Fatalf("forged token validated: %x (now=%d cid=%d)", data, nowSecs, cid)
-		}
-		// Wrong-address replay of any accepted token must fail.
-		if err == nil {
-			if m.Validate(nowSecs, tokAddr6, cid, data) == nil {
-				t.Fatalf("token validated from the wrong address: %x", data)
-			}
-		}
-	})
-}
-
-// FuzzRetryParse checks that no input crashes the Retry TLV walker and
-// that everything that parses re-encodes and re-parses identically.
-func FuzzRetryParse(f *testing.F) {
-	m := NewTokenMinter(10 * time.Second)
-	r := Retry{Token: m.Mint(0, tokAddr, 1, nil), RetryAfterMS: 500}
-	enc, _ := r.AppendTo(nil)
-	f.Add(enc)
-	f.Add([]byte{1, 1, 1, 0xaa})
-	f.Add([]byte{2, 99, 0, 1, 3, 'a', 'b', 'c'})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var r Retry
-		if err := r.Parse(data); err != nil {
-			return
-		}
-		if len(r.Token) == 0 {
-			t.Fatal("retry parsed with no token")
-		}
-		re, err := r.AppendTo(nil)
-		if err != nil {
-			t.Fatalf("re-encode of parsed retry failed: %v", err)
-		}
-		var r2 Retry
-		if err := r2.Parse(re); err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if !bytes.Equal(r2.Token, r.Token) || r2.RetryAfterMS != r.RetryAfterMS {
-			t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", r, r2)
-		}
-	})
 }

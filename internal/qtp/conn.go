@@ -91,9 +91,6 @@ type Config struct {
 	// MaxBacklog caps bytes queued in Write before the transport pushes
 	// back (default 1 MiB).
 	MaxBacklog int
-	// UnreliableSkip is how long an unreliable-mode receiver holds a
-	// reordering gap before delivering around it (default 250 ms).
-	UnreliableSkip time.Duration
 	// SelfishLie, when > 1, makes a classic (receiver-loss) receiver
 	// misreport its feedback: the reported loss event rate is divided by
 	// this factor and X_recv multiplied by it. This models the selfish
@@ -109,8 +106,8 @@ type Config struct {
 	Encrypt bool
 	// Tickets, on an encrypted responder, mints session tickets into
 	// Accepts and redeems them for 0-RTT resumption. Drivers share one
-	// store across all connections of a listener.
-	Tickets *qcrypto.TicketStore
+	// minter across all connections of a listener.
+	Tickets *qcrypto.Minter
 	// Resume, on an encrypted initiator, arms 0-RTT: if its profile
 	// matches the proposal, the Connect carries the ticket and data is
 	// sealed under the early keys in the first flight.
@@ -237,9 +234,6 @@ func NewConn(cfg Config) *Conn {
 	}
 	if cfg.MaxBacklog == 0 {
 		cfg.MaxBacklog = 1 << 20
-	}
-	if cfg.UnreliableSkip == 0 {
-		cfg.UnreliableSkip = 250 * time.Millisecond
 	}
 	c := &Conn{cfg: cfg, state: StateIdle, nextSeq: cfg.StartSeq}
 	c.localID = cfg.LocalID

@@ -180,12 +180,12 @@ func (c *Conn) acceptCrypto(hs *packet.Handshake, connectPayload []byte) error {
 	}
 	ahs.KeyShare = priv.PublicKey().Bytes()
 
-	// 0-RTT redemption: the ticket must open under the store's keys and
+	// 0-RTT redemption: the ticket must open under the minter's keys and
 	// must have been minted for the profile this handshake negotiated —
 	// the early keys assume that machine composition.
 	if len(hs.Ticket) > 0 && c.cfg.Tickets != nil {
 		c.cr.earlyOffered = true
-		secret, tkProfile, err := c.cfg.Tickets.Open(c.cfg.Tickets.NowSecs(), hs.Ticket)
+		secret, tkProfile, err := qcrypto.OpenTicket(c.cfg.Tickets, hs.Ticket)
 		if err == nil && bytes.Equal(tkProfile, profile) {
 			c.cr.sess.SetRecvKeys(qcrypto.Epoch0RTT, qcrypto.EarlyKeys(secret, connectHash))
 			c.cr.earlyAccepted = true
@@ -199,7 +199,7 @@ func (c *Conn) acceptCrypto(hs *packet.Handshake, connectPayload []byte) error {
 	// exist yet.
 	if c.cfg.Tickets != nil {
 		secret := qcrypto.ResumptionSecret(shared, connectHash)
-		if tk := c.cfg.Tickets.Mint(c.cfg.Tickets.NowSecs(), secret, profile); tk != nil {
+		if tk := qcrypto.MintTicket(c.cfg.Tickets, secret, profile); tk != nil {
 			ahs.Ticket = tk
 			c.cr.ticketIssued = true
 		}

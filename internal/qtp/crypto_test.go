@@ -12,9 +12,9 @@ import (
 )
 
 // newCryptoPair builds an encrypted initiator/responder pair sharing a
-// connection ID, the responder backed by the given ticket store and the
+// connection ID, the responder backed by the given ticket minter and the
 // initiator optionally armed with resumption state.
-func newCryptoPair(tickets *qcrypto.TicketStore, resume *qcrypto.Resumption) (cli, srv *Conn) {
+func newCryptoPair(tickets *qcrypto.Minter, resume *qcrypto.Resumption) (cli, srv *Conn) {
 	cli = NewConn(Config{
 		Initiator: true,
 		Profile:   core.QTPLightReliable(0),
@@ -75,7 +75,7 @@ func pollFlight(now time.Duration, c *Conn) [][]byte {
 // with key shares, data sealed both ways, a ticket minted by the server
 // and harvested (once) by the client.
 func TestEncryptedHandshake(t *testing.T) {
-	cli, srv := newCryptoPair(qcrypto.NewTicketStore(0), nil)
+	cli, srv := newCryptoPair(qcrypto.NewMinter(qcrypto.TicketLifetime), nil)
 	cli.Start(0)
 	msg := bytes.Repeat([]byte("secret!"), 64)
 	cli.Write(msg)
@@ -122,7 +122,7 @@ func TestEncryptedHandshake(t *testing.T) {
 // handshake delivers first data on the client's second flight, a
 // resumed one on its first.
 func TestZeroRTTOneFlightEarlier(t *testing.T) {
-	tickets := qcrypto.NewTicketStore(0)
+	tickets := qcrypto.NewMinter(qcrypto.TicketLifetime)
 
 	run := func(resume *qcrypto.Resumption) (flights int, cli, srv *Conn) {
 		cli, srv = newCryptoPair(tickets, resume)
@@ -227,11 +227,11 @@ func TestDowngradeStrippedKeyShare(t *testing.T) {
 }
 
 // TestZeroRTTRejection covers the resume paths that must fall back to a
-// cold 1-RTT handshake: a ticket the server cannot open (wrong store,
+// cold 1-RTT handshake: a ticket the server cannot open (wrong minter,
 // i.e. rotated away or another server) and an expired ticket. The
 // connection still establishes — only the early epoch is refused.
 func TestZeroRTTRejection(t *testing.T) {
-	mint := func(t *testing.T, tickets *qcrypto.TicketStore) *qcrypto.Resumption {
+	mint := func(t *testing.T, tickets *qcrypto.Minter) *qcrypto.Resumption {
 		t.Helper()
 		cli, srv := newCryptoPair(tickets, nil)
 		cli.Start(0)
@@ -252,13 +252,13 @@ func TestZeroRTTRejection(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		tickets func(t *testing.T) (minted, redeeming *qcrypto.TicketStore)
+		tickets func(t *testing.T) (minted, redeeming *qcrypto.Minter)
 	}{
-		{"wrong store", func(t *testing.T) (*qcrypto.TicketStore, *qcrypto.TicketStore) {
-			return qcrypto.NewTicketStore(0), qcrypto.NewTicketStore(0)
+		{"wrong store", func(t *testing.T) (*qcrypto.Minter, *qcrypto.Minter) {
+			return qcrypto.NewMinter(qcrypto.TicketLifetime), qcrypto.NewMinter(qcrypto.TicketLifetime)
 		}},
-		{"rotated twice", func(t *testing.T) (*qcrypto.TicketStore, *qcrypto.TicketStore) {
-			ts := qcrypto.NewTicketStore(0)
+		{"rotated twice", func(t *testing.T) (*qcrypto.Minter, *qcrypto.Minter) {
+			ts := qcrypto.NewMinter(qcrypto.TicketLifetime)
 			return ts, ts // rotated below, after minting
 		}},
 	}
@@ -316,7 +316,7 @@ func TestZeroRTTRejection(t *testing.T) {
 // changes the Connect payload, so early keys must re-derive — data
 // sealed after the Retry opens under keys bound to the new payload.
 func TestRetryRebindsZeroRTT(t *testing.T) {
-	tickets := qcrypto.NewTicketStore(0)
+	tickets := qcrypto.NewMinter(qcrypto.TicketLifetime)
 	// Mint a resumption via a plain exchange.
 	cli0, srv0 := newCryptoPair(tickets, nil)
 	cli0.Start(0)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/packet"
-	"repro/internal/seqspace"
 )
 
 // HandleFrame processes one inbound datagram. Decode errors are counted
@@ -304,9 +303,8 @@ func (c *Conn) onFeedback(now time.Duration, hdr *packet.Header, payload []byte)
 	c.rc.OnFeedback(now, core.Feedback{
 		XRecv: float64(f.XRecv), P: f.LossRate, RTTSample: sample,
 	})
-	ranges := blocksToRanges(f.Blocks, &c.blockBuf)
-	c.rc.OnAckVector(now, f.CumAck, ranges, sample)
-	c.onStreamAcks(now, f.CumAck, ranges, f.Streams)
+	c.rc.OnAckVector(now, f.CumAck, f.Blocks, sample)
+	c.onStreamAcks(now, f.CumAck, f.Blocks, f.Streams)
 	return nil
 }
 
@@ -334,7 +332,7 @@ func (c *Conn) onSACK(now time.Duration, hdr *packet.Header, payload []byte) err
 	}
 	s := &c.sackBuf
 	sample := rttSample(now, hdr.TSEcho, s.ElapsedUS)
-	ranges := blocksToRanges(s.Blocks, &c.blockBuf)
+	ranges := s.Blocks
 
 	rtt := c.rc.RTT()
 	if rtt == 0 {
@@ -381,15 +379,4 @@ func (c *Conn) onCloseAck() error {
 	c.state = StateClosed
 	c.ctrlPending = 0
 	return nil
-}
-
-// blocksToRanges converts wire SACK blocks to sequence ranges, reusing
-// the provided buffer.
-func blocksToRanges(blocks []packet.SACKBlock, buf *[]seqspace.Range) []seqspace.Range {
-	out := (*buf)[:0]
-	for _, b := range blocks {
-		out = append(out, seqspace.Range{Lo: b.Lo, Hi: b.Hi})
-	}
-	*buf = out
-	return out
 }

@@ -252,9 +252,7 @@ func (c *Conn) buildFeedback(now time.Duration, dst []byte) []byte {
 		// unreliable profiles: the per-packet delivery samples come from
 		// diffing these blocks.
 		c.blockBuf = c.recvBlocks(c.blockBuf[:0], c.profile.SACKBlockBudget)
-		for _, r := range c.blockBuf {
-			fb.Blocks = append(fb.Blocks, packet.SACKBlock{Lo: r.Lo, Hi: r.Hi})
-		}
+		fb.Blocks = c.blockBuf
 	}
 	payload, _ := fb.AppendTo(c.scratch[:0])
 	c.scratch = payload
@@ -286,9 +284,7 @@ func (c *Conn) buildSACK(now time.Duration, dst []byte) []byte {
 		s.ElapsedUS = uint32((now - c.lastPeerTSAt) / time.Microsecond)
 	}
 	c.blockBuf = c.recvBlocks(c.blockBuf[:0], c.profile.SACKBlockBudget)
-	for _, r := range c.blockBuf {
-		s.Blocks = append(s.Blocks, packet.SACKBlock{Lo: r.Lo, Hi: r.Hi})
-	}
+	s.Blocks = c.blockBuf
 	payload, _ := s.AppendTo(c.scratch[:0])
 	c.scratch = payload
 

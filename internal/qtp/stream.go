@@ -246,6 +246,10 @@ func (rs *recvStream) onData(now time.Duration, seq seqspace.Seq, payload []byte
 // buffer is every arrival of the skip interval.
 const deliveryBound = 1 << 20
 
+// unreliableSkip is how long an unreliable profile's stream 0 holds a
+// reordering gap before delivering around it.
+const unreliableSkip = 250 * time.Millisecond
+
 // refuses reports whether an arrival of n bytes at stream sequence seq
 // would pass deliveryBound.
 func (rs *recvStream) refuses(seq seqspace.Seq, n int) bool {
@@ -308,7 +312,7 @@ func (t *connAckTracker) advanceFloor(floor seqspace.Seq) {
 // stream0Mode maps the negotiated connection profile onto stream 0's
 // delivery mode. An unreliable profile's stream 0 is ordered delivery
 // that skips: no scoreboard on the sender (sendStream.unreliable), a
-// hole held for Config.UnreliableSkip on the receiver.
+// hole held for unreliableSkip on the receiver.
 func (c *Conn) stream0Mode() (packet.StreamMode, time.Duration) {
 	if c.profile.Reliability == packet.ReliabilityPartial {
 		return packet.StreamExpiring, c.profile.Deadline
@@ -343,7 +347,7 @@ func (c *Conn) openRecvStream0() *recvStream {
 	rs := c.openRecvStream(0, mode, deadline, c.cfg.StartSeq)
 	rs.connSeq = true
 	if c.profile.Reliability == packet.ReliabilityNone {
-		rs.reasm.SkipAfter = c.cfg.UnreliableSkip
+		rs.reasm.SkipAfter = unreliableSkip
 	}
 	return rs
 }

@@ -1,6 +1,7 @@
 package qtpnet
 
 import (
+	"encoding/binary"
 	"math"
 	"net/netip"
 	"time"
@@ -15,6 +16,25 @@ import (
 // pushing a legitimate dialer past its bounded handshake attempts.
 const shedRetryAfterMS = 500
 
+// tokenLifetime is how long a Retry's source-address token stays
+// redeemable, and so the token minter's key rotation cadence: one
+// challenge round trip, with room for a slow or backed-off client.
+const tokenLifetime = 10 * time.Second
+
+// tokenContext is what a source-address token binds: the client's
+// address in its 16-byte mapped form, its port (big-endian) and the
+// connection ID it proposed. None of it travels in the token — the
+// validator rebuilds it from the datagram's actual source and the
+// Connect, so a token replayed from elsewhere or for another CID fails
+// its tag.
+func tokenContext(from netip.AddrPort, cid uint32) (ctx [16 + 2 + 4]byte) {
+	a := from.Addr().As16()
+	copy(ctx[:16], a[:])
+	binary.BigEndian.PutUint16(ctx[16:18], from.Port())
+	binary.BigEndian.PutUint32(ctx[18:], cid)
+	return ctx
+}
+
 // admitLocked decides what a first-contact Connect (one resolveLocked
 // found no handshake route for) gets: a responder connection, a
 // stateless Retry, or silence. The results are resolveLocked's. Callers
@@ -24,8 +44,8 @@ func (sh *shard) admitLocked(from netip.AddrPort, cid uint32, dgram []byte) (c *
 		return nil, false, false
 	}
 	// Stateless admission. Everything up to conn creation allocates
-	// nothing per client: a spoofed-source flood costs this endpoint one
-	// handshake parse and at most one HMAC per datagram.
+	// no state per client: a spoofed-source flood costs this endpoint one
+	// handshake parse and at most one AES-GCM tag per datagram.
 	var hdr packet.Header
 	payload, err := hdr.Parse(dgram)
 	if err != nil {
@@ -43,8 +63,9 @@ func (sh *shard) admitLocked(from netip.AddrPort, cid uint32, dgram []byte) (c *
 		return nil, false, false
 	}
 	validated := false
-	if len(hs.Token) > 0 && sh.ep.minter != nil {
-		if sh.ep.minter.Validate(sh.ep.minter.NowSecs(), from, cid, hs.Token) == nil {
+	if len(hs.Token) > 0 && sh.ep.tokens != nil {
+		ctx := tokenContext(from, cid)
+		if _, err := sh.ep.tokens.Open(sh.ep.tokens.NowSecs(), hs.Token, ctx[:]); err == nil {
 			validated = true
 		} else {
 			sh.tokenInvalid.Add(1)
@@ -119,11 +140,12 @@ func (sh *shard) takeAcceptTokenLocked() bool {
 // never amplify toward an unproven source, whatever the frame. Callers
 // hold sh.mu and owe the scheduler a flush once it is released.
 func (sh *shard) sendRetryLocked(from netip.AddrPort, cid uint32, connect *packet.Header, rxLen int, retryAfterMS uint32) {
-	if sh.ep.minter == nil {
+	if sh.ep.tokens == nil {
 		return
 	}
+	ctx := tokenContext(from, cid)
 	r := packet.Retry{
-		Token:        sh.ep.minter.Mint(sh.ep.minter.NowSecs(), from, cid, nil),
+		Token:        sh.ep.tokens.Mint(sh.ep.tokens.NowSecs(), nil, ctx[:]),
 		RetryAfterMS: retryAfterMS,
 	}
 	payload, err := r.AppendTo(nil)

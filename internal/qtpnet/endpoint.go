@@ -111,11 +111,12 @@ type EndpointConfig struct {
 	// changes may not edit, sets it (benchmark/README.md, "Entry points").
 	DisableUring bool
 	// RequireToken makes the endpoint challenge every token-less Connect
-	// with a stateless Retry carrying an HMAC source-address token,
+	// with a stateless Retry carrying a sealed source-address token,
 	// allocating no connection state until a Connect echoes a valid
 	// token. Off by default; even then the endpoint starts challenging
-	// on its own once the accept queue is half full (spending one HMAC
-	// per datagram beats spending a conn struct per spoofed source).
+	// on its own once the accept queue is half full (spending one
+	// AES-GCM tag per datagram beats spending a conn struct per spoofed
+	// source).
 	RequireToken bool
 	// AcceptRate, when positive, caps new responder creation at this
 	// many connections per second per shard via
@@ -346,9 +347,10 @@ const resumeCacheCap = 1024
 // trips off alone if the kernel refuses one of its sends (ShardStats).
 //
 // What is per-port rather than per-socket lives here, once: the accept
-// queue, the token minter and ticket store (the reuseport hash can move
-// a client between shards across its Retry round-trip, or between a
-// connection and its resumption, so both must validate port-wide), the
+// queue, the two blob minters for retry tokens and session tickets (the
+// reuseport hash can move a client between shards across its Retry
+// round-trip, or between a connection and its resumption, so both must
+// open port-wide), the
 // dialer's resumption cache, and the lifecycle.
 //
 // Frames are sealed into AEAD envelopes just before they reach the
@@ -360,11 +362,13 @@ type Endpoint struct {
 	cfg    EndpointConfig
 	shards []*shard
 
-	// minter mints/validates source-address tokens and tickets
+	// tokens mints/validates source-address tokens and tickets
 	// mints/redeems 0-RTT session tickets; both exist exactly when the
-	// endpoint accepts (encrypted, for tickets) inbound connections.
-	minter  *packet.TokenMinter
-	tickets *qcrypto.TicketStore
+	// endpoint accepts (encrypted, for tickets) inbound connections. Two
+	// minters, because the two lifetimes differ, and separate keys mean
+	// neither kind of blob ever opens as the other.
+	tokens  *qcrypto.Minter
+	tickets *qcrypto.Minter
 
 	acceptCh chan *Conn
 	dialRR   atomic.Uint32
@@ -397,9 +401,9 @@ func NewEndpoint(addr string, cfg EndpointConfig) (*Endpoint, error) {
 		done:     make(chan struct{}),
 	}
 	if cfg.AcceptInbound {
-		e.minter = packet.NewTokenMinter(0)
+		e.tokens = qcrypto.NewMinter(tokenLifetime)
 		if !cfg.DisableEncryption {
-			e.tickets = qcrypto.NewTicketStore(0)
+			e.tickets = qcrypto.NewMinter(qcrypto.TicketLifetime)
 		}
 	}
 	for i, pc := range socks {

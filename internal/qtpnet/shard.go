@@ -38,7 +38,7 @@ const handoffCap = 256
 // the batched data path, the send scheduler, the demux tables and the
 // timer heap of the connections it minted, and the one goroutine (loop)
 // that drives them. Shards share nothing on the per-datagram path; what
-// is per-port (accept queue, token minter, ticket store, resumption
+// is per-port (accept queue, token and ticket minters, resumption
 // cache, lifecycle) lives once on the Endpoint they point back to.
 type shard struct {
 	ep    *Endpoint
