@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/packet"
 	"repro/internal/seqspace"
 )
 
@@ -135,27 +136,98 @@ func TestPaceNoBurstAfterIdle(t *testing.T) {
 	})
 }
 
+// TestPaceQuantum: at 1 GB/s a full frame's interval is about 1 µs, so
+// the sender paces in quanta of q = min(⌊100 µs/ipi⌋, 64) frames. The
+// first poll after a write releases a whole quantum, NextWake reports
+// the schedule less the quantum's lead, a driver polling exactly there
+// is never late and keeps that lead one frame at a time, and a driver
+// that sleeps to the pacing boundary itself — a loop that parks between
+// wakes — sends one whole quantum per wake at exactly the rate.
+func TestPaceQuantum(t *testing.T) {
+	c, rc := pacedSender(core.ClassicTFRC())
+	rc.rate = 1e9
+	frame := c.profile.MSS + packet.HeaderLen
+	ipi := rc.InterPacketInterval(frame)
+	q := min(int(paceQuantum/ipi), paceQuantumFrames)
+	if q < 2 {
+		t.Fatalf("1 GB/s paces %v a frame: no quantum", ipi)
+	}
+	if got, want := c.paceAhead(), time.Duration(q-1)*ipi; got != want {
+		t.Fatalf("paceAhead = %v, want %d intervals of %v", got, q-1, ipi)
+	}
+
+	refill := make([]byte, 1<<20)
+	c.Write(refill)
+	if n, b := drain(c, 0); n != q || b != q*frame {
+		t.Fatalf("first poll after a 1 MiB write: %d frames, %d bytes; want a quantum of %d full frames", n, b, q)
+	}
+	now, ok := c.NextWake(0)
+	if want := c.nextSendAt - c.paceAhead(); !ok || now != want {
+		t.Fatalf("NextWake = %v, %v; want nextSendAt − paceAhead = %v", now, ok, want)
+	}
+	for sent := q; sent < 1000; {
+		c.Write(refill) // keep the backlog full: takes only what was sent
+		if n, _ := drain(c, now); n != 1 {
+			t.Fatalf("poll at NextWake %v sent %d frames, want 1", now, n)
+		}
+		sent++
+		if lead := sent - int(now/ipi); lead != q {
+			t.Fatalf("%d frames sent by %v: %d past the rate, want the quantum's %d", sent, now, lead, q)
+		}
+		now, _ = c.NextWake(now)
+	}
+	for i := 0; i < 100; i++ {
+		c.Write(refill)
+		if n, _ := drain(c, c.nextSendAt); n != q {
+			t.Fatalf("wake %d at the pacing boundary: %d frames, want a quantum of %d", i, n, q)
+		}
+	}
+}
+
+// TestPaceQuantumOffBelowRate: a sender slower than two frames a
+// quantum has no lead, so every rate a simulated path runs at — the
+// pace tests' 1 MB/s, sim_lossy's 8 MB/s bottleneck, the cc-matrix's
+// 12.5 MB/s — paces one frame per interval, as it always did; so does
+// 19 MB/s, where a quantum holds just one frame.
+func TestPaceQuantumOffBelowRate(t *testing.T) {
+	c, rc := pacedSender(core.ClassicTFRC())
+	for _, rate := range []float64{1e6, 8e6, 12.5e6, 19e6} {
+		rc.rate = rate
+		if a := c.paceAhead(); a != 0 {
+			t.Errorf("at %.3g B/s paceAhead = %v, want 0", rate, a)
+		}
+	}
+}
+
 // TestPaceLongRunRate drives a backlogged sender the way a real loop
 // does — sleep until NextWake, wake up late by a random amount — and
-// holds what it sends to the controller's rate plus one burst. While
-// every wake is less than a burst late, the credit also makes it reach
-// that rate: lateness costs no throughput.
+// holds what it sends to the controller's rate plus one burst and one
+// quantum. While every wake is less than a burst late, the credit also
+// makes it reach that rate: lateness costs no throughput.
 func TestPaceLongRunRate(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		maxLate  int // in pacing intervals
+		rate     float64 // bytes/s
+		maxLate  int     // in pacing intervals
 		fullRate bool
 	}{
-		{"late-within-a-burst", paceBurst - 1, true},
-		{"late-beyond-a-burst", 5 * paceBurst, false},
+		{"late-within-a-burst", 1e6, paceBurst - 1, true},
+		{"late-beyond-a-burst", 1e6, 5 * paceBurst, false},
+		{"in-quanta", 1e9, paceBurst - 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, rc := pacedSender(core.ClassicTFRC())
-			ipi := fullFrameIPI(t, c)
-			frame := int(rc.rate * ipi.Seconds())
+			rc.rate = tc.rate
+			frame := c.profile.MSS + packet.HeaderLen
+			ipi := rc.InterPacketInterval(frame)
+			q := 0 // frames in a quantum, none below its rate
+			if a := c.paceAhead(); a > 0 {
+				q = int(a/ipi) + 1
+			}
+			slack := float64((paceBurst + q) * frame)
 			rng := rand.New(rand.NewSource(7))
 			refill := make([]byte, 1<<20)
-			now, sent := time.Duration(0), frame
+			now, sent := time.Duration(0), 0
 			for i := 0; i < 20000; i++ {
 				c.Write(refill) // keep the backlog full: takes only what was sent
 				wake, ok := c.NextWake(now)
@@ -168,8 +240,8 @@ func TestPaceLongRunRate(t *testing.T) {
 			}
 			allowed := rc.rate * now.Seconds()
 			t.Logf("sent %d bytes in %v: %.3f of the pacing rate", sent, now, float64(sent)/allowed)
-			if float64(sent) > allowed+float64(paceBurst*frame) {
-				t.Errorf("sent %d bytes in %v, more than the rate's %.0f plus one burst", sent, now, allowed)
+			if float64(sent) > allowed+slack {
+				t.Errorf("sent %d bytes in %v, more than the rate's %.0f plus one burst and one quantum", sent, now, allowed)
 			}
 			if tc.fullRate && float64(sent) < allowed-float64(paceBurst*frame) {
 				t.Errorf("sent %d bytes in %v, short of the rate's %.0f by more than a burst", sent, now, allowed)

@@ -98,7 +98,7 @@ func (c *Conn) PollFrameAppend(now time.Duration, dst []byte) (frame []byte, ok 
 	// 3. Sender side: paced data. sendActive also admits a 0-RTT
 	// initiator still in Connecting, whose data rides the first flight
 	// sealed under the early keys.
-	if c.started && c.sendActive() && now >= c.nextSendAt {
+	if c.started && c.sendActive() && now+c.paceAhead() >= c.nextSendAt {
 		if f, ok := c.buildData(now, dst); ok {
 			return f, true
 		}
@@ -469,16 +469,47 @@ func (c *Conn) dataFrame(now time.Duration, dst []byte, s *sendStream,
 // times", bounded).
 const paceBurst = 16
 
+// A connection whose full-MSS frame interval is shorter than paceQuantum
+// paces in quanta: a due poll releases every frame whose send time falls
+// within the next q−1 intervals, q = min(⌊paceQuantum/ipi⌋,
+// paceQuantumFrames). This is the rule Linux TCP applies through TSO
+// autosizing: at a rate where one frame per wake-up would cost more in
+// loop rounds and send calls than the frame itself, a wake-up sends one
+// segment train instead. A quantum holds two frames only from one frame
+// per 50 µs up (28 MB/s at a 1,400-byte MSS); every simulated path paces
+// slower (sim_lossy's 8 MB/s is 178 µs a frame), so simulated runs never
+// see it. The frame cap is the kernel's UDP_MAX_SEGMENTS, the most one
+// GSO train carries.
+const (
+	paceQuantum       = 100 * time.Microsecond
+	paceQuantumFrames = 64
+)
+
+// paceAhead is how far ahead of its schedule a poll may send: (q−1)
+// full-MSS intervals, 0 below the quantum's rate.
+func (c *Conn) paceAhead() time.Duration {
+	ipi := c.rc.InterPacketInterval(c.profile.MSS + packet.HeaderLen)
+	if ipi <= 0 {
+		return 0
+	}
+	q := min(int(paceQuantum/ipi), paceQuantumFrames)
+	if q <= 1 {
+		return 0
+	}
+	return time.Duration(q-1) * ipi
+}
+
 // pace advances the pacing schedule by one frame's interval. While the
-// connection was pacing-limited the schedule keeps its own time, so a
-// poll L late sends min(⌊L/ipi⌋+1, paceBurst) frames at once instead of
-// one; after an idle, window-limited or retransmit-only spell it
-// restarts at now. A driver that polls exactly at NextWake is never late
-// and sees one frame per interval, as before.
+// connection was pacing-limited, or is running ahead of its schedule
+// inside a quantum, the schedule keeps its own time, so a poll L late
+// sends min(⌊L/ipi⌋+1, paceBurst) frames at once instead of one (plus
+// the quantum's lead) and a quantum cannot reset the clock; after an
+// idle, window-limited or retransmit-only spell it restarts at now. A
+// driver that polls exactly at NextWake is never late.
 func (c *Conn) pace(now time.Duration, wireSize int) {
 	ipi := c.rc.InterPacketInterval(wireSize)
 	from := now
-	if c.paceHeld {
+	if c.paceHeld || c.nextSendAt > now {
 		from = max(c.nextSendAt, now-(paceBurst-1)*ipi)
 	}
 	c.nextSendAt = from + ipi
@@ -552,13 +583,17 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 		}
 	}
 	if c.started && c.sendActive() {
+		// Data is due at the pacing boundary less the quantum's lead: a
+		// wake at the boundary itself would park the driver for up to a
+		// quantum, which an idle runtime oversleeps to its timer tick.
+		release := c.nextSendAt - c.paceAhead()
 		if c.sendWorkPending() && c.rc.CanSend() {
 			// Fresh data is due at the pacing boundary — but only while
 			// the controller's inflight cap admits it; a window-limited
 			// connection wakes on acknowledgments (the driver polls after
 			// HandleFrame) or the nofeedback deadline below, not on a
 			// timer that would poll to no effect.
-			merge(c.nextSendAt)
+			merge(release)
 		}
 		merge(c.rc.NoFeedbackDeadline())
 		rto := c.retxTimeout()
@@ -566,10 +601,7 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 			if t, bok := s.buf.NextTimeout(rto); bok {
 				// Retransmissions are paced like data: due no earlier
 				// than the pacing boundary.
-				if t < c.nextSendAt {
-					t = c.nextSendAt
-				}
-				merge(t)
+				merge(max(t, release))
 			}
 			if s.resetPending {
 				merge(s.resetDue)

@@ -51,6 +51,18 @@ type mmsgIO struct {
 	wiov []syscall.Iovec
 	wsa  []syscall.RawSockaddrInet6
 	wctl []ctlBuf
+
+	// The RawConn callbacks, m.recvmmsg and m.sendmmsg bound once so a
+	// call allocates no closure, and the inputs and results they carry:
+	// rn/rpark/rgot/rerr only on the shard's loop, wfrom/wn/wsent/werr
+	// only under the scheduler's flush token.
+	recv, send func(fd uintptr) bool
+	rn, rgot   int
+	rpark      bool
+	rerr       syscall.Errno
+	wfrom, wn  int
+	wsent      int
+	werr       syscall.Errno
 }
 
 // mmsghdr mirrors struct mmsghdr: a msghdr plus the kernel-reported
@@ -120,6 +132,7 @@ func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath, caps *p
 		wsa:  make([]syscall.RawSockaddrInet6, wn),
 		wctl: make([]ctlBuf, wn),
 	}
+	m.recv, m.send = m.recvmmsg, m.sendmmsg
 	caps.batch = true
 	if ceiling < DataPathMmsg {
 		m.probeOffload()
@@ -161,27 +174,14 @@ func (m *mmsgIO) readBatch(ms []ioMsg, park bool) (int, error) {
 			m.rhdr[i].hdr.SetControllen(len(m.rctl[i].b))
 		}
 	}
-	var got int
-	var operr error
-	err := m.rc.Read(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&m.rhdr[0])), uintptr(n), 0, 0, 0)
-		if e == syscall.EAGAIN {
-			return !park // not readable yet: park on the netpoller, or report the empty attempt
-		}
-		if e != 0 {
-			operr = os.NewSyscallError("recvmmsg", e)
-		} else {
-			got = int(r)
-		}
-		return true
-	})
-	if err != nil {
+	m.rn, m.rpark, m.rgot, m.rerr = n, park, 0, 0
+	if err := m.rc.Read(m.recv); err != nil {
 		return 0, err
 	}
-	if operr != nil {
-		return 0, operr
+	if m.rerr != 0 {
+		return 0, os.NewSyscallError("recvmmsg", m.rerr)
 	}
+	got := m.rgot
 	for i := 0; i < got; i++ {
 		ms[i].n = int(m.rhdr[i].n)
 		ms[i].addr = saToAddrPort(&m.rsa[i])
@@ -191,6 +191,47 @@ func (m *mmsgIO) readBatch(ms []ioMsg, park bool) (int, error) {
 		}
 	}
 	return got, nil
+}
+
+// recvmmsg is readBatch's RawConn callback: one recvmmsg over
+// m.rhdr[:m.rn] into m.rgot, or its errno into m.rerr.
+func (m *mmsgIO) recvmmsg(fd uintptr) bool {
+	r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&m.rhdr[0])), uintptr(m.rn), 0, 0, 0)
+	if e == syscall.EAGAIN {
+		return !m.rpark // not readable yet: park on the netpoller, or report the empty attempt
+	}
+	if e != 0 {
+		m.rerr = e
+	} else {
+		m.rgot = int(r)
+	}
+	return true
+}
+
+// sendmmsg is the send side's RawConn callback: one sendmmsg over
+// m.whdr[m.wfrom:m.wfrom+m.wn] into m.wsent, or its errno into m.werr.
+func (m *mmsgIO) sendmmsg(fd uintptr) bool {
+	r, _, e := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&m.whdr[m.wfrom])), uintptr(m.wn), 0, 0, 0)
+	if e == syscall.EAGAIN {
+		return false
+	}
+	if e != 0 {
+		m.werr = e
+	} else {
+		m.wsent = int(r)
+	}
+	return true
+}
+
+// writeMsgs sends m.whdr[from:from+n] with one sendmmsg, waiting out
+// EAGAIN on the netpoller, and returns how many messages the kernel took
+// and the call's errno.
+func (m *mmsgIO) writeMsgs(from, n int) (int, syscall.Errno, error) {
+	m.wfrom, m.wn, m.wsent, m.werr = from, n, 0, 0
+	err := m.rc.Write(m.send)
+	return m.wsent, m.werr, err
 }
 
 // parseGROSegSize walks a received control buffer for the UDP_GRO
@@ -275,21 +316,7 @@ func (m *mmsgIO) writeBatch(ms []ioMsg) (int, error) {
 		}
 		prep++
 	}
-	var sent int
-	var errno syscall.Errno
-	err := m.rc.Write(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&m.whdr[0])), uintptr(prep), 0, 0, 0)
-		if e == syscall.EAGAIN {
-			return false
-		}
-		if e != 0 {
-			errno = e
-		} else {
-			sent = int(r)
-		}
-		return true
-	})
+	sent, errno, err := m.writeMsgs(0, prep)
 	if err != nil {
 		return sent, err
 	}
@@ -337,21 +364,7 @@ func (m *mmsgIO) sendSegments(t *ioMsg) (int, error) {
 	}
 	done := 0
 	for done < nseg {
-		var sent int
-		var errno syscall.Errno
-		err := m.rc.Write(func(fd uintptr) bool {
-			r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&m.whdr[done])), uintptr(nseg-done), 0, 0, 0)
-			if e == syscall.EAGAIN {
-				return false
-			}
-			if e != 0 {
-				errno = e
-			} else {
-				sent = int(r)
-			}
-			return true
-		})
+		sent, errno, err := m.writeMsgs(done, nseg-done)
 		if err != nil {
 			return 0, err
 		}

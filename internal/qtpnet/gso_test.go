@@ -337,17 +337,22 @@ func TestGSOTrainOnWire(t *testing.T) {
 }
 
 // TestGSOSingleConnTrains is the batching one connection earns on its
-// own: 4 MiB at QTPAF(1e9), the bulk workloads' shape. The loop wakes
-// later than the pacing interval, and the frames the connection's
-// pacing credit owes leave in the same round — as segment trains where
-// the socket probed GSO in, as multi-datagram sendmmsg calls under
-// -datapath=mmsg. The portable rung sends one datagram a call whatever
-// the round holds.
+// own, in the bulk workloads' shape: QTPAF(1e9), 64 KiB blocks in a
+// closed loop (the next block is written once the server has read the
+// last). At that rate a full frame's pacing interval is about 1.4 µs,
+// so the connection paces in quanta: a due round releases every frame
+// the next 100 µs of its schedule holds, up to 64, and they leave
+// together — as one segment train where the socket probed GSO in, as one
+// multi-datagram sendmmsg call under -datapath=mmsg. The portable rung
+// sends one datagram a call whatever the round holds.
 //
-// How many frames a round owes depends on how late the runtime's timer
-// wakes the loop: run alone this read 7–15 segments a train, inside the
-// busier whole-suite binary as few as 3.7. The bound is what the parent
-// can never meet (one datagram a call, no trains), not a train size.
+// Each block restarts the schedule and opens a quantum, so a block's 47
+// frames leave as two trains (one train holds at most 65,000 bytes).
+// At least 16 segments a train is what pacing one frame per interval
+// never reached: there a train was what a late round owed, 6–8 in this
+// shape. (A writer that keeps the backlog full gets such lateness-sized
+// trains after its first quantum: each round tops the lead up by the
+// time the round took, and the loop never parks.)
 func TestGSOSingleConnTrains(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", core.Permissive(1e9))
 	if err != nil {
@@ -363,16 +368,15 @@ func TestGSOSingleConnTrains(t *testing.T) {
 		t.Skip("portable rung: one datagram per send call by construction")
 	}
 
-	const total = 4 << 20
-	got := make(chan int, 1)
+	const block, blocks = 64 << 10, 64
+	read := make(chan struct{}, blocks) // one token per block the server has read
 	go func() {
-		n := 0
-		defer func() { got <- n }()
 		conn, err := srv.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
+		n := 0
 		for !conn.Finished() {
 			chunk, ok := conn.Read(10 * time.Second)
 			if !ok {
@@ -380,6 +384,9 @@ func TestGSOSingleConnTrains(t *testing.T) {
 			}
 			n += len(chunk)
 			conn.Release(chunk)
+			for ; n >= block; n -= block {
+				read <- struct{}{}
+			}
 		}
 	}()
 	conn, err := client.Dial(srv.Addr().String(), core.QTPAF(1e9), 5*time.Second)
@@ -387,17 +394,22 @@ func TestGSOSingleConnTrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(make([]byte, total)); err != nil {
-		t.Fatal(err)
+	data := make([]byte, block)
+	for i := 0; i < blocks; i++ {
+		if _, err := conn.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-read:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("server did not read block %d", i)
+		}
 	}
 	conn.CloseSend()
 	select {
 	case <-conn.Done():
 	case <-time.After(30 * time.Second):
 		t.Fatal("transfer did not complete")
-	}
-	if n := <-got; n != total {
-		t.Fatalf("server read %d of %d bytes", n, total)
 	}
 
 	st := client.Stats()
@@ -408,5 +420,8 @@ func TestGSOSingleConnTrains(t *testing.T) {
 	}
 	if client.GSOEnabled() && 2*st.GsoSegs <= st.DatagramsOut {
 		t.Errorf("%d of %d datagrams left inside segment trains: want most", st.GsoSegs, st.DatagramsOut)
+	}
+	if client.GSOEnabled() && st.GsoSegs < 16*st.GsoTrains {
+		t.Errorf("%d segments in %d trains: want at least 16 a train", st.GsoSegs, st.GsoTrains)
 	}
 }

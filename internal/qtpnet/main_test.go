@@ -22,6 +22,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// raceEnabled reports a -race build (race_test.go sets it), whose
+// instrumentation allocates where the plain build does not.
+var raceEnabled bool
+
 // skipIfCleartext skips tests that assert encrypted-mode behavior when
 // the suite runs under -cleartext.
 func skipIfCleartext(t *testing.T) {
