@@ -184,17 +184,31 @@ func TestPaceQuantum(t *testing.T) {
 	}
 }
 
-// TestPaceQuantumOffBelowRate: a sender slower than two frames a
-// quantum has no lead, so every rate a simulated path runs at — the
-// pace tests' 1 MB/s, sim_lossy's 8 MB/s bottleneck, the cc-matrix's
-// 12.5 MB/s — paces one frame per interval, as it always did; so does
-// 19 MB/s, where a quantum holds just one frame.
+// TestPaceQuantumOffBelowRate: a sender paced slower than two full
+// frames a quantum (28.5 MB/s at the default MSS) has no lead and paces
+// one frame per interval, as it always did. The cases are the fastest
+// pacing rates the simulated controllers reach: TFRC paces at most twice
+// the receive rate, BBR at its gain times its bandwidth estimate. BBR's
+// Startup gain is the one that crosses the line, and sends 2-frame
+// quanta on the cc-matrix's 12.5 MB/s link.
 func TestPaceQuantumOffBelowRate(t *testing.T) {
 	c, rc := pacedSender(core.ClassicTFRC())
-	for _, rate := range []float64{1e6, 8e6, 12.5e6, 19e6} {
-		rc.rate = rate
-		if a := c.paceAhead(); a != 0 {
-			t.Errorf("at %.3g B/s paceAhead = %v, want 0", rate, a)
+	c.profile.MSS = core.DefaultMSS // the MSS of the simulated paths below
+	for _, tc := range []struct {
+		name string
+		rate float64 // bytes/s
+		q    int     // frames a quantum
+	}{
+		{"pace tests", 1e6, 1},
+		{"frame traces: TFRC at twice the 250 kB/s link", 2 * 250e3, 1},
+		{"sim_lossy: TFRC at twice the 12.5 MB/s link", 2 * 12.5e6, 1},
+		{"cc-matrix: BBR ProbeBW at 1.25 × 12.5 MB/s", 1.25 * 12.5e6, 1},
+		{"cc-matrix: BBR Startup at 2/ln 2 × 12.5 MB/s", 2 / math.Ln2 * 12.5e6, 2},
+	} {
+		rc.rate = tc.rate
+		ipi := rc.InterPacketInterval(core.DefaultMSS + packet.HeaderLen)
+		if got, want := c.paceAhead(), time.Duration(tc.q-1)*ipi; got != want {
+			t.Errorf("%s (%v a frame): paceAhead = %v, want %v", tc.name, ipi, got, want)
 		}
 	}
 }

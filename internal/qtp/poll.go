@@ -476,10 +476,15 @@ const paceBurst = 16
 // autosizing: at a rate where one frame per wake-up would cost more in
 // loop rounds and send calls than the frame itself, a wake-up sends one
 // segment train instead. A quantum holds two frames only from one frame
-// per 50 µs up (28 MB/s at a 1,400-byte MSS); every simulated path paces
-// slower (sim_lossy's 8 MB/s is 178 µs a frame), so simulated runs never
-// see it. The frame cap is the kernel's UDP_MAX_SEGMENTS, the most one
-// GSO train carries.
+// per 50 µs up: a pacing rate of 28.5 MB/s at the default 1,400-byte
+// MSS. TFRC paces at most twice the receive rate, so on the simulated
+// paths (the frame traces' 250 kB/s link, sim_lossy's 12.5 MB/s) it
+// never gets there. BBR does: in Startup it paces at 2/ln 2 times its
+// bandwidth estimate, 36 MB/s on the cc-matrix's 12.5 MB/s link, and
+// sends 2-frame quanta, one frame up to one 40 µs interval early. The
+// bottleneck queue absorbs that, and the cc-matrix table does not move.
+// The frame cap is the kernel's UDP_MAX_SEGMENTS, the most one GSO train
+// carries.
 const (
 	paceQuantum       = 100 * time.Microsecond
 	paceQuantumFrames = 64
@@ -588,8 +593,8 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 		// quantum, which an idle runtime oversleeps to its timer tick.
 		release := c.nextSendAt - c.paceAhead()
 		if c.sendWorkPending() && c.rc.CanSend() {
-			// Fresh data is due at the pacing boundary — but only while
-			// the controller's inflight cap admits it; a window-limited
+			// Fresh data is due at release — but only while the
+			// controller's inflight cap admits it; a window-limited
 			// connection wakes on acknowledgments (the driver polls after
 			// HandleFrame) or the nofeedback deadline below, not on a
 			// timer that would poll to no effect.
@@ -600,7 +605,7 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 		for _, s := range c.sendStreams {
 			if t, bok := s.buf.NextTimeout(rto); bok {
 				// Retransmissions are paced like data: due no earlier
-				// than the pacing boundary.
+				// than release.
 				merge(max(t, release))
 			}
 			if s.resetPending {

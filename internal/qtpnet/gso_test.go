@@ -337,91 +337,110 @@ func TestGSOTrainOnWire(t *testing.T) {
 }
 
 // TestGSOSingleConnTrains is the batching one connection earns on its
-// own, in the bulk workloads' shape: QTPAF(1e9), 64 KiB blocks in a
-// closed loop (the next block is written once the server has read the
-// last). At that rate a full frame's pacing interval is about 1.4 µs,
-// so the connection paces in quanta: a due round releases every frame
-// the next 100 µs of its schedule holds, up to 64, and they leave
-// together — as one segment train where the socket probed GSO in, as one
-// multi-datagram sendmmsg call under -datapath=mmsg. The portable rung
-// sends one datagram a call whatever the round holds.
+// own at QTPAF(1e9), where a full frame's pacing interval is about
+// 1.4 µs. Frames a round releases together leave together: as segment
+// trains where the socket probed GSO in, as multi-datagram sendmmsg
+// calls under -datapath=mmsg. The portable rung sends one datagram a
+// call whatever the round holds.
 //
-// Each block restarts the schedule and opens a quantum, so a block's 47
-// frames leave as two trains (one train holds at most 65,000 bytes).
-// At least 16 segments a train is what pacing one frame per interval
-// never reached: there a train was what a late round owed, 6–8 in this
-// shape. (A writer that keeps the backlog full gets such lateness-sized
-// trains after its first quantum: each round tops the lead up by the
-// time the round took, and the loop never parks.)
+// backlogged is one 4 MiB write, the check that a backlogged connection
+// batches at all. Before pacing in quanta it read 7–15 segments a train,
+// and as few as 3.7 inside a busy whole-suite binary. With quanta it
+// mostly reads 19–27, but a whole-suite run under -cleartext has read
+// 7.1. Its bound is what one frame per round can never meet, not a
+// train size.
+//
+// closed-loop is the bulk workloads' shape: 64 KiB blocks, the next
+// written once the server has read the last. Each block restarts the
+// schedule and opens a quantum (every frame the next 100 µs of the
+// schedule holds, up to 64), so a block's 47 frames leave as two trains
+// (one train holds at most 65,000 bytes). Pacing one frame per interval
+// read 8–9 a train here; a quantum makes it at least 16.
 func TestGSOSingleConnTrains(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0", core.Permissive(1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if !client.Capabilities().Batch {
-		t.Skip("portable rung: one datagram per send call by construction")
-	}
-
-	const block, blocks = 64 << 10, 64
-	read := make(chan struct{}, blocks) // one token per block the server has read
-	go func() {
-		conn, err := srv.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		n := 0
-		for !conn.Finished() {
-			chunk, ok := conn.Read(10 * time.Second)
-			if !ok {
-				return
+	for _, tc := range []struct {
+		name          string
+		block, blocks int
+		perTrain      int // least segments a train on a GSO socket; 0: most datagrams in trains
+	}{
+		{"backlogged", 4 << 20, 1, 0},
+		{"closed-loop", 64 << 10, 64, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := Listen("127.0.0.1:0", core.Permissive(1e9))
+			if err != nil {
+				t.Fatal(err)
 			}
-			n += len(chunk)
-			conn.Release(chunk)
-			for ; n >= block; n -= block {
-				read <- struct{}{}
+			defer srv.Close()
+			client, err := NewEndpoint("127.0.0.1:0", EndpointConfig{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	conn, err := client.Dial(srv.Addr().String(), core.QTPAF(1e9), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	data := make([]byte, block)
-	for i := 0; i < blocks; i++ {
-		if _, err := conn.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-read:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("server did not read block %d", i)
-		}
-	}
-	conn.CloseSend()
-	select {
-	case <-conn.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("transfer did not complete")
-	}
+			defer client.Close()
+			if !client.Capabilities().Batch {
+				t.Skip("portable rung: one datagram per send call by construction")
+			}
 
-	st := client.Stats()
-	t.Logf("client gso=%v: %d datagrams in %d send calls, %d trains carrying %d segments",
-		client.GSOEnabled(), st.DatagramsOut, st.SendBatches, st.GsoTrains, st.GsoSegs)
-	if st.DatagramsOut <= 2*st.SendBatches {
-		t.Errorf("%d datagrams in %d send calls: want more than 2 a call", st.DatagramsOut, st.SendBatches)
-	}
-	if client.GSOEnabled() && 2*st.GsoSegs <= st.DatagramsOut {
-		t.Errorf("%d of %d datagrams left inside segment trains: want most", st.GsoSegs, st.DatagramsOut)
-	}
-	if client.GSOEnabled() && st.GsoSegs < 16*st.GsoTrains {
-		t.Errorf("%d segments in %d trains: want at least 16 a train", st.GsoSegs, st.GsoTrains)
+			total := tc.block * tc.blocks
+			read := make(chan struct{}, tc.blocks) // one token per block the server has read
+			got := make(chan int, 1)
+			go func() {
+				n := 0
+				defer func() { got <- n }()
+				conn, err := srv.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				for done := 0; !conn.Finished(); {
+					chunk, ok := conn.Read(10 * time.Second)
+					if !ok {
+						return
+					}
+					n += len(chunk)
+					conn.Release(chunk)
+					for ; done < n/tc.block; done++ {
+						read <- struct{}{}
+					}
+				}
+			}()
+			conn, err := client.Dial(srv.Addr().String(), core.QTPAF(1e9), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			data := make([]byte, tc.block)
+			for i := 0; i < tc.blocks; i++ {
+				if _, err := conn.Write(data); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-read:
+				case <-time.After(30 * time.Second):
+					t.Fatalf("server did not read block %d", i)
+				}
+			}
+			conn.CloseSend()
+			select {
+			case <-conn.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatal("transfer did not complete")
+			}
+			if n := <-got; n != total {
+				t.Fatalf("server read %d of %d bytes", n, total)
+			}
+
+			st := client.Stats()
+			t.Logf("client gso=%v: %d datagrams in %d send calls, %d trains carrying %d segments",
+				client.GSOEnabled(), st.DatagramsOut, st.SendBatches, st.GsoTrains, st.GsoSegs)
+			if st.DatagramsOut <= 2*st.SendBatches {
+				t.Errorf("%d datagrams in %d send calls: want more than 2 a call", st.DatagramsOut, st.SendBatches)
+			}
+			if client.GSOEnabled() && 2*st.GsoSegs <= st.DatagramsOut {
+				t.Errorf("%d of %d datagrams left inside segment trains: want most", st.GsoSegs, st.DatagramsOut)
+			}
+			if client.GSOEnabled() && st.GsoSegs < uint64(tc.perTrain)*st.GsoTrains {
+				t.Errorf("%d segments in %d trains: want at least %d a train", st.GsoSegs, st.GsoTrains, tc.perTrain)
+			}
+		})
 	}
 }
