@@ -91,10 +91,6 @@ const (
 	// initialCwndSegs seeds the cap before any bandwidth estimate
 	// exists (RFC 6928's initial window spirit).
 	initialCwndSegs = 10
-	// dupThresh is the duplicate-SACK threshold for declaring a packet
-	// lost, matching the reliability scoreboard's retransmission rule so
-	// both views of the wire agree.
-	dupThresh = 3
 )
 
 // probeBWGains is the ProbeBW pacing-gain cycle: probe, drain, cruise.
@@ -253,8 +249,8 @@ func (c *Controller) record(seq seqspace.Seq) *sentRecord {
 // OnAckVector diffs one acknowledgment vector against the send ring.
 // First every record below cum or inside one of ranges is acknowledged,
 // lowest seq first; then, from the top down, every unacknowledged record
-// with dupThresh acknowledged records above it is declared lost. rtt is
-// the frame's timestamp-echo sample (0 if none). A packet the ring
+// with seqspace.DupThresh acknowledged records above it is declared lost.
+// rtt is the frame's timestamp-echo sample (0 if none). A packet the ring
 // already wrote off and pruned is not credited when its ack arrives late.
 func (c *Controller) OnAckVector(now time.Duration, cum seqspace.Seq, ranges []seqspace.Range, rtt time.Duration) {
 	for i := range c.ring {
@@ -267,7 +263,7 @@ func (c *Controller) OnAckVector(now time.Duration, cum seqspace.Seq, ranges []s
 	for i := len(c.ring) - 1; i >= 0; i-- {
 		if c.ring[i].flags&recAcked != 0 {
 			ackedAbove++
-		} else if ackedAbove >= dupThresh {
+		} else if ackedAbove >= seqspace.DupThresh {
 			c.lose(&c.ring[i])
 		}
 	}

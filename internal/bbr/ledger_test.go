@@ -59,7 +59,7 @@ func (t *refTracker) onAckVector(now time.Duration, cum seqspace.Seq, ranges []s
 			ackedAbove++
 			continue
 		}
-		if !t.recs[i].lost && ackedAbove >= dupThresh {
+		if !t.recs[i].lost && ackedAbove >= seqspace.DupThresh {
 			t.recs[i].lost = true
 			t.c.OnLost(now, t.base.Add(i), int(t.recs[i].size))
 		}

@@ -25,8 +25,10 @@ type Feedback = tfrc.FeedbackInfo
 //     per-packet keeps its own ledger of what it sent and diffs each
 //     vector against it. Sizes are wire bytes; sequence numbers are the
 //     connection-level space stamped in frame headers (retransmissions
-//     reuse their original number and are not re-reported). Controllers
-//     that do not sample per-packet (the TFRC family) ignore these.
+//     reuse their original number and are not re-reported). Classic TFRC
+//     ignores these; QTPlight's TFRC estimates loss from them and digests
+//     its own estimate once per RTT, so the connection never knows which
+//     end estimates loss.
 //
 //   - Report events: OnFeedback for each digested receiver report,
 //     OnNoFeedback when the feedback timer expires, SeedRTT for an RTT
@@ -34,14 +36,16 @@ type Feedback = tfrc.FeedbackInfo
 //
 //   - The pacing contract: PacingRate is the allowed sending rate in
 //     bytes/s, InterPacketInterval the gap it implies for a frame of a
-//     given size (the connection's own pacing schedule advances by it
-//     after each data frame — from the previous send time while the
-//     connection is pacing-limited, so a late driver sends the frames it
-//     slept through in a burst of at most 16, from now otherwise), and
-//     CanSend an optional
-//     inflight cap — a window-limited controller returns false
-//     while a full bottleneck-delay product is outstanding, and the
-//     connection holds fresh data until acknowledgments drain it.
+//     given size, and CanSend an optional inflight cap — a
+//     window-limited controller returns false while a full
+//     bottleneck-delay product is outstanding, and the connection holds
+//     fresh data until acknowledgments drain it. The connection's own
+//     pacing schedule advances by the gap after each data frame: from the
+//     previous send time while it is pacing-limited, so a late driver
+//     sends the frames it slept through in a burst of at most 16, from
+//     now otherwise. At two full frames per 100 µs or more it paces in
+//     quanta: a due poll releases every frame due in the next 100 µs, at
+//     most 64, back to back.
 //
 // Implementations: *tfrc.Sender, *gtfrc.Controller and
 // *bbr.Controller. Experiments may plug in fixed-rate controllers for

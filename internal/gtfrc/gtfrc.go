@@ -19,6 +19,7 @@ package gtfrc
 import (
 	"time"
 
+	"repro/internal/seqspace"
 	"repro/internal/tfrc"
 )
 
@@ -66,6 +67,14 @@ func (c *Controller) SeedRTT(now, sample time.Duration) {
 // emitted rate never drops under the reservation.
 func (c *Controller) OnFeedback(now time.Duration, fb tfrc.FeedbackInfo) {
 	c.Sender.OnFeedback(now, fb)
+	c.clamp()
+}
+
+// OnAckVector folds in an acknowledgment vector, then re-applies the
+// guarantee: on a sender that estimates loss itself (QTPlight's TFRC) the
+// vector may carry the once-per-RTT report that lowers X_TFRC.
+func (c *Controller) OnAckVector(now time.Duration, cum seqspace.Seq, ranges []seqspace.Range, rtt time.Duration) {
+	c.Sender.OnAckVector(now, cum, ranges, rtt)
 	c.clamp()
 }
 

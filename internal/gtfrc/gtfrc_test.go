@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/seqspace"
 	"repro/internal/tfrc"
 )
 
@@ -68,6 +69,47 @@ func TestNoFeedbackNeverBelowG(t *testing.T) {
 	}
 	if c.Rate() < 300_000 {
 		t.Fatalf("nofeedback drove rate to %v, below g", c.Rate())
+	}
+}
+
+// TestGTFRCClampsEstimatorReport covers gTFRC over QTPlight's TFRC,
+// whose reports arrive through OnAckVector rather than OnFeedback: a loss
+// pattern that drives a plain sender-loss TFRC well below g must leave
+// the gTFRC rate at g or above after every vector.
+func TestGTFRCClampsEstimatorReport(t *testing.T) {
+	const (
+		g   = 500_000.0
+		rtt = 50 * time.Millisecond
+	)
+	newSender := func() *tfrc.Sender {
+		est := tfrc.NewSenderEstimator(tfrc.EstimatorConfig{SegmentSize: 1000})
+		s := tfrc.NewSender(tfrc.SenderConfig{SegmentSize: 1000, Estimator: est})
+		s.Start(0)
+		s.SeedRTT(0, rtt)
+		return s
+	}
+	plain, c := newSender(), New(newSender(), g)
+	c.Start(0)
+	c.SeedRTT(0, rtt)
+	var got seqspace.IntervalSet
+	var cum seqspace.Seq
+	for i := 0; i < 3000; i++ {
+		now := rtt + time.Duration(i)*time.Millisecond
+		plain.OnSent(now, seqspace.Seq(i), 1000)
+		c.OnSent(now, seqspace.Seq(i), 1000)
+		if i%5 != 0 { // one packet in five lost
+			got.AddSeq(seqspace.Seq(i))
+		}
+		cum = got.FirstMissingAfter(cum)
+		got.RemoveBefore(cum)
+		plain.OnAckVector(now, cum, got.Ranges(), rtt)
+		c.OnAckVector(now, cum, got.Ranges(), rtt)
+		if c.Rate() < g {
+			t.Fatalf("at %v the estimator's report drove gTFRC to %v, below g = %v", now, c.Rate(), g)
+		}
+	}
+	if plain.Rate() >= g/2 {
+		t.Fatalf("test premise broken: plain sender-loss TFRC at %v, not far below g", plain.Rate())
 	}
 }
 

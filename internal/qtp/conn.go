@@ -168,14 +168,12 @@ type Conn struct {
 	// Sender-side machines (nil on the receiving side).
 	rc         core.RateController
 	tfrcSnd    *tfrc.Sender
-	est        *tfrc.SenderEstimator
 	nextSeq    seqspace.Seq // next connection-level sequence number
 	nextSendAt time.Duration
 	// paceHeld records, at the last poll that had nothing to send, that
 	// only the pacing clock held fresh data back (see pace).
-	paceHeld   bool
-	lastReport time.Duration // light mode: last rate-machine update
-	started    bool
+	paceHeld bool
+	started  bool
 
 	// Receiver-side machines (nil on the sending side).
 	tfrcRecv     *tfrc.Receiver
@@ -314,11 +312,19 @@ func (c *Conn) buildMachines(now time.Duration) {
 		// transport-agnostic core.RateController contract. Every
 		// controller hears each first transmission and each ack vector;
 		// BBR is event-driven and diffs the vectors against its own send
-		// ring, the TFRC family ignores them.
+		// ring, QTPlight's TFRC estimates loss from them, classic TFRC
+		// ignores them.
 		if p.Congestion == packet.CongestionBBR {
 			c.rc = bbr.New(bbr.Config{MSS: p.MSS})
 		} else {
-			c.tfrcSnd = tfrc.NewSender(tfrc.SenderConfig{SegmentSize: p.MSS})
+			cfg := tfrc.SenderConfig{SegmentSize: p.MSS}
+			if p.Feedback == packet.FeedbackSenderLoss {
+				cfg.Estimator = tfrc.NewSenderEstimator(tfrc.EstimatorConfig{
+					SegmentSize: p.MSS,
+					WALIDepth:   p.WALIDepth,
+				})
+			}
+			c.tfrcSnd = tfrc.NewSender(cfg)
 			if p.TargetRate > 0 {
 				c.rc = gtfrc.New(c.tfrcSnd, p.TargetRate)
 			} else {
@@ -335,15 +341,6 @@ func (c *Conn) buildMachines(now time.Duration) {
 			// Prefixed, stream 0 counts in its own sequence space like
 			// every stream; unprefixed it keeps the connection's.
 			s0.nextSeq = c.streamStart()
-		}
-		if p.Feedback == packet.FeedbackSenderLoss && p.Congestion != packet.CongestionBBR {
-			// The sender-side loss estimator exists to feed the TFRC
-			// equation; BBR reads the same SACK vectors through its own
-			// send ring instead.
-			c.est = tfrc.NewSenderEstimator(tfrc.EstimatorConfig{
-				SegmentSize: p.MSS,
-				WALIDepth:   p.WALIDepth,
-			})
 		}
 		return
 	}
@@ -398,9 +395,10 @@ func (c *Conn) LossRate() float64 {
 	if b := c.BBR(); b != nil {
 		return b.LossRate()
 	}
+	if e := c.estimator(); e != nil {
+		return e.P()
+	}
 	switch {
-	case c.est != nil:
-		return c.est.P()
 	case c.tfrcSnd != nil:
 		return c.tfrcSnd.P()
 	case c.tfrcRecv != nil:
@@ -429,21 +427,30 @@ func (c *Conn) CloseSend() {
 	_ = c.CloseStream(0) // only a receiver has no stream 0 to close
 }
 
+// estimator returns QTPlight's sender-side loss estimator: nil on the
+// receiving side, under BBR, and when the receiver estimates loss.
+func (c *Conn) estimator() *tfrc.SenderEstimator {
+	if c.tfrcSnd == nil {
+		return nil
+	}
+	return c.tfrcSnd.Estimator()
+}
+
 // EstimatorOps returns the QTPlight sender estimator's operation count
 // (0 when sender-side estimation is not in use). E4 metric.
 func (c *Conn) EstimatorOps() int {
-	if c.est == nil {
-		return 0
+	if e := c.estimator(); e != nil {
+		return e.Ops
 	}
-	return c.est.Ops
+	return 0
 }
 
 // EstimatorStateBytes returns the sender estimator's memory footprint.
 func (c *Conn) EstimatorStateBytes() int {
-	if c.est == nil {
-		return 0
+	if e := c.estimator(); e != nil {
+		return e.StateBytes()
 	}
-	return c.est.StateBytes()
+	return 0
 }
 
 // TFRCReceiverOps returns the classic receiver's TFRC operation count

@@ -292,7 +292,10 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 }
 
 func (c *Conn) onFeedback(now time.Duration, hdr *packet.Header, payload []byte) error {
-	if c.rc == nil {
+	// A receiver report needs a sender that takes the receiver's word for
+	// X_recv and p. A QTPlight sender estimates both from what is
+	// acknowledged; taking a report would hand a selfish receiver the rate.
+	if c.rc == nil || c.profile.Feedback == packet.FeedbackSenderLoss {
 		return ErrBadState
 	}
 	if err := c.fbBuf.Parse(payload); err != nil {
@@ -322,9 +325,11 @@ func (c *Conn) lossGuard() time.Duration {
 }
 
 func (c *Conn) onSACK(now time.Duration, hdr *packet.Header, payload []byte) error {
-	// A bare SACK needs a sender-side consumer: the TFRC loss estimator
-	// (QTPlight), or a controller that reads ack vectors itself (BBR).
-	if c.rc == nil || (c.est == nil && c.profile.Congestion != packet.CongestionBBR) {
+	// A bare SACK needs a sender-side consumer: QTPlight's TFRC, which
+	// estimates loss from it, or a controller that reads ack vectors
+	// itself (BBR).
+	isBBR := c.profile.Congestion == packet.CongestionBBR
+	if c.rc == nil || (c.profile.Feedback != packet.FeedbackSenderLoss && !isBBR) {
 		return ErrBadState
 	}
 	if err := c.sackBuf.Parse(payload); err != nil {
@@ -332,36 +337,13 @@ func (c *Conn) onSACK(now time.Duration, hdr *packet.Header, payload []byte) err
 	}
 	s := &c.sackBuf
 	sample := rttSample(now, hdr.TSEcho, s.ElapsedUS)
-	ranges := s.Blocks
-
-	rtt := c.rc.RTT()
-	if rtt == 0 {
-		rtt = sample
-	}
-	c.rc.OnAckVector(now, s.CumAck, ranges, sample)
-	if c.est != nil {
-		c.est.OnAckVector(now, s.CumAck, ranges, rtt)
-	}
-	c.onStreamAcks(now, s.CumAck, ranges, s.Streams)
-	if c.est == nil {
+	c.rc.OnAckVector(now, s.CumAck, s.Blocks, sample)
+	c.onStreamAcks(now, s.CumAck, s.Blocks, s.Streams)
+	if isBBR {
 		// Event-driven controller: the ack events above did the work;
 		// report the RTT sample so the nofeedback deadline re-arms even
 		// on a vector with nothing newly covered.
 		c.rc.OnFeedback(now, core.Feedback{RTTSample: sample})
-		return nil
-	}
-	// Update the rate machine once per RTT, like classic feedback — but
-	// never from an empty window (duplicate SACKs carry no new bytes and
-	// would report X_recv = 0, freezing the rate at the floor).
-	cadence := rtt
-	if cadence <= 0 {
-		cadence = 10 * time.Millisecond
-	}
-	if c.est.PendingBytes() > 0 &&
-		(c.lastReport == 0 || now-c.lastReport >= cadence) {
-		xRecv, p := c.est.MakeReport(now)
-		c.rc.OnFeedback(now, core.Feedback{XRecv: xRecv, P: p, RTTSample: sample})
-		c.lastReport = now
 	}
 	return nil
 }

@@ -355,9 +355,6 @@ func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 	if !s.unreliable {
 		s.buf.AddStream(now, seq, conn, payload)
 	}
-	if c.est != nil {
-		c.est.OnSent(now, conn, len(payload)+packet.HeaderLen)
-	}
 	c.rc.OnSent(now, conn, len(payload)+packet.HeaderLen)
 	frame := c.dataFrame(now, dst, s, conn, seq, payload, false, fin)
 	c.stats.DataFramesSent++

@@ -412,6 +412,43 @@ func TestHandleFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLightSenderRefusesReceiverReports is the selfish-receiver attack
+// QTPlight closes (Georg & Gorinsky, experiment E6): a receiver that
+// forges classic reports claiming a huge X_recv and no loss. A classic
+// sender takes its word for the rate; a QTPlight sender estimates X_recv
+// and p from what is acknowledged, so it refuses the report and keeps
+// its rate.
+func TestLightSenderRefusesReceiverReports(t *testing.T) {
+	forged := func(now time.Duration) []byte {
+		payload, _ := (&packet.Feedback{XRecv: 1e9, LossRate: 0}).AppendTo(nil)
+		hdr := packet.Header{Type: packet.TypeFeedback, ConnID: 1, Timestamp: nowUS(now), PayloadLen: uint16(len(payload))}
+		return append(hdr.AppendTo(nil), payload...)
+	}
+	for _, tc := range []struct {
+		name    string
+		profile core.Profile
+		want    error
+	}{
+		{"classic", core.ClassicTFRC(), nil},
+		{"light", core.QTPLightReliable(0), ErrBadState},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewConn(Config{Initiator: true, Profile: tc.profile, ConnID: 1})
+			c.StartDirect(0, tc.profile, 50*time.Millisecond)
+			rate := c.Rate()
+			for i := 1; i <= 20; i++ {
+				now := time.Duration(i) * 50 * time.Millisecond
+				if err := c.HandleFrame(now, forged(now)); err != tc.want {
+					t.Fatalf("forged report %d: err = %v, want %v", i, err, tc.want)
+				}
+			}
+			if raised := c.Rate() > rate; raised != (tc.want == nil) {
+				t.Fatalf("20 forged reports took the rate from %v to %v", rate, c.Rate())
+			}
+		})
+	}
+}
+
 // TestLateCloseSendEmitsBareFIN is the regression for the stream-0
 // close stall: when CloseSend lands only after the backlog has fully
 // drained, the last data segment already left the wire without the FIN

@@ -170,7 +170,6 @@ type refSegment struct {
 
 type refSendBuffer struct {
 	Deadline, LossGuard time.Duration
-	DupThresh           int
 
 	segs    []refSegment
 	cumAck  seqspace.Seq
@@ -250,10 +249,7 @@ func (b *refSendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks [
 }
 
 func (b *refSendBuffer) markLost(now time.Duration) {
-	dt := b.DupThresh
-	if dt <= 0 {
-		dt = 3
-	}
+	dt := seqspace.DupThresh
 	sackedAbove := 0
 	for i := len(b.segs) - 1; i >= 0; i-- {
 		s := &b.segs[i]
@@ -358,7 +354,7 @@ func TestSendBufferDifferential(t *testing.T) {
 		// ack-beyond-the-flight cases live.
 		addBias := 3 + trial%5
 
-		real, ref := NewSendBuffer(deadline), &refSendBuffer{Deadline: deadline, DupThresh: 3}
+		real, ref := NewSendBuffer(deadline), &refSendBuffer{Deadline: deadline}
 		now := time.Duration(0)
 		next, nextConn := seq, conn // next numbers to add
 		started := false

@@ -74,9 +74,6 @@ type SendBuffer struct {
 	// Deadline, when non-zero, abandons segments older than this
 	// (partial reliability). Zero means full reliability.
 	Deadline time.Duration
-	// DupThresh is the number of SACKed segments above a hole that
-	// declare it lost (default 3). It is read at the first Add.
-	DupThresh int
 	// LossGuard, when non-zero, shields a retransmitted segment from
 	// being re-declared lost until this long after its last
 	// transmission: duplicate evidence that predates the retransmission
@@ -94,9 +91,10 @@ type SendBuffer struct {
 	due  []time.Duration
 	head seqspace.Seq
 	n    int
-	// top holds the DupThresh highest SACKed sequence numbers still in
-	// the flight, ascending: with all of them known, every unresolved
-	// segment below top[0] has DupThresh SACKed segments above it.
+	// top holds the seqspace.DupThresh highest SACKed sequence numbers
+	// still in the flight, ascending: with all of them known, every
+	// unresolved segment below top[0] has DupThresh SACKed segments above
+	// it.
 	top []seqspace.Seq
 
 	cumAck seqspace.Seq
@@ -110,7 +108,7 @@ type SendBuffer struct {
 // NewSendBuffer returns a scoreboard. deadline == 0 selects full
 // reliability.
 func NewSendBuffer(deadline time.Duration) *SendBuffer {
-	return &SendBuffer{Deadline: deadline, DupThresh: 3}
+	return &SendBuffer{Deadline: deadline}
 }
 
 // Add registers the first transmission of a segment. Segments must be
@@ -129,9 +127,6 @@ func (b *SendBuffer) Add(now time.Duration, seq seqspace.Seq, payload []byte) {
 func (b *SendBuffer) AddStream(now time.Duration, seq, conn seqspace.Seq, payload []byte) {
 	if b.ring == nil { // first Add
 		b.cumAck, b.head = seq, seq
-		if b.DupThresh <= 0 {
-			b.DupThresh = 3
-		}
 	} else if seq != b.head.Add(b.n) {
 		panic("sack: Add out of order")
 	}
@@ -251,7 +246,7 @@ func (b *SendBuffer) mark(lo, hi seqspace.Seq) (newly int) {
 		for i := len(b.top) - 1; i > 0 && q.Less(b.top[i-1]); i-- {
 			b.top[i], b.top[i-1] = b.top[i-1], q
 		}
-		if len(b.top) > b.DupThresh {
+		if len(b.top) > seqspace.DupThresh {
 			b.top = b.top[:copy(b.top, b.top[1:])]
 		}
 	}
@@ -309,11 +304,11 @@ func (b *SendBuffer) connRank(c seqspace.Seq) int {
 }
 
 // markLost applies the dup-threshold rule: a segment is lost once
-// DupThresh segments above it are SACKed. Segments retransmitted within
-// LossGuard of now are left alone — see the field comment. The loop
+// seqspace.DupThresh segments above it are SACKed. Segments retransmitted
+// within LossGuard of now are left alone — see the field comment. The loop
 // visits only the holes of the acknowledged span, one descent each.
 func (b *SendBuffer) markLost(now time.Duration) {
-	if len(b.top) < max(1, b.DupThresh) {
+	if len(b.top) < seqspace.DupThresh {
 		return
 	}
 	for q, ok := b.firstUnresolved(); ok && q.Less(b.top[0]); q, ok = b.next(q.Next(), keyResolved-1) {

@@ -27,6 +27,13 @@ type Seq uint32
 // half is the comparison horizon of the circular space.
 const half = 1 << 31
 
+// DupThresh is the duplicate threshold of every loss detector here (RFC
+// 3448 §5.1, RFC 6675's DupThresh): a packet is lost once this many
+// packets with higher sequence numbers are covered. The TFRC loss
+// histories, the SACK scoreboard and BBR all read it, so the views of
+// the wire agree.
+const DupThresh = 3
+
 // Add returns s advanced by n, wrapping modulo 2^32.
 func (s Seq) Add(n int) Seq {
 	return Seq(uint32(s) + uint32(int32(n)))

@@ -28,6 +28,10 @@ type SenderConfig struct {
 	// MinRate floors the sending rate, in bytes/s. Defaults to one
 	// segment per TMBI, the RFC minimum.
 	MinRate float64
+	// Estimator, when set, makes this a QTPlight sender: the rate machine
+	// is fed by the sender-side loss estimator, from the per-packet
+	// events, instead of by receiver reports.
+	Estimator *SenderEstimator
 }
 
 // Sender is the RFC 3448 §4 sender: it turns receiver reports into an
@@ -53,7 +57,8 @@ type Sender struct {
 	// level it can only escape one doubling per round trip.
 	xRecvSet [3]float64
 
-	started bool
+	lastReport time.Duration // last estimator report (QTPlight only)
+	started    bool
 }
 
 // NewSender returns a sender in its initial state: one segment per
@@ -170,11 +175,47 @@ func (s *Sender) PacingRate() float64 { return s.x }
 // window-limited.
 func (s *Sender) CanSend() bool { return true }
 
-// OnSent and OnAckVector are core.RateController's per-packet events,
-// ignored here: the equation needs only the receiver's digest, which
-// arrives through OnFeedback.
-func (s *Sender) OnSent(time.Duration, seqspace.Seq, int)                                  {}
-func (s *Sender) OnAckVector(time.Duration, seqspace.Seq, []seqspace.Range, time.Duration) {}
+// OnSent is core.RateController's per-packet send event. Classic TFRC
+// ignores it; a QTPlight sender records the transmission in its
+// estimator.
+func (s *Sender) OnSent(now time.Duration, seq seqspace.Seq, size int) {
+	if e := s.cfg.Estimator; e != nil {
+		e.OnSent(now, seq, size)
+	}
+}
+
+// OnAckVector is core.RateController's per-packet ack event. Classic
+// TFRC ignores it: the equation needs only the receiver's digest, which
+// arrives through OnFeedback. A QTPlight sender folds the vector into its
+// estimator and digests the estimate itself once per RTT, as the
+// receiver would report it. sample is the vector's fresh RTT sample, 0
+// if none.
+func (s *Sender) OnAckVector(now time.Duration, cum seqspace.Seq, ranges []seqspace.Range, sample time.Duration) {
+	e := s.cfg.Estimator
+	if e == nil {
+		return
+	}
+	rtt := s.RTT()
+	if rtt == 0 {
+		rtt = sample
+	}
+	e.OnAckVector(now, cum, ranges, rtt)
+	// Never report an empty window: duplicate SACKs carry no new bytes and
+	// would report X_recv = 0, freezing the rate at the floor.
+	cadence := rtt
+	if cadence <= 0 {
+		cadence = 10 * time.Millisecond
+	}
+	if e.PendingBytes() > 0 && (s.lastReport == 0 || now-s.lastReport >= cadence) {
+		xRecv, p := e.MakeReport(now)
+		s.OnFeedback(now, FeedbackInfo{XRecv: xRecv, P: p, RTTSample: sample})
+		s.lastReport = now
+	}
+}
+
+// Estimator returns the sender-side loss estimator, nil on a classic
+// sender.
+func (s *Sender) Estimator() *SenderEstimator { return s.cfg.Estimator }
 
 // SetRate overrides the allowed rate; used by rate controllers layered
 // on top of TFRC (gTFRC clamps X to the negotiated minimum).

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/seqspace"
 )
 
 func TestSenderInitialRate(t *testing.T) {
@@ -145,6 +147,89 @@ func TestSenderSetRateFloor(t *testing.T) {
 	if s.Rate() < floor-1e-9 {
 		t.Fatalf("SetRate ignored floor: %v", s.Rate())
 	}
+}
+
+// TestSenderEstimatorCadence pins QTPlight behind the rate-control seam.
+// With an estimator the sender digests its own loss estimate from the
+// per-packet events: at most once per RTT (a digest re-arms the
+// nofeedback deadline, so a moved deadline is a report) and never from a
+// window that acknowledged nothing new. Without one, the per-packet
+// events change nothing.
+func TestSenderEstimatorCadence(t *testing.T) {
+	const rtt = 50 * time.Millisecond
+	type view struct {
+		rate, p, xRecv float64
+		rtt, deadline  time.Duration
+	}
+	look := func(s *Sender) view { return view{s.Rate(), s.P(), s.XRecv(), s.RTT(), s.NoFeedbackDeadline()} }
+	// drive sends a packet a millisecond, loses one in 50 and sends an ack
+	// vector after each, calling step on the views around it.
+	drive := func(s *Sender, step func(now time.Duration, before, after view)) (cum seqspace.Seq, blocks []seqspace.Range) {
+		var got seqspace.IntervalSet
+		for i := 0; i < 2000; i++ {
+			now := rtt + time.Duration(i)*time.Millisecond
+			s.OnSent(now, seqspace.Seq(i), 1000)
+			if i%50 != 7 {
+				got.AddSeq(seqspace.Seq(i))
+			}
+			cum = got.FirstMissingAfter(cum)
+			got.RemoveBefore(cum)
+			blocks = got.Ranges()
+			before := look(s)
+			s.OnAckVector(now, cum, blocks, rtt)
+			step(now, before, look(s))
+		}
+		return cum, blocks
+	}
+
+	t.Run("estimator", func(t *testing.T) {
+		s := NewSender(SenderConfig{SegmentSize: 1000, Estimator: NewSenderEstimator(EstimatorConfig{SegmentSize: 1000})})
+		s.Start(0)
+		s.SeedRTT(0, rtt)
+		last, reports := time.Duration(-1), 0
+		cum, blocks := drive(s, func(now time.Duration, before, after view) {
+			if after.deadline == before.deadline {
+				if after != before {
+					t.Fatalf("at %v the rate machine moved without a report: %+v -> %+v", now, before, after)
+				}
+				return
+			}
+			if last >= 0 && now-last < before.rtt {
+				t.Fatalf("reports at %v and %v, under one RTT (%v) apart", last, now, before.rtt)
+			}
+			last, reports = now, reports+1
+		})
+		if reports < 2000/100 || s.P() == 0 {
+			t.Fatalf("%d reports in 2 s at a 50 ms RTT, p = %v: the estimator did not drive the rate", reports, s.P())
+		}
+		// The last vector again, one RTT on: it reports what the window
+		// holds. Once more, another RTT on: the cadence allows a report,
+		// the empty window does not.
+		before := look(s)
+		s.OnAckVector(last+rtt, cum, blocks, rtt)
+		if after := look(s); after.deadline == before.deadline {
+			t.Fatalf("no report of a full window one RTT after the last: %+v", after)
+		}
+		before = look(s)
+		s.OnAckVector(last+2*rtt, cum, blocks, rtt)
+		if after := look(s); after != before {
+			t.Fatalf("a vector with nothing new moved the rate machine: %+v -> %+v", before, after)
+		}
+	})
+
+	t.Run("classic", func(t *testing.T) {
+		s := NewSender(SenderConfig{SegmentSize: 1000})
+		s.Start(0)
+		s.SeedRTT(0, rtt)
+		drive(s, func(now time.Duration, before, after view) {
+			if after != before {
+				t.Fatalf("at %v a per-packet event moved a classic sender: %+v -> %+v", now, before, after)
+			}
+		})
+		if s.Estimator() != nil {
+			t.Fatal("a classic sender has an estimator")
+		}
+	})
 }
 
 func TestSenderPanicsWithoutSegment(t *testing.T) {

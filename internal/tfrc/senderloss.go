@@ -7,15 +7,7 @@ import (
 )
 
 // EstimatorConfig configures the QTPlight sender-side loss estimator.
-type EstimatorConfig struct {
-	// SegmentSize s in bytes, for history seeding. Required.
-	SegmentSize int
-	// WALIDepth is the loss-interval history depth (default 8).
-	WALIDepth int
-	// DupThresh is the number of higher-sequence SACKed packets that
-	// declare a hole lost (default 3).
-	DupThresh int
-}
+type EstimatorConfig = LossConfig
 
 // SenderEstimator reconstructs the TFRC loss event rate and receive rate
 // at the *sender* from bare SACK feedback — the paper's §3 proposal.
@@ -30,46 +22,20 @@ type EstimatorConfig struct {
 // receiver can still lie by acknowledging packets it never got, but then
 // it must reconstruct data it does not have — lying is no longer free.
 type SenderEstimator struct {
-	cfg EstimatorConfig
+	lossHistory // its rate window counts bytes newly acknowledged
 
-	acked   seqspace.IntervalSet // first-transmission seqs acknowledged, trimmed below min(scanner.cursor, cum)
-	cum     seqspace.Seq         // highest cumulative ack seen
-	scanner *holeScanner
-	wali    *LossIntervals
+	acked seqspace.IntervalSet // first-transmission seqs acknowledged, trimmed below min(scanner.cursor, cum)
+	cum   seqspace.Seq         // highest cumulative ack seen
 
 	sendTimes timeRing
 	started   bool
 	nextSeq   seqspace.Seq // next first-transmission sequence number
-
-	haveEvent     bool
-	eventStart    seqspace.Seq
-	eventSendTime time.Duration
-
-	// Receive-rate window: bytes newly acknowledged since last report.
-	windowBytes int
-	windowStart time.Duration
-	gapBuf      []seqspace.Range
-
-	// Ops counts processing operations (E4 metric, sender side).
-	Ops int
+	gapBuf    []seqspace.Range
 }
 
 // NewSenderEstimator returns a QTPlight estimator.
 func NewSenderEstimator(cfg EstimatorConfig) *SenderEstimator {
-	if cfg.SegmentSize <= 0 {
-		panic("tfrc: SegmentSize required")
-	}
-	if cfg.WALIDepth == 0 {
-		cfg.WALIDepth = DefaultWALIDepth
-	}
-	if cfg.DupThresh == 0 {
-		cfg.DupThresh = 3
-	}
-	return &SenderEstimator{
-		cfg:     cfg,
-		scanner: newHoleScanner(cfg.DupThresh),
-		wali:    NewLossIntervals(cfg.WALIDepth),
-	}
+	return &SenderEstimator{lossHistory: newLossHistory(cfg)}
 }
 
 // OnSent records the first transmission of seq at time now with the
@@ -118,8 +84,13 @@ func (e *SenderEstimator) OnAckVector(now time.Duration, cumAck seqspace.Seq, bl
 	}
 	maxAcked := e.acked.Max().Prev()
 	e.scanner.scan(&e.acked, maxAcked, func(hole seqspace.Range) {
-		e.Ops += 2
-		e.onHole(now, hole, rtt)
+		// Exact send-time coalescing: packets sent within one RTT of the
+		// event start belong to the same congestion event.
+		sent, ok := e.sendTimes.at(hole.Lo)
+		if !ok {
+			sent = now - rtt // conservative fallback; should not happen
+		}
+		e.onHole(now, sent, hole, rtt, 0)
 	})
 	if e.haveEvent {
 		e.wali.SetOpen(float64(e.eventStart.Distance(maxAcked)))
@@ -152,59 +123,11 @@ func (e *SenderEstimator) ackRange(r seqspace.Range) {
 	e.acked.Add(r)
 }
 
-func (e *SenderEstimator) onHole(now time.Duration, hole seqspace.Range, rtt time.Duration) {
-	sent, ok := e.sendTimes.at(hole.Lo)
-	if !ok {
-		sent = now - rtt // conservative fallback; should not happen
-	}
-	if !e.haveEvent {
-		xRecv := e.currentRate(now)
-		if rtt <= 0 {
-			rtt = 100 * time.Millisecond
-		}
-		p := InvertThroughput(xRecv, e.cfg.SegmentSize, rtt)
-		e.wali.Seed(1 / p)
-		e.haveEvent = true
-		e.eventStart = hole.Lo
-		e.eventSendTime = sent
-		return
-	}
-	// Exact send-time coalescing: packets sent within one RTT of the
-	// event start belong to the same congestion event.
-	if sent-e.eventSendTime <= rtt {
-		return
-	}
-	e.wali.SetOpen(float64(e.eventStart.Distance(hole.Lo)))
-	e.wali.Close()
-	e.eventStart = hole.Lo
-	e.eventSendTime = sent
-}
-
-func (e *SenderEstimator) currentRate(now time.Duration) float64 {
-	el := now - e.windowStart
-	if el <= 0 {
-		return float64(e.windowBytes)
-	}
-	return float64(e.windowBytes) / el.Seconds()
-}
-
-// P returns the sender-side loss event rate estimate.
-func (e *SenderEstimator) P() float64 { return e.wali.P() }
-
-// PendingBytes returns the bytes newly acknowledged since the last
-// report. As with RFC 3448 receiver reports, an empty window must not
-// drive a rate update: it would report X_recv = 0 and freeze the sender
-// at the minimum rate.
-func (e *SenderEstimator) PendingBytes() int { return e.windowBytes }
-
 // MakeReport produces the (X_recv, p) pair the rate machine consumes,
 // resetting the rate window — the sender-side equivalent of the
 // receiver's feedback packet.
 func (e *SenderEstimator) MakeReport(now time.Duration) (xRecv float64, p float64) {
-	xRecv = e.currentRate(now)
-	e.windowBytes = 0
-	e.windowStart = now
-	return xRecv, e.wali.P()
+	return e.report(now, 0)
 }
 
 // StateBytes estimates the estimator's memory footprint — state that
