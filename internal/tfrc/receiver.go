@@ -32,8 +32,9 @@ func NewReceiver(cfg ReceiverConfig) *Receiver {
 // OnData processes one data packet arrival. senderRTT is the sender's
 // RTT estimate carried in the packet header (RFC 3448 §3.2.1), used to
 // coalesce losses into loss events. It reports whether feedback should
-// be sent immediately (first packet, or a new loss event began —
-// RFC 3448 §6.1 rules 1 and 2).
+// be sent immediately: on the first packet, when a new loss event began
+// (RFC 3448 §6.1 rules 1 and 2), or when feedbackFloor has held a report
+// back over feedbackBytes of arrivals.
 func (r *Receiver) OnData(now time.Duration, seq seqspace.Seq, size int, senderRTT time.Duration) bool {
 	r.Ops++
 	if senderRTT > 0 {
@@ -80,7 +81,8 @@ func (r *Receiver) OnData(now time.Duration, seq seqspace.Seq, size int, senderR
 		// Open interval: packets since the current event started.
 		r.wali.SetOpen(float64(r.eventStart.Distance(r.maxSeq)))
 	}
-	return newEvent
+	heldBack := r.senderRTT > 0 && r.senderRTT < feedbackFloor
+	return newEvent || heldBack && r.windowBytes >= feedbackBytes
 }
 
 // OnRetransmit accounts a retransmitted arrival: it contributes to the
@@ -96,14 +98,37 @@ func (r *Receiver) OnRetransmit(now time.Duration, size int) {
 	r.windowBytes += size
 }
 
+// feedbackFloor is δ, the shortest interval between two periodic
+// receiver reports. RFC 3448 §6.2 reports once per RTT, which on a
+// tens-of-µs loopback path is every fourth 256 B message: each report a
+// datagram with its own syscall, seal, wake-up, receive and open. QUIC
+// bounds the same cost with max_ack_delay (RFC 9000 §13.2.1). Against
+// once-per-RTT, five interleaved 4 s runs of a 256 B ping-pong over
+// loopback (2-vCPU Xeon) spent 20.8% less CPU per KiB at 250 µs, 21.9%
+// at 1 ms and 20.8% at 4 ms: past 250 µs there is nothing left to buy,
+// and 1 ms stays well under retxTimeout's 10 ms floor. Every simulated
+// path has an RTT of at least 20 ms, so the floor never applies there.
+// Urgent reports (the first packet, a new loss event) are not delayed.
+const feedbackFloor = time.Millisecond
+
+// feedbackBytes caps what the floor may hold a report back over. At
+// loopback rates 1 ms is hundreds of full frames, all held in the
+// sender's scoreboard until a report acknowledges them, and all resent
+// if a stall of the process lets the sender's 10 ms retransmission timer
+// fire first. A report at least every 256 KiB bounds that exposure near
+// what once-per-RTT left on a 64 KiB-block bulk transfer over loopback,
+// at two-thirds of its reports (0.0054 per data frame against 0.0082).
+const feedbackBytes = 256 << 10
+
 // FeedbackInterval returns how often periodic feedback is due: once per
-// RTT as estimated by the sender (RFC 3448 §6.2), defaulting to 100 ms
-// until the first data packet announces an RTT.
+// RTT as estimated by the sender (RFC 3448 §6.2), but no more often than
+// feedbackFloor, defaulting to 100 ms until the first data packet
+// announces an RTT.
 func (r *Receiver) FeedbackInterval() time.Duration {
 	if r.senderRTT <= 0 {
 		return 100 * time.Millisecond
 	}
-	return r.senderRTT
+	return max(r.senderRTT, feedbackFloor)
 }
 
 // MakeReport produces the (X_recv, p) pair for a feedback packet, the

@@ -163,9 +163,54 @@ func TestReceiverFeedbackInterval(t *testing.T) {
 	if r.FeedbackInterval() != 100*time.Millisecond {
 		t.Fatal("default feedback interval")
 	}
-	r.OnData(0, 0, 1000, 40*time.Millisecond)
-	if r.FeedbackInterval() != 40*time.Millisecond {
-		t.Fatal("feedback interval must track sender RTT")
+	// Once per announced RTT, but never more often than the floor.
+	for i, c := range []struct{ rtt, want time.Duration }{
+		{50 * time.Microsecond, feedbackFloor},
+		{999 * time.Microsecond, feedbackFloor},
+		{time.Millisecond, time.Millisecond},
+		{40 * time.Millisecond, 40 * time.Millisecond},
+	} {
+		r.OnData(time.Duration(i)*time.Millisecond, seqspace.Seq(i), 1000, c.rtt)
+		if got := r.FeedbackInterval(); got != c.want {
+			t.Fatalf("announced RTT %v: feedback interval %v, want %v", c.rtt, got, c.want)
+		}
+	}
+}
+
+// TestFeedbackFloorBytes pins the cap under the report floor: below a
+// 1 ms RTT a report is due once feedbackBytes arrived since the last
+// one; at an RTT the floor does not hold back, or before any RTT is
+// announced, arrivals alone never make one due.
+func TestFeedbackFloorBytes(t *testing.T) {
+	const size = 1400
+	perReport := (feedbackBytes + size - 1) / size
+	for _, c := range []struct {
+		rtt  time.Duration
+		want int
+	}{
+		{50 * time.Microsecond, 4},
+		{0, 0},
+		{time.Millisecond, 0},
+		{40 * time.Millisecond, 0},
+	} {
+		r := NewReceiver(ReceiverConfig{SegmentSize: size})
+		r.OnData(0, 0, size, c.rtt) // the first packet is always due
+		r.MakeReport(0)
+		due := 0
+		for i := 1; i <= 4*perReport; i++ {
+			now := time.Duration(i) * time.Microsecond
+			if !r.OnData(now, seqspace.Seq(i), size, c.rtt) {
+				continue
+			}
+			if got := r.PendingBytes(); got != perReport*size {
+				t.Fatalf("RTT %v: report due with %d bytes pending, want %d", c.rtt, got, perReport*size)
+			}
+			due++
+			r.MakeReport(now)
+		}
+		if due != c.want {
+			t.Fatalf("RTT %v: %d reports due on bytes over %d arrivals, want %d", c.rtt, due, 4*perReport, c.want)
+		}
 	}
 }
 

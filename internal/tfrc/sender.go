@@ -153,16 +153,15 @@ func (s *Sender) OnNoFeedback(now time.Duration) {
 	s.deadline = now + s.noFeedbackInterval()
 }
 
+// noFeedbackInterval is max(4R, 2s/X) (RFC 3448 §4.3), and at least two
+// report intervals at the receiver's feedbackFloor: below a 500 µs RTT,
+// 4R would expire between two reports and halve X for nothing.
 func (s *Sender) noFeedbackInterval() time.Duration {
 	if !s.rttValid {
 		return 2 * time.Second
 	}
 	tx := time.Duration(2 * float64(s.cfg.SegmentSize) / s.x * float64(time.Second))
-	iv := 4 * s.rtt
-	if tx > iv {
-		iv = tx
-	}
-	return iv
+	return max(4*s.rtt, tx, 2*feedbackFloor)
 }
 
 // Rate returns the allowed sending rate in bytes/second.

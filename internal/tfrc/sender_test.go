@@ -132,6 +132,28 @@ func TestSenderNoFeedbackDeadline(t *testing.T) {
 	}
 }
 
+// TestNoFeedbackIntervalFloor pins the nofeedback timer's floor of two
+// report intervals: at a 50 µs RTT and 1 GB/s, max(4R, 2s/X) is 200 µs,
+// five expiries between two reports at the 1 ms floor.
+func TestNoFeedbackIntervalFloor(t *testing.T) {
+	for _, c := range []struct{ rtt, want time.Duration }{
+		{50 * time.Microsecond, 2 * time.Millisecond},
+		{60 * time.Millisecond, 240 * time.Millisecond},
+	} {
+		s := NewSender(SenderConfig{SegmentSize: 1000})
+		s.Start(0)
+		s.SetRate(1e9)
+		now := time.Second
+		s.SeedRTT(now, c.rtt)
+		if s.Rate() != 1e9 {
+			t.Fatalf("R = %v: rate %v, want 1 GB/s", c.rtt, s.Rate())
+		}
+		if got := s.NoFeedbackDeadline() - now; got != c.want {
+			t.Fatalf("R = %v, X = 1 GB/s: nofeedback deadline %v out, want %v", c.rtt, got, c.want)
+		}
+	}
+}
+
 func TestSenderInterPacketInterval(t *testing.T) {
 	s := NewSender(SenderConfig{SegmentSize: 1000})
 	s.SetRate(100_000)
