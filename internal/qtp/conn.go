@@ -177,6 +177,7 @@ type Conn struct {
 
 	// Receiver-side machines (nil on the sending side).
 	tfrcRecv     *tfrc.Receiver
+	peerRTT      time.Duration // the sender's RTT, from the last first transmission that carried one
 	ackCountdown int
 	urgentFB     bool
 	sackPending  bool

@@ -147,11 +147,59 @@ func (r *pingPongRun) feedbackShare(t *testing.T) float64 {
 	return float64(fb) / float64(st.DataFramesSent+st.RetransFrames)
 }
 
+// bulkRun is what runBulk observed.
+type bulkRun struct {
+	f       *Flow
+	reports int // receiver reports put on the reverse path
+	held    int // most arrivals before one of them
+}
+
+// runBulk drives prof for dur over the clean 25 µs-each-way path with an
+// application writing 1 GB/s, 100 kB every 100 µs, under the link's
+// 1.25 GB/s, so no queue grows the RTT past the floor. (The flow's own
+// Bulk refills only when the sender wakes, which an idle sender does on
+// reports.)
+func runBulk(t *testing.T, prof core.Profile, dur time.Duration) *bulkRun {
+	t.Helper()
+	path := newTestPath(31, 1.25e9, subMsOneWay, &netsim.DropTail{}, nil)
+	sim := path.sim
+	r := &bulkRun{}
+	arrived := 0
+	tap := netsim.HandlerFunc(func(p *netsim.Packet) {
+		var hdr packet.Header
+		if _, err := hdr.Parse(p.Payload.([]byte)); err == nil && hdr.Type == packet.TypeFeedback {
+			r.held, arrived, r.reports = max(r.held, arrived), 0, r.reports+1
+		}
+		path.rev.Recv(p)
+	})
+	r.f = StartFlow(sim, FlowConfig{ID: 1, Profile: prof, RTTHint: 2 * subMsOneWay,
+		Fwd: path.fwd, Rev: tap})
+	recvEntry := r.f.ReceiverEntry()
+	path.toRecv.Target = netsim.HandlerFunc(func(p *netsim.Packet) {
+		arrived++
+		recvEntry.Recv(p)
+	})
+	path.toSend.Target = r.f.SenderEntry()
+	chunk := make([]byte, 100_000)
+	var refill func()
+	refill = func() {
+		r.f.Sender.Write(chunk)
+		r.f.Pump()
+		sim.At(sim.Now()+100*time.Microsecond, refill)
+	}
+	sim.At(0, refill)
+	sim.Run(dur)
+	t.Logf("%d reports for %d data frames, at most %d arrivals before one; %d B delivered in %v",
+		r.reports, r.f.Sender.Stats().DataFramesSent, r.held, r.f.DeliveredBytes, dur)
+	return r
+}
+
 // TestFeedbackFloorSubMsPath pins the TFRC report floor on a path whose
 // RTT (50 µs) is far below it: periodic reports come once per
 // feedbackFloor, not once per RTT, or once per 256 KiB from a fast
 // sender; the sender's nofeedback timer does not expire between them,
-// and a new loss event is still reported at once.
+// and a new loss event is still reported at once. A BBR sender fed by
+// the same reports keeps them once per RTT.
 func TestFeedbackFloorSubMsPath(t *testing.T) {
 	const msgs = 10_000
 	prof := core.QTPAF(1e9)
@@ -181,44 +229,37 @@ func TestFeedbackFloorSubMsPath(t *testing.T) {
 		// millisecond: the report is due on 256 KiB of arrivals, not on
 		// the floor's clock.
 		const most = (256 << 10) / 1300
-		path := newTestPath(31, 1.25e9, subMsOneWay, &netsim.DropTail{}, nil)
-		sim := path.sim
-		arrived, held, reports := 0, 0, 0
-		tap := netsim.HandlerFunc(func(p *netsim.Packet) {
-			var hdr packet.Header
-			if _, err := hdr.Parse(p.Payload.([]byte)); err == nil && hdr.Type == packet.TypeFeedback {
-				held, arrived, reports = max(held, arrived), 0, reports+1
-			}
-			path.rev.Recv(p)
-		})
-		f := StartFlow(sim, FlowConfig{ID: 1, Profile: core.QTPAF(1e9), RTTHint: 2 * subMsOneWay,
-			Fwd: path.fwd, Rev: tap})
-		recvEntry := f.ReceiverEntry()
-		path.toRecv.Target = netsim.HandlerFunc(func(p *netsim.Packet) {
-			arrived++
-			recvEntry.Recv(p)
-		})
-		path.toSend.Target = f.SenderEntry()
-		// The application writes 1 GB/s, 100 kB every 100 µs, under the
-		// link's 1.25 GB/s, so no queue grows the RTT past the floor. (The
-		// flow's own Bulk refills only when the sender wakes, which an
-		// idle sender does on reports.)
-		chunk := make([]byte, 100_000)
-		var refill func()
-		refill = func() {
-			f.Sender.Write(chunk)
-			f.Pump()
-			sim.At(sim.Now()+100*time.Microsecond, refill)
+		r := runBulk(t, core.QTPAF(1e9), 20*time.Millisecond)
+		if sent := r.f.Sender.Stats().DataFramesSent; sent < 10_000 {
+			t.Fatalf("%d data frames in 20 ms: the sender never reached 1 GB/s", sent)
 		}
-		sim.At(0, refill)
-		sim.Run(20 * time.Millisecond)
-		st := f.Sender.Stats()
-		t.Logf("%d reports for %d data frames, at most %d arrivals before one", reports, st.DataFramesSent, held)
-		if st.DataFramesSent < 10_000 {
-			t.Fatalf("%d data frames in 20 ms: the sender never reached 1 GB/s", st.DataFramesSent)
+		if r.held > most {
+			t.Fatalf("a report waited for %d arrivals, want ≤ %d (256 KiB)", r.held, most)
 		}
-		if held > most {
-			t.Fatalf("a report waited for %d arrivals, want ≤ %d (256 KiB)", held, most)
+	})
+
+	t.Run("bbr", func(t *testing.T) {
+		// BBR over classic reports: once per RTT it delivers 14.4 MB in
+		// 20 ms; held to one report a millisecond, 0.14 MB.
+		classic := core.ClassicTFRC()
+		classic.Congestion = packet.CongestionBBR
+		r := runBulk(t, classic, 20*time.Millisecond)
+		if r.f.Sender.BBR() == nil {
+			t.Fatal("sender not on BBR")
+		}
+		if r.f.DeliveredBytes < 10_000_000 {
+			t.Fatalf("%d B delivered in 20 ms, want ≥ 10 MB: reports came too seldom for BBR's window", r.f.DeliveredBytes)
+		}
+	})
+
+	t.Run("tfrc-ramp", func(t *testing.T) {
+		// Plain TFRC's slow start doubles X at most once per report, so
+		// under the floor once a millisecond: it reaches the writer's rate
+		// in about 5 ms instead of 2, and delivers 17.8 MB in 20 ms
+		// (20.0 MB once per RTT).
+		r := runBulk(t, core.ClassicTFRC(), 20*time.Millisecond)
+		if r.f.DeliveredBytes < 16_000_000 {
+			t.Fatalf("%d B delivered in 20 ms, want ≥ 16 MB", r.f.DeliveredBytes)
 		}
 	})
 

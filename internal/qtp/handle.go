@@ -271,14 +271,16 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 			// flowing, but are invisible to loss detection.
 			c.tfrcRecv.OnRetransmit(now, len(payload)+packet.HeaderLen)
 		} else {
-			urgent := c.tfrcRecv.OnData(now, hdr.Seq, len(payload)+packet.HeaderLen,
-				time.Duration(hdr.RTTUS)*time.Microsecond)
-			if urgent {
+			rtt := time.Duration(hdr.RTTUS) * time.Microsecond
+			if rtt > 0 {
+				c.peerRTT = rtt
+			}
+			if c.tfrcRecv.OnData(now, hdr.Seq, len(payload)+packet.HeaderLen, rtt) {
 				c.urgentFB = true
 			}
 		}
 		if c.nextFBAt == 0 {
-			c.nextFBAt = now + c.tfrcRecv.FeedbackInterval()
+			c.nextFBAt = now + c.feedbackInterval()
 		}
 	}
 	if c.profile.Feedback == packet.FeedbackSenderLoss {

@@ -20,7 +20,11 @@ type lossView struct {
 
 // rtts are the RTTs the differential hands in. The clock moves in whole
 // milliseconds, so a hole is often exactly one RTT after its event's
-// start: the boundary of the coalescing rule.
+// start: the boundary of the coalescing rule. None is below 1 ms: the
+// reference receiver predates feedbackFloor, so under it the report
+// interval and the 256 KiB report differ by design.
+// TestReceiverFeedbackInterval and TestFeedbackFloorBytes cover sub-ms
+// RTTs.
 var rtts = []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond}
 
 // tick advances the differential's clock: by 0-3 ms, now and then by up

@@ -81,7 +81,7 @@ func (r *Receiver) OnData(now time.Duration, seq seqspace.Seq, size int, senderR
 		// Open interval: packets since the current event started.
 		r.wali.SetOpen(float64(r.eventStart.Distance(r.maxSeq)))
 	}
-	heldBack := r.senderRTT > 0 && r.senderRTT < feedbackFloor
+	heldBack := r.senderRTT > 0 && r.FeedbackInterval() > r.senderRTT
 	return newEvent || heldBack && r.windowBytes >= feedbackBytes
 }
 
@@ -109,6 +109,8 @@ func (r *Receiver) OnRetransmit(now time.Duration, size int) {
 // and 1 ms stays well under retxTimeout's 10 ms floor. Every simulated
 // path has an RTT of at least 20 ms, so the floor never applies there.
 // Urgent reports (the first packet, a new loss event) are not delayed.
+// The floor is the TFRC family's: a BBR sender fed by these reports
+// keeps once per RTT (qtp.Conn.feedbackInterval).
 const feedbackFloor = time.Millisecond
 
 // feedbackBytes caps what the floor may hold a report back over. At
