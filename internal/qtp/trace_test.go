@@ -239,9 +239,9 @@ func TestFrameTraceEquivalence(t *testing.T) {
 		{name: "bbr-reliable",
 			want:    "S193 R181 D180000 frames=521d36bd43858377 bytes=e1299822277f56b7",
 			profile: withBBR(traceProfile(full, light, 0))},
-		{name: "bbr-none-classic/late-fin",
-			want:    "S182 R28 D168000 frames=215cdf30bc56d3a1 bytes=7b75393d41bdb3eb",
-			profile: withBBR(traceProfile(none, classic, 0)), lateClose: true},
+		{name: "bbr-none/late-fin",
+			want:    "S182 R171 D169000 frames=4e371bbff8251be6 bytes=20b4582e8f97c1f7",
+			profile: withBBR(traceProfile(none, light, 0)), lateClose: true},
 		{name: "streams/expiring",
 			want:       "S307 R105 D266000 frames=3fb5ff5b8e07ef50 bytes=49604f6d27cb79ce",
 			profile:    withStreams(qtpaf, 8),
