@@ -16,9 +16,10 @@
 //
 // The controller is fed through the core.RateController contract:
 // OnSent for every first transmission, OnAckVector for every
-// acknowledgment vector, OnFeedback for RTT samples. Its send ring is
-// the connection's one per-packet ledger: each vector is diffed against
-// it into acknowledgments and dup-threshold losses. It never owns
+// acknowledgment vector. It reads no receiver report (core.Profile pairs
+// it with ack-vector feedback). Its send ring is the connection's one
+// per-packet ledger: each vector is diffed against it into
+// acknowledgments and dup-threshold losses. It never owns
 // packets or timers; like every QTP micro-protocol it is deterministic
 // given its inputs, so simulator runs replay bit-exactly.
 package bbr
@@ -252,6 +253,9 @@ func (c *Controller) record(seq seqspace.Seq) *sentRecord {
 // with seqspace.DupThresh acknowledged records above it is declared lost.
 // rtt is the frame's timestamp-echo sample (0 if none). A packet the ring
 // already wrote off and pruned is not credited when its ack arrives late.
+// Last, the vector is feedback in its own right: rtt goes to OnFeedback,
+// which re-arms the nofeedback deadline even when nothing was newly
+// covered.
 func (c *Controller) OnAckVector(now time.Duration, cum seqspace.Seq, ranges []seqspace.Range, rtt time.Duration) {
 	for i := range c.ring {
 		rec := &c.ring[i]
@@ -268,6 +272,7 @@ func (c *Controller) OnAckVector(now time.Duration, cum seqspace.Seq, ranges []s
 		}
 	}
 	c.prune()
+	c.OnFeedback(now, core.Feedback{RTTSample: rtt})
 }
 
 // covered reports whether an acknowledgment vector covers seq.
@@ -370,8 +375,9 @@ func (c *Controller) lose(rec *sentRecord) {
 	c.lostBytes += int64(rec.bytes)
 }
 
-// OnFeedback folds a digested receiver report: only the RTT sample
-// matters to the model (XRecv and P are the equation family's food).
+// OnFeedback takes an RTT sample and re-arms the nofeedback deadline.
+// OnAckVector ends with it; XRecv and P, the equation family's food, are
+// ignored.
 func (c *Controller) OnFeedback(now time.Duration, fb core.Feedback) {
 	if fb.RTTSample > 0 {
 		c.rttSample(now, fb.RTTSample)

@@ -5,13 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/seqspace"
 )
 
 // refTracker is the per-connection ledger QTP kept beside the controller
 // before the controller's own send ring took its place: it records every
 // first transmission and diffs each acknowledgment vector into OnAcked
-// and OnLost calls. It is the reference OnAckVector must match.
+// and OnLost calls, then hands the vector's RTT sample to OnFeedback, as
+// QTP's SACK handler did. It is the reference OnAckVector must match.
 type refTracker struct {
 	c       *Controller
 	base    seqspace.Seq
@@ -36,9 +38,13 @@ func (t *refTracker) onSent(now time.Duration, seq seqspace.Seq, size int) {
 }
 
 func (t *refTracker) onAckVector(now time.Duration, cum seqspace.Seq, ranges []seqspace.Range, rtt time.Duration) {
-	if !t.started {
-		return
+	if t.started {
+		t.diff(now, cum, ranges, rtt)
 	}
+	t.c.OnFeedback(now, core.Feedback{RTTSample: rtt})
+}
+
+func (t *refTracker) diff(now time.Duration, cum seqspace.Seq, ranges []seqspace.Range, rtt time.Duration) {
 	for i := range t.recs {
 		if t.recs[i].acked {
 			continue
@@ -207,5 +213,27 @@ func TestLedgerWriteOffIsFinal(t *testing.T) {
 	c.OnAckVector(3*time.Second+40*time.Millisecond, 10, nil, 40*time.Millisecond)
 	if c.delivered != testMSS || c.InFlight() != 0 {
 		t.Fatalf("next packet: delivered %d, inflight %d", c.delivered, c.InFlight())
+	}
+}
+
+// TestLedgerEmptyVectorRearmsNoFeedback: a vector that covers nothing new is
+// still feedback. It re-arms the nofeedback deadline, so a sender whose
+// acks only repeat themselves does not write off its flight.
+func TestLedgerEmptyVectorRearmsNoFeedback(t *testing.T) {
+	c := newTest()
+	c.Start(0)
+	c.SeedRTT(0, 40*time.Millisecond)
+	for seq := seqspace.Seq(1); seq <= 4; seq++ {
+		c.OnSent(0, seq, testMSS)
+	}
+	c.OnAckVector(40*time.Millisecond, 3, nil, 40*time.Millisecond)
+	before := c.NoFeedbackDeadline()
+	at := before - time.Millisecond
+	c.OnAckVector(at, 3, nil, 40*time.Millisecond)
+	if c.delivered != 2*testMSS || c.InFlight() != 2*testMSS {
+		t.Fatalf("the repeated vector moved the ledger: delivered %d, inflight %d", c.delivered, c.InFlight())
+	}
+	if got := c.NoFeedbackDeadline(); got <= before {
+		t.Fatalf("deadline %v after a repeated vector at %v, want past %v", got, at, before)
 	}
 }

@@ -41,7 +41,8 @@ type Profile struct {
 	// positive) and is never carried on the wire; CongestionBBR asks for
 	// the bandwidth×RTT estimator. A QoS reservation needs the gTFRC
 	// clamp, so TargetRate > 0 forces the TFRC family (Normalize drops
-	// a BBR request).
+	// a BBR request). BBR reads ack vectors only, never X_recv or p, so
+	// it forces sender-side feedback (Normalize sets it).
 	Congestion packet.CongestionMode
 	// MSS is the maximum data payload per frame.
 	MSS int
@@ -150,6 +151,12 @@ func (p Profile) Normalize() Profile {
 		// A QoS reservation is enforced by the gTFRC clamp; the guarantee
 		// has no meaning under an estimator that ignores the equation.
 		p.Congestion = packet.CongestionTFRC
+	}
+	if p.Congestion == packet.CongestionBBR {
+		// BBR's samples come from per-packet acknowledgments: it is fed
+		// bare ack vectors, and a receiver report would be computed for
+		// nobody.
+		p.Feedback = packet.FeedbackSenderLoss
 	}
 	return p
 }
@@ -287,10 +294,11 @@ func Negotiate(c Constraints, proposal Profile) Profile {
 		granted.MaxStreams = 0
 	}
 	if granted.Congestion == packet.CongestionBBR &&
-		(!c.AllowBBR || granted.TargetRate > 0) {
-		// Refused capability, or a granted QoS reservation (which needs
-		// the gTFRC clamp): fall back to the TFRC family. The Accept
-		// omits the TLV, exactly what a pre-TLV peer would send.
+		(!c.AllowBBR || !c.AllowSenderLoss || granted.TargetRate > 0) {
+		// Refused capability, refused ack-vector feedback (all BBR reads),
+		// or a granted QoS reservation (which needs the gTFRC clamp): fall
+		// back to the TFRC family. The Accept omits the TLV, exactly what
+		// a pre-TLV peer would send.
 		granted.Congestion = packet.CongestionTFRC
 	}
 	return granted

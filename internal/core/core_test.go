@@ -116,6 +116,35 @@ func TestNegotiateFeedbackFallback(t *testing.T) {
 	}
 }
 
+func classicBBR() Profile {
+	p := ClassicTFRC()
+	p.Congestion = packet.CongestionBBR
+	return p
+}
+
+// TestNormalizeBBRReadsAckVectorsOnly: BBR is fed ack vectors, so asking for
+// it over classic receiver reports normalizes to sender-side feedback.
+func TestNormalizeBBRReadsAckVectorsOnly(t *testing.T) {
+	p := classicBBR().Normalize()
+	if p.Congestion != packet.CongestionBBR || p.Feedback != packet.FeedbackSenderLoss {
+		t.Fatalf("ClassicTFRC+BBR normalized to cc=%v feedback=%v, want bbr over sender-loss", p.Congestion, p.Feedback)
+	}
+}
+
+// TestNegotiateBBRReadsAckVectorsOnly: a responder that insists on receiver
+// reports cannot feed BBR, so it grants the TFRC family over them; one
+// that allows both grants BBR over ack vectors.
+func TestNegotiateBBRReadsAckVectorsOnly(t *testing.T) {
+	got := Negotiate(Constraints{AllowBBR: true, AllowSenderLoss: false}, classicBBR())
+	if got.Congestion != packet.CongestionTFRC || got.Feedback != packet.FeedbackReceiverLoss {
+		t.Fatalf("receiver-loss-only responder granted cc=%v feedback=%v, want tfrc over receiver-loss", got.Congestion, got.Feedback)
+	}
+	got = Negotiate(Permissive(0), classicBBR())
+	if got.Congestion != packet.CongestionBBR || got.Feedback != packet.FeedbackSenderLoss {
+		t.Fatalf("Permissive granted cc=%v feedback=%v, want bbr over sender-loss", got.Congestion, got.Feedback)
+	}
+}
+
 func TestNegotiateMSS(t *testing.T) {
 	c := Permissive(0)
 	c.MaxMSS = 500

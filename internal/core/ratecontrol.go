@@ -28,7 +28,7 @@ type Feedback = tfrc.FeedbackInfo
 //     reuse their original number and are not re-reported). Classic TFRC
 //     ignores these; QTPlight's TFRC estimates loss from them and digests
 //     its own estimate once per RTT, so the connection never knows which
-//     end estimates loss.
+//     end estimates loss; BBR reads nothing else.
 //
 //   - Report events: OnFeedback for each digested receiver report,
 //     OnNoFeedback when the feedback timer expires, SeedRTT for an RTT

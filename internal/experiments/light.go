@@ -180,7 +180,9 @@ func RunE6SelfishReceiver(cfg Config) *Table {
 		p := newLossyPath(cfg.Seed, 2e6, 20*time.Millisecond,
 			&netsim.DropTail{}, netsim.Bernoulli{P: 0.02})
 		fc := qtpFlowCfg(prof, true, nil)
-		fc.SelfishLie = lie
+		if lie > 1 {
+			fc.Rev = liar{lie, p.rev}
+		}
 		f := p.qtp(fc)
 		p.sim.Run(dur)
 		return float64(f.Sender.Stats().DataBytesSent) / dur.Seconds()

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diffserv"
 	"repro/internal/netsim"
+	"repro/internal/packet"
 	"repro/internal/qtp"
 	"repro/internal/tcp"
 	"repro/internal/workload"
@@ -68,27 +69,6 @@ func (d *dumbbell) addQTP(profile core.Profile, cir float64, bulk bool, src work
 		Bulk:    bulk,
 		Source:  src,
 		Start:   start,
-	})
-	toRecv := &netsim.Indirect{Target: f.ReceiverEntry()}
-	toSend.Target = f.SenderEntry()
-	d.router.Route(id, toRecv)
-	return f
-}
-
-// addSelfishQTP is addQTP with the receiver's lie factor set.
-func (d *dumbbell) addSelfishQTP(profile core.Profile, lie float64, start netsim.Time) *qtp.Flow {
-	id := d.id()
-	toSend := &netsim.Indirect{}
-	rev := d.revLink(toSend)
-	f := qtp.StartFlow(d.sim, qtp.FlowConfig{
-		ID:         id,
-		Profile:    profile,
-		RTTHint:    2 * d.delay,
-		Fwd:        d.bottleneck,
-		Rev:        rev,
-		Bulk:       true,
-		Start:      start,
-		SelfishLie: lie,
 	})
 	toRecv := &netsim.Indirect{Target: f.ReceiverEntry()}
 	toSend.Target = f.SenderEntry()
@@ -163,10 +143,14 @@ func qtpFlowCfg(profile core.Profile, bulk bool, src workload.Source) qtp.FlowCo
 	}
 }
 
+// qtp starts a flow on the path. A caller-set cfg.Rev is kept: it must
+// hand on to p.rev.
 func (p *lossyPath) qtp(cfg qtp.FlowConfig) *qtp.Flow {
 	cfg.ID = 1
 	cfg.Fwd = p.fwd
-	cfg.Rev = p.rev
+	if cfg.Rev == nil {
+		cfg.Rev = p.rev
+	}
 	f := qtp.StartFlow(p.sim, cfg)
 	p.toRecv.Target = f.ReceiverEntry()
 	p.toSend.Target = f.SenderEntry()
@@ -181,4 +165,28 @@ func (p *lossyPath) tcp(cfg tcp.Config) *tcp.Flow {
 	p.toRecv.Target = f.ReceiverEntry()
 	p.toSend.Target = f.SenderEntry()
 	return f
+}
+
+// liar is a selfish receiver on the wire (Georg & Gorinsky): at the head
+// of a reverse path it rewrites each classic receiver report to claim
+// factor times the receive rate and 1/factor of the loss event rate.
+// Every other frame, and a report it cannot parse, passes untouched.
+type liar struct {
+	factor float64
+	next   netsim.Handler
+}
+
+// Recv implements netsim.Handler.
+func (l liar) Recv(p *netsim.Packet) {
+	frame, _ := p.Payload.([]byte)
+	var hdr packet.Header
+	var fb packet.Feedback
+	if payload, err := hdr.Parse(frame); err == nil && hdr.Type == packet.TypeFeedback && fb.Parse(payload) == nil {
+		fb.XRecv = uint64(float64(fb.XRecv) * l.factor)
+		fb.LossRate /= l.factor
+		if forged, err := fb.AppendTo(hdr.AppendTo(nil)); err == nil {
+			p.Payload = forged
+		}
+	}
+	l.next.Recv(p)
 }

@@ -63,32 +63,37 @@ func TestBBRBeatsTFRCOnLargeBDP(t *testing.T) {
 	}
 }
 
-// TestBBRClassicFeedbackProfile exercises the other feedback wiring:
-// classic receiver-loss reports on an unreliable profile, where the BBR
-// sender needs the receiver to include SACK blocks it would otherwise
-// omit (reliability none).
-func TestBBRClassicFeedbackProfile(t *testing.T) {
-	prof := core.ClassicTFRC()
-	prof.Congestion = packet.CongestionBBR
-	p := newTestPath(7, 1.25e6, 20*time.Millisecond, netsim.NewDropTail(256), nil)
-	f := p.startFlow(FlowConfig{
-		Profile: prof,
-		RTTHint: 40 * time.Millisecond,
-		Source:  workload.NewBulk(500_000, 50_000),
-	})
-	p.sim.Run(30 * time.Second)
-	if !f.Receiver.Finished() {
-		t.Fatal("transfer did not finish")
-	}
-	if f.DeliveredBytes != 500_000 {
-		t.Fatalf("delivered %d, want 500000", f.DeliveredBytes)
-	}
-	b := f.Sender.BBR()
-	if b == nil {
-		t.Fatal("sender not on BBR")
-	}
-	if b.Bandwidth() <= 0 {
-		t.Fatal("no delivery samples reached the controller — feedback carried no vector")
+// classicBBR asks for BBR over classic receiver reports, unreliable.
+func classicBBR() core.Profile {
+	p := core.ClassicTFRC()
+	p.Congestion = packet.CongestionBBR
+	return p
+}
+
+// TestBBRReadsAckVectorsOnly: BBR asked for over classic receiver
+// reports runs over bare ack vectors, proposed directly or negotiated;
+// the receiver sends no report at all.
+func TestBBRReadsAckVectorsOnly(t *testing.T) {
+	for _, handshake := range []bool{false, true} {
+		p := newTestPath(7, 1.25e6, 20*time.Millisecond, netsim.NewDropTail(256), nil)
+		f := p.startFlow(FlowConfig{
+			Profile:     classicBBR(),
+			Handshake:   handshake,
+			Constraints: core.Permissive(0),
+			RTTHint:     40 * time.Millisecond,
+			Source:      workload.NewBulk(500_000, 50_000),
+		})
+		p.sim.Run(30 * time.Second)
+		if !f.Receiver.Finished() || f.DeliveredBytes != 500_000 {
+			t.Fatalf("handshake=%v: delivered %d of 500000, finished %v", handshake, f.DeliveredBytes, f.Receiver.Finished())
+		}
+		if b := f.Sender.BBR(); b == nil || b.Bandwidth() <= 0 {
+			t.Fatalf("handshake=%v: sender not on BBR, or no delivery sample reached it", handshake)
+		}
+		if st := f.Receiver.Stats(); st.FeedbackFrames != 0 || st.SACKFrames == 0 {
+			t.Fatalf("handshake=%v: receiver sent %d reports and %d ack vectors, want none and some",
+				handshake, st.FeedbackFrames, st.SACKFrames)
+		}
 	}
 }
 

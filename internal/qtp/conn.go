@@ -91,13 +91,6 @@ type Config struct {
 	// MaxBacklog caps bytes queued in Write before the transport pushes
 	// back (default 1 MiB).
 	MaxBacklog int
-	// SelfishLie, when > 1, makes a classic (receiver-loss) receiver
-	// misreport its feedback: the reported loss event rate is divided by
-	// this factor and X_recv multiplied by it. This models the selfish
-	// receiver attack of Georg & Gorinsky that QTPlight is immune to —
-	// with sender-side estimation there are no numbers to lie about.
-	// Test/experiment instrumentation only.
-	SelfishLie float64
 
 	// Encrypt runs the encrypted handshake: Connect/Accept exchange
 	// X25519 key shares and every other frame must travel inside a
@@ -177,7 +170,6 @@ type Conn struct {
 
 	// Receiver-side machines (nil on the sending side).
 	tfrcRecv     *tfrc.Receiver
-	peerRTT      time.Duration // the sender's RTT, from the last first transmission that carried one
 	ackCountdown int
 	urgentFB     bool
 	sackPending  bool

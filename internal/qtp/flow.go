@@ -36,10 +36,6 @@ type FlowConfig struct {
 	Source workload.Source
 	// Start delays the flow's first action.
 	Start netsim.Time
-	// SelfishLie, when > 1, makes a classic receiver misreport: it
-	// divides the reported loss rate and multiplies X_recv by this
-	// factor — the Georg/Gorinsky receiver-cheating attack (E6).
-	SelfishLie float64
 	// ConnID defaults to uint32(ID).
 	ConnID uint32
 }
@@ -84,7 +80,6 @@ func StartFlow(sim *netsim.Sim, cfg FlowConfig) *Flow {
 		Initiator:   false,
 		Constraints: cfg.Constraints,
 		ConnID:      cfg.ConnID,
-		SelfishLie:  cfg.SelfishLie,
 	})
 
 	sim.At(cfg.Start, func() {

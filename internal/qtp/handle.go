@@ -272,15 +272,12 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 			c.tfrcRecv.OnRetransmit(now, len(payload)+packet.HeaderLen)
 		} else {
 			rtt := time.Duration(hdr.RTTUS) * time.Microsecond
-			if rtt > 0 {
-				c.peerRTT = rtt
-			}
 			if c.tfrcRecv.OnData(now, hdr.Seq, len(payload)+packet.HeaderLen, rtt) {
 				c.urgentFB = true
 			}
 		}
 		if c.nextFBAt == 0 {
-			c.nextFBAt = now + c.feedbackInterval()
+			c.nextFBAt = now + c.tfrcRecv.FeedbackInterval()
 		}
 	}
 	if c.profile.Feedback == packet.FeedbackSenderLoss {
@@ -295,8 +292,10 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 
 func (c *Conn) onFeedback(now time.Duration, hdr *packet.Header, payload []byte) error {
 	// A receiver report needs a sender that takes the receiver's word for
-	// X_recv and p. A QTPlight sender estimates both from what is
-	// acknowledged; taking a report would hand a selfish receiver the rate.
+	// X_recv and p: the TFRC family over receiver-side feedback. A
+	// QTPlight sender estimates both from what is acknowledged, and BBR
+	// reads neither; taking a report would hand a selfish receiver the
+	// rate.
 	if c.rc == nil || c.profile.Feedback == packet.FeedbackSenderLoss {
 		return ErrBadState
 	}
@@ -327,11 +326,9 @@ func (c *Conn) lossGuard() time.Duration {
 }
 
 func (c *Conn) onSACK(now time.Duration, hdr *packet.Header, payload []byte) error {
-	// A bare SACK needs a sender-side consumer: QTPlight's TFRC, which
-	// estimates loss from it, or a controller that reads ack vectors
-	// itself (BBR).
-	isBBR := c.profile.Congestion == packet.CongestionBBR
-	if c.rc == nil || (c.profile.Feedback != packet.FeedbackSenderLoss && !isBBR) {
+	// A bare SACK needs a sender that reads ack vectors: QTPlight's TFRC,
+	// which estimates loss from them, or BBR, which reads nothing else.
+	if c.rc == nil || c.profile.Feedback != packet.FeedbackSenderLoss {
 		return ErrBadState
 	}
 	if err := c.sackBuf.Parse(payload); err != nil {
@@ -341,12 +338,6 @@ func (c *Conn) onSACK(now time.Duration, hdr *packet.Header, payload []byte) err
 	sample := rttSample(now, hdr.TSEcho, s.ElapsedUS)
 	c.rc.OnAckVector(now, s.CumAck, s.Blocks, sample)
 	c.onStreamAcks(now, s.CumAck, s.Blocks, s.Streams)
-	if isBBR {
-		// Event-driven controller: the ack events above did the work;
-		// report the RTT sample so the nofeedback deadline re-arms even
-		// on a vector with nothing newly covered.
-		c.rc.OnFeedback(now, core.Feedback{RTTSample: sample})
-	}
 	return nil
 }
 

@@ -90,7 +90,7 @@ func (c *Conn) PollFrameAppend(now time.Duration, dst []byte) (frame []byte, ok 
 		}
 		// Nothing arrived since the last report: stay silent and re-arm
 		// (RFC 3448 §6.2).
-		c.nextFBAt = now + c.feedbackInterval()
+		c.nextFBAt = now + c.tfrcRecv.FeedbackInterval()
 	}
 	if c.sackPending {
 		return c.buildSACK(now, dst), true
@@ -226,30 +226,12 @@ func (c *Conn) buildControl(now time.Duration, dst []byte) []byte {
 	return frame
 }
 
-// feedbackInterval is how long the next periodic receiver report waits.
-// The TFRC family takes the receiver's once per RTT, no more often than
-// its 1 ms floor. A BBR sender keeps once per RTT: it holds about two
-// bandwidth-delay products in flight, ten segments while it fills the
-// pipe, and below a 1 ms RTT it would send that window long before a
-// floored report, so every rate sample would read one window per
-// millisecond.
-func (c *Conn) feedbackInterval() time.Duration {
-	if c.profile.Congestion == packet.CongestionBBR && c.peerRTT > 0 {
-		return c.peerRTT
-	}
-	return c.tfrcRecv.FeedbackInterval()
-}
-
 // buildFeedback encodes a classic TFRC receiver report, including SACK
 // blocks when reliability is negotiated, appended to dst.
 func (c *Conn) buildFeedback(now time.Duration, dst []byte) []byte {
 	c.urgentFB = false
-	c.nextFBAt = now + c.feedbackInterval()
+	c.nextFBAt = now + c.tfrcRecv.FeedbackInterval()
 	xRecv, p := c.tfrcRecv.MakeReport(now)
-	if lie := c.cfg.SelfishLie; lie > 1 {
-		xRecv *= lie
-		p /= lie
-	}
 
 	fb := packet.Feedback{
 		XRecv:    uint64(xRecv),
@@ -260,11 +242,7 @@ func (c *Conn) buildFeedback(now time.Duration, dst []byte) []byte {
 	if c.havePeerTS {
 		fb.ElapsedUS = uint32((now - c.lastPeerTSAt) / time.Microsecond)
 	}
-	if c.profile.Reliability != packet.ReliabilityNone ||
-		c.profile.Congestion == packet.CongestionBBR {
-		// BBR senders need the full acknowledgment vector even on
-		// unreliable profiles: the per-packet delivery samples come from
-		// diffing these blocks.
+	if c.profile.Reliability != packet.ReliabilityNone {
 		c.blockBuf = c.recvBlocks(c.blockBuf[:0], c.profile.SACKBlockBudget)
 		fb.Blocks = c.blockBuf
 	}

@@ -275,68 +275,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestSelfishReceiverGainsUnderClassicTFRC(t *testing.T) {
-	// A lying classic receiver (reports p/8, 8*X_recv) must extract more
-	// bandwidth than an honest one on the same lossy path; this is the
-	// vulnerability QTPlight closes (compared in experiment E6).
-	run := func(lie float64) float64 {
-		sim := netsim.New(11)
-		toRecv, toSend := &netsim.Indirect{}, &netsim.Indirect{}
-		fwd := netsim.NewLink(sim, netsim.LinkConfig{
-			Name: "fwd", Rate: 2e6, Delay: 20 * time.Millisecond,
-			Queue: &netsim.DropTail{}, Loss: netsim.Bernoulli{P: 0.02}, Dst: toRecv,
-		})
-		rev := netsim.NewLink(sim, netsim.LinkConfig{
-			Name: "rev", Rate: 125e6, Delay: 20 * time.Millisecond,
-			Queue: &netsim.DropTail{}, Dst: toSend,
-		})
-		f := StartFlow(sim, FlowConfig{
-			ID: 1, Profile: core.ClassicTFRC(), RTTHint: 40 * time.Millisecond,
-			Fwd: fwd, Rev: rev, Bulk: true, SelfishLie: lie,
-		})
-		toRecv.Target = f.ReceiverEntry()
-		toSend.Target = f.SenderEntry()
-		sim.Run(30 * time.Second)
-		return float64(f.Sender.Stats().DataBytesSent) / 30.0
-	}
-	honest := run(0)
-	liar := run(8)
-	if liar < 1.5*honest {
-		t.Fatalf("selfish receiver gained nothing: honest %v vs liar %v", honest, liar)
-	}
-}
-
-func TestQTPLightImmuneToSelfishReceiver(t *testing.T) {
-	// Under QTPlight the lie knob does nothing: feedback carries no
-	// receiver-computed numbers.
-	run := func(lie float64) float64 {
-		sim := netsim.New(13)
-		toRecv, toSend := &netsim.Indirect{}, &netsim.Indirect{}
-		fwd := netsim.NewLink(sim, netsim.LinkConfig{
-			Name: "fwd", Rate: 2e6, Delay: 20 * time.Millisecond,
-			Queue: &netsim.DropTail{}, Loss: netsim.Bernoulli{P: 0.02}, Dst: toRecv,
-		})
-		rev := netsim.NewLink(sim, netsim.LinkConfig{
-			Name: "rev", Rate: 125e6, Delay: 20 * time.Millisecond,
-			Queue: &netsim.DropTail{}, Dst: toSend,
-		})
-		f := StartFlow(sim, FlowConfig{
-			ID: 1, Profile: core.QTPLight(), RTTHint: 40 * time.Millisecond,
-			Fwd: fwd, Rev: rev, Bulk: true, SelfishLie: lie,
-		})
-		toRecv.Target = f.ReceiverEntry()
-		toSend.Target = f.SenderEntry()
-		sim.Run(30 * time.Second)
-		return float64(f.Sender.Stats().DataBytesSent) / 30.0
-	}
-	honest := run(0)
-	liar := run(8)
-	diff := liar/honest - 1
-	if diff > 0.01 || diff < -0.01 {
-		t.Fatalf("QTPlight affected by lie knob: honest %v vs liar %v", honest, liar)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	p := newTestPath(14, 125_000, 10*time.Millisecond, netsim.NewDropTail(64), nil)
 	f := p.startFlow(FlowConfig{
@@ -416,8 +354,8 @@ func TestHandleFrameRejectsGarbage(t *testing.T) {
 // QTPlight closes (Georg & Gorinsky, experiment E6): a receiver that
 // forges classic reports claiming a huge X_recv and no loss. A classic
 // sender takes its word for the rate; a QTPlight sender estimates X_recv
-// and p from what is acknowledged, so it refuses the report and keeps
-// its rate.
+// and p from what is acknowledged, and a BBR sender reads ack vectors
+// only, so both refuse the report and keep their rate.
 func TestLightSenderRefusesReceiverReports(t *testing.T) {
 	forged := func(now time.Duration) []byte {
 		payload, _ := (&packet.Feedback{XRecv: 1e9, LossRate: 0}).AppendTo(nil)
@@ -431,6 +369,7 @@ func TestLightSenderRefusesReceiverReports(t *testing.T) {
 	}{
 		{"classic", core.ClassicTFRC(), nil},
 		{"light", core.QTPLightReliable(0), ErrBadState},
+		{"bbr", classicBBR(), ErrBadState},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewConn(Config{Initiator: true, Profile: tc.profile, ConnID: 1})

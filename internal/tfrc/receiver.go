@@ -109,8 +109,6 @@ func (r *Receiver) OnRetransmit(now time.Duration, size int) {
 // and 1 ms stays well under retxTimeout's 10 ms floor. Every simulated
 // path has an RTT of at least 20 ms, so the floor never applies there.
 // Urgent reports (the first packet, a new loss event) are not delayed.
-// The floor is the TFRC family's: a BBR sender fed by these reports
-// keeps once per RTT (qtp.Conn.feedbackInterval).
 const feedbackFloor = time.Millisecond
 
 // feedbackBytes caps what the floor may hold a report back over. At
