@@ -83,7 +83,7 @@ func main() {
 	flag.Parse()
 
 	if o.ccMatrix {
-		runCCMatrix(o.rate, o.rtt, o.loss, o.burst, o.dur, o.seed, o.g, o.queue, o.assertRatio)
+		runCCMatrix(o)
 		return
 	}
 
@@ -111,25 +111,6 @@ func main() {
 		}
 	}
 
-	var lm netsim.LossModel
-	if o.loss > 0 {
-		if o.burst {
-			lm = netsim.NewGilbertElliott(o.loss/10, 0.4, o.loss/2, 0.15)
-		} else {
-			lm = netsim.Bernoulli{P: o.loss}
-		}
-	}
-
-	sim := netsim.New(o.seed)
-	toRecv, toSend := &netsim.Indirect{}, &netsim.Indirect{}
-	fwd := netsim.NewLink(sim, netsim.LinkConfig{
-		Name: "fwd", Rate: o.rate, Delay: o.rtt / 2,
-		Queue: netsim.NewDropTail(o.queue), Loss: lm, Dst: toRecv,
-	})
-	rev := netsim.NewLink(sim, netsim.LinkConfig{
-		Name: "rev", Rate: 125e6, Delay: o.rtt / 2,
-		Queue: &netsim.DropTail{}, Dst: toSend,
-	})
 	multiRun := o.streams > 1
 	var modes []packet.StreamMode
 	if multiRun {
@@ -146,11 +127,7 @@ func main() {
 		prof.MaxStreams = o.streams
 	}
 
-	f := qtp.StartFlow(sim, qtp.FlowConfig{
-		ID: 1, Profile: prof, RTTHint: o.rtt, Fwd: fwd, Rev: rev, Bulk: !multiRun,
-	})
-	toRecv.Target = f.ReceiverEntry()
-	toSend.Target = f.SenderEntry()
+	sim, f := startFlow(o, prof, !multiRun)
 
 	var streamIDs []uint64
 	if multiRun {
@@ -220,41 +197,43 @@ func main() {
 	}
 }
 
-// runCCMatrix runs one bulk flow per congestion controller — TFRC,
-// gTFRC with target g, and BBR — over the same path and seed, and
-// prints the head-to-head. assertRatio > 0 turns the BBR row into a
-// gate: the process exits non-zero unless BBR delivered at least
-// assertRatio × TFRC's bytes.
-func runCCMatrix(rate float64, rtt time.Duration, loss float64, burst bool,
-	dur time.Duration, seed int64, g float64, queue int, assertRatio float64) {
-	runOnce := func(prof core.Profile) (int, *qtp.Flow) {
-		var lm netsim.LossModel
-		if loss > 0 {
-			if burst {
-				lm = netsim.NewGilbertElliott(loss/10, 0.4, loss/2, 0.15)
-			} else {
-				lm = netsim.Bernoulli{P: loss}
-			}
+// startFlow builds qtpsim's path — a forward bottleneck with the
+// configured rate, queue and loss, a clean 1 Gb/s reverse link, both
+// with half the RTT — and starts one flow with the given profile over
+// it.
+func startFlow(o *options, prof core.Profile, bulk bool) (*netsim.Sim, *qtp.Flow) {
+	var lm netsim.LossModel
+	if o.loss > 0 {
+		if o.burst {
+			lm = netsim.NewGilbertElliott(o.loss/10, 0.4, o.loss/2, 0.15)
+		} else {
+			lm = netsim.Bernoulli{P: o.loss}
 		}
-		sim := netsim.New(seed)
-		toRecv, toSend := &netsim.Indirect{}, &netsim.Indirect{}
-		fwd := netsim.NewLink(sim, netsim.LinkConfig{
-			Name: "fwd", Rate: rate, Delay: rtt / 2,
-			Queue: netsim.NewDropTail(queue), Loss: lm, Dst: toRecv,
-		})
-		rev := netsim.NewLink(sim, netsim.LinkConfig{
-			Name: "rev", Rate: 125e6, Delay: rtt / 2,
-			Queue: &netsim.DropTail{}, Dst: toSend,
-		})
-		f := qtp.StartFlow(sim, qtp.FlowConfig{
-			ID: 1, Profile: prof, RTTHint: rtt, Fwd: fwd, Rev: rev, Bulk: true,
-		})
-		toRecv.Target = f.ReceiverEntry()
-		toSend.Target = f.SenderEntry()
-		sim.Run(dur)
-		return f.DeliveredBytes, f
 	}
+	sim := netsim.New(o.seed)
+	toRecv, toSend := &netsim.Indirect{}, &netsim.Indirect{}
+	fwd := netsim.NewLink(sim, netsim.LinkConfig{
+		Name: "fwd", Rate: o.rate, Delay: o.rtt / 2,
+		Queue: netsim.NewDropTail(o.queue), Loss: lm, Dst: toRecv,
+	})
+	rev := netsim.NewLink(sim, netsim.LinkConfig{
+		Name: "rev", Rate: 125e6, Delay: o.rtt / 2,
+		Queue: &netsim.DropTail{}, Dst: toSend,
+	})
+	f := qtp.StartFlow(sim, qtp.FlowConfig{
+		ID: 1, Profile: prof, RTTHint: o.rtt, Fwd: fwd, Rev: rev, Bulk: bulk,
+	})
+	toRecv.Target = f.ReceiverEntry()
+	toSend.Target = f.SenderEntry()
+	return sim, f
+}
 
+// runCCMatrix runs one bulk flow per congestion controller — TFRC,
+// gTFRC with target -g, and BBR — over the same path and seed, and
+// prints the head-to-head. -assert-ratio r > 0 turns the BBR row into a
+// gate: the process exits non-zero unless BBR delivered at least r ×
+// TFRC's bytes.
+func runCCMatrix(o *options) {
 	bbrProf := core.QTPLightReliable(0)
 	bbrProf.Congestion = packet.CongestionBBR
 	rows := []struct {
@@ -262,16 +241,18 @@ func runCCMatrix(rate float64, rtt time.Duration, loss float64, burst bool,
 		prof core.Profile
 	}{
 		{"tfrc", core.QTPLightReliable(0)},
-		{"gtfrc", core.QTPAF(g)},
+		{"gtfrc", core.QTPAF(o.g)},
 		{"bbr", bbrProf},
 	}
 
 	fmt.Printf("# cc-matrix rate=%.0f rtt=%v loss=%.3f queue=%d dur=%v seed=%d g=%.0f\n",
-		rate, rtt, loss, queue, dur, seed, g)
+		o.rate, o.rtt, o.loss, o.queue, o.dur, o.seed, o.g)
 	fmt.Println("cc     delivered(B)   goodput(kB/s)   retx      vs-tfrc")
 	var tfrcBytes, bbrBytes int
 	for _, row := range rows {
-		delivered, f := runOnce(row.prof)
+		sim, f := startFlow(o, row.prof, true)
+		sim.Run(o.dur)
+		delivered := f.DeliveredBytes
 		if row.name == "tfrc" {
 			tfrcBytes = delivered
 		}
@@ -283,15 +264,15 @@ func runCCMatrix(rate float64, rtt time.Duration, loss float64, burst bool,
 			ratio = float64(delivered) / float64(tfrcBytes)
 		}
 		fmt.Printf("%-6s %12d %15.1f %6d %10.2fx\n",
-			row.name, delivered, float64(delivered)/dur.Seconds()/1000,
+			row.name, delivered, float64(delivered)/o.dur.Seconds()/1000,
 			f.Sender.Stats().RetransFrames, ratio)
 	}
-	if assertRatio > 0 {
+	if o.assertRatio > 0 {
 		if tfrcBytes == 0 {
 			log.Fatal("cc-matrix: TFRC delivered nothing — topology broken")
 		}
-		if got := float64(bbrBytes) / float64(tfrcBytes); got < assertRatio {
-			log.Fatalf("cc-matrix: BBR/TFRC = %.2fx, want >= %.2fx", got, assertRatio)
+		if got := float64(bbrBytes) / float64(tfrcBytes); got < o.assertRatio {
+			log.Fatalf("cc-matrix: BBR/TFRC = %.2fx, want >= %.2fx", got, o.assertRatio)
 		}
 	}
 }

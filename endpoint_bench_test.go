@@ -60,7 +60,7 @@ func BenchmarkEndpoint(b *testing.B) {
 	// injected, not round-tripped).
 	frames := make([][]byte, nConns)
 	for i, c := range conns {
-		fb := packet.Feedback{XRecv: 1 << 17, LossRate: 0.01, CumAck: 1}
+		fb := packet.Feedback{XRecv: 1 << 17, LossRate: 0.01, SACK: packet.SACK{CumAck: 1}}
 		payload, err := fb.AppendTo(nil)
 		if err != nil {
 			b.Fatal(err)

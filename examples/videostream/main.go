@@ -52,7 +52,6 @@ func main() {
 		Reliability: packet.ReliabilityFull,
 		Feedback:    packet.FeedbackSenderLoss,
 		MSS:         core.DefaultMSS,
-		AckEvery:    1,
 		MaxStreams:  4,
 	}
 	const deltaDeadline = 200 * time.Millisecond

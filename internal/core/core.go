@@ -46,9 +46,6 @@ type Profile struct {
 	Congestion packet.CongestionMode
 	// MSS is the maximum data payload per frame.
 	MSS int
-	// AckEvery makes the QTPlight receiver emit one SACK per this many
-	// data packets (1 = every packet).
-	AckEvery int
 	// WALIDepth overrides the loss-history depth (0 = RFC default).
 	WALIDepth int
 	// SACKBlockBudget caps the SACK blocks carried per acknowledgment
@@ -84,7 +81,6 @@ func QTPAF(targetRate float64) Profile {
 		Feedback:    packet.FeedbackReceiverLoss,
 		TargetRate:  targetRate,
 		MSS:         DefaultMSS,
-		AckEvery:    1,
 	}
 }
 
@@ -95,7 +91,6 @@ func QTPLight() Profile {
 		Reliability: packet.ReliabilityNone,
 		Feedback:    packet.FeedbackSenderLoss,
 		MSS:         DefaultMSS,
-		AckEvery:    1,
 	}
 }
 
@@ -120,7 +115,6 @@ func ClassicTFRC() Profile {
 		Reliability: packet.ReliabilityNone,
 		Feedback:    packet.FeedbackReceiverLoss,
 		MSS:         DefaultMSS,
-		AckEvery:    1,
 	}
 }
 
@@ -129,9 +123,6 @@ func ClassicTFRC() Profile {
 func (p Profile) Normalize() Profile {
 	if p.MSS == 0 {
 		p.MSS = DefaultMSS
-	}
-	if p.AckEvery <= 0 {
-		p.AckEvery = 1
 	}
 	if p.WALIDepth == 0 {
 		p.WALIDepth = tfrc.DefaultWALIDepth
@@ -211,7 +202,6 @@ func ProfileFromHandshake(h packet.Handshake) Profile {
 		Feedback:    h.FeedbackMode,
 		TargetRate:  float64(h.TargetRate),
 		MSS:         int(h.MSS),
-		AckEvery:    1,
 		MaxStreams:  int(h.MaxStreams),
 		Congestion:  h.Congestion,
 	}.Normalize()

@@ -189,7 +189,7 @@ func TestNegotiateResultAlwaysValid(t *testing.T) {
 
 func TestNormalizeDefaults(t *testing.T) {
 	p := Profile{}.Normalize()
-	if p.MSS != DefaultMSS || p.AckEvery != 1 || p.WALIDepth != tfrc.DefaultWALIDepth {
+	if p.MSS != DefaultMSS || p.WALIDepth != tfrc.DefaultWALIDepth {
 		t.Fatalf("defaults: %+v", p)
 	}
 }

@@ -71,13 +71,6 @@ func (m *Marker) Recv(p *netsim.Packet) {
 	m.next.Recv(p)
 }
 
-// RIOConfig parameterises one of the two virtual RED instances inside a
-// RIO queue. Thresholds are in packets.
-type RIOConfig struct {
-	MinTh, MaxTh float64
-	MaxP         float64
-}
-
 // RIO is the RED In/Out queue (Clark & Fang 1998) realising the AF PHB:
 // one physical FIFO with two drop curves. Green (in-profile) packets are
 // dropped based on the average number of *green* packets queued, with
@@ -87,20 +80,16 @@ type RIOConfig struct {
 //
 // RIO implements netsim.Queue.
 type RIO struct {
-	In        RIOConfig // green curve (based on avg green occupancy)
-	Out       RIOConfig // red curve (based on avg total occupancy)
+	In        netsim.REDCurve // green curve (based on avg green occupancy)
+	Out       netsim.REDCurve // red curve (based on avg total occupancy)
 	Wq        float64
 	LimitPkts int
 
-	pkts   []*netsim.Packet
-	head   int
-	bytes  int
+	q      netsim.DropTail // zero value: an unbounded FIFO; LimitPkts above bounds it
 	greens int
 
 	avgIn    float64
 	avgTotal float64
-	countIn  int
-	countOut int
 
 	DropsIn     int // probabilistic drops of green packets
 	DropsOut    int // probabilistic drops of red packets
@@ -113,8 +102,8 @@ type RIO struct {
 // early and aggressively.
 func DefaultRIO(limit int) *RIO {
 	return &RIO{
-		In:        RIOConfig{MinTh: float64(limit) * 0.4, MaxTh: float64(limit) * 0.8, MaxP: 0.02},
-		Out:       RIOConfig{MinTh: float64(limit) * 0.1, MaxTh: float64(limit) * 0.4, MaxP: 0.5},
+		In:        netsim.REDCurve{MinTh: float64(limit) * 0.4, MaxTh: float64(limit) * 0.8, MaxP: 0.02},
+		Out:       netsim.REDCurve{MinTh: float64(limit) * 0.1, MaxTh: float64(limit) * 0.4, MaxP: 0.5},
 		Wq:        0.002,
 		LimitPkts: limit,
 	}
@@ -122,9 +111,10 @@ func DefaultRIO(limit int) *RIO {
 
 // Enqueue implements netsim.Queue.
 func (r *RIO) Enqueue(now netsim.Time, rng *rand.Rand, p *netsim.Packet) bool {
-	total := len(r.pkts) - r.head
+	total := r.q.Len()
+	green := p.Mark == netsim.MarkGreen
 	r.avgTotal = (1-r.Wq)*r.avgTotal + r.Wq*float64(total)
-	if p.Mark == netsim.MarkGreen {
+	if green {
 		r.avgIn = (1-r.Wq)*r.avgIn + r.Wq*float64(r.greens)
 	}
 
@@ -132,84 +122,35 @@ func (r *RIO) Enqueue(now netsim.Time, rng *rand.Rand, p *netsim.Packet) bool {
 		r.ForcedDrops++
 		return false
 	}
-
-	var cfg RIOConfig
-	var avg float64
-	var count *int
-	if p.Mark == netsim.MarkGreen {
-		cfg, avg, count = r.In, r.avgIn, &r.countIn
-	} else {
-		cfg, avg, count = r.Out, r.avgTotal, &r.countOut
-	}
-	if redDrop(cfg, avg, count, rng) {
-		if p.Mark == netsim.MarkGreen {
-			r.DropsIn++
-		} else {
-			r.DropsOut++
-		}
+	switch {
+	case green && r.In.Drop(r.avgIn, rng):
+		r.DropsIn++
+		return false
+	case !green && r.Out.Drop(r.avgTotal, rng):
+		r.DropsOut++
 		return false
 	}
-
-	r.pkts = append(r.pkts, p)
-	r.bytes += p.Size
-	if p.Mark == netsim.MarkGreen {
+	r.q.Enqueue(now, rng, p)
+	if green {
 		r.greens++
 	}
 	return true
 }
 
-// redDrop evaluates one RED curve with the gentle extension and the
-// standard count-based uniformisation.
-func redDrop(cfg RIOConfig, avg float64, count *int, rng *rand.Rand) bool {
-	var pb float64
-	switch {
-	case avg < cfg.MinTh:
-		*count = -1
-		return false
-	case avg < cfg.MaxTh:
-		pb = cfg.MaxP * (avg - cfg.MinTh) / (cfg.MaxTh - cfg.MinTh)
-	case avg < 2*cfg.MaxTh:
-		pb = cfg.MaxP + (1-cfg.MaxP)*(avg-cfg.MaxTh)/cfg.MaxTh
-	default:
-		*count = 0
-		return true
-	}
-	*count++
-	pa := pb / (1 - float64(*count)*pb)
-	if pa < 0 || pa > 1 {
-		pa = 1
-	}
-	if rng.Float64() < pa {
-		*count = 0
-		return true
-	}
-	return false
-}
-
 // Dequeue implements netsim.Queue.
 func (r *RIO) Dequeue(now netsim.Time) *netsim.Packet {
-	if r.head >= len(r.pkts) {
-		return nil
-	}
-	p := r.pkts[r.head]
-	r.pkts[r.head] = nil
-	r.head++
-	r.bytes -= p.Size
-	if p.Mark == netsim.MarkGreen {
+	p := r.q.Dequeue(now)
+	if p != nil && p.Mark == netsim.MarkGreen {
 		r.greens--
-	}
-	if r.head == len(r.pkts) {
-		r.pkts = r.pkts[:0]
-		r.head = 0
 	}
 	return p
 }
 
 // Len implements netsim.Queue.
-func (r *RIO) Len() int { return len(r.pkts) - r.head }
+func (r *RIO) Len() int { return r.q.Len() }
 
 // Bytes implements netsim.Queue.
-func (r *RIO) Bytes() int { return r.bytes }
+func (r *RIO) Bytes() int { return r.q.Bytes() }
 
 // GreenLen returns the number of green packets currently queued.
 func (r *RIO) GreenLen() int { return r.greens }

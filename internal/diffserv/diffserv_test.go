@@ -137,8 +137,8 @@ func TestRIOUncongestedNoDrops(t *testing.T) {
 
 func TestRIOHardLimit(t *testing.T) {
 	rio := &RIO{
-		In:        RIOConfig{MinTh: 1e9, MaxTh: 2e9, MaxP: 0},
-		Out:       RIOConfig{MinTh: 1e9, MaxTh: 2e9, MaxP: 0},
+		In:        netsim.REDCurve{MinTh: 1e9, MaxTh: 2e9, MaxP: 0},
+		Out:       netsim.REDCurve{MinTh: 1e9, MaxTh: 2e9, MaxP: 0},
 		Wq:        0.002,
 		LimitPkts: 10,
 	}

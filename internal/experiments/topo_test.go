@@ -37,8 +37,8 @@ func TestLiarRewritesOnlyReports(t *testing.T) {
 	blocks := []packet.SACKBlock{{Lo: 102, Hi: 105}, {Lo: 110, Hi: 112}}
 	tail := []packet.StreamAck{{ID: 0, CumAck: 40}, {ID: 4, CumAck: 7}}
 	hdr := packet.Header{ConnID: 9, Timestamp: 123456, TSEcho: 654321, RTTUS: 40000}
-	fb := packet.Feedback{XRecv: 250_000, LossRate: 0.02, ElapsedUS: 15,
-		CumAck: 100, Blocks: blocks, Streams: tail}
+	fb := packet.Feedback{XRecv: 250_000, LossRate: 0.02, SACK: packet.SACK{
+		ElapsedUS: 15, CumAck: 100, Blocks: blocks, Streams: tail}}
 	payload, err := fb.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -80,19 +80,55 @@ func (d *DropTail) Len() int { return d.q.len() }
 // Bytes implements Queue.
 func (d *DropTail) Bytes() int { return d.q.size() }
 
-// RED implements Random Early Detection (Floyd & Jacobson 1993) with the
-// gentle variant: the drop probability rises linearly from 0 at MinTh to
-// MaxP at MaxTh, then from MaxP to 1 at 2*MaxTh. The average queue is an
-// EWMA over instantaneous occupancy sampled at each arrival.
-type RED struct {
-	MinTh, MaxTh float64 // thresholds in packets
+// REDCurve is one RED drop curve with the gentle variant (Floyd &
+// Jacobson 1993): the drop probability rises linearly from 0 at MinTh to
+// MaxP at MaxTh, then from MaxP to 1 at 2*MaxTh. Thresholds are in
+// packets.
+type REDCurve struct {
+	MinTh, MaxTh float64
 	MaxP         float64 // drop probability at MaxTh
-	Wq           float64 // EWMA weight, typically 0.002
-	LimitPkts    int     // hard limit
 
-	q     fifo
-	avg   float64
-	count int // packets since last drop, for uniformization
+	count int // arrivals since the last drop, for uniformization
+}
+
+// Drop decides one arrival's fate at average queue avg, drawing from rng
+// only between the thresholds.
+func (c *REDCurve) Drop(avg float64, rng *rand.Rand) bool {
+	var pb float64
+	switch {
+	case avg < c.MinTh:
+		c.count = -1
+		return false
+	case avg < c.MaxTh:
+		pb = c.MaxP * (avg - c.MinTh) / (c.MaxTh - c.MinTh)
+	case avg < 2*c.MaxTh: // gentle region
+		pb = c.MaxP + (1-c.MaxP)*(avg-c.MaxTh)/c.MaxTh
+	default:
+		c.count = 0
+		return true
+	}
+	c.count++
+	// Uniformize inter-drop spacing (RED's pa correction).
+	pa := pb / (1 - float64(c.count)*pb)
+	if pa < 0 || pa > 1 {
+		pa = 1
+	}
+	if rng.Float64() < pa {
+		c.count = 0
+		return true
+	}
+	return false
+}
+
+// RED implements Random Early Detection: one REDCurve over the average
+// queue, an EWMA over instantaneous occupancy sampled at each arrival.
+type RED struct {
+	REDCurve
+	Wq        float64 // EWMA weight, typically 0.002
+	LimitPkts int     // hard limit
+
+	q   fifo
+	avg float64
 
 	Drops       int
 	ForcedDrops int
@@ -100,7 +136,7 @@ type RED struct {
 
 // NewRED returns a RED queue with conventional parameters.
 func NewRED(minTh, maxTh float64, maxP float64, limitPkts int) *RED {
-	return &RED{MinTh: minTh, MaxTh: maxTh, MaxP: maxP, Wq: 0.002, LimitPkts: limitPkts}
+	return &RED{REDCurve: REDCurve{MinTh: minTh, MaxTh: maxTh, MaxP: maxP}, Wq: 0.002, LimitPkts: limitPkts}
 }
 
 // Enqueue implements Queue.
@@ -110,39 +146,12 @@ func (r *RED) Enqueue(now Time, rng *rand.Rand, p *Packet) bool {
 		r.ForcedDrops++
 		return false
 	}
-	if r.dropProb(r.avg, rng) {
+	if r.Drop(r.avg, rng) {
 		r.Drops++
 		return false
 	}
 	r.q.push(p)
 	return true
-}
-
-func (r *RED) dropProb(avg float64, rng *rand.Rand) bool {
-	var pb float64
-	switch {
-	case avg < r.MinTh:
-		r.count = -1
-		return false
-	case avg < r.MaxTh:
-		pb = r.MaxP * (avg - r.MinTh) / (r.MaxTh - r.MinTh)
-	case avg < 2*r.MaxTh: // gentle region
-		pb = r.MaxP + (1-r.MaxP)*(avg-r.MaxTh)/r.MaxTh
-	default:
-		r.count = 0
-		return true
-	}
-	r.count++
-	// Uniformize inter-drop spacing (RED's pa correction).
-	pa := pb / (1 - float64(r.count)*pb)
-	if pa < 0 || pa > 1 {
-		pa = 1
-	}
-	if rng.Float64() < pa {
-		r.count = 0
-		return true
-	}
-	return false
 }
 
 // Dequeue implements Queue.

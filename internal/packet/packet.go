@@ -163,61 +163,10 @@ func (h *Header) Parse(b []byte) (payload []byte, err error) {
 // without conversion.
 type SACKBlock = seqspace.Range
 
-// Feedback is the RFC 3448 §6 receiver report. In the classic TFRC
-// composition the receiver computes the loss event rate itself and
-// reports it here; CumAck and Blocks additionally drive the reliability
-// micro-protocol when one is negotiated.
-type Feedback struct {
-	XRecv     uint64  // receive rate since the last report, bytes/s
-	LossRate  float64 // receiver-computed loss event rate p (0..1)
-	ElapsedUS uint32  // time the frame being echoed spent at the receiver, µs
-	CumAck    seqspace.Seq
-	Blocks    []SACKBlock
-	// Streams is the per-stream cumulative-ack tail (multi-stream
-	// connections only; empty on the wire otherwise).
-	Streams []StreamAck
-}
-
-const feedbackFixedLen = 8 + 4 + 4 + 4 + 1
-
-// AppendTo appends the encoded report to dst and returns the result.
-func (f *Feedback) AppendTo(dst []byte) ([]byte, error) {
-	if len(f.Blocks) > MaxSACKBlocks {
-		return dst, ErrBlockCount
-	}
-	var b [feedbackFixedLen]byte
-	binary.BigEndian.PutUint64(b[0:8], f.XRecv)
-	binary.BigEndian.PutUint32(b[8:12], math.Float32bits(float32(f.LossRate)))
-	binary.BigEndian.PutUint32(b[12:16], f.ElapsedUS)
-	binary.BigEndian.PutUint32(b[16:20], uint32(f.CumAck))
-	b[20] = uint8(len(f.Blocks))
-	dst = append(dst, b[:]...)
-	return appendStreamAcks(appendBlocks(dst, f.Blocks), f.Streams)
-}
-
-// Parse decodes a receiver report. Blocks are decoded into f.Blocks,
-// reusing its capacity.
-func (f *Feedback) Parse(b []byte) error {
-	if len(b) < feedbackFixedLen {
-		return ErrShort
-	}
-	f.XRecv = binary.BigEndian.Uint64(b[0:8])
-	f.LossRate = float64(math.Float32frombits(binary.BigEndian.Uint32(b[8:12])))
-	f.ElapsedUS = binary.BigEndian.Uint32(b[12:16])
-	f.CumAck = seqspace.Seq(binary.BigEndian.Uint32(b[16:20]))
-	n := int(b[20])
-	var err error
-	f.Blocks, err = parseBlocks(f.Blocks, b[feedbackFixedLen:], n)
-	if err != nil {
-		return err
-	}
-	f.Streams, err = parseStreamAcks(f.Streams, b[feedbackFixedLen+8*n:])
-	return err
-}
-
-// SACK is the QTPlight receiver feedback: a bare acknowledgment vector.
-// The receiver computes nothing else — no loss intervals, no rates — so
-// its per-packet cost is a couple of interval-set updates.
+// SACK is the acknowledgment vector, and by itself the QTPlight
+// receiver feedback. The receiver computes nothing else — no loss
+// intervals, no rates — so its per-packet cost is a couple of
+// interval-set updates.
 type SACK struct {
 	CumAck    seqspace.Seq
 	ElapsedUS uint32 // holding delay of the echoed frame at the receiver, µs
@@ -238,8 +187,7 @@ func (s *SACK) AppendTo(dst []byte) ([]byte, error) {
 	binary.BigEndian.PutUint32(b[0:4], uint32(s.CumAck))
 	binary.BigEndian.PutUint32(b[4:8], s.ElapsedUS)
 	b[8] = uint8(len(s.Blocks))
-	dst = append(dst, b[:]...)
-	return appendStreamAcks(appendBlocks(dst, s.Blocks), s.Streams)
+	return s.appendTail(append(dst, b[:]...))
 }
 
 // Parse decodes an acknowledgment vector, reusing s.Blocks capacity.
@@ -249,14 +197,63 @@ func (s *SACK) Parse(b []byte) error {
 	}
 	s.CumAck = seqspace.Seq(binary.BigEndian.Uint32(b[0:4]))
 	s.ElapsedUS = binary.BigEndian.Uint32(b[4:8])
-	n := int(b[8])
+	return s.parseTail(b[sackFixedLen:], int(b[8]))
+}
+
+// appendTail appends the blocks and the stream tail that follow the
+// fixed fields of both acknowledgment frames.
+func (s *SACK) appendTail(dst []byte) ([]byte, error) {
+	return appendStreamAcks(appendBlocks(dst, s.Blocks), s.Streams)
+}
+
+// parseTail decodes n blocks and the stream tail from b.
+func (s *SACK) parseTail(b []byte, n int) error {
 	var err error
-	s.Blocks, err = parseBlocks(s.Blocks, b[sackFixedLen:], n)
+	s.Blocks, err = parseBlocks(s.Blocks, b, n)
 	if err != nil {
 		return err
 	}
-	s.Streams, err = parseStreamAcks(s.Streams, b[sackFixedLen+8*n:])
+	s.Streams, err = parseStreamAcks(s.Streams, b[8*n:])
 	return err
+}
+
+// Feedback is the RFC 3448 §6 receiver report: the acknowledgment
+// vector plus the receive rate and loss event rate the classic TFRC
+// receiver computes itself. Its fixed fields come in the order X_recv,
+// p, elapsed, cumulative ack, block count.
+type Feedback struct {
+	XRecv    uint64  // receive rate since the last report, bytes/s
+	LossRate float64 // receiver-computed loss event rate p (0..1)
+	SACK
+}
+
+const feedbackFixedLen = 8 + 4 + 4 + 4 + 1
+
+// AppendTo appends the encoded report to dst and returns the result.
+func (f *Feedback) AppendTo(dst []byte) ([]byte, error) {
+	if len(f.Blocks) > MaxSACKBlocks {
+		return dst, ErrBlockCount
+	}
+	var b [feedbackFixedLen]byte
+	binary.BigEndian.PutUint64(b[0:8], f.XRecv)
+	binary.BigEndian.PutUint32(b[8:12], math.Float32bits(float32(f.LossRate)))
+	binary.BigEndian.PutUint32(b[12:16], f.ElapsedUS)
+	binary.BigEndian.PutUint32(b[16:20], uint32(f.CumAck))
+	b[20] = uint8(len(f.Blocks))
+	return f.appendTail(append(dst, b[:]...))
+}
+
+// Parse decodes a receiver report. Blocks are decoded into f.Blocks,
+// reusing its capacity.
+func (f *Feedback) Parse(b []byte) error {
+	if len(b) < feedbackFixedLen {
+		return ErrShort
+	}
+	f.XRecv = binary.BigEndian.Uint64(b[0:8])
+	f.LossRate = float64(math.Float32frombits(binary.BigEndian.Uint32(b[8:12])))
+	f.ElapsedUS = binary.BigEndian.Uint32(b[12:16])
+	f.CumAck = seqspace.Seq(binary.BigEndian.Uint32(b[16:20]))
+	return f.parseTail(b[feedbackFixedLen:], int(b[20]))
 }
 
 func appendBlocks(dst []byte, blocks []SACKBlock) []byte {

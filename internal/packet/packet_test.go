@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -88,11 +89,13 @@ func TestHeaderErrors(t *testing.T) {
 
 func TestFeedbackRoundTrip(t *testing.T) {
 	in := Feedback{
-		XRecv:     1_250_000,
-		LossRate:  0.0123,
-		ElapsedUS: 1500,
-		CumAck:    1000,
-		Blocks:    []SACKBlock{{Lo: 1002, Hi: 1005}, {Lo: 1008, Hi: 1010}},
+		XRecv:    1_250_000,
+		LossRate: 0.0123,
+		SACK: SACK{
+			ElapsedUS: 1500,
+			CumAck:    1000,
+			Blocks:    []SACKBlock{{Lo: 1002, Hi: 1005}, {Lo: 1008, Hi: 1010}},
+		},
 	}
 	buf, err := in.AppendTo(nil)
 	if err != nil {
@@ -113,13 +116,43 @@ func TestFeedbackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReportIsVectorPlusRates pins docs/WIRE.md's claim that a report
+// is the ack vector plus X_recv and p: after the fixed fields both
+// frames carry the same bytes, and both parse to the same vector.
+func TestReportIsVectorPlusRates(t *testing.T) {
+	v := SACK{CumAck: 40, ElapsedUS: 250, Blocks: []SACKBlock{{Lo: 42, Hi: 45}},
+		Streams: []StreamAck{{ID: 3, CumAck: 17}}}
+	vec, err := v.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := (&Feedback{XRecv: 5e5, LossRate: 0.25, SACK: v}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rep[feedbackFixedLen:], vec[sackFixedLen:]) {
+		t.Fatalf("report tail %x, vector tail %x", rep[feedbackFixedLen:], vec[sackFixedLen:])
+	}
+	var fb Feedback
+	if err := fb.Parse(rep); err != nil {
+		t.Fatal(err)
+	}
+	var sk SACK
+	if err := sk.Parse(vec); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fb.SACK, sk) || fb.XRecv != 5e5 || fb.LossRate != 0.25 {
+		t.Fatalf("report %+v, vector %+v", fb, sk)
+	}
+}
+
 func TestFeedbackNoBlocks(t *testing.T) {
-	in := Feedback{XRecv: 1, LossRate: 0, CumAck: 7}
+	in := Feedback{XRecv: 1, LossRate: 0, SACK: SACK{CumAck: 7}}
 	buf, err := in.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Feedback{Blocks: make([]SACKBlock, 0, 4)}
+	out := Feedback{SACK: SACK{Blocks: make([]SACKBlock, 0, 4)}}
 	if err := out.Parse(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +162,7 @@ func TestFeedbackNoBlocks(t *testing.T) {
 }
 
 func TestFeedbackTooManyBlocks(t *testing.T) {
-	in := Feedback{Blocks: make([]SACKBlock, MaxSACKBlocks+1)}
+	in := Feedback{SACK: SACK{Blocks: make([]SACKBlock, MaxSACKBlocks+1)}}
 	if _, err := in.AppendTo(nil); err != ErrBlockCount {
 		t.Errorf("encode: got %v, want ErrBlockCount", err)
 	}

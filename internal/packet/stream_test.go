@@ -73,9 +73,9 @@ func TestStreamInfoProperty(t *testing.T) {
 
 func TestStreamAckTailRoundTrip(t *testing.T) {
 	fb := Feedback{
-		XRecv: 123456, LossRate: 0.01, CumAck: 99,
-		Blocks:  []SACKBlock{{Lo: 110, Hi: 120}},
-		Streams: []StreamAck{{ID: 0, CumAck: 50}, {ID: 7, CumAck: 0xfffffff0}},
+		XRecv: 123456, LossRate: 0.01, SACK: SACK{CumAck: 99,
+			Blocks:  []SACKBlock{{Lo: 110, Hi: 120}},
+			Streams: []StreamAck{{ID: 0, CumAck: 50}, {ID: 7, CumAck: 0xfffffff0}}},
 	}
 	enc, err := fb.AppendTo(nil)
 	if err != nil {
@@ -108,7 +108,7 @@ func TestStreamAckTailRoundTrip(t *testing.T) {
 // no stream tail encodes byte-identically to the pre-stream format, and
 // a legacy frame parses with an empty tail.
 func TestStreamAckTailAbsentIsLegacy(t *testing.T) {
-	fb := Feedback{XRecv: 1, CumAck: 2, Blocks: []SACKBlock{{Lo: 5, Hi: 8}}}
+	fb := Feedback{XRecv: 1, SACK: SACK{CumAck: 2, Blocks: []SACKBlock{{Lo: 5, Hi: 8}}}}
 	enc, err := fb.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +171,9 @@ func FuzzFrame(f *testing.F) {
 		Seq: 41, PayloadLen: uint16(len(sp2) + 2)}
 	f.Add(append(append(hdr2.AppendTo(nil), sp2...), "ab"...))
 	// Seed: feedback with SACK blocks and a stream ack tail.
-	fb := Feedback{XRecv: 1 << 20, LossRate: 0.02, CumAck: 90,
+	fb := Feedback{XRecv: 1 << 20, LossRate: 0.02, SACK: SACK{CumAck: 90,
 		Blocks:  []SACKBlock{{Lo: 95, Hi: 99}},
-		Streams: []StreamAck{{ID: 0, CumAck: 40}, {ID: 3, CumAck: 77}}}
+		Streams: []StreamAck{{ID: 0, CumAck: 40}, {ID: 3, CumAck: 77}}}}
 	fbPay, _ := fb.AppendTo(nil)
 	fbHdr := Header{Type: TypeFeedback, ConnID: 4, PayloadLen: uint16(len(fbPay))}
 	f.Add(append(fbHdr.AppendTo(nil), fbPay...))

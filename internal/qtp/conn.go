@@ -168,12 +168,12 @@ type Conn struct {
 	paceHeld bool
 	started  bool
 
-	// Receiver-side machines (nil on the sending side).
-	tfrcRecv     *tfrc.Receiver
-	ackCountdown int
-	urgentFB     bool
-	sackPending  bool
-	nextFBAt     time.Duration
+	// Receiver-side machines (nil on the sending side). ackNow means an
+	// acknowledgment is owed on the next poll; nextFBAt is TFRC's
+	// periodic report.
+	tfrcRecv *tfrc.Receiver
+	ackNow   bool
+	nextFBAt time.Duration
 
 	// Stream state (see stream.go). The sender owns sendStreams (stream
 	// 0 from NewConn on), the receiver recv* plus the connection-level
@@ -197,8 +197,7 @@ type Conn struct {
 	// Scratch state for frame building/parsing.
 	segArena []byte // carve block for outgoing payload copies (segCopy)
 	scratch  []byte
-	fbBuf    packet.Feedback
-	sackBuf  packet.SACK
+	ackBuf   packet.Feedback // inbound acknowledgments; a bare vector fills ackBuf.SACK
 	blockBuf []seqspace.Range
 
 	// Handshake crypto state (crypto.go); zero-valued when Encrypt is
@@ -345,7 +344,6 @@ func (c *Conn) buildMachines(now time.Duration) {
 			WALIDepth:   p.WALIDepth,
 		})
 	}
-	c.ackCountdown = p.AckEvery
 }
 
 // Profile returns the (proposed or agreed) composition.

@@ -54,10 +54,8 @@ func (c *Conn) HandleFrame(now time.Duration, frame []byte) error {
 		return c.onConfirm(now, &hdr)
 	case packet.TypeData:
 		return c.onData(now, &hdr, payload)
-	case packet.TypeFeedback:
-		return c.onFeedback(now, &hdr, payload)
-	case packet.TypeSACK:
-		return c.onSACK(now, &hdr, payload)
+	case packet.TypeFeedback, packet.TypeSACK:
+		return c.onAck(now, &hdr, payload)
 	case packet.TypeClose:
 		return c.onClose(now)
 	case packet.TypeCloseAck:
@@ -273,42 +271,50 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 		} else {
 			rtt := time.Duration(hdr.RTTUS) * time.Microsecond
 			if c.tfrcRecv.OnData(now, hdr.Seq, len(payload)+packet.HeaderLen, rtt) {
-				c.urgentFB = true
+				c.ackNow = true // first packet or a new loss event
 			}
 		}
 		if c.nextFBAt == 0 {
 			c.nextFBAt = now + c.tfrcRecv.FeedbackInterval()
 		}
-	}
-	if c.profile.Feedback == packet.FeedbackSenderLoss {
-		c.ackCountdown--
-		if c.ackCountdown <= 0 {
-			c.ackCountdown = c.profile.AckEvery
-			c.sackPending = true
-		}
+	} else if c.profile.Feedback == packet.FeedbackSenderLoss {
+		// QTPlight acknowledges every data frame.
+		c.ackNow = true
 	}
 	return nil
 }
 
-func (c *Conn) onFeedback(now time.Duration, hdr *packet.Header, payload []byte) error {
-	// A receiver report needs a sender that takes the receiver's word for
-	// X_recv and p: the TFRC family over receiver-side feedback. A
-	// QTPlight sender estimates both from what is acknowledged, and BBR
-	// reads neither; taking a report would hand a selfish receiver the
-	// rate.
-	if c.rc == nil || c.profile.Feedback == packet.FeedbackSenderLoss {
+// onAck reads an acknowledgment: a receiver report (TypeFeedback) or a
+// bare ack vector (TypeSACK). A report needs a sender that takes the
+// receiver's word for X_recv and p: the TFRC family over receiver-side
+// feedback. A bare vector needs a sender that reads ack vectors:
+// QTPlight's TFRC, which estimates X_recv and p from them, or BBR, which
+// reads nothing else. Anything else is refused: a report taken by a
+// QTPlight or BBR sender would hand a selfish receiver the rate.
+func (c *Conn) onAck(now time.Duration, hdr *packet.Header, payload []byte) error {
+	report := hdr.Type == packet.TypeFeedback
+	senderLoss := c.profile.Feedback == packet.FeedbackSenderLoss
+	if c.rc == nil || (report && senderLoss) || (!report && !senderLoss) {
 		return ErrBadState
 	}
-	if err := c.fbBuf.Parse(payload); err != nil {
+	a := &c.ackBuf
+	var err error
+	if report {
+		err = a.Parse(payload)
+	} else {
+		err = a.SACK.Parse(payload)
+	}
+	if err != nil {
 		return err
 	}
-	f := &c.fbBuf
-	sample := rttSample(now, hdr.TSEcho, f.ElapsedUS)
-	c.rc.OnFeedback(now, core.Feedback{
-		XRecv: float64(f.XRecv), P: f.LossRate, RTTSample: sample,
-	})
-	c.rc.OnAckVector(now, f.CumAck, f.Blocks, sample)
-	c.onStreamAcks(now, f.CumAck, f.Blocks, f.Streams)
+	sample := rttSample(now, hdr.TSEcho, a.ElapsedUS)
+	if report {
+		c.rc.OnFeedback(now, core.Feedback{
+			XRecv: float64(a.XRecv), P: a.LossRate, RTTSample: sample,
+		})
+	}
+	c.rc.OnAckVector(now, a.CumAck, a.Blocks, sample)
+	c.onStreamAcks(now, a.CumAck, a.Blocks, a.Streams)
 	return nil
 }
 
@@ -323,22 +329,6 @@ func (c *Conn) lossGuard() time.Duration {
 		return 0
 	}
 	return c.retxTimeout() / 4
-}
-
-func (c *Conn) onSACK(now time.Duration, hdr *packet.Header, payload []byte) error {
-	// A bare SACK needs a sender that reads ack vectors: QTPlight's TFRC,
-	// which estimates loss from them, or BBR, which reads nothing else.
-	if c.rc == nil || c.profile.Feedback != packet.FeedbackSenderLoss {
-		return ErrBadState
-	}
-	if err := c.sackBuf.Parse(payload); err != nil {
-		return err
-	}
-	s := &c.sackBuf
-	sample := rttSample(now, hdr.TSEcho, s.ElapsedUS)
-	c.rc.OnAckVector(now, s.CumAck, s.Blocks, sample)
-	c.onStreamAcks(now, s.CumAck, s.Blocks, s.Streams)
-	return nil
 }
 
 func (c *Conn) onClose(now time.Duration) error {

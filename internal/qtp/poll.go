@@ -80,20 +80,18 @@ func (c *Conn) PollFrameAppend(now time.Duration, dst []byte) (frame []byte, ok 
 	if f, ok := c.pollStreamReset(now, dst); ok {
 		return f, true
 	}
-	// 2. Receiver side: acknowledgments.
-	if c.urgentFB {
-		return c.buildFeedback(now, dst), true
+	// 2. Receiver side: the owed acknowledgment, or TFRC's periodic
+	// report.
+	if c.ackNow {
+		return c.buildAck(now, dst), true
 	}
 	if c.nextFBAt != 0 && now >= c.nextFBAt {
 		if c.tfrcRecv.PendingBytes() > 0 {
-			return c.buildFeedback(now, dst), true
+			return c.buildAck(now, dst), true
 		}
 		// Nothing arrived since the last report: stay silent and re-arm
 		// (RFC 3448 §6.2).
 		c.nextFBAt = now + c.tfrcRecv.FeedbackInterval()
-	}
-	if c.sackPending {
-		return c.buildSACK(now, dst), true
 	}
 	// 3. Sender side: paced data. sendActive also admits a 0-RTT
 	// initiator still in Connecting, whose data rides the first flight
@@ -160,14 +158,6 @@ func (c *Conn) sendWorkPending() bool {
 // buildControl encodes the pending control frame, appended to dst.
 func (c *Conn) buildControl(now time.Duration, dst []byte) []byte {
 	typ := c.ctrlPending
-	hdr := packet.Header{
-		Type:      typ,
-		ConnID:    c.remoteID,
-		Timestamp: nowUS(now),
-	}
-	if c.havePeerTS {
-		hdr.TSEcho = c.lastPeerTS
-	}
 	var payload []byte
 	switch typ {
 	case packet.TypeConnect, packet.TypeAccept:
@@ -195,10 +185,7 @@ func (c *Conn) buildControl(now time.Duration, dst []byte) []byte {
 		}
 		payload, _ = hs.AppendTo(c.scratch[:0])
 	}
-	hdr.PayloadLen = uint16(len(payload))
-
-	frame := hdr.AppendTo(dst)
-	frame = append(frame, payload...)
+	frame := appendFrame(dst, c.header(typ, now), payload)
 
 	c.ctrlTries++
 	switch typ {
@@ -226,73 +213,62 @@ func (c *Conn) buildControl(now time.Duration, dst []byte) []byte {
 	return frame
 }
 
-// buildFeedback encodes a classic TFRC receiver report, including SACK
-// blocks when reliability is negotiated, appended to dst.
-func (c *Conn) buildFeedback(now time.Duration, dst []byte) []byte {
-	c.urgentFB = false
-	c.nextFBAt = now + c.tfrcRecv.FeedbackInterval()
-	xRecv, p := c.tfrcRecv.MakeReport(now)
-
-	fb := packet.Feedback{
-		XRecv:    uint64(xRecv),
-		LossRate: p,
-		CumAck:   c.ackTrack.cum,
-		Streams:  c.streamAckTail(),
-	}
-	if c.havePeerTS {
-		fb.ElapsedUS = uint32((now - c.lastPeerTSAt) / time.Microsecond)
-	}
-	if c.profile.Reliability != packet.ReliabilityNone {
-		c.blockBuf = c.recvBlocks(c.blockBuf[:0], c.profile.SACKBlockBudget)
-		fb.Blocks = c.blockBuf
-	}
-	payload, _ := fb.AppendTo(c.scratch[:0])
-	c.scratch = payload
-
-	hdr := packet.Header{
-		Type:       packet.TypeFeedback,
-		ConnID:     c.remoteID,
-		Timestamp:  nowUS(now),
-		PayloadLen: uint16(len(payload)),
-	}
+// header returns the fixed header of a frame to the peer: its type,
+// the peer's connection ID, our clock and the echo of the peer's latest
+// timestamp.
+func (c *Conn) header(typ packet.Type, now time.Duration) packet.Header {
+	hdr := packet.Header{Type: typ, ConnID: c.remoteID, Timestamp: nowUS(now)}
 	if c.havePeerTS {
 		hdr.TSEcho = c.lastPeerTS
 	}
-	frame := hdr.AppendTo(dst)
-	frame = append(frame, payload...)
-	c.stats.FeedbackFrames++
-	c.stats.FeedbackBytes += len(frame) - len(dst)
-	return frame
+	return hdr
 }
 
-// buildSACK encodes a QTPlight acknowledgment vector, appended to dst.
-// Note what is NOT here: no loss history, no rate measurement, no
-// equation — the receiver's entire contribution is two interval-set
-// lookups.
-func (c *Conn) buildSACK(now time.Duration, dst []byte) []byte {
-	c.sackPending = false
-	s := packet.SACK{CumAck: c.ackTrack.cum, Streams: c.streamAckTail()}
-	if c.havePeerTS {
-		s.ElapsedUS = uint32((now - c.lastPeerTSAt) / time.Microsecond)
+// appendFrame appends hdr, its payload length covering parts, and then
+// parts to dst.
+func appendFrame(dst []byte, hdr packet.Header, parts ...[]byte) []byte {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
 	}
-	c.blockBuf = c.recvBlocks(c.blockBuf[:0], c.profile.SACKBlockBudget)
-	s.Blocks = c.blockBuf
-	payload, _ := s.AppendTo(c.scratch[:0])
-	c.scratch = payload
+	hdr.PayloadLen = uint16(n)
+	dst = hdr.AppendTo(dst)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
+}
 
-	hdr := packet.Header{
-		Type:       packet.TypeSACK,
-		ConnID:     c.remoteID,
-		Timestamp:  nowUS(now),
-		PayloadLen: uint16(len(payload)),
-	}
+// buildAck encodes the acknowledgment the receiver owes, appended to
+// dst. It is one ack vector in either feedback mode. A classic TFRC
+// receiver wraps it in a report with its own X_recv and p, and carries
+// blocks only when reliability is negotiated. A QTPlight receiver sends
+// the bare vector: no loss history, no rate measurement, no equation —
+// its entire contribution is two interval-set lookups.
+func (c *Conn) buildAck(now time.Duration, dst []byte) []byte {
+	c.ackNow = false
+	v := packet.SACK{CumAck: c.ackTrack.cum, Streams: c.streamAckTail()}
 	if c.havePeerTS {
-		hdr.TSEcho = c.lastPeerTS
+		v.ElapsedUS = uint32((now - c.lastPeerTSAt) / time.Microsecond)
 	}
-	frame := hdr.AppendTo(dst)
-	frame = append(frame, payload...)
-	c.stats.SACKFrames++
-	c.stats.SACKBytes += len(frame) - len(dst)
+	if c.tfrcRecv == nil || c.profile.Reliability != packet.ReliabilityNone {
+		c.blockBuf = c.recvBlocks(c.blockBuf[:0], c.profile.SACKBlockBudget)
+		v.Blocks = c.blockBuf
+	}
+	if c.tfrcRecv == nil {
+		c.scratch, _ = v.AppendTo(c.scratch[:0])
+		frame := appendFrame(dst, c.header(packet.TypeSACK, now), c.scratch)
+		c.stats.SACKFrames++
+		c.stats.SACKBytes += len(frame) - len(dst)
+		return frame
+	}
+	c.nextFBAt = now + c.tfrcRecv.FeedbackInterval()
+	xRecv, p := c.tfrcRecv.MakeReport(now)
+	fb := packet.Feedback{XRecv: uint64(xRecv), LossRate: p, SACK: v}
+	c.scratch, _ = fb.AppendTo(c.scratch[:0])
+	frame := appendFrame(dst, c.header(packet.TypeFeedback, now), c.scratch)
+	c.stats.FeedbackFrames++
+	c.stats.FeedbackBytes += len(frame) - len(dst)
 	return frame
 }
 
@@ -417,14 +393,9 @@ func (c *Conn) ackFloor() seqspace.Seq {
 func (c *Conn) dataFrame(now time.Duration, dst []byte, s *sendStream,
 	connSeq, streamSeq seqspace.Seq, payload []byte, retx, fin bool) []byte {
 
-	hdr := packet.Header{
-		Type:       packet.TypeData,
-		ConnID:     c.remoteID,
-		Seq:        connSeq,
-		Timestamp:  nowUS(now),
-		RTTUS:      uint32(c.rc.RTT() / time.Microsecond),
-		PayloadLen: uint16(len(payload)),
-	}
+	hdr := c.header(packet.TypeData, now)
+	hdr.Seq = connSeq
+	hdr.RTTUS = uint32(c.rc.RTT() / time.Microsecond)
 	var prefix []byte
 	if c.multi {
 		si := packet.StreamInfo{
@@ -436,10 +407,6 @@ func (c *Conn) dataFrame(now time.Duration, dst []byte, s *sendStream,
 		prefix = si.AppendTo(c.scratch[:0], connSeq)
 		c.scratch = prefix
 		hdr.Flags = packet.FlagStream
-		hdr.PayloadLen += uint16(len(prefix))
-	}
-	if c.havePeerTS {
-		hdr.TSEcho = c.lastPeerTS
 	}
 	if retx {
 		hdr.Flags |= packet.FlagRetransmit
@@ -447,9 +414,7 @@ func (c *Conn) dataFrame(now time.Duration, dst []byte, s *sendStream,
 	if fin {
 		hdr.Flags |= packet.FlagFIN
 	}
-	frame := hdr.AppendTo(dst)
-	frame = append(frame, prefix...)
-	return append(frame, payload...)
+	return appendFrame(dst, hdr, prefix, payload)
 }
 
 // paceBurst is the most frames a late poll may send back to back: the
@@ -565,7 +530,7 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 	if c.ctrlPending != 0 {
 		merge(c.ctrlDue)
 	}
-	if c.urgentFB || c.sackPending {
+	if c.ackNow {
 		merge(now)
 	}
 	if c.nextFBAt != 0 {

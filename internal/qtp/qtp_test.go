@@ -158,7 +158,6 @@ func TestPartialReliabilityDeliversOnTimeSubset(t *testing.T) {
 			Deadline:    150 * time.Millisecond,
 			Feedback:    packet.FeedbackSenderLoss,
 			MSS:         1000,
-			AckEvery:    1,
 		},
 		RTTHint: 40 * time.Millisecond,
 		Source:  workload.NewCBR(40_000, 1000, 20*time.Second),
@@ -355,21 +354,33 @@ func TestHandleFrameRejectsGarbage(t *testing.T) {
 // forges classic reports claiming a huge X_recv and no loss. A classic
 // sender takes its word for the rate; a QTPlight sender estimates X_recv
 // and p from what is acknowledged, and a BBR sender reads ack vectors
-// only, so both refuse the report and keep their rate.
+// only, so both refuse the report and keep their rate. The converse
+// holds too: a sender that takes receiver reports refuses a bare ack
+// vector claiming everything arrived.
 func TestLightSenderRefusesReceiverReports(t *testing.T) {
-	forged := func(now time.Duration) []byte {
-		payload, _ := (&packet.Feedback{XRecv: 1e9, LossRate: 0}).AppendTo(nil)
-		hdr := packet.Header{Type: packet.TypeFeedback, ConnID: 1, Timestamp: nowUS(now), PayloadLen: uint16(len(payload))}
+	frame := func(now time.Duration, typ packet.Type, payload []byte) []byte {
+		hdr := packet.Header{Type: typ, ConnID: 1, Timestamp: nowUS(now), PayloadLen: uint16(len(payload))}
 		return append(hdr.AppendTo(nil), payload...)
+	}
+	report := func(now time.Duration) []byte {
+		payload, _ := (&packet.Feedback{XRecv: 1e9, LossRate: 0}).AppendTo(nil)
+		return frame(now, packet.TypeFeedback, payload)
+	}
+	vector := func(now time.Duration) []byte {
+		payload, _ := (&packet.SACK{CumAck: 1 << 20}).AppendTo(nil)
+		return frame(now, packet.TypeSACK, payload)
 	}
 	for _, tc := range []struct {
 		name    string
 		profile core.Profile
+		forged  func(time.Duration) []byte
 		want    error
 	}{
-		{"classic", core.ClassicTFRC(), nil},
-		{"light", core.QTPLightReliable(0), ErrBadState},
-		{"bbr", classicBBR(), ErrBadState},
+		{"classic", core.ClassicTFRC(), report, nil},
+		{"light", core.QTPLightReliable(0), report, ErrBadState},
+		{"bbr", classicBBR(), report, ErrBadState},
+		{"vector-to-classic", core.ClassicTFRC(), vector, ErrBadState},
+		{"vector-to-qtpaf", core.QTPAF(100_000), vector, ErrBadState},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewConn(Config{Initiator: true, Profile: tc.profile, ConnID: 1})
@@ -377,12 +388,61 @@ func TestLightSenderRefusesReceiverReports(t *testing.T) {
 			rate := c.Rate()
 			for i := 1; i <= 20; i++ {
 				now := time.Duration(i) * 50 * time.Millisecond
-				if err := c.HandleFrame(now, forged(now)); err != tc.want {
-					t.Fatalf("forged report %d: err = %v, want %v", i, err, tc.want)
+				if err := c.HandleFrame(now, tc.forged(now)); err != tc.want {
+					t.Fatalf("forged frame %d: err = %v, want %v", i, err, tc.want)
 				}
 			}
 			if raised := c.Rate() > rate; raised != (tc.want == nil) {
-				t.Fatalf("20 forged reports took the rate from %v to %v", rate, c.Rate())
+				t.Fatalf("20 forged frames took the rate from %v to %v", rate, c.Rate())
+			}
+		})
+	}
+}
+
+// TestStreamResetAnsweredAtOnce: a receiver handed a StreamReset owes
+// the sender its acknowledgment on the very next poll, in its mode's
+// encoding — the sender keeps retrying the forward FIN until it sees the
+// stream's cum cross it.
+func TestStreamResetAnsweredAtOnce(t *testing.T) {
+	light := core.QTPLightReliable(0)
+	light.MaxStreams = 8
+	for _, tc := range []struct {
+		name    string
+		profile core.Profile
+		want    packet.Type
+	}{
+		{"classic", multiProfile(), packet.TypeFeedback},
+		{"light", light, packet.TypeSACK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rcv := NewConn(Config{ConnID: 1})
+			rcv.StartDirect(0, tc.profile, 0)
+			sr := packet.StreamReset{ID: 1, Mode: packet.StreamExpiring, FinSeq: 5, DeadlineMS: 100}
+			payload := sr.AppendTo(nil)
+			hdr := packet.Header{Type: packet.TypeStreamReset, ConnID: 1, PayloadLen: uint16(len(payload))}
+			now := 10 * time.Millisecond
+			if err := rcv.HandleFrame(now, append(hdr.AppendTo(nil), payload...)); err != nil {
+				t.Fatalf("stream reset: %v", err)
+			}
+			if got := rcv.Stats().StreamResetsRcvd; got != 1 {
+				t.Fatalf("StreamResetsRcvd = %d, want 1", got)
+			}
+			if at, ok := rcv.NextWake(now); !ok || at != now {
+				t.Fatalf("NextWake = %v, %v; want the answer due at once (%v)", at, ok, now)
+			}
+			f, ok := rcv.PollFrame(now)
+			if !ok {
+				t.Fatal("no acknowledgment on the poll after the reset")
+			}
+			var got packet.Header
+			if _, err := got.Parse(f); err != nil {
+				t.Fatal(err)
+			}
+			if got.Type != tc.want {
+				t.Fatalf("answered with %v, want %v", got.Type, tc.want)
+			}
+			if _, ok := rcv.PollFrame(now); ok {
+				t.Fatal("a second frame after the one owed acknowledgment")
 			}
 		})
 	}

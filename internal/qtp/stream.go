@@ -747,19 +747,8 @@ func (c *Conn) pollStreamReset(now time.Duration, dst []byte) ([]byte, bool) {
 			ID: s.id, Mode: s.mode, FinSeq: s.finSeq,
 			DeadlineMS: uint32(s.deadline / time.Millisecond),
 		}
-		payload := sr.AppendTo(c.scratch[:0])
-		c.scratch = payload
-		hdr := packet.Header{
-			Type:       packet.TypeStreamReset,
-			ConnID:     c.remoteID,
-			Timestamp:  nowUS(now),
-			PayloadLen: uint16(len(payload)),
-		}
-		if c.havePeerTS {
-			hdr.TSEcho = c.lastPeerTS
-		}
-		frame := hdr.AppendTo(dst)
-		frame = append(frame, payload...)
+		c.scratch = sr.AppendTo(c.scratch[:0])
+		frame := appendFrame(dst, c.header(packet.TypeStreamReset, now), c.scratch)
 		s.resetTries++
 		if s.resetTries >= streamResetMaxTries {
 			s.resetPending = false
@@ -803,10 +792,6 @@ func (c *Conn) onStreamReset(now time.Duration, payload []byte) error {
 	c.stats.StreamResetsRcvd++
 	// Answer promptly: the sender retries until it sees our cum cross
 	// the FIN.
-	if c.tfrcRecv != nil {
-		c.urgentFB = true
-	} else if c.profile.Feedback == packet.FeedbackSenderLoss {
-		c.sackPending = true
-	}
+	c.ackNow = true
 	return nil
 }

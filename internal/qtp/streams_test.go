@@ -22,7 +22,6 @@ func multiProfile() core.Profile {
 		Feedback:    packet.FeedbackReceiverLoss,
 		TargetRate:  80_000,
 		MSS:         1000,
-		AckEvery:    1,
 		MaxStreams:  8,
 	}
 }

@@ -53,7 +53,7 @@ type traceCase struct {
 }
 
 func traceProfile(rel packet.ReliabilityMode, fb packet.FeedbackMode, deadline time.Duration) core.Profile {
-	return core.Profile{Reliability: rel, Feedback: fb, Deadline: deadline, MSS: 1000, AckEvery: 1}
+	return core.Profile{Reliability: rel, Feedback: fb, Deadline: deadline, MSS: 1000}
 }
 
 func withBBR(p core.Profile) core.Profile {

@@ -17,7 +17,6 @@ func multiStreamProfile() core.Profile {
 		Feedback:    packet.FeedbackReceiverLoss,
 		TargetRate:  8e6,
 		MSS:         1200,
-		AckEvery:    1,
 		MaxStreams:  8,
 	}
 }
