@@ -195,7 +195,6 @@ type Conn struct {
 	ackTail      []packet.StreamAck
 
 	// Scratch state for frame building/parsing.
-	segArena []byte // carve block for outgoing payload copies (segCopy)
 	scratch  []byte
 	ackBuf   packet.Feedback // inbound acknowledgments; a bare vector fills ackBuf.SACK
 	blockBuf []seqspace.Range

@@ -308,8 +308,9 @@ func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 	}
 	// An empty backlog here means the stream owes a bare FIN: CloseStream
 	// arrived after the last data segment went out, so the stream end
-	// travels as an empty segment, retransmitted like data.
-	payload := c.segCopy(s.take(c.profile.MSS))
+	// travels as an empty segment, retransmitted like data. The scoreboard
+	// keeps its own copy; the frame is built from the backlog's bytes.
+	payload := s.take(c.profile.MSS)
 
 	seq := s.nextSeq
 	s.nextSeq = seq.Next()
@@ -472,30 +473,6 @@ func (c *Conn) pace(now time.Duration, wireSize int) {
 		from = max(c.nextSendAt, now-(paceBurst-1)*ipi)
 	}
 	c.nextSendAt = from + ipi
-}
-
-// segArenaSize is the carve block for outgoing payload copies: ~20-30
-// MSS-sized segments per heap allocation instead of one each.
-const segArenaSize = 32 << 10
-
-// segCopy copies one outgoing payload into a slice carved from the
-// connection's segment arena. The send buffer owns the copy until the
-// segment resolves; carving from a shared block cuts the per-frame
-// allocation to one per segArenaSize bytes sent, at the cost of a
-// resolved block staying reachable until its last segment resolves
-// (bounded by the in-flight window, like the send buffer itself).
-func (c *Conn) segCopy(p []byte) []byte {
-	if len(c.segArena) < len(p) {
-		n := segArenaSize
-		if n < len(p) {
-			n = len(p)
-		}
-		c.segArena = make([]byte, n)
-	}
-	dst := c.segArena[:len(p):len(p)]
-	c.segArena = c.segArena[len(p):]
-	copy(dst, p)
-	return dst
 }
 
 // retxTimeout is the retransmission timer: generous relative to RTT so

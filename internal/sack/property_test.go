@@ -1,6 +1,7 @@
 package sack
 
 import (
+	"bytes"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -332,11 +333,37 @@ func (b *refSendBuffer) Unresolved() bool {
 // beyond the flight, retransmission polls and every query — and demands
 // equal return values and equal counters after every step. The grid
 // covers full and partial reliability, LossGuard off and on, and
-// sequence spaces that wrap through 2^32 mid-run.
+// sequence spaces that wrap through 2^32 mid-run. Payloads are random
+// bytes, and the caller's slice is overwritten as soon as AddStream
+// returns: a retransmission must still carry the bytes first sent.
 func TestSendBufferDifferential(t *testing.T) {
+	runSendBufferDifferential(t, 1, 48)
+}
+
+// TestSendBufferPairDifferential interleaves two scoreboards, each in
+// lockstep with its own reference model, over the one page pool: a page
+// handed back while its buffer still holds a segment in it is refilled
+// by the other buffer, and shows up as wrong bytes.
+func TestSendBufferPairDifferential(t *testing.T) {
+	runSendBufferDifferential(t, 2, 12)
+}
+
+// diffLane is one scoreboard under the differential test, its reference
+// model, and the numbers its next first transmission takes.
+type diffLane struct {
+	real           *SendBuffer
+	ref            *refSendBuffer
+	next, nextConn seqspace.Seq
+	started        bool
+}
+
+func runSendBufferDifferential(t *testing.T, lanes, trials int) {
 	rtos := []time.Duration{0, 20 * time.Millisecond, 50 * time.Millisecond}
 	retx, abandoned, peak := 0, 0, 0
-	for trial := 0; trial < 48; trial++ {
+	noise := make([]byte, 2*pageSize)
+	rand.New(rand.NewSource(999)).Read(noise)
+	scratch := make([]byte, pageSize)
+	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		var deadline, guard time.Duration
 		if trial&1 != 0 {
@@ -354,10 +381,12 @@ func TestSendBufferDifferential(t *testing.T) {
 		// ack-beyond-the-flight cases live.
 		addBias := 3 + trial%5
 
-		real, ref := NewSendBuffer(deadline), &refSendBuffer{Deadline: deadline}
+		ls := make([]diffLane, lanes)
+		for k := range ls {
+			ls[k] = diffLane{real: NewSendBuffer(deadline), ref: &refSendBuffer{Deadline: deadline},
+				next: seq, nextConn: conn}
+		}
 		now := time.Duration(0)
-		next, nextConn := seq, conn // next numbers to add
-		started := false
 
 		randBlocks := func(lo, hi seqspace.Seq) []seqspace.Range {
 			span := lo.Distance(hi) + 12
@@ -368,8 +397,9 @@ func TestSendBufferDifferential(t *testing.T) {
 			}
 			return blocks
 		}
-		check := func(step int, what string) {
+		check := func(step int, what string, l *diffLane) {
 			t.Helper()
+			real, ref := l.real, l.ref
 			if real.Len() != len(ref.segs) || real.CumAck() != ref.cumAck {
 				t.Fatalf("trial %d step %d after %s: Len/CumAck = %d/%d, want %d/%d",
 					trial, step, what, real.Len(), real.CumAck(), len(ref.segs), ref.cumAck)
@@ -397,34 +427,56 @@ func TestSendBufferDifferential(t *testing.T) {
 					real.Retransmits, real.AbandonedSegs, real.AckedBytes,
 					ref.Retransmits, ref.AbandonedSegs, ref.AckedBytes)
 			}
+			// The oldest segment shares its page with released ones: the
+			// first to see a page handed back too early.
+			if len(ref.segs) > 0 && !bytes.Equal(real.seg(real.head).payload, ref.segs[0].payload) {
+				t.Fatalf("trial %d step %d after %s: oldest segment's payload changed", trial, step, what)
+			}
+			if len(real.pages) > 0 && real.pages[0].last.Less(real.head) {
+				t.Fatalf("trial %d step %d after %s: %d pages held, the first passed by the head (flight %d)",
+					trial, step, what, len(real.pages), real.Len())
+			}
 		}
 
-		for step := 0; step < 4000; step++ {
-			now += time.Duration(rng.Intn(3000)) * time.Microsecond
+		for step := 0; step < 4000*lanes; step++ {
+			l := &ls[rng.Intn(lanes)]
+			real, ref := l.real, l.ref
+			now += time.Duration(rng.Intn(3000/lanes)) * time.Microsecond
 			if guard > 0 {
 				// The connection re-derives the guard before each ack.
 				g := guard + time.Duration(rng.Intn(3))*time.Millisecond
 				real.LossGuard, ref.LossGuard = g, g
 			}
 			switch op := rng.Intn(10); {
-			case op < addBias || !started:
-				started = true
-				payload := make([]byte, 1+rng.Intn(40))
-				real.AddStream(now, next, nextConn, payload)
-				ref.AddStream(now, next, nextConn, payload)
-				next = next.Next()
-				nextConn = nextConn.Add(1 + rng.Intn(3)) // other streams take numbers in between
-				check(step, "AddStream")
+			case op < addBias || !l.started:
+				l.started = true
+				// Mostly frame-sized, now and then up to a whole page,
+				// now and then empty (a bare FIN).
+				size := 1 + rng.Intn(1400)
+				switch rng.Intn(64) {
+				case 0:
+					size = 1 + rng.Intn(pageSize)
+				case 1, 2:
+					size = 0
+				}
+				payload := scratch[:size]
+				copy(payload, noise[rng.Intn(pageSize):])
+				real.AddStream(now, l.next, l.nextConn, payload)
+				ref.AddStream(now, l.next, l.nextConn, append([]byte(nil), payload...))
+				clear(payload) // the caller reuses its buffer
+				l.next = l.next.Next()
+				l.nextConn = l.nextConn.Add(1 + rng.Intn(3)) // other streams take numbers in between
+				check(step, "AddStream", l)
 			case op < 7:
 				cum := ref.cumAck.Add(rng.Intn(12) - 3)
-				if next.Next().Less(cum) {
-					cum = next.Next() // at most one past the flight
+				if l.next.Next().Less(cum) {
+					cum = l.next.Next() // at most one past the flight
 				}
 				lo := ref.cumAck
 				if len(ref.segs) > 0 {
 					lo = ref.segs[0].seq
 				}
-				blocks := randBlocks(lo, next)
+				blocks := randBlocks(lo, l.next)
 				if rng.Intn(3) == 0 {
 					blocks = nil // the per-stream tail carries a cum only
 				}
@@ -432,37 +484,37 @@ func TestSendBufferDifferential(t *testing.T) {
 				if g != w {
 					t.Fatalf("trial %d step %d: OnSACK(%d, %v) = %d, want %d", trial, step, cum, blocks, g, w)
 				}
-				check(step, "OnSACK")
+				check(step, "OnSACK", l)
 			case op < 9:
-				lo := nextConn
+				lo := l.nextConn
 				if len(ref.segs) > 0 {
 					lo = ref.segs[0].conn
 				}
 				cum := lo.Add(rng.Intn(14) - 3)
-				blocks := randBlocks(lo, nextConn)
+				blocks := randBlocks(lo, l.nextConn)
 				g, w := real.OnConnSACK(now, cum, blocks), ref.OnConnSACK(now, cum, blocks)
 				if g != w {
 					t.Fatalf("trial %d step %d: OnConnSACK(%d, %v) = %d, want %d", trial, step, cum, blocks, g, w)
 				}
-				check(step, "OnConnSACK")
+				check(step, "OnConnSACK", l)
 			default:
 				rto := rtos[rng.Intn(len(rtos))]
 				for k := 0; k < 1+rng.Intn(3); k++ {
 					gs, gc, gp, gok := real.NextRetransmitSeg(now, rto)
 					ws, wc, wp, wok := ref.NextRetransmitSeg(now, rto)
-					same := gs == ws && gc == wc && gok == wok && len(gp) == len(wp) &&
-						(len(gp) == 0 || &gp[0] == &wp[0])
-					if !same {
-						t.Fatalf("trial %d step %d: NextRetransmitSeg(%v) = %d,%d,%v want %d,%d,%v",
-							trial, step, rto, gs, gc, gok, ws, wc, wok)
+					if gs != ws || gc != wc || gok != wok || !bytes.Equal(gp, wp) {
+						t.Fatalf("trial %d step %d: NextRetransmitSeg(%v) = %d,%d,%v (%d B) want %d,%d,%v (%d B), payloads equal: %v",
+							trial, step, rto, gs, gc, gok, len(gp), ws, wc, wok, len(wp), bytes.Equal(gp, wp))
 					}
-					check(step, "NextRetransmitSeg")
+					check(step, "NextRetransmitSeg", l)
 				}
 			}
 			peak = max(peak, len(ref.segs))
 		}
-		retx += ref.Retransmits
-		abandoned += ref.AbandonedSegs
+		for _, l := range ls {
+			retx += l.ref.Retransmits
+			abandoned += l.ref.AbandonedSegs
+		}
 	}
 	// The sequences must reach the interesting states, or equality proves
 	// little.

@@ -23,17 +23,38 @@
 // retransmission, the next timeout and the oldest unresolved segment
 // each cost O(log flight) at most; an acknowledgment costs that per
 // segment it newly resolves and per hole it leaves below the duplicate
-// threshold. The receivers hold what arrived out of order, in an
-// IntervalSet trimmed at the cumulative ack.
+// threshold. The payload bytes the SendBuffer keeps live in 64 KiB pages
+// drawn from a pool of this package's own; a page goes back once the
+// head has passed its last segment, so payload memory is the flight's
+// bytes plus at most one page (and under one segment of slack per
+// page), and an empty flight holds none. The receivers hold what
+// arrived out of order, in an IntervalSet trimmed at the cumulative ack.
 package sack
 
 import (
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/seqspace"
 )
+
+// pageSize is the payload page. It holds any legal MSS (core's Normalize
+// caps it at 65,000 bytes), so a segment never spans two pages.
+const pageSize = 64 << 10
+
+// pagePool recycles payload pages between every SendBuffer. It is this
+// package's own, not bufpool's: a stale payload slice can only ever alias
+// another scoreboard's payload, never a datagram buffer.
+var pagePool = sync.Pool{New: func() any { return new([pageSize]byte) }}
+
+// page is one payload page and the sequence number of the last segment
+// copied into it.
+type page struct {
+	buf  *[pageSize]byte
+	last seqspace.Seq
+}
 
 // segment is one sent-but-unresolved data frame in the scoreboard; its
 // stream-level sequence number is its place in the ring.
@@ -96,6 +117,10 @@ type SendBuffer struct {
 	// unresolved segment below top[0] has DupThresh SACKed segments above
 	// it.
 	top []seqspace.Seq
+	// The flight's payloads live in pages, oldest first; fill is how much
+	// of the last one is used.
+	pages []page
+	fill  int
 
 	cumAck seqspace.Seq
 
@@ -112,8 +137,9 @@ func NewSendBuffer(deadline time.Duration) *SendBuffer {
 }
 
 // Add registers the first transmission of a segment. Segments must be
-// added in sequence order; the payload is retained until resolved (the
-// buffer owns it — callers must not reuse the slice).
+// added in sequence order. The buffer keeps its own copy of the payload,
+// at most 64 KiB, until the segment is released; the caller's slice is
+// free again once Add returns.
 func (b *SendBuffer) Add(now time.Duration, seq seqspace.Seq, payload []byte) {
 	b.AddStream(now, seq, seq, payload)
 }
@@ -134,8 +160,26 @@ func (b *SendBuffer) AddStream(now time.Duration, seq, conn seqspace.Seq, payloa
 		b.grow()
 	}
 	b.n++
-	*b.seg(seq) = segment{conn: conn, payload: payload, firstSent: now, lastSent: now}
+	*b.seg(seq) = segment{conn: conn, payload: b.keep(seq, payload), firstSent: now, lastSent: now}
 	b.update(seq)
+}
+
+// keep copies segment seq's payload into the last page, or into a fresh
+// one from the pool when it does not fit, and returns the copy. An empty
+// payload (a bare FIN) takes no room and no page.
+func (b *SendBuffer) keep(seq seqspace.Seq, p []byte) []byte {
+	if len(p) == 0 {
+		return nil
+	}
+	if len(b.pages) == 0 || b.fill+len(p) > pageSize {
+		b.pages = append(b.pages, page{buf: pagePool.Get().(*[pageSize]byte)})
+		b.fill = 0
+	}
+	pg := &b.pages[len(b.pages)-1]
+	pg.last = seq
+	kept := pg.buf[b.fill : b.fill+len(p) : b.fill+len(p)]
+	b.fill += copy(kept, p)
+	return kept
 }
 
 // grow doubles the ring (from nothing, to 16 slots) and re-seats the
@@ -212,7 +256,9 @@ func (b *SendBuffer) Len() int { return b.n }
 func (b *SendBuffer) CumAck() seqspace.Seq { return b.cumAck }
 
 // release drops the k oldest segments, returning the bytes among them
-// that no SACK had resolved. One step per segment released.
+// that no SACK had resolved, and hands back to the pool every page the
+// head has passed — the last one too once the flight is empty. One step
+// per segment and per page released.
 func (b *SendBuffer) release(k int) (newly int) {
 	for ; k > 0; k-- {
 		s := b.seg(b.head)
@@ -227,6 +273,16 @@ func (b *SendBuffer) release(k int) (newly int) {
 	}
 	for len(b.top) > 0 && b.top[0].Less(b.head) {
 		b.top = b.top[:copy(b.top, b.top[1:])]
+	}
+	done := 0
+	for done < len(b.pages) && b.pages[done].last.Less(b.head) {
+		pagePool.Put(b.pages[done].buf)
+		done++
+	}
+	if done > 0 {
+		kept := copy(b.pages, b.pages[done:])
+		clear(b.pages[kept:]) // pooled pages must not stay reachable from here
+		b.pages = b.pages[:kept]
 	}
 	return newly
 }
@@ -335,7 +391,9 @@ func (b *SendBuffer) MinUnresolvedConn() (conn seqspace.Seq, ok bool) {
 
 // NextRetransmitSeg returns the oldest segment due for retransmission —
 // declared lost, or unacknowledged for longer than rto — marking it
-// retransmitted at now. Under partial reliability, segments older than
+// retransmitted at now. The payload is the buffer's own copy: it is valid
+// until the next Add, OnSACK or OnConnSACK on this buffer, which may hand
+// its page to another scoreboard. Under partial reliability, segments older than
 // the deadline are abandoned instead of returned. ok is false when
 // nothing is due. Both sequence spaces of the segment are returned: seq
 // within the stream and conn at the connection level (a retransmission
