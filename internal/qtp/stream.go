@@ -148,14 +148,9 @@ func newSendStream(id uint64, mode packet.StreamMode, deadline time.Duration, st
 func (s *sendStream) queued() int { return len(s.backlog) - s.sent }
 
 // take cuts the next segment's payload, at most mss bytes, off the front
-// of the backlog; the slice is valid until the next take or WriteStream.
-// The rest is never moved down per segment: only once more has been taken
-// than is left, so less than one byte moves per byte taken, whatever the
-// backlog — and a drained backlog starts over at the front of its array.
+// of the backlog. Nothing moves: the slice stays valid until the next
+// take or WriteStream, and only WriteStream reclaims what was taken.
 func (s *sendStream) take(mss int) []byte {
-	if s.sent > len(s.backlog)/2 {
-		s.backlog, s.sent = append(s.backlog[:0], s.backlog[s.sent:]...), 0
-	}
 	p := s.backlog[s.sent:min(s.sent+mss, len(s.backlog))]
 	s.sent += len(p)
 	return p
@@ -503,6 +498,14 @@ func (c *Conn) WriteStream(id uint64, p []byte) int {
 	}
 	if len(p) > room {
 		p = p[:room]
+	}
+	// What take cut off the front is dead. A drained backlog starts over
+	// at the front of its array; otherwise the rest moves down only when
+	// the append would reallocate and at least as much was taken as is
+	// left, so less than one byte moves per byte taken, whatever the
+	// backlog, and a writer that refills a drained backlog moves nothing.
+	if q := s.queued(); q == 0 || (len(s.backlog)+len(p) > cap(s.backlog) && s.sent >= q) {
+		s.backlog, s.sent = append(s.backlog[:0], s.backlog[s.sent:]...), 0
 	}
 	s.backlog = append(s.backlog, p...)
 	return len(p)
