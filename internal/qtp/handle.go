@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -333,11 +334,31 @@ func (c *Conn) lossGuard() time.Duration {
 
 func (c *Conn) onClose(now time.Duration) error {
 	if c.state != StateClosed {
+		c.forwardFinStream0(now)
 		c.ctrlPending = packet.TypeCloseAck
 		c.ctrlDue = now
 		c.state = StateClosing
 	}
 	return nil
+}
+
+// forwardFinStream0 is the unprefixed connection's forward FIN. Its
+// sender closes once every segment is acknowledged or abandoned, and no
+// StreamReset travels without the streams capability, so the Close
+// itself says where an expiring stream 0 ends: at the FIN the receiver
+// saw, or else at its highest buffered sequence. ForceFin then skips the
+// abandoned holes and delivers what waited behind them — data this
+// receiver already acknowledged — as onStreamReset does per stream.
+func (c *Conn) forwardFinStream0(now time.Duration) {
+	rs := c.recvByID[0]
+	if rs == nil || !rs.connSeq || rs.mode != packet.StreamExpiring {
+		return
+	}
+	// Nothing past a FIN arrives, so the highest buffered sequence is
+	// the FIN whenever the FIN is buffered.
+	if held := rs.reasm.Blocks(nil, math.MaxInt); len(held) > 0 {
+		rs.reasm.ForceFin(now, held[len(held)-1].Hi.Prev())
+	}
 }
 
 func (c *Conn) onCloseAck() error {
