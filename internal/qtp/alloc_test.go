@@ -76,15 +76,14 @@ func newAllocPair() *allocPair {
 // arrivals, reads, and whatever either side has to send.
 func (p *allocPair) step(t *testing.T) {
 	next, ok := p.snd.NextWake(p.now)
-	for _, w := range []func() (time.Duration, bool){
-		func() (time.Duration, bool) { return p.rcv.NextWake(p.now) },
-		func() (time.Duration, bool) { return p.fwd.at[p.fwd.head], p.fwd.n > 0 },
-		func() (time.Duration, bool) { return p.rev.at[p.rev.head], p.rev.n > 0 },
-	} {
-		if at, wok := w(); wok && (!ok || at < next) {
+	earliest := func(at time.Duration, due bool) {
+		if due && (!ok || at < next) {
 			next, ok = at, true
 		}
 	}
+	earliest(p.rcv.NextWake(p.now))
+	earliest(p.fwd.at[p.fwd.head], p.fwd.n > 0)
+	earliest(p.rev.at[p.rev.head], p.rev.n > 0)
 	if !ok {
 		t.Fatal("pair idle with data queued")
 	}
@@ -108,7 +107,7 @@ func (p *allocPair) step(t *testing.T) {
 // allocation: writing 64 frames' worth, polling the 64 data frames and
 // handling the acknowledgments that come back. The scoreboard keeps the
 // payloads in recycled pages; a per-connection arena carved from fresh
-// 32 KiB blocks read 2 here.
+// 32 KiB blocks read 3 here.
 func TestSendPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

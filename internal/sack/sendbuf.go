@@ -24,11 +24,12 @@
 // each cost O(log flight) at most; an acknowledgment costs that per
 // segment it newly resolves and per hole it leaves below the duplicate
 // threshold. The payload bytes the SendBuffer keeps live in 64 KiB pages
-// drawn from a pool of this package's own; a page goes back once the
-// head has passed its last segment, so payload memory is the flight's
-// bytes plus at most one page (and under one segment of slack per
-// page), and an empty flight holds none. The receivers hold what
-// arrived out of order, in an IntervalSet trimmed at the cumulative ack.
+// drawn from a pool of this package's own. A page goes back once the head
+// has passed its last segment, so a buffer holds only the pages its
+// flight spans — the flight's bytes, plus less than a page at either end
+// and less than a segment at the end of each page — and an empty flight
+// holds none. The receivers hold what arrived out of order, in an
+// IntervalSet trimmed at the cumulative ack.
 package sack
 
 import (
@@ -148,8 +149,9 @@ func (b *SendBuffer) Add(now time.Duration, seq seqspace.Seq, payload []byte) {
 // connection-level sequence differs from its stream-level one: seq
 // orders the segment within its stream (the scoreboard's key), conn is
 // the connection-level number stamped in the frame header, against
-// which connection-level SACK vectors resolve it (see OnConnSACK). Add
-// is AddStream with the two spaces coinciding.
+// which connection-level SACK vectors resolve it (see OnConnSACK). It
+// copies the payload as Add does; Add is AddStream with the two spaces
+// coinciding.
 func (b *SendBuffer) AddStream(now time.Duration, seq, conn seqspace.Seq, payload []byte) {
 	if b.ring == nil { // first Add
 		b.cumAck, b.head = seq, seq
@@ -391,10 +393,10 @@ func (b *SendBuffer) MinUnresolvedConn() (conn seqspace.Seq, ok bool) {
 
 // NextRetransmitSeg returns the oldest segment due for retransmission —
 // declared lost, or unacknowledged for longer than rto — marking it
-// retransmitted at now. The payload is the buffer's own copy: it is valid
-// until the next Add, OnSACK or OnConnSACK on this buffer, which may hand
-// its page to another scoreboard. Under partial reliability, segments older than
-// the deadline are abandoned instead of returned. ok is false when
+// retransmitted at now. The payload is the buffer's own copy, valid until
+// the next Add, OnSACK or OnConnSACK on this buffer, which may hand its
+// page to another scoreboard. Under partial reliability, segments older
+// than the deadline are abandoned instead of returned. ok is false when
 // nothing is due. Both sequence spaces of the segment are returned: seq
 // within the stream and conn at the connection level (a retransmission
 // reuses the original connection number, so rate control keeps seeing
