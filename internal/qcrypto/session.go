@@ -274,7 +274,10 @@ func (s *Session) SendEpoch() uint8 { return s.tx.epoch }
 // SealAppend seals one inner frame into a sealed datagram appended to
 // dst: 12-byte prefix, ciphertext, 16-byte tag. connID is the value
 // the peer demuxes on (its ID once known, the proposed ID during a
-// 0-RTT first flight). frame must not overlap dst's spare capacity.
+// 0-RTT first flight). Sealing in place is allowed: frame may lie at
+// exactly dst[len(dst)+packet.SealedHeaderLen:], where the ciphertext
+// goes, and while dst has the capacity the datagram stays in dst's
+// array. Otherwise frame must not overlap dst's spare capacity.
 func (s *Session) SealAppend(dst []byte, connID uint32, frame []byte) ([]byte, error) {
 	t := &s.tx
 	if t.aead == nil {

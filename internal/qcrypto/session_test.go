@@ -265,6 +265,43 @@ func TestKeyUpdateEpochWraps(t *testing.T) {
 	mustOpen(t, rx, ds[0], 255)
 }
 
+// TestSealInPlace seals a frame lying where its own ciphertext goes, the
+// way the UDP driver seals: the datagram equals sealing a copy, stays in
+// the caller's buffer, and opens to the frame.
+func TestSealInPlace(t *testing.T) {
+	c2s, _ := SessionKeys(bytes.Repeat([]byte{7}, 32), TranscriptHash([]byte("connect"), []byte("accept")))
+	inPlace, copied, server := NewSession(), NewSession(), NewSession()
+	inPlace.SetSendKeys(Epoch1RTT, c2s)
+	copied.SetSendKeys(Epoch1RTT, c2s)
+	server.SetRecvKeys(Epoch1RTT, c2s)
+	buf := make([]byte, 2048)
+	for n := 1; n <= 1500; n++ {
+		frame := make([]byte, n)
+		for i := range frame {
+			frame[i] = byte(n + 31*i)
+		}
+		copy(buf[packet.SealedHeaderLen:], frame)
+		got, err := inPlace.SealAppend(buf[:0], 9, buf[packet.SealedHeaderLen:packet.SealedHeaderLen+n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := copied.SealAppend(nil, 9, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d B: sealed in place differs from sealing a copy", n)
+		}
+		if &got[0] != &buf[0] || cap(got) != cap(buf) {
+			t.Fatalf("%d B: the datagram left the caller's buffer", n)
+		}
+		inner, _, err := server.Open(got)
+		if err != nil || !bytes.Equal(inner, frame) {
+			t.Fatalf("%d B: open: %v", n, err)
+		}
+	}
+}
+
 // The interface call must not cost an allocation per datagram: the
 // nonce scratch lives in the Session. Checked on both sides of a
 // generation boundary (the crossing itself derives keys and builds an

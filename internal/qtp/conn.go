@@ -150,8 +150,14 @@ type Conn struct {
 	ctrlPending packet.Type   // control frame owed to the peer (0 = none)
 	ctrlDue     time.Duration // when to (re)send it
 	ctrlTries   int
-	ctrlSentAt  time.Duration // for handshake RTT measurement
-	token       []byte        // source-address token from a Retry, echoed in Connects
+	token       []byte // source-address token from a Retry, echoed in Connects
+
+	// The handshake payloads, pinned once (see pinConnect, onConnect)
+	// and replayed byte for byte by every (re)transmission. Encrypted,
+	// they are also each side's contribution to the transcript: the
+	// initiator keeps the Accept it received, the responder the Connect.
+	connectPayload []byte
+	acceptPayload  []byte
 
 	// Timestamp echo state.
 	lastPeerTS   uint32
@@ -263,12 +269,22 @@ func (c *Conn) Start(now time.Duration) {
 	c.ctrlPending = packet.TypeConnect
 	c.ctrlDue = now
 	if c.cfg.Encrypt {
-		if err := c.startCrypto(now); err != nil {
+		if err := c.startCrypto(); err != nil {
 			// No entropy for a key share means no connection: the
 			// encrypted handshake cannot degrade to plaintext.
 			c.state = StateClosed
 			c.ctrlPending = 0
+			return
 		}
+	}
+	c.pinConnect()
+	if c.cr.early {
+		// 0-RTT: the data machines start now, so application data rides
+		// the first flight sealed under the early keys.
+		c.buildMachines(now)
+		c.rc.Start(now)
+		c.nextSendAt = now
+		c.started = true
 	}
 }
 

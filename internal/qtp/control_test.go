@@ -1,6 +1,7 @@
 package qtp
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -174,6 +175,54 @@ func TestLostAcceptIsRetransmitted(t *testing.T) {
 	}
 	if initiator.State() != StateEstablished {
 		t.Fatalf("initiator state %v", initiator.State())
+	}
+}
+
+// TestPlaintextRetryRepinsConnect: a plaintext initiator answered with
+// a Retry re-sends its Connect carrying the token, and retransmits that
+// Connect's payload byte for byte (the header's timestamps move).
+func TestPlaintextRetryRepinsConnect(t *testing.T) {
+	initiator := NewConn(Config{Initiator: true, Profile: core.ClassicTFRC(), ConnID: 0x5151})
+	initiator.Start(0)
+	payload := func(now time.Duration) []byte {
+		t.Helper()
+		frame, ok := initiator.PollFrame(now)
+		if !ok {
+			t.Fatalf("no connect at %v", now)
+		}
+		var hdr packet.Header
+		p, err := hdr.Parse(frame)
+		if err != nil || hdr.Type != packet.TypeConnect {
+			t.Fatalf("want a connect: %v %v", hdr.Type, err)
+		}
+		return p
+	}
+	first := payload(0)
+
+	token := []byte("prove-your-address")
+	retry := packet.Retry{Token: token}
+	rp, err := retry.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh := packet.Header{Type: packet.TypeRetry, ConnID: initiator.LocalID(), PayloadLen: uint16(len(rp))}
+	if err := initiator.HandleFrame(0, append(rh.AppendTo(nil), rp...)); err != nil {
+		t.Fatal(err)
+	}
+	second := payload(0)
+	var hs packet.Handshake
+	if err := hs.Parse(second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(hs.Token, token) {
+		t.Fatalf("retried connect carries token %q, want %q (first connect %x)", hs.Token, token, first)
+	}
+	next, ok := initiator.NextWake(0)
+	if !ok || next == 0 {
+		t.Fatal("no retransmission scheduled")
+	}
+	if again := payload(next); !bytes.Equal(again, second) {
+		t.Fatalf("retransmitted connect payload %x, want %x", again, second)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/ecdh"
 	"errors"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/packet"
@@ -33,12 +32,6 @@ type cryptoState struct {
 	enabled bool
 	priv    *ecdh.PrivateKey // initiator's ephemeral key, until the Accept arrives
 	sess    *qcrypto.Session
-
-	// The exact payload bytes each side contributes to the transcript.
-	// Both are pinned before first transmission so retransmits are
-	// byte-identical and both ends hash the same bytes.
-	connectPayload []byte
-	acceptPayload  []byte
 
 	early         bool // initiator: 0-RTT armed at Start
 	earlyOffered  bool // a ticket was sent (initiator) / received (responder)
@@ -104,11 +97,9 @@ func profileBytes(p core.Profile) []byte {
 }
 
 // startCrypto runs at Start on an encrypted initiator: generate the
-// ephemeral key share, pin the Connect payload (the transcript needs
-// its exact bytes), and — when resumption state matches the proposed
-// profile — derive 0-RTT keys and start the data machines immediately
-// so application data rides the first flight.
-func (c *Conn) startCrypto(now time.Duration) error {
+// ephemeral key share and decide whether resumption state matches the
+// proposed profile, in which case Start arms 0-RTT.
+func (c *Conn) startCrypto() error {
 	c.cr.enabled = true
 	priv, err := qcrypto.GenerateKey()
 	if err != nil {
@@ -121,43 +112,49 @@ func (c *Conn) startCrypto(now time.Duration) error {
 		c.cr.early = true
 		c.cr.earlyOffered = true
 	}
-	c.rebuildConnect()
-	if c.cr.early {
-		c.buildMachines(now)
-		c.rc.Start(now)
-		c.nextSendAt = now
-		c.started = true
-	}
 	return nil
 }
 
-// rebuildConnect pins the Connect payload bytes and (re)derives the
-// 0-RTT sending keys bound to them. Called at Start and again from
-// onRetry: a Retry changes the token TLV, which changes the payload,
-// which must re-bind the early keys (early data already in flight dies
-// with the old keys and is recovered by reliability under epoch 1).
-func (c *Conn) rebuildConnect() {
+// handshakeBase is what both handshake payloads start from: the
+// profile's handshake, plus the ID the peer should stamp on frames to
+// us unless it is the one the peer already uses (symmetric legacy
+// framing).
+func (c *Conn) handshakeBase() packet.Handshake {
 	hs := c.profile.Handshake()
 	if c.localID != c.remoteID {
 		hs.ConnID = c.localID
 	}
+	return hs
+}
+
+// pinConnect pins the Connect payload: the base, the source-address
+// token a Retry handed us (so the retried Connect passes address
+// validation), and when encrypted the key share and any 0-RTT ticket.
+// Called at Start and again from onRetry, whose token changes the
+// payload. On an encrypted connection it also (re)derives the 0-RTT
+// sending keys bound to the payload's hash: early data already in
+// flight dies with the old keys and is recovered by reliability under
+// epoch 1.
+func (c *Conn) pinConnect() {
+	hs := c.handshakeBase()
 	hs.Token = c.token
-	hs.KeyShare = c.cr.priv.PublicKey().Bytes()
-	if c.cr.early {
-		hs.Ticket = c.cfg.Resume.Ticket
+	if c.cr.enabled {
+		hs.KeyShare = c.cr.priv.PublicKey().Bytes()
+		if c.cr.early {
+			hs.Ticket = c.cfg.Resume.Ticket
+		}
 	}
-	c.cr.connectPayload, _ = hs.AppendTo(nil)
+	c.connectPayload, _ = hs.AppendTo(nil)
 	if c.cr.early {
 		c.cr.sess.SetSendKeys(qcrypto.Epoch0RTT,
-			qcrypto.EarlyKeys(c.cfg.Resume.Secret, qcrypto.ConnectHash(c.cr.connectPayload)))
+			qcrypto.EarlyKeys(c.cfg.Resume.Secret, qcrypto.ConnectHash(c.connectPayload)))
 	}
 }
 
 // acceptCrypto runs once on an encrypted responder when the Connect
 // that creates state arrives: run ECDH, redeem any 0-RTT ticket, mint
-// a fresh ticket, prebuild the entire Accept payload (so retransmits
-// are byte-identical and the transcript is fixed), and install 1-RTT
-// keys. The responder can seal immediately — its first sealed frames
+// a fresh ticket, pin the Accept payload (the base plus these crypto
+// TLVs, so the transcript is fixed), and install 1-RTT keys. The responder can seal immediately — its first sealed frames
 // may leave before the client's Confirm.
 func (c *Conn) acceptCrypto(hs *packet.Handshake, connectPayload []byte) error {
 	c.cr.enabled = true
@@ -170,14 +167,11 @@ func (c *Conn) acceptCrypto(hs *packet.Handshake, connectPayload []byte) error {
 		return err
 	}
 	c.cr.sess = qcrypto.NewSession()
-	c.cr.connectPayload = append([]byte(nil), connectPayload...)
-	connectHash := qcrypto.ConnectHash(c.cr.connectPayload)
+	c.connectPayload = append([]byte(nil), connectPayload...)
+	connectHash := qcrypto.ConnectHash(c.connectPayload)
 	profile := profileBytes(c.profile)
 
-	ahs := c.profile.Handshake()
-	if c.localID != c.remoteID {
-		ahs.ConnID = c.localID
-	}
+	ahs := c.handshakeBase()
 	ahs.KeyShare = priv.PublicKey().Bytes()
 
 	// 0-RTT redemption: the ticket must open under the minter's keys and
@@ -205,12 +199,10 @@ func (c *Conn) acceptCrypto(hs *packet.Handshake, connectPayload []byte) error {
 		}
 	}
 
-	acceptPayload, err := ahs.AppendTo(nil)
-	if err != nil {
+	if c.acceptPayload, err = ahs.AppendTo(nil); err != nil {
 		return err
 	}
-	c.cr.acceptPayload = acceptPayload
-	c2s, s2c := qcrypto.SessionKeys(shared, qcrypto.TranscriptHash(c.cr.connectPayload, acceptPayload))
+	c2s, s2c := qcrypto.SessionKeys(shared, qcrypto.TranscriptHash(c.connectPayload, c.acceptPayload))
 	c.cr.sess.SetSendKeys(qcrypto.Epoch1RTT, s2c)
 	c.cr.sess.SetRecvKeys(qcrypto.Epoch1RTT, c2s)
 	return nil
@@ -228,15 +220,15 @@ func (c *Conn) completeCrypto(hs *packet.Handshake, acceptPayload []byte) error 
 	if err != nil {
 		return err
 	}
-	c.cr.acceptPayload = append([]byte(nil), acceptPayload...)
-	c2s, s2c := qcrypto.SessionKeys(shared, qcrypto.TranscriptHash(c.cr.connectPayload, c.cr.acceptPayload))
+	c.acceptPayload = append([]byte(nil), acceptPayload...)
+	c2s, s2c := qcrypto.SessionKeys(shared, qcrypto.TranscriptHash(c.connectPayload, c.acceptPayload))
 	c.cr.sess.SetSendKeys(qcrypto.Epoch1RTT, c2s)
 	c.cr.sess.SetRecvKeys(qcrypto.Epoch1RTT, s2c)
 	c.cr.earlyAccepted = hs.EarlyAccept
 	if len(hs.Ticket) > 0 {
 		c.cr.newResumption = &qcrypto.Resumption{
 			Ticket:  append([]byte(nil), hs.Ticket...),
-			Secret:  qcrypto.ResumptionSecret(shared, qcrypto.ConnectHash(c.cr.connectPayload)),
+			Secret:  qcrypto.ResumptionSecret(shared, qcrypto.ConnectHash(c.connectPayload)),
 			Profile: profileBytes(core.ProfileFromHandshake(*hs)),
 		}
 	}

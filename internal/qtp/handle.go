@@ -96,13 +96,15 @@ func (c *Conn) onConnect(now time.Duration, hdr *packet.Header, payload []byte) 
 			if err := c.acceptCrypto(&hs, payload); err != nil {
 				return err
 			}
+		} else {
+			hs := c.handshakeBase()
+			c.acceptPayload, _ = hs.AppendTo(nil)
 		}
 		c.buildMachines(now)
 		c.state = StateEstablished
 	}
-	// (Re)send the Accept — handles a lost Accept too. On an encrypted
-	// connection buildControl replays the pinned acceptPayload bytes, so
-	// retransmits stay byte-identical to what the transcript hashed.
+	// (Re)send the Accept — handles a lost Accept too. buildControl
+	// replays the payload pinned at the first Connect.
 	c.ctrlPending = packet.TypeAccept
 	c.ctrlDue = now
 	return nil
@@ -181,13 +183,9 @@ func (c *Conn) onRetry(now time.Duration, hdr *packet.Header, payload []byte) er
 	}
 	c.token = append(c.token[:0], r.Token...)
 	c.stats.RetriesReceived++
-	if c.cr.enabled {
-		// The token changes the Connect payload, so the transcript — and
-		// any 0-RTT keys bound to its hash — must be rebuilt. Early data
-		// already in flight dies with the old keys; reliability resends
-		// it under the new ones.
-		c.rebuildConnect()
-	}
+	// The token changes the Connect payload and, encrypted, the
+	// transcript and any 0-RTT keys bound to its hash.
+	c.pinConnect()
 	c.ctrlPending = packet.TypeConnect
 	delay := time.Duration(r.RetryAfterMS) * time.Millisecond
 	if delay > 0 {

@@ -155,35 +155,18 @@ func (c *Conn) sendWorkPending() bool {
 	return false
 }
 
-// buildControl encodes the pending control frame, appended to dst.
+// buildControl encodes the pending control frame, appended to dst. A
+// Connect or Accept replays its pinned payload byte for byte: encrypted,
+// the key schedule hashes those exact bytes on both ends, so a
+// retransmission must not re-encode.
 func (c *Conn) buildControl(now time.Duration, dst []byte) []byte {
 	typ := c.ctrlPending
 	var payload []byte
 	switch typ {
-	case packet.TypeConnect, packet.TypeAccept:
-		if c.cr.enabled {
-			// Replay the pinned payload byte-for-byte: the key schedule
-			// hashes these exact bytes on both ends, so retransmits must
-			// not re-encode.
-			if typ == packet.TypeConnect {
-				payload = c.cr.connectPayload
-			} else {
-				payload = c.cr.acceptPayload
-			}
-			break
-		}
-		hs := c.profile.Handshake()
-		// Tell the peer which ID to stamp on frames it sends us, unless
-		// it is the ID it is already using (symmetric legacy framing).
-		if c.localID != c.remoteID {
-			hs.ConnID = c.localID
-		}
-		// Echo the server's source-address token, if a Retry handed us
-		// one, so the retried Connect passes address validation.
-		if typ == packet.TypeConnect {
-			hs.Token = c.token
-		}
-		payload, _ = hs.AppendTo(c.scratch[:0])
+	case packet.TypeConnect:
+		payload = c.connectPayload
+	case packet.TypeAccept:
+		payload = c.acceptPayload
 	}
 	frame := appendFrame(dst, c.header(typ, now), payload)
 
@@ -205,9 +188,6 @@ func (c *Conn) buildControl(now time.Duration, dst []byte) []byte {
 			}
 		} else {
 			c.ctrlDue = now + c.ctrlBackoff(c.ctrlTries-1)
-			if typ == packet.TypeConnect {
-				c.ctrlSentAt = now
-			}
 		}
 	}
 	return frame
@@ -274,8 +254,7 @@ func (c *Conn) buildAck(now time.Duration, dst []byte) []byte {
 
 // buildData emits one paced data frame, appended to dst: any stream's
 // due retransmission first (round-robin), otherwise a fresh segment from
-// the stream pickStream selects — strict-priority streams before the
-// weighted round-robin tier.
+// the stream pickStream selects.
 func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 	rto := c.retxTimeout()
 	n := len(c.sendStreams)
@@ -335,42 +314,30 @@ func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 }
 
 // pickStream selects the stream whose fresh data (or owed FIN) goes out
-// next. Strict-priority streams drain first, round-robin among
-// themselves; then the weighted tier runs deficit round-robin: each
-// eligible stream spends one credit per frame, and when every
-// backlogged weighted stream is out of credit the credits refill from
-// the weights. The rrData cursor keeps both tiers fair across calls.
+// next: deficit round-robin at weight 1. Each stream with something to
+// send has one turn per round; a round ends when no stream with
+// something to send has a turn left, and a stream whose data arrives
+// after its turn waits for the next round. The rrData cursor keeps the
+// order fair across calls. This is not a plain cursor round-robin: that
+// would serve a stream again in the round it already had its turn.
 func (c *Conn) pickStream() *sendStream {
 	n := len(c.sendStreams)
-	for k := 0; k < n; k++ {
-		s := c.sendStreams[(c.rrData+k)%n]
-		if s.strict && (s.queued() > 0 || s.needFin()) {
-			c.rrData = (c.rrData + k + 1) % n
-			return s
-		}
-	}
-	for refilled := false; ; refilled = true {
+	for newRound := false; ; newRound = true {
 		for k := 0; k < n; k++ {
 			s := c.sendStreams[(c.rrData+k)%n]
-			if s.strict || (s.queued() == 0 && !s.needFin()) {
+			if s.spent || (s.queued() == 0 && !s.needFin()) {
 				continue
 			}
-			if s.credit <= 0 {
-				continue
-			}
-			s.credit--
+			s.spent = true
 			c.rrData = (c.rrData + k + 1) % n
 			return s
 		}
-		if refilled {
-			// Refilling did not make anyone eligible: nothing to send.
+		if newRound {
+			// A fresh round made nobody eligible: nothing to send.
 			return nil
 		}
-		// Someone may be backlogged but out of credit — start a new
-		// round. If no weighted stream has data the next pass falls
-		// through to the refilled exit.
 		for _, s := range c.sendStreams {
-			s.credit = s.weight
+			s.spent = false
 		}
 	}
 }

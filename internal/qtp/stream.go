@@ -121,12 +121,9 @@ type sendStream struct {
 	peerCum      seqspace.Seq  // highest receiver-reported stream cum ack
 	peerCumSet   bool
 
-	// Scheduling (see pickStream): strict streams preempt the weighted
-	// round-robin; weighted streams spend credit frames per refill round
-	// proportional to weight.
-	weight int
-	strict bool
-	credit int
+	// spent marks a stream that has had its turn in the current
+	// scheduling round (see pickStream).
+	spent bool
 
 	frames, bytes           int
 	retransFrames, retransB int
@@ -140,7 +137,6 @@ func newSendStream(id uint64, mode packet.StreamMode, deadline time.Duration, st
 	return &sendStream{
 		id: id, mode: mode, deadline: deadline,
 		buf: sack.NewSendBuffer(bufDeadline), nextSeq: start, open: true,
-		weight: 1, credit: 1,
 	}
 }
 
@@ -409,42 +405,14 @@ func (c *Conn) retireStreams() {
 // multiplexing.
 func (c *Conn) MultiStream() bool { return c.multi }
 
-// StreamOpts carries optional per-stream scheduling parameters for
-// OpenStreamOpts. The zero value is the default: weight 1, not strict.
-type StreamOpts struct {
-	// Weight is the stream's share of the weighted round-robin data
-	// scheduler: with queued data on both, a weight-4 stream gets four
-	// fresh frames for every one a weight-1 stream gets. Zero or
-	// negative means the default weight 1; values above maxStreamWeight
-	// are clamped so one stream cannot starve the rest for an unbounded
-	// stretch within a single credit round.
-	Weight int
-	// Strict marks a strictly-prioritized stream (control/feedback
-	// traffic): its queued data always goes out before any weighted
-	// stream's. Strict streams round-robin among themselves. An
-	// always-backlogged strict stream starves the weighted tier — that
-	// is the contract; keep strict streams low-rate.
-	Strict bool
-}
-
-// maxStreamWeight bounds the per-round frame burst a single weighted
-// stream can take between credit refills.
-const maxStreamWeight = 256
-
 // OpenStream creates a new outbound stream with the given delivery mode
 // (sender side, established connections that negotiated the streams
 // capability only). deadline is
 // the retransmission bound for StreamExpiring and must be positive for
 // it; it is ignored for the reliable modes. The new stream's ID is
 // returned; the receiver learns of the stream from its first frame.
-// The stream gets default scheduling (weight 1); use OpenStreamOpts for
-// weighted or strict-priority streams.
+// Every stream gets an equal share of the data scheduler.
 func (c *Conn) OpenStream(mode packet.StreamMode, deadline time.Duration) (uint64, error) {
-	return c.OpenStreamOpts(mode, deadline, StreamOpts{})
-}
-
-// OpenStreamOpts is OpenStream with explicit scheduling parameters.
-func (c *Conn) OpenStreamOpts(mode packet.StreamMode, deadline time.Duration, opts StreamOpts) (uint64, error) {
 	if !c.isSender() {
 		return 0, ErrNotSender
 	}
@@ -463,19 +431,9 @@ func (c *Conn) OpenStreamOpts(mode packet.StreamMode, deadline time.Duration, op
 	if mode != packet.StreamExpiring {
 		deadline = 0
 	}
-	w := opts.Weight
-	if w <= 0 {
-		w = 1
-	}
-	if w > maxStreamWeight {
-		w = maxStreamWeight
-	}
 	id := c.nextStreamID
 	c.nextStreamID++
 	s := newSendStream(id, mode, deadline, c.streamStart())
-	s.weight = w
-	s.strict = opts.Strict
-	s.credit = w
 	c.sendStreams = append(c.sendStreams, s)
 	c.sendByID[id] = s
 	return id, nil

@@ -1,6 +1,7 @@
 package qtp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -438,82 +439,76 @@ func TestStreamLimitEnforced(t *testing.T) {
 	}
 }
 
-// TestStreamSchedulingStrictAndWeighted drives buildData directly
-// on an established sender: a strict control stream must drain before
-// any weighted stream sends, re-queued control data must preempt
-// mid-bulk, and two backlogged bulk streams must converge on their 4:1
-// weight ratio.
-func TestStreamSchedulingStrictAndWeighted(t *testing.T) {
+// TestStreamSchedulingEqualShares drives buildData directly on an
+// established sender. Two backlogged streams alternate frame for frame.
+// A round gives every stream with data one turn, so a stream whose data
+// arrives after its turn waits for the round to end, while one that has
+// not had its turn yet is served in it; a plain cursor round-robin would
+// serve the first stream again at once.
+func TestStreamSchedulingEqualShares(t *testing.T) {
 	c := NewConn(Config{Initiator: true, Profile: multiProfile(), ConnID: 9})
 	prof := multiProfile().Normalize()
 	c.StartDirect(0, prof, 10*time.Millisecond)
-
-	w4, err := c.OpenStreamOpts(packet.StreamReliableOrdered, 0, StreamOpts{Weight: 4})
-	if err != nil {
-		t.Fatalf("OpenStreamOpts: %v", err)
-	}
-	w1, err := c.OpenStream(packet.StreamReliableOrdered, 0)
-	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
-	}
-	ctl, err := c.OpenStreamOpts(packet.StreamReliableOrdered, 0, StreamOpts{Strict: true})
-	if err != nil {
-		t.Fatalf("OpenStreamOpts strict: %v", err)
-	}
-
 	mss := prof.MSS
-	c.WriteStream(w4, make([]byte, 200*mss))
-	c.WriteStream(w1, make([]byte, 200*mss))
-	c.WriteStream(ctl, make([]byte, 3*mss))
 
-	frames := func(id uint64) int {
-		st, ok := c.StreamStats(id)
-		if !ok {
-			t.Fatalf("no stats for stream %d", id)
-		}
-		return st.DataFramesSent
-	}
-	build := func() {
+	open := func() uint64 {
 		t.Helper()
-		if _, ok := c.buildData(0, nil); !ok {
+		id, err := c.OpenStream(packet.StreamReliableOrdered, 0)
+		if err != nil {
+			t.Fatalf("OpenStream: %v", err)
+		}
+		return id
+	}
+	// next builds one data frame and reports the stream it carried.
+	next := func() uint64 {
+		t.Helper()
+		f, ok := c.buildData(0, nil)
+		if !ok {
 			t.Fatal("buildData refused with backlogged streams")
 		}
+		var hdr packet.Header
+		payload, err := hdr.Parse(f)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		var si packet.StreamInfo
+		if _, err := si.Parse(payload, hdr.Seq); err != nil {
+			t.Fatalf("parse prefix: %v", err)
+		}
+		return si.ID
+	}
+	order := func(n int) []uint64 {
+		var ids []uint64
+		for i := 0; i < n; i++ {
+			ids = append(ids, next())
+		}
+		return ids
 	}
 
-	// Strict control drains first, before any weighted frame.
-	for i := 0; i < 3; i++ {
-		build()
-	}
-	if got := frames(ctl); got != 3 {
-		t.Fatalf("control sent %d frames during its drain, want 3", got)
-	}
-	if b4, b1 := frames(w4), frames(w1); b4 != 0 || b1 != 0 {
-		t.Fatalf("bulk streams sent %d/%d frames before strict control drained", b4, b1)
-	}
-
-	// Bulk proceeds on the weighted tier; mid-bulk control data preempts.
-	for i := 0; i < 10; i++ {
-		build()
-	}
-	c.WriteStream(ctl, make([]byte, mss))
-	pre4, pre1 := frames(w4), frames(w1)
-	build()
-	if got := frames(ctl); got != 4 {
-		t.Fatalf("re-queued control frame did not preempt (control at %d frames)", got)
-	}
-	if frames(w4) != pre4 || frames(w1) != pre1 {
-		t.Fatal("bulk advanced on the frame that should have carried control")
+	// Stream 0 stays empty throughout; it still takes part in the
+	// cursor's walk.
+	a, b, x, d := open(), open(), open(), open()
+	c.WriteStream(a, make([]byte, 100*mss))
+	c.WriteStream(d, make([]byte, 100*mss))
+	got := order(21)
+	for i, id := range got {
+		if want := []uint64{a, d}[i%2]; id != want {
+			t.Fatalf("backlogged streams did not alternate 1:1: %v", got)
+		}
 	}
 
-	// Weighted shares converge on 4:1 across full credit rounds (50
-	// more frames = 10 rounds of 4+1).
-	base4, base1 := frames(w4), frames(w1)
-	for i := 0; i < 50; i++ {
-		build()
-	}
-	d4, d1 := frames(w4)-base4, frames(w1)-base1
-	if d1 == 0 || d4*10 < d1*35 || d4*10 > d1*45 {
-		t.Fatalf("weighted shares %d:%d, want ~4:1", d4, d1)
+	// The last frame opened a round with a's turn; b (its only frame)
+	// and d follow, and x has nothing yet. Then b and x get data: b has
+	// had its turn this round and waits for the next one, x has not and
+	// goes at once, which ends the round.
+	c.WriteStream(b, make([]byte, mss))
+	got = order(2)
+	c.WriteStream(b, make([]byte, mss))
+	c.WriteStream(x, make([]byte, mss))
+	got = append(got, order(6)...)
+	want := []uint64{b, d, x, d, a, b, d, a}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stream order %v, want %v", got, want)
 	}
 }
 

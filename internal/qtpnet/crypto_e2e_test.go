@@ -165,6 +165,67 @@ func assertSealedWire(t *testing.T) {
 	}
 }
 
+// TestSealedFramesPastOneChunk runs a sealed transfer whose frames do
+// not fit the 2 KiB chunk the driver builds and seals them in: they
+// outgrow it into their own allocations, and every byte still arrives.
+func TestSealedFramesPastOneChunk(t *testing.T) {
+	skipIfCleartext(t)
+	const mss = 4000
+	cons := core.Permissive(1e7)
+	cons.MaxMSS = mss
+	l, err := Listen("127.0.0.1:0", cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan *Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
+	prof := core.QTPLightReliable(0)
+	prof.MSS = mss
+	conn, err := Dial(l.Addr().String(), prof, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	want := make([]byte, 64<<10)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	if _, err := conn.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	conn.CloseSend()
+
+	var sc *Conn
+	select {
+	case sc = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server accepted nothing")
+	}
+	defer sc.Close()
+	var got []byte
+	deadline := time.Now().Add(10 * time.Second)
+	for !sc.Finished() && time.Now().Before(deadline) {
+		chunk, ok := sc.Read(time.Second)
+		if !ok {
+			continue
+		}
+		got = append(got, chunk...)
+		sc.Release(chunk)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d bytes, want %d", len(got), len(want))
+	}
+	if st := conn.Stats(); st.DataFramesSent > len(want)/2048 {
+		t.Fatalf("%d data frames for %d bytes: the %d-byte MSS was not negotiated", st.DataFramesSent, len(want), mss)
+	}
+}
+
 // TestDowngradeStripE2E runs the classic downgrade MITM over real
 // sockets: a middlebox strips the key-share TLV from the Connect,
 // hoping both ends fall back to plaintext. The server must drop the

@@ -702,8 +702,9 @@ func (sh *shard) allocIDLocked() uint32 {
 // the caller owes a flushPending for once its round completes.
 //
 // Frames are built directly into pooled 2 KiB chunks (not 64 KiB
-// buffers: a paced burst queues up to 16 per connection) whose ownership
-// passes to the scheduler; nothing touches the socket while a connection
+// buffers: a paced burst queues up to 16 per connection), sealed in
+// place when the connection has keys, and the chunk's ownership passes
+// to the scheduler; nothing touches the socket while a connection
 // lock is held (queue-bounding flushes run after c.mu is released), so a
 // slow wire never stalls another connection's delivery or timers.
 func (sh *shard) service(c *Conn) (produced bool) {
@@ -711,35 +712,34 @@ func (sh *shard) service(c *Conn) (produced bool) {
 	var txb []byte
 	c.mu.Lock()
 	now := sh.now()
+	// Keys are installed by Start and HandleFrame, never by a poll. With
+	// keys, each frame is built behind room for the sealed datagram's
+	// prefix and sealed where it lies.
 	sess := c.inner.CryptoSession()
+	off := 0
+	if sess != nil {
+		off = packet.SealedHeaderLen
+	}
 	for {
 		if txb == nil {
 			txb = bufpool.GetChunk()
 		}
-		frame, ok := c.inner.PollFrameAppend(now, txb[:0])
+		frame, ok := c.inner.PollFrameAppend(now, txb[:off])
 		if !ok {
 			break
 		}
-		if sess == nil {
-			// Keys can appear inside this very round: a responder derives
-			// them while handling the Connect whose Accept it polls here.
-			sess = c.inner.CryptoSession()
-		}
 		wire := frame
-		var sb []byte
-		if sess != nil && len(frame) > 0 &&
-			!packet.Cleartext(packet.Type(frame[0]&0x0f)) {
-			// Seal into a second pooled chunk so txb stays reusable for
-			// the next poll; the sealed chunk's ownership passes to the
-			// scheduler with the enqueue.
-			sb = bufpool.GetChunk()
-			sealed, err := sess.SealAppend(sb[:0], c.inner.RemoteID(), frame)
-			if err != nil {
-				sh.sealFails.Add(1)
-				bufpool.PutChunk(sb)
-				continue
+		if sess != nil {
+			if packet.Cleartext(packet.Type(frame[off] & 0x0f)) {
+				wire = append(frame[:0], frame[off:]...)
+			} else {
+				sealed, err := sess.SealAppend(frame[:0], c.inner.RemoteID(), frame[off:])
+				if err != nil {
+					sh.sealFails.Add(1)
+					continue
+				}
+				wire = sealed
 			}
-			wire = sealed
 		}
 		if !c.validated.Load() {
 			// Pre-validation anti-amplification: withhold any frame that
@@ -752,24 +752,17 @@ func (sh *shard) service(c *Conn) (produced bool) {
 			// so sealed frames count their AEAD overhead too.
 			if c.ampTx.Load()+int64(len(wire)) > 3*c.ampRx.Load() {
 				sh.ampCapped.Add(1)
-				if sb != nil {
-					bufpool.PutChunk(sb)
-				}
 				continue
 			}
 			c.ampTx.Add(int64(len(wire)))
 		}
 		sh.tx.enqueue(c.peer, wire)
 		produced = true
-		if sb != nil {
-			if cap(wire) != cap(sb) {
-				// SealAppend outgrew the chunk (a frame past 2 KiB, which
-				// only an MSS beyond the default makes) and allocated:
-				// the chunk goes back, the scheduler drops the allocation.
-				bufpool.PutChunk(sb)
-			}
-		} else if cap(wire) == cap(txb) {
-			txb = nil // the scheduler owns the pooled chunk now
+		if cap(wire) == cap(txb) {
+			// The scheduler owns the pooled chunk now. A frame that
+			// outgrew it (only an MSS beyond the default makes one) was
+			// allocated, and the chunk serves the next poll.
+			txb = nil
 		}
 	}
 	var newResume *qcrypto.Resumption

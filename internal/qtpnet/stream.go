@@ -12,12 +12,6 @@ import (
 // not import the wire-format package.
 type StreamMode = packet.StreamMode
 
-// StreamOpts carries optional per-stream scheduling parameters for
-// OpenStreamOpts: Weight sets the stream's weighted-round-robin share
-// (default 1), Strict marks a strictly-prioritized control stream whose
-// queued data preempts every weighted stream.
-type StreamOpts = qtp.StreamOpts
-
 // Delivery modes for OpenStream.
 const (
 	StreamReliableOrdered   = packet.StreamReliableOrdered
@@ -96,14 +90,8 @@ func (s *Stream) Done() <-chan struct{} { return s.c.closedCh }
 // OpenStream creates a new outbound stream with the given delivery mode
 // (initiator side; requires the negotiated streams capability).
 // deadline is the retransmission bound for StreamExpiring, ignored
-// otherwise. The stream gets default scheduling (weight 1); use
-// OpenStreamOpts for weighted or strict-priority streams.
+// otherwise. Streams share the connection's sending turns equally.
 func (c *Conn) OpenStream(mode StreamMode, deadline time.Duration) (*Stream, error) {
-	return c.OpenStreamOpts(mode, deadline, StreamOpts{})
-}
-
-// OpenStreamOpts is OpenStream with explicit scheduling parameters.
-func (c *Conn) OpenStreamOpts(mode StreamMode, deadline time.Duration, opts StreamOpts) (*Stream, error) {
 	// A 0-RTT resume returns from Dial mid-handshake: wait for the Accept.
 	select {
 	case <-c.established:
@@ -111,7 +99,7 @@ func (c *Conn) OpenStreamOpts(mode StreamMode, deadline time.Duration, opts Stre
 		return nil, errConnClosed
 	}
 	c.mu.Lock()
-	id, err := c.inner.OpenStreamOpts(mode, deadline, opts)
+	id, err := c.inner.OpenStream(mode, deadline)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
