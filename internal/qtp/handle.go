@@ -341,15 +341,17 @@ func (c *Conn) onClose(now time.Duration) error {
 }
 
 // forwardFinStream0 is the unprefixed connection's forward FIN. Its
-// sender closes once every segment is acknowledged or abandoned, and no
-// StreamReset travels without the streams capability, so the Close
-// itself says where an expiring stream 0 ends: at the FIN the receiver
-// saw, or else at its highest buffered sequence. ForceFin then skips the
-// abandoned holes and delivers what waited behind them — data this
-// receiver already acknowledged — as onStreamReset does per stream.
+// sender closes once every segment is acknowledged, abandoned or (on an
+// unreliable stream 0) sent, and no StreamReset travels without the
+// streams capability, so the Close itself says where a stream 0 that
+// skips holes ends: at the FIN the receiver saw, or else at its highest
+// buffered sequence. ForceFin then skips the holes that will never fill
+// and delivers what waited behind them — data this receiver already
+// acknowledged — as onStreamReset does per stream. A fully reliable
+// stream 0 never skips, and has nothing behind a hole at its Close.
 func (c *Conn) forwardFinStream0(now time.Duration) {
 	rs := c.recvByID[0]
-	if rs == nil || !rs.connSeq || rs.mode != packet.StreamExpiring {
+	if rs == nil || !rs.connSeq || rs.reasm.SkipAfter == 0 {
 		return
 	}
 	// Nothing past a FIN arrives, so the highest buffered sequence is

@@ -231,7 +231,7 @@ func TestFrameTraceEquivalence(t *testing.T) {
 			want:    "S190 R63 D179000 frames=37d91ac6ce6bbdcb bytes=3ab344fe4b7469fd",
 			profile: traceProfile(partial, classic, traceDeadline)},
 		{name: "none-light",
-			want:    "S181 R167 D132000 frames=935d5747d797f155 bytes=f19e749a432ec822",
+			want:    "S181 R167 D166000 frames=935d5747d797f155 bytes=9c146744b463837a",
 			profile: traceProfile(none, light, 0)},
 		{name: "none-classic/late-fin",
 			want:    "S182 R56 D173000 frames=f0c6f043da742273 bytes=a0a13f56fbffe7bb",
