@@ -154,8 +154,9 @@ func (c *Conn) pinConnect() {
 // acceptCrypto runs once on an encrypted responder when the Connect
 // that creates state arrives: run ECDH, redeem any 0-RTT ticket, mint
 // a fresh ticket, pin the Accept payload (the base plus these crypto
-// TLVs, so the transcript is fixed), and install 1-RTT keys. The responder can seal immediately — its first sealed frames
-// may leave before the client's Confirm.
+// TLVs, so the transcript is fixed), and install 1-RTT keys. The
+// responder can seal immediately — its first sealed frames may leave
+// before the client's Confirm.
 func (c *Conn) acceptCrypto(hs *packet.Handshake, connectPayload []byte) error {
 	c.cr.enabled = true
 	priv, err := qcrypto.GenerateKey()

@@ -97,8 +97,8 @@ func (c *Conn) onConnect(now time.Duration, hdr *packet.Header, payload []byte) 
 				return err
 			}
 		} else {
-			hs := c.handshakeBase()
-			c.acceptPayload, _ = hs.AppendTo(nil)
+			ahs := c.handshakeBase()
+			c.acceptPayload, _ = ahs.AppendTo(nil)
 		}
 		c.buildMachines(now)
 		c.state = StateEstablished

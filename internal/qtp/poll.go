@@ -318,8 +318,8 @@ func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 // send has one turn per round; a round ends when no stream with
 // something to send has a turn left, and a stream whose data arrives
 // after its turn waits for the next round. The rrData cursor keeps the
-// order fair across calls. This is not a plain cursor round-robin: that
-// would serve a stream again in the round it already had its turn.
+// order fair across calls. A plain cursor round-robin would serve that
+// stream at once and so send multi-stream frames in another order.
 func (c *Conn) pickStream() *sendStream {
 	n := len(c.sendStreams)
 	for newRound := false; ; newRound = true {
