@@ -20,7 +20,10 @@ type Link struct {
 	loss  LossModel
 	dst   Handler
 
-	busy bool
+	txing  *Packet // on the transmitter; nil when idle
+	flight fifo    // transmitted, not lost, propagating
+	txDone func()  // l.transmitted, bound once
+	arrive func()  // l.deliver, bound once
 
 	// Counters (packets / bytes).
 	Sent        Counter // accepted into the queue
@@ -66,7 +69,7 @@ func NewLink(sim *Sim, cfg LinkConfig) *Link {
 	if q == nil {
 		q = NewDropTail(100)
 	}
-	return &Link{
+	l := &Link{
 		Name:  cfg.Name,
 		sim:   sim,
 		rate:  cfg.Rate,
@@ -75,6 +78,9 @@ func NewLink(sim *Sim, cfg LinkConfig) *Link {
 		loss:  cfg.Loss,
 		dst:   cfg.Dst,
 	}
+	l.txDone = l.transmitted
+	l.arrive = l.deliver
+	return l
 }
 
 // Rate returns the link rate in bytes/second.
@@ -96,36 +102,45 @@ func (l *Link) Send(p *Packet) {
 		return
 	}
 	l.Sent.add(p)
-	if !l.busy {
+	if l.txing == nil {
 		l.transmitNext()
 	}
 }
 
 func (l *Link) transmitNext() {
 	p := l.queue.Dequeue(l.sim.Now())
+	l.txing = p
 	if p == nil {
-		l.busy = false
 		return
 	}
-	l.busy = true
 	txTime := Time(float64(p.Size) / l.rate * float64(time.Second))
-	p.SentAt = l.sim.Now()
-	l.sim.After(txTime, func() {
-		// Transmitter is free for the next packet as soon as the last
-		// bit leaves; delivery happens after propagation.
-		l.transmitNext()
-		if l.loss != nil && l.loss.Lose(l.sim.Rand(), p) {
-			l.MediumDrops.add(p)
-			return
-		}
-		l.sim.After(l.delay, func() {
-			l.Delivered.add(p)
-			if l.Tap != nil {
-				l.Tap(l.sim.Now(), p)
-			}
-			l.dst.Recv(p)
-		})
-	})
+	l.sim.After(txTime, l.txDone)
+}
+
+// transmitted runs when the last bit of l.txing has left: the
+// transmitter is free for the next packet at once, and delivery happens
+// after propagation.
+func (l *Link) transmitted() {
+	p := l.txing
+	l.transmitNext()
+	if l.loss != nil && l.loss.Lose(l.sim.Rand(), p) {
+		l.MediumDrops.add(p)
+		return
+	}
+	l.flight.push(p)
+	l.sim.After(l.delay, l.arrive)
+}
+
+// deliver hands the oldest packet in flight to the destination. The
+// delay is the same for every packet, so arrivals come in the order the
+// transmitter finished them.
+func (l *Link) deliver() {
+	p := l.flight.pop()
+	l.Delivered.add(p)
+	if l.Tap != nil {
+		l.Tap(l.sim.Now(), p)
+	}
+	l.dst.Recv(p)
 }
 
 // Utilization returns delivered bytes divided by capacity over elapsed

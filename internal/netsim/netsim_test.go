@@ -254,6 +254,36 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
+// A queue that never drains reuses its slots: with 50 packets standing
+// and a million passed through, the backing array stays within twice
+// the peak occupancy, and packets still leave in arrival order.
+func TestStandingQueueBounded(t *testing.T) {
+	const standing, passed = 50, 1_000_000
+	q := NewDropTail(100)
+	rng := rand.New(rand.NewSource(1))
+	pkts := make([]Packet, standing+1)
+	for i := 0; i < standing; i++ {
+		pkts[i].Flow = FlowID(i)
+		q.Enqueue(0, rng, &pkts[i])
+	}
+	for i := standing; i < standing+passed; i++ {
+		p := &pkts[i%len(pkts)]
+		p.Flow = FlowID(i)
+		if !q.Enqueue(0, rng, p) {
+			t.Fatalf("packet %d dropped with %d queued", i, q.Len())
+		}
+		if got := q.Dequeue(0); got.Flow != FlowID(i-standing) {
+			t.Fatalf("dequeued flow %d, want %d", got.Flow, i-standing)
+		}
+	}
+	if q.Len() != standing {
+		t.Fatalf("Len = %d, want %d", q.Len(), standing)
+	}
+	if slots := cap(q.q.ring); slots > 2*(standing+1) {
+		t.Fatalf("queue holds %d slots for a peak of %d packets", slots, standing+1)
+	}
+}
+
 func TestREDNoDropsWhenIdle(t *testing.T) {
 	q := NewRED(5, 15, 0.1, 50)
 	rng := rand.New(rand.NewSource(1))

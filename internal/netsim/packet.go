@@ -35,10 +35,6 @@ type Packet struct {
 	Size    int
 	Mark    Mark
 	Payload any
-
-	// SentAt is stamped by the first link that transmits the packet;
-	// used for one-way delay measurements.
-	SentAt Time
 }
 
 // Handler consumes packets at the far end of a link.

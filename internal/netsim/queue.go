@@ -12,34 +12,52 @@ type Queue interface {
 	Bytes() int // bytes queued
 }
 
-// fifo is the common ring-buffer backbone of the disciplines below.
+// fifo is the packet FIFO of the disciplines below and of a link's
+// packets in flight: a ring that reuses its array, grown by doubling
+// only when full, so its size follows the peak occupancy.
 type fifo struct {
-	pkts  []*Packet
-	head  int
+	ring  []*Packet
+	head  int // index of the oldest packet
+	n     int
 	bytes int
 }
 
 func (f *fifo) push(p *Packet) {
-	f.pkts = append(f.pkts, p)
+	if f.n == len(f.ring) {
+		f.grow()
+	}
+	i := f.head + f.n
+	if i >= len(f.ring) {
+		i -= len(f.ring)
+	}
+	f.ring[i] = p
+	f.n++
 	f.bytes += p.Size
 }
 
+func (f *fifo) grow() {
+	ring := make([]*Packet, max(2*len(f.ring), 8))
+	k := copy(ring, f.ring[f.head:])
+	copy(ring[k:], f.ring[:f.head])
+	f.ring, f.head = ring, 0
+}
+
 func (f *fifo) pop() *Packet {
-	if f.head >= len(f.pkts) {
+	if f.n == 0 {
 		return nil
 	}
-	p := f.pkts[f.head]
-	f.pkts[f.head] = nil
+	p := f.ring[f.head]
+	f.ring[f.head] = nil
 	f.head++
-	f.bytes -= p.Size
-	if f.head == len(f.pkts) {
-		f.pkts = f.pkts[:0]
+	if f.head == len(f.ring) {
 		f.head = 0
 	}
+	f.n--
+	f.bytes -= p.Size
 	return p
 }
 
-func (f *fifo) len() int  { return len(f.pkts) - f.head }
+func (f *fifo) len() int  { return f.n }
 func (f *fifo) size() int { return f.bytes }
 
 // DropTail is a FIFO queue that drops arrivals once it holds LimitPkts

@@ -7,10 +7,33 @@
 // Protocol endpoints are written sans-IO (see internal/qtp, internal/tcp)
 // and attach to the simulator through the Handler interface; the same
 // state machines also run over real UDP via internal/qtpnet.
+//
+// # Event queue
+//
+// The scheduler's queue is a binary heap of pending timers and nothing
+// else: a Timer is its own heap entry, so At allocates exactly one
+// object. Timers fire in (at, seq) order, seq being the order in which
+// they were scheduled; that order is total, so equal times run in
+// scheduling order and a seed reproduces the same run. Stop removes a
+// pending timer from the heap at once, in O(log n); a timer that fired
+// or was stopped is no longer in the heap, and Stop on it returns false,
+// also from inside its own callback.
+//
+// Because stopped timers leave no trace in the queue, RunUntilIdle ends
+// with Now at the time of the last callback that fired, not at that of a
+// stopped timer that was due after it. Run(until) still ends at until.
+//
+// # Links
+//
+// A Link's transmitter holds one packet at a time and its propagation
+// delay is fixed, so packets arrive in the order they left the
+// transmitter: a link keeps its packets in flight in a FIFO and its two
+// events (transmission done, arrival) are method values bound once at
+// construction. A packet through a link costs the two timers and
+// nothing else.
 package netsim
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 )
@@ -22,7 +45,7 @@ type Time = time.Duration
 // then call Run or RunUntilIdle.
 type Sim struct {
 	now    Time
-	events eventHeap
+	timers []*Timer // min-heap by (at, seq); each timer knows its index
 	seq    uint64
 	rng    *rand.Rand
 }
@@ -43,17 +66,20 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Timer is a cancellable scheduled callback.
 type Timer struct {
-	stopped bool
-	fired   bool
+	at    Time
+	seq   uint64
+	fn    func()
+	index int // position in sim.timers; -1 once fired or stopped
+	sim   *Sim
 }
 
 // Stop cancels the timer. It reports whether the timer was still
 // pending (i.e. Stop prevented the callback from running).
 func (t *Timer) Stop() bool {
-	if t.stopped || t.fired {
+	if t.index < 0 {
 		return false
 	}
-	t.stopped = true
+	t.sim.remove(t.index)
 	return true
 }
 
@@ -64,9 +90,10 @@ func (s *Sim) At(at Time, fn func()) *Timer {
 	if at < s.now {
 		at = s.now
 	}
-	t := &Timer{}
 	s.seq++
-	heap.Push(&s.events, &event{at: at, seq: s.seq, fn: fn, timer: t})
+	t := &Timer{at: at, seq: s.seq, fn: fn, sim: s}
+	s.timers = append(s.timers, t)
+	s.up(len(s.timers) - 1)
 	return t
 }
 
@@ -78,7 +105,7 @@ func (s *Sim) After(d Time, fn func()) *Timer {
 // Run executes events in order until the event queue is empty or the
 // next event is after `until`; it then advances the clock to `until`.
 func (s *Sim) Run(until Time) {
-	for len(s.events) > 0 && s.events[0].at <= until {
+	for len(s.timers) > 0 && s.timers[0].at <= until {
 		s.step()
 	}
 	if s.now < until {
@@ -86,50 +113,84 @@ func (s *Sim) Run(until Time) {
 	}
 }
 
-// RunUntilIdle executes events until none remain.
+// RunUntilIdle executes events until none remain. Now is then the time
+// of the last callback that ran.
 func (s *Sim) RunUntilIdle() {
-	for len(s.events) > 0 {
+	for len(s.timers) > 0 {
 		s.step()
 	}
 }
 
 func (s *Sim) step() {
-	ev := heap.Pop(&s.events).(*event)
-	s.now = ev.at
-	if ev.timer.stopped {
-		return
+	t := s.timers[0]
+	s.remove(0)
+	s.now = t.at
+	t.fn()
+}
+
+// before reports whether t fires before u.
+func (t *Timer) before(u *Timer) bool {
+	if t.at != u.at {
+		return t.at < u.at
 	}
-	ev.timer.fired = true
-	ev.fn()
+	return t.seq < u.seq
 }
 
-// event is one scheduled callback. Events with equal times run in
-// scheduling order (seq), making the execution order total and
-// deterministic.
-type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	timer *Timer
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// remove takes the timer at heap index i out of the queue.
+func (s *Sim) remove(i int) {
+	h := s.timers
+	last := len(h) - 1
+	h[i].index = -1
+	if i < last {
+		h[i] = h[last]
 	}
-	return h[i].seq < h[j].seq
+	h[last] = nil
+	s.timers = h[:last]
+	if i < last && !s.down(i) {
+		s.up(i)
+	}
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// up moves the timer at i towards the root past every parent that
+// fires after it, keeping each moved timer's index.
+func (s *Sim) up(i int) {
+	h := s.timers
+	t := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].index = i
+		i = parent
+	}
+	h[i] = t
+	t.index = i
+}
+
+// down moves the timer at i towards the leaves past every child that
+// fires before it, keeping each moved timer's index, and reports whether
+// it moved.
+func (s *Sim) down(i int) bool {
+	h := s.timers
+	t, start := h[i], i
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(t) {
+			break
+		}
+		h[i] = h[child]
+		h[i].index = i
+		i = child
+	}
+	h[i] = t
+	t.index = i
+	return i > start
 }
