@@ -80,14 +80,6 @@ type Config struct {
 	// stray frame to its owner without shared state; the state machine
 	// itself treats the ID as opaque.
 	LocalID uint32
-	// StartSeq is the first connection-level sequence number (default
-	// 1): the space frame headers count in, shared by all streams — and
-	// the one the unprefixed stream 0 counts in too.
-	StartSeq seqspace.Seq
-	// StreamStartSeq is the first sequence number of every prefixed
-	// stream's own sequence space (default 1). Tests use it to exercise
-	// per-stream offset wraparound.
-	StreamStartSeq seqspace.Seq
 	// MaxBacklog caps bytes queued in Write before the transport pushes
 	// back (default 1 MiB).
 	MaxBacklog int
@@ -105,6 +97,14 @@ type Config struct {
 	// matches the proposal, the Connect carries the ticket and data is
 	// sealed under the early keys in the first flight.
 	Resume *qcrypto.Resumption
+
+	// startSeq is the first connection-level sequence number: the space
+	// frame headers count in, shared by all streams — and the one the
+	// unprefixed stream 0 counts in too. streamStartSeq is the first
+	// sequence number of every prefixed stream's own space. NewConn sets
+	// both to 1; only the in-package wraparound test starts them near the
+	// top of the space.
+	startSeq, streamStartSeq seqspace.Seq
 }
 
 // Stats accumulates endpoint counters for experiments and monitoring.
@@ -224,13 +224,16 @@ var (
 // NewConn creates an endpoint. Call Start on the initiator to begin the
 // handshake; the responder just feeds inbound frames to HandleFrame.
 func NewConn(cfg Config) *Conn {
-	if cfg.StartSeq == 0 {
-		cfg.StartSeq = 1
+	if cfg.startSeq == 0 {
+		cfg.startSeq = 1
+	}
+	if cfg.streamStartSeq == 0 {
+		cfg.streamStartSeq = 1
 	}
 	if cfg.MaxBacklog == 0 {
 		cfg.MaxBacklog = 1 << 20
 	}
-	c := &Conn{cfg: cfg, state: StateIdle, nextSeq: cfg.StartSeq}
+	c := &Conn{cfg: cfg, state: StateIdle, nextSeq: cfg.startSeq}
 	c.localID = cfg.LocalID
 	if c.localID == 0 {
 		c.localID = cfg.ConnID
@@ -240,12 +243,12 @@ func NewConn(cfg Config) *Conn {
 		c.profile = cfg.Profile.Normalize()
 		// Stream 0 exists before the handshake so Write may precede it;
 		// buildMachines gives it the negotiated delivery mode.
-		s0 := newSendStream(0, packet.StreamReliableOrdered, 0, cfg.StartSeq)
+		s0 := newSendStream(0, packet.StreamReliableOrdered, 0, cfg.startSeq)
 		c.sendStreams = []*sendStream{s0}
 		c.sendByID = map[uint64]*sendStream{0: s0}
 		c.nextStreamID = 1
 	} else {
-		c.ackTrack.cum = cfg.StartSeq
+		c.ackTrack.cum = cfg.startSeq
 		c.recvByID = make(map[uint64]*recvStream)
 	}
 	return c
@@ -347,7 +350,7 @@ func (c *Conn) buildMachines(now time.Duration) {
 		if c.multi {
 			// Prefixed, stream 0 counts in its own sequence space like
 			// every stream; unprefixed it keeps the connection's.
-			s0.nextSeq = c.streamStart()
+			s0.nextSeq = c.cfg.streamStartSeq
 		}
 		return
 	}

@@ -52,11 +52,6 @@ import (
 //     one frame per pacing slot, so a backlogged bulk stream cannot
 //     starve a paced media stream sharing the connection.
 
-// streamStartSeq is the first sequence number of every stream's own
-// sequence space (overridable per connection for wrap tests via
-// Config.StreamStartSeq).
-const streamStartSeq = 1
-
 // Stream-layer errors.
 var (
 	ErrNoStreams     = errors.New("qtp: stream multiplexing not negotiated")
@@ -311,13 +306,6 @@ func (c *Conn) stream0Mode() (packet.StreamMode, time.Duration) {
 	return packet.StreamReliableOrdered, 0
 }
 
-func (c *Conn) streamStart() seqspace.Seq {
-	if c.cfg.StreamStartSeq != 0 {
-		return c.cfg.StreamStartSeq
-	}
-	return streamStartSeq
-}
-
 // openRecvStream registers a receive stream, announcing every stream
 // but 0 to AcceptStreamID.
 func (c *Conn) openRecvStream(id uint64, mode packet.StreamMode, deadline time.Duration, start seqspace.Seq) *recvStream {
@@ -335,7 +323,7 @@ func (c *Conn) openRecvStream(id uint64, mode packet.StreamMode, deadline time.D
 // counts in the connection's sequence space.
 func (c *Conn) openRecvStream0() *recvStream {
 	mode, deadline := c.stream0Mode()
-	rs := c.openRecvStream(0, mode, deadline, c.cfg.StartSeq)
+	rs := c.openRecvStream(0, mode, deadline, c.cfg.startSeq)
 	rs.connSeq = true
 	if c.profile.Reliability == packet.ReliabilityNone {
 		rs.reasm.SkipAfter = unreliableSkip
@@ -357,7 +345,7 @@ func (c *Conn) recvStreamFor(id uint64, mode packet.StreamMode, deadlineMS uint3
 		c.stats.DecodeErrors++
 		return nil, ErrStreamLimit
 	}
-	return c.openRecvStream(id, mode, time.Duration(deadlineMS)*time.Millisecond, c.streamStart()), nil
+	return c.openRecvStream(id, mode, time.Duration(deadlineMS)*time.Millisecond, c.cfg.streamStartSeq), nil
 }
 
 // retireStreams reclaims finished streams so MaxStreams caps
@@ -433,7 +421,7 @@ func (c *Conn) OpenStream(mode packet.StreamMode, deadline time.Duration) (uint6
 	}
 	id := c.nextStreamID
 	c.nextStreamID++
-	s := newSendStream(id, mode, deadline, c.streamStart())
+	s := newSendStream(id, mode, deadline, c.cfg.streamStartSeq)
 	c.sendStreams = append(c.sendStreams, s)
 	c.sendByID[id] = s
 	return id, nil

@@ -206,11 +206,11 @@ func TestStreamOffsetWraparound(t *testing.T) {
 	streamStart := seqspace.Seq(0xfffffff0)
 	sender := NewConn(Config{
 		Initiator: true, Profile: prof, ConnID: 1,
-		StartSeq: connStart, StreamStartSeq: streamStart,
+		startSeq: connStart, streamStartSeq: streamStart,
 	})
 	receiver := NewConn(Config{
 		Initiator: false, ConnID: 1,
-		StartSeq: connStart, StreamStartSeq: streamStart,
+		startSeq: connStart, streamStartSeq: streamStart,
 	})
 	f := &Flow{sim: sim, Sender: sender, Receiver: receiver,
 		cfg: FlowConfig{ID: 1, Fwd: fwd, Rev: rev}}

@@ -1,10 +1,14 @@
 package qtpnet
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
+	"os"
 	"sync/atomic"
+	"time"
 )
 
 // rxBatch is the receive ring size: the most datagrams one readBatch
@@ -89,20 +93,34 @@ func (d *DataPath) Set(s string) error {
 	return fmt.Errorf("unknown data path %q (want auto, mmsg or portable)", s)
 }
 
-// batchIO is the seam between a shard's loop and the socket.
-// The linux implementation moves whole batches per syscall with
+// batchIO is the seam between a shard's loop and the socket: it moves
+// the datagrams, and it alone decides how the loop waits and what time
+// it is. The linux implementation moves whole batches per syscall with
 // recvmmsg/sendmmsg — and, where the kernel supports it, whole segment
 // trains per datagram with UDP_SEGMENT/UDP_GRO; every other platform
 // (and DataPathPortable) falls back to one datagram per call, so the
 // endpoint's logic is identical everywhere and tests can force either
-// path.
+// path, or drive the loop on a clock of their own.
 type batchIO interface {
 	// readBatch fills ms[i].n, ms[i].addr and ms[i].segSize for each
 	// datagram received into ms[i].buf and returns how many messages
-	// were filled, blocking until there is one or the socket's read
-	// deadline passes (os.ErrDeadlineExceeded). Without park an empty
-	// socket is an empty batch at once (singleIO cannot, and waits).
+	// were filled. With park it blocks until there is one or the park
+	// ends — park's deadline passes or wake lands — which is an empty
+	// batch, not an error. Without park it is an attempt: an empty
+	// socket is an empty batch at once (singleIO cannot tell, and waits
+	// out attemptPark), whatever an earlier park or wake left armed.
 	readBatch(ms []ioMsg, park bool) (int, error)
+	// now is the shard's protocol clock, shared by every connection it
+	// serves; park deadlines are instants on it.
+	now() time.Duration
+	// park arms the deadline that ends the next parked read: until on
+	// now's clock, math.MaxInt64 for none. The shard calls park and wake
+	// under one lock, so a wake is never overwritten by the park it
+	// cancels; readBatch itself arms nothing a wake could be lost under.
+	park(until time.Duration)
+	// wake ends the current park, or the next one if no read is parked;
+	// only the next park re-arms.
+	wake()
 	batchWriter
 }
 
@@ -134,31 +152,76 @@ type pathCaps struct {
 }
 
 // newBatchIO picks the best implementation for the socket at or below
-// the ceiling.
+// the ceiling. The protocol clock counts from now.
 func newBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath) (batchIO, *pathCaps) {
 	caps := &pathCaps{}
+	sock := udpSock{pc: pc, epoch: time.Now()}
 	if ceiling < DataPathPortable {
-		if bio := newPlatformBatchIO(pc, maxBatch, ceiling, caps); bio != nil {
+		if bio := newPlatformBatchIO(sock, maxBatch, ceiling, caps); bio != nil {
 			return bio, caps
 		}
 	}
-	return singleIO{pc}, caps
+	return singleIO{sock}, caps
+}
+
+// attemptPark is the read deadline of an attempt: recvmmsg never waits
+// for it, the portable rung does, so it is the shortest that has not
+// already passed when the read reaches the socket (one poller tick on an
+// empty one).
+const attemptPark = 20 * time.Microsecond
+
+// udpSock is what the socket-backed batchIO implementations share: the
+// socket, whose read deadline is the shard loop's one timer, and the
+// wall-clock instant the protocol clock counts from. It is the only code
+// that sets a read deadline.
+type udpSock struct {
+	pc    *net.UDPConn
+	epoch time.Time
+}
+
+func (s udpSock) now() time.Duration { return time.Since(s.epoch) }
+
+func (s udpSock) park(until time.Duration) {
+	var deadline time.Time
+	if until != math.MaxInt64 {
+		deadline = s.epoch.Add(until)
+	}
+	_ = s.pc.SetReadDeadline(deadline) // refused only by a closed socket: the read reports it
+}
+
+// wake moves the read deadline into the past: a parked read fails on it
+// at once, and so does the next one until park re-arms.
+func (s udpSock) wake() { _ = s.pc.SetReadDeadline(time.Unix(1, 0)) }
+
+// attempt arms the deadline of a read that must not park, past whatever
+// an earlier park or wake left expired. Nobody wakes a loop that is not
+// parked, so the deadline is the loop's alone here.
+func (s udpSock) attempt() { _ = s.pc.SetReadDeadline(time.Now().Add(attemptPark)) }
+
+// readFailed is what readBatch returns for a read that failed with err:
+// an empty batch when a park's deadline or a wake ended it.
+func readFailed(err error) (int, error) {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return 0, nil
+	}
+	return 0, err
 }
 
 // singleIO is the portable fallback: one syscall per datagram through
 // the standard library, semantically identical to the batch path with
 // every batch of size one. It never enables GRO on the socket, so
 // reads are always exactly one wire datagram.
-type singleIO struct {
-	pc *net.UDPConn
-}
+type singleIO struct{ udpSock }
 
-// readBatch ignores park: the standard library has no non-blocking
-// read, so an attempt on an empty socket waits out the read deadline.
-func (s singleIO) readBatch(ms []ioMsg, _ bool) (int, error) {
+// readBatch's attempt waits out attemptPark: the standard library has
+// no non-blocking read.
+func (s singleIO) readBatch(ms []ioMsg, park bool) (int, error) {
+	if !park {
+		s.attempt()
+	}
 	n, addr, err := s.pc.ReadFromUDPAddrPort(ms[0].buf)
 	if err != nil {
-		return 0, err
+		return readFailed(err)
 	}
 	ms[0].n, ms[0].addr, ms[0].segSize = n, addr, 0
 	return 1, nil

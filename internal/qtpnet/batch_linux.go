@@ -32,9 +32,10 @@ import (
 // net.UDPConn reads do — one goroutine blocked in readBatch costs the
 // same as one blocked in ReadFromUDPAddrPort, but wakes with up to a
 // whole ring of datagrams, each of which may itself be a GRO merge of
-// up to 64 wire packets — and honour the socket's read deadline, which
-// is the shard loop's timer.
+// up to 64 wire packets — and honour the read deadline udpSock arms,
+// which is the shard loop's timer.
 type mmsgIO struct {
+	udpSock
 	rc   syscall.RawConn
 	v6   bool      // AF_INET6 socket: v4 destinations need mapping
 	caps *pathCaps // what the probes below found; shared with the endpoint
@@ -101,8 +102,8 @@ const (
 // Segment offload is probed here, once per socket: each socket — and
 // therefore each shard of an Endpoint — carries its own
 // independent GSO/GRO capability and fallback state.
-func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath, caps *pathCaps) batchIO {
-	rc, err := pc.SyscallConn()
+func newPlatformBatchIO(sock udpSock, maxBatch int, ceiling DataPath, caps *pathCaps) batchIO {
+	rc, err := sock.pc.SyscallConn()
 	if err != nil {
 		return nil
 	}
@@ -132,6 +133,7 @@ func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath, caps *p
 		wsa:  make([]syscall.RawSockaddrInet6, wn),
 		wctl: make([]ctlBuf, wn),
 	}
+	m.udpSock = sock
 	m.recv, m.send = m.recvmmsg, m.sendmmsg
 	caps.batch = true
 	if ceiling < DataPathMmsg {
@@ -157,6 +159,11 @@ func (m *mmsgIO) probeOffload() {
 }
 
 func (m *mmsgIO) readBatch(ms []ioMsg, park bool) (int, error) {
+	if !park {
+		// The callback never waits on an attempt, but the poller refuses
+		// a read under an expired deadline before it runs.
+		m.attempt()
+	}
 	n := len(ms)
 	if n > len(m.rhdr) {
 		n = len(m.rhdr)
@@ -176,7 +183,7 @@ func (m *mmsgIO) readBatch(ms []ioMsg, park bool) (int, error) {
 	}
 	m.rn, m.rpark, m.rgot, m.rerr = n, park, 0, 0
 	if err := m.rc.Read(m.recv); err != nil {
-		return 0, err
+		return readFailed(err)
 	}
 	if m.rerr != 0 {
 		return 0, os.NewSyscallError("recvmmsg", m.rerr)

@@ -26,8 +26,8 @@ func TestMmsgIOAllocationFree(t *testing.T) {
 		return pc
 	}
 	src, dst := listen(), listen()
-	w := newPlatformBatchIO(src, rxBatch, DataPathAuto, &pathCaps{})
-	r := newPlatformBatchIO(dst, rxBatch, DataPathAuto, &pathCaps{})
+	w := newPlatformBatchIO(udpSock{pc: src}, rxBatch, DataPathAuto, &pathCaps{})
+	r := newPlatformBatchIO(udpSock{pc: dst}, rxBatch, DataPathAuto, &pathCaps{})
 	if w == nil || r == nil {
 		t.Fatal("mmsg path unavailable on linux")
 	}

@@ -7,7 +7,7 @@ import "net"
 // newPlatformBatchIO reports that no batched syscall implementation
 // (and therefore no segment offload) exists here; the endpoint uses the
 // portable single-datagram fallback.
-func newPlatformBatchIO(pc *net.UDPConn, maxBatch int, ceiling DataPath, caps *pathCaps) batchIO {
+func newPlatformBatchIO(sock udpSock, maxBatch int, ceiling DataPath, caps *pathCaps) batchIO {
 	return nil
 }
 

@@ -84,7 +84,7 @@ func TestPlatformOffloadProbe(t *testing.T) {
 	}
 	defer pc.Close()
 	caps := &pathCaps{}
-	if newPlatformBatchIO(pc, rxBatch, DataPathAuto, caps) == nil {
+	if newPlatformBatchIO(udpSock{pc: pc}, rxBatch, DataPathAuto, caps) == nil {
 		t.Fatal("mmsg path unavailable on linux")
 	}
 	switch n := caps.gsoMaxSegs.Load(); n {
@@ -102,7 +102,7 @@ func TestPlatformOffloadProbe(t *testing.T) {
 	}
 	defer pc2.Close()
 	caps2 := &pathCaps{}
-	newPlatformBatchIO(pc2, rxBatch, DataPathMmsg, caps2)
+	newPlatformBatchIO(udpSock{pc: pc2}, rxBatch, DataPathMmsg, caps2)
 	if !caps2.batch || caps2.gsoMaxSegs.Load() != 0 || caps2.gro {
 		t.Fatalf("DataPathMmsg ceiling: batch=%v gso=%d gro=%v, want true 0 false",
 			caps2.batch, caps2.gsoMaxSegs.Load(), caps2.gro)

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -311,7 +312,7 @@ func TestLoopDueHeadStillReads(t *testing.T) {
 
 	armDue()
 	start := time.Now()
-	if n, err := sh.read(ms, false); n != 0 || err != nil {
+	if n, err := sh.bio.readBatch(ms, false); n != 0 || err != nil {
 		t.Fatalf("attempt on an empty socket = %d, %v; want an empty batch", n, err)
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
@@ -329,7 +330,7 @@ func TestLoopDueHeadStillReads(t *testing.T) {
 	for try := 1; ; try++ {
 		armDue()
 		start := time.Now()
-		n, err := sh.read(ms, false)
+		n, err := sh.bio.readBatch(ms, false)
 		if n == 0 && err == nil && time.Since(start) > attemptPark && try < 5 {
 			continue
 		}
@@ -384,5 +385,219 @@ func TestLoopExitEmptiesInbox(t *testing.T) {
 	}
 	if sh.ep.Err() == nil {
 		t.Error("a dead socket outside shutdown did not fail the endpoint")
+	}
+}
+
+// TestLoopWakeBeforeReadEndsPark holds the lost-wake edge on the
+// socket itself, on whatever rung -datapath selects: a kick that lands
+// after arm has armed the park but before the loop's read reaches the
+// socket must end that read at once. readBatch arms no deadline of its
+// own on a parked read, so nothing the read does can overwrite the
+// wake.
+func TestLoopWakeBeforeReadEndsPark(t *testing.T) {
+	sh := manualShard(t) // loop never started: the test plays it
+	ms := []ioMsg{{buf: make([]byte, maxDatagram)}}
+	for round := 0; round < 20; round++ {
+		sh.mu.Lock()
+		sh.bio.park(sh.now() + time.Hour)
+		sh.kick()
+		sh.mu.Unlock()
+		got := make(chan error, 1)
+		go func() {
+			n, err := sh.bio.readBatch(ms, true)
+			if err == nil && n != 0 {
+				err = fmt.Errorf("%d datagrams from a socket nothing writes to", n)
+			}
+			got <- err
+		}()
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatalf("round %d: parked read after a wake = %v, want an empty batch", round, err)
+			}
+		case <-time.After(2 * time.Second):
+			// The socket's close in cleanup ends the read left behind.
+			t.Fatalf("round %d: a wake before the read did not end its park", round)
+		}
+	}
+}
+
+// clockIO is a batchIO on a manual clock with no socket behind it: time
+// moves only when the test sets it, a parked read ends when the clock
+// reaches the park deadline or a wake lands, an attempt finds nothing,
+// and every datagram written is kept with the instant it left at.
+type clockIO struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	t      time.Duration // the clock
+	until  time.Duration // the armed park deadline
+	woken  bool          // a wake landed since park last armed
+	parks  int           // parked reads begun
+	parked bool          // a read is parked now
+	closed bool
+	sent   []clockSend
+}
+
+type clockSend struct {
+	at    time.Duration
+	frame []byte
+}
+
+func newClockIO() *clockIO {
+	f := &clockIO{until: math.MaxInt64}
+	f.cond.L = &f.mu
+	return f
+}
+
+func (f *clockIO) now() time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t
+}
+
+func (f *clockIO) park(until time.Duration) {
+	f.mu.Lock()
+	f.until, f.woken = until, false
+	f.mu.Unlock()
+}
+
+func (f *clockIO) wake() {
+	f.mu.Lock()
+	f.woken = true
+	f.cond.Broadcast()
+	f.mu.Unlock()
+}
+
+func (f *clockIO) readBatch(ms []ioMsg, park bool) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if park {
+		f.parks++
+		f.parked = true
+		f.cond.Broadcast()
+		for !f.closed && !f.woken && f.t < f.until {
+			f.cond.Wait()
+		}
+		f.parked = false
+	}
+	if f.closed {
+		return 0, net.ErrClosed
+	}
+	return 0, nil
+}
+
+func (f *clockIO) writeBatch(ms []ioMsg) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.sent = append(f.sent, clockSend{f.t, append([]byte(nil), ms[0].buf[:ms[0].n]...)})
+	f.cond.Broadcast()
+	return 1, nil
+}
+
+// set moves the clock to t and, with wake, ends the park as a kick
+// would, whether or not t reached its deadline.
+func (f *clockIO) set(t time.Duration, wake bool) {
+	f.mu.Lock()
+	f.t = t
+	f.woken = f.woken || wake
+	f.cond.Broadcast()
+	f.mu.Unlock()
+}
+
+func (f *clockIO) close() {
+	f.mu.Lock()
+	f.closed = true
+	f.cond.Broadcast()
+	f.mu.Unlock()
+}
+
+// settled waits until at least sent datagrams have gone out and the
+// loop has begun a parked read after the parks-th and sleeps in it, on a
+// deadline still ahead, and returns the parked-read count. Only a test
+// that hangs waits on the wall clock.
+func (f *clockIO) settled(t *testing.T, parks, sent int) int {
+	t.Helper()
+	hung := false
+	failsafe := time.AfterFunc(5*time.Second, func() {
+		f.mu.Lock()
+		hung = true
+		f.cond.Broadcast()
+		f.mu.Unlock()
+	})
+	defer failsafe.Stop()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.sent) < sent || f.parks <= parks || !f.parked || f.woken || f.t >= f.until || f.until == math.MaxInt64 {
+		if hung {
+			t.Fatalf("loop never parked on a deadline ahead with %d datagrams sent (clock %v, deadline %v, %d parks, %d sent)",
+				sent, f.t, f.until, f.parks, len(f.sent))
+		}
+		f.cond.Wait()
+	}
+	return f.parks
+}
+
+// TestLoopVirtualClockConnectBackoff drives a real shard loop on
+// clockIO's manual clock. A Dial into a peer that never answers
+// retransmits its Connect on the protocol's backoff schedule (200 ms
+// doubling, ±25% jitter): each retransmission leaves in the one round
+// the clock reaching its instant ends the park for, stamped with the
+// virtual time, and not in a round that a wake forces just before it.
+// Time reaches the loop only through its batchIO; nothing here sleeps.
+func TestLoopVirtualClockConnectBackoff(t *testing.T) {
+	sh := manualShard(t)
+	f := newClockIO()
+	sh.bio, sh.caps = f, &pathCaps{}
+	sh.tx = newSendScheduler(f, sh.caps, txBatch, sh.ep.fail)
+	looped := make(chan struct{})
+	go func() { sh.loop(); close(looped) }()
+	dialed := make(chan error, 1)
+	go func() {
+		_, err := sh.ep.Dial("127.0.0.1:9", core.QTPLight(), time.Hour)
+		dialed <- err
+	}()
+	defer func() {
+		sh.ep.Close()
+		f.close()
+		<-looped
+		if err := <-dialed; err != ErrEndpointClosed {
+			t.Errorf("Dial into a silent peer = %v after Close, want %v", err, ErrEndpointClosed)
+		}
+	}()
+
+	// Dial sends the first Connect itself and kicks the loop onto its
+	// retransmission deadline.
+	parks := f.settled(t, 0, 1)
+	for try := 1; try <= 4; try++ {
+		f.mu.Lock()
+		due, prev, sent := f.until, f.sent[len(f.sent)-1].at, len(f.sent)
+		f.mu.Unlock()
+		if base := min(200*time.Millisecond<<(try-1), 1600*time.Millisecond); due-prev < base*3/4 || due-prev >= base*5/4 {
+			t.Fatalf("retransmission %d armed %v after the last Connect, want %v ±25%%", try, due-prev, base)
+		}
+
+		f.set(due-time.Nanosecond, true)
+		rounds := f.settled(t, parks, sent) - parks
+		parks += rounds
+		f.mu.Lock()
+		early, until := len(f.sent)-sent, f.until
+		f.mu.Unlock()
+		if rounds != 1 || early != 0 || until != due {
+			t.Fatalf("retransmission %d: a wake 1 ns early ran %d rounds, sent %d frames and re-parked on %v; want 1, none and %v",
+				try, rounds, early, until, due)
+		}
+
+		f.set(due, false)
+		rounds = f.settled(t, parks, sent+1) - parks
+		parks += rounds
+		f.mu.Lock()
+		out := f.sent[sent:]
+		f.mu.Unlock()
+		if rounds != 1 || len(out) != 1 {
+			t.Fatalf("retransmission %d: the clock reaching its instant ran %d rounds and sent %d frames, want 1 and 1", try, rounds, len(out))
+		}
+		if typ, _, ok := classify(out[0].frame); !ok || typ != packet.TypeConnect || out[0].at != due {
+			t.Fatalf("retransmission %d: sent type %v at %v, want a Connect at %v", try, typ, out[0].at, due)
+		}
 	}
 }

@@ -13,8 +13,10 @@
 // completes and are routed by (peer address, peer ID) instead.
 // Each shard is one loop goroutine: it reads the shard's socket and
 // drives its connections' protocol timers off the shard's own deadline
-// heap. Receive buffers are pooled, so the per-frame receive path
-// allocates nothing.
+// heap. The loop reaches its socket, its clock and the deadline it
+// parks on only through one seam (batchIO), so a fake one can drive it
+// in virtual time. Receive buffers are pooled, so the per-frame receive
+// path allocates nothing.
 //
 // Transport encryption is on by default: every post-handshake frame is
 // sealed into an AEAD envelope (epoch + 48-bit crypto sequence in a

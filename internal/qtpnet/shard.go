@@ -2,11 +2,9 @@ package qtpnet
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 	"net"
 	"net/netip"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,13 +39,12 @@ const handoffCap = 256
 // is per-port (accept queue, token and ticket minters, resumption
 // cache, lifecycle) lives once on the Endpoint they point back to.
 type shard struct {
-	ep    *Endpoint
-	idx   uint32
-	pc    *net.UDPConn
-	bio   batchIO
-	caps  *pathCaps
-	tx    *sendScheduler
-	epoch time.Time
+	ep   *Endpoint
+	idx  uint32
+	pc   *net.UDPConn
+	bio  batchIO
+	caps *pathCaps
+	tx   *sendScheduler
 	// inbox receives datagrams sibling shards forward here, each in its
 	// own pooled buffer; nil on a one-shard endpoint, which is how the
 	// shard knows its connection IDs carry no shard bits and no frame is
@@ -113,7 +110,6 @@ func newShard(e *Endpoint, idx uint32, pc *net.UDPConn) *shard {
 		pc:     pc,
 		bio:    bio,
 		caps:   caps,
-		epoch:  time.Now(),
 		byID:   make(map[uint32]*Conn),
 		byPeer: make(map[peerKey]*Conn),
 		nextID: 1,
@@ -195,22 +191,18 @@ func (sh *shard) stats() EndpointStats {
 	return st
 }
 
-// now maps wall time to the shard's monotonic protocol clock, shared by
-// every connection it serves.
-func (sh *shard) now() time.Duration { return time.Since(sh.epoch) }
+// now is the shard's protocol clock, shared by every connection it
+// serves: its batchIO's.
+func (sh *shard) now() time.Duration { return sh.bio.now() }
 
 // awake is what sleepUntil reads while the loop runs a round (and on a
 // shard no loop drives): no deadline is earlier, so nothing kicks.
 // dueRounds bounds how many iterations in a row the loop may run due
 // deadlines without trying the socket: few enough that an
-// acknowledgment waits a few frame times at most. attemptPark is the
-// read deadline of such a try: recvmmsg never waits for it, the
-// portable rung does, so it is the shortest that has not already passed
-// when the read reaches the socket (one poller tick on an empty one).
+// acknowledgment waits a few frame times at most.
 const (
-	awake       time.Duration = 0
-	dueRounds                 = 8
-	attemptPark               = 20 * time.Microsecond
+	awake     time.Duration = 0
+	dueRounds               = 8
 )
 
 // loop is the shard's one goroutine. Datagrams on its socket, frames
@@ -247,7 +239,7 @@ func (sh *shard) loop() {
 		n := 0
 		if park := sh.arm(&sc); park || unread == dueRounds-1 {
 			var err error
-			if n, err = sh.read(ms, park); err != nil {
+			if n, err = sh.bio.readBatch(ms, park); err != nil {
 				// A dead socket outside shutdown leaves the shard deaf; fail
 				// the endpoint so Accept returns and every connection is torn
 				// down rather than stalling silently.
@@ -305,46 +297,29 @@ func (sh *shard) popDueLocked(sc *rxScratch) {
 
 // arm pops what is due and says whether the loop's next read parks —
 // it does unless a deadline was due or a forwarded frame waits — and
-// if so arms what ends the park: the socket's read deadline, set to the
-// heap's earliest wake-up (none on an empty heap), and sleepUntil, by
+// if so arms what ends the park: batchIO.park, at the heap's earliest
+// wake-up (no deadline on an empty heap), and sleepUntil, by
 // which service on an application goroutine knows whether its
 // connection's new deadline is earlier than the one the loop sleeps on.
 // Both are written under sh.mu, where kick runs too: a kick not ordered
 // after the arm it cancels would be overwritten by it and lost. The
 // inbox is checked under the same lock, so a forwarder either finds the
-// loop parked and kicks it or has its frame seen here.
+// loop parked and kicks it or has its frame seen here. A park that a
+// deadline or a kick ends is an empty batch — not a read: RecvBatches
+// and Wakeups do not count it.
 func (sh *shard) arm(sc *rxScratch) (park bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.popDueLocked(sc); len(sc.touched) > 0 || len(sh.inbox) > 0 {
 		return false
 	}
-	var deadline time.Time
 	until := time.Duration(math.MaxInt64)
 	if len(sh.timers) > 0 {
 		until = sh.timers[0].wakeAt
-		deadline = sh.epoch.Add(until)
 	}
-	_ = sh.pc.SetReadDeadline(deadline) // refused only by a closed socket: the read reports it
+	sh.bio.park(until)
 	sh.sleepUntil = until
 	return true
-}
-
-// read takes the socket's next batch, parked or as one non-blocking
-// attempt. A park that a deadline or a kick ends is an empty batch, not
-// an error — and not a read: RecvBatches and Wakeups do not count it.
-func (sh *shard) read(ms []ioMsg, park bool) (int, error) {
-	if !park {
-		// An attempt must reach the socket past the deadline an earlier
-		// park or kick left expired; nobody kicks an awake loop, so the
-		// deadline is the loop's alone here.
-		_ = sh.pc.SetReadDeadline(time.Now().Add(attemptPark))
-	}
-	n, err := sh.bio.readBatch(ms, park)
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		return 0, nil
-	}
-	return n, err
 }
 
 // expandGRO appends one per-wire-datagram view of each received
@@ -701,17 +676,41 @@ func (sh *shard) allocIDLocked() uint32 {
 // write, timer expiry) and reports whether it enqueued frames, which
 // the caller owes a flushPending for once its round completes.
 //
-// Frames are built directly into pooled 2 KiB chunks (not 64 KiB
-// buffers: a paced burst queues up to 16 per connection), sealed in
-// place when the connection has keys, and the chunk's ownership passes
-// to the scheduler; nothing touches the socket while a connection
-// lock is held (queue-bounding flushes run after c.mu is released), so a
-// slow wire never stalls another connection's delivery or timers.
+// It runs four stages: pollSeal, noteEstablished and deliverStreams under
+// c.mu, then rearm under sh.mu. Nothing touches the socket while a
+// connection lock is held (the queue-bounding flush runs after c.mu is
+// released), so a slow wire never stalls another connection's delivery
+// or timers, and no shard or endpoint lock nests inside c.mu.
 func (sh *shard) service(c *Conn) (produced bool) {
 	lingering := c.lingering.Load()
-	var txb []byte
 	c.mu.Lock()
 	now := sh.now()
+	produced = sh.pollSeal(c, now)
+	st := c.inner.State()
+	resume := sh.noteEstablished(c, st)
+	deliverStreams(c, lingering)
+	wakeAt, wok := c.inner.NextWake(now)
+	c.mu.Unlock()
+	if resume != nil {
+		sh.ep.storeResumption(c.peer, resume)
+	}
+	if produced {
+		// Off the connection lock now: bound the queue mid-round. The
+		// full flush still belongs to the caller's round boundary.
+		sh.tx.flushIfFull()
+	}
+	sh.rearm(c, st, lingering, wakeAt, wok)
+	return produced
+}
+
+// pollSeal enqueues every frame the connection has due at now and
+// reports whether there was one. Frames are built directly into pooled
+// 2 KiB chunks (not 64 KiB buffers: a paced burst queues up to 16 per
+// connection), sealed in place when the connection has keys, and the
+// chunk's ownership passes to the scheduler. Before the peer's address
+// is validated, each frame is held to the amplification cap. Callers
+// hold c.mu.
+func (sh *shard) pollSeal(c *Conn, now time.Duration) (produced bool) {
 	// Keys are installed by Start and HandleFrame, never by a poll. With
 	// keys, each frame is built behind room for the sealed datagram's
 	// prefix and sealed where it lies.
@@ -720,6 +719,7 @@ func (sh *shard) service(c *Conn) (produced bool) {
 	if sess != nil {
 		off = packet.SealedHeaderLen
 	}
+	var txb []byte
 	for {
 		if txb == nil {
 			txb = bufpool.GetChunk()
@@ -765,34 +765,45 @@ func (sh *shard) service(c *Conn) (produced bool) {
 			txb = nil
 		}
 	}
-	var newResume *qcrypto.Resumption
-	st := c.inner.State()
-	if st == qtp.StateEstablished || st == qtp.StateClosing {
-		c.estOnce.Do(func() {
-			close(c.established)
-			// Handshake-completion crypto bookkeeping, exactly once per
-			// connection: counters on the responder, the next connection's
-			// resumption state on the initiator. The cache store happens
-			// after c.mu is released — no endpoint or shard lock ever nests
-			// inside c.mu.
-			if info := c.inner.CryptoInfo(); info.Enabled {
-				if c.initiator {
-					newResume = c.inner.TakeResumption()
-				} else {
-					if info.TicketIssued {
-						sh.ticketsIssued.Add(1)
-					}
-					if info.EarlyOffered && info.EarlyAccepted {
-						sh.zeroRTTAccepted.Add(1)
-					} else if info.EarlyOffered {
-						sh.zeroRTTRejected.Add(1)
-					}
+	bufpool.PutChunk(txb)
+	return produced
+}
+
+// noteEstablished does the handshake-completion bookkeeping, exactly once
+// per connection, the first time service finds it Established (or
+// already Closing): it releases Dial's wait and, with crypto, counts
+// tickets and 0-RTT on the responder. On the initiator it returns the
+// next connection's resumption state, which the caller stores in the
+// endpoint's cache after releasing c.mu. Callers hold c.mu.
+func (sh *shard) noteEstablished(c *Conn, st qtp.State) (resume *qcrypto.Resumption) {
+	if st != qtp.StateEstablished && st != qtp.StateClosing {
+		return nil
+	}
+	c.estOnce.Do(func() {
+		close(c.established)
+		if info := c.inner.CryptoInfo(); info.Enabled {
+			if c.initiator {
+				resume = c.inner.TakeResumption()
+			} else {
+				if info.TicketIssued {
+					sh.ticketsIssued.Add(1)
+				}
+				if info.EarlyOffered && info.EarlyAccepted {
+					sh.zeroRTTAccepted.Add(1)
+				} else if info.EarlyOffered {
+					sh.zeroRTTRejected.Add(1)
 				}
 			}
-		})
-	}
-	// New inbound streams announced by the peer's first frame are queued
-	// for AcceptStream.
+		}
+	})
+	return resume
+}
+
+// deliverStreams queues the inbound streams the peer's frames announced
+// for AcceptStream, then wakes the readers whose streams became
+// readable — or, on a lingering connection, nobody reads any more and it
+// pops and recycles instead. Callers hold c.mu.
+func deliverStreams(c *Conn, lingering bool) {
 	for {
 		id, ok := c.inner.AcceptStreamID()
 		if !ok {
@@ -805,38 +816,33 @@ func (sh *shard) service(c *Conn) (produced bool) {
 			// Cannot happen: the queue is sized at the stream cap.
 		}
 	}
-	if lingering {
-		// Grace period after an application close: the state machine
-		// still runs (acking retransmissions, answering Close) but nobody
-		// is reading — pop and recycle, or the delivery bound would refuse
-		// the tail the peer is waiting to have acknowledged.
-		for {
-			_, chunk, ok := c.inner.ReadAny()
-			if !ok {
-				break
-			}
-			bufpool.PutChunk(chunk)
-		}
-	} else {
+	if !lingering {
 		c.wakeReaders()
+		return
 	}
-	wakeAt, wok := c.inner.NextWake(now)
-	c.mu.Unlock()
-	if txb != nil {
-		bufpool.PutChunk(txb)
+	// Grace period after an application close: the state machine still
+	// runs (acking retransmissions, answering Close) but nobody is
+	// reading — pop and recycle, or the delivery bound would refuse the
+	// tail the peer is waiting to have acknowledged.
+	for {
+		_, chunk, ok := c.inner.ReadAny()
+		if !ok {
+			return
+		}
+		bufpool.PutChunk(chunk)
 	}
-	if newResume != nil {
-		sh.ep.storeResumption(c.peer, newResume)
-	}
-	if produced {
-		// Off the connection lock now: bound the queue mid-round. The
-		// full flush still belongs to the caller's round boundary.
-		sh.tx.flushIfFull()
-	}
+}
 
+// rearm files the connection's next deadline in the shard's timer heap
+// — kicking the loop when it is earlier than the one the loop sleeps
+// on — or tears the connection down: once the protocol closed it, or
+// once a lingering connection's grace ran out. The grace deadline rides
+// the heap like any protocol deadline, so a silent peer cannot pin the
+// entry. Callers hold no lock.
+func (sh *shard) rearm(c *Conn, st qtp.State, lingering bool, wakeAt time.Duration, wok bool) {
 	if st == qtp.StateClosed {
 		c.teardown()
-		return produced
+		return
 	}
 	graceExpired := false
 	sh.mu.Lock()
@@ -845,8 +851,6 @@ func (sh *shard) service(c *Conn) (produced bool) {
 			if sh.now() >= c.graceUntil {
 				graceExpired = true
 			} else if !wok || wakeAt > c.graceUntil {
-				// The grace deadline rides the shared timer heap like any
-				// protocol deadline, so a silent peer cannot pin the entry.
 				wakeAt, wok = c.graceUntil, true
 			}
 		}
@@ -865,7 +869,6 @@ func (sh *shard) service(c *Conn) (produced bool) {
 	if graceExpired {
 		c.teardown()
 	}
-	return produced
 }
 
 // retireConn is the application-close path. A connection whose protocol
@@ -914,12 +917,11 @@ func (sh *shard) retireConn(c *Conn) {
 }
 
 // kick ends the loop's park early so it re-reads the heap's earliest
-// deadline (or its inbox): the blocked read fails on an elapsed
-// deadline (refused only by a closed socket, whose loop is gone) and
-// the round it starts re-arms. The loop is as good as awake from here
-// on, so later callers need not kick again. Callers hold sh.mu (see arm).
+// deadline (or its inbox): the parked read comes back empty and the
+// round it starts re-arms. The loop is as good as awake from here on,
+// so later callers need not kick again. Callers hold sh.mu (see arm).
 func (sh *shard) kick() {
-	_ = sh.pc.SetReadDeadline(time.Unix(1, 0))
+	sh.bio.wake()
 	sh.sleepUntil = awake
 }
 

@@ -424,7 +424,7 @@ func TestShardDeathUnblocksAccept(t *testing.T) {
 func TestHandoffRing(t *testing.T) {
 	ep := &Endpoint{done: make(chan struct{})}
 	for i := uint32(0); i < 2; i++ {
-		ep.shards = append(ep.shards, &shard{ep: ep, idx: i, epoch: time.Now(), inbox: make(chan ioMsg, handoffCap)})
+		ep.shards = append(ep.shards, &shard{ep: ep, idx: i, bio: newClockIO(), inbox: make(chan ioMsg, handoffCap)})
 	}
 	src, owner := ep.shards[0], ep.shards[1]
 	addr := netip.MustParseAddrPort("127.0.0.1:1")
