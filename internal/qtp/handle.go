@@ -317,19 +317,6 @@ func (c *Conn) onAck(now time.Duration, hdr *packet.Header, payload []byte) erro
 	return nil
 }
 
-// lossGuard returns the re-mark shield for retransmitted segments (see
-// sack.SendBuffer.LossGuard). Only BBR connections need it: their
-// split-budget ack vectors keep presenting duplicate evidence above
-// segments the receiver holds but could not fit in the vector, which
-// would otherwise re-declare every retransmission lost on each ack. One
-// RTT is the earliest fresh evidence about a retransmission can arrive.
-func (c *Conn) lossGuard() time.Duration {
-	if c.profile.Congestion != packet.CongestionBBR {
-		return 0
-	}
-	return c.retxTimeout() / 4
-}
-
 func (c *Conn) onClose(now time.Duration) error {
 	if c.state != StateClosed {
 		c.forwardFinStream0(now)

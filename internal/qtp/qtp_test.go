@@ -1,6 +1,7 @@
 package qtp
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -557,5 +558,44 @@ func TestPartialReliabilityKeepsWhatArrivedAtClose(t *testing.T) {
 				t.Errorf("delivered %d B of the %d B that arrived", f.DeliveredBytes, sum)
 			}
 		})
+	}
+}
+
+// TestNoSpuriousRetransmissions: on a path whose only losses are queue
+// drops, every composition retransmits a segment only after its previous
+// copy was lost, so the receiver never sees a segment twice. Before the
+// ordering rule in the scoreboard, the TFRC family re-declared its own
+// retransmissions lost on acks sent before they could arrive.
+func TestNoSpuriousRetransmissions(t *testing.T) {
+	for _, queue := range []int{64, 16} {
+		for _, tc := range []struct {
+			name    string
+			profile core.Profile
+		}{
+			{"light", core.QTPLightReliable(0)},
+			{"qtpaf", core.QTPAF(125_000)},
+			{"light-partial", core.QTPLightReliable(200 * time.Millisecond)},
+			{"bbr", bbrProfile()},
+		} {
+			t.Run(fmt.Sprintf("droptail%d/%s", queue, tc.name), func(t *testing.T) {
+				p := newTestPath(1, 250_000, 15*time.Millisecond, netsim.NewDropTail(queue), nil)
+				f := p.startFlow(FlowConfig{
+					Profile: tc.profile,
+					RTTHint: 30 * time.Millisecond,
+					Source:  workload.NewBulk(300_000, 300_000),
+				})
+				p.sim.Run(30 * time.Second)
+				sent, _ := f.Sender.StreamStats(0)
+				got, _ := f.Receiver.StreamStats(0)
+				t.Logf("%d retransmissions, %d duplicates at the receiver, %d B delivered",
+					sent.RetransFrames, got.DuplicateSegs, f.DeliveredBytes)
+				if got.DuplicateSegs != 0 {
+					t.Errorf("receiver saw %d duplicate segments", got.DuplicateSegs)
+				}
+				if tc.profile.Reliability == packet.ReliabilityFull && f.DeliveredBytes != 300_000 {
+					t.Errorf("delivered %d B of 300000", f.DeliveredBytes)
+				}
+			})
+		}
 	}
 }

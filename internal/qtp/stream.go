@@ -630,9 +630,7 @@ func (c *Conn) Finished() bool {
 // skipping a stale hole moves its cum past the hole, telling the sender
 // to stop caring even before its own deadline fires).
 func (c *Conn) onStreamAcks(now time.Duration, cum seqspace.Seq, ranges []seqspace.Range, acks []packet.StreamAck) {
-	guard := c.lossGuard()
 	for _, s := range c.sendStreams {
-		s.buf.LossGuard = guard
 		s.buf.OnConnSACK(now, cum, ranges)
 	}
 	for _, a := range acks {

@@ -170,12 +170,15 @@ type refSegment struct {
 }
 
 type refSendBuffer struct {
-	Deadline, LossGuard time.Duration
+	Deadline time.Duration
 
 	segs    []refSegment
 	cumAck  seqspace.Seq
 	started bool
 	nextSeq seqspace.Seq
+	// newest is the latest first transmission delivered without a
+	// retransmission: the ordering evidence of the loss rule.
+	newest time.Duration
 
 	Retransmits, AbandonedSegs, AckedBytes int
 }
@@ -197,8 +200,11 @@ func (b *refSendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seq
 		b.cumAck = cum
 		i := 0
 		for i < len(b.segs) && b.segs[i].seq.Less(cum) {
-			if !b.segs[i].sacked {
-				newly += len(b.segs[i].payload)
+			if s := &b.segs[i]; !s.sacked {
+				newly += len(s.payload)
+				if !s.abandoned {
+					b.delivered(s)
+				}
 			}
 			i++
 		}
@@ -211,11 +217,12 @@ func (b *refSendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seq
 				s.sacked = true
 				s.lost = false
 				newly += len(s.payload)
+				b.delivered(s)
 			}
 		}
 	}
 	b.AckedBytes += newly
-	b.markLost(now)
+	b.markLost()
 	return newly
 }
 
@@ -223,8 +230,11 @@ func (b *refSendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks [
 	newly := 0
 	i := 0
 	for i < len(b.segs) && b.segs[i].conn.Less(cum) {
-		if !b.segs[i].sacked {
-			newly += len(b.segs[i].payload)
+		if s := &b.segs[i]; !s.sacked {
+			newly += len(s.payload)
+			if !s.abandoned {
+				b.delivered(s)
+			}
 		}
 		i++
 	}
@@ -241,15 +251,24 @@ func (b *refSendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks [
 				s.sacked = true
 				s.lost = false
 				newly += len(s.payload)
+				b.delivered(s)
 			}
 		}
 	}
 	b.AckedBytes += newly
-	b.markLost(now)
+	b.markLost()
 	return newly
 }
 
-func (b *refSendBuffer) markLost(now time.Duration) {
+// delivered notes segment s's delivery; the ack of a retransmitted
+// segment may be for either copy, so it is no evidence of order.
+func (b *refSendBuffer) delivered(s *refSegment) {
+	if s.retx == 0 && s.firstSent > b.newest {
+		b.newest = s.firstSent
+	}
+}
+
+func (b *refSendBuffer) markLost() {
 	dt := seqspace.DupThresh
 	sackedAbove := 0
 	for i := len(b.segs) - 1; i >= 0; i-- {
@@ -259,8 +278,8 @@ func (b *refSendBuffer) markLost(now time.Duration) {
 			continue
 		}
 		if sackedAbove >= dt && !s.lost && !s.abandoned {
-			if s.retx > 0 && now-s.lastSent < b.LossGuard {
-				continue
+			if s.retx > 0 && b.newest <= s.lastSent {
+				continue // nothing sent after the retransmission has arrived
 			}
 			s.lost = true
 		}
@@ -332,8 +351,7 @@ func (b *refSendBuffer) Unresolved() bool {
 // vectors whose blocks are out of order, overlapping, inverted, stale or
 // beyond the flight, retransmission polls and every query — and demands
 // equal return values and equal counters after every step. The grid
-// covers full and partial reliability, LossGuard off and on, and
-// sequence spaces that wrap through 2^32 mid-run. Payloads are random
+// covers full and partial reliability and sequence spaces that wrap through 2^32 mid-run. Payloads are random
 // bytes, and the caller's slice is overwritten as soon as AddStream
 // returns: a retransmission must still carry the bytes first sent.
 func TestSendBufferDifferential(t *testing.T) {
@@ -365,12 +383,9 @@ func runSendBufferDifferential(t *testing.T, lanes, trials int) {
 	scratch := make([]byte, pageSize)
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		var deadline, guard time.Duration
+		var deadline time.Duration
 		if trial&1 != 0 {
 			deadline = 60 * time.Millisecond
-		}
-		if trial&2 != 0 {
-			guard = 15 * time.Millisecond
 		}
 		seq, conn := seqspace.Seq(1), seqspace.Seq(1)
 		if trial&4 != 0 {
@@ -442,11 +457,6 @@ func runSendBufferDifferential(t *testing.T, lanes, trials int) {
 			l := &ls[rng.Intn(lanes)]
 			real, ref := l.real, l.ref
 			now += time.Duration(rng.Intn(3000/lanes)) * time.Microsecond
-			if guard > 0 {
-				// The connection re-derives the guard before each ack.
-				g := guard + time.Duration(rng.Intn(3))*time.Millisecond
-				real.LossGuard, ref.LossGuard = g, g
-			}
 			switch op := rng.Intn(10); {
 			case op < addBias || !l.started:
 				l.started = true

@@ -59,6 +59,40 @@ func TestSendBufferSACKMarksAndLossDetection(t *testing.T) {
 	}
 }
 
+// TestSendBufferRetransmissionLostAgainInOrder: a retransmitted segment
+// is declared lost again only once a segment first sent after the
+// retransmission is delivered; acks that may predate the retransmission,
+// and the ack of a segment that was itself retransmitted, are no proof.
+func TestSendBufferRetransmissionLostAgainInOrder(t *testing.T) {
+	b := NewSendBuffer(0)
+	for i := 0; i < 6; i++ {
+		b.Add(time.Duration(i), seqspace.Seq(i), pay(i))
+	}
+	b.OnSACK(10, 0, []seqspace.Range{{Lo: 2, Hi: 6}})
+	for want := seqspace.Seq(0); want < 2; want++ {
+		if seq, _, _, ok := b.NextRetransmitSeg(20+time.Duration(want), 0); !ok || seq != want {
+			t.Fatalf("retransmit = %v %v, want %v", seq, ok, want)
+		}
+	}
+	// The same vector again, sent before the retransmissions arrived.
+	b.OnSACK(22, 0, []seqspace.Range{{Lo: 2, Hi: 6}})
+	if seq, _, _, ok := b.NextRetransmitSeg(23, 0); ok {
+		t.Fatalf("segment %d re-declared lost on a stale ack", seq)
+	}
+	// Segment 1 arrives, but which copy did is unknown: its original was
+	// sent before segment 0's retransmission.
+	b.OnSACK(24, 0, []seqspace.Range{{Lo: 1, Hi: 6}})
+	if seq, _, _, ok := b.NextRetransmitSeg(25, 0); ok {
+		t.Fatalf("segment %d re-declared lost on a retransmitted segment's ack", seq)
+	}
+	// Segment 6, first sent after the retransmission, arrives: 0 is lost.
+	b.Add(26, 6, pay(6))
+	b.OnSACK(30, 0, []seqspace.Range{{Lo: 1, Hi: 7}})
+	if seq, _, _, ok := b.NextRetransmitSeg(31, 0); !ok || seq != 0 {
+		t.Fatalf("retransmit = %v %v, want segment 0 lost again", seq, ok)
+	}
+}
+
 func TestSendBufferRTORetransmit(t *testing.T) {
 	b := NewSendBuffer(0)
 	b.Add(0, 0, pay(0))

@@ -89,20 +89,23 @@ func (s *segment) key() time.Duration {
 }
 
 // SendBuffer is the sender's scoreboard: it tracks outstanding segments,
-// marks losses from SACK vectors (dup-threshold rule), schedules
-// retransmissions, and expires segments under partial reliability.
-// The times handed to it must not run backwards.
+// marks losses from SACK vectors, schedules retransmissions, and expires
+// segments under partial reliability. The times handed to it must not run
+// backwards.
+//
+// One loss rule serves every rate controller. A segment is lost once
+// seqspace.DupThresh segments above it are SACKed. A segment already
+// retransmitted is lost again only once the buffer has seen the delivery
+// of a segment first sent after that retransmission (RACK's ordering,
+// RFC 8985): a retransmission reuses its sequence number, so until then
+// every ack may predate it and still show the hole. The delivery of a
+// segment that was itself retransmitted is ambiguous and does not count.
+// The evidence is this buffer's own: a stream of a multi-stream
+// connection learns only from the acks of its own segments.
 type SendBuffer struct {
 	// Deadline, when non-zero, abandons segments older than this
 	// (partial reliability). Zero means full reliability.
 	Deadline time.Duration
-	// LossGuard, when non-zero, shields a retransmitted segment from
-	// being re-declared lost until this long after its last
-	// transmission: duplicate evidence that predates the retransmission
-	// proves nothing about the retransmission itself. Senders whose
-	// acknowledgment vectors can under-report (split block budgets) set
-	// it near one RTT; zero keeps immediate re-marking.
-	LossGuard time.Duration
 
 	// The flight [head, head+n) lives in ring, a power of two long,
 	// segment q in slot q mod len(ring). due is a binary min-tree over the
@@ -124,6 +127,9 @@ type SendBuffer struct {
 	fill  int
 
 	cumAck seqspace.Seq
+	// newest is the latest first transmission among the segments resolved
+	// by delivery that were never retransmitted.
+	newest time.Duration
 
 	// Counters.
 	Retransmits   int
@@ -266,6 +272,9 @@ func (b *SendBuffer) release(k int) (newly int) {
 		s := b.seg(b.head)
 		if !s.sacked {
 			newly += len(s.payload)
+			if !s.abandoned {
+				b.delivered(s)
+			}
 		}
 		// An empty slot reads as resolved and pins no payload.
 		*s = segment{sacked: true}
@@ -299,6 +308,7 @@ func (b *SendBuffer) mark(lo, hi seqspace.Seq) (newly int) {
 		}
 		s.sacked, s.lost = true, false
 		newly += len(s.payload)
+		b.delivered(s)
 		b.update(q)
 		b.top = append(b.top, q)
 		for i := len(b.top) - 1; i > 0 && q.Less(b.top[i-1]); i-- {
@@ -311,8 +321,17 @@ func (b *SendBuffer) mark(lo, hi seqspace.Seq) (newly int) {
 	return newly
 }
 
+// delivered records segment s's delivery as ordering evidence, unless s
+// was retransmitted: then the ack may be for either copy.
+func (b *SendBuffer) delivered(s *segment) {
+	if s.retx == 0 {
+		b.newest = max(b.newest, s.firstSent)
+	}
+}
+
 // OnSACK folds an acknowledgment vector into the scoreboard and returns
-// the number of bytes newly resolved (cumulatively acked or SACKed).
+// the number of bytes newly resolved (cumulatively acked or SACKed). The
+// loss rule reads the order of transmissions, not now.
 func (b *SendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seqspace.Range) int {
 	newly := 0
 	// Advance the cumulative point.
@@ -325,7 +344,7 @@ func (b *SendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seqspa
 		newly += b.mark(seqspace.Max(blk.Lo, b.head), seqspace.Min(blk.Hi, b.head.Add(b.n)))
 	}
 	b.AckedBytes += newly
-	b.markLost(now)
+	b.markLost()
 	return newly
 }
 
@@ -351,7 +370,7 @@ func (b *SendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks []se
 		newly += b.mark(b.head.Add(b.connRank(blk.Lo)), b.head.Add(b.connRank(blk.Hi)))
 	}
 	b.AckedBytes += newly
-	b.markLost(now)
+	b.markLost()
 	return newly
 }
 
@@ -361,17 +380,18 @@ func (b *SendBuffer) connRank(c seqspace.Seq) int {
 	return sort.Search(b.n, func(i int) bool { return !b.seg(b.head.Add(i)).conn.Less(c) })
 }
 
-// markLost applies the dup-threshold rule: a segment is lost once
-// seqspace.DupThresh segments above it are SACKed. Segments retransmitted
-// within LossGuard of now are left alone — see the field comment. The loop
-// visits only the holes of the acknowledged span, one descent each.
-func (b *SendBuffer) markLost(now time.Duration) {
+// markLost applies the loss rule (see SendBuffer): a segment is lost once
+// seqspace.DupThresh segments above it are SACKed and, if it was
+// retransmitted, once a segment first sent after its last transmission
+// was delivered. The loop visits only the holes of the acknowledged span,
+// one descent each.
+func (b *SendBuffer) markLost() {
 	if len(b.top) < seqspace.DupThresh {
 		return
 	}
 	for q, ok := b.firstUnresolved(); ok && q.Less(b.top[0]); q, ok = b.next(q.Next(), keyResolved-1) {
 		s := b.seg(q)
-		if s.lost || (s.retx > 0 && now-s.lastSent < b.LossGuard) {
+		if s.lost || (s.retx > 0 && b.newest <= s.lastSent) {
 			continue
 		}
 		s.lost = true
