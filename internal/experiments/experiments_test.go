@@ -175,8 +175,8 @@ func TestE9ShapeHolds(t *testing.T) {
 	// SACK TCP while delivering much more smoothly.
 	last := tb.Rows[len(tb.Rows)-1]
 	ratio := parse(t, last[5])
-	// Quick mode runs only ~7 s, so QTP's slow start weighs heavily;
-	// the full-length run recorded in EXPERIMENTS.md sits near parity.
+	// Quick mode runs only 7.5 s, so QTP's slow start weighs heavily;
+	// the full-length run (E9's note) reads well above parity.
 	if ratio < 0.75 {
 		t.Fatalf("QTP/TCP = %v under burst loss, want >= 0.75", ratio)
 	}

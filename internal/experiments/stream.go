@@ -123,10 +123,13 @@ func RunE9LossyLink(cfg Config) *Table {
 		ID:      "E9",
 		Title:   "1 Mb/s wireless-like path (non-congestion loss), full reliability, 160 ms RTT",
 		Columns: []string{"loss model", "QTP (kB/s)", "QTP CoV", "TCP (kB/s)", "TCP CoV", "QTP/TCP"},
-		Notes: "Against SACK TCP, rate control reaches goodput parity under " +
-			"burst loss while delivering far more smoothly (CoV); it pulls " +
-			"ahead as bursts harden. The dramatic wins in the cited ad-hoc " +
-			"studies were against no-SACK TCP stuck in RTO spirals.",
+		Notes: "Against SACK TCP, rate control delivers far more smoothly " +
+			"(CoV) at goodput parity or better. Over 60 s runs (seed 1) " +
+			"QTP/TCP reads 1.13, 1.61 and 4.09 down the table: it pulls " +
+			"ahead as bursts harden. Quick runs skip the Bernoulli row and " +
+			"read 1.42 then 0.97, as QTP's slow start weighs on 7.5 s. The " +
+			"dramatic wins in the cited ad-hoc studies were against " +
+			"no-SACK TCP stuck in RTO spirals.",
 	}
 	dur := cfg.dur(60 * time.Second)
 	models := []struct {

@@ -209,23 +209,23 @@ func TestFrameTraceEquivalence(t *testing.T) {
 	qtpaf.TargetRate = 80_000
 	cases := []traceCase{
 		{name: "qtpaf/handshake",
-			want:    "S208 R84 D180000 frames=43992f132881ed53 bytes=e1299822277f56b7",
+			want:    "S199 R78 D180000 frames=cd752d8170aede4a bytes=e1299822277f56b7",
 			profile: qtpaf, handshake: true, cons: core.Permissive(1e6)},
 		{name: "qtpaf/late-fin",
-			want:    "S204 R78 D180000 frames=8c90b6cae8ea5f2a bytes=e1299822277f56b7",
+			want:    "S197 R78 D180000 frames=6b192c08f5a59b16 bytes=e1299822277f56b7",
 			profile: qtpaf, lateClose: true},
 		{name: "light-reliable",
-			want:    "S208 R195 D180000 frames=83a930c815cdc263 bytes=e1299822277f56b7",
+			want:    "S195 R181 D180000 frames=03581d570a56a29a bytes=e1299822277f56b7",
 			profile: traceProfile(full, light, 0)},
 		{name: "light-reliable/handshake/late-fin",
-			want:      "S224 R208 D180000 frames=ae54cb8e6d990071 bytes=e1299822277f56b7",
+			want:      "S205 R190 D180000 frames=c917789fdf2aa163 bytes=e1299822277f56b7",
 			profile:   traceProfile(full, light, 0),
 			handshake: true, cons: core.Permissive(1e6), lateClose: true},
 		{name: "partial",
-			want:    "S194 R181 D178000 frames=777c6d9b0710cb5e bytes=c9f832b228c21a2d",
+			want:    "S189 R176 D175000 frames=faa406f20e8bb27a bytes=67635bd2ffcff09b",
 			profile: traceProfile(partial, light, traceDeadline)},
 		{name: "partial/late-fin",
-			want:    "S195 R182 D178000 frames=940b5f91d5d72ccb bytes=c9f832b228c21a2d",
+			want:    "S190 R177 D175000 frames=27a49a876e91aa09 bytes=67635bd2ffcff09b",
 			profile: traceProfile(partial, light, traceDeadline), lateClose: true},
 		{name: "partial-classic",
 			want:    "S190 R63 D179000 frames=37d91ac6ce6bbdcb bytes=3ab344fe4b7469fd",
@@ -243,24 +243,24 @@ func TestFrameTraceEquivalence(t *testing.T) {
 			want:    "S182 R171 D169000 frames=4e371bbff8251be6 bytes=20b4582e8f97c1f7",
 			profile: withBBR(traceProfile(none, light, 0)), lateClose: true},
 		{name: "streams/expiring",
-			want:       "S307 R105 D266000 frames=3fb5ff5b8e07ef50 bytes=49604f6d27cb79ce",
+			want:       "S287 R106 D267000 frames=5f6c596d5fb4053b bytes=5ba709a3dbb36bd3",
 			profile:    withStreams(qtpaf, 8),
 			twoStreams: true, second: packet.StreamExpiring},
 		{name: "streams/unordered/handshake/late-fin",
-			want:      "S321 R130 D270000 frames=d5b5016490c37fa9 bytes=36930440ce4df0ae",
+			want:      "S304 R122 D270000 frames=55611869d3343b88 bytes=6f2e46d81d8860d7",
 			profile:   withStreams(qtpaf, 8),
 			handshake: true, cons: core.Permissive(1e6),
 			twoStreams: true, second: packet.StreamReliableUnordered, lateClose: true},
 		{name: "streams/partial-light",
-			want:       "S314 R294 D263000 frames=2354d262ec8cb3c5 bytes=7f09daddeae48904",
+			want:       "S282 R262 D261000 frames=d034c8783fadcc23 bytes=8ca1fb5610e44a71",
 			profile:    withStreams(traceProfile(partial, light, traceDeadline), 4),
 			twoStreams: true, second: packet.StreamReliableOrdered},
 		{name: "streams/bbr",
-			want:       "S289 R271 D270000 frames=f97fbc2b49bc2299 bytes=ae8fd245950a3266",
+			want:       "S289 R271 D270000 frames=7f7e6497cd139dcc bytes=ae8fd245950a3266",
 			profile:    withStreams(withBBR(traceProfile(full, light, 0)), 4),
 			twoStreams: true, second: packet.StreamReliableUnordered},
 		{name: "streams/refused",
-			want:    "S208 R84 D180000 frames=d058407cd6ec3f15 bytes=e1299822277f56b7",
+			want:    "S199 R78 D180000 frames=c1f8115cae1131bb bytes=e1299822277f56b7",
 			profile: withStreams(qtpaf, 8), handshake: true, cons: refuse},
 	}
 	for _, tc := range cases {
