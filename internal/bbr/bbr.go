@@ -103,9 +103,6 @@ type Config struct {
 	// pre-estimate initial window are expressed in segments of this
 	// size.
 	MSS int
-	// MinRate floors the pacing rate in bytes/s (default: one segment
-	// per second, matching TFRC's pre-RTT trickle).
-	MinRate float64
 }
 
 // sentRecord is the controller's memory of one first transmission —
@@ -181,9 +178,6 @@ type Controller struct {
 func New(cfg Config) *Controller {
 	if cfg.MSS <= 0 {
 		panic("bbr: MSS required")
-	}
-	if cfg.MinRate == 0 {
-		cfg.MinRate = float64(cfg.MSS)
 	}
 	c := &Controller{
 		cfg:        cfg,
@@ -528,10 +522,7 @@ func (c *Controller) bdp(gain float64) int {
 func (c *Controller) PacingRate() float64 {
 	if bw := c.bw.get(); bw > 0 {
 		r := c.pacingGain * bw
-		if r < c.cfg.MinRate {
-			r = c.cfg.MinRate
-		}
-		return r
+		return max(r, c.minRate())
 	}
 	// No delivery sample yet: pace the initial window over the seeded
 	// RTT (with the startup gain so the first round can already grow),
@@ -539,8 +530,12 @@ func (c *Controller) PacingRate() float64 {
 	if c.minRTT > 0 {
 		return highGain * float64(initialCwndSegs*c.cfg.MSS) / c.minRTT.Seconds()
 	}
-	return c.cfg.MinRate
+	return c.minRate()
 }
+
+// minRate floors the pacing rate in bytes/s: one segment per second,
+// matching TFRC's pre-RTT trickle.
+func (c *Controller) minRate() float64 { return float64(c.cfg.MSS) }
 
 // InterPacketInterval returns size/PacingRate.
 func (c *Controller) InterPacketInterval(size int) time.Duration {

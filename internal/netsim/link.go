@@ -89,9 +89,6 @@ func (l *Link) Rate() float64 { return l.rate }
 // Delay returns the propagation delay.
 func (l *Link) Delay() Time { return l.delay }
 
-// Queue returns the queuing discipline (for inspecting counters).
-func (l *Link) QueueDiscipline() Queue { return l.queue }
-
 // Recv implements Handler so links can be chained behind routers.
 func (l *Link) Recv(p *Packet) { l.Send(p) }
 

@@ -51,8 +51,8 @@ func newSender(f *Flow) *sender {
 	return &sender{
 		f:        f,
 		sim:      f.sim,
-		cwnd:     float64(f.cfg.InitialCwnd * f.cfg.MSS),
-		ssthresh: f.cfg.MaxCwnd,
+		cwnd:     initialCwnd * mss,
+		ssthresh: maxCwnd,
 		rto:      time.Second,
 	}
 }
@@ -67,8 +67,6 @@ func (s *sender) Recv(p *netsim.Packet) {
 }
 
 func (s *sender) onAck(a *Segment) {
-	mss := float64(s.f.cfg.MSS)
-
 	// RTT sample from the echoed timestamp (valid even for dupacks).
 	if a.TSEcho > 0 {
 		s.updateRTT(s.sim.Now() - a.TSEcho)
@@ -120,8 +118,8 @@ func (s *sender) onAck(a *Segment) {
 		} else {
 			s.cwnd += mss * mss / s.cwnd // congestion avoidance
 		}
-		if s.cwnd > s.f.cfg.MaxCwnd {
-			s.cwnd = s.f.cfg.MaxCwnd
+		if s.cwnd > maxCwnd {
+			s.cwnd = maxCwnd
 		}
 		if restart {
 			s.restartTimer()
@@ -164,7 +162,7 @@ func (s *sender) lostThreshold() int64 {
 	if s.rtoRecovery {
 		return s.recover
 	}
-	remaining := int64(3 * s.f.cfg.MSS)
+	remaining := int64(3 * mss)
 	ranges := s.sacked.Ranges()
 	for i := len(ranges) - 1; i >= 0; i-- {
 		ln := int64(ranges[i].Len())
@@ -193,7 +191,7 @@ func (s *sender) nextHole() (lo, hi int64, ok bool) {
 	if lo >= limit {
 		return 0, 0, false
 	}
-	hi = min(lo+int64(s.f.cfg.MSS), limit)
+	hi = min(lo+mss, limit)
 	// Do not re-send bytes the receiver already holds: lo starts a gap,
 	// and the hole ends where that gap does.
 	s.gaps = s.sacked.Gaps(s.gaps[:0], sq(lo), sq(hi))
@@ -259,7 +257,6 @@ func (s *sender) available() int64 {
 // unretransmitted holes first (gated by the pipe estimate), then new
 // data.
 func (s *sender) trySend() {
-	mss := int64(s.f.cfg.MSS)
 	recovering := s.inRecovery || s.rtoRecovery
 	for {
 		if recovering {
@@ -279,10 +276,10 @@ func (s *sender) trySend() {
 		if recovering {
 			gate = s.pipe()
 		}
-		if gate+float64(mss) > s.cwnd {
+		if gate+mss > s.cwnd {
 			break
 		}
-		n := mss
+		n := int64(mss)
 		if avail := s.available(); n > avail {
 			n = avail
 		}
@@ -386,7 +383,6 @@ func (s *sender) onTimeout() {
 	if s.outstanding() == 0 {
 		return
 	}
-	mss := float64(s.f.cfg.MSS)
 	s.stats.Timeouts++
 	s.ssthresh = s.flightSize() / 2
 	if s.ssthresh < 2*mss {

@@ -57,22 +57,25 @@ type Config struct {
 	ID netsim.FlowID
 	// Fwd carries data sender->receiver, Rev carries ACKs back.
 	Fwd, Rev netsim.Handler
-	// MSS is the payload bytes per segment (default 1400, matching QTP).
-	MSS int
 	// Total bytes to send; 0 means unlimited (bulk).
 	Total int64
 	// Start delays the first transmission.
 	Start netsim.Time
-	// InitialCwnd in segments (default 2).
-	InitialCwnd int
 	// MinRTO floors the retransmission timer. The default is the
 	// RFC 6298 (and RFC 2988, contemporary with the paper) mandated
 	// 1 second; pass 200 ms for modern-Linux-style behaviour.
 	MinRTO time.Duration
-	// MaxCwnd caps the window in bytes (default 1 MiB, i.e. effectively
-	// uncapped for the scenarios here).
-	MaxCwnd float64
 }
+
+const (
+	// mss is the payload bytes per segment, matching QTP.
+	mss = 1400
+	// initialCwnd is the first window, in segments.
+	initialCwnd = 2
+	// maxCwnd caps the window in bytes: effectively uncapped for the
+	// scenarios here.
+	maxCwnd = 1 << 20
+)
 
 // Flow is a running TCP connection: sender and receiver endpoints wired
 // through the simulator.
@@ -98,17 +101,8 @@ type Stats struct {
 
 // StartFlow creates and schedules a TCP flow.
 func StartFlow(sim *netsim.Sim, cfg Config) *Flow {
-	if cfg.MSS == 0 {
-		cfg.MSS = 1400
-	}
-	if cfg.InitialCwnd == 0 {
-		cfg.InitialCwnd = 2
-	}
 	if cfg.MinRTO == 0 {
 		cfg.MinRTO = time.Second
-	}
-	if cfg.MaxCwnd == 0 {
-		cfg.MaxCwnd = 1 << 20
 	}
 	f := &Flow{sim: sim, cfg: cfg}
 	f.snd = newSender(f)

@@ -22,12 +22,6 @@ type FeedbackInfo struct {
 type SenderConfig struct {
 	// SegmentSize s in bytes. Required.
 	SegmentSize int
-	// RTTWeight is q in R = q·R + (1−q)·sample (RFC 3448 §4.3),
-	// default 0.9.
-	RTTWeight float64
-	// MinRate floors the sending rate, in bytes/s. Defaults to one
-	// segment per TMBI, the RFC minimum.
-	MinRate float64
 	// Estimator, when set, makes this a QTPlight sender: the rate machine
 	// is fed by the sender-side loss estimator, from the per-packet
 	// events, instead of by receiver reports.
@@ -67,12 +61,6 @@ func NewSender(cfg SenderConfig) *Sender {
 	if cfg.SegmentSize <= 0 {
 		panic("tfrc: SegmentSize required")
 	}
-	if cfg.RTTWeight == 0 {
-		cfg.RTTWeight = 0.9
-	}
-	if cfg.MinRate == 0 {
-		cfg.MinRate = float64(cfg.SegmentSize) / TMBI.Seconds()
-	}
 	return &Sender{
 		cfg: cfg,
 		x:   float64(cfg.SegmentSize), // 1 segment/second
@@ -102,6 +90,13 @@ func (s *Sender) SeedRTT(now time.Duration, sample time.Duration) {
 	s.deadline = now + s.noFeedbackInterval()
 }
 
+// rttWeight is q in R = q·R + (1−q)·sample (RFC 3448 §4.3).
+const rttWeight = 0.9
+
+// minRate floors the sending rate, in bytes/s: one segment per TMBI, the
+// RFC minimum.
+func (s *Sender) minRate() float64 { return float64(s.cfg.SegmentSize) / TMBI.Seconds() }
+
 // OnFeedback folds a receiver report into the rate (RFC 3448 §4.3).
 func (s *Sender) OnFeedback(now time.Duration, fb FeedbackInfo) {
 	if fb.RTTSample > 0 {
@@ -112,7 +107,7 @@ func (s *Sender) OnFeedback(now time.Duration, fb FeedbackInfo) {
 				s.tld = now
 			}
 		} else {
-			q := s.cfg.RTTWeight
+			q := rttWeight
 			s.rtt = time.Duration(q*float64(s.rtt) + (1-q)*float64(fb.RTTSample))
 		}
 	}
@@ -125,7 +120,7 @@ func (s *Sender) OnFeedback(now time.Duration, fb FeedbackInfo) {
 	if s.p > 0 {
 		xCalc := Throughput(s.cfg.SegmentSize, s.rtt, s.p)
 		cap2 := 2 * math.Max(s.xRecvSet[0], math.Max(s.xRecvSet[1], s.xRecvSet[2]))
-		s.x = math.Max(math.Min(xCalc, cap2), s.cfg.MinRate)
+		s.x = math.Max(math.Min(xCalc, cap2), s.minRate())
 	} else if s.rttValid && now-s.tld >= s.rtt {
 		// Slow start: double at most once per RTT, limited to twice the
 		// rate the receiver reports actually arriving.
@@ -142,13 +137,13 @@ func (s *Sender) OnNoFeedback(now time.Duration) {
 		xCalc := Throughput(s.cfg.SegmentSize, s.rtt, s.p)
 		// Halving the receive-rate history halves the cap.
 		for i := range s.xRecvSet {
-			s.xRecvSet[i] = math.Max(s.xRecvSet[i]/2, s.cfg.MinRate/2)
+			s.xRecvSet[i] = math.Max(s.xRecvSet[i]/2, s.minRate()/2)
 		}
-		s.xRecv = math.Max(s.xRecv/2, s.cfg.MinRate/2)
+		s.xRecv = math.Max(s.xRecv/2, s.minRate()/2)
 		cap2 := 2 * math.Max(s.xRecvSet[0], math.Max(s.xRecvSet[1], s.xRecvSet[2]))
-		s.x = math.Max(math.Min(xCalc, cap2), s.cfg.MinRate)
+		s.x = math.Max(math.Min(xCalc, cap2), s.minRate())
 	} else {
-		s.x = math.Max(s.x/2, s.cfg.MinRate)
+		s.x = math.Max(s.x/2, s.minRate())
 	}
 	s.deadline = now + s.noFeedbackInterval()
 }
@@ -219,10 +214,7 @@ func (s *Sender) Estimator() *SenderEstimator { return s.cfg.Estimator }
 // SetRate overrides the allowed rate; used by rate controllers layered
 // on top of TFRC (gTFRC clamps X to the negotiated minimum).
 func (s *Sender) SetRate(x float64) {
-	if x < s.cfg.MinRate {
-		x = s.cfg.MinRate
-	}
-	s.x = x
+	s.x = math.Max(x, s.minRate())
 }
 
 // InterPacketInterval returns t_ipi = s/X for the given packet size.
