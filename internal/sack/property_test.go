@@ -202,9 +202,7 @@ func (b *refSendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seq
 		for i < len(b.segs) && b.segs[i].seq.Less(cum) {
 			if s := &b.segs[i]; !s.sacked {
 				newly += len(s.payload)
-				if !s.abandoned {
-					b.delivered(s)
-				}
+				b.delivered(s)
 			}
 			i++
 		}
@@ -232,9 +230,7 @@ func (b *refSendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks [
 	for i < len(b.segs) && b.segs[i].conn.Less(cum) {
 		if s := &b.segs[i]; !s.sacked {
 			newly += len(s.payload)
-			if !s.abandoned {
-				b.delivered(s)
-			}
+			b.delivered(s)
 		}
 		i++
 	}

@@ -10,6 +10,12 @@
 // sender abandons the data). A no-reliability stream never adds a
 // segment to its scoreboard.
 //
+// Loss detection is one rule, whatever controller sets the rate: three
+// SACKed segments above a hole declare it lost, and a retransmission is
+// declared lost again only after something first sent after it has been
+// delivered (see SendBuffer). The scoreboard has no time constant and
+// no option for it.
+//
 // The package serves streams: qtp's one stream engine gives every
 // stream a SendBuffer and a Reassembler or UnorderedReceiver, keyed by
 // the stream's own sequence numbers, and resolves scoreboards against
@@ -127,8 +133,8 @@ type SendBuffer struct {
 	fill  int
 
 	cumAck seqspace.Seq
-	// newest is the latest first transmission among the segments resolved
-	// by delivery that were never retransmitted.
+	// newest is the latest first transmission among the acknowledged
+	// segments that were never retransmitted.
 	newest time.Duration
 
 	// Counters.
@@ -272,9 +278,7 @@ func (b *SendBuffer) release(k int) (newly int) {
 		s := b.seg(b.head)
 		if !s.sacked {
 			newly += len(s.payload)
-			if !s.abandoned {
-				b.delivered(s)
-			}
+			b.delivered(s)
 		}
 		// An empty slot reads as resolved and pins no payload.
 		*s = segment{sacked: true}
