@@ -347,9 +347,10 @@ func (b *refSendBuffer) Unresolved() bool {
 // vectors whose blocks are out of order, overlapping, inverted, stale or
 // beyond the flight, retransmission polls and every query — and demands
 // equal return values and equal counters after every step. The grid
-// covers full and partial reliability and sequence spaces that wrap through 2^32 mid-run. Payloads are random
-// bytes, and the caller's slice is overwritten as soon as AddStream
-// returns: a retransmission must still carry the bytes first sent.
+// covers full and partial reliability and sequence spaces that wrap
+// through 2^32 mid-run. Payloads are random bytes, and the caller's
+// slice is overwritten as soon as AddStream returns: a retransmission
+// must still carry the bytes first sent.
 func TestSendBufferDifferential(t *testing.T) {
 	runSendBufferDifferential(t, 1, 48)
 }
