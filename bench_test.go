@@ -1,7 +1,7 @@
 // Package repro's top-level benchmarks regenerate every experiment
-// table/figure (one benchmark per exhibit, matching the DESIGN.md
-// index) and measure the per-packet CPU costs behind the E4
-// receiver-lightening claim.
+// table/figure (one benchmark per exhibit, named by its
+// internal/experiments ID) and measure the per-packet CPU costs behind
+// the E4 receiver-lightening claim.
 //
 // Run everything:
 //

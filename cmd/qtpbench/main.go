@@ -1,5 +1,7 @@
 // Command qtpbench regenerates the full evaluation: every experiment
-// table and figure series from EXPERIMENTS.md, printed as aligned text.
+// table and figure series of internal/experiments (E1–E10, A1–A3, whose
+// quick tables are pinned in internal/experiments/testdata/*.golden),
+// printed as aligned text.
 // With -loopback it instead drives the real UDP endpoint over loopback
 // and reports goodput plus the endpoint's batched-I/O statistics.
 //

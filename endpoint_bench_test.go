@@ -212,7 +212,7 @@ func BenchmarkEndpointFanoutNoBatch(b *testing.B) {
 
 // BenchmarkGSOFanout is BenchmarkEndpointFanout with segment offload
 // explicitly exercised (it skips where the kernel has no UDP_SEGMENT):
-// the scheduler coalesces same-destination frame runs into UDP_SEGMENT
+// each connection's runs of equal-size frames leave as UDP_SEGMENT
 // trains and the receive side reads GRO-merged super-datagrams. Against
 // BenchmarkGSOFanoutNoGSO — the same load pinned to plain sendmmsg —
 // the dgram/txcall and dgram/rxcall metrics show what offload buys over

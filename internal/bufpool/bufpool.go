@@ -6,10 +6,12 @@
 // garbage collector entirely.
 //
 // Two size classes are pooled. Size (64 KiB) buffers back datagram I/O:
-// the endpoint's receive ring and the send scheduler's per-frame
-// buffers. ChunkSize (2 KiB) chunks back the delivery path: the
-// reassembler copies each buffered segment into a chunk and the
-// application releases it after consuming the data.
+// the endpoint's receive ring, and the segment trains the endpoint
+// builds each connection's burst in, frame after frame. ChunkSize
+// (2 KiB) chunks back the delivery path — the reassembler copies each
+// segment into a chunk and the application releases it after consuming
+// the data — and carry the lone small frames (acks, control) a burst
+// of one sends.
 //
 // Ownership is strict: a buffer obtained from Get/GetChunk belongs to
 // the caller until it is handed back with Put/PutChunk, and must not be

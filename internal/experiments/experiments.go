@@ -1,8 +1,9 @@
 // Package experiments regenerates the paper's evaluation: every table
-// and figure in EXPERIMENTS.md corresponds to one Run* function here,
-// and cmd/qtpbench prints them all. The paper itself is a position paper
-// without numbered exhibits, so the experiment set reconstructs the
-// measured claims its §2-§4 make (see DESIGN.md for the mapping).
+// and figure (E1–E10, A1–A3) is one Run* function here, its quick-mode
+// output pinned in testdata/<ID>.golden, and cmd/qtpbench prints them
+// all. The paper itself is a position paper without numbered exhibits,
+// so the experiment set reconstructs the measured claims its §2-§4
+// make; each exhibit's Notes name the claim it measures.
 //
 // All experiments are deterministic: the same seed reproduces the same
 // table to the digit.

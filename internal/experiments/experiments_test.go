@@ -221,7 +221,8 @@ func TestA3ShapeHolds(t *testing.T) {
 }
 
 // The remaining experiments are exercised for successful generation;
-// their shapes are scenario-dependent and recorded in EXPERIMENTS.md.
+// their shapes are scenario-dependent, each exhibit's Notes say what it
+// shows, and TestGoldenExhibits pins their quick tables in testdata.
 func TestRemainingExperimentsRun(t *testing.T) {
 	for _, r := range All() {
 		switch r.ID {

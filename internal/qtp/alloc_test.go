@@ -1,6 +1,7 @@
 package qtp
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -57,6 +58,13 @@ type allocPair struct {
 	snd, rcv *Conn
 	fwd, rev delayLine
 	now      time.Duration
+	data     []byte // one block, 64 frames' worth
+
+	// While counting, rxAllocs adds up the heap allocations made by the
+	// receiving calls alone: HandleFrame on data, ReadStream, PutChunk.
+	counting bool
+	rxAllocs uint64
+	ms       runtime.MemStats
 }
 
 const allocOneWay = 50 * time.Microsecond
@@ -88,18 +96,40 @@ func (p *allocPair) step(t *testing.T) {
 		t.Fatal("pair idle with data queued")
 	}
 	p.now = max(p.now, next)
+	var before uint64
+	if p.counting {
+		runtime.ReadMemStats(&p.ms)
+		before = p.ms.Mallocs
+	}
 	p.fwd.deliver(p.rcv, p.now)
 	for {
-		_, chunk, ok := p.rcv.ReadAny()
+		chunk, ok := p.rcv.ReadStream(0)
 		if !ok {
 			break
 		}
 		bufpool.PutChunk(chunk)
 	}
+	if p.counting {
+		runtime.ReadMemStats(&p.ms)
+		p.rxAllocs += p.ms.Mallocs - before
+	}
 	p.rev.deliver(p.snd, p.now)
 	for p.snd.BacklogLen() > 0 && p.fwd.send(t, p.snd, p.now, p.now+allocOneWay) {
 	}
 	for p.rev.send(t, p.rcv, p.now, p.now+allocOneWay) {
+	}
+}
+
+// block writes 64 frames' worth and steps until the backlog is sent.
+func (p *allocPair) block(t *testing.T) {
+	if p.data == nil {
+		p.data = make([]byte, 64*p.snd.profile.MSS)
+	}
+	if n := p.snd.Write(p.data); n != len(p.data) {
+		t.Fatalf("backlog took %d of %d bytes", n, len(p.data))
+	}
+	for p.snd.BacklogLen() > 0 {
+		p.step(t)
 	}
 }
 
@@ -113,15 +143,7 @@ func TestSendPathAllocFree(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	p := newAllocPair()
-	block := make([]byte, 64*p.snd.profile.MSS)
-	run := func() {
-		if n := p.snd.Write(block); n != len(block) {
-			t.Fatalf("backlog took %d of %d bytes", n, len(block))
-		}
-		for p.snd.BacklogLen() > 0 {
-			p.step(t)
-		}
-	}
+	run := func() { p.block(t) }
 	for i := 0; i < 200; i++ {
 		run() // past slow start, every buffer grown to its size
 	}
@@ -130,4 +152,35 @@ func TestSendPathAllocFree(t *testing.T) {
 	}
 	st := p.snd.Stats()
 	t.Logf("%d data frames, %d retransmitted, %v of virtual time", st.DataFramesSent, st.RetransFrames, p.now)
+}
+
+// TestReceivePathAllocFree holds the receiver's in-order path to no
+// heap allocation: blocks of 64 data frames through HandleFrame, read
+// back with ReadStream and released with bufpool.PutChunk. Only those
+// calls are counted; the sender and the acknowledgments are
+// TestSendPathAllocFree's.
+func TestReceivePathAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	// One P, as testing.AllocsPerRun runs: pooled chunks put on one P's
+	// queue and taken from another's grow the queues, which allocates.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := newAllocPair()
+	for i := 0; i < 200; i++ {
+		p.block(t) // past slow start, every buffer grown to its size
+	}
+	const blocks = 50
+	before := p.rcv.Stats().DeliveredBytes
+	p.counting = true
+	for i := 0; i < blocks; i++ {
+		p.block(t)
+	}
+	p.counting = false
+	if got, want := p.rcv.Stats().DeliveredBytes-before, blocks*64*p.snd.profile.MSS; got < want*9/10 {
+		t.Fatalf("%d bytes read in %d blocks, want about %d", got, blocks, want)
+	}
+	if p.rxAllocs != 0 {
+		t.Errorf("%d allocations receiving %d blocks of 64 data frames", p.rxAllocs, blocks)
+	}
 }

@@ -272,6 +272,10 @@ type connAckTracker struct {
 }
 
 func (t *connAckTracker) onData(seq seqspace.Seq) {
+	if seq == t.cum && t.received.Len() == 0 {
+		t.cum = seq.Next() // in order with no hole open: no set to touch
+		return
+	}
 	if seq.Less(t.cum) || t.received.Contains(seq) {
 		return
 	}

@@ -164,7 +164,7 @@ func (sh *shard) sendRetryLocked(from netip.AddrPort, cid uint32, connect *packe
 		return
 	}
 	sh.retrySent.Add(1)
-	sh.tx.enqueue(from, frame)
+	sh.tx.enqueue(from, frame, 0)
 }
 
 // finishAccept queues a just-created responder for Accept, or abandons

@@ -15,7 +15,7 @@ import (
 // call (one recvmmsg syscall) can return.
 const rxBatch = 32
 
-// Segment-offload limits, shared by the scheduler's train coalescing
+// Segment-train limits, shared by pollSeal, which builds the trains,
 // and the linux writer. The kernel refuses GSO sends of more than
 // UDP_MAX_SEGMENTS (64) segments, and the whole super-datagram must
 // still fit one UDP payload; gsoMaxTrainBytes stays under both the
@@ -30,10 +30,11 @@ const (
 // ring buffer and the reader sets n (datagram length) and addr
 // (source); segSize is the kernel-reported GRO segment size when the
 // read was a merged super-datagram (0 otherwise — the common case).
-// On send, buf holds exactly the frame (n == len(buf)) and addr is the
-// destination; segSize > 0 marks a segment train the writer should
-// hand to the kernel as one UDP_SEGMENT-tagged super-datagram of
-// segSize-byte slices (the last may be shorter).
+// On send, buf holds exactly the bytes to send (n == len(buf)) and addr
+// is the destination; segSize > 0 with n > segSize marks a segment
+// train of segSize-byte frames (the last may be shorter), which the
+// writer hands the kernel as one UDP_SEGMENT-tagged super-datagram where
+// the socket has segment offload, and as one datagram a frame elsewhere.
 type ioMsg struct {
 	buf     []byte
 	n       int
@@ -227,13 +228,20 @@ func (s singleIO) readBatch(ms []ioMsg, park bool) (int, error) {
 	return 1, nil
 }
 
+// writeBatch sends one message a call, a segment train as its
+// segments one datagram each; the scheduler's flush loop re-calls until
+// the batch is drained, and counts a syscall per datagram on this rung.
+// A train that fails part way is dropped whole, like sendSegments'.
 func (s singleIO) writeBatch(ms []ioMsg) (int, error) {
-	// One datagram per call — not a loop — so the caller's syscall
-	// accounting (SendBatches, AvgSendBatch) stays truthful on the
-	// fallback path: every batch really is of size one. The scheduler's
-	// flush loop already re-calls until the batch is drained.
-	if _, err := s.pc.WriteToUDPAddrPort(ms[0].buf[:ms[0].n], ms[0].addr); err != nil {
-		return 0, err
+	m := &ms[0]
+	seg := m.n
+	if m.segSize > 0 {
+		seg = m.segSize
+	}
+	for off := 0; off < m.n; off += seg {
+		if _, err := s.pc.WriteToUDPAddrPort(m.buf[off:min(off+seg, m.n)], m.addr); err != nil {
+			return 0, err
+		}
 	}
 	return 1, nil
 }

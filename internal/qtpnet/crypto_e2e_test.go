@@ -166,8 +166,9 @@ func assertSealedWire(t *testing.T) {
 }
 
 // TestSealedFramesPastOneChunk runs a sealed transfer whose frames do
-// not fit the 2 KiB chunk the driver builds and seals them in: they
-// outgrow it into their own allocations, and every byte still arrives.
+// not fit a 2 KiB chunk: at a 4,000-byte MSS a train holds 16 of them,
+// a lone one stays in the train buffer instead of moving to a chunk,
+// and every byte still arrives.
 func TestSealedFramesPastOneChunk(t *testing.T) {
 	skipIfCleartext(t)
 	const mss = 4000

@@ -163,7 +163,7 @@ type EndpointStats struct {
 	DatagramsIn  uint64 // datagrams read from the socket
 	DatagramsOut uint64 // datagrams handed to the kernel
 	RecvBatches  uint64 // read syscalls
-	SendBatches  uint64 // write syscalls
+	SendBatches  uint64 // write syscalls (one a datagram on the portable rung)
 	MaxRecvBatch int    // largest single read batch
 	MaxSendBatch int    // largest single write batch
 	NoRoute      uint64 // datagrams that matched no connection
@@ -172,9 +172,11 @@ type EndpointStats struct {
 	SendDrops    uint64 // datagrams abandoned by send errors
 
 	// Segment offload (always zero where UDP_SEGMENT/UDP_GRO are
-	// unavailable or disabled): GsoTrains counts super-datagrams the
-	// send scheduler coalesced, GsoSegs the frames that traveled
-	// inside them (GsoSegs/GsoTrains is the mean train length),
+	// unavailable or disabled): GsoTrains counts the segment trains
+	// sent as one UDP_SEGMENT super-datagram, GsoSegs the frames that
+	// traveled inside them (GsoSegs/GsoTrains is the mean train length;
+	// a train a writer without offload sends segment by segment counts
+	// in neither),
 	// GroMerged the inbound datagrams that arrived inside GRO-merged
 	// reads, and GsoFallbacks the trains the kernel refused at send
 	// time — each re-sent segment-by-segment, after which offload
@@ -487,7 +489,7 @@ func (e *Endpoint) ShardStats() []EndpointStats {
 // under its DataPath ceiling; all false on the portable rung.
 type Capabilities struct {
 	Batch bool // datagrams move with recvmmsg/sendmmsg
-	GSO   bool // sends coalesce into UDP_SEGMENT trains; clears if the kernel refuses one
+	GSO   bool // trains leave as UDP_SEGMENT super-datagrams; clears if the kernel refuses one
 	GRO   bool // UDP_GRO is on: inbound bursts may arrive kernel-merged
 }
 

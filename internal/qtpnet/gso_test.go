@@ -1,22 +1,11 @@
 package qtpnet
 
 import (
-	"bytes"
-	"net/netip"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
-
-// gsoCaps is the capabilities of a writer that accepts segment trains
-// of up to maxSegs, so scheduler tests can exercise train coalescing
-// without a GSO-capable kernel.
-func gsoCaps(maxSegs int32) *pathCaps {
-	caps := &pathCaps{batch: true}
-	caps.gsoMaxSegs.Store(maxSegs)
-	return caps
-}
 
 // TestGSOProbeDecision pins the capability probe's contract: the
 // detect-or-fallback decision is observable (Capabilities) and logged —
@@ -82,167 +71,6 @@ func TestGROSlicing(t *testing.T) {
 	out2, merged2 := expandGRO([]ioMsg{{buf: plain, n: 6, addr: from, segSize: 6}}, nil)
 	if merged2 != 0 || len(out2) != 1 || out2[0].n != 6 {
 		t.Fatalf("segSize==n message mishandled: views %d merged %d", len(out2), merged2)
-	}
-}
-
-// TestSchedulerGSOCoalescing checks that a flush against a
-// segment-capable writer folds a run of same-destination, same-size
-// frames into one segment train: one writeBatch message carrying the
-// concatenated payload, tagged with the segment size, with the train
-// counters advanced and the wire-datagram count preserved.
-func TestSchedulerGSOCoalescing(t *testing.T) {
-	w := &fakeWriter{}
-	s := newSendScheduler(w, gsoCaps(8), 16, nil)
-	defer s.stop()
-
-	const frames, size = 5, 100
-	var want []byte
-	for i := 0; i < frames; i++ {
-		f := pooledFrame(byte('a'+i), size)
-		want = append(want, f...)
-		s.enqueue(testAddr(6000), f)
-	}
-	s.flushPending()
-
-	batches := w.snapshot()
-	if len(batches) != 1 || len(batches[0]) != 1 {
-		t.Fatalf("got %d batches (first len %d), want 1 batch of 1 train", len(batches), len(batches[0]))
-	}
-	train := batches[0][0]
-	if train.segSize != size {
-		t.Fatalf("train segSize = %d, want %d", train.segSize, size)
-	}
-	if !bytes.Equal(train.buf[:train.n], want) {
-		t.Fatal("train payload is not the in-order concatenation of the queued frames")
-	}
-	if got := s.gsoTrains.Load(); got != 1 {
-		t.Errorf("gsoTrains = %d, want 1", got)
-	}
-	if got := s.gsoSegs.Load(); got != frames {
-		t.Errorf("gsoSegs = %d, want %d", got, frames)
-	}
-	if got := s.datagramsOut.Load(); got != frames {
-		t.Errorf("datagramsOut = %d, want %d wire datagrams", got, frames)
-	}
-	if got := s.batches.Load(); got != 1 {
-		t.Errorf("batches = %d, want 1 syscall", got)
-	}
-}
-
-// TestSchedulerCoalesceInterleaved is the per-destination ordering
-// regression test: with two destinations' frames interleaved in the
-// queue, coalescing may regroup frames across destinations but must
-// keep each destination's frames in exactly their enqueue order.
-func TestSchedulerCoalesceInterleaved(t *testing.T) {
-	w := &fakeWriter{}
-	s := newSendScheduler(w, gsoCaps(64), 32, nil)
-	defer s.stop()
-
-	const perDest, size = 6, 64
-	dests := []netip.AddrPort{testAddr(6100), testAddr(6101), testAddr(6102)}
-	want := make(map[netip.AddrPort][]byte)
-	for seq := 0; seq < perDest; seq++ {
-		for d, addr := range dests {
-			f := pooledFrame(byte(d), size)
-			f[1] = byte(seq) // per-destination sequence stamp
-			want[addr] = append(want[addr], f...)
-			s.enqueue(addr, f)
-		}
-	}
-	s.flushPending()
-
-	got := make(map[netip.AddrPort][]byte)
-	wire := 0
-	for _, b := range w.snapshot() {
-		for _, m := range b {
-			got[m.addr] = append(got[m.addr], m.buf[:m.n]...)
-			wire += int(wireCount(m))
-		}
-	}
-	if wire != perDest*len(dests) {
-		t.Fatalf("wire datagrams = %d, want %d", wire, perDest*len(dests))
-	}
-	for _, addr := range dests {
-		if !bytes.Equal(got[addr], want[addr]) {
-			t.Fatalf("destination %v: coalescing broke per-destination byte order", addr)
-		}
-	}
-	if s.gsoTrains.Load() != uint64(len(dests)) {
-		t.Errorf("gsoTrains = %d, want one train per destination (%d)",
-			s.gsoTrains.Load(), len(dests))
-	}
-}
-
-// TestSchedulerCoalesceMixedSizes checks the train-forming rules at
-// their edges: a shorter frame may only close a train, a longer one
-// starts over, and lone frames pass through as plain datagrams.
-func TestSchedulerCoalesceMixedSizes(t *testing.T) {
-	w := &fakeWriter{}
-	s := newSendScheduler(w, gsoCaps(64), 32, nil)
-	defer s.stop()
-
-	addr := testAddr(6200)
-	// 120 100 | 100 60 | 100: the 100 after the 120 rides as that
-	// train's short tail; the next run closes on its own short tail;
-	// the last frame is a lone plain datagram.
-	for _, n := range []int{120, 100, 100, 60, 100} {
-		s.enqueue(addr, pooledFrame(byte(n), n))
-	}
-	s.flushPending()
-
-	var flat []ioMsg
-	for _, b := range w.snapshot() {
-		flat = append(flat, b...)
-	}
-	if len(flat) != 3 {
-		t.Fatalf("flushed %d messages, want 3 (train, train, single)", len(flat))
-	}
-	if flat[0].segSize != 120 || flat[0].n != 220 {
-		t.Errorf("message 0 = {n %d seg %d}, want train n=220 seg=120 (short tail closes)", flat[0].n, flat[0].segSize)
-	}
-	if flat[1].segSize != 100 || flat[1].n != 160 {
-		t.Errorf("message 1 = {n %d seg %d}, want train n=160 seg=100", flat[1].n, flat[1].segSize)
-	}
-	if flat[2].segSize != 0 || flat[2].n != 100 {
-		t.Errorf("message 2 = {n %d seg %d}, want plain 100 (a short seg must not reopen its train)", flat[2].n, flat[2].segSize)
-	}
-	if got := wireCount(flat[0]) + wireCount(flat[1]) + wireCount(flat[2]); got != 5 {
-		t.Errorf("total wireCount = %d, want 5", got)
-	}
-}
-
-// TestSchedulerCoalesceRespectsMaxSegs checks a long run splits at the
-// writer's segment ceiling rather than overflowing one train.
-func TestSchedulerCoalesceRespectsMaxSegs(t *testing.T) {
-	w := &fakeWriter{}
-	s := newSendScheduler(w, gsoCaps(4), 32, nil)
-	defer s.stop()
-
-	addr := testAddr(6300)
-	for i := 0; i < 10; i++ {
-		s.enqueue(addr, pooledFrame(byte(i), 50))
-	}
-	s.flushPending()
-
-	var trains, segs int
-	for _, b := range w.snapshot() {
-		for _, m := range b {
-			if m.segSize > 0 {
-				trains++
-				segs += int(wireCount(m))
-				if c := int(wireCount(m)); c > 4 {
-					t.Fatalf("train carries %d segments, above the writer's max of 4", c)
-				}
-			} else {
-				segs++
-			}
-		}
-	}
-	if segs != 10 {
-		t.Fatalf("wire datagrams = %d, want 10", segs)
-	}
-	if trains < 2 {
-		t.Fatalf("long run formed %d trains, want it split across at least 2", trains)
 	}
 }
 

@@ -24,7 +24,7 @@ const (
 // sendScheduler is the shared transmit path of an endpoint: connections
 // never write to the socket from their timer/ack paths; they enqueue
 // framed packets (destination + pooled buffer) on a batch queue that is
-// flushed through writeBatch, coalescing frames from different
+// flushed through writeBatch, batching frames from different
 // connections into single syscalls.
 //
 // Flushing is edge-triggered, not lingering: a shard's round enqueues
@@ -36,7 +36,7 @@ const (
 //
 // Whoever calls flushPending and wins the flush token drains the queue;
 // losers just leave their frames for the winner, so a flush in progress
-// is itself the coalescing window for late arrivals.
+// is itself the batching window for late arrivals.
 type sendScheduler struct {
 	w        batchWriter
 	maxBatch int
@@ -49,19 +49,14 @@ type sendScheduler struct {
 	q      []ioMsg
 	closed bool
 
-	// caps is what the writer's socket probed in at bind. While
-	// caps.gsoMaxSegs > 1 the flush path coalesces same-destination,
-	// same-size frames into UDP_SEGMENT super-datagrams.
+	// caps is what the writer's socket probed in at bind: whether a
+	// train leaves as one UDP_SEGMENT super-datagram (gsoMaxSegs > 0) and
+	// whether every datagram is a syscall of its own (!batch).
 	caps *pathCaps
 
 	flushing  atomic.Bool
 	batch     []ioMsg // flush scratch, guarded by the flushing token
 	consecErr int     // likewise
-
-	// Coalescing scratch, likewise guarded by the flushing token.
-	coal     []ioMsg
-	coalUsed []bool
-	coalIdx  []int
 
 	fatalOnce sync.Once
 
@@ -74,8 +69,8 @@ type sendScheduler struct {
 	maxSeen      atomic.Uint64
 	errTransient atomic.Uint64
 	drops        atomic.Uint64
-	gsoTrains    atomic.Uint64 // segment trains handed to the writer
-	gsoSegs      atomic.Uint64 // frames that traveled inside trains
+	gsoTrains    atomic.Uint64 // trains sent as one UDP_SEGMENT super-datagram
+	gsoSegs      atomic.Uint64 // frames that traveled inside those trains
 }
 
 func newSendScheduler(w batchWriter, caps *pathCaps, maxBatch int, onFatal func(error)) *sendScheduler {
@@ -88,21 +83,23 @@ func newSendScheduler(w batchWriter, caps *pathCaps, maxBatch int, onFatal func(
 	}
 }
 
-// enqueue hands one framed datagram to the scheduler. The frame slice
-// should be pool-backed (a bufpool chunk, as every frame service builds
-// is); ownership transfers to the scheduler, which releases it after
-// the flush (see release). enqueue never touches the socket, so it is
-// safe under a connection's lock; the caller promises a
+// enqueue hands one datagram, or one segment train, to the scheduler.
+// buf holds the bytes; segSize > 0 with len(buf) > segSize marks a
+// train of segSize-byte frames, the last possibly shorter (pollSeal
+// builds them). buf should be pool-backed (a bufpool buffer or chunk);
+// ownership transfers to the scheduler, which releases it after the
+// flush (see release). enqueue never touches the socket, so it is safe
+// under a connection's lock; the caller promises a
 // flushIfFull/flushPending once its current frame-production pass is
 // done.
-func (s *sendScheduler) enqueue(addr netip.AddrPort, frame []byte) {
+func (s *sendScheduler) enqueue(addr netip.AddrPort, buf []byte, segSize int) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		release(frame)
+		release(buf)
 		return
 	}
-	s.q = append(s.q, ioMsg{buf: frame, n: len(frame), addr: addr})
+	s.q = append(s.q, ioMsg{buf: buf, n: len(buf), addr: addr, segSize: segSize})
 	s.mu.Unlock()
 }
 
@@ -128,11 +125,7 @@ func (s *sendScheduler) flushPending() {
 			if len(s.batch) == 0 {
 				break
 			}
-			b := s.batch
-			if maxSegs := int(s.caps.gsoMaxSegs.Load()); maxSegs > 1 {
-				b = s.coalesce(b, maxSegs)
-			}
-			s.flush(b)
+			s.flush(s.batch)
 		}
 		s.flushing.Store(false)
 		// A frame enqueued between the last take and the token release
@@ -179,84 +172,6 @@ func (s *sendScheduler) take(dst []ioMsg) []ioMsg {
 	return dst
 }
 
-// coalesce rewrites one flush batch for a segment-offload-capable
-// writer: runs of frames bound for the same destination with the same
-// size (the last of a run may be shorter — the kernel's short-tail
-// rule) are copied into a single pooled super-datagram tagged with
-// the segment size, which the writer hands to the kernel as one
-// UDP_SEGMENT train. Mixed-size runs and lone frames pass through
-// untouched and still share the surrounding sendmmsg call.
-//
-// Ordering contract: frames for one destination are emitted in
-// exactly their queue order — a train is always a contiguous
-// subsequence of its destination's frames — so per-flow FIFO survives
-// coalescing. Frames for different destinations may reorder relative
-// to each other (each destination's group is emitted at its first
-// queue appearance), which is unobservable across independent flows.
-//
-// Runs only the flush-token holder; scratch is reused across calls.
-func (s *sendScheduler) coalesce(batch []ioMsg, maxSegs int) []ioMsg {
-	if len(batch) < 2 {
-		return batch
-	}
-	out := s.coal[:0]
-	used := s.coalUsed[:0]
-	for range batch {
-		used = append(used, false)
-	}
-	idx := s.coalIdx
-	for i := range batch {
-		if used[i] {
-			continue
-		}
-		// Gather this destination's frames, preserving queue order.
-		idx = idx[:0]
-		for j := i; j < len(batch); j++ {
-			if !used[j] && batch[j].addr == batch[i].addr {
-				idx = append(idx, j)
-			}
-		}
-		for k := 0; k < len(idx); {
-			segSize := batch[idx[k]].n
-			run, bytes := 1, segSize
-			for k+run < len(idx) && run < maxSegs {
-				nn := batch[idx[k+run]].n
-				if nn > segSize || bytes+nn > gsoMaxTrainBytes {
-					break
-				}
-				run++
-				bytes += nn
-				if nn < segSize {
-					break // a short segment must close its train
-				}
-			}
-			if run < 2 || segSize == 0 {
-				out = append(out, batch[idx[k]])
-				batch[idx[k]] = ioMsg{}
-				used[idx[k]] = true
-				k++
-				continue
-			}
-			train := bufpool.Get()
-			off := 0
-			addr := batch[idx[k]].addr
-			for r := 0; r < run; r++ {
-				f := &batch[idx[k+r]]
-				off += copy(train[off:], f.buf[:f.n])
-				release(f.buf)
-				*f = ioMsg{}
-				used[idx[k+r]] = true
-			}
-			out = append(out, ioMsg{buf: train[:off], n: off, addr: addr, segSize: segSize})
-			s.gsoTrains.Add(1)
-			s.gsoSegs.Add(uint64(run))
-			k += run
-		}
-	}
-	s.coal, s.coalUsed, s.coalIdx = out, used, idx
-	return out
-}
-
 // flush pushes one batch through the writer, skipping datagrams that
 // fail transiently and escalating persistent failure via onFatal.
 func (s *sendScheduler) flush(batch []ioMsg) {
@@ -269,14 +184,26 @@ func (s *sendScheduler) flush(batch []ioMsg) {
 	sent := 0
 	for sent < len(batch) {
 		n, err := s.w.writeBatch(batch[sent:])
-		s.batches.Add(1)
+		// Read after the write: a writer whose kernel refused a train
+		// has cleared it and re-sent that train segment by segment.
+		gso := s.caps.gsoMaxSegs.Load() > 0
 		var wire uint64
 		for i := sent; i < sent+n; i++ {
-			wire += wireCount(batch[i])
+			c := wireCount(batch[i])
+			wire += c
+			if gso && c > 1 {
+				s.gsoTrains.Add(1)
+				s.gsoSegs.Add(c)
+			}
 		}
+		calls, perCall := uint64(1), wire
+		if !s.caps.batch {
+			calls, perCall = max(wire, 1), min(wire, 1) // one syscall a datagram
+		}
+		s.batches.Add(calls)
 		s.datagramsOut.Add(wire)
-		if wire > s.maxSeen.Load() {
-			s.maxSeen.Store(wire)
+		if perCall > s.maxSeen.Load() {
+			s.maxSeen.Store(perCall)
 		}
 		sent += n
 		if err == nil {
@@ -312,9 +239,8 @@ func (s *sendScheduler) flush(batch []ioMsg) {
 }
 
 // release returns a sent (or discarded) datagram's buffer to the pool
-// of its size class: frames are 2 KiB chunks, segment trains full-size
-// buffers. Anything else — a frame that outgrew its chunk — is left to
-// the collector.
+// of its size class: trains are full-size buffers, lone frames and
+// Retries 2 KiB chunks. Anything else is left to the collector.
 func release(b []byte) {
 	switch cap(b) {
 	case bufpool.ChunkSize:

@@ -60,7 +60,7 @@ func TestSchedulerInterleaving(t *testing.T) {
 	const conns, frames = 4, 6
 	for f := 0; f < frames; f++ {
 		for c := 0; c < conns; c++ {
-			s.enqueue(testAddr(2000+uint16(c)), pooledFrame(byte(c), 8))
+			s.enqueue(testAddr(2000+uint16(c)), pooledFrame(byte(c), 8), 0)
 		}
 	}
 	s.flushPending()
@@ -107,7 +107,7 @@ func TestSchedulerEdgeFlush(t *testing.T) {
 	defer s.stop()
 
 	for i := 0; i < 10; i++ {
-		s.enqueue(testAddr(3000), pooledFrame(1, 4))
+		s.enqueue(testAddr(3000), pooledFrame(1, 4), 0)
 	}
 	s.flushPending()
 	batches := w.snapshot()
@@ -132,7 +132,7 @@ func TestSchedulerFatalError(t *testing.T) {
 	s := newSendScheduler(w, &pathCaps{}, 4, func(err error) { fatalCh <- err })
 	defer s.stop()
 
-	s.enqueue(testAddr(4000), pooledFrame(1, 4))
+	s.enqueue(testAddr(4000), pooledFrame(1, 4), 0)
 	s.flushPending()
 	select {
 	case err := <-fatalCh:
@@ -151,7 +151,7 @@ func TestSchedulerFatalError(t *testing.T) {
 	fatal2 := make(chan error, 4)
 	s2 := newSendScheduler(w2, &pathCaps{}, 4, func(err error) { fatal2 <- err })
 	defer s2.stop()
-	s2.enqueue(testAddr(4001), pooledFrame(1, 4))
+	s2.enqueue(testAddr(4001), pooledFrame(1, 4), 0)
 	s2.flushPending()
 	select {
 	case err := <-fatal2:
@@ -165,7 +165,7 @@ func TestSchedulerFatalError(t *testing.T) {
 	w2.mu.Lock()
 	w2.fail = nil
 	w2.mu.Unlock()
-	s2.enqueue(testAddr(4001), pooledFrame(2, 4))
+	s2.enqueue(testAddr(4001), pooledFrame(2, 4), 0)
 	s2.flushPending()
 	if got := w2.snapshot(); len(got) == 0 {
 		t.Fatal("scheduler wedged after a transient error")
@@ -178,14 +178,14 @@ func TestSchedulerStopReleasesQueue(t *testing.T) {
 	w := &fakeWriter{}
 	s := newSendScheduler(w, &pathCaps{}, 64, nil)
 	for i := 0; i < 5; i++ {
-		s.enqueue(testAddr(5000), pooledFrame(1, 4))
+		s.enqueue(testAddr(5000), pooledFrame(1, 4), 0)
 	}
 	s.stop()
 	if bs := w.snapshot(); len(bs) != 0 {
 		t.Fatalf("stop flushed %d batches, want none", len(bs))
 	}
 	// Enqueue after stop is a no-op that releases the buffer.
-	s.enqueue(testAddr(5000), pooledFrame(1, 4))
+	s.enqueue(testAddr(5000), pooledFrame(1, 4), 0)
 	if got := s.pending(); got != 0 {
 		t.Fatalf("%d frames queued after stop", got)
 	}

@@ -704,43 +704,44 @@ func (sh *shard) service(c *Conn) (produced bool) {
 }
 
 // pollSeal enqueues every frame the connection has due at now and
-// reports whether there was one. Frames are built directly into pooled
-// 2 KiB chunks (not 64 KiB buffers: a paced burst queues up to 16 per
-// connection), sealed in place when the connection has keys, and the
-// chunk's ownership passes to the scheduler. Before the peer's address
-// is validated, each frame is held to the amplification cap. Callers
-// hold c.mu.
+// reports whether there was one. The burst is built back to back in one
+// pooled bufpool.Size buffer: each frame is polled in where the last one
+// ended and, when the connection has keys, sealed where it lies. Each
+// run of equal-size frames goes to the scheduler as one segment train
+// (see burst). Before the peer's address is validated, each frame is
+// held to the amplification cap. Callers hold c.mu.
 func (sh *shard) pollSeal(c *Conn, now time.Duration) (produced bool) {
 	// Keys are installed by Start and HandleFrame, never by a poll. With
 	// keys, each frame is built behind room for the sealed datagram's
 	// prefix and sealed where it lies.
 	sess := c.inner.CryptoSession()
-	off := 0
+	pre := 0
 	if sess != nil {
-		off = packet.SealedHeaderLen
+		pre = packet.SealedHeaderLen
 	}
-	var txb []byte
+	b := burst{sh: sh, peer: c.peer, buf: bufpool.Get()}
 	for {
-		if txb == nil {
-			txb = bufpool.GetChunk()
+		if b.segs == gsoMaxSegments || b.n+b.segSize > gsoMaxTrainBytes {
+			b.next(nil)
 		}
-		frame, ok := c.inner.PollFrameAppend(now, txb[:off])
+		at := b.n
+		frame, ok := c.inner.PollFrameAppend(now, b.buf[:at+pre])
 		if !ok {
 			break
 		}
-		wire := frame
 		if sess != nil {
-			if packet.Cleartext(packet.Type(frame[off] & 0x0f)) {
-				wire = append(frame[:0], frame[off:]...)
+			if packet.Cleartext(packet.Type(frame[at+pre] & 0x0f)) {
+				frame = append(frame[:at], frame[at+pre:]...)
 			} else {
-				sealed, err := sess.SealAppend(frame[:0], c.inner.RemoteID(), frame[off:])
+				sealed, err := sess.SealAppend(frame[:at], c.inner.RemoteID(), frame[at+pre:])
 				if err != nil {
 					sh.sealFails.Add(1)
 					continue
 				}
-				wire = sealed
+				frame = sealed
 			}
 		}
+		wire := frame[at:]
 		if !c.validated.Load() {
 			// Pre-validation anti-amplification: withhold any frame that
 			// would push bytes-sent past 3x bytes-received from this
@@ -756,17 +757,69 @@ func (sh *shard) pollSeal(c *Conn, now time.Duration) (produced bool) {
 			}
 			c.ampTx.Add(int64(len(wire)))
 		}
-		sh.tx.enqueue(c.peer, wire)
 		produced = true
-		if cap(wire) == cap(txb) {
-			// The scheduler owns the pooled chunk now. A frame that
-			// outgrew it (only an MSS beyond the default makes one) was
-			// allocated, and the chunk serves the next poll.
-			txb = nil
-		}
+		b.add(wire, &frame[0] == &b.buf[0])
 	}
-	bufpool.PutChunk(txb)
+	b.next(nil)
+	bufpool.Put(b.buf)
 	return produced
+}
+
+// burst is the run of frames pollSeal is building for one peer: b.n
+// bytes at the front of buf, segs frames of segSize bytes, the last
+// possibly shorter. A withheld frame or one that fails to seal is never
+// added, so the next poll overwrites it and the run has no gap.
+type burst struct {
+	sh      *shard
+	peer    netip.AddrPort
+	buf     []byte // a pooled bufpool.Size buffer, owned until enqueued
+	n       int
+	segSize int
+	segs    int
+}
+
+// add takes the frame just polled to b.buf[b.n:], or elsewhere when it
+// did not fit (inPlace false: the poll or the seal had to grow past the
+// buffer). An equal or shorter frame in place joins the run, and a
+// shorter one closes it (the kernel's short-tail rule); any other frame
+// starts the next run.
+func (b *burst) add(wire []byte, inPlace bool) {
+	if !inPlace || (b.segs > 0 && len(wire) > b.segSize) {
+		b.next(wire)
+		return
+	}
+	if b.segs == 0 {
+		b.segSize = len(wire)
+	}
+	b.n += len(wire)
+	b.segs++
+	if len(wire) < b.segSize {
+		b.next(nil)
+	}
+}
+
+// next hands the run to the scheduler and starts the next one with
+// first (nil for none) at the front of a buffer b owns. A train keeps
+// its buffer and b takes a fresh one; a lone frame that fits a chunk
+// (an ack, a control frame) is copied into one, so the buffer serves the
+// next run instead of idling in the send queue.
+func (b *burst) next(first []byte) {
+	var train []byte
+	switch {
+	case b.segs == 0:
+	case b.segs == 1 && b.n <= bufpool.ChunkSize:
+		ch := bufpool.GetChunk()
+		b.sh.tx.enqueue(b.peer, ch[:copy(ch, b.buf[:b.n])], 0)
+	default:
+		train, b.buf = b.buf[:b.n], bufpool.Get()
+	}
+	segSize := b.segSize
+	// first may lie in the train: copy it before the scheduler owns that.
+	b.n = copy(b.buf, first)
+	b.segSize, b.segs = b.n, min(b.n, 1)
+	if train != nil {
+		b.sh.tx.enqueue(b.peer, train, segSize)
+	}
 }
 
 // noteEstablished does the handshake-completion bookkeeping, exactly once

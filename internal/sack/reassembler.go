@@ -17,8 +17,15 @@ import (
 // the sender abandons the corresponding data, so partial reliability
 // needs no extra wire signalling.
 //
-// Buffered segments are copied into pooled chunks (bufpool.GetChunk),
-// not freshly allocated slices. The chunks Pop returns belong to the
+// An arrival that is the next segment expected while nothing is buffered
+// — every arrival on a path that neither loses nor reorders — goes
+// straight to the ready queue: the check costs two comparisons, and the
+// map and the interval set are never touched (header prediction, after
+// Jacobson's 4BSD TCP). Any other arrival is buffered and delivered by
+// advance.
+//
+// Every segment is copied into a pooled chunk (bufpool.GetChunk), not
+// a freshly allocated slice. The chunks Pop returns belong to the
 // application, which should hand them back with bufpool.PutChunk once
 // consumed so the steady-state delivery path stays off the garbage
 // collector; an unreleased chunk is merely a pool miss, never a leak.
@@ -65,6 +72,15 @@ func (r *Reassembler) OnData(now time.Duration, seq seqspace.Seq, payload []byte
 	if fin {
 		r.finSeq = seq
 		r.haveFin = true
+	}
+	if seq == r.cumAck && r.received.Len() == 0 {
+		// The next segment expected, nothing buffered: deliver it
+		// without touching the map or the interval set.
+		p := chunkCopy(payload)
+		r.push(p)
+		r.DeliveredBytes += len(p)
+		r.cumAck = seq.Next()
+		return true
 	}
 	if seq.Less(r.cumAck) || r.received.Contains(seq) {
 		r.DuplicateSegs++

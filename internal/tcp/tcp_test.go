@@ -119,7 +119,8 @@ func TestSaturatesBottleneck(t *testing.T) {
 	good := float64(f.Stats().DeliveredBytes) / 60
 	// NewReno through a 10x-BDP drop-tail buffer suffers repeated
 	// full-window losses; 65%+ is the realistic bar for this baseline
-	// (see EXPERIMENTS.md notes on the TCP substrate).
+	// (the TCP that E1 and E2 compare QTPAF against: see their Notes and
+	// internal/experiments/testdata/E1.golden, E2.golden).
 	if good < 0.65*125_000 {
 		t.Fatalf("goodput %v, want >= 65%% of 125000", good)
 	}
