@@ -8,10 +8,15 @@
 // Two size classes are pooled. Size (64 KiB) buffers back datagram I/O:
 // the endpoint's receive ring, and the segment trains the endpoint
 // builds each connection's burst in, frame after frame. ChunkSize
-// (2 KiB) chunks back the delivery path — the reassembler copies each
-// segment into a chunk and the application releases it after consuming
-// the data — and carry the lone small frames (acks, control) a burst
-// of one sends.
+// (2 KiB) chunks carry the lone small frames (acks, control) a burst of
+// one sends.
+//
+// Delivery uses both classes. A segment that arrives while its stream
+// has nothing unread is copied into a chunk of its own; in-order
+// segments that arrive behind unread data are appended to a run buffer
+// of Size, so a reader that falls behind takes up to 64 KiB per read.
+// The application releases whatever it read with PutChunk, which takes
+// either class back.
 //
 // Ownership is strict: a buffer obtained from Get/GetChunk belongs to
 // the caller until it is handed back with Put/PutChunk, and must not be
@@ -63,15 +68,18 @@ func GetChunk() []byte {
 	return chunkPool.Get().(*[ChunkSize]byte)[:]
 }
 
-// PutChunk releases a delivery chunk obtained from GetChunk. Slices of
-// any other capacity — including the plain allocations the reassembler
-// falls back to for oversized segments — are dropped, so callers may
-// release every delivered chunk without tracking its origin.
+// PutChunk releases a delivered buffer to the pool of its size class: a
+// chunk from GetChunk or a run buffer from Get. Slices of any other
+// capacity — including the plain allocations the reassembler falls back
+// to for oversized segments — are dropped, so callers may release every
+// delivered buffer without tracking its origin.
 func PutChunk(b []byte) {
-	if cap(b) != ChunkSize {
-		return
+	switch cap(b) {
+	case ChunkSize:
+		chunkPool.Put((*[ChunkSize]byte)(b[:ChunkSize]))
+	case Size:
+		pool.Put((*[Size]byte)(b[:Size]))
 	}
-	chunkPool.Put((*[ChunkSize]byte)(b[:ChunkSize]))
 }
 
 // GetBatch returns n pooled buffers, each of length Size: the backing

@@ -38,6 +38,29 @@ func TestChunkGetPut(t *testing.T) {
 	PutChunk(nil)
 }
 
+// TestPutChunkTakesRuns pins the second delivery class: a run buffer
+// the reassembler took with Get, released with PutChunk sliced to what
+// the application read, comes back from Get, not from GetChunk. The
+// race detector's sync.Pool drops a quarter of its Puts at random, so
+// the round trip gets a few tries.
+func TestPutChunkTakesRuns(t *testing.T) {
+	for try := 0; try < 20; try++ {
+		run := Get()
+		PutChunk(run[:1400])
+		if c := GetChunk(); cap(c) != ChunkSize {
+			t.Fatalf("GetChunk handed out capacity %d, want %d", cap(c), ChunkSize)
+		}
+		b := Get()
+		if len(b) != Size {
+			t.Fatalf("Get after PutChunk of a run buffer: len %d, want %d", len(b), Size)
+		}
+		if &b[0] == &run[0] {
+			return
+		}
+	}
+	t.Fatal("a run buffer released with PutChunk never came back from Get")
+}
+
 func TestBatch(t *testing.T) {
 	bs := GetBatch(5)
 	if len(bs) != 5 {

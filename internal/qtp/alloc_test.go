@@ -64,6 +64,8 @@ type allocPair struct {
 	// receiving calls alone: HandleFrame on data, ReadStream, PutChunk.
 	counting bool
 	rxAllocs uint64
+	reads    int  // chunks ReadStream returned while counting
+	lag      bool // read once a block, not after every arrival
 	ms       runtime.MemStats
 }
 
@@ -96,23 +98,7 @@ func (p *allocPair) step(t *testing.T) {
 		t.Fatal("pair idle with data queued")
 	}
 	p.now = max(p.now, next)
-	var before uint64
-	if p.counting {
-		runtime.ReadMemStats(&p.ms)
-		before = p.ms.Mallocs
-	}
-	p.fwd.deliver(p.rcv, p.now)
-	for {
-		chunk, ok := p.rcv.ReadStream(0)
-		if !ok {
-			break
-		}
-		bufpool.PutChunk(chunk)
-	}
-	if p.counting {
-		runtime.ReadMemStats(&p.ms)
-		p.rxAllocs += p.ms.Mallocs - before
-	}
+	p.receive(!p.lag)
 	p.rev.deliver(p.snd, p.now)
 	for p.snd.BacklogLen() > 0 && p.fwd.send(t, p.snd, p.now, p.now+allocOneWay) {
 	}
@@ -120,7 +106,34 @@ func (p *allocPair) step(t *testing.T) {
 	}
 }
 
-// block writes 64 frames' worth and steps until the backlog is sent.
+// receive hands the receiver the frames due now and, with read, reads
+// everything delivered; while counting, it adds up what these calls
+// allocate.
+func (p *allocPair) receive(read bool) {
+	var before uint64
+	if p.counting {
+		runtime.ReadMemStats(&p.ms)
+		before = p.ms.Mallocs
+	}
+	p.fwd.deliver(p.rcv, p.now)
+	for read {
+		chunk, ok := p.rcv.ReadStream(0)
+		if !ok {
+			break
+		}
+		bufpool.PutChunk(chunk)
+		if p.counting {
+			p.reads++
+		}
+	}
+	if p.counting {
+		runtime.ReadMemStats(&p.ms)
+		p.rxAllocs += p.ms.Mallocs - before
+	}
+}
+
+// block writes 64 frames' worth and steps until the backlog is sent; a
+// lagging pair reads at the end.
 func (p *allocPair) block(t *testing.T) {
 	if p.data == nil {
 		p.data = make([]byte, 64*p.snd.profile.MSS)
@@ -130,6 +143,9 @@ func (p *allocPair) block(t *testing.T) {
 	}
 	for p.snd.BacklogLen() > 0 {
 		p.step(t)
+	}
+	if p.lag {
+		p.receive(true)
 	}
 }
 
@@ -156,9 +172,10 @@ func TestSendPathAllocFree(t *testing.T) {
 
 // TestReceivePathAllocFree holds the receiver's in-order path to no
 // heap allocation: blocks of 64 data frames through HandleFrame, read
-// back with ReadStream and released with bufpool.PutChunk. Only those
-// calls are counted; the sender and the acknowledgments are
-// TestSendPathAllocFree's.
+// back with ReadStream and released with bufpool.PutChunk. A reader that
+// keeps up reads after every arrival, one chunk a segment; a lagging
+// reader reads once a block, mostly in runs. Only those calls are
+// counted; the sender and the acknowledgments are TestSendPathAllocFree's.
 func TestReceivePathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -166,21 +183,34 @@ func TestReceivePathAllocFree(t *testing.T) {
 	// One P, as testing.AllocsPerRun runs: pooled chunks put on one P's
 	// queue and taken from another's grow the queues, which allocates.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	p := newAllocPair()
-	for i := 0; i < 200; i++ {
-		p.block(t) // past slow start, every buffer grown to its size
-	}
-	const blocks = 50
-	before := p.rcv.Stats().DeliveredBytes
-	p.counting = true
-	for i := 0; i < blocks; i++ {
-		p.block(t)
-	}
-	p.counting = false
-	if got, want := p.rcv.Stats().DeliveredBytes-before, blocks*64*p.snd.profile.MSS; got < want*9/10 {
-		t.Fatalf("%d bytes read in %d blocks, want about %d", got, blocks, want)
-	}
-	if p.rxAllocs != 0 {
-		t.Errorf("%d allocations receiving %d blocks of 64 data frames", p.rxAllocs, blocks)
+	for _, lag := range []bool{false, true} {
+		name := "keeps-up"
+		if lag {
+			name = "lags"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := newAllocPair()
+			p.lag = lag
+			for i := 0; i < 200; i++ {
+				p.block(t) // past slow start, every buffer grown to its size
+			}
+			const blocks = 50
+			before := p.rcv.Stats().DeliveredBytes
+			p.counting = true
+			for i := 0; i < blocks; i++ {
+				p.block(t)
+			}
+			p.counting = false
+			if got, want := p.rcv.Stats().DeliveredBytes-before, blocks*64*p.snd.profile.MSS; got < want*9/10 {
+				t.Fatalf("%d bytes read in %d blocks, want about %d", got, blocks, want)
+			}
+			if p.rxAllocs != 0 {
+				t.Errorf("%d allocations receiving %d blocks of 64 data frames", p.rxAllocs, blocks)
+			}
+			if lag && p.reads >= blocks*64/2 {
+				t.Errorf("%d reads for %d blocks of 64 data frames: the in-order path made no runs", p.reads, blocks)
+			}
+			t.Logf("%d blocks of 64 data frames read in %d chunks", blocks, p.reads)
+		})
 	}
 }

@@ -22,7 +22,9 @@ type slowRun struct {
 // runSlowReader is one slow-reader run over the sans-IO core: a 10
 // Mbit/s path that loses only what overflows its queue, a writer that
 // keeps stream 0's backlog full for writeFor virtual seconds, and a
-// consumer that takes one chunk every 8 ms — a tenth of the link rate.
+// consumer that reads 1,000 B per 8 ms — a tenth of the link rate: it
+// takes one chunk, then waits 8 ms per 1,000 B the chunk held (8 ms
+// after an empty read), however many segments a chunk carries.
 // held reports the receiver's stream-0 bytes that count against the
 // delivery bound; maxHeld is the most it read after any arrival or read.
 func runSlowReader(prof core.Profile, writeFor time.Duration, held func(rs *recvStream) int) slowRun {
@@ -62,6 +64,7 @@ func runSlowReader(prof core.Profile, writeFor time.Duration, held func(rs *recv
 	var read func()
 	read = func() {
 		observe()
+		wait := 8 * time.Millisecond
 		if chunk, ok := f.Receiver.ReadStream(0); ok {
 			for i, b := range chunk {
 				if b != slowPattern(r.delivered+i) && r.corruptAt < 0 {
@@ -69,10 +72,11 @@ func runSlowReader(prof core.Profile, writeFor time.Duration, held func(rs *recv
 				}
 			}
 			r.delivered += len(chunk)
+			wait = time.Duration(len(chunk)) * 8 * time.Millisecond / 1000
 			bufpool.PutChunk(chunk)
 		}
 		if !f.Receiver.Finished() {
-			p.sim.At(p.sim.Now()+8*time.Millisecond, read)
+			p.sim.At(p.sim.Now()+wait, read)
 		}
 	}
 	p.sim.At(8*time.Millisecond, read)

@@ -258,16 +258,19 @@ func (c *Conn) Write(p []byte) (int, error) { return c.writeStream(0, p) }
 func (c *Conn) CloseSend() { c.closeSendStream(0) }
 
 // Read returns the next in-order chunk, blocking until data arrives,
-// the connection dies (nil, false), or the timeout passes. The chunk is
-// pool-backed: hand it back with Release once consumed so steady-state
-// delivery allocates nothing (skipping Release costs a pool miss, never
-// a leak).
+// the connection dies (nil, false), or the timeout passes. A chunk is a
+// run of in-order bytes of at most 64 KiB: one segment when the reader
+// keeps up, every segment that arrived in order since the last Read
+// (up to the 64 KiB) when it falls behind. The chunk is pool-backed:
+// hand it back with Release once consumed so steady-state delivery
+// allocates nothing (skipping Release costs a pool miss, never a leak).
 func (c *Conn) Read(timeout time.Duration) ([]byte, bool) {
 	return c.readFrom(c.s0, timeout)
 }
 
-// Release returns a chunk obtained from Read to the delivery pool.
-// Safe on any slice (non-pooled capacities are dropped) and on nil.
+// Release returns a chunk obtained from Read to the delivery pool of
+// its size class. Safe on any slice (non-pooled capacities are dropped)
+// and on nil.
 func (c *Conn) Release(p []byte) { bufpool.PutChunk(p) }
 
 // Done returns a channel that is closed once the connection has been

@@ -514,7 +514,7 @@ func TestRefusedDatagramAllocatesNothing(t *testing.T) {
 
 			tc.hdr.ConnID = conn.ID()
 			frame := tc.hdr.AppendTo(nil)
-			if err := conn.sh.handleFrame(conn, frame); err != tc.refusal {
+			if err := conn.sh.handleFrame(conn, frame, conn.sh.now()); err != tc.refusal {
 				t.Fatalf("handleFrame = %v, want %v", err, tc.refusal)
 			}
 			from := srv.Addr().(*net.UDPAddr).AddrPort()

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/packet"
+	"repro/internal/qtp"
 )
 
 // parkedFor reports how far ahead the deadline the shard's loop is
@@ -436,6 +438,7 @@ type clockIO struct {
 	parked bool          // a read is parked now
 	closed bool
 	sent   []clockSend
+	reads  int // clock reads
 }
 
 type clockSend struct {
@@ -452,6 +455,7 @@ func newClockIO() *clockIO {
 func (f *clockIO) now() time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.reads++
 	return f.t
 }
 
@@ -600,4 +604,51 @@ func TestLoopVirtualClockConnectBackoff(t *testing.T) {
 			t.Fatalf("retransmission %d: sent type %v at %v, want a Connect at %v", try, typ, out[0].at, due)
 		}
 	}
+}
+
+// TestDeliverBatchReadsClockOnce pins the receive round's clock cost: a
+// batch left the socket in one read, so deliverBatch reads the clock
+// once for all its frames' arrival time (and servicing the connection
+// reads what it reads once a round). Batches of 1, 8 and 64 data frames
+// for one connection must read clockIO's clock equally often.
+func TestDeliverBatchReadsClockOnce(t *testing.T) {
+	sh := manualShard(t)
+	f := newClockIO()
+	sh.bio, sh.caps = f, &pathCaps{}
+	sh.tx = newSendScheduler(f, sh.caps, txBatch, nil)
+	snd := directSender(1400, 1)
+	rcv := qtp.NewConn(qtp.Config{ConnID: 1})
+	rcv.StartDirect(0, core.QTPAF(1e9).Normalize(), 0)
+	c := trainConn(sh, 7300, rcv)
+	sh.byID[c.localID] = c
+	snd.Write(make([]byte, 256<<10))
+
+	var sc rxScratch
+	var sendAt time.Duration
+	reads := map[int]int{}
+	for _, n := range []int{1, 8, 64} {
+		ms := make([]ioMsg, 0, n)
+		for len(ms) < n {
+			sendAt += time.Millisecond
+			for len(ms) < n {
+				frame, ok := snd.PollFrameAppend(sendAt, nil)
+				if !ok {
+					break
+				}
+				ms = append(ms, ioMsg{buf: frame, n: len(frame), addr: c.peer})
+			}
+		}
+		before := f.reads
+		if got := sh.deliverBatch(ms, &sc); got != n {
+			t.Fatalf("a batch of %d data frames: %d accepted", n, got)
+		}
+		reads[n] = f.reads - before
+		for p, ok := rcv.ReadStream(0); ok; p, ok = rcv.ReadStream(0) {
+			bufpool.PutChunk(p)
+		}
+	}
+	if reads[1] != reads[8] || reads[1] != reads[64] {
+		t.Fatalf("clock reads per deliverBatch by frames in the batch: %v, want one count for all", reads)
+	}
+	t.Logf("clock reads per deliverBatch: %d", reads[1])
 }

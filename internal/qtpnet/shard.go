@@ -481,6 +481,7 @@ func (sh *shard) deliverBatch(ms []ioMsg, sc *rxScratch) (accepted int) {
 	}
 
 	shedAny := false
+	var now time.Duration
 	if anyLocal {
 		sh.mu.Lock()
 		for i := range sc.frames {
@@ -490,6 +491,9 @@ func (sh *shard) deliverBatch(ms []ioMsg, sc *rxScratch) (accepted int) {
 			}
 		}
 		sh.mu.Unlock()
+		// The batch left the socket in one read: that instant is every
+		// frame's arrival time, so the clock is read once, not per frame.
+		now = sh.now()
 	}
 
 	for i := range sc.frames {
@@ -503,7 +507,7 @@ func (sh *shard) deliverBatch(ms []ioMsg, sc *rxScratch) (accepted int) {
 			continue
 		}
 		accountRx(c, f.typ, ms[i].n)
-		err := sh.handleFrame(c, ms[i].buf[:ms[i].n])
+		err := sh.handleFrame(c, ms[i].buf[:ms[i].n], now)
 		if f.fresh && !sh.finishAccept(c, err) {
 			// Refused before service ran, so no Accept frame went out: the
 			// peer keeps retransmitting its Connect and a later attempt may
@@ -572,19 +576,19 @@ func accountRx(c *Conn, typ packet.Type, n int) {
 	}
 }
 
-// handleFrame feeds one classified datagram to its connection's state
-// machine, opening sealed datagrams first. Open decrypts in place —
-// the receive buffer is the driver's to reuse after delivery anyway —
-// and a failed open wipes what it was given: the datagram is dropped
-// here on any open error and never read again, so no byte of an
-// unauthenticated datagram reaches the state machine. An authenticated
+// handleFrame feeds one classified datagram, which arrived at now, to
+// its connection's state machine, opening sealed datagrams first. Open
+// decrypts in place — the receive buffer is the driver's to reuse after
+// delivery anyway — and a failed open wipes what it was given: the
+// datagram is dropped here on any open error and never read again, so
+// no byte of an unauthenticated datagram reaches the state machine. An authenticated
 // open at epoch >= 1 (any 1-RTT key generation) proves the peer's
 // address where accountRx could not (those keys bind the full
 // handshake transcript). On an encrypted connection a cleartext frame of any
 // post-handshake type is dropped undecoded: accepting it would let an
 // on-path attacker inject the exact plaintext the sealing exists to
 // block.
-func (sh *shard) handleFrame(c *Conn, dgram []byte) error {
+func (sh *shard) handleFrame(c *Conn, dgram []byte, now time.Duration) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(dgram) > 0 && packet.Type(dgram[0]&0x0f) == packet.TypeSealed {
@@ -607,7 +611,7 @@ func (sh *shard) handleFrame(c *Conn, dgram []byte) error {
 		sh.openFails.Add(1)
 		return errCleartextOnEncrypted
 	}
-	err := c.inner.HandleFrame(sh.now(), dgram)
+	err := c.inner.HandleFrame(now, dgram)
 	if err == qtp.ErrDeliveryFull { // returned bare
 		sh.recvDrops.Add(1)
 	}

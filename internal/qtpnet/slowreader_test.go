@@ -13,7 +13,8 @@ import (
 // while the reader takes its time between reads. Whatever the transport
 // acknowledged it must deliver — a reliable stream hands over every byte
 // exactly once, an expiring stream may only lose what passed its
-// deadline — with the endpoint's default configuration.
+// deadline — with the endpoint's default configuration. The reader
+// waits 500 µs per 1,400 B (one default segment) it took.
 //
 // The stream carries the big-endian counter 0, 1, 2, … in 8-byte words.
 // Every write and the MSS are multiples of 8, so each delivered chunk
@@ -97,7 +98,9 @@ func slowReader(t *testing.T, mode StreamMode, deadline time.Duration) {
 				r.words++
 			}
 			s.Release(chunk)
-			time.Sleep(500 * time.Microsecond)
+			// 500 µs per full segment's bytes, however many segments
+			// the chunk carries.
+			time.Sleep(time.Duration(len(chunk)) * 500 * time.Microsecond / core.DefaultMSS)
 		}
 		if mode != StreamReliableOrdered {
 			for _, ok := range seen {

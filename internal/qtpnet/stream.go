@@ -63,11 +63,15 @@ func (s *Stream) Write(p []byte) (int, error) { return s.c.writeStream(s.id, p) 
 // stream is closed and resolved.
 func (s *Stream) CloseSend() { s.c.closeSendStream(s.id) }
 
-// Read returns the stream's next delivered chunk — in order on a
-// reliable-ordered stream, in arrival order on unordered and expiring
-// streams — blocking until data arrives, the connection dies
-// (nil, false), or the timeout passes. Chunks are pool-backed: hand
-// them back with Release once consumed.
+// Read returns the stream's next delivered chunk — in order on
+// reliable-ordered and expiring streams (an expiring stream skips what
+// passed its deadline), in arrival order on unordered streams —
+// blocking until data arrives, the connection dies (nil, false), or the
+// timeout passes. On an ordered or expiring stream a chunk is a run of
+// in-order bytes of at most 64 KiB (one segment while the reader keeps
+// up, several when it falls behind; never across a skipped hole); on an
+// unordered stream it is one segment. Chunks are pool-backed: hand them
+// back with Release once consumed.
 func (s *Stream) Read(timeout time.Duration) ([]byte, bool) {
 	return s.c.readFrom(s, timeout)
 }

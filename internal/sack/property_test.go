@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/seqspace"
 )
 
@@ -120,12 +121,13 @@ func TestReliabilityModelCheck(t *testing.T) {
 			if !ok {
 				break
 			}
-			idx := payloadIndex(t, p)
-			if idx <= prev {
-				t.Fatalf("trial %d: out-of-order/duplicate delivery %d after %d", trial, idx, prev)
+			for _, idx := range runIndices(t, p) {
+				if idx <= prev {
+					t.Fatalf("trial %d: out-of-order/duplicate delivery %d after %d", trial, idx, prev)
+				}
+				prev = idx
+				delivered++
 			}
-			prev = idx
-			delivered++
 		}
 		if full && delivered != n {
 			t.Fatalf("trial %d: full reliability delivered %d of %d", trial, delivered, n)
@@ -145,12 +147,25 @@ func TestReliabilityModelCheck(t *testing.T) {
 	}
 }
 
-// payloadIndex decodes the "seg-0042" payloads produced by pay().
-func payloadIndex(t *testing.T, p []byte) int {
+// runIndices decodes a delivered chunk of the "seg-0042" payloads
+// produced by pay() — one segment, or a run of them — and checks the
+// run contract: at most bufpool.Size bytes, and consecutive segments
+// only, so no chunk spans a skipped hole.
+func runIndices(t *testing.T, p []byte) []int {
 	t.Helper()
-	idx, err := strconv.Atoi(string(p[4:]))
-	if err != nil {
-		t.Fatalf("bad payload %q: %v", p, err)
+	if len(p) == 0 || len(p) > bufpool.Size || len(p)%len(pay(0)) != 0 {
+		t.Fatalf("chunk of %d bytes: not a run of whole segments of at most %d", len(p), bufpool.Size)
+	}
+	var idx []int
+	for off := 0; off < len(p); off += len(pay(0)) {
+		i, err := strconv.Atoi(string(p[off+4 : off+len(pay(0))]))
+		if err != nil {
+			t.Fatalf("bad payload %q: %v", p[off:off+len(pay(0))], err)
+		}
+		if n := len(idx); n > 0 && i != idx[n-1]+1 {
+			t.Fatalf("chunk holds segment %d after %d: a run spans a hole", i, idx[n-1])
+		}
+		idx = append(idx, i)
 	}
 	return idx
 }

@@ -24,11 +24,19 @@ import (
 // Jacobson's 4BSD TCP). Any other arrival is buffered and delivered by
 // advance.
 //
-// Every segment is copied into a pooled chunk (bufpool.GetChunk), not
-// a freshly allocated slice. The chunks Pop returns belong to the
-// application, which should hand them back with bufpool.PutChunk once
-// consumed so the steady-state delivery path stays off the garbage
-// collector; an unreleased chunk is merely a pool miss, never a leak.
+// The in-order path delivers in runs. With nothing unread, the segment
+// gets a pooled 2 KiB chunk (bufpool.GetChunk) of its own, so a reader
+// that keeps up sees one chunk per segment. Behind unread data it is
+// appended to a run buffer of bufpool.Size at the tail of the ready
+// queue, so a reader that falls behind pays one Pop and one release per
+// 64 KiB, not per segment. A run holds consecutive segments only:
+// buffered segments (advance) get a chunk each, and a skipped hole
+// (OnDeadline, ForceFin) closes the run, so no chunk spans a hole.
+//
+// What Pop returns belongs to the application, which should hand it back
+// with bufpool.PutChunk once consumed so the steady-state delivery path
+// stays off the garbage collector; an unreleased chunk is merely a pool
+// miss, never a leak.
 type Reassembler struct {
 	// SkipAfter, when non-zero, abandons the frontier hole once it has
 	// been open this long (partial reliability). Zero never skips (full
@@ -76,9 +84,8 @@ func (r *Reassembler) OnData(now time.Duration, seq seqspace.Seq, payload []byte
 	if seq == r.cumAck && r.received.Len() == 0 {
 		// The next segment expected, nothing buffered: deliver it
 		// without touching the map or the interval set.
-		p := chunkCopy(payload)
-		r.push(p)
-		r.DeliveredBytes += len(p)
+		r.pushRun(payload)
+		r.DeliveredBytes += len(payload)
 		r.cumAck = seq.Next()
 		return true
 	}
@@ -135,18 +142,44 @@ func (r *Reassembler) advance(now time.Duration) {
 type readyQueue struct {
 	q     [][]byte
 	head  int
-	bytes int // payload bytes pushed and not yet popped
+	bytes int  // payload bytes pushed and not yet popped
+	run   bool // the tail is a run buffer pushRun may extend
 }
 
-// push queues a delivered chunk; an empty one (a bare FIN marker) has
-// nothing to read and goes straight back to the pool.
+// push queues a delivered chunk and closes the run; an empty one (a
+// bare FIN marker) has nothing to read and goes straight back to the
+// pool.
 func (f *readyQueue) push(p []byte) {
+	f.run = false
 	if len(p) == 0 {
 		bufpool.PutChunk(p)
 		return
 	}
 	f.q = append(f.q, p)
 	f.bytes += len(p)
+}
+
+// pushRun queues the payload of the segment that follows everything
+// queued: in a chunk of its own when nothing is unread, else appended to
+// the tail's run buffer while it has room, else in a new run buffer. An
+// empty payload (a bare FIN marker) has nothing to read and leaves the
+// run as it is.
+func (f *readyQueue) pushRun(payload []byte) {
+	if len(payload) == 0 {
+		return
+	}
+	if f.head == len(f.q) || len(payload) > bufpool.Size {
+		f.push(chunkCopy(payload))
+		return
+	}
+	if t := f.q[len(f.q)-1]; f.run && len(payload) <= cap(t)-len(t) {
+		f.q[len(f.q)-1] = append(t, payload...)
+		f.bytes += len(payload)
+		return
+	}
+	b := bufpool.Get()
+	f.push(b[:copy(b, payload)])
+	f.run = true
 }
 
 // Pop returns the next delivered payload, if any: in order from a
@@ -207,7 +240,7 @@ func (r *Reassembler) OnDeadline(now time.Duration) {
 		r.SkippedSegs += r.cumAck.Distance(next)
 		r.cumAck = next
 		r.holeOpen = false
-		r.advance(now)
+		r.advance(now) // delivers next, which closes the run
 	}
 }
 
@@ -251,6 +284,7 @@ func (r *Reassembler) ForceFin(now time.Duration, fin seqspace.Seq) {
 		r.SkippedSegs += r.cumAck.Distance(next)
 		r.cumAck = next
 		r.holeOpen = false
+		r.run = false // the skip may deliver nothing: close the run here
 	}
 	r.advance(now)
 }

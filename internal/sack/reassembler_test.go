@@ -13,12 +13,22 @@ import (
 
 // refReassembler is the Reassembler before the in-order path: every
 // arrival is recorded in the interval set and the map, and advance
-// moves it to the ready queue. OnDeadline and ForceFin are copied too,
-// so the reference runs only its own code; the read-only accessors are
-// shared.
-type refReassembler struct{ *Reassembler }
+// moves it to the ready queue, one chunk per segment. OnDeadline and
+// ForceFin are copied too, so the reference runs only its own code; the
+// read-only accessors are shared. pushed logs each segment advance
+// delivered, in delivery order, empty ones included, so a comparison
+// can tell which segments a chunk of the real Reassembler holds.
+type refReassembler struct {
+	*Reassembler
+	pushed []refPush
+}
 
-func (r refReassembler) OnData(now time.Duration, seq seqspace.Seq, payload []byte, fin bool) bool {
+type refPush struct {
+	seq seqspace.Seq
+	n   int
+}
+
+func (r *refReassembler) OnData(now time.Duration, seq seqspace.Seq, payload []byte, fin bool) bool {
 	if fin {
 		r.finSeq = seq
 		r.haveFin = true
@@ -34,11 +44,12 @@ func (r refReassembler) OnData(now time.Duration, seq seqspace.Seq, payload []by
 	return true
 }
 
-func (r refReassembler) advance(now time.Duration) {
+func (r *refReassembler) advance(now time.Duration) {
 	for r.received.Contains(r.cumAck) {
 		p := r.buf[r.cumAck]
 		delete(r.buf, r.cumAck)
 		r.bufBytes -= len(p)
+		r.pushed = append(r.pushed, refPush{r.cumAck, len(p)})
 		r.push(p)
 		r.DeliveredBytes += len(p)
 		r.cumAck = r.cumAck.Next()
@@ -54,7 +65,7 @@ func (r refReassembler) advance(now time.Duration) {
 	}
 }
 
-func (r refReassembler) OnDeadline(now time.Duration) {
+func (r *refReassembler) OnDeadline(now time.Duration) {
 	for {
 		at, ok := r.NextDeadline()
 		if !ok || now < at {
@@ -68,7 +79,7 @@ func (r refReassembler) OnDeadline(now time.Duration) {
 	}
 }
 
-func (r refReassembler) ForceFin(now time.Duration, fin seqspace.Seq) {
+func (r *refReassembler) ForceFin(now time.Duration, fin seqspace.Seq) {
 	if r.haveFin && r.finSeq == fin && r.Finished() {
 		return
 	}
@@ -100,7 +111,10 @@ func (r refReassembler) ForceFin(now time.Duration, fin seqspace.Seq) {
 // refReassembler through the same seeded schedules — in-order runs,
 // held-back and reordered segments, duplicates, a FIN, skip deadlines
 // and a forced FIN, from a start near the sequence wrap — and compares
-// every observable after every step.
+// every observable after every step. The reader drains both queues
+// after a random half of the steps, so runs build up behind unread data
+// and meet the skips; a drain compares the popped streams and checks
+// that each chunk is a run of consecutive segments.
 func TestReassemblerInOrderDifferential(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -112,7 +126,8 @@ func TestReassemblerInOrderDifferential(t *testing.T) {
 		if seed%2 == 1 {
 			skip = time.Duration(1+rng.Intn(20)) * time.Millisecond
 		}
-		got, ref := NewReassembler(start, skip), refReassembler{NewReassembler(start, skip)}
+		got, ref := NewReassembler(start, skip), &refReassembler{Reassembler: NewReassembler(start, skip)}
+		reader := rand.New(rand.NewSource(^seed))
 		payloads := map[seqspace.Seq][]byte{}
 		payload := func(s seqspace.Seq) []byte {
 			p, ok := payloads[s]
@@ -168,12 +183,12 @@ func TestReassemblerInOrderDifferential(t *testing.T) {
 				got.ForceFin(now, fin)
 				ref.ForceFin(now, fin)
 			}
-			compareReassemblers(t, seed, step, got, ref.Reassembler)
+			compareReassemblers(t, seed, step, got, ref, reader.Intn(2) == 0)
 		}
 	}
 }
 
-func compareReassemblers(t *testing.T, seed int64, step int, got, ref *Reassembler) {
+func compareReassemblers(t *testing.T, seed int64, step int, got *Reassembler, ref *refReassembler, drain bool) {
 	t.Helper()
 	fail := func(what string, a, b any) {
 		t.Helper()
@@ -211,16 +226,181 @@ func compareReassemblers(t *testing.T, seed int64, step int, got, ref *Reassembl
 	if a, b := got.Unread(), ref.Unread(); a != b {
 		fail("Unread", a, b)
 	}
-	for {
-		p, ok := got.Pop()
-		q, ok2 := ref.Pop()
-		if ok != ok2 || !bytes.Equal(p, q) {
-			fail("Pop", p, q)
+	if !drain {
+		return
+	}
+	// The reference's chunks, one per non-empty segment, in the order of
+	// its delivery log.
+	segs := ref.pushed
+	var want [][]byte
+	for q, ok := ref.Pop(); ok; q, ok = ref.Pop() {
+		want = append(want, q)
+	}
+	ref.pushed = ref.pushed[:0]
+	// Each of got's chunks must be the next whole reference segments,
+	// consecutive in sequence: between two segments of one chunk, only
+	// the empty segments delivered between them.
+	k, w := 0, 0
+	for p, ok := got.Pop(); ok; p, ok = got.Pop() {
+		if len(p) > bufpool.Size {
+			fail("chunk bytes", len(p), bufpool.Size)
 		}
-		if !ok {
-			break
+		for len(segs) > k && segs[k].n == 0 {
+			k++ // empty segments before a chunk belong to no chunk
+		}
+		first := k
+		for off := 0; off < len(p); k++ {
+			if k == len(segs) {
+				fail("Pop", p[off:], "nothing left")
+			}
+			if k > first && segs[k].seq != segs[k-1].seq.Next() {
+				fail("chunk spans", []seqspace.Seq{segs[k-1].seq, segs[k].seq}, "consecutive segments")
+			}
+			if segs[k].n == 0 {
+				continue // not on the reference's queue
+			}
+			if len(p)-off < len(want[w]) || !bytes.Equal(p[off:off+len(want[w])], want[w]) {
+				fail("Pop", p[off:], want[w])
+			}
+			off += len(want[w])
+			w++
 		}
 		bufpool.PutChunk(p)
+	}
+	if w != len(want) {
+		fail("chunks popped", w, len(want))
+	}
+	for _, q := range want {
 		bufpool.PutChunk(q)
 	}
+}
+
+// TestReassemblerRuns pins what the in-order path hands the reader. A
+// reader that keeps up gets one 2 KiB chunk per segment; a reader that
+// lags gets the first segment in a chunk and the rest in runs of at most
+// bufpool.Size bytes; no run spans a hole skipped by OnDeadline or
+// ForceFin; an UnorderedReceiver hands out one chunk per segment
+// whatever the reader does.
+func TestReassemblerRuns(t *testing.T) {
+	const mss = 1400
+	seg := func(i int) []byte {
+		p := bytes.Repeat([]byte{byte(i)}, mss)
+		copy(p, pay(i))
+		return p
+	}
+	// drain pops everything and returns each chunk's first segment,
+	// checking the chunk holds consecutive whole segments.
+	drain := func(t *testing.T, q interface{ Pop() ([]byte, bool) }) (firsts []int, caps []int) {
+		t.Helper()
+		for p, ok := q.Pop(); ok; p, ok = q.Pop() {
+			if len(p) == 0 || len(p)%mss != 0 || len(p) > bufpool.Size {
+				t.Fatalf("chunk of %d bytes: not whole segments of %d within %d", len(p), mss, bufpool.Size)
+			}
+			var prev int
+			for off := 0; off < len(p); off += mss {
+				idx := runIndices(t, p[off:off+len(pay(0))])[0]
+				if !bytes.Equal(p[off:off+mss], seg(idx)) {
+					t.Fatalf("segment %d corrupted in its chunk", idx)
+				}
+				if off == 0 {
+					firsts = append(firsts, idx)
+				} else if idx != prev+1 {
+					t.Fatalf("chunk holds segment %d after %d: a run spans a hole", idx, prev)
+				}
+				prev = idx
+			}
+			caps = append(caps, cap(p))
+			bufpool.PutChunk(p)
+		}
+		return firsts, caps
+	}
+
+	t.Run("keeps-up", func(t *testing.T) {
+		r := NewReassembler(0, 0)
+		for i := 0; i < 100; i++ {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+			p, ok := r.Pop()
+			if !ok || !bytes.Equal(p, seg(i)) || cap(p) != bufpool.ChunkSize {
+				t.Fatalf("segment %d: popped %d bytes of capacity %d, want its %d in a chunk of %d",
+					i, len(p), cap(p), mss, bufpool.ChunkSize)
+			}
+			bufpool.PutChunk(p)
+		}
+	})
+
+	t.Run("lags", func(t *testing.T) {
+		const n = 200
+		r := NewReassembler(0, 0)
+		for i := 0; i < n; i++ {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+		}
+		if r.Unread() != n*mss {
+			t.Fatalf("Unread = %d, want %d", r.Unread(), n*mss)
+		}
+		firsts, caps := drain(t, r)
+		perRun := bufpool.Size / mss
+		want := []int{0}
+		for i := 1; i < n; i += perRun {
+			want = append(want, i)
+		}
+		if !slices.Equal(firsts, want) {
+			t.Fatalf("chunks start at segments %v, want %v", firsts, want)
+		}
+		if caps[0] != bufpool.ChunkSize {
+			t.Fatalf("first chunk has capacity %d, want %d", caps[0], bufpool.ChunkSize)
+		}
+		for i, c := range caps[1:] {
+			if c != bufpool.Size {
+				t.Fatalf("run %d has capacity %d, want %d", i, c, bufpool.Size)
+			}
+		}
+	})
+
+	t.Run("deadline-skip", func(t *testing.T) {
+		r := NewReassembler(0, 10*time.Millisecond)
+		for i := 0; i < 5; i++ {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+		}
+		// 5 is lost; 6 waits behind it until the skip.
+		r.OnData(time.Millisecond, 6, seg(6), false)
+		r.OnDeadline(20 * time.Millisecond)
+		for i := 7; i < 10; i++ {
+			r.OnData(20*time.Millisecond, seqspace.Seq(i), seg(i), false)
+		}
+		if firsts, _ := drain(t, r); !slices.Equal(firsts, []int{0, 1, 6, 7}) {
+			t.Fatalf("chunks start at segments %v, want [0 1 6 7]", firsts)
+		}
+	})
+
+	t.Run("forcefin-skip", func(t *testing.T) {
+		r := NewReassembler(0, 0)
+		for i := 0; i < 5; i++ {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+		}
+		// The sender gives 5..8 up with nothing of them buffered: the
+		// frontier jumps to 9 without a segment delivered.
+		r.ForceFin(0, 8)
+		for i := 9; i < 12; i++ {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+		}
+		if firsts, _ := drain(t, r); !slices.Equal(firsts, []int{0, 1, 9}) {
+			t.Fatalf("chunks start at segments %v, want [0 1 9]", firsts)
+		}
+	})
+
+	t.Run("unordered", func(t *testing.T) {
+		u := NewUnorderedReceiver(0)
+		for i := 0; i < 10; i++ {
+			u.OnData(seqspace.Seq(i), seg(i), false)
+		}
+		firsts, caps := drain(t, u)
+		if !slices.Equal(firsts, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+			t.Fatalf("chunks start at segments %v, want one per segment", firsts)
+		}
+		for i, c := range caps {
+			if c != bufpool.ChunkSize {
+				t.Fatalf("chunk %d has capacity %d, want %d", i, c, bufpool.ChunkSize)
+			}
+		}
+	})
 }

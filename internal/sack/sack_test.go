@@ -176,6 +176,10 @@ func TestSendBufferAddOutOfOrderPanics(t *testing.T) {
 	b.Add(1, 2, pay(2))
 }
 
+// TestReassemblerInOrder delivers three segments before the reader
+// looks: the popped stream is the three payloads in order, each chunk a
+// run of consecutive segments, the first in a chunk of its own (nothing
+// was unread when it arrived).
 func TestReassemblerInOrder(t *testing.T) {
 	r := NewReassembler(0, 0)
 	for i := 0; i < 3; i++ {
@@ -183,14 +187,19 @@ func TestReassemblerInOrder(t *testing.T) {
 			t.Fatalf("segment %d rejected", i)
 		}
 	}
-	for i := 0; i < 3; i++ {
+	var stream []byte
+	for pops := 0; ; pops++ {
 		p, ok := r.Pop()
-		if !ok || !bytes.Equal(p, pay(i)) {
-			t.Fatalf("Pop %d = %q %v", i, p, ok)
+		if !ok {
+			break
 		}
+		if idx := runIndices(t, p); pops == 0 && len(idx) != 1 {
+			t.Fatalf("first chunk holds segments %v, want only 0", idx)
+		}
+		stream = append(stream, p...)
 	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("Pop on empty")
+	if want := bytes.Join([][]byte{pay(0), pay(1), pay(2)}, nil); !bytes.Equal(stream, want) {
+		t.Fatalf("popped %q, want %q", stream, want)
 	}
 	if r.CumAck() != 3 {
 		t.Fatalf("CumAck = %d", r.CumAck())

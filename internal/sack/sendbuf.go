@@ -35,7 +35,10 @@
 // flight spans — the flight's bytes, plus less than a page at either end
 // and less than a segment at the end of each page — and an empty flight
 // holds none. The receivers hold what arrived out of order, in an
-// IntervalSet trimmed at the cumulative ack.
+// IntervalSet trimmed at the cumulative ack, and queue what is
+// deliverable in pooled buffers: one 2 KiB chunk per segment while the
+// application keeps up, and in-order runs of up to 64 KiB behind unread
+// data (see Reassembler).
 package sack
 
 import (

@@ -13,8 +13,9 @@ import (
 // nothing is ever skipped, which is what distinguishes this mode from an
 // expiring stream.
 //
-// Like the Reassembler, delivered payloads are copied into pooled chunks
-// the application returns with bufpool.PutChunk.
+// Every new segment is copied into a pooled chunk of its own (never a
+// run: consecutive arrivals need not be consecutive segments), which the
+// application returns with bufpool.PutChunk.
 type UnorderedReceiver struct {
 	cumAck   seqspace.Seq // first segment not yet received
 	received seqspace.IntervalSet

@@ -154,6 +154,10 @@ func AppendSplit(dst, all []Range, max int) []Range {
 // Clear removes every range from the set, retaining capacity.
 func (st *IntervalSet) Clear() { st.ranges = st.ranges[:0] }
 
+// Reset makes the non-empty range r the set's only range, retaining
+// capacity.
+func (st *IntervalSet) Reset(r Range) { st.ranges = append(st.ranges[:0], r) }
+
 // Contains reports whether s is covered by the set.
 func (st *IntervalSet) Contains(s Seq) bool {
 	i := st.search(s)

@@ -49,6 +49,19 @@ func (r *Receiver) OnData(now time.Duration, seq seqspace.Seq, size int, senderR
 		r.windowBytes += size
 		return true // first packet: send feedback for the RTT sample
 	}
+	if rs := r.received.Ranges(); seq == r.maxSeq.Next() && len(rs) == 1 &&
+		rs[0].Lo == r.scanner.cursor && rs[0].Hi == seq && r.scanner.started {
+		// Header prediction: the next sequence number, with no hole
+		// between the cursor and it. The general path would add seq,
+		// scan an empty gap list, move the cursor to seq and trim the
+		// set behind it; this is its result. (A receiver whose first
+		// arrival was a retransmission never started its scanner, and
+		// keeps the general path.)
+		r.received.Reset(seqspace.Range{Lo: seq, Hi: seq.Next()})
+		r.maxSeq, r.scanner.cursor = seq, seq
+		r.windowBytes += size
+		return r.settle(false)
+	}
 	if seq.Less(r.scanner.cursor) {
 		// Late: below the cursor the holes are declared and the arrivals
 		// forgotten. Traffic for X_recv, nothing for loss detection.
@@ -77,6 +90,12 @@ func (r *Receiver) OnData(now time.Duration, seq seqspace.Seq, size int, senderR
 	})
 	// Nothing below the cursor is read again: keep the reordering window.
 	r.received.RemoveBefore(r.scanner.cursor)
+	return r.settle(newEvent)
+}
+
+// settle ends an arrival that moved maxSeq or may have: it updates the
+// open loss interval and reports whether feedback is due now.
+func (r *Receiver) settle(newEvent bool) bool {
 	if r.haveEvent {
 		// Open interval: packets since the current event started.
 		r.wali.SetOpen(float64(r.eventStart.Distance(r.maxSeq)))
