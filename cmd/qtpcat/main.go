@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	qtpcat [-addr host:9000] [-profile qtpaf|qtplight|classic]
+//	qtpcat [-addr host:9000] [-profile qtpaf|qtplight|qtplight-rel|classic]
 //	       [-rate bytesPerSec] [-n bytes | -f file] [-conns N] [-insecure]
 package main
 
@@ -35,7 +35,7 @@ type options struct {
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:9000", "qtpd address")
-	fs.StringVar(&o.profName, "profile", "qtpaf", "qtpaf | qtplight | classic")
+	fs.StringVar(&o.profName, "profile", "qtpaf", "qtpaf | qtplight | qtplight-rel | classic")
 	fs.Float64Var(&o.rate, "rate", 125_000, "QoS target rate for qtpaf, bytes/s")
 	fs.IntVar(&o.n, "n", 1<<20, "bytes of generated data to send per connection (ignored with -f)")
 	fs.StringVar(&o.file, "f", "", "file to send instead of generated data")
@@ -48,23 +48,15 @@ func main() {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	var prof core.Profile
-	switch o.profName {
-	case "qtpaf":
-		prof = core.QTPAF(o.rate)
-	case "qtplight":
-		prof = core.QTPLightReliable(0)
-	case "classic":
-		prof = core.ClassicTFRC()
-	default:
-		log.Fatalf("unknown profile %q", o.profName)
+	prof, err := core.ParseProfile(o.profName, o.rate)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if o.conns < 1 {
 		log.Fatalf("-conns %d: need at least one connection", o.conns)
 	}
 
 	var data []byte
-	var err error
 	if o.file != "" {
 		data, err = os.ReadFile(o.file)
 		if err != nil {

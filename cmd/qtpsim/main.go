@@ -87,18 +87,9 @@ func main() {
 		return
 	}
 
-	var prof core.Profile
-	switch o.profName {
-	case "qtpaf":
-		prof = core.QTPAF(o.g)
-	case "qtplight":
-		prof = core.QTPLight()
-	case "qtplight-rel":
-		prof = core.QTPLightReliable(0)
-	case "classic":
-		prof = core.ClassicTFRC()
-	default:
-		log.Fatalf("unknown profile %q", o.profName)
+	prof, err := core.ParseProfile(o.profName, o.g)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if o.cc != "" {
 		mode, err := packet.ParseCongestion(o.cc)
@@ -114,7 +105,6 @@ func main() {
 	multiRun := o.streams > 1
 	var modes []packet.StreamMode
 	if multiRun {
-		var err error
 		if modes, err = packet.ParseModes(o.mix); err != nil {
 			log.Fatal(err)
 		}

@@ -118,6 +118,23 @@ func ClassicTFRC() Profile {
 	}
 }
 
+// ParseProfile returns the predefined composition a tool's -profile flag
+// names: qtpaf (at targetRate, bytes/s), qtplight, qtplight-rel (QTPlight
+// with full reliability) or classic.
+func ParseProfile(name string, targetRate float64) (Profile, error) {
+	switch name {
+	case "qtpaf":
+		return QTPAF(targetRate), nil
+	case "qtplight":
+		return QTPLight(), nil
+	case "qtplight-rel":
+		return QTPLightReliable(0), nil
+	case "classic":
+		return ClassicTFRC(), nil
+	}
+	return Profile{}, fmt.Errorf("core: unknown profile %q", name)
+}
+
 // Normalize fills zero-valued fields with defaults and returns the
 // result.
 func (p Profile) Normalize() Profile {

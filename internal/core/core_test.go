@@ -45,6 +45,25 @@ func TestPredefinedProfilesValidate(t *testing.T) {
 	}
 }
 
+// TestParseProfile checks each -profile name gives its constructor's
+// composition, the same in every tool: qtplight is the unreliable one.
+func TestParseProfile(t *testing.T) {
+	want := map[string]Profile{
+		"qtpaf":        QTPAF(1e6),
+		"qtplight":     QTPLight(),
+		"qtplight-rel": QTPLightReliable(0),
+		"classic":      ClassicTFRC(),
+	}
+	for name, w := range want {
+		if p, err := ParseProfile(name, 1e6); err != nil || p != w {
+			t.Errorf("ParseProfile(%q) = %+v, %v; want %+v", name, p, err, w)
+		}
+	}
+	if _, err := ParseProfile("qtplite", 0); err == nil {
+		t.Error("an unknown name parsed")
+	}
+}
+
 func TestValidateRejectsBadProfiles(t *testing.T) {
 	bad := []Profile{
 		{MSS: -1},

@@ -117,8 +117,7 @@ func RunE5LossEstimationParity(cfg Config) *Table {
 	est := tfrc.NewSenderEstimator(tfrc.EstimatorConfig{SegmentSize: 1000})
 	const rtt = 100 * time.Millisecond
 
-	var acked seqspace.IntervalSet
-	cum := seqspace.Seq(0)
+	var acked seqspace.Received
 	var maxDiff, sumDiff float64
 	samples := 0
 	step := n / 10
@@ -129,15 +128,8 @@ func RunE5LossEstimationParity(cfg Config) *Table {
 			continue
 		}
 		recv.OnData(now, seqspace.Seq(i), 1000, rtt)
-		acked.AddSeq(seqspace.Seq(i))
-		cum = acked.FirstMissingAfter(cum)
-		var blocks []seqspace.Range
-		for _, r := range acked.Ranges() {
-			if cum.Less(r.Hi) && cum.LessEq(r.Lo) {
-				blocks = append(blocks, r)
-			}
-		}
-		est.OnAckVector(now, cum, blocks, rtt)
+		acked.Add(seqspace.Seq(i))
+		est.OnAckVector(now, acked.Cum(), acked.Above(), rtt)
 		if i > 0 && i%step == 0 {
 			pr, ps := recv.P(), est.P()
 			diff := 0.0

@@ -182,11 +182,11 @@ type Conn struct {
 	nextFBAt time.Duration
 
 	// Stream state (see stream.go). The sender owns sendStreams (stream
-	// 0 from NewConn on), the receiver recv* plus the connection-level
-	// ack tracker; delivered chunks wait on their stream's ready queue
-	// until ReadStream pops them. multi is the framing choice: data frames
-	// carry the stream prefix and feedback the per-stream ack tail, and
-	// more streams than 0 may be opened.
+	// 0 from NewConn on), the receiver recv* plus received, what arrived
+	// at the connection level; delivered chunks wait on their stream's
+	// ready queue until ReadStream pops them. multi is the framing
+	// choice: data frames carry the stream prefix and feedback the
+	// per-stream ack tail, and more streams than 0 may be opened.
 	multi        bool
 	sendStreams  []*sendStream
 	sendByID     map[uint64]*sendStream
@@ -197,7 +197,7 @@ type Conn struct {
 	recvOrder    []*recvStream
 	acceptQ      []uint64
 	retired      map[uint64]StreamStats // final snapshots of retired streams
-	ackTrack     connAckTracker
+	received     seqspace.Received
 	ackTail      []packet.StreamAck
 
 	// Scratch state for frame building/parsing.
@@ -248,7 +248,7 @@ func NewConn(cfg Config) *Conn {
 		c.sendByID = map[uint64]*sendStream{0: s0}
 		c.nextStreamID = 1
 	} else {
-		c.ackTrack.cum = cfg.startSeq
+		c.received = seqspace.ReceivedFrom(cfg.startSeq)
 		c.recvByID = make(map[uint64]*recvStream)
 	}
 	return c

@@ -16,7 +16,8 @@ const WireOverhead = 28
 
 // FlowConfig describes one QTP flow inside the simulator.
 type FlowConfig struct {
-	// ID tags the flow's packets for routing and tracing.
+	// ID tags the flow's packets for routing and tracing; both endpoints
+	// stamp uint32(ID) as the connection ID.
 	ID netsim.FlowID
 	// Profile is the composition the flow runs.
 	Profile core.Profile
@@ -36,8 +37,6 @@ type FlowConfig struct {
 	Source workload.Source
 	// Start delays the flow's first action.
 	Start netsim.Time
-	// ConnID defaults to uint32(ID).
-	ConnID uint32
 }
 
 // Flow wires two Conn endpoints through the simulator and keeps them
@@ -66,20 +65,17 @@ type Flow struct {
 // StartFlow creates the endpoints, registers them, and schedules the
 // flow's start.
 func StartFlow(sim *netsim.Sim, cfg FlowConfig) *Flow {
-	if cfg.ConnID == 0 {
-		cfg.ConnID = uint32(cfg.ID)
-	}
 	f := &Flow{sim: sim, cfg: cfg}
 	prof := cfg.Profile.Normalize()
 	f.Sender = NewConn(Config{
 		Initiator: true,
 		Profile:   prof,
-		ConnID:    cfg.ConnID,
+		ConnID:    uint32(cfg.ID),
 	})
 	f.Receiver = NewConn(Config{
 		Initiator:   false,
 		Constraints: cfg.Constraints,
-		ConnID:      cfg.ConnID,
+		ConnID:      uint32(cfg.ID),
 	})
 
 	sim.At(cfg.Start, func() {

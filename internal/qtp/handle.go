@@ -210,7 +210,7 @@ func (c *Conn) onConfirm(now time.Duration, hdr *packet.Header) error {
 var errFraming = errors.New("qtp: data frame stream prefix does not match the negotiated framing")
 
 // onData is the data path: decode which stream the frame belongs to,
-// feed the connection-level ack tracker and the stream's receiver, and
+// record it at the connection level and in the stream's receiver, and
 // leave whatever became deliverable on the stream's ready queue.
 func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) error {
 	if c.isSender() || c.state == StateIdle {
@@ -233,18 +233,18 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 		if rs, err = c.recvStreamFor(si.ID, si.Mode, si.DeadlineMS); err != nil {
 			return err
 		}
-		c.ackTrack.advanceFloor(si.AckFloor)
+		c.received.Pass(si.AckFloor)
 	case rs == nil:
 		rs = c.openRecvStream0()
 	}
 	if rs != nil && rs.refuses(si.Seq, len(data)) {
-		// The reader is behind. Refused before the ack tracker, the stream's
+		// The reader is behind. Refused before c.received, the stream's
 		// receiver or the TFRC receiver see it, the frame is as good as lost:
 		// the sender's scoreboard still owns it and the rate controller slows.
 		c.stats.RefusedFrames++
 		return ErrDeliveryFull
 	}
-	c.ackTrack.onData(hdr.Seq)
+	c.received.Add(hdr.Seq)
 	if rs == nil {
 		// Straggler for a retired stream (a late retransmission that
 		// crossed our final ack): acknowledged at the connection level

@@ -227,7 +227,7 @@ func appendFrame(dst []byte, hdr packet.Header, parts ...[]byte) []byte {
 // its entire contribution is two interval-set lookups.
 func (c *Conn) buildAck(now time.Duration, dst []byte) []byte {
 	c.ackNow = false
-	v := packet.SACK{CumAck: c.ackTrack.cum, Streams: c.streamAckTail()}
+	v := packet.SACK{CumAck: c.received.Cum(), Streams: c.streamAckTail()}
 	if c.havePeerTS {
 		v.ElapsedUS = uint32((now - c.lastPeerTSAt) / time.Microsecond)
 	}

@@ -41,7 +41,7 @@ import (
 //     receiver — a Reassembler for ordered and expiring streams, an
 //     UnorderedReceiver for no-HoL-blocking delivery.
 //   - Acknowledgments are connection-level (the CumAck/Blocks of every
-//     feedback frame, from the one connAckTracker) plus, with the prefix,
+//     feedback frame, from the one Conn.received) plus, with the prefix,
 //     a small per-stream cumulative-ack tail. The sender stamps an "ack
 //     floor" — its lowest unresolved connection sequence — in the prefix
 //     so the receiver can advance its connection-level ack past holes
@@ -257,44 +257,6 @@ func (rs *recvStream) nextDeadline() (time.Duration, bool) {
 		return rs.reasm.NextDeadline()
 	}
 	return 0, false
-}
-
-// connAckTracker is the receiver's connection-level acknowledgment
-// state: which connection sequence numbers have arrived, independent of
-// which stream they carried. It feeds the CumAck/Blocks of every
-// feedback frame — the currency rate control and the sender's
-// scoreboards resolve against — while the ack floor (sender-stamped in
-// the prefix, or the unprefixed stream 0's own cumulative ack) lets it
-// discard state for holes that will never fill.
-type connAckTracker struct {
-	cum      seqspace.Seq
-	received seqspace.IntervalSet
-}
-
-func (t *connAckTracker) onData(seq seqspace.Seq) {
-	if seq == t.cum && t.received.Len() == 0 {
-		t.cum = seq.Next() // in order with no hole open: no set to touch
-		return
-	}
-	if seq.Less(t.cum) || t.received.Contains(seq) {
-		return
-	}
-	t.received.AddSeq(seq)
-	t.cum = t.received.FirstMissingAfter(t.cum)
-	t.received.RemoveBefore(t.cum)
-}
-
-// advanceFloor moves the cumulative point up to the sender's ack floor:
-// everything below it is resolved or abandoned at the sender, so
-// reporting it would be wasted bytes and holding it wasted state.
-func (t *connAckTracker) advanceFloor(floor seqspace.Seq) {
-	if !t.cum.Less(floor) {
-		return
-	}
-	t.cum = floor
-	t.received.RemoveBefore(t.cum)
-	t.cum = t.received.FirstMissingAfter(t.cum)
-	t.received.RemoveBefore(t.cum)
 }
 
 // ---- Conn: stream-layer construction ----------------------------------
@@ -548,7 +510,7 @@ func (c *Conn) StreamStats(id uint64) (StreamStats, bool) {
 // holes it skipped are reported as passed.
 func (c *Conn) liftFloor(rs *recvStream) {
 	if rs.connSeq {
-		c.ackTrack.advanceFloor(rs.CumAck())
+		c.received.Pass(rs.CumAck())
 	}
 }
 
@@ -561,7 +523,7 @@ func (c *Conn) liftFloor(rs *recvStream) {
 // connections the budget is split between the retransmit frontier and
 // the newest arrivals. TFRC keeps nearest-first.
 func (c *Conn) recvBlocks(dst []seqspace.Range, max int) []seqspace.Range {
-	ranges := c.ackTrack.received.Ranges()
+	ranges := c.received.Above()
 	if c.profile.Congestion == packet.CongestionBBR {
 		return seqspace.AppendSplit(dst, ranges, max)
 	}

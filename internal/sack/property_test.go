@@ -191,8 +191,8 @@ type refSendBuffer struct {
 	cumAck  seqspace.Seq
 	started bool
 	nextSeq seqspace.Seq
-	// newest is the latest first transmission delivered without a
-	// retransmission: the ordering evidence of the loss rule.
+	// newest is the latest first transmission delivered: the ordering
+	// evidence of the loss rule.
 	newest time.Duration
 
 	Retransmits, AbandonedSegs, AckedBytes int
@@ -271,10 +271,10 @@ func (b *refSendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks [
 	return newly
 }
 
-// delivered notes segment s's delivery; the ack of a retransmitted
-// segment may be for either copy, so it is no evidence of order.
+// delivered notes segment s's delivery; whichever copy arrived was sent
+// no earlier than its first transmission.
 func (b *refSendBuffer) delivered(s *refSegment) {
-	if s.retx == 0 && s.firstSent > b.newest {
+	if s.firstSent > b.newest {
 		b.newest = s.firstSent
 	}
 }

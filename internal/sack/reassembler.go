@@ -17,12 +17,15 @@ import (
 // the sender abandons the corresponding data, so partial reliability
 // needs no extra wire signalling.
 //
-// An arrival that is the next segment expected while nothing is buffered
-// — every arrival on a path that neither loses nor reorders — goes
-// straight to the ready queue: the check costs two comparisons, and the
-// map and the interval set are never touched (header prediction, after
-// Jacobson's 4BSD TCP). Any other arrival is buffered and delivered by
-// advance.
+// What arrived is recorded in a seqspace.Received: its cumulative point
+// is the next segment the application expects, and its ranges above
+// that are exactly the segments held in the map. An arrival that is the
+// next segment expected, with nothing buffered right behind it, goes
+// straight to the ready queue without touching the map; when nothing is
+// buffered at all — every arrival on a path that neither loses nor
+// reorders — the record's own prediction costs two comparisons and
+// touches no range either. Any other arrival is buffered and delivered
+// once the cumulative point passes it.
 //
 // The in-order path delivers in runs. With nothing unread, the segment
 // gets a pooled 2 KiB chunk (bufpool.GetChunk) of its own, so a reader
@@ -30,7 +33,7 @@ import (
 // appended to a run buffer of bufpool.Size at the tail of the ready
 // queue, so a reader that falls behind pays one Pop and one release per
 // 64 KiB, not per segment. A run holds consecutive segments only:
-// buffered segments (advance) get a chunk each, and a skipped hole
+// buffered segments (deliver) get a chunk each, and a skipped hole
 // (OnDeadline, ForceFin) closes the run, so no chunk spans a hole.
 //
 // What Pop returns belongs to the application, which should hand it back
@@ -43,8 +46,7 @@ type Reassembler struct {
 	// reliability).
 	SkipAfter time.Duration
 
-	cumAck     seqspace.Seq // next in-order sequence expected by the app
-	received   seqspace.IntervalSet
+	arrived    seqspace.Received // Cum: the next segment the app expects
 	buf        map[seqspace.Seq][]byte
 	bufBytes   int // payload bytes in buf
 	readyQueue     // delivered, waiting for the application to Pop
@@ -68,7 +70,7 @@ type Reassembler struct {
 func NewReassembler(start seqspace.Seq, skipAfter time.Duration) *Reassembler {
 	return &Reassembler{
 		SkipAfter: skipAfter,
-		cumAck:    start,
+		arrived:   seqspace.ReceivedFrom(start),
 		buf:       make(map[seqspace.Seq][]byte),
 	}
 }
@@ -81,22 +83,21 @@ func (r *Reassembler) OnData(now time.Duration, seq seqspace.Seq, payload []byte
 		r.finSeq = seq
 		r.haveFin = true
 	}
-	if seq == r.cumAck && r.received.Len() == 0 {
-		// The next segment expected, nothing buffered: deliver it
-		// without touching the map or the interval set.
-		r.pushRun(payload)
-		r.DeliveredBytes += len(payload)
-		r.cumAck = seq.Next()
-		return true
-	}
-	if seq.Less(r.cumAck) || r.received.Contains(seq) {
+	from := r.arrived.Cum()
+	if !r.arrived.Add(seq) {
 		r.DuplicateSegs++
 		return false
 	}
-	r.received.AddSeq(seq)
+	if r.arrived.Cum() == seq.Next() {
+		// The next segment expected, and nothing buffered behind it to
+		// deliver with it.
+		r.pushRun(payload)
+		r.DeliveredBytes += len(payload)
+		return true
+	}
 	r.buf[seq] = chunkCopy(payload)
 	r.bufBytes += len(payload)
-	r.advance(now)
+	r.deliver(now, from)
 	return true
 }
 
@@ -112,20 +113,19 @@ func chunkCopy(payload []byte) []byte {
 	return append([]byte(nil), payload...)
 }
 
-// advance delivers contiguous data at the frontier and maintains the
+// deliver pushes the buffered segments from from up to the cumulative
+// point, which has just moved over them, and maintains the
 // frontier-hole timer.
-func (r *Reassembler) advance(now time.Duration) {
-	for r.received.Contains(r.cumAck) {
-		p := r.buf[r.cumAck]
-		delete(r.buf, r.cumAck)
+func (r *Reassembler) deliver(now time.Duration, from seqspace.Seq) {
+	for s := from; s != r.arrived.Cum(); s = s.Next() {
+		p := r.buf[s]
+		delete(r.buf, s)
 		r.bufBytes -= len(p)
 		r.push(p)
 		r.DeliveredBytes += len(p)
-		r.cumAck = r.cumAck.Next()
 	}
-	r.received.RemoveBefore(r.cumAck)
 	// A hole exists if anything is buffered beyond the frontier.
-	if r.received.Len() > 0 {
+	if len(r.arrived.Above()) > 0 {
 		if !r.holeOpen {
 			r.holeOpen = true
 			r.holeSince = now
@@ -202,12 +202,12 @@ func (f *readyQueue) Unread() int { return f.bytes }
 
 // CumAck returns the receiver's cumulative acknowledgment point: all
 // data below it has been delivered or abandoned.
-func (r *Reassembler) CumAck() seqspace.Seq { return r.cumAck }
+func (r *Reassembler) CumAck() seqspace.Seq { return r.arrived.Cum() }
 
 // Blocks appends up to max SACK blocks describing buffered data above
 // the cumulative ack, nearest-first, and returns the extended slice.
 func (r *Reassembler) Blocks(dst []seqspace.Range, max int) []seqspace.Range {
-	for _, rg := range r.received.Ranges() {
+	for _, rg := range r.arrived.Above() {
 		if len(dst) >= max {
 			break
 		}
@@ -235,19 +235,31 @@ func (r *Reassembler) OnDeadline(now time.Duration) {
 		if !ok || now < at {
 			return
 		}
-		// Skip to the first buffered byte beyond the frontier.
-		next := r.received.Min()
-		r.SkippedSegs += r.cumAck.Distance(next)
-		r.cumAck = next
-		r.holeOpen = false
-		r.advance(now) // delivers next, which closes the run
+		r.skipTo(now, r.arrived.Above()[0].Lo)
+	}
+}
+
+// skipTo abandons every hole below to and delivers what is buffered
+// between and above them, a step per hole whatever the distance: each
+// step passes one hole and the run of segments that ends it. A skip
+// closes the ready queue's run, since it may deliver nothing itself.
+func (r *Reassembler) skipTo(now time.Duration, to seqspace.Seq) {
+	for r.arrived.Cum().Less(to) {
+		next := to
+		if above := r.arrived.Above(); len(above) > 0 && above[0].Lo.Less(to) {
+			next = above[0].Lo
+		}
+		r.SkippedSegs += r.arrived.Cum().Distance(next)
+		r.arrived.Pass(next)
+		r.holeOpen, r.run = false, false
+		r.deliver(now, next)
 	}
 }
 
 // Finished reports whether a FIN has been seen and everything up to and
 // including it has been delivered (or skipped).
 func (r *Reassembler) Finished() bool {
-	return r.haveFin && r.finSeq.Less(r.cumAck)
+	return r.haveFin && r.finSeq.Less(r.arrived.Cum())
 }
 
 // ForceFin terminates the stream at fin on the sender's authority (a
@@ -262,31 +274,7 @@ func (r *Reassembler) ForceFin(now time.Duration, fin seqspace.Seq) {
 	}
 	r.finSeq = fin
 	r.haveFin = true
-	end := fin.Next()
-	if end.Less(r.cumAck) || end == r.cumAck {
-		return // already delivered (or skipped) past the fin
-	}
-	// Walk the frontier up to the fin, skipping holes and delivering
-	// buffered runs as they become contiguous.
-	for r.cumAck.Less(end) {
-		if r.received.Contains(r.cumAck) {
-			r.advance(now)
-			continue
-		}
-		// Frontier hole below the fin: abandon it up to the next
-		// buffered byte (or the fin's end, whichever is nearer).
-		next := end
-		if r.received.Len() > 0 {
-			if min := r.received.Min(); min.Less(next) {
-				next = min
-			}
-		}
-		r.SkippedSegs += r.cumAck.Distance(next)
-		r.cumAck = next
-		r.holeOpen = false
-		r.run = false // the skip may deliver nothing: close the run here
-	}
-	r.advance(now)
+	r.skipTo(now, fin.Next())
 }
 
 // Buffered returns the number of segments held for reassembly.

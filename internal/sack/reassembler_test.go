@@ -11,16 +11,40 @@ import (
 	"repro/internal/seqspace"
 )
 
-// refReassembler is the Reassembler before the in-order path: every
-// arrival is recorded in the interval set and the map, and advance
-// moves it to the ready queue, one chunk per segment. OnDeadline and
-// ForceFin are copied too, so the reference runs only its own code; the
-// read-only accessors are shared. pushed logs each segment advance
-// delivered, in delivery order, empty ones included, so a comparison
-// can tell which segments a chunk of the real Reassembler holds.
+// refReassembler is the Reassembler before the in-order path, with its
+// own cumulative ack and interval set: every arrival is recorded in the
+// set and the map, and advance moves it to the ready queue, one chunk per
+// segment. OnDeadline, ForceFin and the accessors that read the
+// cumulative ack or the set are copied too, so the reference runs only
+// its own code; the other read-only accessors are shared. pushed logs
+// each segment advance delivered, in delivery order, empty ones
+// included, so a comparison can tell which segments a chunk of the real
+// Reassembler holds.
 type refReassembler struct {
 	*Reassembler
-	pushed []refPush
+	cumAck   seqspace.Seq
+	received seqspace.IntervalSet
+	pushed   []refPush
+}
+
+func newRefReassembler(start seqspace.Seq, skip time.Duration) *refReassembler {
+	return &refReassembler{Reassembler: NewReassembler(start, skip), cumAck: start}
+}
+
+func (r *refReassembler) CumAck() seqspace.Seq { return r.cumAck }
+
+func (r *refReassembler) Blocks(dst []seqspace.Range, max int) []seqspace.Range {
+	for _, rg := range r.received.Ranges() {
+		if len(dst) >= max {
+			break
+		}
+		dst = append(dst, rg)
+	}
+	return dst
+}
+
+func (r *refReassembler) Finished() bool {
+	return r.haveFin && r.finSeq.Less(r.cumAck)
 }
 
 type refPush struct {
@@ -126,7 +150,7 @@ func TestReassemblerInOrderDifferential(t *testing.T) {
 		if seed%2 == 1 {
 			skip = time.Duration(1+rng.Intn(20)) * time.Millisecond
 		}
-		got, ref := NewReassembler(start, skip), &refReassembler{Reassembler: NewReassembler(start, skip)}
+		got, ref := NewReassembler(start, skip), newRefReassembler(start, skip)
 		reader := rand.New(rand.NewSource(^seed))
 		payloads := map[seqspace.Seq][]byte{}
 		payload := func(s seqspace.Seq) []byte {
@@ -403,4 +427,47 @@ func TestReassemblerRuns(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReassemblerSkipCostsOneStepPerHole skips a hole 2^30 segments
+// wide, once by the deadline and once by a forced FIN, from a start near
+// the sequence wrap. A skip that walked the hole a sequence number at a
+// time would take seconds; each must come back at once, having counted
+// every segment it passed.
+func TestReassemblerSkipCostsOneStepPerHole(t *testing.T) {
+	const start, far = seqspace.Seq(1<<32 - 7), 1 << 30
+	const skip = 10 * time.Millisecond
+	cases := []struct {
+		name    string
+		run     func(r *Reassembler)
+		skipped int
+	}{
+		{"deadline", func(r *Reassembler) {
+			r.OnData(0, start.Add(far), []byte("x"), true)
+			r.OnDeadline(skip)
+		}, far},
+		// ForceFin abandons everything through the FIN itself.
+		{"forcefin", func(r *Reassembler) { r.ForceFin(0, start.Add(far)) }, far + 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewReassembler(start, skip)
+			done := make(chan struct{})
+			go func() {
+				c.run(r)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the skip is still running after 2 s")
+			}
+			if r.SkippedSegs != c.skipped {
+				t.Fatalf("SkippedSegs = %d, want %d", r.SkippedSegs, c.skipped)
+			}
+			if want := start.Add(far + 1); r.CumAck() != want || !r.Finished() {
+				t.Fatalf("CumAck = %d, Finished %v; want %d, true", r.CumAck(), r.Finished(), want)
+			}
+		})
+	}
 }

@@ -79,8 +79,8 @@ func TestSendBufferRetransmissionLostAgainInOrder(t *testing.T) {
 	if seq, _, _, ok := b.NextRetransmitSeg(23, 0); ok {
 		t.Fatalf("segment %d re-declared lost on a stale ack", seq)
 	}
-	// Segment 1 arrives, but which copy did is unknown: its original was
-	// sent before segment 0's retransmission.
+	// Segment 1 arrives. Whichever copy did was sent no earlier than its
+	// original, and that went out before segment 0's retransmission.
 	b.OnSACK(24, 0, []seqspace.Range{{Lo: 1, Hi: 6}})
 	if seq, _, _, ok := b.NextRetransmitSeg(25, 0); ok {
 		t.Fatalf("segment %d re-declared lost on a retransmitted segment's ack", seq)
@@ -90,6 +90,27 @@ func TestSendBufferRetransmissionLostAgainInOrder(t *testing.T) {
 	b.OnSACK(30, 0, []seqspace.Range{{Lo: 1, Hi: 7}})
 	if seq, _, _, ok := b.NextRetransmitSeg(31, 0); !ok || seq != 0 {
 		t.Fatalf("retransmit = %v %v, want segment 0 lost again", seq, ok)
+	}
+}
+
+// TestSendBufferRetransmittedDeliveryCounts reads the loss rule's
+// evidence directly: a retransmitted segment's delivery counts at its
+// first transmission. No schedule shows it in a loss decision. A segment
+// first sent after segment B's last retransmission is retransmitted
+// only after B is again, since retransmissions go lowest first (an RTO
+// that finds it due finds B due too). And for it to be declared lost,
+// the highest segment SACKed above it — never retransmitted, first sent
+// after B's retransmission too — must have arrived, which is evidence
+// for B as well.
+func TestSendBufferRetransmittedDeliveryCounts(t *testing.T) {
+	b := NewSendBuffer(0)
+	b.Add(5, 0, pay(0))
+	if seq, _, _, ok := b.NextRetransmitSeg(20, 10); !ok || seq != 0 {
+		t.Fatalf("retransmit = %v %v, want segment 0 on its RTO", seq, ok)
+	}
+	b.OnSACK(30, 1, nil)
+	if b.newest != 5 {
+		t.Fatalf("evidence = %v after the retransmitted segment's ack, want its first transmission 5", b.newest)
 	}
 }
 

@@ -34,8 +34,9 @@
 // has passed its last segment, so a buffer holds only the pages its
 // flight spans — the flight's bytes, plus less than a page at either end
 // and less than a segment at the end of each page — and an empty flight
-// holds none. The receivers hold what arrived out of order, in an
-// IntervalSet trimmed at the cumulative ack, and queue what is
+// holds none. Both receivers record what arrived in a
+// seqspace.Received, the cumulative ack and the ranges above it (the
+// Reassembler holds those ranges' payloads too), and queue what is
 // deliverable in pooled buffers: one 2 KiB chunk per segment while the
 // application keeps up, and in-order runs of up to 64 KiB behind unread
 // data (see Reassembler).
@@ -107,9 +108,10 @@ func (s *segment) key() time.Duration {
 // retransmitted is lost again only once the buffer has seen the delivery
 // of a segment first sent after that retransmission (RACK's ordering,
 // RFC 8985): a retransmission reuses its sequence number, so until then
-// every ack may predate it and still show the hole. The delivery of a
-// segment that was itself retransmitted is ambiguous and does not count.
-// The evidence is this buffer's own: a stream of a multi-stream
+// every ack may predate it and still show the hole. A delivery counts at
+// the segment's first transmission, even if it was retransmitted since:
+// whichever copy arrived was sent no earlier. The evidence is this
+// buffer's own: a stream of a multi-stream
 // connection learns only from the acks of its own segments.
 type SendBuffer struct {
 	// Deadline, when non-zero, abandons segments older than this
@@ -137,7 +139,7 @@ type SendBuffer struct {
 
 	cumAck seqspace.Seq
 	// newest is the latest first transmission among the acknowledged
-	// segments that were never retransmitted.
+	// segments.
 	newest time.Duration
 
 	// Counters.
@@ -328,12 +330,10 @@ func (b *SendBuffer) mark(lo, hi seqspace.Seq) (newly int) {
 	return newly
 }
 
-// delivered records segment s's delivery as ordering evidence, unless s
-// was retransmitted: then the ack may be for either copy.
+// delivered records segment s's delivery as ordering evidence: some copy
+// of s, sent no earlier than its first transmission, arrived.
 func (b *SendBuffer) delivered(s *segment) {
-	if s.retx == 0 {
-		b.newest = max(b.newest, s.firstSent)
-	}
+	b.newest = max(b.newest, s.firstSent)
 }
 
 // OnSACK folds an acknowledgment vector into the scoreboard and returns

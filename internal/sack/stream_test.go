@@ -147,7 +147,7 @@ func TestUnorderedDeliversAroundHoles(t *testing.T) {
 	if u.CumAck() != 2 {
 		t.Fatalf("CumAck = %d, want 2", u.CumAck())
 	}
-	blocks := u.received.Ranges()
+	blocks := u.arrived.Above()
 	if len(blocks) != 1 || blocks[0] != (seqspace.Range{Lo: 3, Hi: 5}) {
 		t.Fatalf("blocks = %v, want [3,5)", blocks)
 	}

@@ -5,6 +5,8 @@
 // comparing two sequence numbers therefore needs wrap-aware arithmetic.
 // All QTP micro-protocols (SACK scoreboards, TFRC loss histories, the TCP
 // baseline) share this package so the wrap rules live in exactly one place.
+// Every receiver's record of what arrived — a cumulative point and the
+// ranges above it — is one type here too, Received.
 //
 // What bounds an IntervalSet's cost is the number of ranges it holds and,
 // of those, only the ones a call is asked about: Contains, Add, Remove,
@@ -150,9 +152,6 @@ func AppendSplit(dst, all []Range, max int) []Range {
 	dst = append(dst, all[:lo]...)
 	return append(dst, all[len(all)-(max-lo):]...)
 }
-
-// Clear removes every range from the set, retaining capacity.
-func (st *IntervalSet) Clear() { st.ranges = st.ranges[:0] }
 
 // Reset makes the non-empty range r the set's only range, retaining
 // capacity.

@@ -377,7 +377,7 @@ func BenchmarkIntervalSetAdd(b *testing.B) {
 	var s IntervalSet
 	for i := 0; i < b.N; i++ {
 		if s.Len() > 1000 {
-			s.Clear()
+			s.ranges = s.ranges[:0]
 		}
 		lo := Seq(uint32(i*7) % 100000)
 		s.Add(Range{lo, lo + 3})

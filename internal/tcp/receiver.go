@@ -11,9 +11,9 @@ import (
 type receiver struct {
 	f *Flow
 
-	rcvNxt    int64                // next in-order byte expected
-	received  seqspace.IntervalSet // out-of-order bytes above rcvNxt
-	delivered int64                // in-order bytes handed to the "application"
+	rcvNxt    int64             // next in-order byte expected: received.Cum as an offset
+	received  seqspace.Received // bytes arrived, by sequence number
+	delivered int64             // in-order bytes handed to the "application"
 	finSeen   bool
 }
 
@@ -26,16 +26,10 @@ func (r *receiver) Recv(p *netsim.Packet) {
 		return
 	}
 	if seg.Len > 0 {
-		r.received.Add(seqspace.Range{Lo: sq(seg.Seq), Hi: sq(seg.Seq + int64(seg.Len))})
-		// Advance the in-order point.
-		next := offset(r.received.FirstMissingAfter(sq(r.rcvNxt)), r.rcvNxt)
-		if next > r.rcvNxt {
-			r.delivered += next - r.rcvNxt
-			r.rcvNxt = next
-		}
-		// Trim even when rcvNxt stood still: a duplicate below it must
-		// not reach the SACK option.
-		r.received.RemoveBefore(sq(r.rcvNxt))
+		r.received.AddRange(seqspace.Range{Lo: sq(seg.Seq), Hi: sq(seg.Seq + int64(seg.Len))})
+		next := offset(r.received.Cum(), r.rcvNxt)
+		r.delivered += next - r.rcvNxt
+		r.rcvNxt = next
 	}
 	if seg.Fin {
 		r.finSeen = true
@@ -47,7 +41,7 @@ func (r *receiver) Recv(p *netsim.Packet) {
 		TS:     r.f.sim.Now(),
 		TSEcho: seg.TS,
 	}
-	blocks := r.received.Ranges()
+	blocks := r.received.Above()
 	ack.SACKs = append([]seqspace.Range(nil), blocks[:min(len(blocks), maxSACKBlocks)]...)
 	r.f.cfg.Rev.Recv(&netsim.Packet{
 		Flow:    r.f.cfg.ID,

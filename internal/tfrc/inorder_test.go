@@ -12,7 +12,8 @@ import (
 // refInOrderReceiver is the Receiver before header prediction: every
 // arrival above the cursor is added to the interval set, scanned and
 // trimmed. Only OnData is its own; the state and every other method are
-// the Receiver's.
+// the Receiver's. Like the Receiver, it starts loss detection at the
+// first original arrival, even when a retransmission arrived first.
 type refInOrderReceiver struct{ *Receiver }
 
 func (r refInOrderReceiver) OnData(now time.Duration, seq seqspace.Seq, size int, senderRTT time.Duration) bool {
@@ -20,10 +21,12 @@ func (r refInOrderReceiver) OnData(now time.Duration, seq seqspace.Seq, size int
 	if senderRTT > 0 {
 		r.senderRTT = senderRTT
 	}
-	if !r.started {
-		r.started = true
+	if !r.scanner.started {
+		if !r.started {
+			r.started = true
+			r.windowStart = now
+		}
 		r.maxSeq = seq
-		r.windowStart = now
 		r.scanner.start(seq)
 		r.received.AddSeq(seq)
 		r.windowBytes += size

@@ -18,7 +18,7 @@ type Receiver struct {
 	lossHistory
 
 	received seqspace.IntervalSet
-	started  bool
+	started  bool // the rate window is open: something arrived
 	maxSeq   seqspace.Seq
 
 	senderRTT time.Duration // RTT estimate from data headers
@@ -32,31 +32,32 @@ func NewReceiver(cfg ReceiverConfig) *Receiver {
 // OnData processes one data packet arrival. senderRTT is the sender's
 // RTT estimate carried in the packet header (RFC 3448 §3.2.1), used to
 // coalesce losses into loss events. It reports whether feedback should
-// be sent immediately: on the first packet, when a new loss event began
-// (RFC 3448 §6.1 rules 1 and 2), or when feedbackFloor has held a report
-// back over feedbackBytes of arrivals.
+// be sent immediately: on the first original packet, where loss
+// detection starts even if a retransmission came first, when a new loss
+// event began (RFC 3448 §6.1 rules 1 and 2), or when feedbackFloor has
+// held a report back over feedbackBytes of arrivals.
 func (r *Receiver) OnData(now time.Duration, seq seqspace.Seq, size int, senderRTT time.Duration) bool {
 	r.Ops++
 	if senderRTT > 0 {
 		r.senderRTT = senderRTT
 	}
-	if !r.started {
-		r.started = true
+	if !r.scanner.started {
+		if !r.started {
+			r.started = true
+			r.windowStart = now
+		}
 		r.maxSeq = seq
-		r.windowStart = now
 		r.scanner.start(seq)
 		r.received.AddSeq(seq)
 		r.windowBytes += size
-		return true // first packet: send feedback for the RTT sample
+		return true // first original: send feedback for the RTT sample
 	}
 	if rs := r.received.Ranges(); seq == r.maxSeq.Next() && len(rs) == 1 &&
-		rs[0].Lo == r.scanner.cursor && rs[0].Hi == seq && r.scanner.started {
+		rs[0].Lo == r.scanner.cursor && rs[0].Hi == seq {
 		// Header prediction: the next sequence number, with no hole
 		// between the cursor and it. The general path would add seq,
 		// scan an empty gap list, move the cursor to seq and trim the
-		// set behind it; this is its result. (A receiver whose first
-		// arrival was a retransmission never started its scanner, and
-		// keeps the general path.)
+		// set behind it; this is its result.
 		r.received.Reset(seqspace.Range{Lo: seq, Hi: seq.Next()})
 		r.maxSeq, r.scanner.cursor = seq, seq
 		r.windowBytes += size

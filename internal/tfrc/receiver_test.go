@@ -226,3 +226,28 @@ func TestReceiverSeedMatchesXRecv(t *testing.T) {
 		t.Fatalf("seeded equation rate = %v, want near 1e6", x)
 	}
 }
+
+// TestReceiverRetransmissionFirst gives a receiver a retransmission
+// before any original, then 2,000 originals with one in 50 lost. Loss
+// detection must start at the first original all the same: the same p
+// and the same trimmed received set as a receiver that saw no
+// retransmission, not p = 0 and a set that grows with every hole.
+func TestReceiverRetransmissionFirst(t *testing.T) {
+	lost := map[int]bool{}
+	for i := 49; i < 2000; i += 50 {
+		lost[i] = true
+	}
+	plain, retxFirst := NewReceiver(ReceiverConfig{SegmentSize: 1000}), NewReceiver(ReceiverConfig{SegmentSize: 1000})
+	retxFirst.OnRetransmit(0, 1000)
+	feed(plain, 0, 2000, lost, 1000)
+	feed(retxFirst, 0, 2000, lost, 1000)
+	if plain.P() == 0 {
+		t.Fatal("p = 0 with one packet in 50 lost")
+	}
+	if a, b := retxFirst.P(), plain.P(); a != b {
+		t.Fatalf("p = %v after a leading retransmission, %v without", a, b)
+	}
+	if a, b := retxFirst.received.Ranges(), plain.received.Ranges(); len(a) != len(b) || len(a) > 1 {
+		t.Fatalf("received ranges %v after a leading retransmission, %v without", a, b)
+	}
+}

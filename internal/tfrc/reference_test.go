@@ -11,7 +11,10 @@ import (
 // receive-rate window, the report), kept as the reference models
 // TestLossHistoryDifferential holds the shared lossHistory to. The code
 // is as it was; names are prefixed, comments and the SegmentSize check
-// dropped, and the duplicate threshold is seqspace's constant.
+// dropped, and the duplicate threshold is seqspace's constant. One fix
+// is shared with the receiver: loss detection starts at the first
+// original arrival, even when a retransmission arrived first (before,
+// such a receiver never started its hole scanner).
 
 type refHoleScanner struct {
 	cursor  seqspace.Seq // everything below is resolved
@@ -81,10 +84,12 @@ func (r *refReceiver) OnData(now time.Duration, seq seqspace.Seq, size int, send
 	if senderRTT > 0 {
 		r.senderRTT = senderRTT
 	}
-	if !r.started {
-		r.started = true
+	if !r.scanner.started {
+		if !r.started {
+			r.started = true
+			r.windowStart = now
+		}
 		r.maxSeq = seq
-		r.windowStart = now
 		r.scanner.start(seq)
 		r.received.AddSeq(seq)
 		r.windowBytes += size
