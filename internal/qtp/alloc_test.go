@@ -71,8 +71,10 @@ type allocPair struct {
 
 const allocOneWay = 50 * time.Microsecond
 
-func newAllocPair() *allocPair {
-	prof := core.QTPAF(1e9).Normalize()
+func newAllocPair() *allocPair { return newPair(core.QTPAF(1e9).Normalize()) }
+
+// newPair is a pair running prof, which must be normalized.
+func newPair(prof core.Profile) *allocPair {
 	p := &allocPair{
 		snd: NewConn(Config{Initiator: true, Profile: prof, ConnID: 1}),
 		rcv: NewConn(Config{ConnID: 1}),
