@@ -80,8 +80,12 @@ type Config struct {
 	// stray frame to its owner without shared state; the state machine
 	// itself treats the ID as opaque.
 	LocalID uint32
-	// MaxBacklog caps bytes queued in Write before the transport pushes
-	// back (default 1 MiB).
+	// MaxBacklog caps bytes queued in Write and not yet sent before the
+	// transport pushes back (default 1 MiB). Bytes sent and not yet
+	// acknowledged do not count: the rate controller bounds them, and a
+	// lossy path's flight can outgrow the cap (sim_lossy's sender holds
+	// up to 2.5 MB), so counting them would refuse writes the path can
+	// take.
 	MaxBacklog int
 
 	// Encrypt runs the encrypted handshake: Connect/Accept exchange
@@ -425,7 +429,7 @@ func (c *Conn) Write(p []byte) int { return c.WriteStream(0, p) }
 func (c *Conn) BacklogLen() int {
 	n := 0
 	for _, s := range c.sendStreams {
-		n += s.queued()
+		n += s.buf.Queued()
 	}
 	return n
 }

@@ -62,12 +62,17 @@ func (p *allocPair) sendWindow(t *testing.T) {
 }
 
 // footprintBounds are the most heap bytes one connection may hold, by
-// state and side, under either framing.
+// state and side, under either framing. A sender's bytes wait in its
+// SendBuffer from Write until they are acknowledged: one message takes a
+// 2 KiB chunk, 64 frames' worth the chunk and two 64 KiB pages. Drained,
+// a sender holds what it held idle plus the segment ring its flight grew
+// to (64 slots, 4 KiB): a page or a chunk kept past the drain breaks the
+// bound.
 var footprintBounds = map[string]struct{ snd, rcv uint64 }{
 	"idle":    {1_700, 1_450},
-	"message": {69_000, 4_100},
-	"window":  {229_500, 135_500},
-	"drained": {98_000, 2_100},
+	"message": {5_000, 4_100},
+	"window":  {139_500, 135_500},
+	"drained": {6_000, 2_100},
 }
 
 // TestFootprint reads the heap bytes a connection holds, the sender and

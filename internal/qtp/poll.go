@@ -148,7 +148,7 @@ func (c *Conn) closeReady() bool {
 // FIN.
 func (c *Conn) sendWorkPending() bool {
 	for _, s := range c.sendStreams {
-		if s.queued() > 0 || s.needFin() {
+		if s.buf.Queued() > 0 || s.needFin() {
 			return true
 		}
 	}
@@ -257,20 +257,20 @@ func (c *Conn) buildAck(now time.Duration, dst []byte) []byte {
 // the stream pickStream selects.
 func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 	rto := c.retxTimeout()
-	n := len(c.sendStreams)
-	for k := 0; k < n; k++ {
-		s := c.sendStreams[(c.rrRetx+k)%n]
-		seq, conn, payload, ok := s.buf.NextRetransmitSeg(now, rto)
+	streams := len(c.sendStreams)
+	for k := 0; k < streams; k++ {
+		s := c.sendStreams[(c.rrRetx+k)%streams]
+		seq, conn, n, ok := s.buf.NextRetransmitSeg(now, rto)
 		if !ok {
 			continue
 		}
-		c.rrRetx = (c.rrRetx + k + 1) % n
+		c.rrRetx = (c.rrRetx + k + 1) % streams
 		fin := s.finSet && seq == s.finSeq
-		frame := c.dataFrame(now, dst, s, conn, seq, payload, true, fin)
+		frame := c.dataFrame(now, dst, s, conn, seq, true, fin)
 		c.stats.RetransFrames++
-		c.stats.RetransBytes += len(payload)
+		c.stats.RetransBytes += n
 		s.retransFrames++
-		s.retransB += len(payload)
+		s.retransB += n
 		c.pace(now, len(frame)-len(dst))
 		return frame, true
 	}
@@ -285,30 +285,29 @@ func (c *Conn) buildData(now time.Duration, dst []byte) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
-	// An empty backlog here means the stream owes a bare FIN: CloseStream
-	// arrived after the last data segment went out, so the stream end
-	// travels as an empty segment, retransmitted like data. The scoreboard
-	// keeps its own copy; the frame is built from the backlog's bytes.
-	payload := s.take(c.profile.MSS)
-
 	seq := s.nextSeq
 	s.nextSeq = seq.Next()
 	conn := c.nextSeq
 	c.nextSeq = conn.Next()
-	fin := !s.open && s.queued() == 0
+	// Nothing queued here means the stream owes a bare FIN: CloseStream
+	// arrived after the last data segment went out, so the stream end
+	// travels as an empty segment, retransmitted like data.
+	n := s.buf.Cut(now, seq, conn, c.profile.MSS)
+	fin := !s.open && s.buf.Queued() == 0
 	if fin {
 		s.finSeq = seq
 		s.finSet = true
 	}
-	if !s.unreliable {
-		s.buf.AddStream(now, seq, conn, payload)
+	c.rc.OnSent(now, conn, n+packet.HeaderLen)
+	frame := c.dataFrame(now, dst, s, conn, seq, false, fin)
+	if s.unreliable {
+		// Never retransmitted: the segment resolves once it is on the wire.
+		s.buf.OnSACK(now, seq.Next(), nil)
 	}
-	c.rc.OnSent(now, conn, len(payload)+packet.HeaderLen)
-	frame := c.dataFrame(now, dst, s, conn, seq, payload, false, fin)
 	c.stats.DataFramesSent++
-	c.stats.DataBytesSent += len(payload)
+	c.stats.DataBytesSent += n
 	s.frames++
-	s.bytes += len(payload)
+	s.bytes += n
 	c.pace(now, len(frame)-len(dst))
 	return frame, true
 }
@@ -325,7 +324,7 @@ func (c *Conn) pickStream() *sendStream {
 	for newRound := false; ; newRound = true {
 		for k := 0; k < n; k++ {
 			s := c.sendStreams[(c.rrData+k)%n]
-			if s.spent || (s.queued() == 0 && !s.needFin()) {
+			if s.spent || (s.buf.Queued() == 0 && !s.needFin()) {
 				continue
 			}
 			s.spent = true
@@ -355,11 +354,11 @@ func (c *Conn) ackFloor() seqspace.Seq {
 }
 
 // dataFrame encodes one data frame: fixed header, the varint stream
-// prefix when the connection negotiated it, payload. Without the prefix
-// the frame is stream 0 by construction and connSeq says everything
-// streamSeq would.
+// prefix when the connection negotiated it, segment streamSeq's payload
+// from the stream's SendBuffer. Without the prefix the frame is stream 0
+// by construction and connSeq says everything streamSeq would.
 func (c *Conn) dataFrame(now time.Duration, dst []byte, s *sendStream,
-	connSeq, streamSeq seqspace.Seq, payload []byte, retx, fin bool) []byte {
+	connSeq, streamSeq seqspace.Seq, retx, fin bool) []byte {
 
 	hdr := c.header(packet.TypeData, now)
 	hdr.Seq = connSeq
@@ -382,7 +381,8 @@ func (c *Conn) dataFrame(now time.Duration, dst []byte, s *sendStream,
 	if fin {
 		hdr.Flags |= packet.FlagFIN
 	}
-	return appendFrame(dst, hdr, prefix, payload)
+	head, tail := s.buf.Payload(streamSeq)
+	return appendFrame(dst, hdr, prefix, head, tail)
 }
 
 // paceBurst is the most frames a late poll may send back to back: the

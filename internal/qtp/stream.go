@@ -86,15 +86,14 @@ type sendStream struct {
 	mode     packet.StreamMode
 	deadline time.Duration // expiring mode: retransmission bound
 
-	buf *sack.SendBuffer
-	// backlog[sent:] is what Write queued and no segment has taken yet.
-	backlog []byte
-	sent    int
+	// buf is the scoreboard and the one store of the stream's bytes, from
+	// WriteStream until their segment resolves.
+	buf     *sack.SendBuffer
 	nextSeq seqspace.Seq // next stream-level sequence number
 
-	// unreliable marks the one stream whose segments never enter the
-	// scoreboard: stream 0 of a ReliabilityNone profile (reachable only
-	// unprefixed — Profile.Normalize refuses streams without reliability).
+	// unreliable marks stream 0 of a ReliabilityNone profile (only
+	// unprefixed: Profile.Normalize refuses streams without reliability),
+	// whose segments resolve as soon as they are on the wire.
 	unreliable bool
 
 	open   bool // Write still allowed
@@ -124,27 +123,12 @@ type sendStream struct {
 	retransFrames, retransB int
 }
 
+// newSendStream opens a stream; deadline is 0 unless mode is StreamExpiring.
 func newSendStream(id uint64, mode packet.StreamMode, deadline time.Duration, start seqspace.Seq) *sendStream {
-	var bufDeadline time.Duration
-	if mode == packet.StreamExpiring {
-		bufDeadline = deadline
-	}
 	return &sendStream{
 		id: id, mode: mode, deadline: deadline,
-		buf: sack.NewSendBuffer(bufDeadline), nextSeq: start, open: true,
+		buf: sack.NewSendBuffer(deadline), nextSeq: start, open: true,
 	}
-}
-
-// queued returns the bytes written and not yet cut into a segment.
-func (s *sendStream) queued() int { return len(s.backlog) - s.sent }
-
-// take cuts the next segment's payload, at most mss bytes, off the front
-// of the backlog. Nothing moves: the slice stays valid until the next
-// take or WriteStream, and only WriteStream reclaims what was taken.
-func (s *sendStream) take(mss int) []byte {
-	p := s.backlog[s.sent:min(s.sent+mss, len(s.backlog))]
-	s.sent += len(p)
-	return p
 }
 
 // needFin reports whether the stream still owes the wire a FIN: closed,
@@ -152,14 +136,14 @@ func (s *sendStream) take(mss int) []byte {
 // scheduler then emits an empty FIN segment (a stream that never sent
 // anything closes invisibly).
 func (s *sendStream) needFin() bool {
-	return !s.open && !s.finSet && s.frames > 0 && s.queued() == 0
+	return !s.open && !s.finSet && s.frames > 0 && s.buf.Queued() == 0
 }
 
 // done reports whether the stream is fully resolved: closed, drained,
 // FIN out (or nothing ever sent), every segment acked or abandoned, and
 // no forward FIN still owed to the receiver.
 func (s *sendStream) done() bool {
-	if s.open || s.queued() != 0 || s.needFin() || s.resetPending {
+	if s.open || s.buf.Queued() != 0 || s.needFin() || s.resetPending {
 		return false
 	}
 	return !s.buf.Unresolved()
@@ -395,7 +379,8 @@ func (c *Conn) OpenStream(mode packet.StreamMode, deadline time.Duration) (uint6
 
 // WriteStream queues application data on the given stream, returning
 // how many bytes were accepted (the backlog cap is shared across
-// streams, so one unserviced stream cannot monopolize the buffer).
+// streams, so one unserviced stream cannot monopolize the buffer). They
+// wait in the stream's SendBuffer until their segment resolves.
 func (c *Conn) WriteStream(id uint64, p []byte) int {
 	if c.state == StateClosed {
 		return 0
@@ -411,15 +396,7 @@ func (c *Conn) WriteStream(id uint64, p []byte) int {
 	if len(p) > room {
 		p = p[:room]
 	}
-	// What take cut off the front is dead. A drained backlog starts over
-	// at the front of its array; otherwise the rest moves down only when
-	// the append would reallocate and at least as much was taken as is
-	// left, so less than one byte moves per byte taken, whatever the
-	// backlog, and a writer that refills a drained backlog moves nothing.
-	if q := s.queued(); q == 0 || (len(s.backlog)+len(p) > cap(s.backlog) && s.sent >= q) {
-		s.backlog, s.sent = append(s.backlog[:0], s.backlog[s.sent:]...), 0
-	}
-	s.backlog = append(s.backlog, p...)
+	s.buf.Write(p)
 	return len(p)
 }
 
@@ -634,7 +611,7 @@ func (c *Conn) armStreamResets(now time.Duration) {
 		if s.resetArmed || s.mode != packet.StreamExpiring {
 			continue
 		}
-		if s.open || s.queued() != 0 || s.needFin() || !s.finSet {
+		if s.open || s.buf.Queued() != 0 || s.needFin() || !s.finSet {
 			continue
 		}
 		if s.buf.Unresolved() || s.buf.AbandonedSegs == 0 {

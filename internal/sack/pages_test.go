@@ -10,6 +10,32 @@ import (
 	"repro/internal/seqspace"
 )
 
+// addStream writes p and cuts it as segment seq, stamped conn.
+func addStream(b *SendBuffer, now time.Duration, seq, conn seqspace.Seq, p []byte) {
+	b.Write(p)
+	b.Cut(now, seq, conn, len(p))
+}
+
+// payloadOf returns segment seq's bytes in one slice of its own.
+func payloadOf(b *SendBuffer, seq seqspace.Seq) []byte {
+	head, tail := b.Payload(seq)
+	return append(append([]byte(nil), head...), tail...)
+}
+
+// spanned returns how many pages the bytes b must hold span: from the
+// head segment's first byte (the first queued byte with nothing in
+// flight) to the last byte written, none when that is empty.
+func spanned(b *SendBuffer) int {
+	lo := b.cut
+	if b.n > 0 {
+		lo = b.seg(b.head).off
+	}
+	if lo == b.end {
+		return 0
+	}
+	return int((b.end-1-b.base)/pageSize-(lo-b.base)/pageSize) + 1
+}
+
 // TestSendBufferPagesAcrossGoroutines runs a scoreboard on each of four
 // goroutines at once over the one page pool, as an endpoint's shards do.
 // Each acknowledges all but its newest 32 segments every 64 and then
@@ -39,8 +65,8 @@ func TestSendBufferPagesAcrossGoroutines(t *testing.T) {
 					continue
 				}
 				b.OnSACK(now, q.Add(-31), nil)
-				seq, _, p, ok := b.NextRetransmitSeg(now+1, 1)
-				if !ok || !bytes.Equal(p, content(w, seq, want[:1+int(seq)%len(want)])) {
+				seq, _, _, ok := b.NextRetransmitSeg(now+1, 1)
+				if !ok || !bytes.Equal(payloadOf(b, seq), content(w, seq, want[:1+int(seq)%len(want)])) {
 					errs <- fmt.Errorf("worker %d: retransmission of %d (ok %v) carries other bytes", w, seq, ok)
 					return
 				}

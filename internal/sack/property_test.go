@@ -84,14 +84,14 @@ func TestReliabilityModelCheck(t *testing.T) {
 			blocks := ra.Blocks(nil, 16)
 			sb.OnSACK(now, ra.CumAck(), blocks)
 			for {
-				seq, _, p, ok := sb.NextRetransmitSeg(now, 100*time.Millisecond)
+				seq, _, _, ok := sb.NextRetransmitSeg(now, 100*time.Millisecond)
 				if !ok {
 					break
 				}
 				if rng.Float64() < 0.15 {
 					continue // retransmission lost too
 				}
-				network = append(network, inflight{seq, p, now})
+				network = append(network, inflight{seq, payloadOf(sb, seq), now})
 			}
 			if !sb.Unresolved() && len(network) == 0 {
 				break
@@ -174,10 +174,12 @@ func runIndices(t *testing.T, p []byte) []int {
 // package shipped before the seq-indexed ring: every query walks the
 // flight front to back. It is kept as the reference model — simple
 // enough to be obviously right — that TestSendBufferDifferential drives
-// in lockstep with the real SendBuffer.
+// in lockstep with the real SendBuffer. Its store is the same as the
+// real one's, offsets and lengths into the stream's bytes, kept plainly:
+// one slice of every byte ever written.
 type refSegment struct {
 	seq, conn           seqspace.Seq
-	payload             []byte
+	off, n              int
 	firstSent, lastSent time.Duration
 	sacked, lost        bool
 	abandoned           bool
@@ -187,6 +189,8 @@ type refSegment struct {
 type refSendBuffer struct {
 	Deadline time.Duration
 
+	data    []byte // every byte written; data[cut:] is queued
+	cut     int
 	segs    []refSegment
 	cumAck  seqspace.Seq
 	started bool
@@ -198,16 +202,26 @@ type refSendBuffer struct {
 	Retransmits, AbandonedSegs, AckedBytes int
 }
 
-func (b *refSendBuffer) AddStream(now time.Duration, seq, conn seqspace.Seq, payload []byte) {
+func (b *refSendBuffer) Write(p []byte) { b.data = append(b.data, p...) }
+
+func (b *refSendBuffer) Queued() int { return len(b.data) - b.cut }
+
+func (b *refSendBuffer) Cut(now time.Duration, seq, conn seqspace.Seq, mss int) int {
 	if !b.started {
 		b.started = true
 		b.cumAck = seq
 	} else if seq != b.nextSeq {
-		panic("ref: Add out of order")
+		panic("ref: Cut out of order")
 	}
 	b.nextSeq = seq.Next()
-	b.segs = append(b.segs, refSegment{seq: seq, conn: conn, payload: payload, firstSent: now, lastSent: now})
+	n := min(mss, b.Queued())
+	b.segs = append(b.segs, refSegment{seq: seq, conn: conn, off: b.cut, n: n, firstSent: now, lastSent: now})
+	b.cut += n
+	return n
 }
+
+// payload returns segment s's bytes.
+func (b *refSendBuffer) payload(s *refSegment) []byte { return b.data[s.off : s.off+s.n] }
 
 func (b *refSendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seqspace.Range) int {
 	newly := 0
@@ -216,7 +230,7 @@ func (b *refSendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seq
 		i := 0
 		for i < len(b.segs) && b.segs[i].seq.Less(cum) {
 			if s := &b.segs[i]; !s.sacked {
-				newly += len(s.payload)
+				newly += s.n
 				b.delivered(s)
 			}
 			i++
@@ -229,7 +243,7 @@ func (b *refSendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seq
 			if blk.Contains(s.seq) && !s.sacked {
 				s.sacked = true
 				s.lost = false
-				newly += len(s.payload)
+				newly += s.n
 				b.delivered(s)
 			}
 		}
@@ -244,7 +258,7 @@ func (b *refSendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks [
 	i := 0
 	for i < len(b.segs) && b.segs[i].conn.Less(cum) {
 		if s := &b.segs[i]; !s.sacked {
-			newly += len(s.payload)
+			newly += s.n
 			b.delivered(s)
 		}
 		i++
@@ -261,7 +275,7 @@ func (b *refSendBuffer) OnConnSACK(now time.Duration, cum seqspace.Seq, blocks [
 			if blk.Contains(s.conn) && !s.sacked {
 				s.sacked = true
 				s.lost = false
-				newly += len(s.payload)
+				newly += s.n
 				b.delivered(s)
 			}
 		}
@@ -323,7 +337,7 @@ func (b *refSendBuffer) NextRetransmitSeg(now, rto time.Duration) (seq, conn seq
 			s.lastSent = now
 			s.retx++
 			b.Retransmits++
-			return s.seq, s.conn, s.payload, true
+			return s.seq, s.conn, b.payload(s), true
 		}
 	}
 	return 0, 0, nil, false
@@ -363,17 +377,19 @@ func (b *refSendBuffer) Unresolved() bool {
 // beyond the flight, retransmission polls and every query — and demands
 // equal return values and equal counters after every step. The grid
 // covers full and partial reliability and sequence spaces that wrap
-// through 2^32 mid-run. Payloads are random bytes, and the caller's
-// slice is overwritten as soon as AddStream returns: a retransmission
-// must still carry the bytes first sent.
+// through 2^32 mid-run. Writes are random bytes of random sizes, from
+// none to a whole page, and segments are cut from them with random
+// MSSs, so they cross page edges and start in the small first page of an
+// emptied store; the caller's slice is overwritten as soon as Write
+// returns, and a retransmission must still carry the bytes first sent.
 func TestSendBufferDifferential(t *testing.T) {
 	runSendBufferDifferential(t, 1, 48)
 }
 
 // TestSendBufferPairDifferential interleaves two scoreboards, each in
-// lockstep with its own reference model, over the one page pool: a page
-// handed back while its buffer still holds a segment in it is refilled
-// by the other buffer, and shows up as wrong bytes.
+// lockstep with its own reference model, over the one page pool
+// (bufpool's): a page handed back while its buffer still holds a segment
+// in it is refilled by the other buffer, and shows up as wrong bytes.
 func TestSendBufferPairDifferential(t *testing.T) {
 	runSendBufferDifferential(t, 2, 12)
 }
@@ -427,9 +443,9 @@ func runSendBufferDifferential(t *testing.T, lanes, trials int) {
 		check := func(step int, what string, l *diffLane) {
 			t.Helper()
 			real, ref := l.real, l.ref
-			if real.Len() != len(ref.segs) || real.CumAck() != ref.cumAck {
-				t.Fatalf("trial %d step %d after %s: Len/CumAck = %d/%d, want %d/%d",
-					trial, step, what, real.Len(), real.CumAck(), len(ref.segs), ref.cumAck)
+			if real.Len() != len(ref.segs) || real.cumAck != ref.cumAck {
+				t.Fatalf("trial %d step %d after %s: Len/cumAck = %d/%d, want %d/%d",
+					trial, step, what, real.Len(), real.cumAck, len(ref.segs), ref.cumAck)
 			}
 			if real.Unresolved() != ref.Unresolved() {
 				t.Fatalf("trial %d step %d after %s: Unresolved = %v", trial, step, what, real.Unresolved())
@@ -454,14 +470,17 @@ func runSendBufferDifferential(t *testing.T, lanes, trials int) {
 					real.Retransmits, real.AbandonedSegs, real.AckedBytes,
 					ref.Retransmits, ref.AbandonedSegs, ref.AckedBytes)
 			}
+			if real.Queued() != ref.Queued() {
+				t.Fatalf("trial %d step %d after %s: Queued = %d, want %d", trial, step, what, real.Queued(), ref.Queued())
+			}
 			// The oldest segment shares its page with released ones: the
 			// first to see a page handed back too early.
-			if len(ref.segs) > 0 && !bytes.Equal(real.seg(real.head).payload, ref.segs[0].payload) {
+			if len(ref.segs) > 0 && !bytes.Equal(payloadOf(real, real.head), ref.payload(&ref.segs[0])) {
 				t.Fatalf("trial %d step %d after %s: oldest segment's payload changed", trial, step, what)
 			}
-			if len(real.pages) > 0 && real.pages[0].last.Less(real.head) {
-				t.Fatalf("trial %d step %d after %s: %d pages held, the first passed by the head (flight %d)",
-					trial, step, what, len(real.pages), real.Len())
+			if got, want := len(real.pages), spanned(real); got != want {
+				t.Fatalf("trial %d step %d after %s: %d pages held, the bytes held span %d (flight %d, %d queued)",
+					trial, step, what, got, want, real.Len(), real.Queued())
 			}
 		}
 
@@ -472,23 +491,36 @@ func runSendBufferDifferential(t *testing.T, lanes, trials int) {
 			switch op := rng.Intn(10); {
 			case op < addBias || !l.started:
 				l.started = true
-				// Mostly frame-sized, now and then up to a whole page,
-				// now and then empty (a bare FIN).
-				size := 1 + rng.Intn(1400)
-				switch rng.Intn(64) {
-				case 0:
-					size = 1 + rng.Intn(pageSize)
-				case 1, 2:
-					size = 0
+				// Now and then the next segment waits for more bytes.
+				if real.Queued() == 0 || rng.Intn(2) == 0 {
+					// Mostly frame-sized, now and then up to a whole page,
+					// now and then empty.
+					size := 1 + rng.Intn(1400)
+					switch rng.Intn(64) {
+					case 0:
+						size = 1 + rng.Intn(pageSize)
+					case 1, 2:
+						size = 0
+					}
+					payload := scratch[:size]
+					copy(payload, noise[rng.Intn(pageSize):])
+					real.Write(payload)
+					ref.Write(payload)
+					clear(payload) // the caller reuses its buffer
 				}
-				payload := scratch[:size]
-				copy(payload, noise[rng.Intn(pageSize):])
-				real.AddStream(now, l.next, l.nextConn, payload)
-				ref.AddStream(now, l.next, l.nextConn, append([]byte(nil), payload...))
-				clear(payload) // the caller reuses its buffer
+				// Mostly the default MSS, now and then the largest legal
+				// one; nothing queued cuts a bare FIN.
+				mss := 1400
+				if rng.Intn(8) == 0 {
+					mss = 1 + rng.Intn(65000)
+				}
+				g, w := real.Cut(now, l.next, l.nextConn, mss), ref.Cut(now, l.next, l.nextConn, mss)
+				if g != w {
+					t.Fatalf("trial %d step %d: Cut(%d) = %d, want %d", trial, step, mss, g, w)
+				}
 				l.next = l.next.Next()
 				l.nextConn = l.nextConn.Add(1 + rng.Intn(3)) // other streams take numbers in between
-				check(step, "AddStream", l)
+				check(step, "Cut", l)
 			case op < 7:
 				cum := ref.cumAck.Add(rng.Intn(12) - 3)
 				if l.next.Next().Less(cum) {
@@ -522,9 +554,13 @@ func runSendBufferDifferential(t *testing.T, lanes, trials int) {
 			default:
 				rto := rtos[rng.Intn(len(rtos))]
 				for k := 0; k < 1+rng.Intn(3); k++ {
-					gs, gc, gp, gok := real.NextRetransmitSeg(now, rto)
+					gs, gc, gn, gok := real.NextRetransmitSeg(now, rto)
 					ws, wc, wp, wok := ref.NextRetransmitSeg(now, rto)
-					if gs != ws || gc != wc || gok != wok || !bytes.Equal(gp, wp) {
+					var gp []byte
+					if gok {
+						gp = payloadOf(real, gs)
+					}
+					if gs != ws || gc != wc || gok != wok || gn != len(wp) || !bytes.Equal(gp, wp) {
 						t.Fatalf("trial %d step %d: NextRetransmitSeg(%v) = %d,%d,%v (%d B) want %d,%d,%v (%d B), payloads equal: %v",
 							trial, step, rto, gs, gc, gok, len(gp), ws, wc, wok, len(wp), bytes.Equal(gp, wp))
 					}

@@ -20,12 +20,12 @@ func TestSendBufferCumAck(t *testing.T) {
 	if n != len(pay(0))*3 {
 		t.Fatalf("newly acked = %d", n)
 	}
-	if b.Len() != 2 || b.CumAck() != 3 {
-		t.Fatalf("Len=%d CumAck=%d", b.Len(), b.CumAck())
+	if b.Len() != 2 || b.cumAck != 3 {
+		t.Fatalf("Len=%d cumAck=%d", b.Len(), b.cumAck)
 	}
 	// Regression: an old cumack must not rewind.
 	b.OnSACK(11, 1, nil)
-	if b.CumAck() != 3 {
+	if b.cumAck != 3 {
 		t.Fatal("cumack went backwards")
 	}
 }
@@ -42,8 +42,8 @@ func TestSendBufferSACKMarksAndLossDetection(t *testing.T) {
 	}
 	// SACK 4 as well: 3 above -> segments 0 and 1 lost.
 	b.OnSACK(12, 0, []seqspace.Range{{Lo: 2, Hi: 5}})
-	seq, _, p, ok := b.NextRetransmitSeg(13, 0)
-	if !ok || seq != 0 || !bytes.Equal(p, pay(0)) {
+	seq, _, _, ok := b.NextRetransmitSeg(13, 0)
+	if p := payloadOf(b, seq); !ok || seq != 0 || !bytes.Equal(p, pay(0)) {
 		t.Fatalf("retransmit = %v %q %v", seq, p, ok)
 	}
 	seq, _, _, ok = b.NextRetransmitSeg(13, 0)
@@ -383,11 +383,11 @@ func TestLossRecoveryLoop(t *testing.T) {
 		blocks := ra.Blocks(nil, 16)
 		sb.OnSACK(now, ra.CumAck(), blocks)
 		for {
-			seq, _, p, ok := sb.NextRetransmitSeg(now, 500*time.Millisecond)
+			seq, _, _, ok := sb.NextRetransmitSeg(now, 500*time.Millisecond)
 			if !ok {
 				break
 			}
-			ra.OnData(now, seq, p, int(seq) == n-1)
+			ra.OnData(now, seq, payloadOf(sb, seq), int(seq) == n-1)
 		}
 	}
 	if sb.Unresolved() {

@@ -20,7 +20,7 @@
 // stream a SendBuffer and a Reassembler or UnorderedReceiver, keyed by
 // the stream's own sequence numbers, and resolves scoreboards against
 // connection-level ack vectors through the conn number each segment
-// remembers (AddStream/OnConnSACK). A stream framed without the prefix
+// remembers (Cut/OnConnSACK). A stream framed without the prefix
 // is the case where the two spaces coincide.
 //
 // What bounds what: the SendBuffer is a ring indexed by sequence number
@@ -29,12 +29,12 @@
 // retransmission, the next timeout and the oldest unresolved segment
 // each cost O(log flight) at most; an acknowledgment costs that per
 // segment it newly resolves and per hole it leaves below the duplicate
-// threshold. The payload bytes the SendBuffer keeps live in 64 KiB pages
-// drawn from a pool of this package's own. A page goes back once the head
-// has passed its last segment, so a buffer holds only the pages its
-// flight spans — the flight's bytes, plus less than a page at either end
-// and less than a segment at the end of each page — and an empty flight
-// holds none. Both receivers record what arrived in a
+// threshold. The SendBuffer is also the one store of the stream's bytes,
+// from Write until the head passes them, in bufpool's 64 KiB pages (an
+// empty store starts in a 2 KiB chunk). A segment is an offset and a
+// length there: a byte is copied in once and out once per transmission.
+// A store holds only the pages its flight and queue span, and a drained
+// one holds none. Both receivers record what arrived in a
 // seqspace.Received, the cumulative ack and the ranges above it (the
 // Reassembler holds those ranges' payloads too), and queue what is
 // deliverable in pooled buffers: one 2 KiB chunk per segment while the
@@ -45,39 +45,30 @@ package sack
 import (
 	"math"
 	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/seqspace"
 )
 
-// pageSize is the payload page. It holds any legal MSS (core's Normalize
-// caps it at 65,000 bytes), so a segment never spans two pages.
-const pageSize = 64 << 10
-
-// pagePool recycles payload pages between every SendBuffer. It is this
-// package's own, not bufpool's: a stale payload slice can only ever alias
-// another scoreboard's payload, never a datagram buffer.
-var pagePool = sync.Pool{New: func() any { return new([pageSize]byte) }}
-
-// page is one payload page and the sequence number of the last segment
-// copied into it.
-type page struct {
-	buf  *[pageSize]byte
-	last seqspace.Seq
-}
+// pageSize is the store's page, bufpool's Size. It holds any legal MSS
+// (core's Normalize caps it at 65,000 bytes), so a segment spans at most
+// two pages.
+const pageSize = bufpool.Size
 
 // segment is one sent-but-unresolved data frame in the scoreboard; its
-// stream-level sequence number is its place in the ring.
+// stream-level sequence number is its place in the ring, its payload the
+// n bytes of the store from stream offset off.
 type segment struct {
-	conn      seqspace.Seq // connection-level sequence of the first transmission
-	payload   []byte
+	off       int64
+	n         int
 	firstSent time.Duration
 	lastSent  time.Duration
+	retx      int
+	conn      seqspace.Seq // connection-level sequence of the first transmission
 	sacked    bool
 	lost      bool // declared lost, waiting for retransmission
 	abandoned bool // past the partial-reliability deadline
-	retx      int
 }
 
 // The min-tree's key for a segment is the time of its last transmission;
@@ -132,10 +123,11 @@ type SendBuffer struct {
 	// unresolved segment below top[0] has DupThresh SACKed segments above
 	// it.
 	top []seqspace.Seq
-	// The flight's payloads live in pages, oldest first; fill is how much
-	// of the last one is used.
-	pages []page
-	fill  int
+	// The store: page i holds the stream offsets [base+i·pageSize,
+	// base+(i+1)·pageSize), a chunk (only ever pages[0]) the last
+	// ChunkSize of them. Bytes from cut to end are queued, not yet cut.
+	pages          [][]byte
+	base, cut, end int64
 
 	cumAck seqspace.Seq
 	// newest is the latest first transmission among the acknowledged
@@ -154,51 +146,74 @@ func NewSendBuffer(deadline time.Duration) *SendBuffer {
 	return &SendBuffer{Deadline: deadline}
 }
 
-// Add registers the first transmission of a segment. Segments must be
-// added in sequence order. The buffer keeps its own copy of the payload,
-// at most 64 KiB, until the segment is released; the caller's slice is
-// free again once Add returns.
-func (b *SendBuffer) Add(now time.Duration, seq seqspace.Seq, payload []byte) {
-	b.AddStream(now, seq, seq, payload)
+// Write appends p to the store, queued for the segments Cut takes. It
+// copies p; the caller's slice is free again once Write returns.
+func (b *SendBuffer) Write(p []byte) {
+	for len(p) > 0 {
+		switch {
+		case len(b.pages) == 0: // an empty store starts over at end, in a chunk
+			b.pages = append(b.pages, bufpool.GetChunk())
+			b.base = b.end - (pageSize - bufpool.ChunkSize)
+		case b.end-b.base == int64(len(b.pages))*pageSize:
+			b.pages = append(b.pages, bufpool.Get())
+		}
+		n := copy(b.at(b.end), p)
+		b.end += int64(n)
+		p = p[n:]
+	}
 }
 
-// AddStream registers the first transmission of a segment whose
-// connection-level sequence differs from its stream-level one: seq
-// orders the segment within its stream (the scoreboard's key), conn is
-// the connection-level number stamped in the frame header, against
-// which connection-level SACK vectors resolve it (see OnConnSACK). It
-// copies the payload as Add does; Add is AddStream with the two spaces
-// coinciding.
-func (b *SendBuffer) AddStream(now time.Duration, seq, conn seqspace.Seq, payload []byte) {
-	if b.ring == nil { // first Add
+// at returns the store from stream offset off to the end of its page.
+func (b *SendBuffer) at(off int64) []byte {
+	rel := off - b.base
+	pg := b.pages[rel/pageSize]
+	return pg[int(rel%pageSize)-(pageSize-len(pg)):]
+}
+
+// Queued returns the bytes written and not yet cut into a segment.
+func (b *SendBuffer) Queued() int { return int(b.end - b.cut) }
+
+// Cut takes the next segment, in sequence order, off the queued bytes:
+// at most mss of them, none for a bare FIN. It registers the segment's
+// first transmission at now and returns its length. seq orders it within
+// its stream, conn is the connection-level number its frame header
+// carries, against which OnConnSACK resolves it.
+func (b *SendBuffer) Cut(now time.Duration, seq, conn seqspace.Seq, mss int) int {
+	if b.ring == nil { // first segment
 		b.cumAck, b.head = seq, seq
 	} else if seq != b.head.Add(b.n) {
-		panic("sack: Add out of order")
+		panic("sack: Cut out of order")
 	}
 	if b.n == len(b.ring) {
 		b.grow()
 	}
+	n := min(mss, b.Queued())
 	b.n++
-	*b.seg(seq) = segment{conn: conn, payload: b.keep(seq, payload), firstSent: now, lastSent: now}
+	*b.seg(seq) = segment{off: b.cut, n: n, firstSent: now, lastSent: now, conn: conn}
+	b.cut += int64(n)
 	b.update(seq)
+	return n
 }
 
-// keep copies segment seq's payload into the last page, or into a fresh
-// one from the pool when it does not fit, and returns the copy. An empty
-// payload (a bare FIN) takes no room and no page.
-func (b *SendBuffer) keep(seq seqspace.Seq, p []byte) []byte {
-	if len(p) == 0 {
-		return nil
+// Add is Write and Cut of one whole payload, seq in both spaces, on a
+// buffer with nothing queued.
+func (b *SendBuffer) Add(now time.Duration, seq seqspace.Seq, payload []byte) {
+	b.Write(payload)
+	b.Cut(now, seq, seq, len(payload))
+}
+
+// Payload returns segment seq's bytes in the store, in two parts where it
+// crosses a page edge (tail is empty otherwise). seq must be in the
+// flight; the parts stay valid until an acknowledgment releases it.
+func (b *SendBuffer) Payload(seq seqspace.Seq) (head, tail []byte) {
+	s := b.seg(seq)
+	if s.n == 0 {
+		return nil, nil
 	}
-	if len(b.pages) == 0 || b.fill+len(p) > pageSize {
-		b.pages = append(b.pages, page{buf: pagePool.Get().(*[pageSize]byte)})
-		b.fill = 0
+	if head = b.at(s.off); len(head) >= s.n {
+		return head[:s.n], nil
 	}
-	pg := &b.pages[len(b.pages)-1]
-	pg.last = seq
-	kept := pg.buf[b.fill : b.fill+len(p) : b.fill+len(p)]
-	b.fill += copy(kept, p)
-	return kept
+	return head, b.at(s.off + int64(len(head)))[:s.n-len(head)]
 }
 
 // grow doubles the ring (from nothing, to 16 slots) and re-seats the
@@ -271,21 +286,18 @@ func (b *SendBuffer) firstUnresolved() (seqspace.Seq, bool) {
 // Len returns the number of segments sent and not yet released.
 func (b *SendBuffer) Len() int { return b.n }
 
-// CumAck returns the sender's view of the receiver's cumulative ack.
-func (b *SendBuffer) CumAck() seqspace.Seq { return b.cumAck }
-
 // release drops the k oldest segments, returning the bytes among them
-// that no SACK had resolved, and hands back to the pool every page the
-// head has passed — the last one too once the flight is empty. One step
-// per segment and per page released.
+// that no SACK had resolved, and hands back to the pool every page below
+// the oldest byte still held — all of them once nothing is. One step per
+// segment and per page released.
 func (b *SendBuffer) release(k int) (newly int) {
 	for ; k > 0; k-- {
 		s := b.seg(b.head)
 		if !s.sacked {
-			newly += len(s.payload)
+			newly += s.n
 			b.delivered(s)
 		}
-		// An empty slot reads as resolved and pins no payload.
+		// An empty slot reads as resolved.
 		*s = segment{sacked: true}
 		b.update(b.head)
 		b.head = b.head.Next()
@@ -294,15 +306,22 @@ func (b *SendBuffer) release(k int) (newly int) {
 	for len(b.top) > 0 && b.top[0].Less(b.head) {
 		b.top = b.top[:copy(b.top, b.top[1:])]
 	}
-	done := 0
-	for done < len(b.pages) && b.pages[done].last.Less(b.head) {
-		pagePool.Put(b.pages[done].buf)
-		done++
+	lo := b.cut
+	if b.n > 0 {
+		lo = b.seg(b.head).off
+	}
+	done := len(b.pages)
+	if lo < b.end {
+		done = int((lo - b.base) / pageSize)
 	}
 	if done > 0 {
+		for _, pg := range b.pages[:done] {
+			bufpool.PutChunk(pg)
+		}
 		kept := copy(b.pages, b.pages[done:])
 		clear(b.pages[kept:]) // pooled pages must not stay reachable from here
 		b.pages = b.pages[:kept]
+		b.base += int64(done) * pageSize
 	}
 	return newly
 }
@@ -316,7 +335,7 @@ func (b *SendBuffer) mark(lo, hi seqspace.Seq) (newly int) {
 			continue
 		}
 		s.sacked, s.lost = true, false
-		newly += len(s.payload)
+		newly += s.n
 		b.delivered(s)
 		b.update(q)
 		b.top = append(b.top, q)
@@ -358,7 +377,7 @@ func (b *SendBuffer) OnSACK(now time.Duration, cum seqspace.Seq, blocks []seqspa
 // OnConnSACK folds a *connection-level* acknowledgment vector into the
 // scoreboard: cum and blocks live in the connection sequence space that
 // frame headers are stamped with, and each segment is matched through
-// the conn number recorded by AddStream. Segments whose conn precedes
+// the conn number recorded by Cut. Segments whose conn precedes
 // cum are released — the receiver either received them contiguously or
 // echoed the sender's own ack floor, which only passes segments already
 // resolved or abandoned here. It returns the bytes newly resolved.
@@ -419,16 +438,15 @@ func (b *SendBuffer) MinUnresolvedConn() (conn seqspace.Seq, ok bool) {
 }
 
 // NextRetransmitSeg returns the oldest segment due for retransmission —
-// declared lost, or unacknowledged for longer than rto — marking it
-// retransmitted at now. The payload is the buffer's own copy, valid until
-// the next Add, OnSACK or OnConnSACK on this buffer, which may hand its
-// page to another scoreboard. Under partial reliability, segments older
-// than the deadline are abandoned instead of returned. ok is false when
-// nothing is due. Both sequence spaces of the segment are returned: seq
-// within the stream and conn at the connection level (a retransmission
-// reuses the original connection number, so rate control keeps seeing
-// one sequence per first transmission).
-func (b *SendBuffer) NextRetransmitSeg(now time.Duration, rto time.Duration) (seq, conn seqspace.Seq, payload []byte, ok bool) {
+// declared lost, or unacknowledged for longer than rto — and its length,
+// marking it retransmitted at now; Payload has the bytes its first
+// transmission carried. Under partial reliability, segments
+// older than the deadline are abandoned instead of returned. ok is false
+// when nothing is due. Both sequence spaces of the segment are returned:
+// seq within the stream and conn at the connection level (a
+// retransmission reuses the original connection number, so rate control
+// keeps seeing one sequence per first transmission).
+func (b *SendBuffer) NextRetransmitSeg(now time.Duration, rto time.Duration) (seq, conn seqspace.Seq, n int, ok bool) {
 	// Comparisons are inclusive so a wake-up scheduled from NextTimeout
 	// at exactly the boundary finds the work ready.
 	if b.Deadline > 0 {
@@ -447,14 +465,14 @@ func (b *SendBuffer) NextRetransmitSeg(now time.Duration, rto time.Duration) (se
 	}
 	q, ok := b.next(b.head, limit)
 	if !ok {
-		return 0, 0, nil, false
+		return 0, 0, 0, false
 	}
 	s := b.seg(q)
 	s.lost, s.lastSent = false, now
 	s.retx++
 	b.Retransmits++
 	b.update(q)
-	return q, s.conn, s.payload, true
+	return q, s.conn, s.n, true
 }
 
 // NextTimeout returns the earliest instant at which NextRetransmitSeg

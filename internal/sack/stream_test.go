@@ -16,7 +16,7 @@ func TestOnConnSACKResolvesByConnSeq(t *testing.T) {
 	// Stream seqs 1..4 mapped to sparse connection seqs.
 	conns := []seqspace.Seq{10, 13, 17, 22}
 	for i, c := range conns {
-		b.AddStream(0, seqspace.Seq(i+1), c, []byte{byte(i)})
+		addStream(b, 0, seqspace.Seq(i+1), c, []byte{byte(i)})
 	}
 	// Connection-level cum 14 releases conn 10 and 13.
 	if got := b.OnConnSACK(0, 14, nil); got != 2 {
@@ -25,8 +25,8 @@ func TestOnConnSACKResolvesByConnSeq(t *testing.T) {
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", b.Len())
 	}
-	if got := b.CumAck(); got != 3 {
-		t.Fatalf("stream CumAck = %d, want 3", got)
+	if got := b.cumAck; got != 3 {
+		t.Fatalf("stream cumAck = %d, want 3", got)
 	}
 	// A block covering conn 22 SACKs the last segment, leaving 17.
 	b.OnConnSACK(0, 14, []seqspace.Range{{Lo: 22, Hi: 23}})
@@ -58,15 +58,15 @@ func TestStreamSeqWraparound(t *testing.T) {
 
 	b := NewSendBuffer(0)
 	for i := 0; i < n; i++ {
-		b.AddStream(0, start.Add(i), connStart.Add(2*i), []byte{byte(i)})
+		addStream(b, 0, start.Add(i), connStart.Add(2*i), []byte{byte(i)})
 	}
 	// Connection cum past the first six (wrapped) segments.
 	b.OnConnSACK(0, connStart.Add(11), nil)
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", b.Len())
 	}
-	if got := b.CumAck(); got != start.Add(6) {
-		t.Fatalf("CumAck = %d, want %d", got, start.Add(6))
+	if got := b.cumAck; got != start.Add(6) {
+		t.Fatalf("cumAck = %d, want %d", got, start.Add(6))
 	}
 	conn, ok := b.MinUnresolvedConn()
 	if !ok || conn != connStart.Add(12) {
@@ -176,8 +176,8 @@ func TestUnorderedDeliversAroundHoles(t *testing.T) {
 // connection level only.
 func TestOnConnSACKKeepsDeadlineAbandonment(t *testing.T) {
 	b := NewSendBuffer(100 * time.Millisecond)
-	b.AddStream(0, 1, 50, []byte("x"))
-	b.AddStream(0, 2, 51, []byte("y"))
+	addStream(b, 0, 1, 50, []byte("x"))
+	addStream(b, 0, 2, 51, []byte("y"))
 	// Segment 1 lost; at t=150ms it is past the deadline.
 	if _, _, _, ok := b.NextRetransmitSeg(150*time.Millisecond, time.Second); ok {
 		t.Fatal("expired segment retransmitted")
