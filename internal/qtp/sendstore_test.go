@@ -84,7 +84,7 @@ func (w *wireCheck) Recv(pk *netsim.Packet) {
 // segments cross page edges and the small first page of an emptied
 // store; on an expiring stream some segments are abandoned, and the head
 // passes them once the receiver skips their holes. A page handed back one
-// segment early, or a segment cut one byte off, shows up as other bytes.
+// segment early, or a segment cut one byte off, fails it.
 func TestRetransmissionCarriesFirstBytes(t *testing.T) {
 	const deadline = 120 * time.Millisecond // four round trips
 	for _, tc := range []struct {

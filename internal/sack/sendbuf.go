@@ -7,8 +7,8 @@
 // than a deadline, with the receiver skipping stale holes (receiver-
 // driven release, like PR-SCTP's effect without extra signalling: the
 // receiver's cumulative ack is authoritative — once it passes a hole the
-// sender abandons the data). A no-reliability stream never adds a
-// segment to its scoreboard.
+// sender abandons the data). A no-reliability stream resolves each
+// segment once it is sent.
 //
 // Loss detection is one rule, whatever controller sets the rate: three
 // SACKed segments above a hole declare it lost, and a retransmission is
