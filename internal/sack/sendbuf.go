@@ -440,12 +440,12 @@ func (b *SendBuffer) MinUnresolvedConn() (conn seqspace.Seq, ok bool) {
 // NextRetransmitSeg returns the oldest segment due for retransmission —
 // declared lost, or unacknowledged for longer than rto — and its length,
 // marking it retransmitted at now; Payload has the bytes its first
-// transmission carried. Under partial reliability, segments
-// older than the deadline are abandoned instead of returned. ok is false
-// when nothing is due. Both sequence spaces of the segment are returned:
-// seq within the stream and conn at the connection level (a
-// retransmission reuses the original connection number, so rate control
-// keeps seeing one sequence per first transmission).
+// transmission carried. Under partial reliability, segments older than
+// the deadline are abandoned instead of returned. ok is false when
+// nothing is due. Both sequence spaces of the segment are returned: seq
+// within the stream and conn at the connection level (a retransmission
+// reuses the original connection number, so rate control keeps seeing
+// one sequence per first transmission).
 func (b *SendBuffer) NextRetransmitSeg(now time.Duration, rto time.Duration) (seq, conn seqspace.Seq, n int, ok bool) {
 	// Comparisons are inclusive so a wake-up scheduled from NextTimeout
 	// at exactly the boundary finds the work ready.
