@@ -20,10 +20,10 @@ type Link struct {
 	loss  LossModel
 	dst   Handler
 
-	txing  *Packet // on the transmitter; nil when idle
-	flight fifo    // transmitted, not lost, propagating
-	txDone func()  // l.transmitted, bound once
-	arrive func()  // l.deliver, bound once
+	txing  *Packet       // on the transmitter; nil when idle
+	flight ring[arrival] // transmitted, not lost, propagating
+	txDone Timer         // fires l.transmitted, pending while txing != nil
+	arrive Timer         // fires l.deliver for flight's oldest packet
 
 	// Counters (packets / bytes).
 	Sent        Counter // accepted into the queue
@@ -45,6 +45,14 @@ type Counter struct {
 func (c *Counter) add(p *Packet) {
 	c.Packets++
 	c.Bytes += p.Size
+}
+
+// arrival is a packet in flight and the place its arrival takes in the
+// event queue.
+type arrival struct {
+	p   *Packet
+	at  Time
+	seq uint64
 }
 
 // LinkConfig configures NewLink.
@@ -78,8 +86,8 @@ func NewLink(sim *Sim, cfg LinkConfig) *Link {
 		loss:  cfg.Loss,
 		dst:   cfg.Dst,
 	}
-	l.txDone = l.transmitted
-	l.arrive = l.deliver
+	l.txDone = Timer{fn: l.transmitted, index: -1, sim: sim}
+	l.arrive = Timer{fn: l.deliver, index: -1, sim: sim}
 	return l
 }
 
@@ -111,12 +119,15 @@ func (l *Link) transmitNext() {
 		return
 	}
 	txTime := Time(float64(p.Size) / l.rate * float64(time.Second))
-	l.sim.After(txTime, l.txDone)
+	l.sim.seq++
+	l.sim.queue(&l.txDone, l.sim.now+txTime, l.sim.seq)
 }
 
 // transmitted runs when the last bit of l.txing has left: the
 // transmitter is free for the next packet at once, and delivery happens
-// after propagation.
+// after propagation. The arrival's place in the event queue is drawn
+// now, after the loss draw, and kept with the packet; its timer is
+// queued here only if no earlier packet is in flight.
 func (l *Link) transmitted() {
 	p := l.txing
 	l.transmitNext()
@@ -124,15 +135,25 @@ func (l *Link) transmitted() {
 		l.MediumDrops.add(p)
 		return
 	}
-	l.flight.push(p)
-	l.sim.After(l.delay, l.arrive)
+	l.sim.seq++
+	// A negative delay delivers at once, as At runs a past time now.
+	a := arrival{p: p, at: l.sim.now + max(l.delay, 0), seq: l.sim.seq}
+	l.flight.push(a)
+	if l.flight.len() == 1 {
+		l.sim.queue(&l.arrive, a.at, a.seq)
+	}
 }
 
-// deliver hands the oldest packet in flight to the destination. The
-// delay is the same for every packet, so arrivals come in the order the
+// deliver hands the oldest packet in flight to the destination and
+// queues the next one's arrival at the place it was given. The delay is
+// the same for every packet, so arrivals come in the order the
 // transmitter finished them.
 func (l *Link) deliver() {
-	p := l.flight.pop()
+	p := l.flight.pop().p
+	if l.flight.len() > 0 {
+		next := l.flight.front()
+		l.sim.queue(&l.arrive, next.at, next.seq)
+	}
 	l.Delivered.add(p)
 	if l.Tap != nil {
 		l.Tap(l.sim.Now(), p)

@@ -279,7 +279,7 @@ func TestStandingQueueBounded(t *testing.T) {
 	if q.Len() != standing {
 		t.Fatalf("Len = %d, want %d", q.Len(), standing)
 	}
-	if slots := cap(q.q.ring); slots > 2*(standing+1) {
+	if slots := cap(q.q.buf); slots > 2*(standing+1) {
 		t.Fatalf("queue holds %d slots for a peak of %d packets", slots, standing+1)
 	}
 }

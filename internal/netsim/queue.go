@@ -12,52 +12,70 @@ type Queue interface {
 	Bytes() int // bytes queued
 }
 
-// fifo is the packet FIFO of the disciplines below and of a link's
-// packets in flight: a ring that reuses its array, grown by doubling
-// only when full, so its size follows the peak occupancy.
+// ring is a FIFO that reuses its array, grown by doubling only when
+// full, so its size follows the peak occupancy. The queues below keep
+// their packets in one, and a link its packets in flight.
+type ring[T any] struct {
+	buf  []T
+	head int // index of the oldest element
+	n    int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		buf := make([]T, max(2*len(r.buf), 8))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = v
+	r.n++
+}
+
+// front returns the oldest element; the ring must not be empty.
+func (r *ring[T]) front() *T { return &r.buf[r.head] }
+
+// pop removes the oldest element and returns it; the ring must not be
+// empty.
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return v
+}
+
+func (r *ring[T]) len() int { return r.n }
+
+// fifo is the packet FIFO of the disciplines below: a ring that also
+// counts the bytes it holds.
 type fifo struct {
-	ring  []*Packet
-	head  int // index of the oldest packet
-	n     int
+	ring[*Packet]
 	bytes int
 }
 
 func (f *fifo) push(p *Packet) {
-	if f.n == len(f.ring) {
-		f.grow()
-	}
-	i := f.head + f.n
-	if i >= len(f.ring) {
-		i -= len(f.ring)
-	}
-	f.ring[i] = p
-	f.n++
+	f.ring.push(p)
 	f.bytes += p.Size
-}
-
-func (f *fifo) grow() {
-	ring := make([]*Packet, max(2*len(f.ring), 8))
-	k := copy(ring, f.ring[f.head:])
-	copy(ring[k:], f.ring[:f.head])
-	f.ring, f.head = ring, 0
 }
 
 func (f *fifo) pop() *Packet {
 	if f.n == 0 {
 		return nil
 	}
-	p := f.ring[f.head]
-	f.ring[f.head] = nil
-	f.head++
-	if f.head == len(f.ring) {
-		f.head = 0
-	}
-	f.n--
+	p := f.ring.pop()
 	f.bytes -= p.Size
 	return p
 }
 
-func (f *fifo) len() int  { return f.n }
 func (f *fifo) size() int { return f.bytes }
 
 // DropTail is a FIFO queue that drops arrivals once it holds LimitPkts

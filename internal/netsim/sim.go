@@ -27,10 +27,20 @@
 //
 // A Link's transmitter holds one packet at a time and its propagation
 // delay is fixed, so packets arrive in the order they left the
-// transmitter: a link keeps its packets in flight in a FIFO and its two
-// events (transmission done, arrival) are method values bound once at
-// construction. A packet through a link costs the two timers and
-// nothing else.
+// transmitter. A link therefore holds at most two places in the queue,
+// whatever the bandwidth-delay product: its own two timers, embedded in
+// the Link with their callbacks bound once at construction, one for the
+// packet on the transmitter and one for the oldest packet in flight. A
+// packet through a link allocates nothing.
+//
+// The order of events is the one a timer per packet would give. Each
+// packet's arrival gets its (at, seq) when its transmission ends, where
+// an After call would have drawn it, and keeps it in the link's flight
+// FIFO. Only the oldest arrival is queued; delivering it queues the next
+// at that packet's recorded (at, seq). The delay is fixed, so that place
+// is never before the one just delivered, and the queue orders by
+// (at, seq) alone, so a timer that enters it later, but before it is
+// due, fires exactly where it would have fired had it entered at once.
 package netsim
 
 import (
@@ -91,10 +101,18 @@ func (s *Sim) At(at Time, fn func()) *Timer {
 		at = s.now
 	}
 	s.seq++
-	t := &Timer{at: at, seq: s.seq, fn: fn, sim: s}
+	t := &Timer{fn: fn, sim: s}
+	s.queue(t, at, s.seq)
+	return t
+}
+
+// queue puts t, which must not be pending, in the queue to fire at
+// (at, seq). at must not be before Now, and seq must have been drawn
+// from s.seq.
+func (s *Sim) queue(t *Timer, at Time, seq uint64) {
+	t.at, t.seq = at, seq
 	s.timers = append(s.timers, t)
 	s.up(len(s.timers) - 1)
-	return t
 }
 
 // After schedules fn to run d from now.

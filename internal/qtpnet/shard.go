@@ -602,7 +602,9 @@ func (sh *shard) handleFrame(c *Conn, dgram []byte, now time.Duration) error {
 			sh.openFails.Add(1)
 			return err
 		}
-		if epoch >= qcrypto.Epoch1RTT {
+		// The flag only goes from false to true: load first, so the
+		// established path pays no locked store per datagram.
+		if epoch >= qcrypto.Epoch1RTT && !c.validated.Load() {
 			c.validated.Store(true)
 		}
 		dgram = frame
