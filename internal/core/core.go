@@ -295,20 +295,16 @@ func Negotiate(c Constraints, proposal Profile) Profile {
 	if granted.MaxStreams > c.MaxStreams {
 		granted.MaxStreams = c.MaxStreams
 	}
-	// Re-normalize the stream grant: degraded reliability or a trivial
-	// count falls back to the unprefixed stream 0.
-	if granted.MaxStreams < 2 || granted.Reliability == packet.ReliabilityNone {
-		granted.MaxStreams = 0
-	}
-	if granted.Congestion == packet.CongestionBBR &&
-		(!c.AllowBBR || !c.AllowSenderLoss || granted.TargetRate > 0) {
-		// Refused capability, refused ack-vector feedback (all BBR reads),
-		// or a granted QoS reservation (which needs the gTFRC clamp): fall
-		// back to the TFRC family. The Accept omits the TLV, exactly what
-		// a pre-TLV peer would send.
+	if granted.Congestion == packet.CongestionBBR && (!c.AllowBBR || !c.AllowSenderLoss) {
+		// Refused capability or refused ack-vector feedback (all BBR
+		// reads): fall back to the TFRC family. The Accept omits the TLV,
+		// exactly what a pre-TLV peer would send.
 		granted.Congestion = packet.CongestionTFRC
 	}
-	return granted
+	// Normalize's rules hold over what the constraints cut: degraded
+	// reliability or a trivial count falls back to the unprefixed stream
+	// 0, and a granted QoS reservation keeps the gTFRC clamp.
+	return granted.Normalize()
 }
 
 // String summarises the composition, e.g.

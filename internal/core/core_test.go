@@ -191,16 +191,25 @@ func TestNegotiateResultAlwaysValid(t *testing.T) {
 		Permissive(0),
 		Permissive(1e9),
 		{MaxReliability: packet.ReliabilityPartial, AllowSenderLoss: true},
+		// Streams and BBR allowed, reliability not.
+		{MaxStreams: packet.MaxStreams, AllowBBR: true, AllowSenderLoss: true},
 	}
 	props := []Profile{
 		QTPAF(1e6), QTPLight(), QTPLightReliable(time.Second),
 		QTPLightReliable(0), ClassicTFRC(), {},
+		// BBR with streams over full reliability, and BBR with a QoS
+		// reservation it cannot keep.
+		{Reliability: packet.ReliabilityFull, Congestion: packet.CongestionBBR, MaxStreams: 8},
+		{Reliability: packet.ReliabilityFull, Congestion: packet.CongestionBBR, TargetRate: 1e6},
 	}
 	for i, c := range cons {
 		for j, p := range props {
 			got := Negotiate(c, p)
 			if err := got.Validate(); err != nil {
 				t.Errorf("cons %d prop %d: %v (%v)", i, j, err, got)
+			}
+			if n := got.Normalize(); n != got {
+				t.Errorf("cons %d prop %d: %+v is not normalized (Normalize gives %+v)", i, j, got, n)
 			}
 		}
 	}

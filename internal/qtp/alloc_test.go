@@ -2,6 +2,7 @@ package qtp
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -178,6 +179,9 @@ func TestSendPathAllocFree(t *testing.T) {
 // keeps up reads after every arrival, one chunk a segment; a lagging
 // reader reads once a block, mostly in runs. Only those calls are
 // counted; the sender and the acknowledgments are TestSendPathAllocFree's.
+// No collection runs while they are: a GC empties every sync.Pool, and
+// the pool then allocates its per-P array and regrows its queues as it
+// refills, which is the runtime's cost, not the receive path's.
 func TestReceivePathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -193,16 +197,23 @@ func TestReceivePathAllocFree(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := newAllocPair()
 			p.lag = lag
+			// Collect before the warm-up, which then refills the pools
+			// and regrows their per-P queues, and hold collection off
+			// while counting.
+			runtime.GC()
 			for i := 0; i < 200; i++ {
 				p.block(t) // past slow start, every buffer grown to its size
 			}
 			const blocks = 50
 			before := p.rcv.Stats().DeliveredBytes
-			p.counting = true
-			for i := 0; i < blocks; i++ {
-				p.block(t)
-			}
-			p.counting = false
+			func() {
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				p.counting = true
+				for i := 0; i < blocks; i++ {
+					p.block(t)
+				}
+				p.counting = false
+			}()
 			if got, want := p.rcv.Stats().DeliveredBytes-before, blocks*64*p.snd.profile.MSS; got < want*9/10 {
 				t.Fatalf("%d bytes read in %d blocks, want about %d", got, blocks, want)
 			}

@@ -80,13 +80,6 @@ type Config struct {
 	// stray frame to its owner without shared state; the state machine
 	// itself treats the ID as opaque.
 	LocalID uint32
-	// MaxBacklog caps bytes queued in Write and not yet sent before the
-	// transport pushes back (default 1 MiB). Bytes sent and not yet
-	// acknowledged do not count: the rate controller bounds them, and a
-	// lossy path's flight can outgrow the cap (sim_lossy's sender holds
-	// up to 2.5 MB), so counting them would refuse writes the path can
-	// take.
-	MaxBacklog int
 
 	// Encrypt runs the encrypted handshake: Connect/Accept exchange
 	// X25519 key shares and every other frame must travel inside a
@@ -233,9 +226,6 @@ func NewConn(cfg Config) *Conn {
 	}
 	if cfg.streamStartSeq == 0 {
 		cfg.streamStartSeq = 1
-	}
-	if cfg.MaxBacklog == 0 {
-		cfg.MaxBacklog = 1 << 20
 	}
 	c := &Conn{cfg: cfg, state: StateIdle, nextSeq: cfg.startSeq}
 	c.localID = cfg.LocalID

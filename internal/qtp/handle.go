@@ -255,7 +255,7 @@ func (c *Conn) onData(now time.Duration, hdr *packet.Header, payload []byte) err
 		c.retired[si.ID] = st
 		return nil
 	}
-	if !rs.onData(now, si.Seq, data, hdr.Flags&packet.FlagFIN != 0) {
+	if !rs.OnData(now, si.Seq, data, hdr.Flags&packet.FlagFIN != 0) {
 		// A duplicate means the sender may have missed our final ack;
 		// put the stream's cum back on the tail until it lands.
 		rs.finalAcked = false
@@ -338,13 +338,13 @@ func (c *Conn) onClose(now time.Duration) error {
 // stream 0 never skips, and has nothing behind a hole at its Close.
 func (c *Conn) forwardFinStream0(now time.Duration) {
 	rs := c.recvByID[0]
-	if rs == nil || !rs.connSeq || rs.reasm.SkipAfter == 0 {
+	if rs == nil || !rs.connSeq || rs.SkipAfter == 0 {
 		return
 	}
 	// Nothing past a FIN arrives, so the highest buffered sequence is
 	// the FIN whenever the FIN is buffered.
-	if held := rs.reasm.Blocks(nil, math.MaxInt); len(held) > 0 {
-		rs.reasm.ForceFin(now, held[len(held)-1].Hi.Prev())
+	if held := rs.Blocks(nil, math.MaxInt); len(held) > 0 {
+		rs.ForceFin(now, held[len(held)-1].Hi.Prev())
 	}
 }
 

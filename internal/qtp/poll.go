@@ -115,7 +115,7 @@ func (c *Conn) advance(now time.Duration) {
 	// Streams that skip stale frontier holes do so on their own clock;
 	// whatever that frees up lands on their ready queues.
 	for _, rs := range c.recvOrder {
-		rs.onDeadline(now)
+		rs.OnDeadline(now)
 		c.liftFloor(rs)
 	}
 	c.armStreamResets(now)
@@ -481,7 +481,7 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 		merge(c.nextFBAt)
 	}
 	for _, rs := range c.recvOrder {
-		if t, dok := rs.nextDeadline(); dok {
+		if t, dok := rs.NextDeadline(); dok {
 			merge(t)
 		}
 	}

@@ -175,7 +175,7 @@ func TestPartialReliabilityDeliversOnTimeSubset(t *testing.T) {
 	}
 	// The stream keeps moving: the receiver's reassembler must not stall
 	// on abandoned segments.
-	if n := f.Receiver.recvByID[0].reasm.Buffered(); n > 100 {
+	if n := f.Receiver.recvByID[0].Buffered(); n > 100 {
 		t.Fatalf("reassembler stalled with %d buffered segments", n)
 	}
 }
@@ -298,12 +298,12 @@ func TestWriteBackpressure(t *testing.T) {
 	for _, fr := range framings {
 		t.Run(fr.name, func(t *testing.T) {
 			prof := framed(core.ClassicTFRC(), fr.streams)
-			c := NewConn(Config{Initiator: true, Profile: prof, ConnID: 1, MaxBacklog: 1000})
+			c := NewConn(Config{Initiator: true, Profile: prof, ConnID: 1})
 			c.StartDirect(0, prof, 10*time.Millisecond)
 			checkFraming(t, c, fr.streams)
-			n := c.Write(make([]byte, 1500))
-			if n != 1000 {
-				t.Fatalf("accepted %d, want 1000 (cap)", n)
+			n := c.Write(make([]byte, maxBacklog+500))
+			if n != maxBacklog {
+				t.Fatalf("accepted %d, want %d (cap)", n, maxBacklog)
 			}
 			if c.Write([]byte{1}) != 0 {
 				t.Fatal("accepted past the cap")

@@ -131,7 +131,7 @@ func TestSlowReaderExpiringSansIO(t *testing.T) {
 		Deadline:    100 * time.Millisecond,
 		Feedback:    packet.FeedbackReceiverLoss,
 		MSS:         mss,
-	}, 10*time.Second, func(rs *recvStream) int { return rs.Unread() + rs.reasm.BufferedBytes() })
+	}, 10*time.Second, func(rs *recvStream) int { return rs.Unread() + rs.BufferedBytes() })
 
 	st, rst := r.f.Sender.Stats(), r.f.Receiver.Stats()
 	t.Logf("wrote %d, delivered %d, most held %d; receiver refused %d frames, sender retransmitted %d of %d",

@@ -37,9 +37,9 @@ import (
 //   - Reliability moves per stream: each send stream owns a
 //     sack.SendBuffer (scoreboard keyed by the stream's own sequence
 //     space, segments remembering their connection-level number for ack
-//     matching), and each receive stream owns a mode-appropriate
-//     receiver — a Reassembler for ordered and expiring streams, an
-//     UnorderedReceiver for no-HoL-blocking delivery.
+//     matching), and each receive stream owns a sack.Reassembler, built
+//     for its mode: ordered, ordered with a hole hold (expiring, and the
+//     unreliable stream 0), or unordered (no head-of-line blocking).
 //   - Acknowledgments are connection-level (the CumAck/Blocks of every
 //     feedback frame, from the one Conn.received) plus, with the prefix,
 //     a small per-stream cumulative-ack tail. The sender stamps an "ack
@@ -149,22 +149,12 @@ func (s *sendStream) done() bool {
 	return !s.buf.Unresolved()
 }
 
-// streamReceiver is what the two receive machines have in common.
-type streamReceiver interface {
-	Pop() ([]byte, bool) // next chunk off the ready queue
-	Unread() int         // bytes on the ready queue
-	CumAck() seqspace.Seq
-	Finished() bool
-}
-
 // recvStream is the receiver half of one stream.
 type recvStream struct {
 	id   uint64
 	mode packet.StreamMode
 
-	streamReceiver                         // reasm or unord, whichever the mode uses
-	reasm          *sack.Reassembler       // ordered and expiring modes
-	unord          *sack.UnorderedReceiver // unordered mode
+	*sack.Reassembler // built for the mode (newRecvStream)
 
 	// connSeq marks the unprefixed stream 0, whose sequence space is the
 	// connection's: its cumulative ack doubles as the ack floor.
@@ -177,37 +167,44 @@ type recvStream struct {
 	finalAcked bool
 }
 
-func newRecvStream(id uint64, mode packet.StreamMode, deadline time.Duration, start seqspace.Seq) *recvStream {
+// newRecvStream builds a receive stream; hold is how long an ordered
+// stream holds a hole before delivering around it (0 never: full
+// reliability).
+func newRecvStream(id uint64, mode packet.StreamMode, hold time.Duration, start seqspace.Seq) *recvStream {
 	rs := &recvStream{id: id, mode: mode}
-	switch mode {
-	case packet.StreamReliableUnordered:
-		rs.unord = sack.NewUnorderedReceiver(start)
-		rs.streamReceiver = rs.unord
-		return rs
-	case packet.StreamExpiring:
-		// Hold holes a bit past the sender's retransmission deadline so a
-		// last retransmission still has time to arrive.
-		rs.reasm = sack.NewReassembler(start, deadline+deadline/2)
-	default:
-		rs.reasm = sack.NewReassembler(start, 0)
+	if mode == packet.StreamReliableUnordered {
+		rs.Reassembler = sack.NewUnordered(start)
+	} else {
+		rs.Reassembler = sack.NewReassembler(start, hold)
 	}
-	rs.streamReceiver = rs.reasm
 	return rs
 }
 
-func (rs *recvStream) onData(now time.Duration, seq seqspace.Seq, payload []byte, fin bool) bool {
-	if rs.unord != nil {
-		return rs.unord.OnData(seq, payload, fin)
+// holdFor is the hole hold of a stream the sender describes: an
+// expiring stream holds a hole a bit past the sender's retransmission
+// deadline so a last retransmission still has time to arrive; any other
+// mode never skips.
+func holdFor(mode packet.StreamMode, deadline time.Duration) time.Duration {
+	if mode == packet.StreamExpiring {
+		return deadline + deadline/2
 	}
-	return rs.reasm.OnData(now, seq, payload, fin)
+	return 0
 }
+
+// maxBacklog caps the bytes queued by Write and not yet sent, across a
+// connection's streams, before the transport pushes back. Bytes sent and
+// not yet acknowledged do not count: the rate controller bounds them,
+// and a lossy path's flight can outgrow the cap (sim_lossy's sender
+// holds up to 2.5 MB), so counting them would refuse writes the path can
+// take.
+const maxBacklog = 1 << 20
 
 // deliveryBound caps a stream's unread bytes — what sits on its ready
 // queue, the one place a delivered chunk waits for the application; an
 // arrival that would pass it is refused (see refuses). It mirrors the
-// send side's 1 MiB MaxBacklog default, per stream so a stalled reader
-// cannot take its siblings' buffer, and a constant: what bounds memory
-// is not a knob. On a reliable stream only ready bytes count, never the
+// send side's maxBacklog, per stream so a stalled reader cannot take its
+// siblings' buffer. Both are constants: what bounds memory is not a
+// knob. On a reliable stream only ready bytes count, never the
 // out-of-order buffer, or the frontier retransmission that unblocks
 // delivery could itself be refused; what it frees (at most a flight) may
 // pass the bound. An expiring stream counts its out-of-order buffer too,
@@ -225,22 +222,9 @@ const unreliableSkip = 250 * time.Millisecond
 func (rs *recvStream) refuses(seq seqspace.Seq, n int) bool {
 	held := rs.Unread()
 	if rs.mode == packet.StreamExpiring && seq != rs.CumAck() {
-		held += rs.reasm.BufferedBytes()
+		held += rs.BufferedBytes()
 	}
 	return held+n > deliveryBound
-}
-
-func (rs *recvStream) onDeadline(now time.Duration) {
-	if rs.reasm != nil {
-		rs.reasm.OnDeadline(now)
-	}
-}
-
-func (rs *recvStream) nextDeadline() (time.Duration, bool) {
-	if rs.reasm != nil {
-		return rs.reasm.NextDeadline()
-	}
-	return 0, false
 }
 
 // ---- Conn: stream-layer construction ----------------------------------
@@ -258,8 +242,8 @@ func (c *Conn) stream0Mode() (packet.StreamMode, time.Duration) {
 
 // openRecvStream registers a receive stream, announcing every stream
 // but 0 to AcceptStreamID.
-func (c *Conn) openRecvStream(id uint64, mode packet.StreamMode, deadline time.Duration, start seqspace.Seq) *recvStream {
-	rs := newRecvStream(id, mode, deadline, start)
+func (c *Conn) openRecvStream(id uint64, mode packet.StreamMode, hold time.Duration, start seqspace.Seq) *recvStream {
+	rs := newRecvStream(id, mode, hold, start)
 	c.recvByID[id] = rs
 	c.recvOrder = append(c.recvOrder, rs)
 	if id != 0 {
@@ -269,15 +253,16 @@ func (c *Conn) openRecvStream(id uint64, mode packet.StreamMode, deadline time.D
 }
 
 // openRecvStream0 opens the unprefixed stream 0 on its first frame. No
-// frame says what it is: its mode follows from the profile, and it
-// counts in the connection's sequence space.
+// frame says what it is: its mode and its hole hold follow from the
+// profile, and it counts in the connection's sequence space.
 func (c *Conn) openRecvStream0() *recvStream {
 	mode, deadline := c.stream0Mode()
-	rs := c.openRecvStream(0, mode, deadline, c.cfg.startSeq)
-	rs.connSeq = true
+	hold := holdFor(mode, deadline)
 	if c.profile.Reliability == packet.ReliabilityNone {
-		rs.reasm.SkipAfter = unreliableSkip
+		hold = unreliableSkip
 	}
+	rs := c.openRecvStream(0, mode, hold, c.cfg.startSeq)
+	rs.connSeq = true
 	return rs
 }
 
@@ -295,7 +280,8 @@ func (c *Conn) recvStreamFor(id uint64, mode packet.StreamMode, deadlineMS uint3
 		c.stats.DecodeErrors++
 		return nil, ErrStreamLimit
 	}
-	return c.openRecvStream(id, mode, time.Duration(deadlineMS)*time.Millisecond, c.cfg.streamStartSeq), nil
+	hold := holdFor(mode, time.Duration(deadlineMS)*time.Millisecond)
+	return c.openRecvStream(id, mode, hold, c.cfg.streamStartSeq), nil
 }
 
 // retireStreams reclaims finished streams so MaxStreams caps
@@ -389,7 +375,7 @@ func (c *Conn) WriteStream(id uint64, p []byte) int {
 	if s == nil || !s.open {
 		return 0
 	}
-	room := c.cfg.MaxBacklog - c.BacklogLen()
+	room := maxBacklog - c.BacklogLen()
 	if room <= 0 {
 		return 0
 	}
@@ -465,16 +451,11 @@ func (c *Conn) StreamStats(id uint64) (StreamStats, bool) {
 		}, true
 	}
 	if rs, ok := c.recvByID[id]; ok {
-		st := StreamStats{ID: rs.id, Mode: rs.mode, UnreadBytes: rs.Unread()}
-		if rs.unord != nil {
-			st.DeliveredBytes = rs.unord.DeliveredBytes
-			st.DuplicateSegs = rs.unord.DuplicateSegs
-		} else {
-			st.DeliveredBytes = rs.reasm.DeliveredBytes
-			st.SkippedSegs = rs.reasm.SkippedSegs
-			st.DuplicateSegs = rs.reasm.DuplicateSegs
-		}
-		return st, true
+		return StreamStats{
+			ID: rs.id, Mode: rs.mode, UnreadBytes: rs.Unread(),
+			DeliveredBytes: rs.DeliveredBytes, SkippedSegs: rs.SkippedSegs,
+			DuplicateSegs: rs.DuplicateSegs,
+		}, true
 	}
 	return StreamStats{}, false
 }
@@ -671,12 +652,12 @@ func (c *Conn) onStreamReset(now time.Duration, payload []byte) error {
 	// A stream unknown so far lost every data frame: it is instantiated
 	// just to finish it, so AcceptStreamID and Finished stay consistent.
 	rs, err := c.recvStreamFor(sr.ID, sr.Mode, sr.DeadlineMS)
-	if err != nil || rs == nil || rs.reasm == nil {
+	if err != nil || rs == nil || rs.mode == packet.StreamReliableUnordered {
 		// Refused, already finished and reclaimed, or reliable-unordered
 		// (which never legitimately resets).
 		return err
 	}
-	rs.reasm.ForceFin(now, sr.FinSeq)
+	rs.ForceFin(now, sr.FinSeq)
 	rs.finalAcked = false // (re-)advertise the final cum until it lands
 	c.liftFloor(rs)
 	c.stats.StreamResetsRcvd++

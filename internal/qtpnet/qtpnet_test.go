@@ -100,10 +100,13 @@ func TestLoopbackTransfer(t *testing.T) {
 	// 5 ms until room appears or the connection dies. A connection that
 	// never started cannot drain its backlog, so Write parks for as long
 	// as we let it — and must reuse one pooled timer while it does, not
-	// leave a live time.After (three allocations) behind per poll.
+	// leave a live time.After (three allocations) behind per poll. A
+	// write past the 1 MiB backlog cap fills it.
 	blocked := newConn(conn.sh, conn.peer, 0)
-	blocked.inner = qtp.NewConn(qtp.Config{Initiator: true, Profile: core.QTPLight(), MaxBacklog: 1})
-	blocked.inner.WriteStream(0, []byte{0})
+	blocked.inner = qtp.NewConn(qtp.Config{Initiator: true, Profile: core.QTPLight()})
+	if n := blocked.inner.WriteStream(0, make([]byte, 2<<20)); n == 0 || n == 2<<20 {
+		t.Fatalf("a 2 MiB write took %d bytes: the backlog cap did not bite", n)
+	}
 	time.AfterFunc(200*time.Millisecond, func() { close(blocked.closedCh) })
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -21,18 +21,24 @@ import (
 //  3. the receiver's cumulative ack never exceeds the sender's nextSeq;
 //  4. under partial reliability, everything delivered is a prefix-
 //     respecting subsequence (no duplication, no reordering) and young
-//     segments are never abandoned.
+//     segments are never abandoned;
+//  5. an unordered reassembler (the last 30 trials) delivers every byte
+//     exactly once, in any order, and skips nothing.
 func TestReliabilityModelCheck(t *testing.T) {
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 90; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		full := trial%2 == 0
+		unordered := trial >= 60
+		full := trial%2 == 0 || unordered
 		deadline := time.Duration(0)
 		if !full {
 			deadline = 80 * time.Millisecond
 		}
 		sb := NewSendBuffer(deadline)
 		ra := NewReassembler(0, deadline+deadline/2)
-		if full {
+		switch {
+		case unordered:
+			ra = NewUnordered(0)
+		case full:
 			ra = NewReassembler(0, 0)
 		}
 
@@ -65,6 +71,14 @@ func TestReliabilityModelCheck(t *testing.T) {
 			network = kept
 		}
 
+		// Invariant 3, at every acknowledgment: next is the sender's
+		// next sequence number.
+		ack := func(next int) {
+			if got := ra.CumAck(); seqspace.Seq(next).Less(got) {
+				t.Fatalf("trial %d: cumack %d beyond the sender's next %d", trial, got, next)
+			}
+			sb.OnSACK(now, ra.CumAck(), ra.Blocks(nil, 16))
+		}
 		for i := 0; i < n; i++ {
 			now += 2 * time.Millisecond
 			payload := pay(i)
@@ -72,8 +86,7 @@ func TestReliabilityModelCheck(t *testing.T) {
 			network = append(network, inflight{seqspace.Seq(i), payload, now})
 			if rng.Intn(4) == 0 {
 				deliverSome()
-				blocks := ra.Blocks(nil, 16)
-				sb.OnSACK(now, ra.CumAck(), blocks)
+				ack(i + 1)
 			}
 		}
 		// Drain: alternate feedback and retransmission rounds.
@@ -81,8 +94,7 @@ func TestReliabilityModelCheck(t *testing.T) {
 			now += 10 * time.Millisecond
 			deliverSome()
 			ra.OnDeadline(now)
-			blocks := ra.Blocks(nil, 16)
-			sb.OnSACK(now, ra.CumAck(), blocks)
+			ack(n)
 			for {
 				seq, _, _, ok := sb.NextRetransmitSeg(now, 100*time.Millisecond)
 				if !ok {
@@ -116,21 +128,26 @@ func TestReliabilityModelCheck(t *testing.T) {
 		}
 		prev := -1
 		delivered := 0
+		seen := make([]bool, n)
 		for {
 			p, ok := ra.Pop()
 			if !ok {
 				break
 			}
 			for _, idx := range runIndices(t, p) {
-				if idx <= prev {
+				if seen[idx] || (!unordered && idx <= prev) {
 					t.Fatalf("trial %d: out-of-order/duplicate delivery %d after %d", trial, idx, prev)
 				}
-				prev = idx
+				seen[idx], prev = true, idx
 				delivered++
 			}
 		}
 		if full && delivered != n {
-			t.Fatalf("trial %d: full reliability delivered %d of %d", trial, delivered, n)
+			t.Fatalf("trial %d: full reliability delivered %d of %d (unordered=%v)", trial, delivered, n, unordered)
+		}
+		if full && (ra.SkippedSegs != 0 || !ra.Finished()) {
+			t.Fatalf("trial %d: full reliability skipped %d segments, finished %v (unordered=%v)",
+				trial, ra.SkippedSegs, ra.Finished(), unordered)
 		}
 		if !full {
 			// Liveness: after the deadlines expire nothing stays in

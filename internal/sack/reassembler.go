@@ -36,6 +36,14 @@ import (
 // buffered segments (deliver) get a chunk each, and a skipped hole
 // (OnDeadline, ForceFin) closes the run, so no chunk spans a hole.
 //
+// A reassembler built by NewUnordered serves a reliable-unordered
+// stream: the same record drives the cumulative ack and the SACK blocks,
+// so the sender retransmits exactly the missing segments, but every new
+// segment goes to the ready queue the moment it arrives, in a chunk of
+// its own (never a run: consecutive arrivals need not be consecutive
+// segments). Nothing is buffered and nothing is ever skipped; a late
+// retransmission is delivered like any other arrival.
+//
 // What Pop returns belongs to the application, which should hand it back
 // with bufpool.PutChunk once consumed so the steady-state delivery path
 // stays off the garbage collector; an unreleased chunk is merely a pool
@@ -53,6 +61,7 @@ type Reassembler struct {
 
 	holeSince time.Duration // when the current frontier hole was first seen
 	holeOpen  bool
+	unordered bool // deliver each arrival at once (NewUnordered)
 
 	finSeq  seqspace.Seq
 	haveFin bool
@@ -75,6 +84,13 @@ func NewReassembler(start seqspace.Seq, skipAfter time.Duration) *Reassembler {
 	}
 }
 
+// NewUnordered returns a reassembler for a reliable-unordered stream
+// beginning at sequence number start: it delivers every new segment in
+// arrival order, around any hole, and never skips one.
+func NewUnordered(start seqspace.Seq) *Reassembler {
+	return &Reassembler{arrived: seqspace.ReceivedFrom(start), unordered: true}
+}
+
 // OnData processes a data segment. fin marks the final segment of the
 // stream. It returns true if the segment was new (not a duplicate or
 // stale arrival). The payload is copied if it must be buffered.
@@ -87,6 +103,11 @@ func (r *Reassembler) OnData(now time.Duration, seq seqspace.Seq, payload []byte
 	if !r.arrived.Add(seq) {
 		r.DuplicateSegs++
 		return false
+	}
+	if r.unordered {
+		r.push(chunkCopy(payload))
+		r.DeliveredBytes += len(payload)
+		return true
 	}
 	if r.arrived.Cum() == seq.Next() {
 		// The next segment expected, and nothing buffered behind it to
@@ -182,8 +203,8 @@ func (f *readyQueue) pushRun(payload []byte) {
 	f.run = true
 }
 
-// Pop returns the next delivered payload, if any: in order from a
-// Reassembler, in arrival order from an UnorderedReceiver.
+// Pop returns the next delivered payload, if any: in order, or in
+// arrival order from a reassembler built by NewUnordered.
 func (f *readyQueue) Pop() ([]byte, bool) {
 	if f.head == len(f.q) {
 		return nil, false

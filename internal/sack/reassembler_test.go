@@ -303,7 +303,7 @@ func compareReassemblers(t *testing.T, seed int64, step int, got *Reassembler, r
 // reader that keeps up gets one 2 KiB chunk per segment; a reader that
 // lags gets the first segment in a chunk and the rest in runs of at most
 // bufpool.Size bytes; no run spans a hole skipped by OnDeadline or
-// ForceFin; an UnorderedReceiver hands out one chunk per segment
+// ForceFin; an unordered reassembler hands out one chunk per segment
 // whatever the reader does.
 func TestReassemblerRuns(t *testing.T) {
 	const mss = 1400
@@ -413,9 +413,9 @@ func TestReassemblerRuns(t *testing.T) {
 	})
 
 	t.Run("unordered", func(t *testing.T) {
-		u := NewUnorderedReceiver(0)
+		u := NewUnordered(0)
 		for i := 0; i < 10; i++ {
-			u.OnData(seqspace.Seq(i), seg(i), false)
+			u.OnData(0, seqspace.Seq(i), seg(i), false)
 		}
 		firsts, caps := drain(t, u)
 		if !slices.Equal(firsts, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {

@@ -17,11 +17,11 @@
 // no option for it.
 //
 // The package serves streams: qtp's one stream engine gives every
-// stream a SendBuffer and a Reassembler or UnorderedReceiver, keyed by
-// the stream's own sequence numbers, and resolves scoreboards against
-// connection-level ack vectors through the conn number each segment
-// remembers (Cut/OnConnSACK). A stream framed without the prefix
-// is the case where the two spaces coincide.
+// stream a SendBuffer and a Reassembler (NewUnordered for an unordered
+// stream), keyed by the stream's own sequence numbers, and resolves
+// scoreboards against connection-level ack vectors through the conn
+// number each segment remembers (Cut/OnConnSACK). A stream framed
+// without the prefix is the case where the two spaces coincide.
 //
 // What bounds what: the SendBuffer is a ring indexed by sequence number
 // under a min-tree, both sized by the largest flight the stream has had
@@ -34,9 +34,9 @@
 // empty store starts in a 2 KiB chunk). A segment is an offset and a
 // length there: a byte is copied in once and out once per transmission.
 // A store holds only the pages its flight and queue span, and a drained
-// one holds none. Both receivers record what arrived in a
-// seqspace.Received, the cumulative ack and the ranges above it (the
-// Reassembler holds those ranges' payloads too), and queue what is
+// one holds none. The Reassembler records what arrived in a
+// seqspace.Received, the cumulative ack and the ranges above it (and,
+// ordered, holds those ranges' payloads too), and queues what is
 // deliverable in pooled buffers: one 2 KiB chunk per segment while the
 // application keeps up, and in-order runs of up to 64 KiB behind unread
 // data (see Reassembler).

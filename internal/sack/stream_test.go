@@ -99,11 +99,11 @@ func TestStreamSeqWraparound(t *testing.T) {
 		}
 	}
 
-	// Unordered receiver across the wrap.
-	u := NewUnorderedReceiver(start)
+	// Unordered reassembler across the wrap.
+	u := NewUnordered(start)
 	order := []int{3, 0, 5, 1, 2, 4, 7, 6}
 	for _, i := range order {
-		if !u.OnData(start.Add(i), []byte{byte(i)}, i == n-1) {
+		if !u.OnData(0, start.Add(i), []byte{byte(i)}, i == n-1) {
 			t.Fatalf("segment %d treated as duplicate", i)
 		}
 	}
@@ -125,10 +125,10 @@ func TestStreamSeqWraparound(t *testing.T) {
 // behind a hole are delivered immediately, the hole's SACK state stays
 // accurate, and a late retransmission is still delivered (not skipped).
 func TestUnorderedDeliversAroundHoles(t *testing.T) {
-	u := NewUnorderedReceiver(1)
-	u.OnData(1, []byte("a"), false)
-	u.OnData(3, []byte("c"), false) // 2 missing
-	u.OnData(4, []byte("d"), true)
+	u := NewUnordered(1)
+	u.OnData(0, 1, []byte("a"), false)
+	u.OnData(0, 3, []byte("c"), false) // 2 missing
+	u.OnData(0, 4, []byte("d"), true)
 
 	got := ""
 	for {
@@ -152,7 +152,7 @@ func TestUnorderedDeliversAroundHoles(t *testing.T) {
 		t.Fatalf("blocks = %v, want [3,5)", blocks)
 	}
 	// The late retransmission of 2 is delivered, never skipped.
-	if !u.OnData(2, []byte("b"), false) {
+	if !u.OnData(0, 2, []byte("b"), false) {
 		t.Fatal("retransmission of 2 rejected")
 	}
 	p, ok := u.Pop()
@@ -163,7 +163,7 @@ func TestUnorderedDeliversAroundHoles(t *testing.T) {
 		t.Fatalf("Finished=%v CumAck=%d, want true/5", u.Finished(), u.CumAck())
 	}
 	// True duplicates are counted, not re-delivered.
-	if u.OnData(3, []byte("c"), false) {
+	if u.OnData(0, 3, []byte("c"), false) {
 		t.Fatal("duplicate accepted")
 	}
 	if u.DuplicateSegs != 1 {
