@@ -15,8 +15,10 @@
 // has nothing unread is copied into a chunk of its own; in-order
 // segments that arrive behind unread data are appended to a run buffer
 // of Size, so a reader that falls behind takes up to 64 KiB per read.
-// The application releases whatever it read with PutChunk, which takes
-// either class back.
+// Segments held behind a hole take a chunk each, and under full
+// reliability a run of them that would fill a buffer of Size moves into
+// one and goes on in them. The application releases whatever it read
+// with PutChunk, which takes either class back.
 //
 // Ownership is strict: a buffer obtained from Get/GetChunk belongs to
 // the caller until it is handed back with Put/PutChunk, and must not be

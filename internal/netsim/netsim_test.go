@@ -66,6 +66,30 @@ func TestTimerStopAfterFire(t *testing.T) {
 	}
 }
 
+// TestTimerNeverReused holds a fired or stopped Timer to its own: the
+// timers scheduled after it, more than a block of them, neither share
+// it nor can be cancelled through it.
+func TestTimerNeverReused(t *testing.T) {
+	s := New(1)
+	fired := s.After(time.Second, func() {})
+	stopped := s.After(2*time.Second, func() {})
+	s.Run(time.Second)
+	stopped.Stop()
+	count := 0
+	for i := 0; i < 3*timerSlab; i++ {
+		if tm := s.After(time.Second, func() { count++ }); tm == fired || tm == stopped {
+			t.Fatalf("timer %d reuses an earlier one", i)
+		}
+	}
+	if fired.Stop() || stopped.Stop() {
+		t.Fatal("Stop on a fired or stopped timer cancelled a later one")
+	}
+	s.RunUntilIdle()
+	if count != 3*timerSlab {
+		t.Fatalf("%d of %d later timers fired", count, 3*timerSlab)
+	}
+}
+
 func TestRunUntil(t *testing.T) {
 	s := New(1)
 	count := 0

@@ -11,13 +11,15 @@
 // # Event queue
 //
 // The scheduler's queue is a binary heap of pending timers and nothing
-// else: a Timer is its own heap entry, so At allocates exactly one
-// object. Timers fire in (at, seq) order, seq being the order in which
-// they were scheduled; that order is total, so equal times run in
-// scheduling order and a seed reproduces the same run. Stop removes a
-// pending timer from the heap at once, in O(log n); a timer that fired
-// or was stopped is no longer in the heap, and Stop on it returns false,
-// also from inside its own callback.
+// else: a Timer is its own heap entry. At takes its Timer from a block
+// the Sim allocates timerSlab at a time, so a scheduled callback costs
+// one allocation per timerSlab calls. Timers fire in (at, seq) order,
+// seq being the order in which they were scheduled; that order is total,
+// so equal times run in scheduling order and a seed reproduces the same
+// run. Stop removes a pending timer from the heap at once, in O(log n);
+// a timer that fired or was stopped is no longer in the heap, and Stop
+// on it returns false, also from inside its own callback. A timer is
+// never reused, so that stays true however many timers follow it.
 //
 // Because stopped timers leave no trace in the queue, RunUntilIdle ends
 // with Now at the time of the last callback that fired, not at that of a
@@ -56,6 +58,8 @@ type Time = time.Duration
 type Sim struct {
 	now    Time
 	timers []*Timer // min-heap by (at, seq); each timer knows its index
+	slab   []Timer  // At's current block of timers; slab[used:] is unused
+	used   int
 	seq    uint64
 	rng    *rand.Rand
 }
@@ -100,11 +104,21 @@ func (s *Sim) At(at Time, fn func()) *Timer {
 	if at < s.now {
 		at = s.now
 	}
+	if s.used == len(s.slab) {
+		s.slab, s.used = make([]Timer, timerSlab), 0
+	}
+	t := &s.slab[s.used]
+	s.used++
+	t.fn, t.sim = fn, s
 	s.seq++
-	t := &Timer{fn: fn, sim: s}
 	s.queue(t, at, s.seq)
 	return t
 }
+
+// timerSlab is how many timers At allocates at once. A block stays
+// alive while a caller holds any timer in it: at most this many timers'
+// worth of memory per timer held.
+const timerSlab = 64
 
 // queue puts t, which must not be pending, in the queue to fire at
 // (at, seq). at must not be before Now, and seq must have been drawn

@@ -22,10 +22,14 @@ type delayLine struct {
 	frame [256][]byte
 	head  int
 	n     int
+
+	sent int                 // frames polled into the line
+	lose func(sent int) bool // when set, drops the frame it is true for
 }
 
 // send polls c for one frame into the line's next buffer, to arrive at
-// at; false when c has nothing due.
+// at; false when c has nothing due. A frame the line loses is polled and
+// dropped.
 func (l *delayLine) send(t *testing.T, c *Conn, now, at time.Duration) bool {
 	if l.n == len(l.frame) {
 		t.Fatal("delay line full")
@@ -37,6 +41,9 @@ func (l *delayLine) send(t *testing.T, c *Conn, now, at time.Duration) bool {
 	f, ok := c.PollFrameAppend(now, l.frame[i][:0])
 	if !ok {
 		return false
+	}
+	if l.sent++; l.lose != nil && l.lose(l.sent-1) {
+		return true
 	}
 	l.frame[i], l.at[i] = f, at
 	l.n++
@@ -67,6 +74,7 @@ type allocPair struct {
 	rxAllocs uint64
 	reads    int  // chunks ReadStream returned while counting
 	lag      bool // read once a block, not after every arrival
+	hole     bool // lose each block's first frame, read after every arrival
 	ms       runtime.MemStats
 }
 
@@ -103,7 +111,7 @@ func (p *allocPair) step(t *testing.T) {
 	p.now = max(p.now, next)
 	p.receive(!p.lag)
 	p.rev.deliver(p.snd, p.now)
-	for p.snd.BacklogLen() > 0 && p.fwd.send(t, p.snd, p.now, p.now+allocOneWay) {
+	for (p.snd.BacklogLen() > 0 || p.hole) && p.fwd.send(t, p.snd, p.now, p.now+allocOneWay) {
 	}
 	for p.rev.send(t, p.rcv, p.now, p.now+allocOneWay) {
 	}
@@ -136,7 +144,9 @@ func (p *allocPair) receive(read bool) {
 }
 
 // block writes 64 frames' worth and steps until the backlog is sent; a
-// lagging pair reads at the end.
+// lagging pair reads at the end. A pair with a hole loses the block's
+// first frame and steps on until its retransmission has arrived, so the
+// other 63 wait behind it and are popped after it.
 func (p *allocPair) block(t *testing.T) {
 	if p.data == nil {
 		p.data = make([]byte, 64*p.snd.profile.MSS)
@@ -144,7 +154,14 @@ func (p *allocPair) block(t *testing.T) {
 	if n := p.snd.Write(p.data); n != len(p.data) {
 		t.Fatalf("backlog took %d of %d bytes", n, len(p.data))
 	}
+	if p.hole {
+		first := p.fwd.sent
+		p.fwd.lose = func(sent int) bool { return sent == first }
+	}
 	for p.snd.BacklogLen() > 0 {
+		p.step(t)
+	}
+	for p.hole && p.snd.sendByID[0].buf.Unresolved() {
 		p.step(t)
 	}
 	if p.lag {
@@ -173,12 +190,15 @@ func TestSendPathAllocFree(t *testing.T) {
 	t.Logf("%d data frames, %d retransmitted, %v of virtual time", st.DataFramesSent, st.RetransFrames, p.now)
 }
 
-// TestReceivePathAllocFree holds the receiver's in-order path to no
-// heap allocation: blocks of 64 data frames through HandleFrame, read
-// back with ReadStream and released with bufpool.PutChunk. A reader that
+// TestReceivePathAllocFree holds the receiver's path to no heap
+// allocation: blocks of 64 data frames through HandleFrame, read back
+// with ReadStream and released with bufpool.PutChunk. A reader that
 // keeps up reads after every arrival, one chunk a segment; a lagging
-// reader reads once a block, mostly in runs. Only those calls are
-// counted; the sender and the acknowledgments are TestSendPathAllocFree's.
+// reader reads once a block, mostly in runs. Behind a hole, each block's
+// first frame is lost and the other 63 wait in the reassembler's run
+// store, a chunk and two pages, until the retransmission pops them; the
+// reader keeps up. Only those calls are counted; the sender, its
+// retransmissions and the acknowledgments are TestSendPathAllocFree's.
 // No collection runs while they are: a GC empties every sync.Pool, and
 // the pool then allocates its per-P array and regrows its queues as it
 // refills, which is the runtime's cost, not the receive path's.
@@ -189,14 +209,13 @@ func TestReceivePathAllocFree(t *testing.T) {
 	// One P, as testing.AllocsPerRun runs: pooled chunks put on one P's
 	// queue and taken from another's grow the queues, which allocates.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, lag := range []bool{false, true} {
-		name := "keeps-up"
-		if lag {
-			name = "lags"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		lag, hole bool
+	}{{"keeps-up", false, false}, {"lags", true, false}, {"behind-a-hole", false, true}} {
+		t.Run(c.name, func(t *testing.T) {
 			p := newAllocPair()
-			p.lag = lag
+			p.lag, p.hole = c.lag, c.hole
 			// Collect before the warm-up, which then refills the pools
 			// and regrows their per-P queues, and hold collection off
 			// while counting.
@@ -220,10 +239,14 @@ func TestReceivePathAllocFree(t *testing.T) {
 			if p.rxAllocs != 0 {
 				t.Errorf("%d allocations receiving %d blocks of 64 data frames", p.rxAllocs, blocks)
 			}
-			if lag && p.reads >= blocks*64/2 {
+			if c.lag && p.reads >= blocks*64/2 {
 				t.Errorf("%d reads for %d blocks of 64 data frames: the in-order path made no runs", p.reads, blocks)
 			}
-			t.Logf("%d blocks of 64 data frames read in %d chunks", blocks, p.reads)
+			if c.hole && p.reads >= blocks*64/2 {
+				t.Errorf("%d reads for %d blocks of 64 data frames: the held segments came in no runs", p.reads, blocks)
+			}
+			t.Logf("%d blocks of 64 data frames read in %d chunks, %d frames retransmitted in all",
+				blocks, p.reads, p.snd.Stats().RetransFrames)
 		})
 	}
 }

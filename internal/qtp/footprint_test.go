@@ -30,6 +30,23 @@ var footprintStates = []footprintState{
 		p.snd.Write(make([]byte, 64*p.snd.profile.MSS))
 		p.sendWindow(t)
 	}},
+	// 64 frames' worth sent, the first lost: the other 63 arrived and
+	// wait behind the hole, none acknowledged.
+	{"behind-a-hole", func(t *testing.T, p *allocPair) {
+		p.fwd.lose = func(sent int) bool { return sent == 0 }
+		p.snd.Write(make([]byte, 64*p.snd.profile.MSS))
+		p.sendWindow(t)
+		checkHeld(t, p, 63, 1)
+	}},
+	// 96 frames' worth sent, every third lost: two-segment runs behind
+	// alternating one-segment holes, the most runs a window's arrivals
+	// make under full reliability.
+	{"fragmented", func(t *testing.T, p *allocPair) {
+		p.fwd.lose = func(sent int) bool { return sent%3 == 0 }
+		p.snd.Write(make([]byte, 96*p.snd.profile.MSS))
+		p.sendWindow(t)
+		checkHeld(t, p, 64, 32)
+	}},
 	// 64 frames' worth sent, acknowledged and read: nothing in flight.
 	{"drained", func(t *testing.T, p *allocPair) {
 		p.block(t)
@@ -38,6 +55,16 @@ var footprintStates = []footprintState{
 		}
 		p.receive(true)
 	}},
+}
+
+// checkHeld fails unless the receiver's stream 0 holds segs segments in
+// runs runs behind its frontier.
+func checkHeld(t *testing.T, p *allocPair, segs, runs int) {
+	t.Helper()
+	rs := p.rcv.recvByID[0]
+	if got, n := rs.Buffered(), len(rs.Blocks(nil, 1<<10)); got != segs || n != runs {
+		t.Fatalf("receiver holds %d segments in %d runs, want %d in %d", got, n, segs, runs)
+	}
 }
 
 // sendWindow polls the sender until its backlog is sent, handing every
@@ -67,12 +94,18 @@ func (p *allocPair) sendWindow(t *testing.T) {
 // 2 KiB chunk, 64 frames' worth the chunk and two 64 KiB pages. Drained,
 // a sender holds what it held idle plus the segment ring its flight grew
 // to (64 slots, 4 KiB): a page or a chunk kept past the drain breaks the
-// bound.
+// bound. A receiver holds 63 segments behind a hole in two pages, the
+// first filled from the 32 chunks it replaced, and the 64 segments of
+// two-segment runs in a chunk each (one chunk a segment for both, and a
+// map entry each, read 135.8 kB and 138.7 kB): a page for a run of two
+// breaks the fragmented bound.
 var footprintBounds = map[string]struct{ snd, rcv uint64 }{
-	"idle":    {1_700, 1_450},
-	"message": {5_000, 4_100},
-	"window":  {139_500, 135_500},
-	"drained": {6_000, 2_100},
+	"idle":          {1_700, 1_450},
+	"message":       {5_000, 4_100},
+	"window":        {139_500, 135_500},
+	"behind-a-hole": {139_500, 135_000},
+	"fragmented":    {209_500, 137_500},
+	"drained":       {6_000, 2_100},
 }
 
 // TestFootprint reads the heap bytes a connection holds, the sender and

@@ -184,6 +184,27 @@ func TestPaceQuantum(t *testing.T) {
 	}
 }
 
+// TestPaceDueSkipsTheLead holds dataDue, which reads the pacing lead
+// only when it can matter, to the due test it stands for, now +
+// paceAhead() ≥ nextSendAt, at rates from well below one quantum frame
+// to the 64-frame cap and at send times from a quantum and more behind
+// to a quantum and more ahead.
+func TestPaceDueSkipsTheLead(t *testing.T) {
+	c, rc := pacedSender(core.ClassicTFRC())
+	for _, rate := range []float64{1e6, 25e6, 28.5e6, 36e6, 1e8, 1e9, 1e11} {
+		rc.rate = rate
+		lead := c.paceAhead()
+		for wait := -2 * paceQuantum; wait <= 2*paceQuantum; wait += time.Microsecond / 4 {
+			for _, w := range []time.Duration{wait, lead, lead + 1} {
+				c.nextSendAt = time.Second + w
+				if got, want := c.dataDue(time.Second), time.Second+lead >= c.nextSendAt; got != want {
+					t.Fatalf("rate %v, send time %v ahead, lead %v: dataDue = %v, want %v", rate, w, lead, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPaceQuantumOffBelowRate: a sender paced slower than two full
 // frames a quantum (28.5 MB/s at the default MSS) has no lead and paces
 // one frame per interval, as it always did. The cases are the fastest

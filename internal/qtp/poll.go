@@ -96,7 +96,7 @@ func (c *Conn) PollFrameAppend(now time.Duration, dst []byte) (frame []byte, ok 
 	// 3. Sender side: paced data. sendActive also admits a 0-RTT
 	// initiator still in Connecting, whose data rides the first flight
 	// sealed under the early keys.
-	if c.started && c.sendActive() && now+c.paceAhead() >= c.nextSendAt {
+	if c.started && c.sendActive() && c.dataDue(now) {
 		if f, ok := c.buildData(now, dst); ok {
 			return f, true
 		}
@@ -426,6 +426,21 @@ func (c *Conn) paceAhead() time.Duration {
 	return time.Duration(q-1) * ipi
 }
 
+// dataDue reports whether paced data may go at now: now + paceAhead() ≥
+// nextSendAt. The lead is under one paceQuantum, so a send time already
+// reached, or one a quantum or more away, decides it without asking the
+// controller for its rate.
+func (c *Conn) dataDue(now time.Duration) bool {
+	switch wait := c.nextSendAt - now; {
+	case wait <= 0:
+		return true
+	case wait >= paceQuantum:
+		return false
+	default:
+		return c.paceAhead() >= wait
+	}
+}
+
 // pace advances the pacing schedule by one frame's interval. While the
 // connection was pacing-limited, or is running ahead of its schedule
 // inside a quantum, the schedule keeps its own time, so a poll L late
@@ -489,7 +504,11 @@ func (c *Conn) NextWake(now time.Duration) (at time.Duration, ok bool) {
 		// Data is due at the pacing boundary less the quantum's lead: a
 		// wake at the boundary itself would park the driver for up to a
 		// quantum, which an idle runtime oversleeps to its timer tick.
-		release := c.nextSendAt - c.paceAhead()
+		// A send time already reached is due now whatever the lead.
+		release := c.nextSendAt
+		if release > now {
+			release -= c.paceAhead()
+		}
 		if c.sendWorkPending() && c.rc.CanSend() {
 			// Fresh data is due at release — but only while the
 			// controller's inflight cap admits it; a window-limited

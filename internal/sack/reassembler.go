@@ -1,6 +1,8 @@
 package sack
 
 import (
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/bufpool"
@@ -19,22 +21,41 @@ import (
 //
 // What arrived is recorded in a seqspace.Received: its cumulative point
 // is the next segment the application expects, and its ranges above
-// that are exactly the segments held in the map. An arrival that is the
-// next segment expected, with nothing buffered right behind it, goes
-// straight to the ready queue without touching the map; when nothing is
-// buffered at all — every arrival on a path that neither loses nor
-// reorders — the record's own prediction costs two comparisons and
-// touches no range either. Any other arrival is buffered and delivered
-// once the cumulative point passes it.
+// that are exactly the segments held for reassembly. An arrival that is
+// the next segment expected, with nothing buffered right behind it, goes
+// straight to the ready queue; when nothing is buffered at all — every
+// arrival on a path that neither loses nor reorders — the record's own
+// prediction costs two comparisons and touches no range either. Any
+// other arrival waits in the run store until the cumulative point passes
+// it.
 //
 // The in-order path delivers in runs. With nothing unread, the segment
 // gets a pooled 2 KiB chunk (bufpool.GetChunk) of its own, so a reader
 // that keeps up sees one chunk per segment. Behind unread data it is
 // appended to a run buffer of bufpool.Size at the tail of the ready
 // queue, so a reader that falls behind pays one Pop and one release per
-// 64 KiB, not per segment. A run holds consecutive segments only:
-// buffered segments (deliver) get a chunk each, and a skipped hole
-// (OnDeadline, ForceFin) closes the run, so no chunk spans a hole.
+// 64 KiB, not per segment.
+//
+// Behind a hole the bytes wait by the run as well: the run store is a
+// sequence-ordered list of runs, one per range of the record's Above,
+// each holding its segments' payloads in order. An arrival that extends
+// the newest run is an append, a retransmission inside the buffer
+// touches the one or two runs next to it, a segment any distance ahead
+// costs one run, and a filled hole moves the run behind it to the ready
+// queue whole. A held segment takes a 2 KiB chunk of its own, so a lone
+// out-of-order segment costs what an in-order one does. Under full
+// reliability a run that grows to a page's worth of chunks (pageAfter)
+// moves them into one bufpool.Size page, and its later segments fill
+// pages, each delivered as one chunk; the last page of a delivered run
+// becomes the ready queue's run, which the in-order path then extends.
+// A run short of a page's worth holds what its chunks would, so short
+// runs behind many holes cost what they always did: a page for a run of
+// two would cost 16 times its chunks. A stream that skips holes keeps
+// one chunk per segment: its held bytes count against a delivery bound
+// in payload bytes (qtp's deliveryBound), and pages would let its
+// memory outgrow that count. Either way a chunk holds consecutive
+// segments only, and a skipped hole (OnDeadline, ForceFin) closes the
+// ready queue's run, so no chunk spans a hole.
 //
 // A reassembler built by NewUnordered serves a reliable-unordered
 // stream: the same record drives the cumulative ack and the SACK blocks,
@@ -55,9 +76,10 @@ type Reassembler struct {
 	SkipAfter time.Duration
 
 	arrived    seqspace.Received // Cum: the next segment the app expects
-	buf        map[seqspace.Seq][]byte
-	bufBytes   int // payload bytes in buf
-	readyQueue     // delivered, waiting for the application to Pop
+	runs       []run             // one per range of arrived.Above(), ascending
+	spare      [][][]byte        // emptied chunk lists of delivered runs
+	bufBytes   int               // payload bytes held in runs
+	readyQueue                   // delivered, waiting for the application to Pop
 
 	holeSince time.Duration // when the current frontier hole was first seen
 	holeOpen  bool
@@ -80,7 +102,6 @@ func NewReassembler(start seqspace.Seq, skipAfter time.Duration) *Reassembler {
 	return &Reassembler{
 		SkipAfter: skipAfter,
 		arrived:   seqspace.ReceivedFrom(start),
-		buf:       make(map[seqspace.Seq][]byte),
 	}
 }
 
@@ -99,7 +120,6 @@ func (r *Reassembler) OnData(now time.Duration, seq seqspace.Seq, payload []byte
 		r.finSeq = seq
 		r.haveFin = true
 	}
-	from := r.arrived.Cum()
 	if !r.arrived.Add(seq) {
 		r.DuplicateSegs++
 		return false
@@ -109,16 +129,17 @@ func (r *Reassembler) OnData(now time.Duration, seq seqspace.Seq, payload []byte
 		r.DeliveredBytes += len(payload)
 		return true
 	}
-	if r.arrived.Cum() == seq.Next() {
-		// The next segment expected, and nothing buffered behind it to
-		// deliver with it.
-		r.pushRun(payload)
-		r.DeliveredBytes += len(payload)
+	if r.arrived.Cum().LessEq(seq) {
+		r.hold(now, seq, payload)
 		return true
 	}
-	r.buf[seq] = chunkCopy(payload)
-	r.bufBytes += len(payload)
-	r.deliver(now, from)
+	// The next segment expected. If it closed the frontier hole, the run
+	// it joined follows it.
+	r.pushRun(payload)
+	r.DeliveredBytes += len(payload)
+	if r.arrived.Cum() != seq.Next() {
+		r.deliver(now)
+	}
 	return true
 }
 
@@ -134,19 +155,141 @@ func chunkCopy(payload []byte) []byte {
 	return append([]byte(nil), payload...)
 }
 
-// deliver pushes the buffered segments from from up to the cumulative
-// point, which has just moved over them, and maintains the
-// frontier-hole timer.
-func (r *Reassembler) deliver(now time.Duration, from seqspace.Seq) {
-	for s := from; s != r.arrived.Cum(); s = s.Next() {
-		p := r.buf[s]
-		delete(r.buf, s)
-		r.bufBytes -= len(p)
-		r.push(p)
-		r.DeliveredBytes += len(p)
+// run is a range of segments held above the cumulative point and their
+// payloads in sequence order. Each chunk holds consecutive segments of
+// the range; an empty payload (a bare FIN marker) takes none.
+type run struct {
+	seqspace.Range
+	chunks [][]byte
+	loose  int // 2 KiB chunks at the end of chunks a page may take, at most
+}
+
+// pageAfter is how many 2 KiB chunks cost a page: a run that would hold
+// more moves them into one.
+const pageAfter = bufpool.Size / bufpool.ChunkSize
+
+// paged reports whether held runs fill bufpool.Size pages: under full
+// reliability only (see the type's doc).
+func (r *Reassembler) paged() bool { return r.SkipAfter == 0 }
+
+// add appends the payload of the segment at the run's Hi. Every segment
+// takes a chunk of its own until, in a paged run, the chunks at the
+// run's end would cost more than a page: then they and the segment move
+// into one, and the run's later segments fill pages. A segment past the
+// chunk size takes an allocation of its own (chunkCopy).
+func (rn *run) add(p []byte, paged bool) {
+	k := len(rn.chunks)
+	switch {
+	case len(p) == 0:
+	case !paged || len(p) > bufpool.ChunkSize:
+		rn.chunks = append(rn.chunks, chunkCopy(p))
+		rn.loose = 0
+	case k > 0 && cap(rn.chunks[k-1]) == bufpool.Size:
+		if t := rn.chunks[k-1]; len(p) <= cap(t)-len(t) {
+			rn.chunks[k-1] = append(t, p...)
+		} else {
+			b := bufpool.Get()
+			rn.chunks = append(rn.chunks, b[:copy(b, p)])
+		}
+	case rn.loose < pageAfter-1:
+		rn.chunks = append(rn.chunks, chunkCopy(p))
+		rn.loose++
+	default:
+		// pageAfter chunks' worth fits a page: each holds at most
+		// ChunkSize bytes.
+		loose := rn.chunks[k-rn.loose:]
+		b := bufpool.Get()[:0]
+		for i, c := range loose {
+			b = append(b, c...)
+			bufpool.PutChunk(c)
+			loose[i] = nil
+		}
+		rn.chunks = append(rn.chunks[:k-rn.loose], append(b, p...))
+		rn.loose = 0
+	}
+}
+
+// hold keeps the payload of seq, a new arrival above the cumulative
+// point, in the run it extends, the two it joins or a run of its own,
+// and opens the frontier-hole timer if it was not running.
+func (r *Reassembler) hold(now time.Duration, seq seqspace.Seq, payload []byte) {
+	r.bufBytes += len(payload)
+	if !r.holeOpen {
+		r.holeOpen = true
+		r.holeSince = now
+	}
+	paged := r.paged()
+	n := len(r.runs)
+	if n > 0 && r.runs[n-1].Hi == seq {
+		// The common case: the newest run grows.
+		r.runs[n-1].add(payload, paged)
+		r.runs[n-1].Hi = seq.Next()
+		return
+	}
+	// i is the first run above seq; seq is new, so no run holds it.
+	i := sort.Search(n, func(k int) bool { return seq.Less(r.runs[k].Lo) })
+	left := i > 0 && r.runs[i-1].Hi == seq
+	right := i < n && r.runs[i].Lo == seq.Next()
+	switch {
+	case left && right: // the last segment of a hole: join its two runs
+		a, b := &r.runs[i-1], r.runs[i]
+		a.add(payload, paged)
+		a.chunks = append(a.chunks, b.chunks...)
+		a.Hi, a.loose = b.Hi, b.loose
+		r.recycle(b.chunks)
+		copy(r.runs[i:], r.runs[i+1:])
+		r.runs[n-1] = run{}
+		r.runs = r.runs[:n-1]
+	case left:
+		r.runs[i-1].add(payload, paged)
+		r.runs[i-1].Hi = seq.Next()
+	case right:
+		if len(payload) > 0 {
+			r.runs[i].chunks = slices.Insert(r.runs[i].chunks, 0, chunkCopy(payload))
+		}
+		r.runs[i].Lo = seq
+	default:
+		var chunks [][]byte
+		if k := len(r.spare); k > 0 {
+			chunks, r.spare = r.spare[k-1], r.spare[:k-1]
+		}
+		r.runs = slices.Insert(r.runs, i, run{Range: seqspace.Range{Lo: seq, Hi: seq.Next()}, chunks: chunks})
+		r.runs[i].add(payload, paged)
+	}
+}
+
+// recycle keeps an emptied chunk list for a later run.
+func (r *Reassembler) recycle(chunks [][]byte) {
+	clear(chunks)
+	r.spare = append(r.spare, chunks[:0])
+}
+
+// deliver moves every run the cumulative point has passed — it passes
+// whole runs, and one at a time: the run whose hole closed or was
+// skipped — to the ready queue, and maintains the frontier-hole timer.
+// A delivered run's last page becomes the ready queue's run: it ends
+// right below the cumulative point, where the next delivery starts.
+func (r *Reassembler) deliver(now time.Duration) {
+	n := 0
+	for ; n < len(r.runs) && r.runs[n].Lo.Less(r.arrived.Cum()); n++ {
+		chunks := r.runs[n].chunks
+		for _, c := range chunks {
+			r.push(c)
+			r.bufBytes -= len(c)
+			r.DeliveredBytes += len(c)
+		}
+		if k := len(chunks); k > 0 && r.paged() && cap(chunks[k-1]) == bufpool.Size {
+			r.run = true
+		}
+		r.recycle(chunks)
+	}
+	if n > 0 {
+		k := copy(r.runs, r.runs[n:])
+		clear(r.runs[k:])
+		r.runs = r.runs[:k]
 	}
 	// A hole exists if anything is buffered beyond the frontier.
-	if len(r.arrived.Above()) > 0 {
+	if len(r.runs) > 0 {
 		if !r.holeOpen {
 			r.holeOpen = true
 			r.holeSince = now
@@ -273,7 +416,7 @@ func (r *Reassembler) skipTo(now time.Duration, to seqspace.Seq) {
 		r.SkippedSegs += r.arrived.Cum().Distance(next)
 		r.arrived.Pass(next)
 		r.holeOpen, r.run = false, false
-		r.deliver(now, next)
+		r.deliver(now)
 	}
 }
 
@@ -299,7 +442,13 @@ func (r *Reassembler) ForceFin(now time.Duration, fin seqspace.Seq) {
 }
 
 // Buffered returns the number of segments held for reassembly.
-func (r *Reassembler) Buffered() int { return len(r.buf) }
+func (r *Reassembler) Buffered() int {
+	n := 0
+	for _, rn := range r.runs {
+		n += rn.Len()
+	}
+	return n
+}
 
 // BufferedBytes returns the payload bytes held for reassembly: arrived
 // out of order, not yet on the ready queue.

@@ -11,12 +11,13 @@ import (
 	"repro/internal/seqspace"
 )
 
-// refReassembler is the Reassembler before the in-order path, with its
-// own cumulative ack and interval set: every arrival is recorded in the
-// set and the map, and advance moves it to the ready queue, one chunk per
-// segment. OnDeadline, ForceFin and the accessors that read the
-// cumulative ack or the set are copied too, so the reference runs only
-// its own code; the other read-only accessors are shared. pushed logs
+// refReassembler is the Reassembler before the in-order path and the
+// run store, with its own cumulative ack, interval set and map of held
+// segments: every arrival is recorded in the set and the map, and
+// advance moves it to the ready queue, one chunk per segment.
+// OnDeadline, ForceFin and the accessors that read the cumulative ack,
+// the set or the map are copied too, so the reference runs only its own
+// code; the other read-only accessors are shared. pushed logs
 // each segment advance delivered, in delivery order, empty ones
 // included, so a comparison can tell which segments a chunk of the real
 // Reassembler holds.
@@ -24,12 +25,18 @@ type refReassembler struct {
 	*Reassembler
 	cumAck   seqspace.Seq
 	received seqspace.IntervalSet
+	buf      map[seqspace.Seq][]byte
+	bufBytes int // payload bytes in buf
 	pushed   []refPush
 }
 
 func newRefReassembler(start seqspace.Seq, skip time.Duration) *refReassembler {
-	return &refReassembler{Reassembler: NewReassembler(start, skip), cumAck: start}
+	return &refReassembler{Reassembler: NewReassembler(start, skip), cumAck: start, buf: map[seqspace.Seq][]byte{}}
 }
+
+func (r *refReassembler) Buffered() int { return len(r.buf) }
+
+func (r *refReassembler) BufferedBytes() int { return r.bufBytes }
 
 func (r *refReassembler) CumAck() seqspace.Seq { return r.cumAck }
 
@@ -135,10 +142,11 @@ func (r *refReassembler) ForceFin(now time.Duration, fin seqspace.Seq) {
 // refReassembler through the same seeded schedules — in-order runs,
 // held-back and reordered segments, duplicates, a FIN, skip deadlines
 // and a forced FIN, from a start near the sequence wrap — and compares
-// every observable after every step. The reader drains both queues
-// after a random half of the steps, so runs build up behind unread data
-// and meet the skips; a drain compares the popped streams and checks
-// that each chunk is a run of consecutive segments.
+// every observable after every step, the run store's ranges and held
+// bytes against the reference's record and map included. The reader
+// drains both queues after a random half of the steps, so runs build up
+// behind unread data and meet the skips; a drain compares the popped
+// streams and checks that each chunk is a run of consecutive segments.
 func TestReassemblerInOrderDifferential(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -250,6 +258,41 @@ func compareReassemblers(t *testing.T, seed int64, step int, got *Reassembler, r
 	if a, b := got.Unread(), ref.Unread(); a != b {
 		fail("Unread", a, b)
 	}
+	// The run store: one run per range of Above, each holding the bytes
+	// of the reference's segments in it, in order, and one chunk per
+	// non-empty segment on a stream that skips.
+	above := got.arrived.Above()
+	if len(got.runs) != len(above) {
+		fail("runs", len(got.runs), len(above))
+	}
+	for i, rn := range got.runs {
+		if rn.Range != above[i] {
+			fail("run", rn.Range, above[i])
+		}
+		var want []byte
+		segs := 0
+		for s := rn.Lo; s != rn.Hi; s = s.Next() {
+			p, ok := ref.buf[s]
+			if !ok {
+				fail("run holds", s, "nothing held")
+			}
+			want = append(want, p...)
+			if len(p) > 0 {
+				segs++
+			}
+		}
+		if held := bytes.Join(rn.chunks, nil); !bytes.Equal(held, want) {
+			fail("run bytes", held, want)
+		}
+		for _, c := range rn.chunks {
+			if len(c) == 0 || cap(c) > bufpool.Size {
+				fail("run chunk", []int{len(c), cap(c)}, "bytes within a page")
+			}
+		}
+		if got.SkipAfter > 0 && len(rn.chunks) != segs {
+			fail("chunks in a skipping stream's run", len(rn.chunks), segs)
+		}
+	}
 	if !drain {
 		return
 	}
@@ -302,9 +345,12 @@ func compareReassemblers(t *testing.T, seed int64, step int, got *Reassembler, r
 // TestReassemblerRuns pins what the in-order path hands the reader. A
 // reader that keeps up gets one 2 KiB chunk per segment; a reader that
 // lags gets the first segment in a chunk and the rest in runs of at most
-// bufpool.Size bytes; no run spans a hole skipped by OnDeadline or
-// ForceFin; an unordered reassembler hands out one chunk per segment
-// whatever the reader does.
+// bufpool.Size bytes; segments held behind a hole under full reliability
+// come the same way, a chunk and then pages, and the in-order path goes
+// on filling the last page; a stream that skips holds one chunk per
+// segment; no run spans a hole skipped by OnDeadline or ForceFin; an
+// unordered reassembler hands out one chunk per segment whatever the
+// reader does.
 func TestReassemblerRuns(t *testing.T) {
 	const mss = 1400
 	seg := func(i int) []byte {
@@ -376,6 +422,103 @@ func TestReassemblerRuns(t *testing.T) {
 		for i, c := range caps[1:] {
 			if c != bufpool.Size {
 				t.Fatalf("run %d has capacity %d, want %d", i, c, bufpool.Size)
+			}
+		}
+	})
+
+	t.Run("behind-a-hole", func(t *testing.T) {
+		perRun := bufpool.Size / mss
+		n := 4 + perRun + 10 // held: a full page and 10 segments
+		r := NewReassembler(0, 0)
+		for i := 0; i < 3; i++ {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+		}
+		// 3 is lost; 4..n-1 wait behind it. Up to pageAfter-1 of them
+		// hold a chunk each, then they move into a page, and the rest
+		// fill pages.
+		held := func() (caps []int) {
+			for _, rn := range r.runs {
+				for _, c := range rn.chunks {
+					caps = append(caps, cap(c))
+				}
+			}
+			return caps
+		}
+		for i := 4; i < n; i++ {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+			switch caps := held(); {
+			case i-4 < pageAfter-1:
+				if len(caps) != i-3 || slices.ContainsFunc(caps, func(c int) bool { return c != bufpool.ChunkSize }) {
+					t.Fatalf("%d held segments in capacities %v, want a chunk each", i-3, caps)
+				}
+			case i-4 == pageAfter-1:
+				if !slices.Equal(caps, []int{bufpool.Size}) {
+					t.Fatalf("%d held segments in capacities %v, want one page", i-3, caps)
+				}
+			}
+		}
+		if r.Buffered() != n-4 || r.BufferedBytes() != (n-4)*mss || len(r.runs) != 1 {
+			t.Fatalf("held %d segments, %d B in %d runs; want %d, %d B in 1",
+				r.Buffered(), r.BufferedBytes(), len(r.runs), n-4, (n-4)*mss)
+		}
+		// The retransmission joins the ready queue's run; the held run
+		// follows, and its last page takes the next in-order arrivals.
+		r.OnData(0, 3, seg(3), false)
+		for i := n; i < n+3; i++ {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+		}
+		firsts, caps := drain(t, r)
+		if want := []int{0, 1, 4, 4 + perRun}; !slices.Equal(firsts, want) {
+			t.Fatalf("chunks start at segments %v, want %v", firsts, want)
+		}
+		if !slices.Equal(caps, []int{bufpool.ChunkSize, bufpool.Size, bufpool.Size, bufpool.Size}) {
+			t.Fatalf("chunk capacities %v, want a chunk and three pages", caps)
+		}
+		if r.Buffered() != 0 || r.BufferedBytes() != 0 || len(r.runs) != 0 {
+			t.Fatalf("still holding %d segments, %d B in %d runs", r.Buffered(), r.BufferedBytes(), len(r.runs))
+		}
+	})
+
+	t.Run("retransmissions-inside", func(t *testing.T) {
+		// Holes at 1, 3 and 5..6, filled from the top: a retransmission
+		// that starts a run's range, two that each join two runs, and the
+		// frontier's, which delivers everything. Runs this short hold a
+		// chunk a segment.
+		r := NewReassembler(0, 0)
+		for _, i := range []int{0, 2, 4, 7, 8} {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+		}
+		for _, i := range []int{6, 5, 3} {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+		}
+		if got := r.Blocks(nil, 4); !slices.Equal(got, []seqspace.Range{{Lo: 2, Hi: 9}}) || len(r.runs) != 1 {
+			t.Fatalf("blocks %v in %d runs, want [2, 9) in one", got, len(r.runs))
+		}
+		r.OnData(0, 1, seg(1), false)
+		firsts, _ := drain(t, r)
+		if !slices.Equal(firsts, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}) {
+			t.Fatalf("chunks start at segments %v, want one per segment", firsts)
+		}
+	})
+
+	t.Run("skipping-stream-holds-chunks", func(t *testing.T) {
+		r := NewReassembler(0, 10*time.Millisecond)
+		r.OnData(0, 0, seg(0), false)
+		for i := 2; i < 40; i++ {
+			r.OnData(0, seqspace.Seq(i), seg(i), false)
+		}
+		r.OnData(0, 1, seg(1), false)
+		firsts, caps := drain(t, r)
+		want := []int{0, 1}
+		for i := 2; i < 40; i++ {
+			want = append(want, i)
+		}
+		if !slices.Equal(firsts, want) {
+			t.Fatalf("chunks start at segments %v, want one per held segment", firsts)
+		}
+		for i, c := range caps[2:] {
+			if c != bufpool.ChunkSize {
+				t.Fatalf("held segment %d came in capacity %d, want %d", i+2, c, bufpool.ChunkSize)
 			}
 		}
 	})

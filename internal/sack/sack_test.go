@@ -396,10 +396,17 @@ func TestLossRecoveryLoop(t *testing.T) {
 	if !ra.Finished() {
 		t.Fatal("receiver did not finish")
 	}
-	for i := 0; i < n; i++ {
-		p, ok := ra.Pop()
-		if !ok || !bytes.Equal(p, pay(i)) {
-			t.Fatalf("delivery %d = %q %v", i, p, ok)
+	// Every segment, in order, each chunk a run of consecutive segments.
+	next := 0
+	for p, ok := ra.Pop(); ok; p, ok = ra.Pop() {
+		for _, i := range runIndices(t, p) {
+			if i != next {
+				t.Fatalf("delivered segment %d, want %d", i, next)
+			}
+			next++
 		}
+	}
+	if next != n {
+		t.Fatalf("delivered %d segments, want %d", next, n)
 	}
 }

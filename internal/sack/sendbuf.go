@@ -35,11 +35,15 @@
 // length there: a byte is copied in once and out once per transmission.
 // A store holds only the pages its flight and queue span, and a drained
 // one holds none. The Reassembler records what arrived in a
-// seqspace.Received, the cumulative ack and the ranges above it (and,
-// ordered, holds those ranges' payloads too), and queues what is
+// seqspace.Received, the cumulative ack and the ranges above it, and,
+// ordered, holds those ranges' payloads in a list of runs, one per
+// range: an arrival that extends the newest run is an append, and any
+// other touches the one or two runs beside it, found by binary search,
+// however far ahead it lands. It queues what is
 // deliverable in pooled buffers: one 2 KiB chunk per segment while the
-// application keeps up, and in-order runs of up to 64 KiB behind unread
-// data (see Reassembler).
+// application keeps up, and runs of up to 64 KiB behind unread data or,
+// under full reliability, out of a long run held behind a hole (see
+// Reassembler).
 package sack
 
 import (

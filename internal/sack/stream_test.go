@@ -1,6 +1,7 @@
 package sack
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -92,11 +93,17 @@ func TestStreamSeqWraparound(t *testing.T) {
 	if !r.Finished() {
 		t.Fatal("reassembler should be finished across the wrap")
 	}
+	// Each segment is its own index, so the popped stream in order is
+	// 0..n-1 whatever the chunks.
+	var stream, want []byte
+	for p, ok := r.Pop(); ok; p, ok = r.Pop() {
+		stream = append(stream, p...)
+	}
 	for i := 0; i < n; i++ {
-		p, ok := r.Pop()
-		if !ok || len(p) != 1 || p[0] != byte(i) {
-			t.Fatalf("pop %d = %v/%v, want [%d]", i, p, ok, i)
-		}
+		want = append(want, byte(i))
+	}
+	if !bytes.Equal(stream, want) {
+		t.Fatalf("popped %v, want %v", stream, want)
 	}
 
 	// Unordered reassembler across the wrap.

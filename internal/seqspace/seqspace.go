@@ -106,7 +106,7 @@ func (r Range) String() string {
 
 // IntervalSet is an ordered set of disjoint, non-adjacent, non-empty
 // sequence ranges. It is the backing structure for SACK scoreboards and
-// receiver reassembly maps.
+// receivers' records of what arrived.
 //
 // The zero value is an empty set ready for use. Ranges in the set must
 // all fall within one comparison horizon of each other; callers uphold
